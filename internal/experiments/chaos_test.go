@@ -81,6 +81,9 @@ func TestChaosSuiteFailsOpen(t *testing.T) {
 			}
 		})
 	}
+	var table strings.Builder
+	WriteChaosReport(&table, reports)
+	checkGolden(t, "chaos_quick", []byte(table.String()))
 }
 
 // TestChaosMonitorCrashBoundsPauses pins the watchdog guarantee end to end:

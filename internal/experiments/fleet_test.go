@@ -81,6 +81,7 @@ func TestFleetRegimeSuite(t *testing.T) {
 	if decoded.Machines != r.Machines || len(decoded.Policies) != len(r.Policies) {
 		t.Errorf("artifact round-trip mismatch: %+v", decoded)
 	}
+	checkGolden(t, "fleet_quick", buf.Bytes())
 }
 
 // TestFleetRegimeSuiteDeterministic pins the artifact byte-for-byte across

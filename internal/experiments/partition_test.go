@@ -90,6 +90,7 @@ func TestPartitionSuite(t *testing.T) {
 	if decoded.BaselinePeriods != r.BaselinePeriods || len(decoded.Configs) != len(r.Configs) {
 		t.Errorf("artifact round-trip mismatch: %+v", decoded)
 	}
+	checkGolden(t, "partition_quick", buf.Bytes())
 }
 
 // TestPartitionByteIdenticalAcrossWorkers extends the determinism contract

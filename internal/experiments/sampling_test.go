@@ -69,6 +69,11 @@ func TestSamplingSuiteQuick(t *testing.T) {
 	if last.Skipped == 0 {
 		t.Error("interrupt point skipped no probes")
 	}
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	checkGolden(t, "sampling_quick", buf.Bytes())
 }
 
 func TestSamplingSuiteDeterministic(t *testing.T) {

@@ -90,4 +90,5 @@ func TestSchedRegimeSuite(t *testing.T) {
 	if decoded.BaselinePeriods != r.BaselinePeriods || len(decoded.Policies) != len(r.Policies) {
 		t.Errorf("artifact round-trip mismatch: %+v", decoded)
 	}
+	checkGolden(t, "sched_quick", buf.Bytes())
 }

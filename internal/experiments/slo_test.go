@@ -86,6 +86,10 @@ func TestSLORegimeSuite(t *testing.T) {
 			t.Errorf("bundle file %s missing or empty (err %v)", name, err)
 		}
 	}
+	checkGolden(t, "slo_quick", buf.Bytes())
+	checkGolden(t, "slo_quick_series", r.series)
+	checkGolden(t, "slo_quick_events", r.events)
+	checkGolden(t, "slo_quick_trace", r.trace)
 }
 
 // TestSLORegimeSuiteDeterministic pins the artifact byte-for-byte across
