@@ -6,6 +6,9 @@ set -eux
 
 go build ./...
 go vet ./...
+# The repository benchmark is its own module (benchmark/go.mod), which the
+# root ./... does not see: vet it and run its smoke test here.
+(cd benchmark && go vet ./... && go test ./...)
 # caer-vet with suppression hygiene on (stale //caer:allow comments are
 # findings in CI) and a wall-clock budget: the analysis suite must stay
 # cheap enough to run on every push (CAER_VET_BUDGET seconds, default 120).
@@ -38,11 +41,6 @@ go test -run='^$' -fuzz='^FuzzCachePartition$' -fuzztime=10s ./internal/mem
 # Chaos gate: the fault-injection regimes (DESIGN.md §8) in short mode —
 # every fault class must fail open under every heuristic.
 go run ./cmd/caer-bench -chaos -quick > /dev/null
-# Perf gate: the performance baseline (DESIGN.md §11) in short mode — the
-# suite exits non-zero if the parallel domain stepper's results are not
-# byte-identical to the serial run's (the determinism contract).
-go run ./cmd/caer-bench -perf -quick > /dev/null
-rm -f BENCH_perf.json
 # Sampling gate: the detection-latency-vs-overhead sweep (DESIGN.md §13)
 # in short mode — the event-driven modes must flag every contention burst
 # the poller flags, with no false flags, at strictly fewer probes.

@@ -8,7 +8,7 @@
 //	caer-bench [-fig all|1|2|3|6|7|8|9|10] [-csv DIR] [-seed N]
 //	           [-benchmarks mcf,namd,...] [-quick]
 //	           [-ablation partition,response,tuning,adversary,multiapp|all]
-//	           [-chaos] [-sched] [-sampling] [-perf] [-fleet] [-slo]
+//	           [-chaos] [-sched] [-sampling] [-fleet] [-slo]
 //	           [-partition] [-workers N]
 //	           [-telemetry addr] [-telemetry-out FILE]
 //
@@ -70,13 +70,8 @@
 // into -csv DIR when given, else the working directory. Skips figures
 // unless -fig is set explicitly.
 //
-// -perf runs the performance baseline suite (DESIGN.md §11): ns/op for each
-// stage of the per-period pipeline (cache step, hierarchy access, PMU probe,
-// comm publish, engine tick, sched tick), periods/sec for the end-to-end
-// CAER pipeline and the batched multi-domain machine, and the wall-clock
-// speedup plus byte-identity check of a 4-domain scheduled scenario at
-// Workers=1 versus -workers. Writes BENCH_perf.json and exits non-zero if
-// the parallel run's results are not byte-identical to the serial run's.
+// Host-time performance (per-layer cost, periods/s, worker-pool speedup) is
+// measured by the repository benchmark in benchmark/, not by this command.
 package main
 
 import (
@@ -108,8 +103,7 @@ func main() {
 	fleetFlag := flag.Bool("fleet", false, "run the fleet regime suite and write BENCH_fleet.json (skips figures unless -fig is set explicitly)")
 	partitionFlag := flag.Bool("partition", false, "run the partition regime suite and write BENCH_partition.json (skips figures unless -fig is set explicitly)")
 	sloFlag := flag.Bool("slo", false, "run the SLO regime suite and write BENCH_slo.json plus the caer-doctor bundle (skips figures unless -fig is set explicitly)")
-	perfFlag := flag.Bool("perf", false, "run the performance baseline suite and write BENCH_perf.json (skips figures unless -fig is set explicitly)")
-	workers := flag.Int("workers", 4, "domain-stepper worker pool size for -perf parallel measurements, -sched, -fleet, and -partition")
+	workers := flag.Int("workers", 4, "domain-stepper worker pool size for -sched, -fleet, -slo, and -partition")
 	telemetryAddr := flag.String("telemetry", "", "serve live telemetry (/metrics, /trace, /debug/pprof) on this address, e.g. :6060")
 	telemetryOut := flag.String("telemetry-out", "", "write a Prometheus-text telemetry snapshot to this file after the run")
 	flag.Parse()
@@ -144,7 +138,7 @@ func main() {
 	for _, f := range strings.Split(*fig, ",") {
 		want[strings.TrimSpace(f)] = true
 	}
-	if (*chaos || *schedFlag || *perfFlag || *samplingFlag || *fleetFlag || *sloFlag || *partitionFlag) && !figSetExplicitly {
+	if (*chaos || *schedFlag || *samplingFlag || *fleetFlag || *sloFlag || *partitionFlag) && !figSetExplicitly {
 		want = map[string]bool{}
 	}
 	all := want["all"]
@@ -267,29 +261,6 @@ func main() {
 			}
 		}
 		fmt.Fprintf(out, "\nall regimes fail open: latency app completed under every fault class\n")
-	}
-	if *perfFlag {
-		fmt.Fprintf(out, "\n")
-		perf := experiments.PerfSuite(*seed, *quick, *workers)
-		if err := perf.Render(out); err != nil {
-			fatalf("render perf baseline: %v", err)
-		}
-		if !perf.Speedup.Identical {
-			fatalf("determinism violation: Workers=1 and Workers=%d scheduled results differ", perf.Speedup.Workers)
-		}
-		path := "BENCH_perf.json"
-		if *csvDir != "" {
-			path = filepath.Join(*csvDir, path)
-		}
-		fh, err := os.Create(path)
-		if err != nil {
-			fatalf("create %s: %v", path, err)
-		}
-		if err := perf.WriteJSON(fh); err != nil {
-			fatalf("write %s: %v", path, err)
-		}
-		fh.Close()
-		fmt.Fprintf(out, "[wrote %s]\n", path)
 	}
 	if *schedFlag {
 		fmt.Fprintf(out, "\n")

@@ -77,9 +77,8 @@ func DefaultConfig() *Config {
 			// Engine: per-period detect/respond state machine (Figure 5).
 			"caer.Engine.Tick", "caer.Engine.finishTick",
 			"caer.Engine.OwnMean", "caer.Engine.NeighborMean", "caer.Engine.LastNeighbor",
-			// CAER-M monitor probe (TickSpan is the span-normalizing core
-			// Tick delegates to).
-			"caer.Monitor.Tick", "caer.Monitor.TickSpan",
+			// CAER-M monitor probe.
+			"caer.Monitor.TickSpan",
 			// Detection heuristics (Algorithms 1 and 2).
 			"caer.ShutterDetector.Step", "caer.RuleDetector.Step",
 			"caer.RandomDetector.Step", "caer.HybridDetector.Step",
@@ -88,12 +87,16 @@ func DefaultConfig() *Config {
 			"caer.SoftLock.React", "caer.SoftLock.Hold",
 			// Bounded decision log, appended every verdict.
 			"caer.EventLog.Append",
-			// Whole-deployment period step plus its sampling-schedule
-			// helpers: the probe pipeline, the schedule advance, the quiet
-			// check, and the cadence declaration all run inside Step.
-			"caer.Runtime.Step", "caer.Runtime.probe", "caer.Runtime.afterProbe",
-			"caer.Runtime.quiet", "caer.Runtime.declareCadence",
-			"caer.Runtime.sleep", "caer.Runtime.wake",
+			// The one per-period detect/respond loop (DESIGN.md §17) and its
+			// stages: the probe schedule, the probe itself (publish, tick,
+			// combine), the schedule advance, the quiet check, the cadence
+			// declaration and the interrupt-mode sleep/wake all run inside
+			// Tick. Runtime.Step is Tick plus gauges and relaunch.
+			"caer.Pipeline.Tick", "caer.Pipeline.probe", "caer.Pipeline.afterProbe",
+			"caer.Pipeline.quiet", "caer.Pipeline.declareCadence",
+			"caer.Pipeline.sleep", "caer.Pipeline.wake",
+			"caer.Pipeline.GroupDirective", "caer.Batch.Sample",
+			"caer.Runtime.Step", "caer.Runtime.setGauges",
 			// Adaptive-sampling interval controller, folded in per probe.
 			"caer.IntervalController.Observe", "caer.IntervalController.Interval",
 			"caer.Engine.Idle",
@@ -143,12 +146,15 @@ func DefaultConfig() *Config {
 			// score reads the placement scorer calls per queue decision.
 			"sched.Classifier.Observe", "sched.Classifier.ObserveVerdict",
 			"sched.Classifier.Aggressiveness", "sched.Classifier.Sensitivity",
-			// Scheduler per-period loop. Decision-taking paths (admitTo,
-			// finishJobs, maybeMigrate) record decisions and rebuild
-			// engines — they allocate by design and are NOT hot.
-			"sched.Scheduler.Step", "sched.Scheduler.observePeriod",
-			"sched.Scheduler.tickEngines", "sched.Scheduler.applyDirectives",
-			"sched.Scheduler.fillViews", "sched.Scheduler.ageQueue",
+			// Scheduler per-period loop around the pipeline tick: the
+			// classifier feed, queue aging and the admission scan.
+			// Decision-taking paths (admitTo, finishJobs, maybeMigrate)
+			// record decisions and attach/detach engines — they allocate
+			// by design and are NOT hot.
+			"sched.Scheduler.Step", "sched.Scheduler.observe",
+			"sched.Scheduler.feed", "sched.Scheduler.pressure",
+			"sched.Scheduler.admit", "sched.Scheduler.fillViews",
+			"sched.Scheduler.ageQueue",
 			// Partition response per-period loop (DESIGN.md §16): the
 			// verdict-pressure fold, allocation-free cluster re-score, and
 			// want/applied mask reconciliation. The actual resize
@@ -235,9 +241,9 @@ func DefaultConfig() *Config {
 		},
 		EnumIgnorePrefixes: []string{"num"},
 		ColdFuncs: []string{
-			// One-time lazy deployment build inside the first Step; every
-			// period after it is a cheap started-flag check.
-			"caer.Runtime.start",
+			// One-time lazy deployment build inside the first Step/Tick;
+			// every period after it is a cheap started-flag check.
+			"caer.Runtime.start", "caer.Pipeline.start",
 			// Worker-pool handoff: the channel ops are the price of
 			// domain parallelism, paid once per dispatched batch of
 			// periods, not per memory access (DESIGN.md §11).
@@ -246,8 +252,8 @@ func DefaultConfig() *Config {
 			// Step, mirroring caer.Runtime.start.
 			"sched.Scheduler.start",
 			// Scheduler decision paths: they record decisions, rebuild
-			// engines, and log — allocating by documented design; the
-			// per-period observe/tick/apply loop around them is hot.
+			// engines (Pipeline.Attach/Detach), and log — allocating by
+			// documented design; the per-period loop around them is hot.
 			"sched.Scheduler.admitTo", "sched.Scheduler.finishJobs",
 			"sched.Scheduler.maybeMigrate",
 			// Fleet barriers mirroring sched's one level up: arrival
@@ -282,12 +288,10 @@ func DefaultConfig() *Config {
 			// Experiment result assembly feeding BENCH_*.json byte-identity
 			// gates (DESIGN.md §11).
 			"experiments.SchedRegime.Table", "experiments.SchedRegime.WriteJSON",
-			"experiments.PerfReport.Table", "experiments.PerfReport.WriteJSON",
 			"experiments.SamplingReport.Table", "experiments.SamplingReport.WriteJSON",
 			"experiments.FleetRegime.Table", "experiments.FleetRegime.WriteJSON",
 			"experiments.SLORegime.Table", "experiments.SLORegime.WriteJSON",
 			"experiments.PartitionRegime.Table", "experiments.PartitionRegime.WriteJSON",
-			"experiments.marshalComparable",
 		},
 		MetricNames: []string{
 			"caer_pmu_reads_total", "caer_pmu_rearms_total", "caer_pmu_probes_total",

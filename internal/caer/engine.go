@@ -33,6 +33,20 @@ type EngineStats struct {
 	WatchdogTrips  uint64 // times the watchdog forced degradation
 }
 
+// Add folds o into s: the totals over every engine an application ran
+// under (it gets a fresh engine whenever it is re-attached).
+func (s *EngineStats) Add(o EngineStats) {
+	s.Periods += o.Periods
+	s.PausedPeriods += o.PausedPeriods
+	s.RunPeriods += o.RunPeriods
+	s.CPositive += o.CPositive
+	s.CNegative += o.CNegative
+	s.DetectionTicks += o.DetectionTicks
+	s.HoldTicks += o.HoldTicks
+	s.DegradedTicks += o.DegradedTicks
+	s.WatchdogTrips += o.WatchdogTrips
+}
+
 // Engine is the main CAER layer that lies under a batch application
 // (paper §3.2): each period it publishes the batch's own LLC-miss sample to
 // the communication table, reads the latency-sensitive neighbours' samples
@@ -58,8 +72,8 @@ type Engine struct {
 	watchdog int
 
 	// Span bookkeeping for the telemetry trace: the engine's lane is its
-	// own slot ID (re-homed by SetSpans for fleet runs, where N machines
-	// share a ring and raw slot ids would collide), and each in-flight
+	// own slot ID (re-homed by Pipeline.SetLanes for fleet runs, where N
+	// machines share a ring and raw slot ids would collide), and each in-flight
 	// detection protocol / hold / degraded stretch remembers its start
 	// period so the closing tick can record a single span covering the
 	// whole phase.
@@ -75,7 +89,8 @@ type Engine struct {
 	degradedStart uint64
 }
 
-// engineLogCapacity bounds the decision log's memory footprint.
+// engineLogCapacity bounds the decision log's memory footprint unless
+// Config.EventLogCap says otherwise.
 const engineLogCapacity = 4096
 
 // NewEngine wires a detector and responder to the batch application's own
@@ -104,34 +119,6 @@ func NewEngine(det Detector, resp Responder, own *comm.Slot, neighbors []*comm.S
 		spans: telemetry.DefaultSpans, laneName: "batch/" + own.Name()}
 	e.spans.NameTrack(e.track, e.laneName)
 	return e
-}
-
-// SetSpans re-homes the engine's telemetry spans onto a different recorder
-// and track, naming the lane prefix+"batch/<app>" there. The fleet layer
-// uses this to give machine k's engines the k*stride track block of a
-// shared ring instead of the process-default recorder, where raw slot ids
-// collide across machines. Must be called before the first Tick so every
-// span of the engine's history lands on one lane.
-func (e *Engine) SetSpans(spans *telemetry.SpanRecorder, track int32, prefix string) {
-	if e.stats.Periods > 0 {
-		panic("caer: SetSpans after the first Tick")
-	}
-	if spans == nil {
-		panic("caer: SetSpans needs a recorder")
-	}
-	e.spans = spans
-	e.track = track
-	e.spans.NameTrack(track, prefix+e.laneName)
-}
-
-// SetLogCapacity resizes the engine's decision log to keep the most recent
-// capacity events (default 4096). Like SetWatchdog it must be called before
-// the first Tick so the decision history stays accountable.
-func (e *Engine) SetLogCapacity(capacity int) {
-	if e.stats.Periods > 0 {
-		panic("caer: SetLogCapacity after the first Tick")
-	}
-	e.log = NewEventLog(capacity)
 }
 
 // SetWatchdog arms the engine's staleness watchdog: after periods

@@ -12,11 +12,12 @@ import (
 // the application's PMU each sampling period and publish the LLC-miss
 // sample to the communication table for the engines to consume.
 type Monitor struct {
-	pmu  *pmu.PMU
-	slot *comm.Slot
-	down bool
+	pmu    *pmu.PMU
+	slot   *comm.Slot
+	down   bool
+	misses uint64 // raw delta of the last probe
 	// track/period drive the telemetry probe spans: the monitor's lane is
-	// its slot ID (re-homed by SetSpans for fleet runs), and period counts
+	// its slot ID (re-homed by Pipeline.SetLanes for fleet runs), and period counts
 	// its own ticks (down ticks included) so the lane stays aligned with
 	// the engines', which tick every period.
 	spans    *telemetry.SpanRecorder
@@ -40,58 +41,43 @@ func NewMonitor(p *pmu.PMU, slot *comm.Slot) *Monitor {
 	return m
 }
 
-// SetSpans re-homes the monitor's probe spans onto a different recorder
-// and track (see Engine.SetSpans — the fleet layer's per-machine track
-// blocks). Must be called before the first Tick.
-func (m *Monitor) SetSpans(spans *telemetry.SpanRecorder, track int32, prefix string) {
-	if m.period > 0 {
-		panic("caer: SetSpans after the first Tick")
-	}
-	if spans == nil {
-		panic("caer: SetSpans needs a recorder")
-	}
-	m.spans = spans
-	m.track = track
-	m.spans.NameTrack(track, prefix+m.laneName)
-}
-
 // Slot returns the monitor's table slot.
 func (m *Monitor) Slot() *comm.Slot { return m.slot }
+
+// PMU returns the monitor's counter view, for events beyond the LLC misses
+// the monitor itself reads.
+func (m *Monitor) PMU() *pmu.PMU { return m.pmu }
+
+// Misses returns the raw LLC-miss delta the last probe read.
+func (m *Monitor) Misses() uint64 { return m.misses }
 
 // SetDown simulates a monitor crash (down=true) or restart (down=false).
 // A down monitor stops publishing entirely — its slot's window freezes and
 // its staleness grows, which is the failure the engines' watchdogs detect.
-// On restart the PMU is re-armed so the first sample after the outage
-// covers one period, not the whole gap.
-func (m *Monitor) SetDown(down bool) {
-	if m.down && !down {
-		m.pmu.Arm()
-	}
-	m.down = down
-}
+// The hardware counter keeps being probed through the outage, so the first
+// sample after a restart covers one probe span, not the whole gap.
+func (m *Monitor) SetDown(down bool) { m.down = down }
 
 // Down reports whether the monitor is simulated as crashed.
 func (m *Monitor) Down() bool { return m.down }
 
-// Tick performs one periodic probe: read-and-restart the LLC-miss counter
-// and publish the delta. A crashed monitor does nothing.
-func (m *Monitor) Tick() { m.TickSpan(1) }
-
-// TickSpan is Tick for a probe covering elapsed machine periods (>= 1):
-// under the adaptive/interrupt sampling modes the runtime skips probes, so
-// a probe's counter delta spans several periods. The published sample is
-// normalized to misses per period, keeping the slot window — and every
-// consumer of it (engine detectors, sched.Classifier) — in the per-period
-// units the thresholds are calibrated for. A crashed monitor does nothing.
+// TickSpan performs one probe covering elapsed machine periods (>= 1; more
+// than 1 when the adaptive/interrupt sampling modes skipped probes):
+// read-and-restart the LLC-miss counter and publish the delta, normalized
+// to misses per period so the slot window — and every consumer of it
+// (engine detectors, sched.Classifier) — stays in the per-period units the
+// thresholds are calibrated for. A crashed monitor reads but publishes
+// nothing.
 func (m *Monitor) TickSpan(elapsed uint64) {
 	if elapsed == 0 {
 		elapsed = 1
 	}
 	m.period++
+	m.misses = m.pmu.ReadDelta(pmu.EventLLCMisses)
 	if m.down {
 		return
 	}
-	v := float64(m.pmu.ReadDelta(pmu.EventLLCMisses)) / float64(elapsed)
+	v := float64(m.misses) / float64(elapsed)
 	m.slot.Publish(v)
 	m.spans.Record(m.track, telemetry.SpanProbe, m.period-1, 1, v)
 }

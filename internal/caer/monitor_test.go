@@ -29,9 +29,9 @@ func TestMonitorPublishesPerPeriodDeltas(t *testing.T) {
 	}
 
 	src.misses = 120
-	mon.Tick()
+	mon.TickSpan(1)
 	src.misses = 150
-	mon.Tick()
+	mon.TickSpan(1)
 	samples := slot.Samples()
 	if len(samples) != 2 || samples[0] != 120 || samples[1] != 30 {
 		t.Errorf("published samples = %v, want [120 30]", samples)

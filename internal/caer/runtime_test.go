@@ -138,15 +138,16 @@ func TestRuntimeBatchRelaunch(t *testing.T) {
 	// A tiny batch program completes quickly and must be relaunched.
 	small := spec.LBM()
 	small.Exec.Instructions = 2000
-	rt.AddBatch("lbm", 1, small.NewProcess(1<<28, 2))
+	proc := small.NewProcess(1<<28, 2)
+	rt.AddBatch("lbm", 1, proc)
 	for i := 0; i < 100; i++ {
 		rt.Step()
 	}
 	if rt.Relaunches() == 0 {
 		t.Error("completed batch application was never relaunched")
 	}
-	if rt.BatchProcesses()[0].Runs() < 2 {
-		t.Errorf("batch runs = %d, want >= 2", rt.BatchProcesses()[0].Runs())
+	if proc.Runs() < 2 {
+		t.Errorf("batch runs = %d, want >= 2", proc.Runs())
 	}
 }
 
@@ -158,14 +159,8 @@ func TestRuntimeAccessors(t *testing.T) {
 	if len(rt.Engines()) != 1 {
 		t.Error("Engines() wrong")
 	}
-	if got := rt.LatencyCores(); len(got) != 1 || got[0] != 0 {
-		t.Errorf("LatencyCores = %v", got)
-	}
-	if got := rt.BatchCores(); len(got) != 1 || got[0] != 1 {
-		t.Errorf("BatchCores = %v", got)
-	}
-	if len(rt.LatencyProcesses()) != 1 || len(rt.BatchProcesses()) != 1 {
-		t.Error("process accessors wrong")
+	if len(rt.Monitors()) != 1 || rt.Monitors()[0].PMU().Core() != 0 {
+		t.Error("Monitors() wrong")
 	}
 	if rt.Table().WindowSize() != DefaultConfig().WindowSize {
 		t.Error("table window size wrong")

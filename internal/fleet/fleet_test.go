@@ -338,3 +338,45 @@ func TestFleetWriteMetrics(t *testing.T) {
 		t.Error("fleet snapshot is missing the process-global caer_fleet_dispatches_total")
 	}
 }
+
+// TestFleetUnderInterruptSampling is the ROADMAP gate "fleet runs under
+// interrupt sampling": fleet.Config.Sched.Caer reaches every machine's
+// detect/respond pipeline, so a fleet of quiet services sheds probes and
+// still drains every arrival.
+func TestFleetUnderInterruptSampling(t *testing.T) {
+	scfg := identitySchedConfig()
+	scfg.Caer.Sampling = caer.SamplingInterrupt
+	machineSpec := func(service string) fleet.MachineSpec {
+		return fleet.MachineSpec{
+			Cores: 8, Domains: 2,
+			// Requests long enough that the relaunch's cold-cache burst (which
+			// fires the triggers) is a small share of each one.
+			Services: []fleet.Service{{Profile: prof(service, 400_000), Core: 0, Relaunch: true}},
+		}
+	}
+	c := fleet.New(fleet.Config{
+		Machines: []fleet.MachineSpec{machineSpec("namd"), machineSpec("povray")},
+		Sched:    scfg,
+		Policy:   fleet.PolicyLeastPressure,
+		Traffic: fleet.Traffic{
+			Curve: fleet.CurveDiurnal, Rate: 0.2, Horizon: 1500,
+			Mix: []spec.Profile{prof("lbm", 50_000), prof("povray", 50_000)},
+		},
+		Seed:       9,
+		MaxPeriods: 20_000,
+	})
+	c.Run()
+	rep := c.Report()
+	if rep.Completed != rep.Arrivals || rep.Arrivals == 0 {
+		t.Fatalf("%d of %d jobs completed", rep.Completed, rep.Arrivals)
+	}
+	for k, n := range c.Nodes() {
+		st := n.Sched().Pipeline().SamplingStats()
+		if st.Mode != caer.SamplingInterrupt || st.SkippedPeriods == 0 || st.TriggerFires == 0 {
+			t.Errorf("machine %d never slept and woke under interrupt sampling: %+v", k, st)
+		}
+		if d := n.Sched().DegradedTicks(); d != 0 {
+			t.Errorf("machine %d: %d degraded ticks on a healthy run", k, d)
+		}
+	}
+}

@@ -54,7 +54,9 @@ func TestPeekFaultDeterminismConcurrent(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				pB.Peek(EventLLCMisses)
+				// Peek at the source, which is safe for concurrent use; a
+				// PMU view is single-owner and pB belongs to the probe loop.
+				fsB.PeekCounter(0, EventLLCMisses)
 				fsB.PeekCounter(0, EventInstrRetired)
 			}
 		}

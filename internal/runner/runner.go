@@ -396,21 +396,17 @@ func runCAER(s Scenario) Result {
 	res.LatencyInstructions = lat.Retired()
 	res.LatencyMisses = m.ReadCounter(0, pmu.EventLLCMisses)
 	fillBatchTotals(&res, m, cores)
-	// Aggregate the decision counters over every engine: reading only
+	res.Relaunches = rt.Relaunches()
+	res.Sampling = rt.SamplingStats()
+	perBatch := rt.BatchRelaunches()
+	// The decision counters aggregate over every engine: reading only
 	// engines[0] under-reports whenever more than one batch is managed.
-	for _, eng := range rt.Engines() {
+	for i, eng := range rt.Engines() {
 		st := eng.Stats()
 		res.CPositive += st.CPositive
 		res.CNegative += st.CNegative
 		res.PausedPeriods += st.PausedPeriods
 		res.EngineLogs = append(res.EngineLogs, eng.Log().Events())
-	}
-	res.DecisionLog = res.EngineLogs[0]
-	res.Relaunches = rt.Relaunches()
-	res.Sampling = rt.SamplingStats()
-	perBatch := rt.BatchRelaunches()
-	for i, eng := range rt.Engines() {
-		st := eng.Stats()
 		res.BatchResults = append(res.BatchResults, BatchResult{
 			Name:          spec.ShortName(specs[i].prof.Name),
 			Core:          specs[i].core,
@@ -424,6 +420,7 @@ func runCAER(s Scenario) Result {
 			Relaunches:    perBatch[i],
 		})
 	}
+	res.DecisionLog = res.EngineLogs[0]
 	return res
 }
 

@@ -3,11 +3,15 @@ package sched
 import (
 	"fmt"
 
+	"caer/internal/comm"
 	"caer/internal/mem"
+	"caer/internal/telemetry"
 )
 
-// This file is the LFOC-style cache-clustering planner behind the
-// partition response family (DESIGN.md §16): co-runners are grouped into
+// This file is the scheduler's partition stage: the LFOC-style
+// cache-clustering planner behind the partition response family (DESIGN.md
+// §16), and below it the per-period loop that feeds the planner and applies
+// its masks. Co-runners are grouped into
 // three cache clusters from the classifier's binary classes — sensitive
 // apps get a protected partition aggressors physically cannot evict from,
 // aggressors share a confined partition, and everyone else shares the
@@ -224,3 +228,119 @@ func (cl *Clusterer) Rescore(classes []AppClass, pressure int) bool {
 
 // Plan returns the current layout.
 func (cl *Clusterer) Plan() ClusterPlan { return cl.plan }
+
+// domainPartition is one LLC domain's partition-stage state. A domain with
+// no latency app has nothing to protect: cl is nil and it stays
+// unpartitioned. Resizes fire only on a want != applied delta, and the
+// scratches are pre-sized to the domain's cores, so the per-period path is
+// allocation-free.
+type domainPartition struct {
+	cl            *Clusterer
+	pressure      int           // verdict-driven confinement level
+	want, applied []mem.WayMask // per local core
+	classes       []AppClass    // resident-app scratch Rescore consumes
+	cores         []int         // ... and each one's local core
+}
+
+// startPartitions builds the partition stage on the first Step.
+func (s *Scheduler) startPartitions() {
+	s.parts = make([]domainPartition, s.m.Domains())
+	for i := range s.latency {
+		p := &s.parts[s.latency[i].domain]
+		if p.cl != nil {
+			continue
+		}
+		h := s.m.DomainHierarchy(s.latency[i].domain)
+		ways, cores := h.L3().Ways(), h.Cores()
+		p.cl = NewClusterer(ways, s.cfg.Cluster)
+		p.want = make([]mem.WayMask, cores)
+		p.applied = make([]mem.WayMask, cores)
+		for c := range p.applied {
+			p.applied[c] = mem.FullMask(ways)
+		}
+		p.classes = make([]AppClass, cores)
+		p.cores = make([]int, cores)
+	}
+}
+
+// applyPartitions drives the LFOC-style partition response (DESIGN.md
+// §16): per domain, fold the combined directive of the pipeline's last
+// probe into the confinement pressure, re-plan the cache clusters from the
+// classifier's current classes, and apply any mask deltas to the domain's
+// L3. The per-period path is allocation-free; actual resizes (rare) go
+// through the cold resizePartition.
+func (s *Scheduler) applyPartitions() {
+	for d := range s.parts {
+		p := &s.parts[d]
+		if p.cl == nil {
+			continue
+		}
+		if s.pipe.GroupDirective(d) == comm.DirectivePause {
+			if p.pressure < p.cl.cfg.MaxPressure {
+				p.pressure++
+			}
+		} else if p.pressure > 0 {
+			p.pressure--
+		}
+		// Gather resident apps into the pre-sized scratches (indexed
+		// writes, never growth: n is bounded by the core count).
+		n := 0
+		for i := range s.latency {
+			la := &s.latency[i]
+			if la.domain != d {
+				continue
+			}
+			p.classes[n] = AppClass{Name: la.name, Latency: true,
+				Aggressor: s.classifier.Aggressor(la.app), Sensitive: s.classifier.Sensitive(la.app)}
+			p.cores[n] = s.m.LocalCore(la.core)
+			n++
+		}
+		for _, j := range s.running {
+			if j.domain != d {
+				continue
+			}
+			p.classes[n] = AppClass{Name: j.spec.Name,
+				Aggressor: s.classifier.Aggressor(j.app), Sensitive: s.classifier.Sensitive(j.app)}
+			p.cores[n] = s.m.LocalCore(j.core)
+			n++
+		}
+		classes := p.classes[:n]
+		if p.cl.Rescore(classes, p.pressure) {
+			telemetry.PartPlanChanges.Inc()
+			plan := p.cl.Plan()
+			telemetry.PartProtectedWays.Set(float64(plan.Protected.Count()))
+			telemetry.PartConfinedWays.Set(float64(plan.Confined.Count()))
+			telemetry.PartPressure.Set(float64(p.pressure))
+		}
+		plan := p.cl.Plan()
+		for lc := range p.want {
+			p.want[lc] = plan.Default
+		}
+		for i := range classes {
+			p.want[p.cores[i]] = plan.MaskFor(Classify(classes[i]))
+		}
+		for lc := range p.want {
+			if p.want[lc] != p.applied[lc] {
+				s.resizePartition(d, lc, p.want[lc])
+			}
+		}
+	}
+}
+
+// resizePartition applies one owner's new L3 way-mask, back-invalidating
+// dropped lines under invalidate-mode resizes. Cold path: resizes are rare
+// relative to periods and may allocate.
+func (s *Scheduler) resizePartition(d, localCore int, mask mem.WayMask) {
+	h := s.m.DomainHierarchy(d)
+	dropped := h.SetL3OwnerMask(localCore, mask, s.cfg.Cluster.ResizeMode)
+	s.parts[d].applied[localCore] = mask
+	telemetry.PartResizes.Inc()
+	if dropped > 0 {
+		telemetry.PartInvalidations.Add(uint64(dropped))
+	}
+	if s.cfg.Cluster.ResizeMode == mem.ResizeOrphan {
+		if n := h.L3().StrandedLines(localCore); n > 0 {
+			telemetry.PartOrphans.Add(uint64(n))
+		}
+	}
+}

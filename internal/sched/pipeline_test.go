@@ -1,0 +1,213 @@
+package sched
+
+import (
+	"testing"
+
+	"caer/internal/caer"
+	"caer/internal/machine"
+	"caer/internal/spec"
+	"caer/internal/stats"
+)
+
+// newQuietSched builds the 2-domain, 8-core deployment with quiet latency
+// services (namd on each domain): their LLC pressure sits below the noise
+// threshold, so the adaptive and interrupt probe schedules can widen.
+func newQuietSched(cc caer.Config) *Scheduler {
+	m := machine.New(machine.Config{Cores: 8, Domains: 2})
+	s := New(m, Config{Heuristic: caer.HeuristicRule, Caer: cc, Policy: PolicyContentionAware})
+	namd, _ := spec.ByName("namd")
+	s.AddLatency("namd", 0, namd.Batch().NewProcess(0, 11))
+	s.AddLatency("namd2", 4, namd.Batch().NewProcess(1<<27, 12))
+	return s
+}
+
+func submitMix(s *Scheduler, n int, instr uint64) {
+	for i := 0; i < n; i++ {
+		name := "povray"
+		if i%2 == 0 {
+			name = "lbm"
+		}
+		s.Submit(testJob(name, instr, i))
+	}
+}
+
+// lifetimeMissMean returns the classifier's lifetime mean misses/period for
+// the named job app.
+func lifetimeMissMean(s *Scheduler, name string) float64 {
+	var sum stats.Running
+	s.classifier.MergeSummary(s.appByName[name], &sum)
+	return sum.Mean()
+}
+
+// TestSchedulerHonoursSampling pins the Config.Caer bugfix: a scheduled
+// machine under the adaptive and interrupt schedules sheds probes on a
+// quiet machine, still completes every job, trips no watchdog (skipped
+// probes declare their cadence), and keeps the classifier's windows in
+// misses-per-period units even though a probe spans many periods.
+func TestSchedulerHonoursSampling(t *testing.T) {
+	poll := newQuietSched(caer.DefaultConfig())
+	submitMix(poll, 6, 150_000)
+	poll.RunUntil(poll.Done, 20_000)
+	if st := poll.Pipeline().SamplingStats(); st.SkippedPeriods != 0 {
+		t.Fatalf("polling skipped %d periods", st.SkippedPeriods)
+	}
+	want := lifetimeMissMean(poll, "lbm")
+
+	for _, mode := range []caer.SamplingMode{caer.SamplingAdaptive, caer.SamplingInterrupt} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cc := caer.DefaultConfig()
+			cc.Sampling = mode
+			s := newQuietSched(cc)
+			submitMix(s, 6, 150_000)
+			s.RunUntil(s.Done, 20_000)
+			if !s.Done() {
+				t.Fatalf("jobs did not drain: queue=%d running=%d", s.QueueLen(), len(s.running))
+			}
+			st := s.Pipeline().SamplingStats()
+			if st.Mode != mode || st.SkippedPeriods == 0 || st.WidestInterval < 2 {
+				t.Errorf("schedule never widened: %+v", st)
+			}
+			if st.ProbePeriods+st.SkippedPeriods != s.Period() {
+				t.Errorf("probed %d + skipped %d != %d periods", st.ProbePeriods, st.SkippedPeriods, s.Period())
+			}
+			for _, j := range s.jobs {
+				if j.stats.WatchdogTrips != 0 || j.stats.DegradedTicks != 0 {
+					t.Errorf("job %d: healthy run tripped the watchdog: %+v", j.id, j.stats)
+				}
+			}
+			if got := s.DegradedTicks(); got != 0 {
+				t.Errorf("DegradedTicks = %d on a healthy run", got)
+			}
+			// A probe's deltas span up to MaxProbeInterval periods; fed raw
+			// they would inflate the mean by about that factor.
+			if got := lifetimeMissMean(s, "lbm"); got < 0.5*want || got > 1.5*want {
+				t.Errorf("lbm lifetime misses/period = %.1f, polling measures %.1f: not normalized by span", got, want)
+			}
+		})
+	}
+}
+
+// TestSchedulerAdmissionWakesSchedule: a job admitted while the interrupt
+// schedule sleeps (or the adaptive one is widened) is probed the very next
+// period, over a one-period span.
+func TestSchedulerAdmissionWakesSchedule(t *testing.T) {
+	for _, mode := range []caer.SamplingMode{caer.SamplingAdaptive, caer.SamplingInterrupt} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cc := caer.DefaultConfig()
+			cc.Sampling = mode
+			s := newQuietSched(cc)
+			pipe := s.Pipeline()
+			for i := 0; i < 200 && pipe.SamplingStats().WidestInterval < cc.MaxProbeInterval; i++ {
+				s.Step()
+			}
+			if mode == caer.SamplingInterrupt && !pipe.Sleeping() {
+				t.Fatal("idle machine never went to sleep")
+			}
+			// Land the admission in the middle of a skipped stretch.
+			for before := pipe.SamplingStats().ProbePeriods; pipe.SamplingStats().ProbePeriods == before; {
+				s.Step()
+			}
+			s.Step()
+			probes := pipe.SamplingStats().ProbePeriods
+			id := s.Submit(testJob("lbm", 400_000, 0))
+			s.Step()
+			if s.JobStateOf(id) != JobRunning {
+				t.Fatalf("job not admitted on an idle machine: %v", s.JobStateOf(id))
+			}
+			if pipe.SamplingStats().ProbePeriods != probes {
+				t.Fatal("admission period was itself a probe; the test needs a skipped one")
+			}
+			if pipe.Sleeping() {
+				t.Error("pipeline still asleep after an attach")
+			}
+			s.Step()
+			if got := pipe.SamplingStats().ProbePeriods; got != probes+1 {
+				t.Errorf("period after admission did not probe (%d -> %d)", probes, got)
+			}
+			if _, span := s.jobs[id].batch.Sample(); span != 1 {
+				t.Errorf("newcomer's first sample spans %d periods, want 1", span)
+			}
+			if s.classifier.ObservedPeriods(s.jobs[id].app) != 1 {
+				t.Errorf("classifier saw %d samples of the newcomer, want 1", s.classifier.ObservedPeriods(s.jobs[id].app))
+			}
+		})
+	}
+}
+
+// TestSchedulerEventLogCap: Config.Caer.EventLogCap sizes every scheduled
+// engine's decision log, including the one a migration builds.
+func TestSchedulerEventLogCap(t *testing.T) {
+	cc := caer.DefaultConfig()
+	cc.EventLogCap = 64
+	s := newTestSched(Config{Caer: cc})
+	for i := 0; i < 4; i++ {
+		s.Submit(testJob("lbm", 200_000, i))
+	}
+	for i := 0; i < 10; i++ {
+		s.Step()
+	}
+	if len(s.running) == 0 {
+		t.Fatal("nothing admitted")
+	}
+	for _, j := range s.running {
+		if got := j.batch.Engine().Log().Cap(); got != 64 {
+			t.Errorf("job %d engine log capacity = %d, want 64", j.id, got)
+		}
+	}
+}
+
+// TestSchedulerRunningSetOrder: the running set, and with it the
+// pipeline's engine tick order, stays in job-id order across completions
+// and migrations.
+func TestSchedulerRunningSetOrder(t *testing.T) {
+	s := newTestSched(Config{Policy: PolicyPacked, MigrationPeriod: 20, MigrationMargin: 0.01})
+	for i := 0; i < 10; i++ {
+		name := "lbm"
+		if i%3 == 0 {
+			name = "povray"
+		}
+		s.Submit(testJob(name, uint64(40_000+30_000*(i%4)), i))
+	}
+	for p := 0; p < 6000 && !s.Done(); p++ {
+		s.Step()
+		for i := 1; i < len(s.running); i++ {
+			if s.running[i-1].id >= s.running[i].id {
+				t.Fatalf("period %d: running set out of job-id order at %d", s.Period(), i)
+			}
+		}
+		for _, j := range s.running {
+			if j.state != JobRunning || j.batch == nil {
+				t.Fatalf("period %d: job %d in the running set is %v", s.Period(), j.id, j.state)
+			}
+		}
+	}
+	if !s.Done() {
+		t.Fatal("jobs did not drain")
+	}
+	if s.Migrations() == 0 {
+		t.Error("scenario exercised no migration")
+	}
+	if len(s.running) != 0 {
+		t.Errorf("%d jobs left in the running set after the drain", len(s.running))
+	}
+}
+
+// TestSchedulerStepAllocFree pins the per-period path at zero allocations
+// in steady state (jobs running, nothing admitted, finished or migrated).
+func TestSchedulerStepAllocFree(t *testing.T) {
+	for _, resp := range []ResponseKind{ResponseThrottle, ResponseHybrid} {
+		s := newTestSched(Config{Response: resp, AgingBound: 5})
+		for i := 0; i < 4; i++ {
+			s.Submit(testJob("lbm", 50_000_000, i))
+		}
+		for i := 0; i < 50; i++ {
+			s.Step()
+		}
+		if len(s.running) != 4 || s.QueueLen() != 0 {
+			t.Fatalf("%v: steady state not reached: running=%d queued=%d", resp, len(s.running), s.QueueLen())
+		}
+		if n := testing.AllocsPerRun(50, s.Step); n != 0 {
+			t.Errorf("%v: Scheduler.Step allocates %v/op in steady state", resp, n)
+		}
+	}
+}

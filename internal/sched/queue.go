@@ -34,10 +34,9 @@ func (s JobState) String() string {
 	}
 }
 
-// jobQueue is a FIFO ring of job indices. Capacity starts at the submitted
-// job count so peek/pop/len on the per-period path never allocate; push
-// grows the ring when a dynamic submission (fleet dispatch) overflows it —
-// growth happens only on the cold submission path.
+// jobQueue is a FIFO ring of job indices. peek/pop/at/len on the per-period
+// path never allocate; push doubles the ring when a submission overflows it
+// — growth happens only on the cold submission path.
 type jobQueue struct {
 	buf   []int
 	head  int
@@ -68,6 +67,9 @@ func (q *jobQueue) push(j int) {
 	q.buf[(q.head+q.count)%len(q.buf)] = j
 	q.count++
 }
+
+// at returns the i-th waiting job index, counting from the head.
+func (q *jobQueue) at(i int) int { return q.buf[(q.head+i)%len(q.buf)] }
 
 // peek returns the head job index without removing it, or -1 when empty.
 func (q *jobQueue) peek() int {

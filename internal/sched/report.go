@@ -1,0 +1,199 @@
+package sched
+
+import "fmt"
+
+// This file is the scheduler's read side: the per-period summaries the
+// fleet layer polls (allocation-free) and the end-of-run reports.
+
+// AppAggressiveness returns the classifier's aggressiveness score for the
+// named application, or (0, false) if this scheduler has never seen it.
+// The fleet placer consults every machine's classifier this way, so a job
+// profiled on one machine informs placement on all of them.
+func (s *Scheduler) AppAggressiveness(name string) (float64, bool) {
+	//caer:allow hotpath read-only lookup in the name table built at Submit time; the fleet dispatch scan never grows it
+	app, ok := s.appByName[name]
+	if !ok {
+		return 0, false
+	}
+	return s.classifier.Aggressiveness(app), true
+}
+
+// Summary is the whole machine's state as the fleet-level placer sees it:
+// the per-machine analogue of View, aggregated over every LLC domain. The
+// scheduler refreshes a caller-held Summary in place, allocation-free.
+type Summary struct {
+	// FreeCores counts unoccupied batch cores across all domains.
+	FreeCores int
+	// Queued is the admission-queue depth.
+	Queued int
+	// Sensitivity is the summed classifier sensitivity of the machine's
+	// latency-sensitive apps.
+	Sensitivity float64
+	// Pressure is the latency apps' summed windowed LLC-miss pressure,
+	// normalized per app to [0, 1).
+	Pressure float64
+	// BatchLoad is the summed aggressiveness of resident batch jobs.
+	BatchLoad float64
+}
+
+// Summarize fills sum with the machine-wide placement summary. It mirrors
+// fillViews but collapses domains, and runs on the fleet's per-period
+// dispatch path: allocation-free.
+func (s *Scheduler) Summarize(sum *Summary) {
+	// Before the first Step nothing is placed: every non-latency core is free.
+	*sum = Summary{FreeCores: s.m.Cores() - len(s.latency) - len(s.running), Queued: s.queue.len()}
+	for i := range s.latency {
+		la := &s.latency[i]
+		sum.Sensitivity += s.classifier.Sensitivity(la.app)
+		sum.Pressure += s.pressure(la)
+	}
+	for _, j := range s.running {
+		sum.BatchLoad += s.classifier.Aggressiveness(j.app)
+	}
+}
+
+// LatencySignals fills per-latency-app placement signals in registration
+// order: pressure[i] is app i's normalized windowed LLC-miss pressure (the
+// same term Summarize aggregates), and sensitivity[i] its classifier
+// sensitivity. Both slices must hold at least LatencyApps entries.
+// Allocation-free — the fleet telemetry export calls it every period to
+// keep its caer_core_pressure gauges live.
+func (s *Scheduler) LatencySignals(pressure, sensitivity []float64) {
+	for i := range s.latency {
+		la := &s.latency[i]
+		pressure[i] = s.pressure(la)
+		sensitivity[i] = s.classifier.Sensitivity(la.app)
+	}
+}
+
+// DegradedTicks returns the lifetime fail-open degraded periods summed
+// over every CAER engine this scheduler has run, including engines
+// abandoned by migration. Allocation-free — the fleet telemetry export
+// polls it every period to drive a degraded-ticks budget SLO.
+func (s *Scheduler) DegradedTicks() uint64 {
+	total := s.degradedRetired
+	for _, j := range s.running {
+		if eng := j.batch.Engine(); eng != nil {
+			total += eng.Stats().DegradedTicks
+		}
+	}
+	return total
+}
+
+// DecisionKind classifies an entry of the scheduler's decision log.
+type DecisionKind int
+
+const (
+	// DecisionAdmit records a job leaving the queue for a core.
+	DecisionAdmit DecisionKind = iota
+	// DecisionMigrate records a running job moving between domains.
+	DecisionMigrate
+	// DecisionComplete records a job finishing and releasing its core.
+	DecisionComplete
+	// DecisionWithdraw records a waiting job being pulled back out of the
+	// queue (fleet cross-machine migration re-dispatches it elsewhere).
+	DecisionWithdraw
+)
+
+// String names the decision kind.
+func (k DecisionKind) String() string {
+	switch k {
+	case DecisionAdmit:
+		return "admit"
+	case DecisionMigrate:
+		return "migrate"
+	case DecisionComplete:
+		return "complete"
+	case DecisionWithdraw:
+		return "withdraw"
+	default:
+		return fmt.Sprintf("DecisionKind(%d)", int(k))
+	}
+}
+
+// Decision is one entry of the placement/admission timeline.
+type Decision struct {
+	Period uint64 // scheduler period (1-based) the decision was taken in
+	Kind   DecisionKind
+	Job    int    // job index (submission order)
+	Name   string // job name
+	From   int    // source domain (-1 for admissions)
+	To     int    // target domain (-1 for completions)
+	Core   int    // core involved
+	Waited int    // periods spent queued (admissions)
+	Aged   bool   // admission was forced by the aging bound
+	Queued int    // queue length after the decision
+}
+
+// Decisions returns a copy of the placement/admission timeline.
+func (s *Scheduler) Decisions() []Decision {
+	out := make([]Decision, len(s.decisions))
+	copy(out, s.decisions)
+	return out
+}
+
+// JobReport is one job's lifecycle summary.
+type JobReport struct {
+	Name         string
+	State        JobState
+	Domain, Core int
+	Waited       int
+	Aged         bool
+	Admitted     uint64 // 1-based period; 0 = never admitted
+	Done         uint64 // 1-based period; 0 = not finished
+	Migrations   int
+
+	// Instructions and Misses are the job process's lifetime totals (as
+	// observed by the pipeline's per-job probe; 0 before admission).
+	Instructions uint64
+	Misses       uint64
+
+	// Engine decision counters summed over every engine the job ran
+	// under (it gets a fresh engine per migration).
+	PausedPeriods, RunPeriods uint64
+	CPositive, CNegative      uint64
+}
+
+// JobReports returns every job's summary in submission order.
+func (s *Scheduler) JobReports() []JobReport {
+	out := make([]JobReport, len(s.jobs))
+	for i, j := range s.jobs {
+		st := j.stats
+		if j.batch != nil && j.batch.Engine() != nil {
+			st.Add(j.batch.Engine().Stats())
+		}
+		r := JobReport{
+			Name: j.spec.Name, State: j.state, Domain: j.domain, Core: j.core,
+			Waited: j.waited, Aged: j.aged, Admitted: j.admitted, Done: j.done,
+			Migrations:    j.migrations,
+			PausedPeriods: st.PausedPeriods, RunPeriods: st.RunPeriods,
+			CPositive: st.CPositive, CNegative: st.CNegative,
+			Misses: j.missTotal,
+		}
+		if j.proc != nil {
+			r.Instructions = j.proc.Retired()
+		}
+		out[i] = r
+	}
+	return out
+}
+
+// LatencyReport is one latency-sensitive app's summary.
+type LatencyReport struct {
+	Name   string
+	Core   int
+	Domain int
+	App    int    // classifier id
+	Done   uint64 // 1-based completion period; 0 = still running
+}
+
+// LatencyReports returns every latency app's summary in registration
+// order.
+func (s *Scheduler) LatencyReports() []LatencyReport {
+	out := make([]LatencyReport, len(s.latency))
+	for i := range s.latency {
+		la := &s.latency[i]
+		out[i] = LatencyReport{Name: la.name, Core: la.core, Domain: la.domain, App: la.app, Done: la.donePeriod}
+	}
+	return out
+}
