@@ -22,20 +22,3 @@ vet-json:
 .PHONY: bench
 bench:
 	go test -bench=. -benchmem ./...
-
-# Fleet regime gate at full scale (DESIGN.md §14; writes BENCH_fleet.json).
-.PHONY: fleet
-fleet:
-	go run ./cmd/caer-bench -fleet
-
-# SLO regime gate at full scale (DESIGN.md §15; writes BENCH_slo.json plus
-# the caer-doctor bundle SLO_*.json).
-.PHONY: slo
-slo:
-	go run ./cmd/caer-bench -slo
-
-# Partition regime gate at full scale (DESIGN.md §16; writes
-# BENCH_partition.json).
-.PHONY: partition
-partition:
-	go run ./cmd/caer-bench -partition

@@ -1,8 +1,13 @@
 #!/bin/sh
 # Tier-2 verification gate: build, standard vet, the repo-specific caer-vet
-# static analysis suite, and the race-enabled test run. CI runs exactly
-# this; `make check` is an alias.
+# static analysis suite, the race-enabled test run, and the regime gates.
+# CI runs exactly this (.github/workflows/ci.yml calls it and uploads what
+# it leaves behind: out/, coverage.out, caer-vet.json); `make check` is an
+# alias.
 set -eux
+
+rm -rf out
+mkdir -p out/w1
 
 go build ./...
 go vet ./...
@@ -12,6 +17,9 @@ go vet ./...
 # caer-vet with suppression hygiene on (stale //caer:allow comments are
 # findings in CI) and a wall-clock budget: the analysis suite must stay
 # cheap enough to run on every push (CAER_VET_BUDGET seconds, default 120).
+# The -json run comes first so the machine-readable findings exist for CI
+# to upload even when the gating run below fails.
+go run ./cmd/caer-vet -unused-suppressions -json ./... > caer-vet.json || true
 vet_start=$(date +%s)
 go run ./cmd/caer-vet -unused-suppressions ./...
 vet_elapsed=$(( $(date +%s) - vet_start ))
@@ -38,63 +46,35 @@ go test -run='^$' -fuzz='^FuzzParseChromeTrace$' -fuzztime=10s ./internal/trace
 # in cache_test — fills stay inside the owner's mask, counts balance, and
 # every resident line stays hittable.
 go test -run='^$' -fuzz='^FuzzCachePartition$' -fuzztime=10s ./internal/mem
-# Chaos gate: the fault-injection regimes (DESIGN.md §8) in short mode —
-# every fault class must fail open under every heuristic.
-go run ./cmd/caer-bench -chaos -quick > /dev/null
-# Sampling gate: the detection-latency-vs-overhead sweep (DESIGN.md §13)
-# in short mode — the event-driven modes must flag every contention burst
-# the poller flags, with no false flags, at strictly fewer probes.
-go run ./cmd/caer-bench -sampling -quick > /dev/null
-rm -f BENCH_sampling.json
-# Scheduler gate: the placement regimes (DESIGN.md §9) in short mode —
-# contention-aware placement must beat round-robin at equal throughput
-# (asserted by the experiments suite test; this exercises the artifact path).
-# -telemetry-out doubles as the telemetry smoke: the run must leave a
-# Prometheus snapshot whose core metric families are present and non-empty.
-go run ./cmd/caer-bench -sched -quick -telemetry-out TELEMETRY_snapshot.txt > /dev/null
-rm -f BENCH_sched.json
-# Fleet gate: the cluster-level placement regimes (DESIGN.md §14) in short
-# mode — least-pressure cross-machine placement must strictly beat
-# round-robin on the sensitive service's p99 request latency at equal
-# admitted throughput, and the BENCH_fleet.json artifact must be written.
-go run ./cmd/caer-bench -fleet -quick > /dev/null
-test -s BENCH_fleet.json
-rm -f BENCH_fleet.json
-# Partition gate: the cache-partitioning response regimes (DESIGN.md §16)
-# in short mode — way-partitioning must strictly beat pure throttling on
-# the latency app's QoS at equal admitted throughput with a no-later batch
-# makespan, and the BENCH_partition.json artifact must be byte-identical
-# across domain-stepper worker counts (the determinism contract).
-go run ./cmd/caer-bench -partition -quick -workers 1 > /dev/null
-test -s BENCH_partition.json
-mv BENCH_partition.json BENCH_partition.w1.json
-go run ./cmd/caer-bench -partition -quick -workers 4 > /dev/null
-cmp BENCH_partition.json BENCH_partition.w1.json
-rm -f BENCH_partition.json BENCH_partition.w1.json
-# SLO gate (DESIGN.md §15) in short mode: metrics-fed placement must match
-# or beat least-pressure on the sensitive p99 at equal throughput, a total
-# scrape outage must degrade to least-pressure byte-for-byte, and the alert
-# battery's seeded monitor outages must each fire exactly one burn-rate
-# alert with zero false positives. The run leaves BENCH_slo.json plus the
-# doctor bundle (SLO_*.json).
-go run ./cmd/caer-bench -slo -quick > /dev/null
-test -s BENCH_slo.json
-# Doctor smoke: the offline replay over the bundle must name the seeded
-# violation class and count all three episodes.
-go run ./cmd/caer-doctor -dir . > DOCTOR_out.txt
-grep -q "degraded-budget firing" DOCTOR_out.txt || {
+# Regime gates: every row of experiments.Regimes (README "Regime suites")
+# in short mode, one process. Each suite exits non-zero unless its claim
+# holds; BENCH_*.json and the caer-doctor bundle land in out/. The suite
+# flags are read off caer-bench's own usage, so a new table row is gated
+# here without an edit. -telemetry-out doubles as the telemetry smoke below.
+suites=$(go run ./cmd/caer-bench -h 2>&1 |
+    awk '/^  -/ { flag = $1 } /skips figures unless/ { printf "%s ", flag }')
+[ -n "$suites" ]
+go run ./cmd/caer-bench $suites -quick -csv out \
+    -telemetry-out out/TELEMETRY_snapshot.txt > /dev/null
+# Determinism contract at the artifact level: BENCH_partition.json must be
+# byte-identical across domain-stepper worker counts (4 above, 1 here).
+go run ./cmd/caer-bench -partition -quick -workers 1 -csv out/w1 > /dev/null
+cmp out/BENCH_partition.json out/w1/BENCH_partition.json
+# Doctor smoke: the offline replay over the SLO suite's bundle must name the
+# seeded violation class and count all three episodes.
+go run ./cmd/caer-doctor -dir out > out/DOCTOR_out.txt
+grep -q "degraded-budget firing" out/DOCTOR_out.txt || {
     echo "doctor smoke: seeded degraded-budget violation not named" >&2; exit 1; }
-grep -q "diagnosis: 3 SLO violation" DOCTOR_out.txt || {
+grep -q "diagnosis: 3 SLO violation" out/DOCTOR_out.txt || {
     echo "doctor smoke: expected 3 diagnosed violations" >&2; exit 1; }
-rm -f BENCH_slo.json SLO_series.json SLO_events.json SLO_trace.json \
-      SLO_objectives.json DOCTOR_out.txt
+# Telemetry smoke: the run must leave a Prometheus snapshot whose core
+# metric families are present and non-empty.
 for fam in caer_pmu_reads_total caer_comm_publishes_total \
            caer_engine_ticks_total caer_engine_verdicts_total \
            caer_sched_admissions_total caer_telemetry_ops_total; do
-    grep -q "^$fam" TELEMETRY_snapshot.txt || {
+    grep -q "^$fam" out/TELEMETRY_snapshot.txt || {
         echo "telemetry smoke: metric family $fam missing" >&2; exit 1; }
     awk -v fam="$fam" '$1 ~ "^"fam"($|{)" { sum += $NF } END { exit !(sum > 0) }' \
-        TELEMETRY_snapshot.txt || {
+        out/TELEMETRY_snapshot.txt || {
         echo "telemetry smoke: metric family $fam is empty" >&2; exit 1; }
 done
-rm -f TELEMETRY_snapshot.txt

@@ -6,8 +6,7 @@
 // Usage:
 //
 //	caer-trace -bench xalancbmk [-periods 500] [-colo]
-//	           [-format csv|spark|hist|phases] [-o trace.bin]
-//	           [-chrome trace.json]
+//	           [-format csv|spark|hist|phases] [-chrome trace.json]
 package main
 
 import (
@@ -28,7 +27,6 @@ func main() {
 	periods := flag.Int("periods", 0, "periods to trace (0 = run to completion)")
 	colo := flag.Bool("colo", false, "co-locate with lbm while tracing")
 	format := flag.String("format", "csv", "output format: csv, spark, hist or phases")
-	out := flag.String("o", "", "also write the full multi-core trace (binary) to this file")
 	chrome := flag.String("chrome", "", "also write the trace as Chrome trace-event JSON to this file")
 	seed := flag.Int64("seed", 1, "seed")
 	flag.Parse()
@@ -52,19 +50,6 @@ func main() {
 		m.RunPeriod()
 		sampler.Probe()
 		rec.Tick()
-	}
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "caer-trace: %v\n", err)
-			os.Exit(1)
-		}
-		if _, err := rec.Trace().WriteTo(f); err != nil {
-			fmt.Fprintf(os.Stderr, "caer-trace: write trace: %v\n", err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Fprintf(os.Stderr, "[wrote %s: %d periods x %d cores]\n", *out, rec.Trace().Len(), m.Cores())
 	}
 	if *chrome != "" {
 		f, err := os.Create(*chrome)

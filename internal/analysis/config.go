@@ -287,11 +287,9 @@ func DefaultConfig() *Config {
 			"telemetry.SpanRecorder.ChromeEvents",
 			// Experiment result assembly feeding BENCH_*.json byte-identity
 			// gates (DESIGN.md §11).
-			"experiments.SchedRegime.Table", "experiments.SchedRegime.WriteJSON",
-			"experiments.SamplingReport.Table", "experiments.SamplingReport.WriteJSON",
-			"experiments.FleetRegime.Table", "experiments.FleetRegime.WriteJSON",
-			"experiments.SLORegime.Table", "experiments.SLORegime.WriteJSON",
-			"experiments.PartitionRegime.Table", "experiments.PartitionRegime.WriteJSON",
+			"experiments.SchedRegime.Table", "experiments.SamplingReport.Table",
+			"experiments.FleetRegime.Table", "experiments.SLORegime.Table",
+			"experiments.PartitionRegime.Table", "experiments.WriteJSON",
 		},
 		MetricNames: []string{
 			"caer_pmu_reads_total", "caer_pmu_rearms_total", "caer_pmu_probes_total",

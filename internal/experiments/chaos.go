@@ -248,13 +248,16 @@ func ChaosHeuristics() []caer.HeuristicKind {
 	return []caer.HeuristicKind{caer.HeuristicShutter, caer.HeuristicRule, caer.HeuristicHybrid}
 }
 
+// ChaosReports is the chaos suite's result: one report per regime, clean
+// baselines first within each heuristic/sampling block.
+type ChaosReports []ChaosReport
+
 // ChaosSuite runs every fault class against every chaos heuristic under
 // polling, then re-runs the full fault sweep with the rule heuristic in
 // threshold-interrupt mode — the event-driven path must recover through
-// every fault class too. Reports keep clean baselines first within each
-// block.
-func ChaosSuite(seed int64, quick bool) []ChaosReport {
-	var out []ChaosReport
+// every fault class too.
+func ChaosSuite(seed int64, quick bool) ChaosReports {
+	var out ChaosReports
 	for _, h := range ChaosHeuristics() {
 		for _, f := range FaultKinds() {
 			out = append(out, RunChaos(ChaosScenario{Heuristic: h, Fault: f, Seed: seed, Quick: quick}))
@@ -267,6 +270,33 @@ func ChaosSuite(seed int64, quick bool) []ChaosReport {
 		}))
 	}
 	return out
+}
+
+// Check enforces the fail-open gate: under every fault class the latency
+// app completes and the engine is no longer degraded once faults cease.
+func (rs ChaosReports) Check() error {
+	for _, r := range rs {
+		if !r.Completed {
+			return fmt.Errorf("fail-open violation: %s/%s never completed", r.Heuristic, r.Fault)
+		}
+		if r.DegradedAtEnd {
+			return fmt.Errorf("fail-open violation: %s/%s still degraded after faults ceased", r.Heuristic, r.Fault)
+		}
+	}
+	return nil
+}
+
+// Holds is the line printed once Check passes.
+func (rs ChaosReports) Holds() string {
+	return "all regimes fail open: latency app completed under every fault class"
+}
+
+// Render writes the suite heading and the chaos table.
+func (rs ChaosReports) Render(w io.Writer) error {
+	fmt.Fprintf(w, "Chaos regimes (fault injection, DESIGN.md §8)\n\n")
+	WriteChaosReport(w, rs)
+	_, err := fmt.Fprintln(w)
+	return err
 }
 
 // WriteChaosReport renders the suite's reports as the EXPERIMENTS.md chaos

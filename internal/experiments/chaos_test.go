@@ -28,7 +28,7 @@ func TestFaultKindStrings(t *testing.T) {
 // underflow-magnitude sample ever reaches the table, detection keeps
 // producing verdicts, and degradation never outlives the faults.
 func TestChaosSuiteFailsOpen(t *testing.T) {
-	reports := ChaosSuite(1, true)
+	reports := quickRun[ChaosReports]("chaos")
 	type regime struct {
 		h caer.HeuristicKind
 		s caer.SamplingMode
@@ -124,7 +124,7 @@ func TestChaosMonitorCrashBoundsPauses(t *testing.T) {
 // shared fail-open assertions apply to them via TestChaosSuiteFailsOpen —
 // here we check the block exists and is complete).
 func TestChaosSuiteCoversInterruptSampling(t *testing.T) {
-	reports := ChaosSuite(1, true)
+	reports := quickRun[ChaosReports]("chaos")
 	covered := map[FaultKind]bool{}
 	for _, r := range reports {
 		if r.Sampling == caer.SamplingInterrupt {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -75,36 +74,31 @@ type fleetRegimeConfig struct {
 	migratePeriod int
 }
 
-// FleetSuite runs the fleet regime comparison (DESIGN.md §14): four
-// 2-LLC-domain machines — two hosting a sensitive mcf open-loop service,
-// two an insensitive namd one — fed a diurnal, lbm-heavy job schedule, with
-// cross-machine placement compared at equal admitted throughput. quick
-// shrinks instruction counts 4x (and the traffic horizon to match, keeping
-// offered load constant) for a fast smoke run.
-func FleetSuite(seed int64, quick bool) FleetRegime {
-	return FleetSuiteWorkers(seed, quick, 1)
+// fleetFixture is the cluster the fleet and SLO suites both run on: the
+// scaled profiles, the heterogeneous machines, the open-loop traffic
+// schedule and the per-machine scheduler configuration.
+type fleetFixture struct {
+	scale                  uint64
+	mcf, namd, lbm, povray spec.Profile
+	machines               []fleet.MachineSpec
+	traffic                fleet.Traffic
+	sched                  sched.Config
 }
 
-// FleetSuiteWorkers is FleetSuite with every machine's domain-stepper
-// worker pool sized to workers. Results are bit-identical for every worker
-// count (the machine package's determinism contract, inherited fleet-wide);
-// workers is deliberately NOT recorded in the FleetRegime artifact so
-// byte-comparing BENCH_fleet.json across worker counts pins that contract.
-func FleetSuiteWorkers(seed int64, quick bool, workers int) FleetRegime {
-	scale := uint64(1)
+func newFleetFixture(quick bool, workers int) fleetFixture {
+	f := fleetFixture{scale: 1}
 	if quick {
-		scale = 4
+		f.scale = 4
 	}
-	mcf := mustProfile("mcf")
-	namd := mustProfile("namd")
-	lbm := mustProfile("lbm")
-	povray := mustProfile("povray")
-	mcf.Exec.Instructions = 1_000_000 / scale
-	namd.Exec.Instructions = 1_000_000 / scale
-	lbm.Exec.Instructions = 400_000 / scale
-	povray.Exec.Instructions = 400_000 / scale
+	f.mcf = mustProfile("mcf")
+	f.namd = mustProfile("namd")
+	f.lbm = mustProfile("lbm")
+	f.povray = mustProfile("povray")
+	f.mcf.Exec.Instructions = 1_000_000 / f.scale
+	f.namd.Exec.Instructions = 1_000_000 / f.scale
+	f.lbm.Exec.Instructions = 400_000 / f.scale
+	f.povray.Exec.Instructions = 400_000 / f.scale
 
-	mix := []spec.Profile{lbm, lbm, povray, lbm}
 	// Offered load is scale-invariant: quick mode shortens every job 4x, so
 	// the arrival rate rises 4x over a 4x shorter horizon — the same job
 	// count arrives against the same capacity ratio.
@@ -114,11 +108,11 @@ func FleetSuiteWorkers(seed int64, quick bool, workers int) FleetRegime {
 	// least-pressure can keep every aggressor off the service domains,
 	// round-robin's rotation bunches them onto the sensitive machines at
 	// peak and overflows onto the domain the service occupies.
-	traffic := fleet.Traffic{
+	f.traffic = fleet.Traffic{
 		Curve:   fleet.CurveDiurnal,
-		Rate:    0.033 * float64(scale),
-		Horizon: 4000 / int(scale),
-		Mix:     mix,
+		Rate:    0.033 * float64(f.scale),
+		Horizon: 4000 / int(f.scale),
+		Mix:     []spec.Profile{f.lbm, f.lbm, f.povray, f.lbm},
 	}
 
 	// Heterogeneous cluster: the sensitive machines are small (4 cores, 2
@@ -129,26 +123,60 @@ func FleetSuiteWorkers(seed int64, quick bool, workers int) FleetRegime {
 	// whole still has insensitive capacity for everything — exactly the
 	// slack least-pressure exploits.
 	const machines = 4
-	specs := make([]fleet.MachineSpec, machines)
-	for k := range specs {
-		svc := fleet.Service{Profile: mcf, Core: 0, Relaunch: true}
-		specs[k] = fleet.MachineSpec{Cores: 4, Domains: 2, Workers: workers, Services: []fleet.Service{svc}}
+	f.machines = make([]fleet.MachineSpec, machines)
+	for k := range f.machines {
+		svc := fleet.Service{Profile: f.mcf, Core: 0, Relaunch: true}
+		f.machines[k] = fleet.MachineSpec{Cores: 4, Domains: 2, Workers: workers, Services: []fleet.Service{svc}}
 		if k >= machines/2 {
-			svc.Profile = namd
-			specs[k] = fleet.MachineSpec{Cores: 8, Domains: 2, Workers: workers, Services: []fleet.Service{svc}}
+			svc.Profile = f.namd
+			f.machines[k] = fleet.MachineSpec{Cores: 8, Domains: 2, Workers: workers, Services: []fleet.Service{svc}}
 		}
 	}
 
+	// Per-machine engines run at the batch-favouring end of the §6.2 rule
+	// tuning frontier (UsageThresh 800: near-full batch duty, weak local
+	// QoS protection — see the -ablation tuning sweep). In this regime a
+	// machine will not save its own service from co-located aggressors, so
+	// p99 QoS is decided by *where* the fleet puts them. PressureScale is
+	// pinned to the default threshold so classifier scores (and with them
+	// the least-pressure ranking) keep their usual scale.
+	// As in the sched regime suite, the per-machine admission threshold
+	// sits above any reachable score: machines admit whenever a core is
+	// free (the intra-machine placer still picks the least-interference
+	// domain first), so queueing is capacity-driven and the comparison
+	// isolates *which machine* gets the job. Threshold-driven per-machine
+	// shielding is the sched package's own story.
+	caerCfg := caer.DefaultConfig()
+	caerCfg.UsageThresh = 800
+	f.sched = sched.Config{
+		Policy:         sched.PolicyContentionAware,
+		Heuristic:      caer.HeuristicRule,
+		Caer:           caerCfg,
+		PressureScale:  caer.DefaultConfig().UsageThresh,
+		AdmitThreshold: 100,
+	}
+	return f
+}
+
+// FleetSuite runs the fleet regime comparison (DESIGN.md §14): four
+// 2-LLC-domain machines — two hosting a sensitive mcf open-loop service,
+// two an insensitive namd one — fed a diurnal, lbm-heavy job schedule, with
+// cross-machine placement compared at equal admitted throughput. quick
+// shrinks instruction counts 4x (and the traffic horizon to match, keeping
+// offered load constant) for a fast smoke run; workers sizes every
+// machine's domain-stepper pool.
+func FleetSuite(seed int64, quick bool, workers int) FleetRegime {
+	f := newFleetFixture(quick, workers)
 	out := FleetRegime{
-		Machines:   machines,
-		Sensitive:  spec.ShortName(mcf.Name),
-		Background: spec.ShortName(namd.Name),
-		Curve:      traffic.Curve.String(),
-		Rate:       traffic.Rate,
-		Horizon:    traffic.Horizon,
+		Machines:   len(f.machines),
+		Sensitive:  spec.ShortName(f.mcf.Name),
+		Background: spec.ShortName(f.namd.Name),
+		Curve:      f.traffic.Curve.String(),
+		Rate:       f.traffic.Rate,
+		Horizon:    f.traffic.Horizon,
 		Seed:       seed,
 	}
-	for _, p := range mix {
+	for _, p := range f.traffic.Mix {
 		out.JobMix = append(out.JobMix, spec.ShortName(p.Name))
 	}
 
@@ -157,34 +185,12 @@ func FleetSuiteWorkers(seed int64, quick bool, workers int) FleetRegime {
 		{name: "least-pressure", policy: fleet.PolicyLeastPressure},
 		{name: "packed", policy: fleet.PolicyPacked},
 	}
-	// Per-machine engines run at the batch-favouring end of the §6.2 rule
-	// tuning frontier (UsageThresh 800: near-full batch duty, weak local
-	// QoS protection — see the -ablation tuning sweep). In this regime a
-	// machine will not save its own service from co-located aggressors, so
-	// p99 QoS is decided by *where* the fleet puts them. PressureScale is
-	// pinned to the default threshold so classifier scores (and with them
-	// the least-pressure ranking) keep their usual scale.
-	caerCfg := caer.DefaultConfig()
-	caerCfg.UsageThresh = 800
 	for _, cfg := range configs {
 		c := fleet.New(fleet.Config{
-			Machines: specs,
-			// As in the sched regime suite, the per-machine admission
-			// threshold sits above any reachable score: machines admit
-			// whenever a core is free (the intra-machine placer still picks
-			// the least-interference domain first), so queueing is capacity-
-			// driven and the comparison isolates *which machine* gets the
-			// job. Threshold-driven per-machine shielding is the sched
-			// package's own story.
-			Sched: sched.Config{
-				Policy:         sched.PolicyContentionAware,
-				Heuristic:      caer.HeuristicRule,
-				Caer:           caerCfg,
-				PressureScale:  caer.DefaultConfig().UsageThresh,
-				AdmitThreshold: 100,
-			},
+			Machines:      f.machines,
+			Sched:         f.sched,
 			Policy:        cfg.policy,
-			Traffic:       traffic,
+			Traffic:       f.traffic,
 			Seed:          seed,
 			MigratePeriod: cfg.migratePeriod,
 			MaxPeriods:    400_000,
@@ -284,10 +290,7 @@ func (r FleetRegime) Render(w io.Writer) error {
 	return r.Table().Render(w)
 }
 
-// WriteJSON emits the fleet regime suite as a machine-readable artifact
-// (the BENCH_fleet.json format caer-bench writes for external tooling).
-func (r FleetRegime) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// Holds is the line printed once Check passes.
+func (r FleetRegime) Holds() string {
+	return "fleet gate holds: least-pressure beats round-robin on sensitive-service p99 at equal admitted throughput"
 }

@@ -4,32 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 )
 
-// The suite is a pure function of the seed (pinned by
-// TestFleetRegimeSuiteDeterministic), so one quick-mode execution serves
-// both the gate assertions and the determinism baseline.
-var (
-	fleetQuickOnce sync.Once
-	fleetQuickRun  FleetRegime
-)
-
-func fleetQuick() FleetRegime {
-	fleetQuickOnce.Do(func() { fleetQuickRun = FleetSuite(1, true) })
-	return fleetQuickRun
-}
-
 // TestFleetRegimeSuite is the fleet ISSUE's headline acceptance check:
 // least-pressure cross-machine placement must strictly beat round-robin on
-// the sensitive service's p99 request latency at equal admitted throughput,
-// deterministic per seed — the gate caer-bench -fleet enforces.
+// the sensitive service's p99 request latency at equal admitted throughput
+// — the gate caer-bench -fleet enforces — and the placement signature
+// behind it. TestRegimes pins the artifact digest and determinism.
 func TestFleetRegimeSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet regime suite is slow; skipped in -short")
 	}
-	r := fleetQuick()
+	r := quickRun[FleetRegime]("fleet")
 
 	if err := r.Check(); err != nil {
 		t.Fatalf("fleet gate: %v", err)
@@ -71,7 +58,7 @@ func TestFleetRegimeSuite(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, r); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	var decoded FleetRegime
@@ -80,34 +67,5 @@ func TestFleetRegimeSuite(t *testing.T) {
 	}
 	if decoded.Machines != r.Machines || len(decoded.Policies) != len(r.Policies) {
 		t.Errorf("artifact round-trip mismatch: %+v", decoded)
-	}
-	checkGolden(t, "fleet_quick", buf.Bytes())
-}
-
-// TestFleetRegimeSuiteDeterministic pins the artifact byte-for-byte across
-// repeat runs and across per-machine worker-pool sizes: BENCH_fleet.json is
-// a pure function of the seed.
-func TestFleetRegimeSuiteDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fleet regime suite is slow; skipped in -short")
-	}
-	if raceEnabled {
-		t.Skip("suite repeats exceed the race budget; internal/fleet pins repeat and worker determinism under -race")
-	}
-	render := func(r FleetRegime) []byte {
-		var buf bytes.Buffer
-		if err := r.WriteJSON(&buf); err != nil {
-			t.Fatalf("WriteJSON: %v", err)
-		}
-		return buf.Bytes()
-	}
-	a := render(fleetQuick())
-	b := render(FleetSuiteWorkers(1, true, 1))
-	if !bytes.Equal(a, b) {
-		t.Error("repeat run of the fleet suite produced a different artifact")
-	}
-	c := render(FleetSuiteWorkers(1, true, 4))
-	if !bytes.Equal(a, c) {
-		t.Error("Workers=4 fleet suite artifact differs from Workers=1")
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -82,17 +81,8 @@ type partitionConfig struct {
 // protects the service without idling anyone. (A pure-bandwidth adversary
 // like lbm is the converse regime — only throttling relieves a saturated
 // memory channel — which is why the hybrid row exists.) quick shrinks
-// instruction counts 4x.
-func PartitionSuite(seed int64, quick bool) PartitionRegime {
-	return PartitionSuiteWorkers(seed, quick, 1)
-}
-
-// PartitionSuiteWorkers is PartitionSuite with the machine's domain-stepper
-// worker pool sized to workers. Results are bit-identical for every worker
-// count; workers is deliberately NOT recorded in the artifact so
-// byte-comparing BENCH_partition.json across worker counts pins the
-// determinism contract.
-func PartitionSuiteWorkers(seed int64, quick bool, workers int) PartitionRegime {
+// instruction counts 4x; workers sizes the machine's domain-stepper pool.
+func PartitionSuite(seed int64, quick bool, workers int) PartitionRegime {
 	scale := uint64(1)
 	if quick {
 		scale = 4
@@ -243,10 +233,7 @@ func (r PartitionRegime) Render(w io.Writer) error {
 	return r.Table().Render(w)
 }
 
-// WriteJSON emits the regime suite as a machine-readable artifact (the
-// BENCH_partition.json format caer-bench writes for external tooling).
-func (r PartitionRegime) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// Holds is the line printed once Check passes.
+func (r PartitionRegime) Holds() string {
+	return "partition gate holds: way-partitioning beats pure throttling on latency QoS with an earlier batch makespan at equal admitted throughput"
 }

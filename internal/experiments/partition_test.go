@@ -12,12 +12,13 @@ import (
 // strictly beat both pure-throttling responses on latency-app QoS
 // degradation while finishing the batch set earlier, at equal admitted
 // throughput — the suite's Check() is the CI gate, so it is asserted
-// directly here too.
+// directly here too. TestRegimes pins the artifact digest and determinism
+// (its workers=4 run under -race audits the mask-resize path).
 func TestPartitionSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("partition regime suite is slow; skipped in -short")
 	}
-	r := PartitionSuite(42, true)
+	r := quickRun[PartitionRegime]("partition")
 
 	if r.BaselinePeriods == 0 {
 		t.Fatal("baseline latency run never completed")
@@ -60,15 +61,6 @@ func TestPartitionSuite(t *testing.T) {
 		}
 	}
 
-	// Determinism per seed.
-	r2 := PartitionSuite(42, true)
-	for i, c := range r.Configs {
-		q := r2.Configs[i]
-		if c != q && len(r2.Configs) == len(r.Configs) {
-			t.Errorf("seed 42 not deterministic for %s: %+v vs %+v", c.Name, c, q)
-		}
-	}
-
 	var buf bytes.Buffer
 	if err := r.Render(&buf); err != nil {
 		t.Fatalf("Render: %v", err)
@@ -80,7 +72,7 @@ func TestPartitionSuite(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, r); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	var decoded PartitionRegime
@@ -89,33 +81,5 @@ func TestPartitionSuite(t *testing.T) {
 	}
 	if decoded.BaselinePeriods != r.BaselinePeriods || len(decoded.Configs) != len(r.Configs) {
 		t.Errorf("artifact round-trip mismatch: %+v", decoded)
-	}
-	checkGolden(t, "partition_quick", buf.Bytes())
-}
-
-// TestPartitionByteIdenticalAcrossWorkers extends the determinism contract
-// to the partition response: resizing per-owner way masks mid-run must not
-// perturb the parallel domain stepper, so the same seed yields a
-// byte-identical BENCH_partition.json at Workers=1 and Workers=4. Runs
-// under -race via check.sh, which doubles as the data-race audit of the
-// resize path.
-func TestPartitionByteIdenticalAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the partition regime suite twice; skipped in -short")
-	}
-	const seed = 11
-	serial := PartitionSuiteWorkers(seed, true, 1)
-	pooled := PartitionSuiteWorkers(seed, true, 4)
-
-	var a, b bytes.Buffer
-	if err := serial.WriteJSON(&a); err != nil {
-		t.Fatalf("serial WriteJSON: %v", err)
-	}
-	if err := pooled.WriteJSON(&b); err != nil {
-		t.Fatalf("pooled WriteJSON: %v", err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("BENCH_partition.json differs between Workers=1 and Workers=4:\n--- serial ---\n%s\n--- pooled ---\n%s",
-			a.String(), b.String())
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -279,10 +278,8 @@ func (r SamplingReport) Render(w io.Writer) error {
 	return r.Table().Render(w)
 }
 
-// WriteJSON emits the sweep as a machine-readable artifact (the
-// BENCH_sampling.json format caer-bench writes for external tooling).
-func (r SamplingReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// Holds is the line printed once Check passes.
+func (r SamplingReport) Holds() string {
+	return fmt.Sprintf("sampling gate holds: every mode flagged %d/%d bursts; event-driven modes probed less than polling",
+		r.Bursts, r.Bursts)
 }

@@ -26,9 +26,10 @@ func TestBurstScheduleExtra(t *testing.T) {
 
 // TestSamplingSuiteQuick is the headline gate: the quick sweep must show
 // the event-driven modes matching polling's burst coverage at strictly
-// fewer probes, with no false flags — the BENCH_sampling.json contract.
+// fewer probes, with no false flags — the BENCH_sampling.json contract
+// (TestRegimes pins its digest and determinism).
 func TestSamplingSuiteQuick(t *testing.T) {
-	r := SamplingSuite(1, true)
+	r := quickRun[SamplingReport]("sampling")
 	if err := r.Check(); err != nil {
 		var buf bytes.Buffer
 		r.Render(&buf)
@@ -69,20 +70,6 @@ func TestSamplingSuiteQuick(t *testing.T) {
 	if last.Skipped == 0 {
 		t.Error("interrupt point skipped no probes")
 	}
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	checkGolden(t, "sampling_quick", buf.Bytes())
-}
-
-func TestSamplingSuiteDeterministic(t *testing.T) {
-	a, b := SamplingSuite(7, true), SamplingSuite(7, true)
-	ja, _ := json.Marshal(a)
-	jb, _ := json.Marshal(b)
-	if !bytes.Equal(ja, jb) {
-		t.Fatal("identical seeds produced different sweeps")
-	}
 }
 
 func TestSamplingReportRendering(t *testing.T) {
@@ -103,7 +90,7 @@ func TestSamplingReportRendering(t *testing.T) {
 		}
 	}
 	buf.Reset()
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, r); err != nil {
 		t.Fatal(err)
 	}
 	var back SamplingReport

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -78,17 +77,9 @@ type schedRegimeConfig struct {
 // mcf as the latency-sensitive service on domain 0 of a 2-domain, 8-core
 // machine; a mix of lbm aggressors and povray quiet jobs submitted to the
 // admission queue; identical seeds and job sets across policies. quick
-// shrinks instruction counts 4x for a fast smoke run.
-func SchedRegimeSuite(seed int64, quick bool) SchedRegime {
-	return SchedRegimeSuiteWorkers(seed, quick, 1)
-}
-
-// SchedRegimeSuiteWorkers is SchedRegimeSuite with the machine's
-// domain-stepper worker pool sized to workers. Results are bit-identical
-// for every worker count (the machine's determinism contract); workers is
-// deliberately NOT recorded in the SchedRegime artifact so byte-comparing
-// BENCH_sched.json across worker counts pins that contract.
-func SchedRegimeSuiteWorkers(seed int64, quick bool, workers int) SchedRegime {
+// shrinks instruction counts 4x for a fast smoke run; workers sizes the
+// machine's domain-stepper pool.
+func SchedRegimeSuite(seed int64, quick bool, workers int) SchedRegime {
 	scale := uint64(1)
 	if quick {
 		scale = 4
@@ -212,10 +203,48 @@ func (r SchedRegime) Render(w io.Writer) error {
 	return r.Table().Render(w)
 }
 
-// WriteJSON emits the regime suite as a machine-readable artifact (the
-// BENCH_sched.json format caer-bench writes for external tooling).
-func (r SchedRegime) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// Policy returns the named configuration's result.
+func (r SchedRegime) Policy(name string) (SchedPolicyResult, bool) {
+	for _, p := range r.Policies {
+		if p.Name == name {
+			return p, true
+		}
+	}
+	return SchedPolicyResult{}, false
 }
+
+// Check enforces the placement gate: every policy drains the whole job set
+// (equal admitted throughput) with no job held past the aging bound, and
+// contention-aware placement admits strictly fewer jobs onto the latency
+// service's domain than round-robin without costing the service more than
+// one period — the resolution of the QoS measurement — over round-robin.
+func (r SchedRegime) Check() error {
+	if r.BaselinePeriods == 0 {
+		return fmt.Errorf("baseline latency run never completed")
+	}
+	for _, p := range r.Policies {
+		if p.JobsCompleted != p.JobsSubmitted {
+			return fmt.Errorf("%s completed %d of %d jobs (throughput not equal)", p.Name, p.JobsCompleted, p.JobsSubmitted)
+		}
+		if p.MaxWait > r.AgingBound {
+			return fmt.Errorf("%s held a job %d periods, past the aging bound %d", p.Name, p.MaxWait, r.AgingBound)
+		}
+	}
+	rr, okRR := r.Policy("round-robin")
+	ca, okCA := r.Policy("contention-aware")
+	if !okRR || !okCA {
+		return fmt.Errorf("scheduler regime missing round-robin or contention-aware row")
+	}
+	if ca.DomainAdmissions[0] >= rr.DomainAdmissions[0] {
+		return fmt.Errorf("contention-aware admitted %d jobs onto the latency domain, not fewer than round-robin's %d",
+			ca.DomainAdmissions[0], rr.DomainAdmissions[0])
+	}
+	if ca.Periods > rr.Periods+1 {
+		return fmt.Errorf("contention-aware latency run took %d periods, round-robin %d", ca.Periods, rr.Periods)
+	}
+	return nil
+}
+
+// Holds is empty: the scheduler suite prints its table and artifact path
+// only.
+func (r SchedRegime) Holds() string { return "" }

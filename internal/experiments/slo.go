@@ -10,10 +10,8 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"caer/internal/caer"
 	"caer/internal/fleet"
 	"caer/internal/report"
-	"caer/internal/sched"
 	"caer/internal/slo"
 	"caer/internal/spec"
 	"caer/internal/telemetry"
@@ -109,11 +107,6 @@ type SLORegime struct {
 	series, events, trace, objectives []byte
 }
 
-// SLOSuite runs the SLO regime suite (DESIGN.md §15).
-func SLOSuite(seed int64, quick bool) SLORegime {
-	return SLOSuiteWorkers(seed, quick, 1)
-}
-
 // sumCounter scrapes every node registry and sums the named counter
 // family's values.
 func sumCounter(c *fleet.Cluster, name string) (total float64) {
@@ -136,70 +129,27 @@ func sumCounter(c *fleet.Cluster, name string) (total float64) {
 	return total
 }
 
-// SLOSuiteWorkers is SLOSuite with every machine's worker pool sized to
-// workers. As with the fleet suite, workers is not recorded in the
-// artifact: byte-comparing BENCH_slo.json across worker counts pins the
-// determinism contract for the whole telemetry data plane (scrape →
-// parse → place) and the SLO engine.
-func SLOSuiteWorkers(seed int64, quick bool, workers int) SLORegime {
-	scale := uint64(1)
-	if quick {
-		scale = 4
-	}
-	mcf := mustProfile("mcf")
-	namd := mustProfile("namd")
-	lbm := mustProfile("lbm")
-	povray := mustProfile("povray")
-	mcf.Exec.Instructions = 1_000_000 / scale
-	namd.Exec.Instructions = 1_000_000 / scale
-	lbm.Exec.Instructions = 400_000 / scale
-	povray.Exec.Instructions = 400_000 / scale
-
-	mix := []spec.Profile{lbm, lbm, povray, lbm}
-	traffic := fleet.Traffic{
-		Curve:   fleet.CurveDiurnal,
-		Rate:    0.033 * float64(scale),
-		Horizon: 4000 / int(scale),
-		Mix:     mix,
-	}
-
-	// Same heterogeneous cluster as the fleet suite: two small sensitive
-	// machines (mcf open-loop service), two big background ones (namd).
-	const machines = 4
-	specs := make([]fleet.MachineSpec, machines)
-	for k := range specs {
-		svc := fleet.Service{Profile: mcf, Core: 0, Relaunch: true}
-		specs[k] = fleet.MachineSpec{Cores: 4, Domains: 2, Workers: workers, Services: []fleet.Service{svc}}
-		if k >= machines/2 {
-			svc.Profile = namd
-			specs[k] = fleet.MachineSpec{Cores: 8, Domains: 2, Workers: workers, Services: []fleet.Service{svc}}
-		}
-	}
-
+// SLOSuite runs the SLO regime suite (DESIGN.md §15) on the fleet suite's
+// cluster (newFleetFixture) with every machine's worker pool sized to
+// workers. Byte-comparing BENCH_slo.json across worker counts pins the
+// determinism contract for the whole telemetry data plane (scrape → parse
+// → place) and the SLO engine.
+func SLOSuite(seed int64, quick bool, workers int) SLORegime {
+	f := newFleetFixture(quick, workers)
 	sloCfg := fleet.SLOConfig{
 		LatencyQuantile: 0.99, LatencyBound: 1024, Window: 64,
 	}
 	out := SLORegime{
-		Machines:   machines,
-		Sensitive:  spec.ShortName(mcf.Name),
-		Background: spec.ShortName(namd.Name),
-		Curve:      traffic.Curve.String(),
-		Rate:       traffic.Rate,
-		Horizon:    traffic.Horizon,
+		Machines:   len(f.machines),
+		Sensitive:  spec.ShortName(f.mcf.Name),
+		Background: spec.ShortName(f.namd.Name),
+		Curve:      f.traffic.Curve.String(),
+		Rate:       f.traffic.Rate,
+		Horizon:    f.traffic.Horizon,
 		Seed:       seed,
 		Quantile:   sloCfg.LatencyQuantile,
 		Bound:      sloCfg.LatencyBound,
 		Window:     sloCfg.Window,
-	}
-
-	caerCfg := caer.DefaultConfig()
-	caerCfg.UsageThresh = 800
-	schedCfg := sched.Config{
-		Policy:         sched.PolicyContentionAware,
-		Heuristic:      caer.HeuristicRule,
-		Caer:           caerCfg,
-		PressureScale:  caer.DefaultConfig().UsageThresh,
-		AdmitThreshold: 100,
 	}
 
 	type rowConfig struct {
@@ -217,10 +167,10 @@ func SLOSuiteWorkers(seed int64, quick bool, workers int) SLORegime {
 	}
 	for _, row := range rows {
 		c := fleet.New(fleet.Config{
-			Machines:     specs,
-			Sched:        schedCfg,
+			Machines:     f.machines,
+			Sched:        f.sched,
 			Policy:       row.policy,
-			Traffic:      traffic,
+			Traffic:      f.traffic,
 			Seed:         seed,
 			MaxPeriods:   400_000,
 			SLO:          sloCfg,
@@ -254,7 +204,7 @@ func SLOSuiteWorkers(seed int64, quick bool, workers int) SLORegime {
 		out.Policies = append(out.Policies, pr)
 	}
 
-	out.runBattery(seed, scale, workers, schedCfg)
+	out.runBattery(seed, f, workers)
 	return out
 }
 
@@ -285,14 +235,7 @@ func batteryObjectives() []slo.Objective {
 // mcf service under steady batch load, with the CAER-M monitor forced
 // down over three known windows. Replaying the node's series dump must
 // find exactly one firing episode per window and nothing else.
-func (out *SLORegime) runBattery(seed int64, scale uint64, workers int, schedCfg sched.Config) {
-	mcf := mustProfile("mcf")
-	lbm := mustProfile("lbm")
-	povray := mustProfile("povray")
-	mcf.Exec.Instructions = 1_000_000 / scale
-	lbm.Exec.Instructions = 400_000 / scale
-	povray.Exec.Instructions = 400_000 / scale
-
+func (out *SLORegime) runBattery(seed int64, f fleetFixture, workers int) {
 	windows := []SLOWindow{{600, 1000}, {1600, 2000}, {2600, 3000}}
 	const horizon = 3600
 
@@ -301,17 +244,17 @@ func (out *SLORegime) runBattery(seed int64, scale uint64, workers int, schedCfg
 	c := fleet.New(fleet.Config{
 		Machines: []fleet.MachineSpec{{
 			Cores: 4, Domains: 2, Workers: workers,
-			Services: []fleet.Service{{Profile: mcf, Core: 0, Relaunch: true}},
+			Services: []fleet.Service{{Profile: f.mcf, Core: 0, Relaunch: true}},
 		}},
-		Sched:  schedCfg,
+		Sched:  f.sched,
 		Policy: fleet.PolicyTelemetry,
 		// Saturating load: the offered core-demand (rate x job length) sits
 		// well above the 3 batch cores at either scale, so the sensitive
 		// domain's spare core always hosts an engine-managed job — the
 		// engine whose watchdog the seeded monitor outages trip.
 		Traffic: fleet.Traffic{
-			Curve: fleet.CurveConstant, Rate: 0.0375 * float64(scale), Horizon: horizon,
-			Mix: []spec.Profile{lbm, povray},
+			Curve: fleet.CurveConstant, Rate: 0.0375 * float64(f.scale), Horizon: horizon,
+			Mix: []spec.Profile{f.lbm, f.povray},
 		},
 		Seed:       seed,
 		MaxPeriods: 100_000,
@@ -511,11 +454,9 @@ func (r SLORegime) Render(w io.Writer) error {
 	return err
 }
 
-// WriteJSON emits the suite as the BENCH_slo.json artifact.
-func (r SLORegime) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// Holds is the line printed once Check passes.
+func (r SLORegime) Holds() string {
+	return "slo gate holds: telemetry placement matches or beats least-pressure on sensitive p99, outage degrades exactly, every seeded violation fired exactly once"
 }
 
 // WriteDoctorBundle writes the battery run's diagnosis inputs into dir:

@@ -6,34 +6,21 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 )
-
-// The SLO suite is a pure function of the seed (pinned by
-// TestSLORegimeSuiteDeterministic), so one quick-mode execution serves the
-// gate assertions, the determinism baseline, and the bundle test.
-var (
-	sloQuickOnce sync.Once
-	sloQuickRun  SLORegime
-)
-
-func sloQuick() SLORegime {
-	sloQuickOnce.Do(func() { sloQuickRun = SLOSuite(1, true) })
-	return sloQuickRun
-}
 
 // TestSLORegimeSuite is the SLO ISSUE's headline acceptance check: the
 // metrics-fed policy must match or beat least-pressure on the sensitive
 // p99 at equal throughput with fresh-view decisions, a total scrape outage
 // must degrade to least-pressure exactly, and the alert battery's seeded
 // monitor outages must each raise exactly one firing episode with zero
-// false positives — the gate caer-bench -slo enforces.
+// false positives — the gate caer-bench -slo enforces. TestRegimes pins
+// BENCH_slo.json's digest and determinism; the doctor bundle's are here.
 func TestSLORegimeSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slo regime suite is slow; skipped in -short")
 	}
-	r := sloQuick()
+	r := quickRun[SLORegime]("slo")
 
 	if err := r.Check(); err != nil {
 		t.Fatalf("slo gate: %v", err)
@@ -61,7 +48,7 @@ func TestSLORegimeSuite(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, r); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	var decoded SLORegime
@@ -86,36 +73,7 @@ func TestSLORegimeSuite(t *testing.T) {
 			t.Errorf("bundle file %s missing or empty (err %v)", name, err)
 		}
 	}
-	checkGolden(t, "slo_quick", buf.Bytes())
 	checkGolden(t, "slo_quick_series", r.series)
 	checkGolden(t, "slo_quick_events", r.events)
 	checkGolden(t, "slo_quick_trace", r.trace)
-}
-
-// TestSLORegimeSuiteDeterministic pins the artifact byte-for-byte across
-// repeat runs and across per-machine worker-pool sizes: BENCH_slo.json is
-// a pure function of the seed.
-func TestSLORegimeSuiteDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slo regime suite is slow; skipped in -short")
-	}
-	if raceEnabled {
-		t.Skip("suite repeats exceed the race budget; internal/fleet pins repeat and worker determinism under -race")
-	}
-	render := func(r SLORegime) []byte {
-		var buf bytes.Buffer
-		if err := r.WriteJSON(&buf); err != nil {
-			t.Fatalf("WriteJSON: %v", err)
-		}
-		return buf.Bytes()
-	}
-	a := render(sloQuick())
-	b := render(SLOSuiteWorkers(1, true, 1))
-	if !bytes.Equal(a, b) {
-		t.Error("repeat run of the slo suite produced a different artifact")
-	}
-	c := render(SLOSuiteWorkers(1, true, 4))
-	if !bytes.Equal(a, c) {
-		t.Error("Workers=4 slo suite artifact differs from Workers=1")
-	}
 }

@@ -349,27 +349,6 @@ func (c *Cache) StrandedLines(owner int) int {
 	return n
 }
 
-// SetWayPartition restricts owner's fills to ways [loWay, hiWay). Other
-// owners keep the full range unless also partitioned. Passing an invalid
-// range panics. This is the contiguous special case of SetOwnerMask (with
-// orphan resize semantics), kept for the static way-partitioning ablation
-// (hardware cache QoS, cf. the paper's related work).
-func (c *Cache) SetWayPartition(owner, loWay, hiWay int) {
-	if owner < 0 || owner > 127 {
-		panic(fmt.Sprintf("mem: partition owner %d out of range", owner))
-	}
-	if loWay < 0 || hiWay > c.ways || loWay >= hiWay {
-		panic(fmt.Sprintf("mem: partition range [%d,%d) invalid for %d ways", loWay, hiWay, c.ways))
-	}
-	c.SetOwnerMask(owner, ContiguousMask(loWay, hiWay), ResizeOrphan)
-}
-
-// ClearWayPartitions removes all partitioning.
-func (c *Cache) ClearWayPartitions() {
-	c.masks = nil
-	c.maskUsed = false
-}
-
 func (c *Cache) maskOf(owner int) WayMask {
 	if !c.maskUsed || owner < 0 || owner >= len(c.masks) {
 		return c.fullMask

@@ -163,8 +163,8 @@ func TestCacheOwnerOccupancy(t *testing.T) {
 
 func TestCacheWayPartitioning(t *testing.T) {
 	c := newTestCache(1, 4)
-	c.SetWayPartition(0, 0, 2)
-	c.SetWayPartition(1, 2, 4)
+	c.SetOwnerMask(0, ContiguousMask(0, 2), ResizeOrphan)
+	c.SetOwnerMask(1, ContiguousMask(2, 4), ResizeOrphan)
 	// Owner 0 fills its 2 ways then self-evicts; owner 1's lines untouched.
 	c.Insert(100, 1, false)
 	c.Insert(101, 1, false)
@@ -177,7 +177,7 @@ func TestCacheWayPartitioning(t *testing.T) {
 	if !c.Contains(100) || !c.Contains(101) {
 		t.Error("owner 1's lines evicted despite partition")
 	}
-	c.ClearWayPartitions()
+	c.SetOwnerMask(0, FullMask(4), ResizeOrphan)
 	// Now owner 0 may claim all ways.
 	evictedOther := false
 	for a := uint64(10); a < 20; a++ {
@@ -186,7 +186,7 @@ func TestCacheWayPartitioning(t *testing.T) {
 		}
 	}
 	if !evictedOther {
-		t.Error("after ClearWayPartitions owner 0 never evicted owner 1")
+		t.Error("after widening to the full mask owner 0 never evicted owner 1")
 	}
 }
 
@@ -197,10 +197,10 @@ func TestCachePartitionValidation(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("SetWayPartition(%v) did not panic", b)
+					t.Errorf("SetOwnerMask(%d, ContiguousMask(%d, %d)) did not panic", b[0], b[1], b[2])
 				}
 			}()
-			c.SetWayPartition(b[0], b[1], b[2])
+			c.SetOwnerMask(b[0], ContiguousMask(b[1], b[2]), ResizeOrphan)
 		}()
 	}
 }

@@ -110,7 +110,6 @@ func TestSetOwnerMaskWidensAgain(t *testing.T) {
 	if got := c.OwnerMask(1); got != FullMask(4) {
 		t.Fatalf("OwnerMask after widening = %v", got)
 	}
-	c.ClearWayPartitions()
 	c.SetOwnerMask(2, ContiguousMask(1, 3), ResizeOrphan)
 	if got := c.OwnerMask(0); got != FullMask(4) {
 		t.Fatalf("unconfined owner mask = %v, want full", got)

@@ -15,6 +15,7 @@ import (
 
 	"caer/internal/caer"
 	"caer/internal/machine"
+	"caer/internal/mem"
 	"caer/internal/pmu"
 	"caer/internal/sched"
 	"caer/internal/spec"
@@ -270,13 +271,14 @@ func Run(s Scenario) Result {
 func newMachine(s Scenario) *machine.Machine {
 	m := machine.New(machine.Config{Cores: s.Cores, Workers: s.Workers})
 	if s.PartitionWays > 0 {
-		l3 := m.Hierarchy().L3()
-		if s.PartitionWays >= l3.Ways() {
-			panic(fmt.Sprintf("runner: partition of %d ways leaves none for the batch (L3 has %d)", s.PartitionWays, l3.Ways()))
+		h := m.Hierarchy()
+		ways := h.L3().Ways()
+		if s.PartitionWays >= ways {
+			panic(fmt.Sprintf("runner: partition of %d ways leaves none for the batch (L3 has %d)", s.PartitionWays, ways))
 		}
-		l3.SetWayPartition(0, 0, s.PartitionWays)
+		h.SetL3OwnerMask(0, mem.ContiguousMask(0, s.PartitionWays), mem.ResizeOrphan)
 		for core := 1; core < s.Cores; core++ {
-			l3.SetWayPartition(core, s.PartitionWays, l3.Ways())
+			h.SetL3OwnerMask(core, mem.ContiguousMask(s.PartitionWays, ways), mem.ResizeOrphan)
 		}
 	}
 	return m

@@ -1,16 +1,11 @@
 // Package trace records full co-location runs at period granularity —
 // every core's per-period LLC misses, retired instructions and throttle
-// state — serializes them compactly for offline analysis, and provides the
-// phase-boundary detection used to quantify the program phases the paper's
-// Figure 3 shows qualitatively.
+// state — exports them as Chrome trace-event JSON for offline analysis, and
+// provides the phase-boundary detection used to quantify the program phases
+// the paper's Figure 3 shows qualitatively.
 package trace
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // CoreSample is one core's activity during one period.
 type CoreSample struct {
@@ -85,115 +80,4 @@ func (t *Trace) series(core int, f func(CoreSample) float64) []float64 {
 		out[i] = f(r.Cores[core])
 	}
 	return out
-}
-
-// Binary format: magic u32 | version u8 | coreCount u16 | recordCount u64,
-// then per record: period u64, per core: misses u64 | instr u64 | paused u8.
-const (
-	traceMagic   = 0xCAE2_7A0C
-	traceVersion = 1
-)
-
-// WriteTo serializes the trace. It implements io.WriterTo.
-func (t *Trace) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	if err := write(uint32(traceMagic)); err != nil {
-		return n, err
-	}
-	if err := write(uint8(traceVersion)); err != nil {
-		return n, err
-	}
-	if err := write(uint16(t.CoreCount)); err != nil {
-		return n, err
-	}
-	if err := write(uint64(len(t.Records))); err != nil {
-		return n, err
-	}
-	for _, r := range t.Records {
-		if err := write(r.Period); err != nil {
-			return n, err
-		}
-		for _, c := range r.Cores {
-			if err := write(c.LLCMisses); err != nil {
-				return n, err
-			}
-			if err := write(c.Instructions); err != nil {
-				return n, err
-			}
-			p := uint8(0)
-			if c.Paused {
-				p = 1
-			}
-			if err := write(p); err != nil {
-				return n, err
-			}
-		}
-	}
-	return n, bw.Flush()
-}
-
-// Read deserializes a trace written by WriteTo.
-func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var magic uint32
-	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
-		return nil, fmt.Errorf("trace: read magic: %w", err)
-	}
-	if magic != traceMagic {
-		return nil, fmt.Errorf("trace: bad magic %#x", magic)
-	}
-	var version uint8
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, fmt.Errorf("trace: read version: %w", err)
-	}
-	if version != traceVersion {
-		return nil, fmt.Errorf("trace: unsupported version %d", version)
-	}
-	var coreCount uint16
-	if err := binary.Read(br, binary.LittleEndian, &coreCount); err != nil {
-		return nil, fmt.Errorf("trace: read core count: %w", err)
-	}
-	if coreCount == 0 {
-		return nil, fmt.Errorf("trace: zero core count")
-	}
-	var recordCount uint64
-	if err := binary.Read(br, binary.LittleEndian, &recordCount); err != nil {
-		return nil, fmt.Errorf("trace: read record count: %w", err)
-	}
-	const maxRecords = 1 << 28 // sanity bound against corrupt headers
-	if recordCount > maxRecords {
-		return nil, fmt.Errorf("trace: implausible record count %d", recordCount)
-	}
-	t := New(int(coreCount))
-	for i := uint64(0); i < recordCount; i++ {
-		var period uint64
-		if err := binary.Read(br, binary.LittleEndian, &period); err != nil {
-			return nil, fmt.Errorf("trace: read record %d: %w", i, err)
-		}
-		cores := make([]CoreSample, coreCount)
-		for c := range cores {
-			var misses, instr uint64
-			var paused uint8
-			if err := binary.Read(br, binary.LittleEndian, &misses); err != nil {
-				return nil, fmt.Errorf("trace: read record %d core %d: %w", i, c, err)
-			}
-			if err := binary.Read(br, binary.LittleEndian, &instr); err != nil {
-				return nil, fmt.Errorf("trace: read record %d core %d: %w", i, c, err)
-			}
-			if err := binary.Read(br, binary.LittleEndian, &paused); err != nil {
-				return nil, fmt.Errorf("trace: read record %d core %d: %w", i, c, err)
-			}
-			cores[c] = CoreSample{LLCMisses: misses, Instructions: instr, Paused: paused != 0}
-		}
-		t.Append(period, cores)
-	}
-	return t, nil
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
 
 	"caer/internal/machine"
@@ -58,60 +57,6 @@ func TestSeriesCoreRangePanics(t *testing.T) {
 		}
 	}()
 	tr.MissSeries(1)
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	tr := New(3)
-	for p := uint64(0); p < 50; p++ {
-		tr.Append(p, []CoreSample{
-			{LLCMisses: p * 3, Instructions: p * 100, Paused: p%2 == 0},
-			{LLCMisses: p, Instructions: p * 7},
-			{},
-		})
-	}
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if got.CoreCount != 3 || got.Len() != 50 {
-		t.Fatalf("round trip: %d cores, %d records", got.CoreCount, got.Len())
-	}
-	for i, r := range got.Records {
-		want := tr.Records[i]
-		if r.Period != want.Period {
-			t.Fatalf("record %d period %d, want %d", i, r.Period, want.Period)
-		}
-		for c := range r.Cores {
-			if r.Cores[c] != want.Cores[c] {
-				t.Fatalf("record %d core %d = %+v, want %+v", i, c, r.Cores[c], want.Cores[c])
-			}
-		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	cases := map[string][]byte{
-		"empty":     {},
-		"bad magic": {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
-	}
-	for name, data := range cases {
-		if _, err := Read(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: Read succeeded", name)
-		}
-	}
-	// Truncated but valid header.
-	tr := New(1)
-	tr.Append(0, []CoreSample{{LLCMisses: 1}})
-	var buf bytes.Buffer
-	tr.WriteTo(&buf)
-	trunc := buf.Bytes()[:buf.Len()-4]
-	if _, err := Read(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated trace accepted")
-	}
 }
 
 func TestRecorderCapturesRun(t *testing.T) {
