@@ -6,7 +6,6 @@
 # alias.
 set -eux
 
-rm -rf out
 mkdir -p out/w1
 
 go build ./...
@@ -46,15 +45,13 @@ go test -run='^$' -fuzz='^FuzzParseChromeTrace$' -fuzztime=10s ./internal/trace
 # in cache_test — fills stay inside the owner's mask, counts balance, and
 # every resident line stays hittable.
 go test -run='^$' -fuzz='^FuzzCachePartition$' -fuzztime=10s ./internal/mem
-# Regime gates: every row of experiments.Regimes (README "Regime suites")
-# in short mode, one process. Each suite exits non-zero unless its claim
-# holds; BENCH_*.json and the caer-doctor bundle land in out/. The suite
-# flags are read off caer-bench's own usage, so a new table row is gated
-# here without an edit. -telemetry-out doubles as the telemetry smoke below.
-suites=$(go run ./cmd/caer-bench -h 2>&1 |
-    awk '/^  -/ { flag = $1 } /skips figures unless/ { printf "%s ", flag }')
-[ -n "$suites" ]
-go run ./cmd/caer-bench $suites -quick -csv out \
+# Regime gates: the rows of experiments.Regimes (README "Regime suites") in
+# short mode, one process. Each suite exits non-zero unless its claim
+# holds; BENCH_*.json and the caer-doctor bundle land in out/ (overwritten
+# per run). TestRegimes above already gates every row of the table; a new
+# row's flag goes on this line to leave its artifact in out/ as well.
+# -telemetry-out doubles as the telemetry smoke below.
+go run ./cmd/caer-bench -chaos -sampling -sched -fleet -partition -slo -quick -csv out \
     -telemetry-out out/TELEMETRY_snapshot.txt > /dev/null
 # Determinism contract at the artifact level: BENCH_partition.json must be
 # byte-identical across domain-stepper worker counts (4 above, 1 here).

@@ -40,7 +40,12 @@ func quickRun[T RegimeResult](name string) T {
 
 // slowUnderRace names the suites whose repeat run exceeds the race budget;
 // internal/fleet pins their repeat and worker determinism under -race.
-var slowUnderRace = map[string]bool{"fleet": true, "slo": true}
+// slowInShort names the rows -short skips (the same suites whose own tests
+// skip there); chaos and sampling stay checked in short runs.
+var (
+	slowUnderRace = map[string]bool{"fleet": true, "slo": true}
+	slowInShort   = map[string]bool{"sched": true, "fleet": true, "partition": true, "slo": true}
+)
 
 func readDir(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
@@ -66,11 +71,11 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 // identity, worker-count identity (under -race also the parallel stepper's
 // data-race audit) and the artifact path in a single second execution.
 func TestRegimes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every regime suite twice; skipped in -short")
-	}
 	for _, row := range Regimes {
 		t.Run(row.Name, func(t *testing.T) {
+			if testing.Short() && slowInShort[row.Name] {
+				t.Skip("slow regime suite; skipped in -short")
+			}
 			res := quickRun[RegimeResult](row.Name)
 			if err := res.Check(); err != nil {
 				t.Fatalf("%s gate: %v", row.Name, err)
