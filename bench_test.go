@@ -192,6 +192,34 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkHierarchyLevels times an access served by each level in turn:
+// core 0 cycles, in a fixed shuffled order, over a line count that exactly
+// one level of the default hierarchy (L1 128, L2 1024, L3 8192 lines) can
+// serve — LRU evicts a line of a larger sweep just before it comes round
+// again. The repository benchmark reports the same four costs as
+// mem.l1_hit_ns, mem.l2_hit_ns, mem.l3_hit_ns and mem.l3_miss_insert_ns.
+func BenchmarkHierarchyLevels(b *testing.B) {
+	for _, lv := range []struct {
+		name  string
+		lines int
+	}{{"l1_hit", 64}, {"l2_hit", 512}, {"l3_hit", 4096}, {"miss_insert", 1 << 16}} {
+		b.Run(lv.name, func(b *testing.B) {
+			h := mem.NewHierarchy(mem.DefaultHierarchyConfig(2))
+			order := rand.New(rand.NewSource(1)).Perm(lv.lines)
+			for i, a := range order {
+				h.Access(0, uint64(a), false, uint64(i))
+			}
+			b.ResetTimer()
+			for i, k := 0, 0; i < b.N; i++ {
+				h.Access(0, uint64(order[k]), false, uint64(i)*30)
+				if k++; k == lv.lines {
+					k = 0
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkMachinePeriod(b *testing.B) {
 	m := machine.New(machine.Config{Cores: 2})
 	mcf, _ := spec.ByName("mcf")

@@ -42,9 +42,14 @@ go test -run='^$' -fuzz='^FuzzParseSeries$' -fuzztime=10s ./internal/telemetry
 go test -run='^$' -fuzz='^FuzzParseChromeTrace$' -fuzztime=10s ./internal/trace
 # Resize-path fuzz smoke: random partition op sequences (lookups, fills,
 # orphan/invalidate resizes, back-invalidations) against the model checker
-# in cache_test — fills stay inside the owner's mask, counts balance, and
-# every resident line stays hittable.
+# in fuzz_test — fills stay inside the owner's mask, the valid bitmaps and
+# LRU stamps stay well formed, and every resident line stays hittable.
 go test -run='^$' -fuzz='^FuzzCachePartition$' -fuzztime=10s ./internal/mem
+# Cache-core differential fuzz smoke: random access/resize/flush sequences
+# through mem.Hierarchy and the naive reference hierarchy in ref_test,
+# compared after every step (results, stats, residency, inclusion,
+# core-valid bits).
+go test -run='^$' -fuzz='^FuzzHierarchy$' -fuzztime=10s ./internal/mem
 # Regime gates: the rows of experiments.Regimes (README "Regime suites") in
 # short mode, one process. Each suite exits non-zero unless its claim
 # holds; BENCH_*.json and the caer-doctor bundle land in out/ (overwritten

@@ -134,14 +134,18 @@ func DefaultConfig() *Config {
 			"mem.Cache.Lookup", "mem.Cache.Insert", "mem.Cache.Refresh",
 			"mem.Cache.Invalidate", "mem.Cache.Contains",
 			"mem.Hierarchy.Access", "mem.MainMemory.Access",
-			"mem.lruPolicy.Touch", "mem.lruPolicy.Victim",
-			// Partition-aware victim path (DESIGN.md §16): the per-owner
-			// mask lookup runs on every Insert, confined victim scans on
-			// every confined miss, and the mask helpers they call.
-			"mem.Cache.maskOf", "mem.lruPolicy.VictimMask",
-			"mem.plruPolicy.VictimMask", "mem.plruPolicy.victimFull",
-			"mem.randomPolicy.VictimMask",
-			"mem.WayMask.Has", "mem.WayMask.Count", "mem.WayMask.NthWay",
+			// The per-access helpers under them: the way-returning
+			// lookup/insert the hierarchy calls, the tag scan, the LRU
+			// stamp write and branch-free stamp-min victim choice, the
+			// checked L3 way hint and the core-valid-bit back-invalidation.
+			"mem.Cache.lookup", "mem.Cache.insert", "mem.Cache.find",
+			"mem.Cache.touch", "mem.Cache.victim", "mem.older",
+			"mem.Cache.evictedAt",
+			"mem.Hierarchy.hintL3", "mem.Hierarchy.backInvalidate",
+			// Partition-aware fill path (DESIGN.md §16): the per-owner
+			// mask lookup runs on every insert, and the mask helpers.
+			"mem.Cache.maskOf",
+			"mem.WayMask.Has", "mem.WayMask.Count",
 			// Contention classifier: per-period profile updates and the
 			// score reads the placement scorer calls per queue decision.
 			"sched.Classifier.Observe", "sched.Classifier.ObserveVerdict",

@@ -10,10 +10,10 @@ import (
 // the partition response family: giving every owner the full way mask must
 // step bit-identically to an unpartitioned machine, period by period, over
 // every externally observable counter — serially and on the worker pool.
-// The full-mask Insert path shares the unpartitioned victim scan by
-// construction (mem.Cache.Insert), and each policy's VictimMask promises
-// full-mask equivalence; this test holds the whole machine to that promise
-// over a contended multi-period run. check.sh runs it under -race.
+// An owner holding the full mask takes the unpartitioned free-way pick and
+// victim scan by construction (mem.Cache.Insert); this test holds the whole
+// machine to that over a contended multi-period run. check.sh runs it under
+// -race.
 func TestFullMaskPartitionMatchesUnpartitioned(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		plain := buildDomains(t, 2, 4, 1)

@@ -1,3 +1,13 @@
+// Package mem implements the scaled multicore memory hierarchy that stands
+// in for the paper's Intel Core i7 920 (Nehalem): per-core private L1 and L2
+// caches and a shared, inclusive, 16-way last-level cache (L3) with per-line
+// core-valid bits, all set-associative with exact LRU replacement, plus a
+// main-memory model with optional bandwidth contention.
+//
+// Contention in this model is emergent, exactly as on real hardware: two
+// reference streams that both exceed their private caches compete for L3
+// sets and evict each other's lines, which raises both of their LLC miss
+// counts — the signal the CAER heuristics consume.
 package mem
 
 import (
@@ -5,14 +15,14 @@ import (
 	"math/bits"
 )
 
-// line is one cache line's bookkeeping. Addresses are line-granular: the
-// simulator's unit address already names a 64-byte line, so tag == address.
-type line struct {
-	tag   uint64
-	owner int8
-	valid bool
-	dirty bool
-}
+const (
+	// maxOwners bounds owner ids: a line's meta byte keeps its owner in
+	// seven bits beside the dirty bit.
+	maxOwners = 128
+	// stampWayBits is the width of the way index in the low bits of an LRU
+	// stamp; it covers the 64 ways a WayMask can name.
+	stampWayBits = 6
+)
 
 // CacheStats aggregates per-cache event counts. Counters are cumulative
 // from construction or the last ResetStats.
@@ -34,19 +44,31 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-// Cache is a set-associative cache with line-granular addresses, owner
-// tracking (which core/application filled each line) and optional
-// way-partitioning. It is not safe for concurrent use; the machine model
-// serializes accesses.
+// Cache is a set-associative cache with line-granular addresses (the
+// simulator's unit address already names a 64-byte line, so tag == address),
+// exact LRU replacement, owner tracking (which core/application filled each
+// line) and optional way-partitioning. It is not safe for concurrent use;
+// the machine model serializes accesses.
+//
+// Line state is kept in parallel set-major arrays (slot = set*ways + way)
+// so a probe reads one dense row of tags and a victim choice one dense row
+// of stamps.
 type Cache struct {
 	name     string
 	sets     int
 	ways     int
 	setMask  uint64
 	fullMask WayMask
-	lines    []line  // sets*ways, row-major by set
-	valid    []int32 // per-set valid-line count; lets Insert skip the free-way scan on full sets
-	policy   Policy
+
+	tags []uint64
+	// stamp holds LRU recency as tick<<stampWayBits | way. Every touch
+	// takes a fresh tick, so the stamps of valid ways are unique and the
+	// row minimum names the least recently used way in its low bits.
+	stamp []uint64
+	meta  []uint8  // owner<<1 | dirty
+	valid []uint64 // per set: bit w is set while way w holds a line
+	tick  uint64
+
 	stats    CacheStats
 	masks    []WayMask // per-owner fill mask; nil when unpartitioned
 	maskUsed bool
@@ -54,10 +76,9 @@ type Cache struct {
 
 // Config describes a cache's geometry.
 type Config struct {
-	Name   string
-	Sets   int // must be a power of two
-	Ways   int
-	Policy Policy // defaults to LRU when nil
+	Name string
+	Sets int // must be a power of two
+	Ways int
 }
 
 // NewCache constructs a cache. It panics on invalid geometry so that a
@@ -69,19 +90,22 @@ func NewCache(cfg Config) *Cache {
 	if cfg.Ways <= 0 || cfg.Ways > 64 {
 		panic(fmt.Sprintf("mem: cache %q ways must be in 1..64, got %d", cfg.Name, cfg.Ways))
 	}
-	p := cfg.Policy
-	if p == nil {
-		p = NewLRU(cfg.Sets, cfg.Ways)
-	}
+	// Tags and stamps share one slab so that building a machine allocates
+	// no more often than it did with one struct per line. The bitmaps stay
+	// out of it: with them the slab of a power-of-two cache would spill
+	// into the allocator's next size class.
+	lines := cfg.Sets * cfg.Ways
+	slab := make([]uint64, 2*lines)
 	return &Cache{
 		name:     cfg.Name,
 		sets:     cfg.Sets,
 		ways:     cfg.Ways,
 		setMask:  uint64(cfg.Sets - 1),
 		fullMask: FullMask(cfg.Ways),
-		lines:    make([]line, cfg.Sets*cfg.Ways),
-		valid:    make([]int32, cfg.Sets),
-		policy:   p,
+		tags:     slab[:lines:lines],
+		stamp:    slab[lines:],
+		valid:    make([]uint64, cfg.Sets),
+		meta:     make([]uint8, lines),
 	}
 }
 
@@ -105,28 +129,79 @@ func (c *Cache) ResetStats() { c.stats = CacheStats{} }
 
 func (c *Cache) setOf(addr uint64) int { return int(addr & c.setMask) }
 
-func (c *Cache) lineAt(set, way int) *line { return &c.lines[set*c.ways+way] }
+// rowOf returns addr's set and base, the slot of the set's way 0.
+func (c *Cache) rowOf(addr uint64) (set, base int) {
+	set = c.setOf(addr)
+	return set, set * c.ways
+}
+
+// find returns the way of the set (whose row starts at base) holding addr,
+// or -1. A stale tag left behind in an invalidated way cannot match: the
+// valid bit is checked on a tag match.
+func (c *Cache) find(set, base int, addr uint64) int {
+	live := c.valid[set]
+	for w, tag := range c.tags[base : base+c.ways] {
+		if tag == addr && live>>(uint(w)&63)&1 != 0 {
+			return w
+		}
+	}
+	return -1
+}
+
+// touch makes way the most recently used line of the row at base.
+func (c *Cache) touch(base, way int) {
+	c.tick++
+	c.stamp[base+way] = c.tick<<stampWayBits | uint64(way)
+}
+
+// older returns the smaller of two stamps without a branch. Which way of a
+// row is oldest is as good as random, so a compare-and-jump per way
+// mispredicts several times a scan; the borrow of b-a says whether b is
+// smaller, and masks the difference in.
+func older(a, b uint64) uint64 {
+	d, borrow := bits.Sub64(b, a, 0)
+	return a + d&-borrow
+}
+
+// victim returns the least recently used way of the row at base among
+// mask's ways, all of which the caller has found valid.
+func (c *Cache) victim(base int, mask WayMask) int {
+	row := c.stamp[base : base+c.ways]
+	// Two running minima halve the dependency chain of the full-row scan,
+	// the hottest loop in the simulator (every LLC miss on a full set).
+	o0, o1 := ^uint64(0), ^uint64(0)
+	if mask == c.fullMask {
+		for ; len(row) >= 2; row = row[2:] {
+			o0, o1 = older(o0, row[0]), older(o1, row[1])
+		}
+		if len(row) == 1 {
+			o0 = older(o0, row[0])
+		}
+	} else {
+		for m := uint64(mask); m != 0; m &= m - 1 {
+			o0 = older(o0, row[bits.TrailingZeros64(m)])
+		}
+	}
+	return int(older(o0, o1) & (1<<stampWayBits - 1))
+}
 
 // Lookup probes for addr without inserting. On a hit it updates replacement
 // state and the dirty bit (for writes) and returns true.
-func (c *Cache) Lookup(addr uint64, write bool) bool {
+func (c *Cache) Lookup(addr uint64, write bool) bool { return c.lookup(addr, write) >= 0 }
+
+// lookup is Lookup returning the slot that hit, or -1.
+func (c *Cache) lookup(addr uint64, write bool) int {
 	c.stats.Accesses++
-	set := c.setOf(addr)
-	base := set * c.ways
-	row := c.lines[base : base+c.ways]
-	for w := range row {
-		ln := &row[w]
-		if ln.valid && ln.tag == addr {
-			c.stats.Hits++
-			if write {
-				ln.dirty = true
-			}
-			c.policy.Touch(set, w)
-			return true
-		}
+	set, base := c.rowOf(addr)
+	w := c.find(set, base, addr)
+	if w < 0 {
+		c.stats.Misses++
+		return -1
 	}
-	c.stats.Misses++
-	return false
+	c.stats.Hits++
+	c.meta[base+w] |= dirtyBit(write)
+	c.touch(base, w)
+	return base + w
 }
 
 // Refresh bumps addr's replacement recency if the line is present, without
@@ -136,29 +211,19 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 // evicted (back-invalidating the private copies) by any cache-hungry
 // co-runner — the classic inclusion-victim pathology.
 func (c *Cache) Refresh(addr uint64) bool {
-	set := c.setOf(addr)
-	base := set * c.ways
-	row := c.lines[base : base+c.ways]
-	for w := range row {
-		if row[w].valid && row[w].tag == addr {
-			c.policy.Touch(set, w)
-			return true
-		}
+	set, base := c.rowOf(addr)
+	w := c.find(set, base, addr)
+	if w < 0 {
+		return false
 	}
-	return false
+	c.touch(base, w)
+	return true
 }
 
 // Contains probes for addr without touching stats or replacement state.
 func (c *Cache) Contains(addr uint64) bool {
-	set := c.setOf(addr)
-	base := set * c.ways
-	row := c.lines[base : base+c.ways]
-	for w := range row {
-		if row[w].valid && row[w].tag == addr {
-			return true
-		}
-	}
-	return false
+	set, base := c.rowOf(addr)
+	return c.find(set, base, addr) >= 0
 }
 
 // Evicted describes a line displaced by an Insert.
@@ -169,81 +234,76 @@ type Evicted struct {
 	Valid bool // false when the insert filled an empty way
 }
 
-// Insert fills addr into the cache on behalf of owner, evicting a victim if
-// the set is full. It returns the displaced line so that an inclusive outer
-// cache can propagate back-invalidations. Insert does not bump access
-// counters; callers pair it with a missed Lookup.
+// dirtyBit is meta's dirty bit for an access. Whether an access writes is
+// the workload's coin toss, so the bit is or-ed in rather than branched on.
+func dirtyBit(write bool) uint8 {
+	var b uint8
+	if write {
+		b = 1
+	}
+	return b
+}
+
+func (c *Cache) evictedAt(slot int) Evicted {
+	m := c.meta[slot]
+	return Evicted{Addr: c.tags[slot], Owner: int(m >> 1), Dirty: m&1 != 0, Valid: true}
+}
+
+// Insert fills addr into the cache on behalf of owner (below 128), evicting
+// a victim if the owner's ways of the set are full. It returns the displaced
+// line so that an inclusive outer cache can propagate back-invalidations.
+// Insert does not bump access counters; callers pair it with a missed
+// Lookup.
 func (c *Cache) Insert(addr uint64, owner int, write bool) Evicted {
-	set := c.setOf(addr)
-	mask := c.maskOf(owner)
-	// Prefer an invalid way within the owner's mask. The per-set valid
-	// count skips the scan entirely once the set is full — the steady state
-	// for every warm cache (with partitioning the count covers the whole
-	// set, so a full count still implies a full mask).
-	if int(c.valid[set]) < c.ways {
-		base := set * c.ways
-		for mm := mask; mm != 0; mm &= mm - 1 {
-			w := bits.TrailingZeros64(uint64(mm))
-			ln := &c.lines[base+w]
-			if !ln.valid {
-				*ln = line{tag: addr, owner: int8(owner), valid: true, dirty: write}
-				c.valid[set]++
-				c.policy.Touch(set, w)
-				return Evicted{}
-			}
-		}
-	}
-	var w int
-	if mask == c.fullMask {
-		// Unconfined owners keep the contiguous scan — the hottest loop in
-		// the simulator — and full-mask partitions share it, which makes
-		// the full-mask differential pin hold by construction.
-		w = c.policy.Victim(set, 0, c.ways)
-	} else {
-		w = c.policy.VictimMask(set, mask)
-	}
-	ln := c.lineAt(set, w)
-	ev := Evicted{Addr: ln.tag, Owner: int(ln.owner), Dirty: ln.dirty, Valid: true}
-	c.stats.Evictions++
-	if int(ln.owner) != owner {
-		c.stats.CrossEvictions++
-	}
-	if ln.dirty {
-		c.stats.Writebacks++
-	}
-	*ln = line{tag: addr, owner: int8(owner), valid: true, dirty: write}
-	c.policy.Touch(set, w)
+	_, ev := c.insert(addr, owner, write)
 	return ev
+}
+
+// insert is Insert also returning the slot filled. A free way within the
+// owner's mask is always taken before a victim is chosen, so victims are
+// only ever picked among valid ways — the ones whose stamps are unique.
+func (c *Cache) insert(addr uint64, owner int, write bool) (int, Evicted) {
+	set, base := c.rowOf(addr)
+	mask := c.maskOf(owner)
+	var w int
+	var ev Evicted
+	if free := uint64(mask) &^ c.valid[set]; free != 0 {
+		w = bits.TrailingZeros64(free)
+		c.valid[set] |= 1 << uint(w)
+	} else {
+		w = c.victim(base, mask)
+		ev = c.evictedAt(base + w)
+		c.stats.Evictions++
+		if ev.Owner != owner {
+			c.stats.CrossEvictions++
+		}
+		c.stats.Writebacks += uint64(c.meta[base+w] & 1) // the dirty bit: as unpredictable as dirtyBit's
+	}
+	c.tags[base+w] = addr
+	c.meta[base+w] = uint8(owner)<<1 | dirtyBit(write)
+	c.touch(base, w)
+	return base + w, ev
 }
 
 // Invalidate drops addr if present, returning whether it was held and
 // whether it was dirty. Used for inclusive back-invalidation.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set := c.setOf(addr)
+	set, base := c.rowOf(addr)
 	if c.valid[set] == 0 {
 		return false, false
 	}
-	base := set * c.ways
-	row := c.lines[base : base+c.ways]
-	for w := range row {
-		ln := &row[w]
-		if ln.valid && ln.tag == addr {
-			c.stats.Invalidations++
-			present, dirty = true, ln.dirty
-			*ln = line{}
-			c.valid[set]--
-			return present, dirty
-		}
+	w := c.find(set, base, addr)
+	if w < 0 {
+		return false, false
 	}
-	return false, false
+	c.stats.Invalidations++
+	c.valid[set] &^= 1 << uint(w)
+	return true, c.meta[base+w]&1 != 0
 }
 
 // Flush invalidates every line (stats for invalidations are not bumped; this
 // models a context switch / relaunch, not coherence traffic).
 func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
 	for i := range c.valid {
 		c.valid[i] = 0
 	}
@@ -251,23 +311,40 @@ func (c *Cache) Flush() {
 
 // FlushOwner invalidates every line belonging to owner. Used when a batch
 // application finishes and is relaunched.
-func (c *Cache) FlushOwner(owner int) {
-	for i := range c.lines {
-		if c.lines[i].valid && int(c.lines[i].owner) == owner {
-			c.lines[i] = line{}
-			c.valid[i/c.ways]--
+func (c *Cache) FlushOwner(owner int) { c.dropOwned(owner, 0, nil) }
+
+// dropOwned invalidates owner's lines resident in ways outside keep,
+// handing each to visit (when non-nil) as it goes, and returns how many it
+// dropped. It walks the whole cache: flushes and resizes are control-plane
+// operations.
+func (c *Cache) dropOwned(owner int, keep WayMask, visit func(slot int, ev Evicted)) int {
+	n := 0
+	for set := range c.valid {
+		for m := c.valid[set] &^ uint64(keep); m != 0; m &= m - 1 {
+			w := bits.TrailingZeros64(m)
+			slot := set*c.ways + w
+			if int(c.meta[slot]>>1) != owner {
+				continue
+			}
+			c.valid[set] &^= 1 << uint(w)
+			n++
+			if visit != nil {
+				visit(slot, c.evictedAt(slot))
+			}
 		}
 	}
+	return n
 }
 
 // OwnerOccupancy returns the number of valid lines held per owner id.
 // Owners outside [0, maxOwner) are ignored.
 func (c *Cache) OwnerOccupancy(maxOwner int) []int {
 	occ := make([]int, maxOwner)
-	for i := range c.lines {
-		ln := &c.lines[i]
-		if ln.valid && int(ln.owner) >= 0 && int(ln.owner) < maxOwner {
-			occ[ln.owner]++
+	for set := range c.valid {
+		for m := c.valid[set]; m != 0; m &= m - 1 {
+			if o := int(c.meta[set*c.ways+bits.TrailingZeros64(m)] >> 1); o < maxOwner {
+				occ[o]++
+			}
 		}
 	}
 	return occ
@@ -282,11 +359,22 @@ func (c *Cache) OwnerOccupancy(maxOwner int) []int {
 // panics. Resizes are control-plane operations — the per-access path never
 // calls this.
 func (c *Cache) SetOwnerMask(owner int, mask WayMask, mode ResizeMode) []Evicted {
-	if owner < 0 || owner > 127 {
+	var dropped []Evicted
+	c.resize(owner, mask, mode, func(_ int, ev Evicted) { dropped = append(dropped, ev) })
+	return dropped
+}
+
+// resize is SetOwnerMask handing each dropped line and its slot to visit
+// instead of collecting them; it returns the number dropped.
+func (c *Cache) resize(owner int, mask WayMask, mode ResizeMode, visit func(slot int, ev Evicted)) int {
+	if owner < 0 || owner >= maxOwners {
 		panic(fmt.Sprintf("mem: partition owner %d out of range", owner))
 	}
 	if mask == 0 || mask&^c.fullMask != 0 {
 		panic(fmt.Sprintf("mem: owner mask %v invalid for %d ways", mask, c.ways))
+	}
+	if mode != ResizeOrphan && mode != ResizeInvalidate {
+		panic(fmt.Sprintf("mem: unknown resize mode %v", mode))
 	}
 	if owner >= len(c.masks) {
 		grown := make([]WayMask, owner+1)
@@ -298,30 +386,12 @@ func (c *Cache) SetOwnerMask(owner int, mask WayMask, mode ResizeMode) []Evicted
 	}
 	c.masks[owner] = mask
 	c.maskUsed = true
-	switch mode {
-	case ResizeOrphan:
-		return nil
-	case ResizeInvalidate:
-		var dropped []Evicted
-		for set := 0; set < c.sets; set++ {
-			base := set * c.ways
-			for w := 0; w < c.ways; w++ {
-				if mask.Has(w) {
-					continue
-				}
-				ln := &c.lines[base+w]
-				if ln.valid && int(ln.owner) == owner {
-					dropped = append(dropped, Evicted{Addr: ln.tag, Owner: owner, Dirty: ln.dirty, Valid: true})
-					c.stats.Invalidations++
-					*ln = line{}
-					c.valid[set]--
-				}
-			}
-		}
-		return dropped
-	default:
-		panic(fmt.Sprintf("mem: unknown resize mode %v", mode))
+	if mode == ResizeOrphan {
+		return 0
 	}
+	n := c.dropOwned(owner, mask, visit)
+	c.stats.Invalidations += uint64(n)
+	return n
 }
 
 // OwnerMask returns owner's current fill mask (the full mask when
@@ -332,16 +402,11 @@ func (c *Cache) OwnerMask(owner int) WayMask { return c.maskOf(owner) }
 // mask — orphans left behind by ResizeOrphan resizes, still hittable but
 // no longer refillable by their owner.
 func (c *Cache) StrandedLines(owner int) int {
-	mask := c.maskOf(owner)
+	outside := ^uint64(c.maskOf(owner))
 	n := 0
-	for set := 0; set < c.sets; set++ {
-		base := set * c.ways
-		for w := 0; w < c.ways; w++ {
-			if mask.Has(w) {
-				continue
-			}
-			ln := &c.lines[base+w]
-			if ln.valid && int(ln.owner) == owner {
+	for set := range c.valid {
+		for m := c.valid[set] & outside; m != 0; m &= m - 1 {
+			if int(c.meta[set*c.ways+bits.TrailingZeros64(m)]>>1) == owner {
 				n++
 			}
 		}

@@ -11,8 +11,10 @@ import (
 //  1. A fill never lands outside the inserting owner's current mask.
 //  2. An invalidate-mode resize leaves no owner line outside the new mask;
 //     an orphan-mode resize drops nothing.
-//  3. The per-set valid counters always equal the number of valid lines
-//     (the free-way fast path depends on this).
+//  3. The valid bitmaps name only real ways, no address is valid in two
+//     ways of a set, and every valid way's stamp is unique in its row and
+//     carries its own way index (the stamp-min victim choice depends on
+//     all three).
 //  4. Hits + misses == accesses, and every resident line remains hittable.
 //
 // check.sh runs this for a 10s smoke on top of the seeded corpus below.
@@ -33,25 +35,30 @@ func FuzzCachePartition(f *testing.F) {
 			return masks[o]
 		}
 		wayOf := func(addr uint64) int {
-			set := c.setOf(addr)
-			base := set * ways
-			for w := 0; w < ways; w++ {
-				if ln := c.lines[base+w]; ln.valid && ln.tag == addr {
-					return w
-				}
-			}
-			return -1
+			set, base := c.rowOf(addr)
+			return c.find(set, base, addr)
 		}
-		checkCounts := func() {
+		checkRows := func() {
 			for set := 0; set < sets; set++ {
-				n := int32(0)
-				for w := 0; w < ways; w++ {
-					if c.lines[set*ways+w].valid {
-						n++
-					}
+				if c.valid[set]&^uint64(FullMask(ways)) != 0 {
+					t.Fatalf("set %d: valid bitmap %#x names ways beyond %d", set, c.valid[set], ways)
 				}
-				if c.valid[set] != n {
-					t.Fatalf("set %d: valid counter %d, actual %d", set, c.valid[set], n)
+				tags, stamps := map[uint64]int{}, map[uint64]int{}
+				for w := 0; w < ways; w++ {
+					if !WayMask(c.valid[set]).Has(w) {
+						continue
+					}
+					slot := set*ways + w
+					if prev, dup := tags[c.tags[slot]]; dup {
+						t.Fatalf("set %d: %#x valid in ways %d and %d", set, c.tags[slot], prev, w)
+					}
+					if prev, dup := stamps[c.stamp[slot]]; dup {
+						t.Fatalf("set %d: ways %d and %d share stamp %#x", set, prev, w, c.stamp[slot])
+					}
+					tags[c.tags[slot]], stamps[c.stamp[slot]] = w, w
+					if got := int(c.stamp[slot] & (1<<stampWayBits - 1)); got != w {
+						t.Fatalf("set %d way %d: stamp names way %d", set, w, got)
+					}
 				}
 			}
 		}
@@ -104,16 +111,16 @@ func FuzzCachePartition(f *testing.F) {
 			case 4: // back-invalidate one address
 				c.Invalidate(uint64(arg))
 			}
-			checkCounts()
+			checkRows()
 		}
 		s := c.Stats()
 		if s.Hits+s.Misses != s.Accesses {
 			t.Fatalf("stats skew: %d hits + %d misses != %d accesses", s.Hits, s.Misses, s.Accesses)
 		}
 		// Every resident line is still hittable, masks notwithstanding.
-		for idx, ln := range c.lines {
-			if ln.valid && !c.Contains(ln.tag) {
-				t.Fatalf("line %d (tag %#x) resident but not hittable", idx, ln.tag)
+		for slot, tag := range c.tags {
+			if WayMask(c.valid[slot/ways]).Has(slot%ways) && !c.Contains(tag) {
+				t.Fatalf("line %d (tag %#x) resident but not hittable", slot, tag)
 			}
 		}
 	})

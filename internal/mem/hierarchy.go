@@ -1,6 +1,13 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
+
+// maxCores bounds a hierarchy's width: an L3 line's core-valid bits are one
+// word (and cores are the L3's owners, so maxOwners must cover them).
+const maxCores = 64
 
 // AccessResult reports where an access was satisfied and its cost.
 type AccessResult struct {
@@ -52,10 +59,6 @@ type HierarchyConfig struct {
 
 	Memory MemoryConfig
 
-	// L3Policy optionally overrides the shared cache's replacement policy
-	// factory; nil means true LRU.
-	L3Policy func(sets, ways int) Policy
-
 	// DisableL2Hints turns off the temporal hints that L2 hits send to the
 	// L3 replacement state. With hints off, lines hot in a private cache
 	// age to LRU in the inclusive L3 and are back-invalidated by any
@@ -102,6 +105,15 @@ type Hierarchy struct {
 	l3  *Cache
 	mem *MainMemory
 
+	// coreValid holds, per L3 slot, Nehalem's core-valid bits: bit c is set
+	// when core c fills a private cache from the line and all bits reset
+	// when the slot is refilled, never earlier. A private copy therefore
+	// implies a set bit, and back-invalidation visits only those cores.
+	coreValid []uint64
+	// l3Way holds, per core and L2 slot, the L3 way the L2 line was filled
+	// from, so an L2 hit's temporal hint finds the L3 line without a scan.
+	l3Way [][]uint8
+
 	// Per-core counters the PMU exposes.
 	llcMisses   []uint64
 	llcAccesses []uint64
@@ -110,8 +122,8 @@ type Hierarchy struct {
 
 // NewHierarchy builds the hierarchy. It panics on invalid configuration.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
-	if cfg.Cores <= 0 {
-		panic(fmt.Sprintf("mem: hierarchy needs at least one core, got %d", cfg.Cores))
+	if cfg.Cores <= 0 || cfg.Cores > maxCores {
+		panic(fmt.Sprintf("mem: hierarchy cores must be in 1..%d, got %d", maxCores, cfg.Cores))
 	}
 	h := &Hierarchy{
 		cfg:         cfg,
@@ -121,16 +133,15 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 		llcMisses:   make([]uint64, cfg.Cores),
 		llcAccesses: make([]uint64, cfg.Cores),
 		l2Misses:    make([]uint64, cfg.Cores),
+		l3Way:       make([][]uint8, cfg.Cores),
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		h.l1[i] = NewCache(Config{Name: fmt.Sprintf("L1.%d", i), Sets: cfg.L1Sets, Ways: cfg.L1Ways})
 		h.l2[i] = NewCache(Config{Name: fmt.Sprintf("L2.%d", i), Sets: cfg.L2Sets, Ways: cfg.L2Ways})
+		h.l3Way[i] = make([]uint8, h.l2[i].LineCount())
 	}
-	var l3pol Policy
-	if cfg.L3Policy != nil {
-		l3pol = cfg.L3Policy(cfg.L3Sets, cfg.L3Ways)
-	}
-	h.l3 = NewCache(Config{Name: "L3", Sets: cfg.L3Sets, Ways: cfg.L3Ways, Policy: l3pol})
+	h.l3 = NewCache(Config{Name: "L3", Sets: cfg.L3Sets, Ways: cfg.L3Ways})
+	h.coreValid = make([]uint64, h.l3.LineCount())
 	return h
 }
 
@@ -156,66 +167,84 @@ func (h *Hierarchy) Memory() *MainMemory { return h.mem }
 // absolute cycle now, updating all levels (fills on misses, inclusive
 // back-invalidation on L3 evictions) and the per-core LLC counters.
 func (h *Hierarchy) Access(core int, addr uint64, write bool, now uint64) AccessResult {
+	l1 := h.l1[core]
 	lat := h.cfg.L1Latency
-	if h.l1[core].Lookup(addr, write) {
+	if l1.lookup(addr, write) >= 0 {
 		return AccessResult{Latency: lat, Level: LevelL1}
 	}
+	l2, l3 := h.l2[core], h.l3
 	lat += h.cfg.L2Latency
-	if h.l2[core].Lookup(addr, write) {
-		h.fillL1(core, addr, write)
+	if s2 := l2.lookup(addr, write); s2 >= 0 {
+		l1.insert(addr, core, write)
 		if !h.cfg.DisableL2Hints {
-			h.l3.Refresh(addr)
+			h.hintL3(addr, int(h.l3Way[core][s2]))
 		}
 		return AccessResult{Latency: lat, Level: LevelL2}
 	}
 	h.l2Misses[core]++
 	lat += h.cfg.L3Latency
 	h.llcAccesses[core]++
-	if h.l3.Lookup(addr, write) {
-		h.fillL2(core, addr, write)
-		h.fillL1(core, addr, write)
-		return AccessResult{Latency: lat, Level: LevelL3}
+	level := LevelL3
+	s3 := l3.lookup(addr, write)
+	if s3 >= 0 {
+		h.coreValid[s3] |= 1 << uint(core)
+	} else {
+		// LLC miss: go to memory, fill all levels inward.
+		level = LevelMemory
+		h.llcMisses[core]++
+		lat += h.mem.Access(now)
+		var ev Evicted
+		s3, ev = l3.insert(addr, core, write)
+		holders := h.coreValid[s3]
+		h.coreValid[s3] = 1 << uint(core)
+		if ev.Valid {
+			h.backInvalidate(ev.Addr, holders)
+		}
 	}
-	// LLC miss: go to memory, fill all levels inward.
-	h.llcMisses[core]++
-	lat += h.mem.Access(now)
-	if ev := h.l3.Insert(addr, core, write); ev.Valid {
-		h.backInvalidate(ev.Addr)
-	}
-	h.fillL2(core, addr, write)
-	h.fillL1(core, addr, write)
-	return AccessResult{Latency: lat, Level: LevelMemory}
-}
-
-func (h *Hierarchy) fillL1(core int, addr uint64, write bool) {
 	// Private-cache evictions need no back-invalidation (L3 is inclusive,
 	// so the line is still present there).
-	h.l1[core].Insert(addr, core, write)
+	s2, _ := l2.insert(addr, core, write)
+	_, base3 := l3.rowOf(addr)
+	h.l3Way[core][s2] = uint8(s3 - base3)
+	l1.insert(addr, core, write)
+	return AccessResult{Latency: lat, Level: level}
 }
 
-func (h *Hierarchy) fillL2(core int, addr uint64, write bool) {
-	h.l2[core].Insert(addr, core, write)
+// hintL3 is l3.Refresh(addr) for a line an L2 remembers filling from L3 way
+// way. The slot is checked, so a stale memory costs a scan, never a wrong
+// touch: addr occupies at most one valid way of its set, and either path
+// touches exactly that way or nothing.
+func (h *Hierarchy) hintL3(addr uint64, way int) {
+	l3 := h.l3
+	set, base := l3.rowOf(addr)
+	if l3.tags[base+way] == addr && l3.valid[set]>>(uint(way)&63)&1 != 0 {
+		l3.touch(base, way)
+		return
+	}
+	l3.Refresh(addr)
 }
 
-// backInvalidate enforces inclusion: a line evicted from L3 must leave
-// every private cache.
-func (h *Hierarchy) backInvalidate(addr uint64) {
-	for i := 0; i < h.cfg.Cores; i++ {
+// backInvalidate enforces inclusion: a line leaving the L3 must leave the
+// private caches of every core in holders, its core-valid bits.
+func (h *Hierarchy) backInvalidate(addr uint64, holders uint64) {
+	for ; holders != 0; holders &= holders - 1 {
+		i := bits.TrailingZeros64(holders)
 		h.l1[i].Invalidate(addr)
 		h.l2[i].Invalidate(addr)
 	}
 }
 
 // SetL3OwnerMask resizes owner's L3 partition to mask. Under
-// ResizeInvalidate the dropped lines are back-invalidated from every
-// private cache to preserve inclusion; the return value is the number of
-// L3 lines dropped (always 0 for ResizeOrphan).
+// ResizeInvalidate the dropped lines are back-invalidated from the private
+// caches to preserve inclusion; the return value is the number of L3 lines
+// dropped (always 0 for ResizeOrphan).
 func (h *Hierarchy) SetL3OwnerMask(owner int, mask WayMask, mode ResizeMode) int {
-	dropped := h.l3.SetOwnerMask(owner, mask, mode)
-	for i := range dropped {
-		h.backInvalidate(dropped[i].Addr)
-	}
-	return len(dropped)
+	return h.l3.resize(owner, mask, mode, h.dropped)
+}
+
+// dropped back-invalidates an L3 line a flush or resize has just dropped.
+func (h *Hierarchy) dropped(slot int, ev Evicted) {
+	h.backInvalidate(ev.Addr, h.coreValid[slot])
 }
 
 // LLCMisses returns core's cumulative LLC (L3) miss count. This is the
@@ -230,11 +259,13 @@ func (h *Hierarchy) LLCAccesses(core int) uint64 { return h.llcAccesses[core] }
 func (h *Hierarchy) L2Misses(core int) uint64 { return h.l2Misses[core] }
 
 // FlushCore empties core's private caches and its lines in the shared L3
-// (models process teardown when a batch application is relaunched).
+// (models process teardown when a batch application is relaunched). Other
+// cores' private copies of those L3 lines go with them, or inclusion would
+// break.
 func (h *Hierarchy) FlushCore(core int) {
 	h.l1[core].Flush()
 	h.l2[core].Flush()
-	h.l3.FlushOwner(core)
+	h.l3.dropOwned(core, 0, h.dropped)
 }
 
 // ResetCounters zeroes the per-core counters without disturbing contents.

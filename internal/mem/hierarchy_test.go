@@ -95,16 +95,24 @@ func checkInclusion(t *testing.T, h *Hierarchy) {
 	t.Helper()
 	for core := 0; core < h.Cores(); core++ {
 		for _, c := range []*Cache{h.L1(core), h.L2(core)} {
-			for set := 0; set < c.Sets(); set++ {
-				for way := 0; way < c.Ways(); way++ {
-					ln := c.lineAt(set, way)
-					if ln.valid && !h.L3().Contains(ln.tag) {
-						t.Fatalf("inclusion violated: %s holds %d which is not in L3", c.Name(), ln.tag)
-					}
+			for _, addr := range residents(c) {
+				if !h.L3().Contains(addr) {
+					t.Fatalf("inclusion violated: %s holds %d which is not in L3", c.Name(), addr)
 				}
 			}
 		}
 	}
+}
+
+// residents lists the addresses c holds, in slot order.
+func residents(c *Cache) []uint64 {
+	var addrs []uint64
+	for slot, tag := range c.tags {
+		if WayMask(c.valid[slot/c.ways]).Has(slot % c.ways) {
+			addrs = append(addrs, tag)
+		}
+	}
+	return addrs
 }
 
 // Property-style: inclusion holds after a long random multicore access mix.

@@ -142,62 +142,58 @@ func TestSetOwnerMaskValidation(t *testing.T) {
 	}
 }
 
-// TestVictimMaskFullEquivalence pins the differential contract every policy
-// promises: under a full mask, VictimMask picks exactly the way Victim
-// picks, for any interleaving of touches — including rng-draw parity for
-// random replacement (two identically seeded instances stay in lockstep
-// when one is driven through Victim and the other through VictimMask).
+// TestVictimMaskFullEquivalence pins the differential contract the
+// full-mask partition pin relies on: a cache whose owners all hold an
+// explicit full mask evicts exactly what an unpartitioned cache evicts, for
+// any interleaving of hits and fills.
 func TestVictimMaskFullEquivalence(t *testing.T) {
-	const sets, ways = 8, 8
-	builders := map[string]func() Policy{
-		"lru":    func() Policy { return NewLRU(sets, ways) },
-		"plru":   func() Policy { return NewTreePLRU(sets, ways) },
-		"random": func() Policy { return NewRandomPolicy(7) },
+	const sets, ways, owners = 8, 8, 3
+	a, b := newTestCache(sets, ways), newTestCache(sets, ways)
+	for o := 0; o < owners; o++ {
+		b.SetOwnerMask(o, FullMask(ways), ResizeOrphan)
 	}
-	full := FullMask(ways)
-	for name, build := range builders {
-		a, b := build(), build()
-		rng := rand.New(rand.NewSource(99))
-		for i := 0; i < 4000; i++ {
-			set := rng.Intn(sets)
-			if rng.Intn(3) > 0 {
-				way := rng.Intn(ways)
-				a.Touch(set, way)
-				b.Touch(set, way)
-				continue
-			}
-			va := a.Victim(set, 0, ways)
-			vb := b.VictimMask(set, full)
-			if va != vb {
-				t.Fatalf("%s: step %d: Victim = %d, VictimMask(full) = %d", name, i, va, vb)
-			}
-			a.Touch(set, va) // model the fill that follows a victim choice
-			b.Touch(set, vb)
+	rng := rand.New(rand.NewSource(99))
+	for i := 0; i < 20_000; i++ {
+		addr, owner, write := uint64(rng.Intn(sets*ways*2)), rng.Intn(owners), rng.Intn(4) == 0
+		ha, hb := a.Lookup(addr, write), b.Lookup(addr, write)
+		if ha != hb {
+			t.Fatalf("step %d: lookup %#x hit %v unpartitioned, %v under full masks", i, addr, ha, hb)
 		}
+		if ha {
+			continue
+		}
+		if ea, eb := a.Insert(addr, owner, write), b.Insert(addr, owner, write); ea != eb {
+			t.Fatalf("step %d: evicted %+v unpartitioned, %+v under full masks", i, ea, eb)
+		}
+	}
+	if a.Stats() != b.Stats() {
+		t.Fatalf("stats diverged: %+v vs %+v", a.Stats(), b.Stats())
 	}
 }
 
-// TestVictimMaskStaysInMask: for every policy and any non-empty mask, the
-// victim is a way the mask permits.
+// TestVictimMaskStaysInMask: for any non-empty mask over a full set, the
+// victim is a way the mask permits, and the least recently touched of them.
 func TestVictimMaskStaysInMask(t *testing.T) {
 	const sets, ways = 4, 8
-	policies := map[string]Policy{
-		"lru":    NewLRU(sets, ways),
-		"plru":   NewTreePLRU(sets, ways),
-		"random": NewRandomPolicy(3),
-	}
+	c := newTestCache(sets, ways)
+	fillOwner(c, 0)
 	prop := func(raw uint8, set uint8, touches []uint16) bool {
 		mask := WayMask(raw)
 		if mask == 0 {
 			mask = 1
 		}
 		s := int(set) % sets
-		for name, p := range policies {
-			for _, tw := range touches {
-				p.Touch(int(tw)%sets, int(tw>>4)%ways)
-			}
-			if v := p.VictimMask(s, mask); v < 0 || v >= ways || !mask.Has(v) {
-				t.Logf("%s: victim %d outside mask %v", name, v, mask)
+		for _, tw := range touches {
+			c.touch(int(tw)%sets*ways, int(tw>>4)%ways)
+		}
+		v := c.victim(s*ways, mask)
+		if v < 0 || v >= ways || !mask.Has(v) {
+			t.Logf("victim %d outside mask %v", v, mask)
+			return false
+		}
+		for w := 0; w < ways; w++ {
+			if mask.Has(w) && c.stamp[s*ways+w] < c.stamp[s*ways+v] {
+				t.Logf("victim %d is younger than way %d in mask %v", v, w, mask)
 				return false
 			}
 		}
@@ -265,14 +261,5 @@ func TestPartitionPathAllocFree(t *testing.T) {
 		c.OwnerMask(1)
 	}); n != 0 {
 		t.Fatalf("confined lookup+insert allocates %v/op, want 0", n)
-	}
-	lru := NewLRU(16, 8)
-	mask := WayMask(0b0101_1010)
-	if n := testing.AllocsPerRun(200, func() {
-		lru.Touch(3, int(addr)%8)
-		lru.VictimMask(3, mask)
-		addr++
-	}); n != 0 {
-		t.Fatalf("lru VictimMask allocates %v/op, want 0", n)
 	}
 }

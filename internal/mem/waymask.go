@@ -43,8 +43,7 @@ func (m WayMask) Has(way int) bool { return m>>uint(way)&1 != 0 }
 func (m WayMask) Count() int { return bits.OnesCount64(uint64(m)) }
 
 // NthWay returns the way index of the n-th set bit (0-based, ascending),
-// or -1 when the mask has n or fewer bits. Victim selection for
-// non-contiguous masks maps a policy's full-range choice through this.
+// or -1 when the mask has n or fewer bits.
 func (m WayMask) NthWay(n int) int {
 	for mm := m; mm != 0; mm &= mm - 1 {
 		if n == 0 {
