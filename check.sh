@@ -39,7 +39,7 @@ awk -v t="$total" -v min="${CAER_COVERAGE_MIN:-80.3}" 'BEGIN { exit !(t+0 >= min
 # (go's fuzzer accepts one target per invocation).
 go test -run='^$' -fuzz='^FuzzParseText$' -fuzztime=10s ./internal/telemetry
 go test -run='^$' -fuzz='^FuzzParseSeries$' -fuzztime=10s ./internal/telemetry
-go test -run='^$' -fuzz='^FuzzParseChromeTrace$' -fuzztime=10s ./internal/trace
+go test -run='^$' -fuzz='^FuzzParseChromeTrace$' -fuzztime=10s ./internal/telemetry
 # Resize-path fuzz smoke: random partition op sequences (lookups, fills,
 # orphan/invalidate resizes, back-invalidations) against the model checker
 # in fuzz_test — fills stay inside the owner's mask, the valid bitmaps and
@@ -69,6 +69,18 @@ grep -q "degraded-budget firing" out/DOCTOR_out.txt || {
     echo "doctor smoke: seeded degraded-budget violation not named" >&2; exit 1; }
 grep -q "diagnosis: 3 SLO violation" out/DOCTOR_out.txt || {
     echo "doctor smoke: expected 3 diagnosed violations" >&2; exit 1; }
+# caer-run smoke, the single-machine front door: a CAER run's -trace-out is
+# the span export and must carry the response's hold spans; the folded
+# series and suite-inspection commands must print a phase line and all 21
+# profile rows.
+go run ./cmd/caer-run -mode caer -latency mcf -trace-out out/RUN_trace.json > /dev/null
+grep -q '"name":"hold"' out/RUN_trace.json || {
+    echo "caer-run smoke: no hold span in out/RUN_trace.json" >&2; exit 1; }
+go run ./cmd/caer-run -mode alone -series phases | grep -q "phase 0: periods" || {
+    echo "caer-run smoke: -series phases printed no phase line" >&2; exit 1; }
+rows=$(go run ./cmd/caer-run -workloads | grep -c '^[0-9][0-9][0-9]\.')
+[ "$rows" -eq 21 ] || {
+    echo "caer-run smoke: -workloads printed $rows profile rows, want 21" >&2; exit 1; }
 # Telemetry smoke: the run must leave a Prometheus snapshot whose core
 # metric families are present and non-empty.
 for fam in caer_pmu_reads_total caer_comm_publishes_total \

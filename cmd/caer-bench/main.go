@@ -188,15 +188,8 @@ func main() {
 		}
 		if t, ok := f.(interface{ Table() *report.Table }); ok && *csvDir != "" {
 			path := filepath.Join(*csvDir, "figure"+name+".csv")
-			fh, err := os.Create(path)
-			if err != nil {
-				fatalf("create %s: %v", path, err)
-			}
-			if err := t.Table().WriteCSV(fh); err != nil {
-				fatalf("write %s: %v", path, err)
-			}
-			if err := fh.Close(); err != nil {
-				fatalf("write %s: %v", path, err)
+			if err := report.WriteFile(path, t.Table().WriteCSV); err != nil {
+				fatalf("%v", err)
 			}
 			fmt.Fprintf(out, "[wrote %s]\n", path)
 		}
@@ -211,15 +204,8 @@ func main() {
 		fatalf("%v", err)
 	}
 	if *telemetryOut != "" {
-		fh, err := os.Create(*telemetryOut)
-		if err != nil {
-			fatalf("create %s: %v", *telemetryOut, err)
-		}
-		if err := telemetry.WriteSnapshot(fh); err != nil {
-			fatalf("write telemetry snapshot: %v", err)
-		}
-		if err := fh.Close(); err != nil {
-			fatalf("write %s: %v", *telemetryOut, err)
+		if err := report.WriteFile(*telemetryOut, telemetry.WriteSnapshot); err != nil {
+			fatalf("telemetry snapshot: %v", err)
 		}
 		fmt.Fprintf(out, "[wrote %s]\n", *telemetryOut)
 	}

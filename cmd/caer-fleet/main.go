@@ -35,6 +35,7 @@ import (
 
 	"caer/internal/caer"
 	"caer/internal/fleet"
+	"caer/internal/report"
 	"caer/internal/sched"
 	"caer/internal/spec"
 	"caer/internal/telemetry"
@@ -170,25 +171,18 @@ func main() {
 	}
 
 	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			fatalf("create %s: %v", *metricsOut, err)
+		if err := report.WriteFile(*metricsOut, c.WriteMetrics); err != nil {
+			fatalf("metrics: %v", err)
 		}
-		if err := c.WriteMetrics(f); err != nil {
-			fatalf("write metrics: %v", err)
-		}
-		f.Close()
 		fmt.Fprintf(os.Stderr, "[wrote %s]\n", *metricsOut)
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatalf("create %s: %v", *traceOut, err)
+		if err := report.WriteFile(*traceOut, telemetry.DefaultSpans.WriteChrome); err != nil {
+			fatalf("trace: %v", err)
 		}
-		if err := telemetry.DefaultSpans.WriteChrome(f); err != nil {
-			fatalf("write trace: %v", err)
+		if d := telemetry.DefaultSpans.Dropped(); d > 0 {
+			fmt.Fprintf(os.Stderr, "caer-fleet: span ring wrapped: the %d oldest spans are missing from %s\n", d, *traceOut)
 		}
-		f.Close()
 		fmt.Fprintf(os.Stderr, "[wrote %s]\n", *traceOut)
 	}
 	if rep.Completed != rep.Arrivals {

@@ -165,9 +165,6 @@ func DefaultConfig() *Config {
 			// (resizePartition) is the documented cold barrier.
 			"sched.Scheduler.applyPartitions", "sched.Clusterer.Rescore",
 			"sched.PlanClusters", "sched.Classify", "sched.ClusterPlan.MaskFor",
-			// Per-core partition actuator for plain CAER deployments: the
-			// steady state is one compare per directive re-application.
-			"caer.PartitionActuator.Actuate",
 			// Telemetry spine: the pre-registered handles every hot function
 			// above calls into, plus the span recorder. They must stay pure
 			// atomics — the observability layer cannot be allowed to perturb
@@ -283,7 +280,6 @@ func DefaultConfig() *Config {
 			"mem.Cache.SetOwnerMask", "mem.Cache.StrandedLines",
 			"mem.Hierarchy.SetL3OwnerMask",
 			"sched.Scheduler.resizePartition",
-			"caer.PartitionActuator.resize",
 		},
 		DeterministicPkgs: []string{"machine", "mem", "sched", "caer", "fleet"},
 		DeterministicFuncs: []string{

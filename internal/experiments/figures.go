@@ -5,8 +5,6 @@ import (
 	"io"
 
 	"caer/internal/caer"
-	"caer/internal/machine"
-	"caer/internal/pmu"
 	"caer/internal/report"
 	"caer/internal/runner"
 	"caer/internal/spec"
@@ -138,29 +136,15 @@ func (s *Suite) Figure3(maxPeriods int, names ...string) Figure3 {
 		if !ok {
 			panic(fmt.Sprintf("experiments: unknown benchmark %q", n))
 		}
-		f.Series = append(f.Series, sampleAlone(p, seed, maxPeriods))
+		misses, retired := runner.Sample(p, seed, false, 0, maxPeriods)
+		f.Series = append(f.Series, Figure3Series{
+			Benchmark:   p.Name,
+			Misses:      misses,
+			Retired:     retired,
+			Correlation: stats.Correlation(misses, retired),
+		})
 	}
 	return f
-}
-
-// sampleAlone runs one benchmark alone with a recording per-period sampler.
-func sampleAlone(p spec.Profile, seed int64, maxPeriods int) Figure3Series {
-	m := machine.New(machine.Config{Cores: 2})
-	proc := p.NewProcess(0, seed)
-	m.Bind(0, proc)
-	sampler := pmu.NewSampler(pmu.New(m, 0), []pmu.Event{pmu.EventLLCMisses, pmu.EventInstrRetired}, true)
-	for i := 0; (maxPeriods == 0 || i < maxPeriods) && !proc.Done(); i++ {
-		m.RunPeriod()
-		sampler.Probe()
-	}
-	misses := sampler.Series(pmu.EventLLCMisses)
-	retired := sampler.Series(pmu.EventInstrRetired)
-	return Figure3Series{
-		Benchmark:   p.Name,
-		Misses:      misses,
-		Retired:     retired,
-		Correlation: stats.Correlation(misses, retired),
-	}
 }
 
 // Render writes each benchmark's paired sparklines and correlation.

@@ -4,9 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"strings"
+
+	"caer/internal/report"
 )
 
 // This file is the regime-suite harness: one table of suites and one loop
@@ -141,16 +142,8 @@ func RunRegimes(w io.Writer, names []string, seed int64, quick bool, workers int
 func (row Regime) write(w io.Writer, res RegimeResult, dir string) error {
 	if !row.TableOnly {
 		path := filepath.Join(dir, "BENCH_"+row.Name+".json")
-		fh, err := os.Create(path)
-		if err != nil {
+		if err := report.WriteFile(path, func(w io.Writer) error { return WriteJSON(w, res) }); err != nil {
 			return err
-		}
-		if err := WriteJSON(fh, res); err != nil {
-			fh.Close()
-			return fmt.Errorf("write %s: %w", path, err)
-		}
-		if err := fh.Close(); err != nil {
-			return fmt.Errorf("write %s: %w", path, err)
 		}
 		fmt.Fprintf(w, "[wrote %s]\n", path)
 	}

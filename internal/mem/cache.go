@@ -336,20 +336,6 @@ func (c *Cache) dropOwned(owner int, keep WayMask, visit func(slot int, ev Evict
 	return n
 }
 
-// OwnerOccupancy returns the number of valid lines held per owner id.
-// Owners outside [0, maxOwner) are ignored.
-func (c *Cache) OwnerOccupancy(maxOwner int) []int {
-	occ := make([]int, maxOwner)
-	for set := range c.valid {
-		for m := c.valid[set]; m != 0; m &= m - 1 {
-			if o := int(c.meta[set*c.ways+bits.TrailingZeros64(m)] >> 1); o < maxOwner {
-				occ[o]++
-			}
-		}
-	}
-	return occ
-}
-
 // SetOwnerMask restricts owner's fills and victim selection to the ways in
 // mask (lookups still hit anywhere). Other owners keep the full mask unless
 // also confined. mode picks the fate of owner's lines already resident

@@ -42,18 +42,6 @@ func (m WayMask) Has(way int) bool { return m>>uint(way)&1 != 0 }
 // Count returns the number of ways in the mask.
 func (m WayMask) Count() int { return bits.OnesCount64(uint64(m)) }
 
-// NthWay returns the way index of the n-th set bit (0-based, ascending),
-// or -1 when the mask has n or fewer bits.
-func (m WayMask) NthWay(n int) int {
-	for mm := m; mm != 0; mm &= mm - 1 {
-		if n == 0 {
-			return bits.TrailingZeros64(uint64(mm))
-		}
-		n--
-	}
-	return -1
-}
-
 // String renders the mask as a hex literal, LSB = way 0.
 func (m WayMask) String() string { return fmt.Sprintf("0x%x", uint64(m)) }
 

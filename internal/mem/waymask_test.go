@@ -1,9 +1,7 @@
 package mem
 
 import (
-	"math/bits"
 	"testing"
-	"testing/quick"
 )
 
 func TestFullMask(t *testing.T) {
@@ -50,50 +48,19 @@ func TestContiguousMask(t *testing.T) {
 	}
 }
 
-func TestWayMaskHasCountNthWay(t *testing.T) {
+func TestWayMaskHasCount(t *testing.T) {
 	m := WayMask(0b1010_0110)
 	wantWays := []int{1, 2, 5, 7}
 	if m.Count() != len(wantWays) {
 		t.Fatalf("Count() = %d, want %d", m.Count(), len(wantWays))
 	}
-	for n, w := range wantWays {
+	for _, w := range wantWays {
 		if !m.Has(w) {
 			t.Errorf("Has(%d) = false", w)
-		}
-		if got := m.NthWay(n); got != w {
-			t.Errorf("NthWay(%d) = %d, want %d", n, got, w)
 		}
 	}
 	if m.Has(0) || m.Has(3) {
 		t.Error("Has reported a clear bit as set")
-	}
-	if got := m.NthWay(len(wantWays)); got != -1 {
-		t.Errorf("NthWay past the end = %d, want -1", got)
-	}
-	if got := WayMask(0).NthWay(0); got != -1 {
-		t.Errorf("empty mask NthWay(0) = %d, want -1", got)
-	}
-}
-
-// TestWayMaskNthWayProperty pins NthWay against the bit-twiddling-free
-// definition for arbitrary masks: the n-th set bit ascending, -1 beyond.
-func TestWayMaskNthWayProperty(t *testing.T) {
-	prop := func(m WayMask, n uint8) bool {
-		idx := int(n) % 65
-		want, seen := -1, 0
-		for w := 0; w < 64; w++ {
-			if m.Has(w) {
-				if seen == idx {
-					want = w
-					break
-				}
-				seen++
-			}
-		}
-		return m.NthWay(idx) == want && m.Count() == bits.OnesCount64(uint64(m))
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,6 +1,10 @@
 package report
 
 import (
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -167,5 +171,26 @@ func TestFormatters(t *testing.T) {
 	}
 	if got := Times(1.357); got != "1.357x" {
 		t.Errorf("Times = %q", got)
+	}
+}
+
+// TestWriteFile: the artifact lands complete, and a write that cannot
+// finish is an error naming the path instead of a truncated file.
+func TestWriteFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "a.txt")
+	hello := func(w io.Writer) error { _, err := io.WriteString(w, "hello\n"); return err }
+	if err := WriteFile(path, hello); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "hello\n" {
+		t.Errorf("file holds %q", got)
+	}
+	failing := errors.New("disk full")
+	err := WriteFile(path, func(io.Writer) error { return failing })
+	if !errors.Is(err, failing) || !strings.Contains(err.Error(), path) {
+		t.Errorf("failed write: err = %v, want one wrapping the cause and naming %s", err, path)
+	}
+	if err := WriteFile(filepath.Join(path, "below-a-file"), hello); err == nil {
+		t.Error("uncreatable path accepted")
 	}
 }

@@ -301,6 +301,30 @@ func runAlone(s Scenario) Result {
 	return res
 }
 
+// Sample records a profile's per-period PMU series on the paper's 2-core
+// machine: p on core 0, lbm next to it on core 1 when colo is set. After
+// warmup unrecorded periods a recording sampler is armed and probed once
+// per period, for at most periods periods (0 = until p completes). It
+// returns core 0's per-period LLC misses and instructions retired — the
+// raw data of Figure 3, `caer-run -series` and `caer-run -workloads`.
+func Sample(p spec.Profile, seed int64, colo bool, warmup, periods int) (misses, retired []float64) {
+	m := machine.New(machine.Config{Cores: 2})
+	proc := p.NewProcess(0, seed)
+	m.Bind(0, proc)
+	if colo {
+		m.Bind(1, spec.LBM().Batch().NewProcess(batchBase, seed+1))
+	}
+	for i := 0; i < warmup; i++ {
+		m.RunPeriod()
+	}
+	sampler := pmu.NewSampler(pmu.New(m, 0), []pmu.Event{pmu.EventLLCMisses, pmu.EventInstrRetired}, true)
+	for i := 0; (periods == 0 || i < periods) && !proc.Done(); i++ {
+		m.RunPeriod()
+		sampler.Probe()
+	}
+	return sampler.Series(pmu.EventLLCMisses), sampler.Series(pmu.EventInstrRetired)
+}
+
 // batchSpec is one batch adversary's placement: its profile, core, and
 // footprint base address.
 type batchSpec struct {

@@ -535,3 +535,53 @@ func TestRunNativePerBatchResults(t *testing.T) {
 		t.Error("native-mode batch reports engine pauses")
 	}
 }
+
+// TestSampleCapturesRun: Sample is the one "profile on a bare machine under
+// a recording sampler" function. Its series cover exactly the periods asked
+// for, agree with the scenario runner's totals when run to completion, see
+// the co-runner's interference, and start after the warm-up.
+func TestSampleCapturesRun(t *testing.T) {
+	mcf := fastProfile(t, "mcf", 200_000)
+	sum := func(xs []float64) (s float64) {
+		for _, x := range xs {
+			s += x
+		}
+		return s
+	}
+
+	misses, retired := Sample(mcf.Batch(), 1, true, 0, 30)
+	if len(misses) != 30 || len(retired) != 30 {
+		t.Fatalf("recorded %d/%d periods, want 30", len(misses), len(retired))
+	}
+	if sum(misses) == 0 || sum(retired) == 0 {
+		t.Errorf("series empty: misses=%v instr=%v", sum(misses), sum(retired))
+	}
+
+	// To completion, alone and next to lbm: the series are the alone and
+	// native-colo scenarios seen period by period.
+	for _, colo := range []bool{false, true} {
+		mode := ModeAlone
+		if colo {
+			mode = ModeNativeColo
+		}
+		want := Run(Scenario{Latency: mcf, Mode: mode, Seed: 1})
+		misses, retired = Sample(mcf, 1, colo, 0, 0)
+		if uint64(len(misses)) != want.Periods {
+			t.Errorf("colo=%v: sampled %d periods to completion, scenario ran %d", colo, len(misses), want.Periods)
+		}
+		if uint64(sum(retired)) != want.LatencyInstructions || uint64(sum(misses)) != want.LatencyMisses {
+			t.Errorf("colo=%v: sampled %v instructions / %v misses, scenario counted %d / %d",
+				colo, sum(retired), sum(misses), want.LatencyInstructions, want.LatencyMisses)
+		}
+	}
+
+	// The sampler is armed after the warm-up: a warmed series is the tail
+	// of the cold one.
+	cold, _ := Sample(mcf.Batch(), 1, false, 0, 60)
+	warm, _ := Sample(mcf.Batch(), 1, false, 20, 40)
+	for i := range warm {
+		if warm[i] != cold[20+i] {
+			t.Fatalf("warm[%d] = %v, cold[%d] = %v", i, warm[i], 20+i, cold[20+i])
+		}
+	}
+}

@@ -9,13 +9,6 @@ import (
 // which per-app miss and reuse rates are averaged before scoring.
 const classifierWindow = 32
 
-// histBuckets bins each app's per-period miss distribution; the histogram
-// spans [0, histSpanScale*PressureScale) misses/period.
-const (
-	histBuckets   = 32
-	histSpanScale = 8
-)
-
 // appProfile is one application's online contention profile.
 type appProfile struct {
 	name string
@@ -26,12 +19,6 @@ type appProfile struct {
 	// to an aggressor).
 	misses *stats.Window
 	reuses *stats.Window
-
-	// hist and sum summarise the lifetime miss distribution; per-domain
-	// aggregates are built by merging these (stats.Histogram.Merge /
-	// stats.Running.Merge).
-	hist *stats.Histogram
-	sum  stats.Running
 
 	// Engine outcomes attributed to the app: how often the contention
 	// detector under it asserted contention.
@@ -56,8 +43,8 @@ type appProfile struct {
 // Both scores are in [0, 1) with 0.5 at PressureScale events/period, and
 // the binary Aggressor/Sensitive classes carry hysteresis.
 //
-// The per-period Observe path is allocation-free (fixed windows, fixed
-// histogram bins); apps are registered once, before observation starts.
+// The per-period Observe path is allocation-free (fixed windows); apps are
+// registered once, before observation starts.
 type Classifier struct {
 	scale      float64
 	hysteresis int
@@ -93,7 +80,6 @@ func (c *Classifier) AddApp(name string) int {
 		name:   name,
 		misses: stats.NewWindow(classifierWindow),
 		reuses: stats.NewWindow(classifierWindow),
-		hist:   stats.NewHistogram(0, histSpanScale*c.scale, histBuckets),
 	})
 	return len(c.apps) - 1
 }
@@ -114,8 +100,6 @@ func (c *Classifier) Observe(app int, misses, hits float64) {
 	}
 	p.misses.Push(misses)
 	p.reuses.Push(hits)
-	p.hist.Add(misses)
-	p.sum.Add(misses)
 	p.observedPeriods++
 
 	aggr := c.normalize(p.misses.Mean())
@@ -217,24 +201,4 @@ func (c *Classifier) ContentionRate(app int) float64 {
 // ObservedPeriods returns how many periods app has been observed for.
 func (c *Classifier) ObservedPeriods(app int) uint64 {
 	return c.apps[app].observedPeriods
-}
-
-// NewMissHistogram returns an empty histogram with the classifier's bucket
-// geometry, suitable as a MergeMisses destination.
-func (c *Classifier) NewMissHistogram() *stats.Histogram {
-	return stats.NewHistogram(0, histSpanScale*c.scale, histBuckets)
-}
-
-// MergeMisses merges app's lifetime per-period miss histogram into dst
-// (which must come from NewMissHistogram). Reporting paths use this to
-// build per-domain or whole-machine miss distributions whose quantiles
-// equal those of the union of the underlying streams.
-func (c *Classifier) MergeMisses(app int, dst *stats.Histogram) {
-	dst.Merge(c.apps[app].hist)
-}
-
-// MergeSummary merges app's lifetime miss summary (count/mean/variance/
-// min/max) into dst.
-func (c *Classifier) MergeSummary(app int, dst *stats.Running) {
-	dst.Merge(c.apps[app].sum)
 }

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"caer/internal/stats"
 	"testing"
 )
 
@@ -111,32 +110,7 @@ func TestClassifierVerdicts(t *testing.T) {
 	if got := c.ContentionRate(app); got != 0.75 {
 		t.Errorf("ContentionRate = %v, want 0.75", got)
 	}
-}
-
-func TestClassifierMergeAggregation(t *testing.T) {
-	c := NewClassifier(100, 2)
-	a := c.AddApp("a")
-	b := c.AddApp("b")
-	for i := 0; i < 10; i++ {
-		c.Observe(a, 50, 0)
-		c.Observe(b, 250, 0)
-	}
-	hist := c.NewMissHistogram()
-	c.MergeMisses(a, hist)
-	c.MergeMisses(b, hist)
-	if hist.N() != 20 {
-		t.Errorf("merged histogram N = %d, want 20", hist.N())
-	}
-	var sum stats.Running
-	c.MergeSummary(a, &sum)
-	c.MergeSummary(b, &sum)
-	if sum.N() != 20 || sum.Mean() != 150 {
-		t.Errorf("merged summary n=%d mean=%v, want 20, 150", sum.N(), sum.Mean())
-	}
-	if sum.Min() != 50 || sum.Max() != 250 {
-		t.Errorf("merged summary min=%v max=%v, want 50, 250", sum.Min(), sum.Max())
-	}
-	if c.Name(a) != "a" || c.Apps() != 2 {
+	if c.Name(app) != "a" || c.Apps() != 1 {
 		t.Error("classifier registry accessors wrong")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"caer/internal/caer"
 	"caer/internal/machine"
 	"caer/internal/spec"
-	"caer/internal/stats"
 )
 
 // newQuietSched builds the 2-domain, 8-core deployment with quiet latency
@@ -31,12 +30,10 @@ func submitMix(s *Scheduler, n int, instr uint64) {
 	}
 }
 
-// lifetimeMissMean returns the classifier's lifetime mean misses/period for
-// the named job app.
-func lifetimeMissMean(s *Scheduler, name string) float64 {
-	var sum stats.Running
-	s.classifier.MergeSummary(s.appByName[name], &sum)
-	return sum.Mean()
+// windowMissMean returns the classifier's windowed mean misses/period for
+// the named job app (the last classifierWindow periods it was observed).
+func windowMissMean(s *Scheduler, name string) float64 {
+	return s.classifier.apps[s.appByName[name]].misses.Mean()
 }
 
 // TestSchedulerHonoursSampling pins the Config.Caer bugfix: a scheduled
@@ -51,7 +48,7 @@ func TestSchedulerHonoursSampling(t *testing.T) {
 	if st := poll.Pipeline().SamplingStats(); st.SkippedPeriods != 0 {
 		t.Fatalf("polling skipped %d periods", st.SkippedPeriods)
 	}
-	want := lifetimeMissMean(poll, "lbm")
+	want := windowMissMean(poll, "lbm")
 
 	for _, mode := range []caer.SamplingMode{caer.SamplingAdaptive, caer.SamplingInterrupt} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -80,8 +77,8 @@ func TestSchedulerHonoursSampling(t *testing.T) {
 			}
 			// A probe's deltas span up to MaxProbeInterval periods; fed raw
 			// they would inflate the mean by about that factor.
-			if got := lifetimeMissMean(s, "lbm"); got < 0.5*want || got > 1.5*want {
-				t.Errorf("lbm lifetime misses/period = %.1f, polling measures %.1f: not normalized by span", got, want)
+			if got := windowMissMean(s, "lbm"); got < 0.5*want || got > 1.5*want {
+				t.Errorf("lbm windowed misses/period = %.1f, polling measures %.1f: not normalized by span", got, want)
 			}
 		})
 	}

@@ -1,4 +1,4 @@
-package trace
+package stats
 
 import (
 	"fmt"
@@ -26,16 +26,16 @@ func (p Phase) Len() int { return p.End - p.Start }
 // different means, while flat benchmarks yield a single phase.
 func DetectPhases(series []float64, window int, relThreshold, absThreshold float64) []Phase {
 	if window <= 0 {
-		panic(fmt.Sprintf("trace: phase window %d must be positive", window))
+		panic(fmt.Sprintf("stats: phase window %d must be positive", window))
 	}
 	if relThreshold < 0 || absThreshold < 0 {
-		panic("trace: phase thresholds must be non-negative")
+		panic("stats: phase thresholds must be non-negative")
 	}
 	if len(series) < 2*window {
 		if len(series) == 0 {
 			return nil
 		}
-		return []Phase{{Start: 0, End: len(series), Mean: mean(series)}}
+		return []Phase{{Start: 0, End: len(series), Mean: Mean(series)}}
 	}
 
 	// Score every candidate split point, then keep one boundary per
@@ -46,8 +46,8 @@ func DetectPhases(series []float64, window int, relThreshold, absThreshold float
 	}
 	var cands []candidate
 	for i := window; i+window <= len(series); i++ {
-		left := mean(series[i-window : i])
-		right := mean(series[i : i+window])
+		left := Mean(series[i-window : i])
+		right := Mean(series[i : i+window])
 		pooled := (left + right) / 2
 		diff := math.Abs(right - left)
 		if diff < absThreshold {
@@ -77,18 +77,7 @@ func DetectPhases(series []float64, window int, relThreshold, absThreshold float
 	phases := make([]Phase, 0, len(cuts)-1)
 	for i := 0; i+1 < len(cuts); i++ {
 		seg := series[cuts[i]:cuts[i+1]]
-		phases = append(phases, Phase{Start: cuts[i], End: cuts[i+1], Mean: mean(seg)})
+		phases = append(phases, Phase{Start: cuts[i], End: cuts[i+1], Mean: Mean(seg)})
 	}
 	return phases
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

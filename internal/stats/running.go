@@ -86,44 +86,3 @@ func (r *Running) Merge(other Running) {
 		r.max = other.max
 	}
 }
-
-// EWMA is an exponentially weighted moving average with smoothing factor
-// alpha in (0, 1]: higher alpha weights recent samples more heavily. The
-// zero value is invalid; construct with NewEWMA.
-//
-// The adaptive red-light/green-light response uses an EWMA of detection
-// outcomes to decide whether detections are "consistently producing the
-// same result" (paper §5).
-type EWMA struct {
-	alpha  float64
-	value  float64
-	primed bool
-}
-
-// NewEWMA returns an EWMA with the given smoothing factor.
-// It panics unless 0 < alpha <= 1.
-func NewEWMA(alpha float64) *EWMA {
-	if !(alpha > 0 && alpha <= 1) {
-		panic("stats: EWMA alpha must be in (0,1]")
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add incorporates one sample; the first sample primes the average.
-func (e *EWMA) Add(v float64) {
-	if !e.primed {
-		e.value = v
-		e.primed = true
-		return
-	}
-	e.value = e.alpha*v + (1-e.alpha)*e.value
-}
-
-// Value returns the current average, or 0 before any sample.
-func (e *EWMA) Value() float64 { return e.value }
-
-// Primed reports whether at least one sample has been added.
-func (e *EWMA) Primed() bool { return e.primed }
-
-// Reset discards state, keeping alpha.
-func (e *EWMA) Reset() { e.value, e.primed = 0, false }

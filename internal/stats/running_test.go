@@ -84,79 +84,3 @@ func TestRunningMatchesNaiveProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestEWMAPanicsOnBadAlpha(t *testing.T) {
-	for _, a := range []float64{0, -0.1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewEWMA(%v) did not panic", a)
-				}
-			}()
-			NewEWMA(a)
-		}()
-	}
-}
-
-func TestEWMAPrimingAndSmoothing(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Primed() {
-		t.Error("fresh EWMA reports Primed")
-	}
-	e.Add(10)
-	if !e.Primed() || e.Value() != 10 {
-		t.Errorf("after first Add: primed=%v value=%v", e.Primed(), e.Value())
-	}
-	e.Add(20)
-	if got := e.Value(); got != 15 {
-		t.Errorf("Value = %v, want 15", got)
-	}
-	e.Add(15)
-	if got := e.Value(); got != 15 {
-		t.Errorf("Value = %v, want 15", got)
-	}
-	e.Reset()
-	if e.Primed() || e.Value() != 0 {
-		t.Errorf("after Reset: primed=%v value=%v", e.Primed(), e.Value())
-	}
-}
-
-func TestEWMAAlphaOneTracksLastSample(t *testing.T) {
-	e := NewEWMA(1)
-	for _, v := range []float64{3, 9, -4, 7} {
-		e.Add(v)
-		if e.Value() != v {
-			t.Errorf("alpha=1 EWMA = %v, want %v", e.Value(), v)
-		}
-	}
-}
-
-// Property: EWMA of a constant series is that constant, and the value always
-// lies within the [min, max] envelope of the inputs.
-func TestEWMABoundedProperty(t *testing.T) {
-	f := func(alphaRaw uint8, raw []float64) bool {
-		alpha := (float64(alphaRaw%100) + 1) / 100
-		e := NewEWMA(alpha)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			v = math.Mod(v, 1e6)
-			e.Add(v)
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-			if e.Value() < lo-1e-9 || e.Value() > hi+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}

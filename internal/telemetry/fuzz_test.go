@@ -100,3 +100,77 @@ func textMetricEqual(a, b TextMetric) bool {
 	}
 	return reflect.DeepEqual(la, lb)
 }
+
+// FuzzParseChromeTrace fuzzes the Chrome trace-event reader: caer-doctor
+// reads trace files from outside the process through it. Seeds are a
+// SpanRecorder export (the one exporter's real shape: thread-name metadata
+// plus "X" spans) and hand-written documents, including a legacy "ph":"C"
+// counter trace of the kind the deleted counter-track exporter wrote, so
+// old files still parse.
+//
+// Invariants: ParseChromeTrace never panics, ArgNumber tolerates any args
+// shape, and an accepted trace survives a re-encode/re-parse cycle with the
+// same events per phase.
+func FuzzParseChromeTrace(f *testing.F) {
+	rec, _ := newTestRecorder(16)
+	rec.NameTrack(0, "latency/mcf")
+	rec.NameTrack(1, "batch/lbm")
+	rec.Record(0, SpanProbe, 0, 1, 900)
+	rec.Record(1, SpanPublish, 0, 1, 30)
+	rec.Record(1, SpanDetect, 1, 4, 1)
+	rec.Record(1, SpanHold, 5, 80, 1)
+	var export bytes.Buffer
+	if err := rec.WriteChrome(&export); err != nil {
+		f.Fatalf("seed export: %v", err)
+	}
+	f.Add(export.Bytes())
+	f.Add([]byte(`{"traceEvents":[]}`))
+	f.Add([]byte(`{"traceEvents":[{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":1,"args":{"name":"core1"}},` +
+		`{"name":"pmu","ph":"C","ts":1000,"pid":1,"tid":1,"args":{"instructions":2500,"llc_misses":900}},` +
+		`{"name":"paused","ph":"X","ts":1000,"dur":2000,"pid":1,"tid":1}],"displayTimeUnit":"ms"}`))
+	f.Add([]byte(`{"traceEvents":[{"name":"hold","ph":"X","ts":0,"dur":3000,"pid":1,"tid":1,"args":{"value":1}}],"displayTimeUnit":"ms"}`))
+	f.Add([]byte(`{"traceEvents":[{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"core0"}}]}`))
+	f.Add([]byte(`{"traceEvents": null}`))
+	f.Add([]byte(`not json at all`))
+	f.Add([]byte(`{"traceEvents":[{"ts":"not a number"}]}`))
+
+	phases := func(events []ChromeEvent) map[string]int {
+		n := make(map[string]int)
+		for _, e := range events {
+			n[e.Phase]++
+			_ = e.ArgNumber("value")
+			_ = e.ArgNumber("llc_misses")
+		}
+		return n
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := ParseChromeTrace(bytes.NewReader(data))
+		if err != nil {
+			return // rejected input: only the no-panic invariant applies
+		}
+		var buf bytes.Buffer
+		if err := WriteChromeTrace(&buf, events); err != nil {
+			t.Fatalf("re-encode of accepted trace failed: %v", err)
+		}
+		back, err := ParseChromeTrace(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("re-parse of re-encoded trace failed: %v", err)
+		}
+		if got, want := phases(back), phases(events); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round-trip changed the events per phase: %v -> %v", want, got)
+		}
+	})
+}
+
+// TestParseChromeTraceLegacyCounters: a counter-track document as the
+// deleted counter-track exporter wrote it still parses, args intact.
+func TestParseChromeTraceLegacyCounters(t *testing.T) {
+	doc := `{"traceEvents":[{"name":"pmu","ph":"C","ts":3000,"pid":1,"tid":1,"args":{"instructions":15001,"llc_misses":3001}}],"displayTimeUnit":"ms"}`
+	events, err := ParseChromeTrace(strings.NewReader(doc))
+	if err != nil || len(events) != 1 {
+		t.Fatalf("legacy trace: %d events, err %v", len(events), err)
+	}
+	if e := events[0]; e.Phase != "C" || e.Ts != 3000 || e.ArgNumber("llc_misses") != 3001 || e.ArgNumber("instructions") != 15001 {
+		t.Errorf("legacy counter event = %+v", e)
+	}
+}

@@ -217,8 +217,9 @@ func WriteChromeTrace(w io.Writer, events []ChromeEvent) error {
 	return bw.Flush()
 }
 
-// ParseChromeTrace reads a trace-event JSON object written by
-// WriteChromeTrace (round-trip tests and tooling).
+// ParseChromeTrace reads a trace-event JSON object: one written by
+// WriteChromeTrace, or any file handed to caer-doctor (events of phases
+// this repo no longer emits, such as "C" counters, parse too).
 func ParseChromeTrace(r io.Reader) ([]ChromeEvent, error) {
 	var f chromeFile
 	if err := json.NewDecoder(r).Decode(&f); err != nil {

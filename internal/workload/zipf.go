@@ -54,65 +54,3 @@ func (z *Zipf) Next(r *rand.Rand) Access {
 	rank := z.zipf.Uint64()
 	return Access{Addr: z.base + uint64(z.perm[rank]), Write: roll(r, z.wfrac)}
 }
-
-// MarkovPhased switches between generators according to a per-access
-// transition probability, producing irregular, overlapping phases — closer
-// to real program phase behaviour than the fixed-length cycles of Phased.
-// State i moves to a uniformly random other state with probability
-// switchProb at each access.
-type MarkovPhased struct {
-	gens       []Generator
-	switchProb float64
-	state      int
-	rng        *rand.Rand
-	seed       int64
-}
-
-// NewMarkovPhased constructs the generator. switchProb must be in (0, 1);
-// at least two states are required.
-func NewMarkovPhased(gens []Generator, switchProb float64, seed int64) *MarkovPhased {
-	if len(gens) < 2 {
-		panic("workload: markov phasing needs at least two generators")
-	}
-	for i, g := range gens {
-		if g == nil {
-			panic(fmt.Sprintf("workload: markov state %d has nil generator", i))
-		}
-	}
-	if !(switchProb > 0 && switchProb < 1) {
-		panic(fmt.Sprintf("workload: markov switch probability %v out of (0,1)", switchProb))
-	}
-	gs := make([]Generator, len(gens))
-	copy(gs, gens)
-	return &MarkovPhased{gens: gs, switchProb: switchProb, rng: rand.New(rand.NewSource(seed)), seed: seed}
-}
-
-// Name implements Generator.
-func (m *MarkovPhased) Name() string {
-	return fmt.Sprintf("markov(%d states, p=%.4f)", len(m.gens), m.switchProb)
-}
-
-// State returns the index of the active generator.
-func (m *MarkovPhased) State() int { return m.state }
-
-// Next implements Generator.
-func (m *MarkovPhased) Next(r *rand.Rand) Access {
-	if m.rng.Float64() < m.switchProb {
-		// Move to a uniformly random *other* state.
-		next := m.rng.Intn(len(m.gens) - 1)
-		if next >= m.state {
-			next++
-		}
-		m.state = next
-	}
-	return m.gens[m.state].Next(r)
-}
-
-// Reset implements Resetter.
-func (m *MarkovPhased) Reset() {
-	m.state = 0
-	m.rng = rand.New(rand.NewSource(m.seed))
-	for _, g := range m.gens {
-		Reset(g)
-	}
-}

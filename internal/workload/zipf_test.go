@@ -90,86 +90,3 @@ func TestZipfDeterministicPerSeed(t *testing.T) {
 		}
 	}
 }
-
-func TestNewMarkovPhasedValidation(t *testing.T) {
-	g := NewStream(0, 4, 1, 0)
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("one state", func() { NewMarkovPhased([]Generator{g}, 0.1, 1) })
-	mustPanic("nil state", func() { NewMarkovPhased([]Generator{g, nil}, 0.1, 1) })
-	mustPanic("p=0", func() { NewMarkovPhased([]Generator{g, g}, 0, 1) })
-	mustPanic("p=1", func() { NewMarkovPhased([]Generator{g, g}, 1, 1) })
-}
-
-func TestMarkovPhasedVisitsAllStates(t *testing.T) {
-	m := NewMarkovPhased([]Generator{
-		NewUniform(0, 10, 0),
-		NewUniform(1000, 10, 0),
-		NewUniform(2000, 10, 0),
-	}, 0.01, 3)
-	r := testRNG()
-	regions := map[uint64]int{}
-	for i := 0; i < 20000; i++ {
-		regions[m.Next(r).Addr/1000]++
-	}
-	for region := uint64(0); region < 3; region++ {
-		if regions[region] == 0 {
-			t.Errorf("state %d never visited", region)
-		}
-	}
-}
-
-func TestMarkovPhasedDwellsInStates(t *testing.T) {
-	// With p = 0.005 the expected dwell time is ~200 accesses; runs of the
-	// same state must be long, not access-by-access noise.
-	m := NewMarkovPhased([]Generator{
-		NewUniform(0, 10, 0),
-		NewUniform(1000, 10, 0),
-	}, 0.005, 3)
-	r := testRNG()
-	transitions := 0
-	last := uint64(99)
-	const n = 20000
-	for i := 0; i < n; i++ {
-		region := m.Next(r).Addr / 1000
-		if region != last {
-			transitions++
-			last = region
-		}
-	}
-	if transitions > n/50 {
-		t.Errorf("%d transitions over %d accesses; phases too short", transitions, n)
-	}
-	if transitions < 2 {
-		t.Error("no phase transitions at all")
-	}
-}
-
-func TestMarkovPhasedReset(t *testing.T) {
-	m := NewMarkovPhased([]Generator{
-		NewStream(0, 10, 1, 0),
-		NewStream(1000, 10, 1, 0),
-	}, 0.2, 3)
-	r := testRNG()
-	first := make([]uint64, 10)
-	for i := range first {
-		first[i] = m.Next(r).Addr
-	}
-	m.Reset()
-	if m.State() != 0 {
-		t.Error("Reset did not rewind state")
-	}
-	r2 := testRNG()
-	for i := range first {
-		if got := m.Next(r2).Addr; got != first[i] {
-			t.Fatalf("replay diverged at %d: %d vs %d", i, got, first[i])
-		}
-	}
-}
