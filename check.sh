@@ -1,6 +1,7 @@
 #!/bin/sh
-# Tier-2 verification gate: build, standard vet, the repo-specific caer-vet
-# static analysis suite, the race-enabled test run, and the regime gates.
+# Tier-2 verification gate: build, standard vet, the gofmt gate, the
+# repo-specific caer-vet static analysis suite, the race-enabled test run,
+# and the regime gates.
 # CI runs exactly this (.github/workflows/ci.yml calls it and uploads what
 # it leaves behind: out/, coverage.out, caer-vet.json); `make check` is an
 # alias.
@@ -10,11 +11,18 @@ mkdir -p out/w1
 
 go build ./...
 go vet ./...
+# Format gate over tracked files only (so the benchmark's .bench_build/
+# checkouts are not walked): directives in doc comments are gofmt-shaped,
+# and nothing else would notice a misformatted one.
+unformatted=$(git ls-files '*.go' | xargs gofmt -l)
+[ -z "$unformatted" ] || {
+    echo "gofmt gate: not gofmt-clean:" >&2; echo "$unformatted" >&2; exit 1; }
 # The repository benchmark is its own module (benchmark/go.mod), which the
 # root ./... does not see: vet it and run its smoke test here.
 (cd benchmark && go vet ./... && go test ./...)
-# caer-vet with suppression hygiene on (stale //caer:allow comments are
-# findings in CI) and a wall-clock budget: the analysis suite must stay
+# caer-vet with directive hygiene on (stale //caer:allow comments,
+# redundant //caer:hot roots and unreached barriers are findings in CI)
+# and a wall-clock budget: the analysis suite must stay
 # cheap enough to run on every push (CAER_VET_BUDGET seconds, default 120).
 # The -json run comes first so the machine-readable findings exist for CI
 # to upload even when the gating run below fails.

@@ -151,9 +151,9 @@ func TestRenderFleetMode(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"machine",     // machine column header appears in fleet mode
-		"m0", "m1",    // group labels
-		"alerts:",     // alerts pane
+		"machine",  // machine column header appears in fleet mode
+		"m0", "m1", // group labels
+		"alerts:", // alerts pane
 		"latency-mcf", "firing", "3.50", "2.25",
 		"latency-namd", "inactive",
 	} {

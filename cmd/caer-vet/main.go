@@ -16,10 +16,17 @@
 // against the enclosing module; the default is "./...". -analyzer runs a
 // comma-separated subset of the suite; -json emits the findings as one
 // machine-readable document on stdout instead of compiler-style lines;
-// -unused-suppressions additionally reports //caer:allow comments that
-// waived nothing (CI turns this on so dead waivers cannot accumulate).
-// Findings can be waived in source with a documented suppression comment,
-// whose reason is mandatory:
+// -unused-suppressions additionally reports the //caer: comments the tree
+// no longer needs — allows that waived nothing, //caer:hot roots another
+// root already reaches, barriers no hot path meets (CI turns this on so
+// dead waivers cannot accumulate).
+//
+// What the analyzers know about individual functions is written at the
+// declarations as //caer: directives (-list prints the vocabulary): the
+// per-period entry points carry //caer:hot and the hot closure is derived
+// from them over the call graph of the packages loaded, so the audit of
+// record is the whole module, "./...". Findings can be waived in source
+// with a documented suppression comment, whose reason is mandatory:
 //
 //	//caer:allow <analyzer>[,<analyzer>...] <reason>
 package main
@@ -41,10 +48,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("caer-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	chdir := fs.String("C", "", "run as if started in `dir`")
-	list := fs.Bool("list", false, "list the analyzers and exit")
+	list := fs.Bool("list", false, "list the analyzers and the //caer: directive vocabulary and exit")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON document on stdout")
 	subset := fs.String("analyzer", "", "comma-separated `names` of analyzers to run (default: all)")
-	unused := fs.Bool("unused-suppressions", false, "report //caer:allow comments that waived nothing")
+	unused := fs.Bool("unused-suppressions", false, "report //caer: comments the tree no longer needs (stale allows, redundant roots, unreached barriers)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -52,6 +59,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *list {
 		for _, a := range analysis.Analyzers() {
 			fmt.Fprintf(stdout, "%-16s %s\n", a.Name, a.Doc)
+		}
+		fmt.Fprintln(stdout, "\ndirectives (allow anywhere; the others in a function's doc comment):")
+		for _, d := range analysis.Directives() {
+			fmt.Fprintf(stdout, "  %-49s %s\n", d.Syntax, d.Doc)
 		}
 		return 0
 	}

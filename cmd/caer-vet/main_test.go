@@ -39,7 +39,8 @@ func TestDriverRealTreeClean(t *testing.T) {
 	}
 }
 
-// TestDriverList checks the -list inventory.
+// TestDriverList checks the -list inventory: every analyzer and every word
+// of the directive vocabulary.
 func TestDriverList(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
@@ -48,6 +49,11 @@ func TestDriverList(t *testing.T) {
 	for _, name := range analysis.AnalyzerNames() {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s", name)
+		}
+	}
+	for _, d := range analysis.Directives() {
+		if !strings.Contains(out.String(), d.Syntax) {
+			t.Errorf("-list output missing directive %s", d.Syntax)
 		}
 	}
 }

@@ -9,13 +9,13 @@
 //     8-byte aligned so 32-bit platforms do not tear.
 //   - hotpath: the 1 ms sampling/detection loop must stay allocation- and
 //     syscall-light, or the runtime's own overhead drowns the contention
-//     signal it measures (the paper's §6 headline is <1% overhead). Since
-//     v2 the ban propagates transitively through the static call graph
-//     from the inventoried roots, and findings carry the offending call
-//     path.
-//   - enumswitch: switches over reaction enums (comm.Directive and friends)
-//     must be exhaustive — a default: that silently runs the batch
-//     application is a contention-response bug.
+//     signal it measures (the paper's §6 headline is <1% overhead). The ban
+//     propagates transitively through the static call graph from the
+//     //caer:hot roots, and findings carry the offending call path.
+//   - enumswitch: switches over the module's enums (every named integer
+//     type with two or more constants: comm.Directive and friends) must be
+//     exhaustive — a default: that silently runs the batch application is
+//     a contention-response bug.
 //   - lockdiscipline: every Lock() needs a same-function Unlock, and errors
 //     returned by this module's table/IO writes must not be silently
 //     discarded.
@@ -29,20 +29,34 @@
 //   - telemetrydiscipline: metric registration stays out of hot-path-
 //     reachable code, and every registered family name must match the
 //     spine inventory (DESIGN.md §10).
-//   - suppression: //caer:allow comments must carry a reason, and (when
-//     enabled) must actually suppress something.
+//   - suppression: //caer: comments must be well-formed (known word,
+//     reason where one is required, attached to a function where they state
+//     a fact about one), and (when enabled) must actually be needed.
 //
 // The suite is built entirely on the standard library (go/parser, go/ast,
 // go/types); it deliberately takes no dependency on golang.org/x/tools so
-// the repo stays self-contained. Findings can be suppressed with a
-// documented comment:
+// the repo stays self-contained.
+//
+// What the analyzers know about a particular function is written at its
+// declaration, as a directive line in its doc comment (Directives lists the
+// vocabulary; Config holds only what is not a property of one declaration):
+//
+//	//caer:hot              a per-period entry point: roots the hot walk
+//	//caer:cold <reason>    a reviewed barrier: the hot walk stops here
+//	//caer:allocates        allocates by contract: a call from hot code is
+//	                        the finding, and the walk stops here too
+//	//caer:deterministic    held to the determinism rules although its
+//	                        package is free to read clocks
+//
+// and findings can be suppressed with a documented comment:
 //
 //	//caer:allow <analyzer>[,<analyzer>...] <reason>
 //
 // which applies to the line it is written on and to the line directly
 // below it (so it can trail the offending expression or sit above it).
-// The reason is mandatory; stale suppressions are themselves findings
-// under Config.ReportUnusedSuppressions.
+// Reasons are mandatory; under Config.ReportUnusedSuppressions a directive
+// the tree no longer needs (a stale allow, a root another root already
+// reaches, a barrier no hot path meets) is itself a finding.
 package analysis
 
 import (
@@ -50,13 +64,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // Finding is one analyzer diagnostic, positioned in the source tree. Path,
-// when non-empty, is the call chain from an inventoried hot-path root to
-// the function containing the finding (hotpath v2, telemetrydiscipline).
+// when non-empty, is the call chain from a //caer:hot root to the function
+// containing the finding (hotpath, telemetrydiscipline).
 type Finding struct {
 	Analyzer string
 	Pos      token.Position
@@ -95,9 +110,9 @@ type Pass struct {
 	// Graph is the static call graph over every package of the run (one
 	// package in unit tests, the whole module under Vet).
 	Graph *CallGraph
-	// Hot maps every hot-path function (inventoried roots plus their
-	// transitive static closure, minus cold barriers) to its label path
-	// from a root. See CallGraph.HotSet.
+	// Hot maps every hot-path function (the //caer:hot roots plus their
+	// transitive static closure, minus barriers) to its label path from a
+	// root. See CallGraph.HotSet.
 	Hot map[*types.Func][]string
 
 	findings *[]Finding
@@ -125,21 +140,54 @@ func (p *Pass) ReportPathf(pos token.Pos, path []string, format string, args ...
 
 // HotPathOf returns the root-to-fn call chain if fn is in the hot-path
 // closure (nil otherwise). Roots map to a single-element path.
-func (p *Pass) HotPathOf(fn *types.Func) []string {
-	if p.Hot == nil {
-		return nil
-	}
-	return p.Hot[fn]
-}
+func (p *Pass) HotPathOf(fn *types.Func) []string { return p.Hot[fn] }
 
-// Suppression is the pseudo-analyzer that owns suppression-hygiene
-// findings (missing reasons, stale allows). Its Run is a no-op: the
-// driver emits its findings while filtering, where usage is known.
+// Suppression is the pseudo-analyzer that owns directive-hygiene findings
+// (unknown words, missing reasons, detached or no-longer-needed
+// directives). Its Run is a no-op: the driver emits its findings while
+// filtering, where usage is known.
 var Suppression = &Analyzer{
 	Name: "suppression",
-	Doc: "require //caer:allow comments to carry a reason, and report allows " +
-		"that no longer suppress anything (stale suppressions accumulate risk)",
+	Doc: "require //caer: comments to be well-formed and reasoned, and report allows " +
+		"that suppress nothing, roots another root reaches and barriers no hot path meets",
 	Run: func(*Pass) {},
+}
+
+// Directive is one entry of the //caer: comment vocabulary.
+type Directive struct {
+	Syntax string // the comment as written, e.g. "//caer:cold <reason>"
+	Doc    string
+}
+
+// Directives returns the //caer: vocabulary in stable order. Every word
+// but allow states a fact about one function and belongs in that
+// function's doc comment.
+func Directives() []Directive {
+	return []Directive{
+		{"//caer:allow <analyzer>[,<analyzer>...] <reason>",
+			"waive the named analyzers' findings on this line and the line below"},
+		{"//caer:hot",
+			"a per-period entry point no other root reaches: roots the hot-path walk"},
+		{"//caer:cold <reason>",
+			"a reviewed barrier (one-time setup, decision path): the hot-path walk stops here"},
+		{"//caer:allocates",
+			"allocates by contract: a call from hot code is the finding and the walk stops here"},
+		{"//caer:deterministic",
+			"held to the determinism rules although its package may read clocks"},
+	}
+}
+
+// parseDirective splits a "//caer:<word> [args]" comment into its word and
+// arguments; word is "" for any other comment.
+func parseDirective(text string) (word, args string) {
+	rest, ok := strings.CutPrefix(text, "//caer:")
+	if !ok {
+		return "", ""
+	}
+	if i := strings.IndexAny(rest, " \t"); i >= 0 {
+		return rest[:i], strings.TrimSpace(rest[i:])
+	}
+	return rest, ""
 }
 
 // Analyzers returns the full caer-vet suite in stable order.
@@ -203,7 +251,7 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer, cfg *Config) []Finding {
 // findings sorted by position.
 func VetPackages(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Finding {
 	graph := BuildCallGraph(pkgs)
-	hot := graph.HotSet(cfg)
+	hot := graph.HotSet()
 
 	active := make(map[string]bool)
 	for _, a := range analyzers {
@@ -230,6 +278,7 @@ func VetPackages(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Finding 
 		findings = filterSuppressed(sup, findings)
 		if active[Suppression.Name] {
 			findings = append(findings, suppressionFindings(sup, cfg, active)...)
+			findings = append(findings, directiveFindings(pkg, graph, hot, cfg)...)
 		}
 		all = append(all, findings...)
 	}
@@ -279,11 +328,11 @@ func collectSuppressions(pkg *Package) []*suppression {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "//caer:allow")
-				if !ok {
+				word, args := parseDirective(c.Text)
+				if word != "allow" {
 					continue
 				}
-				fields := strings.Fields(text)
+				fields := strings.Fields(args)
 				s := &suppression{
 					pos:       pkg.Fset.Position(c.Pos()),
 					analyzers: make(map[string]bool),
@@ -374,6 +423,90 @@ func suppressionFindings(sups []*suppression, cfg *Config, active map[string]boo
 	return out
 }
 
+// directiveFindings reports hygiene violations of the declaration-level
+// directives of one package. Always findings: an unknown //caer: word, a
+// fact directive outside a function's doc comment (it marks nothing, so
+// the audit silently shrinks), and a //caer:cold without a reason. Under
+// Config.ReportUnusedSuppressions, so are the directives the tree no
+// longer needs: a //caer:hot the walk from the other roots already
+// reaches, and a //caer:cold or //caer:allocates no hot function calls.
+// Findings about an attached directive sit on the function's name.
+func directiveFindings(pkg *Package, graph *CallGraph, hot map[*types.Func][]string, cfg *Config) []Finding {
+	attached := make(map[*ast.Comment]*Node)
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Doc == nil {
+				continue
+			}
+			fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+			if n := graph.Lookup(fn); n != nil {
+				for _, c := range fd.Doc.List {
+					attached[c] = n
+				}
+			}
+		}
+	}
+
+	var out []Finding
+	for _, f := range pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				word, args := parseDirective(c.Text)
+				if word == "" || word == "allow" {
+					continue
+				}
+				n := attached[c]
+				pos := c.Pos()
+				if n != nil {
+					pos = n.Decl.Name.Pos()
+				}
+				report := func(format string, a ...any) {
+					out = append(out, Finding{
+						Analyzer: Suppression.Name,
+						Pos:      pkg.Fset.Position(pos),
+						Message:  fmt.Sprintf(format, a...),
+					})
+				}
+				if !slices.Contains(directiveWords(), word) {
+					report("unknown directive //caer:%s (the vocabulary is %s)",
+						word, strings.Join(directiveWords(), ", "))
+					continue
+				}
+				if n == nil {
+					report("//caer:%s is not in the doc comment of a function with a body; it marks nothing", word)
+					continue
+				}
+				if word == "cold" && args == "" {
+					report("//caer:cold needs a reason: //caer:cold <reason> " +
+						"(an unexplained barrier is unreviewable)")
+					continue
+				}
+				if !cfg.ReportUnusedSuppressions {
+					continue
+				}
+				switch {
+				case word == "hot" && graph.redundantRoot(n):
+					report("redundant //caer:hot: %s is already reachable from another root; delete it", n.Label())
+				case (word == "cold" || word == "allocates") && !metByHotWalk(n, hot):
+					report("unreached //caer:%s: no hot path calls %s; delete it", word, n.Label())
+				}
+			}
+		}
+	}
+	return out
+}
+
+// directiveWords lists the words of the vocabulary.
+func directiveWords() []string {
+	var words []string
+	for _, d := range Directives() {
+		word, _ := parseDirective(d.Syntax)
+		words = append(words, word)
+	}
+	return words
+}
+
 func sortedNames(set map[string]bool) []string {
 	names := make([]string, 0, len(set))
 	for name := range set {
@@ -392,6 +525,16 @@ func Vet(modRoot, modPath string, dirs []string, analyzers []*Analyzer, cfg *Con
 		cfg = DefaultConfig()
 	}
 	cfg.ModulePath = modPath
+	pkgs, err := loadAll(modRoot, modPath, dirs)
+	if err != nil {
+		return nil, err
+	}
+	return VetPackages(pkgs, analyzers, cfg), nil
+}
+
+// loadAll loads the packages in dirs through one loader, skipping
+// directories without buildable Go files.
+func loadAll(modRoot, modPath string, dirs []string) ([]*Package, error) {
 	loader := NewLoader(modRoot, modPath)
 	var pkgs []*Package
 	for _, dir := range dirs {
@@ -399,10 +542,9 @@ func Vet(modRoot, modPath string, dirs []string, analyzers []*Analyzer, cfg *Con
 		if err != nil {
 			return nil, err
 		}
-		if pkg == nil { // no buildable Go files
-			continue
+		if pkg != nil {
+			pkgs = append(pkgs, pkg)
 		}
-		pkgs = append(pkgs, pkg)
 	}
-	return VetPackages(pkgs, analyzers, cfg), nil
+	return pkgs, nil
 }

@@ -37,17 +37,43 @@ type CallGraph struct {
 	tpkgs map[*types.Package]bool // type-checker packages of the loaded set
 }
 
-// Node is one declared function in the analyzed packages.
+// Node is one declared function in the analyzed packages, together with
+// the facts its doc comment declares about it (the //caer: directives; see
+// Directives for the vocabulary).
 type Node struct {
 	Fn   *types.Func
 	Decl *ast.FuncDecl
 	Pkg  *Package
 	Out  []Edge
 	In   []Edge
+
+	Hot           bool // //caer:hot: a per-period entry point, root of the hot walk
+	Cold          bool // //caer:cold: a reviewed barrier the hot walk stops at
+	Allocates     bool // //caer:allocates: a barrier whose call from hot code is the finding
+	Deterministic bool // //caer:deterministic: held to the determinism rules
 }
 
-// Label renders the node the way the config inventories name functions:
-// "pkg.Type.Method" or "pkg.Func", using the last import-path element.
+// readDirectives fills the node's facts from its declaration's doc comment.
+func (n *Node) readDirectives() {
+	if n.Decl.Doc == nil {
+		return
+	}
+	for _, c := range n.Decl.Doc.List {
+		switch word, _ := parseDirective(c.Text); word {
+		case "hot":
+			n.Hot = true
+		case "cold":
+			n.Cold = true
+		case "allocates":
+			n.Allocates = true
+		case "deterministic":
+			n.Deterministic = true
+		}
+	}
+}
+
+// Label names the node in findings and call paths: "pkg.Type.Method" or
+// "pkg.Func", using the last import-path element.
 func (n *Node) Label() string {
 	recv := recvTypeName(n.Fn)
 	if recv != "" {
@@ -119,7 +145,9 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 					continue
 				}
 				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					g.nodes[fn] = &Node{Fn: fn, Decl: fd, Pkg: pkg}
+					n := &Node{Fn: fn, Decl: fd, Pkg: pkg}
+					n.readDirectives()
+					g.nodes[fn] = n
 				}
 			}
 		}
@@ -374,42 +402,47 @@ func (g *CallGraph) Reachable(roots []*Node, follow func(Edge) bool, barrier fun
 	return paths
 }
 
-// HotSet computes the hot-path closure for cfg: the inventoried root
-// functions plus everything transitively reachable from them over
-// static, defer, and interface edges — stopping at the reviewed cold
-// barriers (Config.ColdFuncs) and never crossing a go edge (the spawn is
-// its own finding; the spawned body runs off the period loop). Method
-// values are likewise not followed: storing a reference costs nothing,
-// and the eventual caller is budgeted where the call happens.
-//
-// The returned map carries, per hot function, the label path from an
-// inventoried root ("caer.Runtime.Step → caer.Runtime.relaunch → ...");
-// roots map to a single-element path.
-func (g *CallGraph) HotSet(cfg *Config) map[*types.Func][]string {
+// followsHot reports whether hot-path propagation crosses the edge:
+// static, defer and interface edges run inside the caller's activation. A
+// spawned goroutine runs off the period budget (the spawn is its own
+// finding, the body gets the lifecycle analyzer), and a method value is
+// only hot if some hot function eventually calls it, which shows up as a
+// static or interface edge at that call site.
+func followsHot(e Edge) bool {
+	switch e.Kind {
+	case EdgeStatic, EdgeDefer, EdgeInterface:
+		return true
+	case EdgeGo, EdgeMethodValue:
+		return false
+	}
+	return false
+}
+
+// hotWalk is the hot-path propagation: from every //caer:hot root except
+// skip, over the edges followsHot accepts, stopping at //caer:cold and
+// //caer:allocates barriers.
+func (g *CallGraph) hotWalk(skip *Node) map[*Node][]*Node {
 	var roots []*Node
 	for _, n := range g.Nodes() {
-		if cfg.IsHotPathFunc(n.Pkg.Path, recvTypeName(n.Fn), n.Fn.Name()) {
+		if n.Hot && n != skip {
 			roots = append(roots, n)
 		}
 	}
-	follow := func(e Edge) bool {
-		switch e.Kind {
-		case EdgeStatic, EdgeDefer, EdgeInterface:
-			return true
-		case EdgeGo, EdgeMethodValue:
-			// A spawned goroutine runs off the period budget (and gets its
-			// own lifecycle analyzer); a method value is only hot if some
-			// hot function eventually calls it, which shows up as a static
-			// or interface edge at that call site.
-			return false
-		}
-		return false
-	}
-	barrier := func(n *Node) bool {
-		return cfg.IsColdFunc(n.Pkg.Path, recvTypeName(n.Fn), n.Fn.Name())
-	}
+	return g.Reachable(roots, followsHot, func(n *Node) bool { return n.Cold || n.Allocates })
+}
+
+// HotSet computes the hot-path closure: the functions whose doc comment
+// says //caer:hot plus everything transitively reachable from them over
+// static, defer, and interface edges — stopping at the reviewed
+// //caer:cold barriers and the //caer:allocates snapshot APIs, and never
+// crossing a go edge or a method value (see followsHot).
+//
+// The returned map carries, per hot function, the label path from a root
+// ("caer.Runtime.Step → caer.Runtime.relaunch → ..."); roots map to a
+// single-element path.
+func (g *CallGraph) HotSet() map[*types.Func][]string {
 	hot := make(map[*types.Func][]string)
-	for node, path := range g.Reachable(roots, follow, barrier) {
+	for node, path := range g.hotWalk(nil) {
 		labels := make([]string, len(path))
 		for i, p := range path {
 			labels[i] = p.Label()
@@ -417,4 +450,21 @@ func (g *CallGraph) HotSet(cfg *Config) map[*types.Func][]string {
 		hot[node.Fn] = labels
 	}
 	return hot
+}
+
+// redundantRoot reports whether a //caer:hot function would be hot without
+// its directive, i.e. the walk from the other roots already reaches it.
+func (g *CallGraph) redundantRoot(n *Node) bool {
+	return g.hotWalk(n)[n] != nil
+}
+
+// metByHotWalk reports whether some hot function calls n over an edge the
+// hot walk follows — for a barrier, whether the walk actually meets it.
+func metByHotWalk(n *Node, hot map[*types.Func][]string) bool {
+	for _, e := range n.In {
+		if followsHot(e) && hot[e.From.Fn] != nil {
+			return true
+		}
+	}
+	return false
 }

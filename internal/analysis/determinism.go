@@ -12,8 +12,9 @@ import (
 // identical at Workers=1 vs 4, the perf suite's parallel-vs-serial
 // machine-state comparison (DESIGN.md §6, §11) — only hold if nothing in
 // those paths consults a source of nondeterminism. Four rules, applied to
-// the Config.DeterministicPkgs packages and Config.DeterministicFuncs
-// functions:
+// every function of the Config.DeterministicPkgs packages and, in packages
+// otherwise free to read clocks, to the result-assembly functions whose
+// doc comment says //caer:deterministic:
 //
 //  1. no wall-clock reads (time.Now/Since/Until/Sleep): simulated time is
 //     the only clock; wall time varies run to run.
@@ -58,8 +59,8 @@ func runDeterminism(pass *Pass) {
 				continue
 			}
 			if !wholePkg {
-				fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-				if !ok || !pass.Cfg.IsDeterministicFunc(pass.Pkg.Path(), recvTypeName(fn), fn.Name()) {
+				fn, _ := pass.Info.Defs[fd.Name].(*types.Func)
+				if n := pass.Graph.Lookup(fn); n == nil || !n.Deterministic {
 					continue
 				}
 			}

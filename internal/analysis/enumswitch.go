@@ -8,8 +8,11 @@ import (
 	"strings"
 )
 
-// EnumSwitch requires switches over the CAER reaction enums to be
-// exhaustive. The runtime's control flow is enum-driven — comm.Directive
+// EnumSwitch requires switches over the module's enums to be exhaustive.
+// An enum is derived, not listed: any named integer type declared in the
+// module whose package declares two or more constants of it (count
+// sentinels such as numEvents excluded, Config.EnumIgnorePrefixes). The
+// runtime's control flow is enum-driven — comm.Directive
 // orders the batch application to run or pause, Verdict carries detection
 // outcomes, HeuristicKind selects the detector/responder pairing — and a
 // switch that silently falls through to a default when a new enumerator is
@@ -19,8 +22,8 @@ import (
 // corrupt values), but it does not excuse missing enumerators.
 var EnumSwitch = &Analyzer{
 	Name: "enumswitch",
-	Doc: "require switch statements over the reaction enums (comm.Directive, comm.Role, " +
-		"Verdict, ...) to enumerate every declared constant of the type",
+	Doc: "require switch statements over the module's enums (named integer types with " +
+		"two or more constants) to enumerate every declared constant of the type",
 	Run: runEnumSwitch,
 }
 
@@ -47,13 +50,15 @@ func checkEnumSwitch(pass *Pass, sw *ast.SwitchStmt) {
 		return
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || !pass.Cfg.IsEnumType(obj.Pkg().Path(), obj.Name()) {
+	basic, ok := named.Underlying().(*types.Basic)
+	if !ok || basic.Info()&types.IsInteger == 0 ||
+		obj.Pkg() == nil || !pass.Cfg.InModule(obj.Pkg().Path()) {
 		return
 	}
 
 	enum := enumConstants(pass, named)
-	if len(enum) == 0 {
-		return
+	if len(enum) < 2 {
+		return // a lone named constant (a magic number) is not an enum
 	}
 
 	covered := make(map[string]bool) // by constant value representation

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -62,34 +63,67 @@ func parseWants(t *testing.T, dir string) []*want {
 	return wants
 }
 
-// loadTestPkg loads one package of the testdata module (module path
-// "test").
-func loadTestPkg(t *testing.T, rel string) *Package {
+// loadTestPkgs loads packages of the testdata module (module path "test")
+// through one loader, so they share type identities.
+func loadTestPkgs(t *testing.T, rels ...string) []*Package {
 	t.Helper()
-	root, err := filepath.Abs(filepath.Join("testdata", "src"))
-	if err != nil {
-		t.Fatalf("abs testdata root: %v", err)
+	root := testdataRoot(t)
+	loader := NewLoader(root, "test")
+	var pkgs []*Package
+	for _, rel := range rels {
+		pkg, err := loader.Load(filepath.Join(root, rel))
+		if err != nil {
+			t.Fatalf("load testdata package %s: %v", rel, err)
+		}
+		if pkg == nil {
+			t.Fatalf("testdata package %s has no Go files", rel)
+		}
+		pkgs = append(pkgs, pkg)
 	}
-	pkg, err := NewLoader(root, "test").Load(filepath.Join(root, rel))
-	if err != nil {
-		t.Fatalf("load testdata package %s: %v", rel, err)
-	}
-	if pkg == nil {
-		t.Fatalf("testdata package %s has no Go files", rel)
-	}
-	return pkg
+	return pkgs
 }
 
-// runGolden checks one testdata package: every want comment must be hit by
-// a finding and every finding must be expected by a want comment.
-func runGolden(t *testing.T, rel string) {
+// loadTestPkg loads one package of the testdata module.
+func loadTestPkg(t *testing.T, rel string) *Package {
 	t.Helper()
-	pkg := loadTestPkg(t, rel)
-	cfg := DefaultConfig()
-	cfg.ModulePath = "test"
-	findings := RunAnalyzers(pkg, Analyzers(), cfg)
-	wants := parseWants(t, pkg.Dir)
+	return loadTestPkgs(t, rel)[0]
+}
 
+// seeded memoizes the whole-tree vet of the seeded module.
+var seeded struct {
+	once sync.Once
+	all  []Finding
+	err  error
+}
+
+// seededFindings vets the whole seeded module the way the tool does — one
+// call graph over every package, so a directive on a callee in another
+// package (caer's hot Tick calling comm's //caer:allocates Samples) is seen
+// — and returns the findings positioned in package rel.
+func seededFindings(t *testing.T, rel string) []Finding {
+	t.Helper()
+	root := testdataRoot(t)
+	seeded.once.Do(func() {
+		var dirs []string
+		if dirs, seeded.err = ExpandPatterns(root, []string{"./..."}); seeded.err == nil {
+			seeded.all, seeded.err = Vet(root, "test", dirs, Analyzers(), DefaultConfig())
+		}
+	})
+	if seeded.err != nil {
+		t.Fatalf("vet seeded tree: %v", seeded.err)
+	}
+	var findings []Finding
+	for _, f := range seeded.all {
+		if filepath.Dir(f.Pos.Filename) == filepath.Join(root, rel) {
+			findings = append(findings, f)
+		}
+	}
+	return findings
+}
+
+// matchWants marks every want a finding hits and returns the findings no
+// want expects.
+func matchWants(findings []Finding, wants []*want) (unexpected []Finding) {
 	for _, f := range findings {
 		base := filepath.Base(f.Pos.Filename)
 		ok := false
@@ -101,8 +135,19 @@ func runGolden(t *testing.T, rel string) {
 			}
 		}
 		if !ok {
-			t.Errorf("unexpected finding: %s", f)
+			unexpected = append(unexpected, f)
 		}
+	}
+	return unexpected
+}
+
+// runGolden checks one testdata package: every want comment must be hit by
+// a finding and every finding must be expected by a want comment.
+func runGolden(t *testing.T, rel string) {
+	t.Helper()
+	wants := parseWants(t, filepath.Join(testdataRoot(t), rel))
+	for _, f := range matchWants(seededFindings(t, rel), wants) {
+		t.Errorf("unexpected finding: %s", f)
 	}
 	for _, w := range wants {
 		if !w.matched {
@@ -126,11 +171,9 @@ func TestGoldenPart(t *testing.T)      { runGolden(t, "part") }
 // analyzer of the suite must have at least one seeded violation across the
 // golden packages, or a regression could silently disable it.
 func TestGoldenSeedsEveryAnalyzer(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ModulePath = "test"
 	hit := make(map[string]int)
 	for _, rel := range []string{"comm", "caer", "pmu", "telemetry", "mem", "lifecycle", "teldisc", "hygiene", "fleet", "part"} {
-		for _, f := range RunAnalyzers(loadTestPkg(t, rel), Analyzers(), cfg) {
+		for _, f := range seededFindings(t, rel) {
 			hit[f.Analyzer]++
 		}
 	}
@@ -142,8 +185,11 @@ func TestGoldenSeedsEveryAnalyzer(t *testing.T) {
 }
 
 // TestSuppressionHygiene checks the hygiene analyzer over its dedicated
-// fixture package: a reason-less allow is always a finding, an unused
-// allow is a finding under ReportUnusedSuppressions — but only when the
+// fixture package, with ReportUnusedSuppressions on. The directive cases
+// carry want comments (unknown word, detached directive, reason-less cold,
+// redundant root, unreached barrier); the two //caer:allow cases cannot —
+// trailing text would parse as the allow's reason — and are counted: a
+// reason-less allow is always a finding, an unused allow only when the
 // analyzers it names actually ran (subset runs must not cry stale).
 func TestSuppressionHygiene(t *testing.T) {
 	pkg := loadTestPkg(t, "hygiene")
@@ -151,15 +197,15 @@ func TestSuppressionHygiene(t *testing.T) {
 	cfg.ModulePath = "test"
 	cfg.ReportUnusedSuppressions = true
 
-	var missingReason, unused, other int
-	for _, f := range RunAnalyzers(pkg, Analyzers(), cfg) {
+	wants := parseWants(t, pkg.Dir)
+	var missingReason, unused int
+	for _, f := range matchWants(RunAnalyzers(pkg, Analyzers(), cfg), wants) {
 		switch {
-		case f.Analyzer == Suppression.Name && strings.Contains(f.Message, "needs a reason"):
+		case f.Analyzer == Suppression.Name && strings.Contains(f.Message, "suppression needs a reason"):
 			missingReason++
 		case f.Analyzer == Suppression.Name && strings.Contains(f.Message, "unused suppression"):
 			unused++
 		default:
-			other++
 			t.Errorf("unexpected finding in hygiene package: %s", f)
 		}
 	}
@@ -168,6 +214,12 @@ func TestSuppressionHygiene(t *testing.T) {
 	}
 	if unused != 1 {
 		t.Errorf("unused-suppression findings = %d, want 1", unused)
+	}
+	for _, w := range wants {
+		if !w.matched {
+			t.Errorf("missing finding: %s:%d expected [%s] containing %q",
+				w.file, w.line, w.analyzer, w.substr)
+		}
 	}
 
 	// A subset run without hotpath must not call the hotpath allow stale.
@@ -180,19 +232,29 @@ func TestSuppressionHygiene(t *testing.T) {
 			t.Errorf("unused finding reported though hotpath did not run: %s", f)
 		}
 	}
+
+	// Without the flag only the malformed directives remain; the redundant
+	// root and the unreached barrier are hygiene-mode findings.
+	cfg.ReportUnusedSuppressions = false
+	for _, f := range RunAnalyzers(pkg, Analyzers(), cfg) {
+		if strings.Contains(f.Message, "redundant") || strings.Contains(f.Message, "unreached") ||
+			strings.Contains(f.Message, "unused suppression") {
+			t.Errorf("hygiene-mode finding reported without ReportUnusedSuppressions: %s", f)
+		}
+	}
 }
 
 // TestSuppressionComment verifies //caer:allow drops a finding that the
 // same code without the comment produces (the suppress.go fixture calls an
 // allocating snapshot API from a hot function).
 func TestSuppressionComment(t *testing.T) {
-	pkg := loadTestPkg(t, "caer")
-	cfg := DefaultConfig()
-	cfg.ModulePath = "test"
+	pkgs := loadTestPkgs(t, "caer", "comm") // comm declares the snapshot API
+	pkg, graph := pkgs[0], BuildCallGraph(pkgs)
 
 	var raw []Finding
 	pass := &Pass{Analyzer: HotPath, Fset: pkg.Fset, Files: pkg.Files,
-		Pkg: pkg.Types, Info: pkg.Info, Cfg: cfg, findings: &raw}
+		Pkg: pkg.Types, Info: pkg.Info, Cfg: DefaultConfig(),
+		Graph: graph, Hot: graph.HotSet(), findings: &raw}
 	HotPath.Run(pass)
 
 	inSuppress := func(fs []Finding) int {

@@ -11,15 +11,15 @@ import (
 // (§6) leave no room for garbage-collector pressure or kernel round-trips
 // inside the functions that run every period: the engine tick, the monitor
 // probe, detector steps, responder reactions, and the table publish/read
-// operations. The function inventory lives in Config.HotPathFuncs;
-// arguments of panic calls are exempt (terminal paths are off-budget).
+// operations. Arguments of panic calls are exempt (terminal paths are
+// off-budget).
 //
-// v2: the ban propagates transitively. A function two static calls below
-// an inventoried root runs every period just the same, so the analyzer
-// checks the whole hot closure (CallGraph.HotSet: static, defer, and
-// conservative interface edges; go edges and reviewed Config.ColdFuncs
-// barriers stop the walk) and reports the call path that makes a finding
-// hot.
+// The ban propagates transitively. Only the per-period entry points carry
+// a //caer:hot directive; a function two static calls below one runs every
+// period just the same, so the analyzer checks the whole hot closure
+// (CallGraph.HotSet: static, defer, and conservative interface edges; go
+// edges, reviewed //caer:cold barriers and //caer:allocates snapshot APIs
+// stop the walk) and reports the call path that makes a finding hot.
 var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc: "flag allocations, fmt/time/os/syscall calls, map and channel operations, " +
@@ -49,12 +49,9 @@ func runHotPath(pass *Pass) {
 			if !ok {
 				continue
 			}
-			if pass.Cfg.IsHotPathFunc(pass.Pkg.Path(), recvTypeName(fn), fn.Name()) {
-				// Inventoried root: findings carry no path prefix.
-				checkHotBody(pass, fd, nil)
-			} else if path := pass.HotPathOf(fn); len(path) > 1 {
-				// Transitively hot: reached from a root through the call
-				// graph; findings name the chain that makes them hot.
+			// Findings name the chain from a root that makes them hot (for
+			// a root, itself).
+			if path := pass.HotPathOf(fn); path != nil {
 				checkHotBody(pass, fd, path)
 			}
 		}
@@ -135,26 +132,24 @@ func checkHotCall(pass *Pass, call *ast.CallExpr, report func(token.Pos, string,
 		}
 	}
 
-	// Calls into banned packages and allocating snapshot APIs.
+	// Calls into banned packages and //caer:allocates snapshot APIs.
 	callee := calleeFunc(pass, call)
-	if callee == nil {
+	if callee == nil || callee.Pkg() == nil {
 		return
 	}
-	if callee.Pkg() != nil {
-		if reason, banned := hotBannedPkgs[callee.Pkg().Path()]; banned {
-			report(call.Pos(), "call to %s.%s in hot path (%s)",
-				pkgBase(callee.Pkg().Path()), callee.Name(), reason)
-			return
+	if reason, banned := hotBannedPkgs[callee.Pkg().Path()]; banned {
+		report(call.Pos(), "call to %s.%s in hot path (%s)",
+			pkgBase(callee.Pkg().Path()), callee.Name(), reason)
+		return
+	}
+	if n := pass.Graph.Lookup(callee); n != nil && n.Allocates {
+		recv := recvTypeName(callee)
+		if recv != "" {
+			recv += "."
 		}
-		if pass.Cfg.IsAllocFunc(callee.Pkg().Path(), recvTypeName(callee), callee.Name()) {
-			recv := recvTypeName(callee)
-			if recv != "" {
-				recv += "."
-			}
-			report(call.Pos(),
-				"call to allocating snapshot API %s%s in hot path; iterate in place instead",
-				recv, callee.Name())
-		}
+		report(call.Pos(),
+			"call to allocating snapshot API %s%s in hot path; iterate in place instead",
+			recv, callee.Name())
 	}
 }
 

@@ -200,8 +200,10 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // ExpandPatterns resolves package patterns against the module root into
 // package directories. A pattern is either a directory (absolute, or
 // relative to modRoot) or a "dir/..." wildcard that walks the tree. The
-// conventional skip list applies: testdata, vendor, hidden and
-// underscore-prefixed directories are never visited.
+// go tool's skip list applies below the pattern root: testdata, vendor,
+// hidden and underscore-prefixed directories are never visited, and neither
+// is a directory holding its own go.mod — a nested module is not part of
+// this one. A directory named explicitly still loads.
 func ExpandPatterns(modRoot string, patterns []string) ([]string, error) {
 	var dirs []string
 	seen := make(map[string]bool)
@@ -234,10 +236,15 @@ func ExpandPatterns(modRoot string, patterns []string) ([]string, error) {
 			if !d.IsDir() {
 				return nil
 			}
-			name := d.Name()
-			if p != pat && (name == "testdata" || name == "vendor" ||
-				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
+			if p != pat {
+				name := d.Name()
+				if name == "testdata" || name == "vendor" ||
+					strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+					return filepath.SkipDir
+				}
+				if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
 			add(p)
 			return nil

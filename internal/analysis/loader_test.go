@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -79,5 +80,46 @@ func TestExpandPatternsSkipsTestdata(t *testing.T) {
 	}
 	if !sawAnalysis {
 		t.Errorf("pattern expansion missed internal/analysis; got %d dirs", len(dirs))
+	}
+}
+
+// TestExpandPatternsStopsAtNestedModule pins the go tool's rule: a
+// directory below the pattern root that holds its own go.mod is another
+// module and is not walked, but naming it explicitly still loads it.
+func TestExpandPatternsStopsAtNestedModule(t *testing.T) {
+	root := t.TempDir()
+	for _, f := range []string{"go.mod", "a/a.go", "nested/go.mod", "nested/n.go", "nested/sub/s.go"} {
+		p := filepath.Join(root, filepath.FromSlash(f))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte("package x\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rel := func(dirs []string) string {
+		var out []string
+		for _, d := range dirs {
+			r, err := filepath.Rel(root, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, filepath.ToSlash(r))
+		}
+		return strings.Join(out, " ")
+	}
+	cases := []struct{ pattern, want string }{
+		{"./...", ". a"},
+		{"./nested", "nested"},
+		{"./nested/...", "nested nested/sub"},
+	}
+	for _, c := range cases {
+		dirs, err := ExpandPatterns(root, []string{c.pattern})
+		if err != nil {
+			t.Fatalf("ExpandPatterns(%s): %v", c.pattern, err)
+		}
+		if got := rel(dirs); got != c.want {
+			t.Errorf("ExpandPatterns(%s) = %q, want %q", c.pattern, got, c.want)
+		}
 	}
 }

@@ -61,15 +61,7 @@ func runTelemetryDiscipline(pass *Pass) {
 					continue
 				}
 				fn, _ := pass.Info.Defs[d.Name].(*types.Func)
-				var hotPath []string
-				if fn != nil {
-					if pass.Cfg.IsHotPathFunc(pass.Pkg.Path(), recvTypeName(fn), fn.Name()) {
-						hotPath = []string{funcKeys(pass.Pkg.Path(), recvTypeName(fn), fn.Name())[0]}
-					} else if p := pass.HotPathOf(fn); len(p) > 1 {
-						hotPath = p
-					}
-				}
-				checkRegistrations(pass, d.Body, hotPath)
+				checkRegistrations(pass, d.Body, pass.HotPathOf(fn))
 			case *ast.GenDecl:
 				// Package-level var initializers: the sanctioned place to
 				// register. Only the name inventory applies.

@@ -1,5 +1,5 @@
 // Package caer is a testdata stand-in for the runtime package: its Engine
-// methods match the hotpath analyzer's default function inventory.
+// methods carry the //caer:hot directives the hotpath analyzer roots at.
 package caer
 
 import (
@@ -16,8 +16,9 @@ type Engine struct {
 	ch      chan int
 }
 
-// Tick is hot (matches caer.Engine.Tick) and seeds one violation of every
-// hotpath rule.
+// Tick is a hot root and seeds one violation of every hotpath rule.
+//
+//caer:hot
 func (e *Engine) Tick(own float64, name string) comm.Directive {
 	buf := make([]float64, 8) // want hotpath "make() allocates in hot path"
 	_ = buf
@@ -42,9 +43,9 @@ func (e *Engine) Tick(own float64, name string) comm.Directive {
 	}
 	samples := e.slot.Samples() // want hotpath "call to allocating snapshot API Slot.Samples in hot path"
 	_ = samples
-	go e.drain()     // want hotpath "goroutine spawn in hot path" goroutinelifecycle "no provable shutdown edge"
-	e.ch <- 1        // want hotpath "channel send in hot path"
-	v := <-e.ch      // want hotpath "channel receive in hot path"
+	go e.drain() // want hotpath "goroutine spawn in hot path" goroutinelifecycle "no provable shutdown edge"
+	e.ch <- 1    // want hotpath "channel send in hot path"
+	v := <-e.ch  // want hotpath "channel receive in hot path"
 	_ = v
 	if own < 0 {
 		// Terminal paths are off-budget: no finding for this Sprintf.
@@ -57,7 +58,7 @@ type pair struct{ a, b int }
 
 func (e *Engine) drain() {}
 
-// coldReport is not in the hot inventory, so allocations are fine — but
+// coldReport is not hot (no root reaches it), so allocations are fine — but
 // the caer package is deterministic, and ranging a map into an ordered
 // byte stream is exactly the nondeterminism the byte-identity gates catch.
 func coldReport(e *Engine) string {

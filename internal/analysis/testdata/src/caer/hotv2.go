@@ -1,7 +1,9 @@
 package caer
 
-// OwnMean is hot (matches caer.Engine.OwnMean); it is clean itself but
-// calls helpers the call graph must mark transitively hot.
+// OwnMean is a hot root; it is clean itself but calls helpers the call
+// graph must mark transitively hot.
+//
+//caer:hot
 func (e *Engine) OwnMean() float64 {
 	return e.meanOf(len(e.notes))
 }
@@ -23,8 +25,10 @@ type Runtime struct {
 	scratch []float64
 }
 
-// Step is hot (matches caer.Runtime.Step); start below is a reviewed cold
-// barrier (Config.ColdFuncs), so the walk stops before its allocations.
+// Step is a hot root; start below is a reviewed //caer:cold barrier, so the
+// walk stops before its allocations.
+//
+//caer:hot
 func (rt *Runtime) Step() {
 	if !rt.started {
 		rt.start()
@@ -32,6 +36,8 @@ func (rt *Runtime) Step() {
 }
 
 // start allocates freely: it runs once, behind the cold barrier.
+//
+//caer:cold one-time lazy setup behind the started flag
 func (rt *Runtime) start() {
 	rt.started = true
 	rt.scratch = make([]float64, 1024)

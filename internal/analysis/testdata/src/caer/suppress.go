@@ -1,8 +1,10 @@
 package caer
 
-// finishTick is hot (matches caer.Engine.finishTick); the snapshot call
-// below would be a hotpath finding but carries a documented suppression,
-// which the driver honours on the comment's own line and the line below.
+// finishTick is a hot root; the snapshot call below would be a hotpath
+// finding but carries a documented suppression, which the driver honours on
+// the comment's own line and the line below.
+//
+//caer:hot
 func (e *Engine) finishTick() {
 	e.notes = e.notes[:0]
 	//caer:allow hotpath one-time diagnostic copy, not per-period

@@ -44,7 +44,7 @@ func handled(s *Slot) error {
 	if err := s.Close(); err != nil {
 		return err
 	}
-	_ = s.Close()     // explicit discard documents intent: accepted
-	defer s.Close()   // deferred cleanup is conventionally best-effort: accepted
+	_ = s.Close()   // explicit discard documents intent: accepted
+	defer s.Close() // deferred cleanup is conventionally best-effort: accepted
 	return nil
 }

@@ -1,6 +1,6 @@
 // Package fleet is a testdata stand-in for the cluster scheduler: its
-// Cluster/placer/driver methods match the hotpath analyzer's fleet
-// inventory, the whole package is in Config.DeterministicPkgs, and its
+// Cluster tick and placer are //caer:hot roots, arrive is a //caer:cold
+// barrier, the whole package is in Config.DeterministicPkgs, and its
 // Policy/JobState/Curve enums are exhaustiveness-checked.
 package fleet
 
@@ -50,8 +50,10 @@ type Cluster struct {
 	tick    int
 }
 
-// Tick is hot (matches fleet.Cluster.Tick): the per-period fleet loop must
-// stay allocation-free, with arrivals delegated to the cold arrive barrier.
+// Tick is a hot root: the per-period fleet loop must stay allocation-free,
+// with arrivals delegated to the cold arrive barrier.
+//
+//caer:hot
 func (c *Cluster) Tick() {
 	now := time.Now() // want hotpath "call to time.Now in hot path" determinism "wall-clock read time.Now"
 	_ = now
@@ -60,26 +62,30 @@ func (c *Cluster) Tick() {
 	c.tick++
 }
 
-// dispatch is hot (matches fleet.Cluster.dispatch): the bounded queue scan.
+// dispatch is hot because Tick calls it: the bounded queue scan.
 func (c *Cluster) dispatch() {
 	c.byName["head"] = c.tick // want hotpath "map access in hot path"
 	c.arrive(1)
 }
 
-// arrive is a reviewed cold barrier (matches fleet.Cluster.arrive):
-// materializing job records allocates by documented design, so hot-path
-// propagation stops here and these allocations are clean.
+// arrive is a reviewed cold barrier: materializing job records allocates by
+// documented design, so hot-path propagation stops here and these
+// allocations are clean.
+//
+//caer:cold materializes job records, allocating by design
 func (c *Cluster) arrive(n int) {
 	for i := 0; i < n; i++ {
 		c.jobs = append(c.jobs, &job{name: fmt.Sprintf("job-%d", len(c.jobs))})
 	}
 }
 
-// leastPressurePlacer matches the hot placer inventory entry.
+// leastPressurePlacer is a placer stand-in.
 type leastPressurePlacer struct{}
 
-// Place is hot (matches fleet.leastPressurePlacer.Place): one call per
-// dispatch attempt, so per-call scratch slices are off-budget.
+// Place is a hot root: one call per dispatch attempt, so per-call scratch
+// slices are off-budget.
+//
+//caer:hot
 func (leastPressurePlacer) Place(loads []float64) int {
 	scores := []float64{0, 0} // want hotpath "slice literal allocates in hot path"
 	_ = scores

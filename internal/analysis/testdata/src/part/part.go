@@ -1,9 +1,9 @@
 // Package part seeds partition-family fixtures: the spine's caer_part_*
 // metric inventory (telemetrydiscipline) and the lock/error discipline of
 // an owner-mask table stand-in (lockdiscipline). The real partition types
-// live in mem/sched/caer and are inventoried by package-qualified keys;
-// this package pins the package-independent rules a partition follow-on
-// would trip first.
+// live in mem/sched/caer and carry their own //caer: directives; this
+// package pins the package-independent rules a partition follow-on would
+// trip first.
 package part
 
 import (

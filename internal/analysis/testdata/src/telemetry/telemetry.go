@@ -1,7 +1,7 @@
 // Package telemetry is a testdata stand-in for the telemetry spine: its
 // hot-path handles (Counter.Inc, Gauge.Set, Histogram.Observe,
-// SpanRecorder.Record) match the hotpath analyzer's default inventory, and
-// its MetricKind/SpanKind enums are exhaustiveness-checked.
+// SpanRecorder.Record) are //caer:hot roots, and its MetricKind/SpanKind
+// enums are exhaustiveness-checked.
 package telemetry
 
 import "fmt"
@@ -48,16 +48,20 @@ type Counter struct {
 	trail []uint64
 }
 
-// Inc is hot (matches telemetry.Counter.Inc): the instrumentation the
-// per-period loop calls must never allocate or log.
+// Inc is a hot root: the instrumentation the per-period loop calls must
+// never allocate or log.
+//
+//caer:hot
 func (c *Counter) Inc() {
 	c.v++
 	c.trail = append(c.trail, c.v) // want hotpath "append() allocates in hot path"
 	fmt.Println("inc", c.v)        // want hotpath "call to fmt.Println in hot path"
 }
 
-// Add is hot (matches telemetry.Counter.Add); registering a family from
-// inside it is exactly what telemetrydiscipline forbids.
+// Add is a hot root; registering a family from inside it is exactly what
+// telemetrydiscipline forbids.
+//
+//caer:hot
 func (c *Counter) Add(reg *Registry, delta uint64) {
 	c.v += delta
 	hot := reg.Counter("caer_engine_ticks_total") // want telemetrydiscipline "registration Counter inside a hot-path-reachable function"
@@ -69,7 +73,9 @@ type Gauge struct {
 	names map[string]uint64
 }
 
-// Set is hot (matches telemetry.Gauge.Set).
+// Set is a hot root.
+//
+//caer:hot
 func (g *Gauge) Set(v float64) {
 	g.bits = uint64(v)
 	g.names["last"] = g.bits // want hotpath "map access in hot path"
@@ -85,18 +91,33 @@ type SpanRecorder struct {
 	seq  uint64
 }
 
-// Record is hot (matches telemetry.SpanRecorder.Record).
+// Record is a hot root.
+//
+//caer:hot
 func (r *SpanRecorder) Record(kind SpanKind, start uint64) {
 	r.ring[r.seq%uint64(len(r.ring))] = Span{Start: start, Kind: kind}
 	r.seq++
 	snap := r.Spans() // want hotpath "call to allocating snapshot API SpanRecorder.Spans in hot path"
 	_ = snap
+	_ = r.ringCopy()
 }
 
-// Spans is the allocating snapshot API, banned inside hot functions. The
-// hot Record method above calls it, so the call graph marks its body
-// transitively hot (path: SpanRecorder.Record -> SpanRecorder.Spans).
+// Spans is the allocating snapshot API, banned inside hot functions: the
+// call in the hot Record method above is the finding. The directive is also
+// a barrier, so the walk does not enter the body and its make is not
+// reported a second time.
+//
+//caer:allocates
 func (r *SpanRecorder) Spans() []Span {
+	out := make([]Span, len(r.ring))
+	copy(out, r.ring)
+	return out
+}
+
+// ringCopy allocates just the same but nobody marked it. Record calls it,
+// so the call graph marks its body transitively hot (path:
+// SpanRecorder.Record -> SpanRecorder.ringCopy).
+func (r *SpanRecorder) ringCopy() []Span {
 	out := make([]Span, len(r.ring)) // want hotpath "make() allocates in hot path"
 	copy(out, r.ring)
 	return out
@@ -106,7 +127,9 @@ type Histogram struct {
 	buckets []uint64
 }
 
-// Observe is hot (matches telemetry.Histogram.Observe).
+// Observe is a hot root.
+//
+//caer:hot
 func (h *Histogram) Observe(v float64) {
 	idx := int(v)
 	if idx >= len(h.buckets) {
@@ -150,7 +173,7 @@ func badSpanName(k SpanKind) string {
 	}
 }
 
-// coldExport is not in the hot inventory: allocations here are fine.
+// coldExport is not hot (no root reaches it): allocations here are fine.
 func coldExport(r *SpanRecorder) string {
 	var out []byte
 	for _, s := range r.Spans() {

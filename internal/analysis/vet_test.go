@@ -8,20 +8,48 @@ import (
 // zero findings. Any new violation of the paper's invariants fails this
 // test (and `go run ./cmd/caer-vet ./...` in make check).
 func TestVetRealTreeClean(t *testing.T) {
-	root, path, err := FindModule(".")
-	if err != nil {
-		t.Fatalf("FindModule: %v", err)
-	}
-	dirs, err := ExpandPatterns(root, []string{"./..."})
-	if err != nil {
-		t.Fatalf("ExpandPatterns: %v", err)
-	}
+	root, path, dirs := realTree(t)
 	findings, err := Vet(root, path, dirs, Analyzers(), DefaultConfig())
 	if err != nil {
 		t.Fatalf("Vet: %v", err)
 	}
 	for _, f := range findings {
 		t.Errorf("real tree finding: %s", f)
+	}
+}
+
+// TestHotClosureSentinels pins the derived hot closure of the shipped tree
+// from both sides. Only the per-period entry points carry //caer:hot, so
+// deleting (or detaching) one root's directive silently shrinks the audit
+// unless something notices: deep leaves several packages below the roots
+// must still be reached, and the functions behind the reviewed //caer:cold
+// barriers must still be outside.
+func TestHotClosureSentinels(t *testing.T) {
+	root, path, dirs := realTree(t)
+	pkgs, err := loadAll(root, path, dirs)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	g := BuildCallGraph(pkgs)
+	hot := make(map[string]bool)
+	for fn := range g.HotSet() {
+		hot[g.Lookup(fn).Label()] = true
+	}
+	for _, leaf := range []string{
+		"caer.Runtime.Step", "mem.Cache.find", "stats.Window.Push", "slo.burnAt",
+		"comm.ShmTable.WindowMean", "telemetry.Counter.Inc",
+	} {
+		if !hot[leaf] {
+			t.Errorf("%s is not in the hot closure: a //caer:hot root above it lost its directive", leaf)
+		}
+	}
+	for _, barred := range []string{
+		"machine.Machine.dispatch", "sched.Scheduler.admitTo",
+		"fleet.Cluster.scrapeAll", "caer.Pipeline.start",
+	} {
+		if hot[barred] {
+			t.Errorf("%s is in the hot closure: its //caer:cold barrier is gone", barred)
+		}
 	}
 }
 
@@ -45,6 +73,20 @@ func TestVetSeededTreeFails(t *testing.T) {
 			t.Errorf("analyzer %s reported nothing over the seeded tree", a.Name)
 		}
 	}
+}
+
+// realTree returns the shipped module and its "./..." package directories.
+func realTree(t *testing.T) (root, path string, dirs []string) {
+	t.Helper()
+	root, path, err := FindModule(".")
+	if err != nil {
+		t.Fatalf("FindModule: %v", err)
+	}
+	dirs, err = ExpandPatterns(root, []string{"./..."})
+	if err != nil {
+		t.Fatalf("ExpandPatterns: %v", err)
+	}
+	return root, path, dirs
 }
 
 func testdataRoot(t *testing.T) string {

@@ -253,6 +253,8 @@ func (p *Pipeline) Detach(b *Batch) {
 func (p *Pipeline) Track(slot *comm.Slot) int32 { return int32(slot.ID()) + p.trackOffset }
 
 // start arms the probe schedule on the first Tick.
+//
+//caer:cold one-time lazy arming of the probe schedule on the first Tick; every period after it is a started-flag check
 func (p *Pipeline) start() {
 	p.since = p.m.Periods()
 	p.sstats.Mode = p.cfg.Sampling

@@ -167,6 +167,8 @@ func (rt *Runtime) mustNotBeStarted() {
 
 // start attaches the batch applications to the pipeline and registers the
 // live gauges, on the first Step.
+//
+//caer:cold one-time lazy deployment build on the first Step; every period after it is a started-flag check
 func (rt *Runtime) start() {
 	if len(rt.latency) == 0 || len(rt.batch) == 0 {
 		panic("caer: runtime needs at least one latency-sensitive and one batch application")
@@ -200,6 +202,8 @@ func registerCoreGauges(a *app, role comm.Role) coreGauges {
 // Step executes one sampling period: one pipeline Tick, a refresh of the
 // live gauges after a probe, and the relaunch of completed batch
 // applications (§6.1).
+//
+//caer:hot
 func (rt *Runtime) Step() {
 	if !rt.started {
 		rt.start()

@@ -81,6 +81,8 @@ func NewIntervalController(max, growth, quietProbes int) *IntervalController {
 }
 
 // Interval returns the current probe interval in periods (>= 1).
+//
+//caer:hot
 func (c *IntervalController) Interval() int { return c.interval }
 
 // Widest returns the widest interval the controller has reached.

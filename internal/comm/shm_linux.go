@@ -178,11 +178,15 @@ func (t *ShmTable) RoleOf(i int) Role {
 }
 
 // SetDirective records slot i's directive.
+//
+//caer:hot
 func (t *ShmTable) SetDirective(i int, d Directive) {
 	binary.LittleEndian.PutUint32(t.data[t.slotOff(i)+4:], uint32(d))
 }
 
 // DirectiveOf returns slot i's directive.
+//
+//caer:hot
 func (t *ShmTable) DirectiveOf(i int) Directive {
 	return Directive(binary.LittleEndian.Uint32(t.data[t.slotOff(i)+4:]))
 }
@@ -190,6 +194,8 @@ func (t *ShmTable) DirectiveOf(i int) Directive {
 // Publish appends one sample to slot i's ring, advances the slot's publish
 // sequence number, and declares the next publish due in the following
 // period (cadence 1; single writer per slot).
+//
+//caer:hot
 func (t *ShmTable) Publish(i int, v float64) {
 	t.PublishCadence(i, v, 1)
 }
@@ -227,6 +233,8 @@ func (t *ShmTable) PublishCadence(i int, v float64, cadence uint64) {
 // periods from now without publishing a sample (see Slot.DeclareCadence).
 // A never-published slot stays never-published. A cadence of 0 is treated
 // as 1.
+//
+//caer:hot
 func (t *ShmTable) DeclareCadence(i int, cadence uint64) {
 	if cadence == 0 {
 		cadence = 1
@@ -241,6 +249,8 @@ func (t *ShmTable) DeclareCadence(i int, cadence uint64) {
 
 // Published returns slot i's publish sequence number (the lifetime sample
 // count).
+//
+//caer:hot
 func (t *ShmTable) Published(i int) uint64 {
 	return binary.LittleEndian.Uint64(t.data[t.slotOff(i)+slotOffPublished:])
 }
@@ -249,6 +259,8 @@ func (t *ShmTable) Published(i int) uint64 {
 // engine-side process calls it exactly once per period, before the
 // period's publishes, so StalePeriods measures publisher liveness in
 // periods (single writer: only one process owns the period counter).
+//
+//caer:hot
 func (t *ShmTable) BumpPeriod() {
 	binary.LittleEndian.PutUint64(t.data[shmOffPeriod:],
 		binary.LittleEndian.Uint64(t.data[shmOffPeriod:])+1)
@@ -267,6 +279,8 @@ func (t *ShmTable) Period() uint64 {
 // dead publisher (a crashed CAER-M monitor) and must fail open rather than
 // trust the frozen window; a publisher honouring a declared wider cadence
 // never looks stale.
+//
+//caer:hot
 func (t *ShmTable) StalePeriods(i int) uint64 {
 	off := t.slotOff(i)
 	period := binary.LittleEndian.Uint64(t.data[shmOffPeriod:])
@@ -298,6 +312,8 @@ func (t *ShmTable) Samples(i int) []float64 {
 // It sums the ring in place — this runs in the engines' per-period read
 // path, which must not allocate (the mean is order-independent, so the
 // valid prefix of the ring array is summed directly).
+//
+//caer:hot
 func (t *ShmTable) WindowMean(i int) float64 {
 	off := t.slotOff(i)
 	count := int(binary.LittleEndian.Uint32(t.data[off+slotOffCount:]))

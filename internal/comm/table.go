@@ -151,6 +151,8 @@ func (s *Slot) Published() uint64 {
 
 // Seq is Published under its protocol name: the per-slot publish sequence
 // number consumers compare across periods to detect a dead publisher.
+//
+//caer:hot
 func (s *Slot) Seq() uint64 { return s.Published() }
 
 // StalePeriods returns how many table periods the slot's owner is overdue:
@@ -224,6 +226,8 @@ func (s *Slot) SetDirective(d Directive) {
 }
 
 // Directive returns the current directive.
+//
+//caer:hot
 func (s *Slot) Directive() Directive {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -303,6 +307,8 @@ func (t *Table) SlotsByRole(role Role) []*Slot {
 // batch processes to react together. It iterates the slot list under the
 // table lock rather than taking a snapshot — this runs once per sampling
 // period and must not allocate.
+//
+//caer:hot
 func (t *Table) BroadcastDirective(d Directive) {
 	telemetry.CommBroadcasts.Inc()
 	t.mu.Lock()

@@ -262,6 +262,8 @@ func (r FleetRegime) Check() error {
 }
 
 // Table returns the fleet regime comparison as a table.
+//
+//caer:deterministic
 func (r FleetRegime) Table() *report.Table {
 	t := report.NewTable("policy", "completed", "jobs/kperiod",
 		"svc_p50", "svc_p99", "wait_p99", "sojourn_p99", "migrations", "dispatches")

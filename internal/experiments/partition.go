@@ -209,6 +209,8 @@ func (r PartitionRegime) Check() error {
 }
 
 // Table returns the regime comparison as a table.
+//
+//caer:deterministic
 func (r PartitionRegime) Table() *report.Table {
 	t := report.NewTable("response", "heuristic", "qos_degradation",
 		"jobs_completed", "batch_makespan", "batch_duty", "verdicts")

@@ -96,6 +96,8 @@ func regimeByName(name string) (Regime, bool) {
 
 // WriteJSON emits a suite result as its machine-readable artifact (the
 // BENCH_<name>.json format).
+//
+//caer:deterministic
 func WriteJSON(w io.Writer, res RegimeResult) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

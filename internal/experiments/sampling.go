@@ -250,6 +250,8 @@ func (r SamplingReport) Check() error {
 }
 
 // Table renders the sweep as a comparison table.
+//
+//caer:deterministic
 func (r SamplingReport) Table() *report.Table {
 	t := report.NewTable("mode", "max_int", "probes", "skipped", "keepalive",
 		"fires", "flagged", "false", "mean_lat", "max_lat")

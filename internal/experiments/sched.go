@@ -177,6 +177,8 @@ func mustProfile(name string) spec.Profile {
 }
 
 // Table returns the regime comparison as a table.
+//
+//caer:deterministic
 func (r SchedRegime) Table() *report.Table {
 	t := report.NewTable("policy", "qos_degradation", "jobs_completed",
 		"batch_duty", "admissions_d0/d1", "max_wait", "aged", "migrations")

@@ -415,6 +415,8 @@ func (r SLORegime) Check() error {
 }
 
 // Table returns the policy comparison as a table.
+//
+//caer:deterministic
 func (r SLORegime) Table() *report.Table {
 	t := report.NewTable("policy", "completed", "jobs/kperiod",
 		"svc_p50", "svc_p99", "alerts", "fresh_decisions", "dispatches")

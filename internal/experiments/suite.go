@@ -159,23 +159,6 @@ func (s *Suite) Prewarm(runs ...modeRun) {
 	wg.Wait()
 }
 
-// PrewarmAll fills the cache for every flavour any figure needs.
-func (s *Suite) PrewarmAll() {
-	s.Prewarm(runAlone, runColo, runShutter, runRule, runRandom)
-}
-
-// benchNames returns short names of the suite's benchmarks, figure order.
-func (s *Suite) benchNames() []string {
-	s.mu.Lock()
-	s.defaults()
-	defer s.mu.Unlock()
-	out := make([]string, len(s.Benchmarks))
-	for i, b := range s.Benchmarks {
-		out[i] = b.Name
-	}
-	return out
-}
-
 // rankBySensitivity returns the suite's benchmarks ordered by descending
 // native co-location slowdown (the §6.3 cross-core interference
 // sensitivity ranking used by Figures 9 and 10). The adversary itself is

@@ -392,6 +392,8 @@ func (c *Cluster) Nodes() []*Node { return c.nodes }
 // completions are harvested. Hot path: the per-period work is
 // allocation-free, with arrivals, dispatch commits, migration, and
 // request relaunches delegated to the documented cold barriers.
+//
+//caer:hot
 func (c *Cluster) Tick() {
 	if c.cfg.Policy == PolicyTelemetry && c.tick%c.cfg.ScrapePeriod == 0 {
 		c.scrapeAll()
@@ -414,6 +416,8 @@ func (c *Cluster) Tick() {
 
 // arrive materializes n arrivals from the traffic driver into the fleet
 // queue. Cold path: it allocates job records.
+//
+//caer:cold materializes job records for new arrivals, allocating by design (fleet.go hot/cold split)
 func (c *Cluster) arrive(n int) {
 	for i := 0; i < n; i++ {
 		prof, idx := c.traffic.next()
@@ -469,6 +473,8 @@ func (c *Cluster) fillViews(name string) {
 // registers a comm slot and names a span track. The footprint base and
 // seed derive from the job's global arrival index, not the machine, so a
 // migrated job re-runs identically wherever it lands.
+//
+//caer:cold dispatch commit: Submit registers a comm slot and names a span track, allocating by design
 func (c *Cluster) dispatchTo(k, ji int) {
 	j := c.jobs[ji]
 	n := c.nodes[k]
@@ -499,6 +505,8 @@ func (c *Cluster) dispatchTo(k, ji int) {
 // recently dispatched still-waiting job is withdrawn and re-dispatched
 // there. Cold path (rate-bounded by construction, like sched's
 // maybeMigrate one level down).
+//
+//caer:cold rate-bounded by MigratePeriod: withdraws and re-dispatches a job, allocating by design
 func (c *Cluster) maybeMigrate() {
 	if c.cfg.MigratePeriod <= 0 || c.tick == 0 || c.tick%c.cfg.MigratePeriod != 0 {
 		return
@@ -589,6 +597,8 @@ func (c *Cluster) harvest() {
 // duration recorded, core flushed (a fresh request does not inherit the
 // old one's cache state), process relaunched. Cold path: Relaunch
 // reseeds the process RNG.
+//
+//caer:cold request relaunch reseeds the service process RNG, allocating by design
 func (c *Cluster) finishRequest(n *Node, s *service) {
 	d := float64(c.tick - s.lastStart)
 	s.latency.Add(d)
@@ -604,6 +614,8 @@ func (c *Cluster) finishRequest(n *Node, s *service) {
 // is exhausted, the fleet queue is empty, every dispatched job finished,
 // and every run-to-completion service is done (open-loop Relaunch
 // services never gate, like the runner's relaunch-forever batches).
+//
+//caer:hot
 func (c *Cluster) Done() bool {
 	if !c.traffic.exhausted(c.tick) || c.queue.len() > 0 || len(c.live) > 0 {
 		return false

@@ -45,12 +45,12 @@ type job struct {
 	idx  int // global arrival index: derives footprint base and seed
 
 	state      JobState
-	node       int // machine currently holding it (-1 while queued)
-	schedID    int // job id inside node's scheduler (-1 while queued)
-	arrived    int // fleet tick the job arrived (0-based)
+	node       int    // machine currently holding it (-1 while queued)
+	schedID    int    // job id inside node's scheduler (-1 while queued)
+	arrived    int    // fleet tick the job arrived (0-based)
 	admitted   uint64 // node period the job left a machine queue for a core
-	doneTick   int // fleet tick the job completed (0 = not yet)
-	migrations int // cross-machine moves
+	doneTick   int    // fleet tick the job completed (0 = not yet)
+	migrations int    // cross-machine moves
 }
 
 // fifo is a growable FIFO ring of job indices: the fleet admission queue.

@@ -139,6 +139,8 @@ type telState struct {
 }
 
 // fresh reports whether the state is within the staleness horizon at tick.
+//
+//caer:hot
 func (t *telState) fresh(tick, horizon int) bool {
 	return t.lastTick >= 0 && tick-t.lastTick <= horizon
 }
@@ -147,6 +149,8 @@ func (t *telState) fresh(tick, horizon int) bool {
 // path (runs every ScrapePeriod ticks): parses text, allocates freely. A
 // failed scrape leaves the machine's last view standing and its age
 // growing — exactly what a dead exporter looks like from a real collector.
+//
+//caer:cold amortized: runs once every ScrapePeriod ticks and parses whole text snapshots (DESIGN.md §15's pull model)
 func (c *Cluster) scrapeAll() {
 	for k := range c.nodes {
 		c.scrapeBuf.Reset()
@@ -336,8 +340,8 @@ func (c *Cluster) Decisions() []Decision {
 // EventsDump is the engine-event log bundle caer-doctor reads: the fleet
 // placement timeline plus every machine's scheduler decision log.
 type EventsDump struct {
-	Policy string `json:"policy"`
-	Ticks  int    `json:"ticks"`
+	Policy string     `json:"policy"`
+	Ticks  int        `json:"ticks"`
 	Fleet  []Decision `json:"fleet"`
 	// Machines[k] is machine k's sched decision timeline (admissions,
 	// intra-machine migrations, completions, withdrawals).

@@ -381,9 +381,10 @@ func (m *Machine) domainWorker(tasks <-chan domainTask) {
 }
 
 // dispatch fans one batch of periods out to the pool, one task per domain,
-// and waits for the barrier. Kept out of the hot-path inventory: the
-// channel handoff is the price of parallelism and is paid once per batch,
-// not per access.
+// and waits for the barrier. caer-vet's hot walk stops here: the channel
+// handoff is the price of parallelism.
+//
+//caer:cold worker-pool handoff: the channel ops are paid once per dispatched batch of periods, not per access (DESIGN.md §11)
 func (m *Machine) dispatch(n int) {
 	m.poolWG.Add(len(m.hiers))
 	for d := range m.hiers {

@@ -187,6 +187,8 @@ func (c *Cache) victim(base int, mask WayMask) int {
 
 // Lookup probes for addr without inserting. On a hit it updates replacement
 // state and the dirty bit (for writes) and returns true.
+//
+//caer:hot
 func (c *Cache) Lookup(addr uint64, write bool) bool { return c.lookup(addr, write) >= 0 }
 
 // lookup is Lookup returning the slot that hit, or -1.
@@ -221,6 +223,8 @@ func (c *Cache) Refresh(addr uint64) bool {
 }
 
 // Contains probes for addr without touching stats or replacement state.
+//
+//caer:hot
 func (c *Cache) Contains(addr uint64) bool {
 	set, base := c.rowOf(addr)
 	return c.find(set, base, addr) >= 0
@@ -254,6 +258,8 @@ func (c *Cache) evictedAt(slot int) Evicted {
 // line so that an inclusive outer cache can propagate back-invalidations.
 // Insert does not bump access counters; callers pair it with a missed
 // Lookup.
+//
+//caer:hot
 func (c *Cache) Insert(addr uint64, owner int, write bool) Evicted {
 	_, ev := c.insert(addr, owner, write)
 	return ev

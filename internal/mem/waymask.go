@@ -37,6 +37,8 @@ func ContiguousMask(loWay, hiWay int) WayMask {
 }
 
 // Has reports whether way is in the mask.
+//
+//caer:hot
 func (m WayMask) Has(way int) bool { return m>>uint(way)&1 != 0 }
 
 // Count returns the number of ways in the mask.

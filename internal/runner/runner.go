@@ -33,7 +33,7 @@ const (
 	ModeNativeColo
 	// ModeCAER co-locates both applications under a CAER heuristic.
 	ModeCAER
-	// ModeScheduled runs the latency app(s) as pinned services on a
+	// ModeScheduled runs the latency app as a pinned service on a
 	// multi-LLC-domain machine while the batch work flows through
 	// internal/sched's admission queue and placement engine; each placed
 	// job still runs under a per-domain CAER engine.
@@ -103,11 +103,6 @@ type Scenario struct {
 	// Domains splits the machine's cores into LLC domains; zero means 2.
 	// Cores defaults to 4*Domains in scheduled mode and must divide evenly.
 	Domains int
-	// ExtraLatencies adds further latency-sensitive services beyond Latency
-	// (which runs on core 0 of domain 0): extra i is pinned to the first
-	// free core of domain (i+1) mod Domains, so services spread across
-	// domains.
-	ExtraLatencies []spec.Profile
 	// Jobs are the finite batch work items submitted to the admission
 	// queue before the run starts, in order. Their Instructions counts are
 	// used as-is (they run to completion once and are not relaunched).
@@ -451,11 +446,11 @@ func runCAER(s Scenario) Result {
 }
 
 // runScheduled executes the scenario on a multi-LLC-domain machine with
-// the batch side flowing through internal/sched: the latency app(s) are
-// pinned services, the Jobs wait in the admission queue and are placed by
-// the configured policy, each under a per-domain CAER engine. The run ends
-// when the primary latency app completes AND every job has drained (or
-// MaxPeriods).
+// the batch side flowing through internal/sched: the latency app is a
+// pinned service on core 0, the Jobs wait in the admission queue and are
+// placed by the configured policy, each under a per-domain CAER engine.
+// The run ends when the latency app completes AND every job has drained
+// (or MaxPeriods).
 func runScheduled(s Scenario) Result {
 	if s.PartitionWays > 0 {
 		panic("runner: PartitionWays is not supported in scheduled mode")
@@ -469,24 +464,6 @@ func runScheduled(s Scenario) Result {
 
 	lat := s.Latency.NewProcess(0, s.Seed)
 	sd.AddLatency(spec.ShortName(s.Latency.Name), 0, lat)
-	usedLatency := map[int]bool{0: true}
-	for i, p := range s.ExtraLatencies {
-		d := (i + 1) % s.Domains
-		lo, hi := m.DomainCores(d)
-		core := -1
-		for c := lo; c < hi; c++ {
-			if !usedLatency[c] {
-				core = c
-				break
-			}
-		}
-		if core < 0 {
-			panic(fmt.Sprintf("runner: domain %d has no free core for extra latency app %d", d, i))
-		}
-		usedLatency[core] = true
-		sd.AddLatency(spec.ShortName(p.Name), core,
-			p.NewProcess(uint64(1<<27)+uint64(i)*extraBatchStride, s.Seed+100+int64(i)))
-	}
 	for i, p := range s.Jobs {
 		p := p
 		base := uint64(batchBase) + uint64(i)*extraBatchStride

@@ -99,6 +99,8 @@ func (s *Scheduler) vacate(j *jobState) {
 }
 
 // finishJobs retires jobs that ran to completion, releasing their cores.
+//
+//caer:cold decision path: records completions and detaches engines, allocating by design; the per-period loop around it is hot
 func (s *Scheduler) finishJobs() {
 	kept := s.running[:0]
 	for _, j := range s.running {
@@ -168,6 +170,8 @@ func (s *Scheduler) admit() {
 }
 
 // admitTo places queue head j on domain d and records the decision.
+//
+//caer:cold decision path: records the admission and attaches an engine, allocating by design; the per-period scan around it is hot
 func (s *Scheduler) admitTo(j *jobState, d int, aged bool) {
 	s.queue.pop()
 	j.proc = j.spec.New()
@@ -217,6 +221,8 @@ func (s *Scheduler) fillViews() {
 // predicted interference the most — by at least MigrationMargin — is
 // re-placed there. The job's process survives the move; its caches start
 // cold on the new domain (the realistic migration cost).
+//
+//caer:cold decision path, rate-bounded by MigrationPeriod: records the move and re-attaches the engine, allocating by design
 func (s *Scheduler) maybeMigrate() {
 	if s.cfg.MigrationPeriod <= 0 || s.period%uint64(s.cfg.MigrationPeriod) != 0 {
 		return

@@ -79,14 +79,8 @@ type ClusterConfig struct {
 	// cache. Default 4.
 	ProtectedWaysPerApp int
 	// ConfinedWays is the aggressors' base allotment before pressure
-	// shrinks it. Default ways/4.
+	// shrinks it, never past the minConfinedWays floor. Default ways/4.
 	ConfinedWays int
-	// MinConfinedWays is the floor pressure can never squeeze past.
-	// Default 1.
-	MinConfinedWays int
-	// MaxPressure caps the verdict-driven confinement level. Default
-	// ConfinedWays - MinConfinedWays (enough to reach the floor).
-	MaxPressure int
 	// ResizeMode picks what happens to lines stranded by a resize:
 	// mem.ResizeOrphan (the default; hardware-CAT-like lazy reclaim) or
 	// mem.ResizeInvalidate (flush-on-reassign).
@@ -103,17 +97,12 @@ func (c ClusterConfig) withDefaults(ways int) ClusterConfig {
 			c.ConfinedWays = 1
 		}
 	}
-	if c.MinConfinedWays == 0 {
-		c.MinConfinedWays = 1
-	}
-	if c.MaxPressure == 0 {
-		c.MaxPressure = c.ConfinedWays - c.MinConfinedWays
-		if c.MaxPressure < 0 {
-			c.MaxPressure = 0
-		}
-	}
 	return c
 }
+
+// minConfinedWays is the floor pressure can never squeeze the confined
+// cluster past.
+const minConfinedWays = 1
 
 // ClusterPlan is one domain's partition layout: three disjoint way masks
 // that together tile the whole cache (the tiling property test pins this
@@ -148,7 +137,7 @@ func (p ClusterPlan) MaskFor(kind ClusterKind) mem.WayMask {
 
 // PlanClusters computes the partition layout for one LLC domain: classes
 // are the resident apps' summaries, ways the cache associativity, and
-// pressure the verdict-driven confinement level in [0, MaxPressure]. The
+// pressure the verdict-driven confinement level in [0, ConfinedWays-1]. The
 // plan is a pure function of (classes-as-a-multiset, ways, pressure, cfg):
 // sizing consults only cluster member counts, so permuting the class list
 // cannot change the layout.
@@ -181,8 +170,8 @@ func PlanClusters(classes []AppClass, ways, pressure int, cfg ClusterConfig) Clu
 	conf := 0
 	if plan.NConfined > 0 {
 		conf = cfg.ConfinedWays - pressure
-		if conf < cfg.MinConfinedWays {
-			conf = cfg.MinConfinedWays
+		if conf < minConfinedWays {
+			conf = minConfinedWays
 		}
 		if max := ways - prot - 1; conf > max {
 			conf = max
@@ -202,8 +191,8 @@ func PlanClusters(classes []AppClass, ways, pressure int, cfg ClusterConfig) Clu
 }
 
 // Clusterer holds one LLC domain's current plan and recomputes it
-// allocation-free every period (the caer-vet hotpath inventory pins the
-// Rescore path).
+// allocation-free every period (caer-vet's hot walk reaches the Rescore
+// path through Scheduler.Step).
 type Clusterer struct {
 	cfg  ClusterConfig
 	ways int
@@ -276,7 +265,9 @@ func (s *Scheduler) applyPartitions() {
 			continue
 		}
 		if s.pipe.GroupDirective(d) == comm.DirectivePause {
-			if p.pressure < p.cl.cfg.MaxPressure {
+			// Pressure rises no further than it takes to squeeze
+			// ConfinedWays down to the floor.
+			if p.pressure < p.cl.cfg.ConfinedWays-minConfinedWays {
 				p.pressure++
 			}
 		} else if p.pressure > 0 {
@@ -330,6 +321,8 @@ func (s *Scheduler) applyPartitions() {
 // resizePartition applies one owner's new L3 way-mask, back-invalidating
 // dropped lines under invalidate-mode resizes. Cold path: resizes are rare
 // relative to periods and may allocate.
+//
+//caer:cold control-plane resize (DESIGN.md §16), reached only when a cluster plan changes: mask installation may walk the cache and allocate the dropped-line slice
 func (s *Scheduler) resizePartition(d, localCore int, mask mem.WayMask) {
 	h := s.m.DomainHierarchy(d)
 	dropped := h.SetL3OwnerMask(localCore, mask, s.cfg.Cluster.ResizeMode)

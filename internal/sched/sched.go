@@ -25,7 +25,8 @@
 // Step is: pipeline tick, classifier feed from what the pipeline probed
 // (sched.go); finish/age/admit/migrate (admit.go); the partition planner
 // (cluster.go). report.go is the read side. The per-period path is
-// allocation-free and registered in the caer-vet hotpath inventory.
+// allocation-free and audited by caer-vet's hotpath analyzer (the fleet tick,
+// a //caer:hot root, reaches Step; the decision paths are //caer:cold).
 package sched
 
 import (
@@ -101,8 +102,6 @@ type Config struct {
 	// MigrationMargin is the minimum predicted-interference improvement a
 	// migration must buy; default 0.25.
 	MigrationMargin float64
-	// Hysteresis is the classifier's class-flip streak; default 8.
-	Hysteresis int
 	// Response selects the contention response family: throttle (the
 	// default), LLC way-partitioning, or both (DESIGN.md §16).
 	Response ResponseKind
@@ -147,11 +146,11 @@ func (c Config) withDefaults() Config {
 	if c.MigrationMargin == 0 {
 		c.MigrationMargin = 0.25
 	}
-	if c.Hysteresis == 0 {
-		c.Hysteresis = 8
-	}
 	return c
 }
+
+// classHysteresis is the classifier's class-flip streak, in periods.
+const classHysteresis = 8
 
 // latApp is one hosted latency-sensitive application.
 type latApp struct {
@@ -245,7 +244,7 @@ func New(m *machine.Machine, cfg Config) *Scheduler {
 		spans:      spans,
 		pipe:       pipe,
 		placer:     cfg.Policy.NewPlacer(),
-		classifier: NewClassifier(cfg.PressureScale, cfg.Hysteresis),
+		classifier: NewClassifier(cfg.PressureScale, classHysteresis),
 		queue:      newJobQueue(0),
 		appByName:  make(map[string]int),
 		views:      make([]View, m.Domains()),
@@ -293,6 +292,8 @@ func (s *Scheduler) JobAdmittedPeriod(job int) uint64 { return s.jobs[job].admit
 func (s *Scheduler) JobDonePeriod(job int) uint64 { return s.jobs[job].done }
 
 // LatencyApps returns the number of hosted latency-sensitive apps.
+//
+//caer:hot
 func (s *Scheduler) LatencyApps() int { return len(s.latency) }
 
 // Monitor returns latency app i's CAER-M monitor, in registration order —
@@ -326,6 +327,7 @@ func (s *Scheduler) AddLatency(name string, core int, proc *machine.Process) {
 	})
 }
 
+//caer:cold one-time lazy deployment build on the first Step, as caer.Runtime.start
 func (s *Scheduler) start() {
 	if len(s.latency) == 0 {
 		panic("sched: scheduler needs at least one latency-sensitive app")

@@ -188,60 +188,3 @@ func TestHistogramReset(t *testing.T) {
 		t.Fatalf("post-Reset Quantile(1) = %v, want ~7", got)
 	}
 }
-
-// TestRunningMerge pins that Merge equals sequential Adds for count, mean,
-// variance, min, and max.
-func TestRunningMerge(t *testing.T) {
-	as := []float64{3, 1, 4, 1, 5, 9, 2.5}
-	bs := []float64{-2, 7, 7, 0.5}
-	var a, b, seq Running
-	for _, v := range as {
-		a.Add(v)
-		seq.Add(v)
-	}
-	for _, v := range bs {
-		b.Add(v)
-		seq.Add(v)
-	}
-	a.Merge(b)
-	if a.N() != seq.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), seq.N())
-	}
-	for _, c := range []struct {
-		name      string
-		got, want float64
-	}{
-		{"mean", a.Mean(), seq.Mean()},
-		{"variance", a.Variance(), seq.Variance()},
-		{"min", a.Min(), seq.Min()},
-		{"max", a.Max(), seq.Max()},
-	} {
-		if math.Abs(c.got-c.want) > 1e-12 {
-			t.Errorf("merged %s = %v, want %v", c.name, c.got, c.want)
-		}
-	}
-}
-
-func TestRunningMergeEmpty(t *testing.T) {
-	var empty, pop Running
-	pop.Add(4)
-	pop.Add(6)
-
-	// Populated ∪ empty: unchanged.
-	before := pop
-	pop.Merge(empty)
-	if pop != before {
-		t.Fatalf("merge with empty changed accumulator: %+v != %+v", pop, before)
-	}
-	// Empty ∪ populated: adopts exactly.
-	empty.Merge(pop)
-	if empty.N() != 2 || empty.Mean() != 5 || empty.Min() != 4 || empty.Max() != 6 {
-		t.Fatalf("merge into empty: n=%d mean=%v min=%v max=%v", empty.N(), empty.Mean(), empty.Min(), empty.Max())
-	}
-	// Empty ∪ empty: still empty, stats all zero.
-	var e1, e2 Running
-	e1.Merge(e2)
-	if e1.N() != 0 || e1.Mean() != 0 || e1.Variance() != 0 {
-		t.Fatalf("empty merge not empty: %+v", e1)
-	}
-}

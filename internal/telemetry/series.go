@@ -138,6 +138,8 @@ func (s *Series) Lookup(name string, kv ...string) (TrackRef, bool) {
 // extend (re)builds the track table to cover every currently registered
 // metric. Cold path by design: it allocates rings; Sample calls it only
 // when the registry has grown since the last extend.
+//
+//caer:cold amortized ring growth when a registry gains tracks, never on the steady-state sample path
 func (s *Series) extend() {
 	if s.reg == nil {
 		panic("telemetry: parsed series is read-only")
@@ -268,6 +270,8 @@ func (s *Series) RateAt(t TrackRef, end, window int) float64 {
 }
 
 // Rate is RateAt ending at the latest sample.
+//
+//caer:hot
 func (s *Series) Rate(t TrackRef, window int) float64 {
 	return s.RateAt(t, s.samples, window)
 }
@@ -311,6 +315,8 @@ func (s *Series) MeanAt(t TrackRef, end, window int) float64 {
 }
 
 // Mean is MeanAt ending at the latest sample.
+//
+//caer:hot
 func (s *Series) Mean(t TrackRef, window int) float64 {
 	return s.MeanAt(t, s.samples, window)
 }
@@ -357,6 +363,8 @@ func (s *Series) OverShareAt(t TrackRef, end, window int, bound float64) float64
 }
 
 // OverShare is OverShareAt ending at the latest sample.
+//
+//caer:hot
 func (s *Series) OverShare(t TrackRef, window int, bound float64) float64 {
 	return s.OverShareAt(t, s.samples, window, bound)
 }

@@ -231,6 +231,8 @@ func ParseChromeTrace(r io.Reader) ([]ChromeEvent, error) {
 // ChromeEvents converts the retained spans into trace events: one complete
 // ("X") slice per span on its track, plus thread-name metadata for named
 // tracks. Export path: allocates.
+//
+//caer:deterministic
 func (r *SpanRecorder) ChromeEvents() []ChromeEvent {
 	spans := r.Spans()
 	events := make([]ChromeEvent, 0, len(spans)+8)

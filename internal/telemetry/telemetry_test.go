@@ -227,7 +227,7 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 }
 
 // Zero-allocation pins for every hot-path operation (ISSUE 4 acceptance
-// criterion). These are the operations in the caer-vet hotpath inventory.
+// criterion). These are the operations caer-vet's hot walk reaches.
 
 func TestCounterIncAllocs(t *testing.T) {
 	r := NewRegistry()

@@ -117,11 +117,11 @@ func TestUnionSnapshotParseRoundTrip(t *testing.T) {
 		got[m.Name+"|machine="+m.Label("machine")+"|le="+m.Label("le")] = m.Value
 	}
 	for key, want := range map[string]float64{
-		"caer_fleet_node_dispatches_total|machine=0|le=": 11,
-		"caer_fleet_node_dispatches_total|machine=1|le=": 13,
-		"caer_fleet_node_queue_depth|machine=0|le=":      4.5,
-		"caer_fleet_node_sojourn_periods_count|machine=0|le=": 1,
-		"caer_fleet_node_sojourn_periods_sum|machine=0|le=":   42,
+		"caer_fleet_node_dispatches_total|machine=0|le=":           11,
+		"caer_fleet_node_dispatches_total|machine=1|le=":           13,
+		"caer_fleet_node_queue_depth|machine=0|le=":                4.5,
+		"caer_fleet_node_sojourn_periods_count|machine=0|le=":      1,
+		"caer_fleet_node_sojourn_periods_sum|machine=0|le=":        42,
 		"caer_fleet_node_sojourn_periods_bucket|machine=0|le=+Inf": 1,
 	} {
 		v, ok := got[key]
