@@ -58,6 +58,9 @@ go test -run='^$' -fuzz='^FuzzCachePartition$' -fuzztime=10s ./internal/mem
 # compared after every step (results, stats, residency, inclusion,
 # core-valid bits).
 go test -run='^$' -fuzz='^FuzzHierarchy$' -fuzztime=10s ./internal/mem
+# Scrape-path benchmark smoke: one iteration each, so the writer, parser and
+# collector benchmarks keep compiling and their allocs/op land in the CI log.
+go test -run='^$' -bench='WritePrometheus|ParseText|ScrapeAll' -benchtime=1x ./internal/telemetry ./internal/fleet
 # Regime gates: the rows of experiments.Regimes (README "Regime suites") in
 # short mode, one process. Each suite exits non-zero unless its claim
 # holds; BENCH_*.json and the caer-doctor bundle land in out/ (overwritten
@@ -100,3 +103,8 @@ for fam in caer_pmu_reads_total caer_comm_publishes_total \
         out/TELEMETRY_snapshot.txt || {
         echo "telemetry smoke: metric family $fam is empty" >&2; exit 1; }
 done
+# ...and the snapshot CI uploads must parse with the code the fleet scrapes
+# with (go test runs in the package directory, hence the absolute path).
+CAER_SNAPSHOT="$PWD/out/TELEMETRY_snapshot.txt" go test -run='^TestSnapshotFileParses$' -v ./internal/telemetry | tee out/TELEMETRY_parse.txt
+grep -q '^--- PASS: TestSnapshotFileParses' out/TELEMETRY_parse.txt || {
+    echo "telemetry smoke: out/TELEMETRY_snapshot.txt was not parsed" >&2; exit 1; }

@@ -3,6 +3,7 @@ package main
 import (
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -12,17 +13,17 @@ import (
 func sampleMetrics() []telemetry.TextMetric {
 	return []telemetry.TextMetric{
 		{Name: "caer_engine_ticks_total", Value: 420},
-		{Name: "caer_engine_verdicts_total", Labels: map[string]string{"verdict": "contention"}, Value: 7},
-		{Name: "caer_engine_verdicts_total", Labels: map[string]string{"verdict": "clear"}, Value: 13},
+		{Name: "caer_engine_verdicts_total", Labels: `verdict="contention"`, Value: 7},
+		{Name: "caer_engine_verdicts_total", Labels: `verdict="clear"`, Value: 13},
 		{Name: "caer_engine_holds_total", Value: 3},
 		{Name: "caer_pmu_reads_total", Value: 840},
 		{Name: "caer_comm_publishes_total", Value: 840},
 		{Name: "caer_comm_period", Value: 420},
 		{Name: "caer_telemetry_ops_total", Value: 1700},
-		{Name: "caer_core_pressure", Labels: map[string]string{"core": "0", "app": "mcf", "role": "latency"}, Value: 900},
-		{Name: "caer_core_pressure", Labels: map[string]string{"core": "1", "app": "lbm", "role": "batch"}, Value: 4500},
-		{Name: "caer_core_directive", Labels: map[string]string{"core": "1", "app": "lbm", "role": "batch"}, Value: 1},
-		{Name: "caer_core_degraded", Labels: map[string]string{"core": "1", "app": "lbm", "role": "batch"}, Value: 0},
+		{Name: "caer_core_pressure", Labels: `core="0",app="mcf",role="latency"`, Value: 900},
+		{Name: "caer_core_pressure", Labels: `core="1",app="lbm",role="batch"`, Value: 4500},
+		{Name: "caer_core_directive", Labels: `core="1",app="lbm",role="batch"`, Value: 1},
+		{Name: "caer_core_degraded", Labels: `core="1",app="lbm",role="batch"`, Value: 0},
 	}
 }
 
@@ -123,12 +124,13 @@ func TestBar(t *testing.T) {
 
 // fleetMetrics is a 2-machine union snapshot with SLO families.
 func fleetMetrics() []telemetry.TextMetric {
-	lbl := func(kv ...string) map[string]string {
-		m := map[string]string{}
+	// lbl renders alternating key, value arguments the way /metrics does.
+	lbl := func(kv ...string) string {
+		var pairs []string
 		for i := 0; i+1 < len(kv); i += 2 {
-			m[kv[i]] = kv[i+1]
+			pairs = append(pairs, kv[i]+"="+strconv.Quote(kv[i+1]))
 		}
-		return m
+		return strings.Join(pairs, ",")
 	}
 	return []telemetry.TextMetric{
 		{Name: "caer_engine_ticks_total", Value: 99},

@@ -244,11 +244,16 @@ type Cluster struct {
 	tick       int
 	migrations int
 
-	// Telemetry control plane (see telemetry.go).
-	scraper   Scraper
-	scrapeBuf bytes.Buffer
-	tel       []telState
-	decisions []Decision
+	// Telemetry control plane (see telemetry.go). scrapeBuf, scrapeSamples,
+	// lat and latHist are scrapeAll's scratch, reused by every scrape.
+	scraper       Scraper
+	scrapeBuf     bytes.Buffer
+	scrapeSamples []telemetry.TextMetric
+	lat           []latSeries
+	latHist       *stats.Histogram
+	latHistMax    float64
+	tel           []telState
+	decisions     []Decision
 	// migrateFrom marks an in-flight cross-machine migration so dispatchTo
 	// logs it as such; -1 outside maybeMigrate.
 	migrateFrom int

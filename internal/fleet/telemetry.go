@@ -1,11 +1,13 @@
 package fleet
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"strconv"
+	"strings"
 
 	"caer/internal/sched"
 	"caer/internal/slo"
@@ -132,10 +134,17 @@ type TelView struct {
 type telState struct {
 	view     TelView
 	lastTick int // tick of the last successful scrape; -1 = never
-	// lastBuckets remembers each latency series' cumulative bucket counts
+	// lastCums remembers each latency series' cumulative bucket counts
 	// (finite les ascending, then +Inf) so the next scrape can difference
 	// them into a window distribution.
-	lastBuckets map[string][]float64
+	lastCums []latCums
+}
+
+// latCums is one latency series' cumulative bucket counts at a machine's
+// last successful scrape.
+type latCums struct {
+	svc  string
+	cums []float64
 }
 
 // fresh reports whether the state is within the staleness horizon at tick.
@@ -145,39 +154,62 @@ func (t *telState) fresh(tick, horizon int) bool {
 	return t.lastTick >= 0 && tick-t.lastTick <= horizon
 }
 
-// scrapeAll refreshes every machine's TelView through the scraper. Cold
-// path (runs every ScrapePeriod ticks): parses text, allocates freely. A
-// failed scrape leaves the machine's last view standing and its age
-// growing — exactly what a dead exporter looks like from a real collector.
+// scrapeAll refreshes every machine's TelView through the scraper. A
+// steady-state scrape costs one allocation per machine (the snapshot's
+// string copy, which every parsed sample points into): the parsed samples,
+// the bucket series and the window histogram all live in cluster-owned
+// scratch. A failed scrape — transport error, malformed line, bad bucket
+// edge — leaves the machine's last view standing and its age growing,
+// exactly what a dead exporter looks like from a real collector.
 //
-//caer:cold amortized: runs once every ScrapePeriod ticks and parses whole text snapshots (DESIGN.md §15's pull model)
+//caer:cold amortized: the pull model's collector runs once every ScrapePeriod ticks, not per period (DESIGN.md §15)
 func (c *Cluster) scrapeAll() {
 	for k := range c.nodes {
 		c.scrapeBuf.Reset()
 		if err := c.scraper.Scrape(k, &c.scrapeBuf); err != nil {
 			continue
 		}
-		ms, err := telemetry.ParseText(bytes.NewReader(c.scrapeBuf.Bytes()))
+		ms, err := telemetry.AppendSamples(c.scrapeSamples[:0], c.scrapeBuf.String())
 		if err != nil {
 			continue
 		}
-		c.deriveView(k, ms)
-		c.tel[k].lastTick = c.tick
+		c.scrapeSamples = ms
+		v, err := c.foldView(ms)
+		if err != nil {
+			continue
+		}
+		// Nothing above touched the machine's state: a snapshot commits
+		// whole or not at all.
+		st := &c.tel[k]
+		v.LatencyP99 = c.windowP99(st)
+		st.view = v
+		st.lastTick = c.tick
 	}
 }
 
 // bucketSample is one cumulative histogram bucket parsed from a scrape.
 type bucketSample struct {
-	le  float64 // upper edge; +Inf parsed from the le="+Inf" series
+	le  float64 // upper edge; +Inf for the overflow bucket
 	cum float64
 }
 
-// deriveView folds one machine's parsed snapshot into its TelView.
-func (c *Cluster) deriveView(k int, ms []telemetry.TextMetric) {
-	st := &c.tel[k]
-	v := TelView{}
-	latBuckets := make(map[string][]bucketSample)
-	for _, m := range ms {
+// latSeries is one service's latency histogram as one scrape rendered it.
+type latSeries struct {
+	svc     string         // substring of the snapshot being folded
+	buckets []bucketSample // finite edges ascending, +Inf last
+	sorted  bool           // buckets arrived in that order
+}
+
+// foldView folds one machine's parsed snapshot into a TelView (all but the
+// window p99, which windowP99 adds at commit) and groups the latency
+// buckets by service into c.lat. It fails — having changed nothing the
+// next scrape or the placer reads — on a bucket edge that is not a number
+// >= 0 or +Inf.
+func (c *Cluster) foldView(ms []telemetry.TextMetric) (TelView, error) {
+	v := TelView{Fresh: true}
+	c.lat = c.lat[:0]
+	for i := range ms {
+		m := &ms[i]
 		switch m.Name {
 		case "caer_core_pressure":
 			if m.Label("role") == "latency" {
@@ -192,89 +224,120 @@ func (c *Cluster) deriveView(k int, ms []telemetry.TextMetric) {
 				v.Burning++
 			}
 		case "caer_fleet_request_latency_periods_bucket":
-			le := parseLe(m.Label("le"))
-			svc := m.Label("service")
-			latBuckets[svc] = append(latBuckets[svc], bucketSample{le: le, cum: m.Value})
+			var edge, svc string
+			m.EachLabel(func(key, val string) {
+				switch key {
+				case "le":
+					edge = val
+				case "service":
+					svc = val
+				}
+			})
+			le, err := strconv.ParseFloat(edge, 64)
+			if err != nil || math.IsNaN(le) || le < 0 {
+				return v, fmt.Errorf("fleet: scrape: bad bucket edge in %s{%s}", m.Name, m.Labels)
+			}
+			s := c.latSeriesFor(svc)
+			if n := len(s.buckets); n > 0 && le < s.buckets[n-1].le {
+				s.sorted = false
+			}
+			s.buckets = append(s.buckets, bucketSample{le: le, cum: m.Value})
 		}
 	}
-	v.LatencyP99 = c.windowP99(st, latBuckets)
-	v.Age = 0
-	v.Fresh = true
-	st.view = v
+	return v, nil
 }
 
-// parseLe parses a bucket upper edge; le="+Inf" maps to -1 (sorts last by
-// special-casing, never compared numerically against finite edges).
-func parseLe(s string) float64 {
-	if s == "+Inf" {
-		return -1
+// latSeriesFor returns the scratch series collecting svc's buckets in the
+// snapshot being folded, opening one at first sight. The registry renders
+// a series' buckets contiguously, so the last series is the usual hit.
+func (c *Cluster) latSeriesFor(svc string) *latSeries {
+	for i := len(c.lat) - 1; i >= 0; i-- {
+		if c.lat[i].svc == svc {
+			return &c.lat[i]
+		}
 	}
-	var v float64
-	fmt.Sscanf(s, "%g", &v)
-	return v
+	if len(c.lat) < cap(c.lat) {
+		c.lat = c.lat[:len(c.lat)+1] // reuse the slot's bucket array
+	} else {
+		c.lat = append(c.lat, latSeries{})
+	}
+	s := &c.lat[len(c.lat)-1]
+	s.svc, s.buckets, s.sorted = svc, s.buckets[:0], true
+	return s
 }
 
-// windowP99 differences each latency series' cumulative buckets against
-// the previous scrape, folds every service's window distribution into one
-// stats.Histogram, and returns its p99 — the shared Quantile math, fed
-// from scraped bytes. Returns 0 until two scrapes have landed or when the
-// window saw no requests. All caer latency histograms start at 0, so the
-// bucket width is the first finite upper edge.
-func (c *Cluster) windowP99(st *telState, latBuckets map[string][]bucketSample) float64 {
-	if st.lastBuckets == nil {
-		st.lastBuckets = make(map[string][]float64)
-	}
-	svcs := make([]string, 0, len(latBuckets))
-	for svc := range latBuckets {
-		svcs = append(svcs, svc)
-	}
-	sort.Strings(svcs)
-	var merged *stats.Histogram
-	for _, svc := range svcs {
-		bs := latBuckets[svc]
-		// Finite edges ascending, +Inf last (the writer emits les as
-		// strings, so the parsed order is lexical, not numeric).
-		sort.Slice(bs, func(i, j int) bool {
-			if (bs[i].le < 0) != (bs[j].le < 0) {
-				return bs[j].le < 0
-			}
-			return bs[i].le < bs[j].le
-		})
-		cums := make([]float64, len(bs))
-		for i, b := range bs {
-			cums[i] = b.cum
+// windowP99 differences each latency series of the folded snapshot (c.lat)
+// against the machine's previous scrape, accumulates every service's
+// window distribution in one stats.Histogram, and returns its p99 — the
+// shared Quantile math, fed from scraped bytes. Returns 0 until two scrapes
+// have landed or when the window saw no requests. All caer latency
+// histograms start at 0, so the bucket width is the first finite upper
+// edge; a series whose last finite edge is not a positive number has no
+// such geometry and adds nothing. It commits the snapshot's cumulative
+// counts as the next scrape's baseline.
+func (c *Cluster) windowP99(st *telState) float64 {
+	var window *stats.Histogram
+	for i := range c.lat {
+		s := &c.lat[i]
+		bs := s.buckets
+		if !s.sorted { // a foreign exporter; the registry renders in order
+			sort.Slice(bs, func(a, b int) bool { return bs[a].le < bs[b].le })
 		}
-		prev := st.lastBuckets[svc]
-		st.lastBuckets[svc] = cums
-		if len(prev) != len(cums) || len(bs) < 2 {
-			continue // first sight of this series (or geometry changed)
+		prev := st.cumsFor(s.svc)
+		known := len(prev.cums) == len(bs) // else first sight of this series (or geometry changed)
+		if !known {
+			prev.cums = make([]float64, len(bs))
 		}
-		width := bs[0].le
-		max := bs[len(bs)-2].le // last finite edge
-		h := stats.NewHistogram(0, max, len(bs)-1)
-		lastCum := 0.0
-		for i, b := range bs {
-			d := (b.cum - prev[i]) - lastCum
-			lastCum = b.cum - prev[i]
-			if d <= 0 {
-				continue
+		if finite := len(bs) - 1; known && finite >= 1 && bs[finite-1].le > 0 && !math.IsInf(bs[finite-1].le, 1) {
+			width, max := bs[0].le, bs[finite-1].le
+			if window == nil {
+				window = c.windowHist(max, finite)
 			}
-			if b.le < 0 { // overflow
-				h.AddN(max, uint64(d))
-			} else {
-				h.AddN(b.le-width/2, uint64(d))
+			lastCum := 0.0
+			for j, b := range bs {
+				d := (b.cum - prev.cums[j]) - lastCum
+				lastCum = b.cum - prev.cums[j]
+				if d <= 0 {
+					continue
+				}
+				if math.IsInf(b.le, 1) { // overflow
+					window.AddN(max, uint64(d))
+				} else {
+					window.AddN(b.le-width/2, uint64(d))
+				}
 			}
 		}
-		if merged == nil {
-			merged = h
-		} else {
-			merged.Merge(h)
+		for j, b := range bs {
+			prev.cums[j] = b.cum
 		}
 	}
-	if merged == nil || merged.N() == 0 {
+	if window == nil || window.N() == 0 {
 		return 0
 	}
-	return merged.Quantile(0.99)
+	return window.Quantile(0.99)
+}
+
+// cumsFor returns the machine's remembered counts for service svc, opening
+// an empty record at first sight (svc is cloned: it points into a snapshot
+// the record outlives).
+func (t *telState) cumsFor(svc string) *latCums {
+	for i := range t.lastCums {
+		if t.lastCums[i].svc == svc {
+			return &t.lastCums[i]
+		}
+	}
+	t.lastCums = append(t.lastCums, latCums{svc: strings.Clone(svc)})
+	return &t.lastCums[len(t.lastCums)-1]
+}
+
+// windowHist returns the cluster's scratch window histogram, emptied, over
+// [0, max) in the given number of buckets.
+func (c *Cluster) windowHist(max float64, buckets int) *stats.Histogram {
+	if c.latHist == nil || c.latHistMax != max || c.latHist.Buckets() != buckets {
+		c.latHist, c.latHistMax = stats.NewHistogram(0, max, buckets), max
+	}
+	c.latHist.Reset()
+	return c.latHist
 }
 
 // fillTelViews copies the scrape bookkeeping into the placement views.

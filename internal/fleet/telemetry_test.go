@@ -114,6 +114,122 @@ func TestTelemetryOutageMatchesLeastPressure(t *testing.T) {
 	}
 }
 
+// TestScrapeRejectsBadBucketEdge: a latency bucket whose `le` is not a
+// number >= 0 fails that machine's scrape like any other parse error — the
+// view stays at its last good value and its age keeps growing — instead of
+// reading as le = 0, which used to become windowP99's bucket width and skew
+// the machine's scraped p99. The other machine, and the next clean scrape
+// of the same one, are unaffected.
+func TestScrapeRejectsBadBucketEdge(t *testing.T) {
+	cfg := telFleetConfig(fleet.PolicyTelemetry)
+	var c *fleet.Cluster
+	corrupt, edgeText := false, "" // while corrupt, machine 0's le="2048" edge reads le="<edgeText>"
+	cfg.Scraper = fleet.ScraperFunc(func(k int, w io.Writer) error {
+		var buf bytes.Buffer
+		if err := c.Nodes()[k].Registry().WritePrometheus(&buf); err != nil {
+			return err
+		}
+		snap := buf.Bytes()
+		if k == 0 && corrupt {
+			edge := []byte(`service="mcf",le="2048"`)
+			if !bytes.Contains(snap, edge) {
+				t.Fatalf("machine 0 snapshot has no %s bucket", edge)
+			}
+			snap = bytes.Replace(snap, edge, []byte(`service="mcf",le="`+edgeText+`"`), 1)
+		}
+		_, err := w.Write(snap)
+		return err
+	})
+	c = fleet.New(cfg)
+	period := cfg.ScrapePeriod
+	for i := 0; i < 25*period; i++ {
+		c.Tick()
+	}
+	for _, bad := range []string{"2o48", "", "NaN", "-16", "-Inf", "1e999"} {
+		good0, tick0 := c.Scraped(0)
+		_, tick1 := c.Scraped(1)
+		if tick0 < 0 || tick0 != tick1 || !good0.Fresh {
+			t.Fatalf("before le=%q: machine 0 scraped at %d (fresh %v), machine 1 at %d", bad, tick0, good0.Fresh, tick1)
+		}
+		corrupt, edgeText = true, bad
+		for i := 0; i < period; i++ {
+			c.Tick()
+		}
+		if v, tick := c.Scraped(0); v != good0 || tick != tick0 {
+			t.Errorf("le=%q: machine 0's view moved to %+v at tick %d, want the last good %+v of tick %d", bad, v, tick, good0, tick0)
+		}
+		if _, tick := c.Scraped(1); tick != tick1+period {
+			t.Errorf("le=%q: machine 1 last scraped at %d, want %d", bad, tick, tick1+period)
+		}
+		corrupt = false
+		for i := 0; i < period; i++ {
+			c.Tick()
+		}
+		if _, tick := c.Scraped(0); tick != tick0+2*period {
+			t.Errorf("after le=%q: machine 0 last scraped at %d, want recovery at %d", bad, tick, tick0+2*period)
+		}
+	}
+}
+
+// TestScrapeLineOrderInsensitive: the exposition format fixes no line
+// order, so a transport that hands the collector each snapshot's lines in
+// reverse (bucket edges descending, +Inf first) must place every job
+// exactly as the in-order default does.
+func TestScrapeLineOrderInsensitive(t *testing.T) {
+	cfg := telFleetConfig(fleet.PolicyTelemetry)
+	var c *fleet.Cluster
+	cfg.Scraper = fleet.ScraperFunc(func(k int, w io.Writer) error {
+		var buf bytes.Buffer
+		if err := c.Nodes()[k].Registry().WritePrometheus(&buf); err != nil {
+			return err
+		}
+		lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+		for i, j := 0, len(lines)-1; i < j; i, j = i+1, j-1 {
+			lines[i], lines[j] = lines[j], lines[i]
+		}
+		_, err := io.WriteString(w, strings.Join(lines, "\n")+"\n")
+		return err
+	})
+	c = fleet.New(cfg)
+	c.Run()
+	inOrder := fleet.New(telFleetConfig(fleet.PolicyTelemetry))
+	inOrder.Run()
+	if !bytes.Equal(telFingerprint(t, c), telFingerprint(t, inOrder)) {
+		t.Fatal("reversing the snapshot's lines changed placement")
+	}
+}
+
+// TestScrapeAllocs pins the steady-state collector: rendering, parsing and
+// folding one machine's snapshot allocates the snapshot's string copy and
+// little else (it was about 3,500 allocations a machine when the writer
+// went through fmt and the parser built a map per sample).
+func TestScrapeAllocs(t *testing.T) {
+	c := fleet.New(telFleetConfig(fleet.PolicyTelemetry))
+	for i := 0; i < 100; i++ {
+		c.Tick()
+	}
+	perNode := testing.AllocsPerRun(20, c.ScrapeAll) / float64(len(c.Nodes()))
+	if raceEnabled {
+		t.Skipf("race detector drops the writer's pooled buffer at random (measured %v allocs per machine scrape)", perNode)
+	}
+	if perNode > 8 {
+		t.Fatalf("a steady-state machine scrape allocates %v times, want <= 8", perNode)
+	}
+}
+
+func BenchmarkScrapeAll(b *testing.B) {
+	c := fleet.New(telFleetConfig(fleet.PolicyTelemetry))
+	for i := 0; i < 100; i++ {
+		c.Tick()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.ScrapeAll()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.Nodes())), "ns/machine")
+}
+
 // TestFleetEventsRoundTrip pins the decision-log dump caer-doctor reads:
 // every arrival appears as exactly one dispatch entry, and the JSON dump
 // re-encodes byte-identically after a parse.

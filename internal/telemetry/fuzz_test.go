@@ -16,7 +16,9 @@ import (
 // golden corpus: whatever WriteSnapshot emits must stay parseable) plus
 // labeled, escaped, and malformed shapes.
 //
-// Invariants: ParseText never panics, and any accepted input re-renders
+// Invariants: ParseText never panics; it agrees with the reference parser
+// it replaced (ref_test.go) on accept/reject and, when accepted, on every
+// sample's name, value and label set; and any accepted input re-renders
 // through renderTextMetric into an equivalent parse (writer/parser
 // round-trip, generalized to arbitrary accepted inputs).
 func FuzzParseText(f *testing.F) {
@@ -34,11 +36,14 @@ func FuzzParseText(f *testing.F) {
 	f.Add([]byte(`unterminated{k="v 1`))
 	f.Add([]byte("nan_val NaN\ninf_val +Inf\n"))
 	f.Add([]byte("\n\n  # only comments\n"))
+	f.Add([]byte(`dup{k="first",k="last"} 1` + "\n" + `loose{ a = "1" b="2",,c="\u00e9\xff" }` + "\t2\r\n"))
+	f.Add([]byte("{}0"))
+	f.Add([]byte("nbsp\u00a0name\u00851\nbrace } {x=\"}\"} 0x1p-2\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		metrics, err := ParseText(bytes.NewReader(data))
+		metrics, err := checkParseAgainstRef(t, data)
 		if err != nil {
-			return // rejected input: only the no-panic invariant applies
+			return // rejected by both: only the no-panic invariant applies
 		}
 		// Round-trip: re-render every accepted sample and parse it back.
 		var buf bytes.Buffer
@@ -61,25 +66,24 @@ func FuzzParseText(f *testing.F) {
 }
 
 // renderTextMetric writes one sample the way WritePrometheus does:
-// name{k="v",...} value, labels sorted for determinism.
+// name{k="v",...} value, labels sorted for determinism. The braces are
+// always there, so a sample with an empty name (`{}0`) re-renders parseably.
 func renderTextMetric(buf *bytes.Buffer, m TextMetric) {
-	buf.WriteString(m.Name)
-	if m.Labels != nil {
-		keys := make([]string, 0, len(m.Labels))
-		for k := range m.Labels {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		buf.WriteByte('{')
-		for i, k := range keys {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			fmt.Fprintf(buf, "%s=%s", k, strconv.Quote(m.Labels[k]))
-		}
-		buf.WriteByte('}')
+	labels := labelMap(m)
+	keys := make([]string, 0, len(labels))
+	for k := range labels {
+		keys = append(keys, k)
 	}
-	buf.WriteByte(' ')
+	sort.Strings(keys)
+	buf.WriteString(m.Name)
+	buf.WriteByte('{')
+	for i, k := range keys {
+		if i > 0 {
+			buf.WriteByte(',')
+		}
+		fmt.Fprintf(buf, "%s=%s", k, strconv.Quote(labels[k]))
+	}
+	buf.WriteString("} ")
 	buf.WriteString(strconv.FormatFloat(m.Value, 'g', -1, 64))
 	buf.WriteByte('\n')
 }
@@ -91,14 +95,7 @@ func textMetricEqual(a, b TextMetric) bool {
 	if !(a.Value == b.Value || (math.IsNaN(a.Value) && math.IsNaN(b.Value))) {
 		return false
 	}
-	la, lb := a.Labels, b.Labels
-	if la == nil {
-		la = map[string]string{}
-	}
-	if lb == nil {
-		lb = map[string]string{}
-	}
-	return reflect.DeepEqual(la, lb)
+	return reflect.DeepEqual(labelMap(a), labelMap(b))
 }
 
 // FuzzParseChromeTrace fuzzes the Chrome trace-event reader: caer-doctor

@@ -69,10 +69,36 @@ type seriesTrack struct {
 	lastSum     float64
 	rows        []uint32  // cap * (buckets+2) per-period deltas
 	sums        []float64 // cap per-period sum deltas
+	// live holds one bit per ring slot: set when the slot's row has a
+	// non-zero cell. Most periods see no observation, so window scans
+	// (OverShareAt, once per objective per period) skip on it.
+	live []uint64
 }
 
 // rowWidth is the histogram row stride: under + buckets + over.
 func (t *seriesTrack) rowWidth() int { return len(t.lastBuckets) }
+
+// newHistRings allocates a histogram track's rings: slots periods of
+// buckets+2 cells.
+func (t *seriesTrack) newHistRings(slots, buckets int) {
+	w := buckets + 2
+	t.lastBuckets = make([]uint64, w)
+	t.rows = make([]uint32, slots*w)
+	t.sums = make([]float64, slots)
+	t.live = make([]uint64, (slots+63)/64)
+}
+
+// setLive records whether ring slot idx holds a non-zero row.
+func (t *seriesTrack) setLive(idx int, live bool) {
+	if live {
+		t.live[idx/64] |= 1 << (idx % 64)
+	} else {
+		t.live[idx/64] &^= 1 << (idx % 64)
+	}
+}
+
+// isLive reports whether ring slot idx holds a non-zero row.
+func (t *seriesTrack) isLive(idx int) bool { return t.live[idx/64]&(1<<(idx%64)) != 0 }
 
 // NewSeries builds a time-series store over reg retaining the most recent
 // capacity samples per metric. Every metric registered at construction
@@ -158,10 +184,8 @@ func (s *Series) extend() {
 		case KindGauge:
 			t.values = make([]float64, s.cap)
 		case KindHistogram:
-			w := len(m.h.buckets) + 2
-			t.lastBuckets = make([]uint64, w)
-			t.rows = make([]uint32, s.cap*w)
-			t.sums = make([]float64, s.cap)
+			t.newHistRings(s.cap, len(m.h.buckets))
+			w := t.rowWidth()
 			t.lastBuckets[0] = m.h.under.Load()
 			for i := range m.h.buckets {
 				t.lastBuckets[i+1] = m.h.buckets[i].Load()
@@ -210,17 +234,23 @@ func (s *Series) sampleTrack(t *seriesTrack, idx int) {
 		h := t.m.h
 		w := len(t.lastBuckets)
 		row := t.rows[idx*w : (idx+1)*w]
+		// seen ORs the row's deltas together: zero iff the period saw nothing.
 		u := h.under.Load()
-		row[0] = uint32(u - t.lastBuckets[0])
+		seen := uint32(u - t.lastBuckets[0])
+		row[0] = seen
 		t.lastBuckets[0] = u
 		for b := range h.buckets {
 			v := h.buckets[b].Load()
-			row[b+1] = uint32(v - t.lastBuckets[b+1])
+			d := uint32(v - t.lastBuckets[b+1])
+			row[b+1] = d
+			seen |= d
 			t.lastBuckets[b+1] = v
 		}
 		o := h.over.Load()
-		row[w-1] = uint32(o - t.lastBuckets[w-1])
+		d := uint32(o - t.lastBuckets[w-1])
+		row[w-1] = d
 		t.lastBuckets[w-1] = o
+		t.setLive(idx, seen|d != 0)
 		sum := h.Sum()
 		t.sums[idx] = sum - t.lastSum
 		t.lastSum = sum
@@ -345,7 +375,11 @@ func (s *Series) OverShareAt(t TrackRef, end, window int, bound float64) float64
 	lo, hi := s.clampWindow(end, window)
 	var bad, total uint64
 	for i := lo; i < hi; i++ {
-		row := tr.rows[(i%s.cap)*w : (i%s.cap+1)*w]
+		idx := i % s.cap
+		if !tr.isLive(idx) {
+			continue
+		}
+		row := tr.rows[idx*w : (idx+1)*w]
 		for b, d := range row {
 			total += uint64(d)
 			// row cell 0 is the underflow bucket (never bad: it sits at
@@ -547,15 +581,13 @@ func ParseSeries(r io.Reader) (*Series, error) {
 			if tj.Values != nil {
 				return nil, fmt.Errorf("telemetry: track %s mixes histogram and values fields", tj.Name)
 			}
-			width := tj.Buckets + 2
 			// The parsed metric carries a real (empty) histogram so the
 			// geometry-dependent queries work on the parsed series.
 			m.h = &Histogram{min: tj.Min, max: tj.Max,
 				width:   (tj.Max - tj.Min) / float64(tj.Buckets),
 				buckets: make([]atomic.Uint64, tj.Buckets), self: new(atomic.Uint64)}
-			t.lastBuckets = make([]uint64, width)
-			t.rows = make([]uint32, d.Capacity*width)
-			t.sums = make([]float64, d.Capacity)
+			t.newHistRings(d.Capacity, tj.Buckets)
+			width := t.rowWidth()
 			for k, sparse := range tj.Rows {
 				if len(sparse)%2 != 0 {
 					return nil, fmt.Errorf("telemetry: track %s row %d has odd sparse pair list", tj.Name, k)
@@ -571,6 +603,7 @@ func ParseSeries(r io.Reader) (*Series, error) {
 					row[cell] = delta
 					lastCell = cell
 				}
+				t.setLive(idx, len(sparse) > 0) // every listed delta is non-zero
 				t.sums[idx] = tj.Sums[k]
 			}
 		default:

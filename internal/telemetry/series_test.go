@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -184,6 +185,96 @@ func TestSeriesQueryAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("windowed queries allocate %v, want 0", allocs)
+	}
+}
+
+// refOverShareAt is OverShareAt as it was before rows carried a live bit:
+// the naive scan of every cell of every row in the window.
+func refOverShareAt(s *Series, t TrackRef, end, window int, bound float64) float64 {
+	tr := &s.tracks[t]
+	h := tr.m.h
+	w := tr.rowWidth()
+	firstBad := len(h.buckets)
+	if bound <= h.min {
+		firstBad = 0
+	} else if bound < h.max {
+		firstBad = int((bound-h.min)/h.width + 0.9999999999)
+	}
+	lo, hi := s.clampWindow(end, window)
+	var bad, total uint64
+	for i := lo; i < hi; i++ {
+		row := tr.rows[(i%s.cap)*w : (i%s.cap+1)*w]
+		for b, d := range row {
+			total += uint64(d)
+			if b == w-1 || (b > 0 && b-1 >= firstBad) {
+				bad += uint64(d)
+			}
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(bad) / float64(total)
+}
+
+// TestOverShareMatchesFullScan pins the empty-row skip: on random rings —
+// mostly idle periods, unwrapped and wrapped several times over, capacities
+// on both sides of the bitmap's word size, a track registered late — every
+// window query equals the naive full scan, for the live store and for its
+// WriteDump -> ParseSeries copy (whose live bits ParseSeries rebuilds), with
+// `end` before, inside and past the retained window.
+func TestOverShareMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 60; round++ {
+		capacity := 1 + rng.Intn(130)
+		reg := NewRegistry()
+		early := reg.Histogram("caer_test_latency", "latency", 10, 110, 1+rng.Intn(20), "svc", "early")
+		s := NewSeries(reg, capacity)
+		var late *Histogram
+		periods := rng.Intn(3*capacity + 2)
+		idle := rng.Float64()
+		for p := 0; p < periods; p++ {
+			if late == nil && rng.Intn(capacity+1) == 0 {
+				late = reg.Histogram("caer_test_latency", "latency", 0, 64, 8, "svc", "late")
+			}
+			for _, h := range []*Histogram{early, late} {
+				if h == nil || rng.Float64() < idle {
+					continue
+				}
+				for n := rng.Intn(4); n >= 0; n-- {
+					h.Observe(rng.Float64()*140 - 10) // under, in range and over
+				}
+			}
+			s.Sample()
+		}
+		var buf bytes.Buffer
+		if err := s.WriteDump(&buf); err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := ParseSeries(&buf)
+		if err != nil {
+			t.Fatalf("round %d: ParseSeries: %v", round, err)
+		}
+		for ti, info := range s.Tracks() {
+			if info.Kind != KindHistogram {
+				continue
+			}
+			ref := TrackRef(ti)
+			for q := 0; q < 40; q++ {
+				end := rng.Intn(periods+capacity+2) - capacity/2
+				window := rng.Intn(2*capacity + 2)
+				bound := rng.Float64()*140 - 10
+				want := refOverShareAt(s, ref, end, window, bound)
+				if got := s.OverShareAt(ref, end, window, bound); got != want {
+					t.Fatalf("round %d (cap %d, %d periods) %s%s: OverShareAt(end %d, window %d, bound %v) = %v, full scan %v",
+						round, capacity, periods, info.Name, info.Labels, end, window, bound, got, want)
+				}
+				if got := parsed.OverShareAt(ref, end, window, bound); got != want {
+					t.Fatalf("round %d (cap %d, %d periods) %s%s: parsed OverShareAt(end %d, window %d, bound %v) = %v, live full scan %v",
+						round, capacity, periods, info.Name, info.Labels, end, window, bound, got, want)
+				}
+			}
+		}
 	}
 }
 
