@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"caer/internal/report"
 	"caer/internal/runner"
 	"caer/internal/spec"
 )
@@ -258,4 +260,25 @@ func TestRankBySensitivityExcludesAdversary(t *testing.T) {
 	if len(ranked) != 3 {
 		t.Errorf("ranked %d benchmarks, want 3", len(ranked))
 	}
+}
+
+// TestFiguresSmallGolden pins the numbers behind results/*.csv in tier-1:
+// the CSV tables of Figures 1, 2, 6, 7, 8, 9 and 10 and of the partition
+// and response ablations on smallSuite, concatenated in that order, against
+// testdata/figures_small.golden. Every alone / native / CAER / DVFS /
+// way-partitioned runner path feeds one of these tables.
+func TestFiguresSmallGolden(t *testing.T) {
+	s := smallSuite(t)
+	mcf := s.Benchmarks[0]
+	var artifact bytes.Buffer
+	for _, f := range []interface{ Table() *report.Table }{
+		s.Figure1(), s.Figure2(), s.Figure6(), s.Figure7(), s.Figure8(),
+		s.FigureAccuracy(true, 1), s.FigureAccuracy(false, 1),
+		s.PartitionSweep(mcf, []int{4, 8, 12}), s.ResponseComparison(mcf),
+	} {
+		if err := f.Table().WriteCSV(&artifact); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkGolden(t, "figures_small", artifact.Bytes())
 }
