@@ -201,8 +201,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "  slowdown vs alone:        %s\n", report.Times(runner.Slowdown(r, alone)))
 	fmt.Fprintf(stdout, "  latency app instructions: %d (LLC misses %d)\n", r.LatencyInstructions, r.LatencyMisses)
 	if mode != runner.ModeAlone {
-		fmt.Fprintf(stdout, "  batch instructions:       %d (LLC misses %d, relaunches %d)\n",
-			r.BatchInstructions, r.BatchMisses, r.Relaunches)
+		fmt.Fprintf(stdout, "  batch instructions:       %d (LLC misses %d)\n", r.BatchInstructions, r.BatchMisses)
 		fmt.Fprintf(stdout, "  utilization gained:       %s\n", report.Percent(runner.UtilizationGained(r)))
 	}
 	if mode == runner.ModeCAER {

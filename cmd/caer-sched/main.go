@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -35,27 +36,35 @@ import (
 )
 
 func main() {
-	policy := flag.String("policy", "ca", "placement policy: rr (round-robin), ca (contention-aware), packed")
-	latency := flag.String("latency", "mcf", "latency-sensitive service (short or full name)")
-	jobsCSV := flag.String("jobs", "lbm,lbm,povray,lbm", "comma-separated batch jobs for the admission queue")
-	domains := flag.Int("domains", 2, "number of LLC domains")
-	cores := flag.Int("cores", 0, "number of cores (0 = 4 per domain)")
-	admitThresh := flag.Float64("admit-thresh", 0, "admission pressure threshold (0 = default)")
-	aging := flag.Int("aging", 0, "starvation aging bound in periods (0 = default)")
-	migrate := flag.Int("migrate", 0, "consider one migration every N periods (0 = off)")
-	jobInstr := flag.Uint64("job-instr", 500_000, "instruction count for each submitted job")
-	seed := flag.Int64("seed", 1, "seed for all runs")
-	quick := flag.Bool("quick", false, "shrink the latency service 8x for a fast smoke run")
-	telemetryAddr := flag.String("telemetry", "", "serve live telemetry (/metrics, /trace, /debug/pprof) on this address, e.g. :6060")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "caer-sched: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("caer-sched", flag.ExitOnError)
+	policy := fs.String("policy", "ca", "placement policy: rr (round-robin), ca (contention-aware), packed")
+	latency := fs.String("latency", "mcf", "latency-sensitive service (short or full name)")
+	jobsCSV := fs.String("jobs", "lbm,lbm,povray,lbm", "comma-separated batch jobs for the admission queue")
+	domains := fs.Int("domains", 2, "number of LLC domains")
+	cores := fs.Int("cores", 0, "number of cores (0 = 4 per domain)")
+	admitThresh := fs.Float64("admit-thresh", 0, "admission pressure threshold (0 = default)")
+	aging := fs.Int("aging", 0, "starvation aging bound in periods (0 = default)")
+	migrate := fs.Int("migrate", 0, "consider one migration every N periods (0 = off)")
+	jobInstr := fs.Uint64("job-instr", 500_000, "instruction count for each submitted job")
+	seed := fs.Int64("seed", 1, "seed for all runs")
+	quick := fs.Bool("quick", false, "shrink the latency service 8x for a fast smoke run")
+	telemetryAddr := fs.String("telemetry", "", "serve live telemetry (/metrics, /trace, /debug/pprof) on this address, e.g. :6060")
+	fs.Parse(args)
 
 	if *telemetryAddr != "" {
 		ln, err := telemetry.Serve(*telemetryAddr)
 		if err != nil {
-			fatalf("telemetry: %v", err)
+			return fmt.Errorf("telemetry: %v", err)
 		}
 		defer ln.Close()
-		fmt.Fprintf(os.Stderr, "[telemetry: http://%s/metrics]\n", ln.Addr())
+		fmt.Fprintf(stderr, "[telemetry: http://%s/metrics]\n", ln.Addr())
 	}
 
 	var pol sched.Policy
@@ -67,12 +76,12 @@ func main() {
 	case "packed":
 		pol = sched.PolicyPacked
 	default:
-		fatalf("unknown policy %q (want rr, ca, or packed)", *policy)
+		return fmt.Errorf("unknown policy %q (want rr, ca, or packed)", *policy)
 	}
 
 	lat, ok := spec.ByName(*latency)
 	if !ok {
-		fatalf("unknown latency benchmark %q", *latency)
+		return fmt.Errorf("unknown latency benchmark %q", *latency)
 	}
 	if *quick {
 		lat.Exec.Instructions /= 8
@@ -81,7 +90,7 @@ func main() {
 	for _, n := range strings.Split(*jobsCSV, ",") {
 		p, ok := spec.ByName(strings.TrimSpace(n))
 		if !ok {
-			fatalf("unknown job benchmark %q", n)
+			return fmt.Errorf("unknown job benchmark %q", n)
 		}
 		p.Exec.Instructions = *jobInstr
 		jobs = append(jobs, p)
@@ -105,10 +114,10 @@ func main() {
 	res := runner.Run(s)
 	s = res.Scenario // Run applied the scheduled-mode defaults to its copy
 
-	fmt.Printf("caer-sched: %s policy, %s service on domain 0, %d domains x %d cores, %d jobs\n\n",
+	fmt.Fprintf(stdout, "caer-sched: %s policy, %s service on domain 0, %d domains x %d cores, %d jobs\n\n",
 		pol, spec.ShortName(lat.Name), s.Domains, s.Cores/s.Domains, len(jobs))
 
-	fmt.Println("decision timeline:")
+	fmt.Fprintln(stdout, "decision timeline:")
 	tl := report.NewTable("period", "decision", "job", "detail")
 	for _, d := range res.SchedDecisions {
 		var detail string
@@ -127,11 +136,11 @@ func main() {
 		}
 		tl.AddRow(fmt.Sprintf("%d", d.Period), d.Kind.String(), d.Name, detail)
 	}
-	if err := tl.Render(os.Stdout); err != nil {
-		fatalf("render timeline: %v", err)
+	if err := tl.Render(stdout); err != nil {
+		return fmt.Errorf("render timeline: %v", err)
 	}
 
-	fmt.Println("\nper-job outcomes:")
+	fmt.Fprintln(stdout, "\nper-job outcomes:")
 	jt := report.NewTable("job", "domain", "waited", "run", "paused", "duty", "migrations", "done@")
 	for _, b := range res.BatchResults {
 		run := b.RunPeriods
@@ -149,15 +158,16 @@ func main() {
 			report.Percent(duty), fmt.Sprintf("%d", b.Migrations),
 			fmt.Sprintf("%d", b.DonePeriod))
 	}
-	if err := jt.Render(os.Stdout); err != nil {
-		fatalf("render jobs: %v", err)
+	if err := jt.Render(stdout); err != nil {
+		return fmt.Errorf("render jobs: %v", err)
 	}
 
-	fmt.Printf("\nlatency service finished in %d periods; %d/%d jobs completed; max queue wait %d periods; %d migrations\n",
+	fmt.Fprintf(stdout, "\nlatency service finished in %d periods; %d/%d jobs completed; max queue wait %d periods; %d migrations\n",
 		res.Periods, res.JobsCompleted, len(jobs), res.MaxWait, res.Migrations)
 	if !res.Completed {
-		fatalf("latency service did not complete within the period bound")
+		return fmt.Errorf("latency service did not complete within the period bound")
 	}
+	return nil
 }
 
 func agedTag(aged bool) string {
@@ -165,9 +175,4 @@ func agedTag(aged bool) string {
 		return ", aged"
 	}
 	return ""
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "caer-sched: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -68,11 +68,10 @@ func DefaultConfig() *Config {
 			"caer_sched_completions_total", "caer_sched_class_flips_total",
 			"caer_sched_queue_depth", "caer_sched_running",
 			"caer_part_plans_total", "caer_part_resizes_total",
-			"caer_part_lines_invalidated_total", "caer_part_orphans_total",
+			"caer_part_orphans_total",
 			"caer_part_protected_ways", "caer_part_confined_ways",
 			"caer_part_pressure",
-			"caer_runner_runs_total", "caer_runner_relaunches_total",
-			"caer_runner_periods_total",
+			"caer_runner_runs_total", "caer_runner_periods_total",
 			"caer_telemetry_ops_total", "caer_telemetry_spans_total",
 			"caer_telemetry_spans_dropped_total",
 			"caer_fleet_ticks_total", "caer_fleet_arrivals_total",

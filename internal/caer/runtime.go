@@ -80,12 +80,10 @@ func (h HeuristicKind) NewResponder(cfg Config) Responder {
 
 // app is one hosted application.
 type app struct {
-	name       string
-	core       int
-	proc       *machine.Process
-	slot       *comm.Slot
-	gauges     coreGauges
-	relaunches int // batch only
+	name   string
+	core   int
+	slot   *comm.Slot
+	gauges coreGauges
 }
 
 // coreGauges is one core's live telemetry view for caer-top, registered
@@ -98,9 +96,9 @@ type coreGauges struct {
 
 // Runtime is the deployed CAER environment of the paper over a simulated
 // machine: the Pipeline's one-LLC-group case with a fixed application set.
-// Every latency-sensitive application gets a CAER-M monitor, every batch
-// application an engine that sees all of them, and completed batch
-// applications are relaunched (§6.1). Step runs one sampling period.
+// Every latency-sensitive application gets a CAER-M monitor and every batch
+// application an engine that sees all of them. Step runs one sampling
+// period.
 type Runtime struct {
 	Pipeline
 
@@ -120,33 +118,13 @@ func NewRuntime(m *machine.Machine, kind HeuristicKind, cfg Config, opts ...Opti
 // Engines returns the batch engines (one per batch application).
 func (rt *Runtime) Engines() []*Engine { return rt.engines }
 
-// Relaunches returns how many times completed batch applications were
-// relaunched.
-func (rt *Runtime) Relaunches() int {
-	n := 0
-	for i := range rt.batch {
-		n += rt.batch[i].relaunches
-	}
-	return n
-}
-
-// BatchRelaunches returns each batch application's relaunch count, in
-// registration order.
-func (rt *Runtime) BatchRelaunches() []int {
-	out := make([]int, len(rt.batch))
-	for i := range rt.batch {
-		out[i] = rt.batch[i].relaunches
-	}
-	return out
-}
-
 // AddLatency binds a latency-sensitive application to a core under a
 // CAER-M monitor. The application itself is never modified.
 func (rt *Runtime) AddLatency(name string, core int, proc *machine.Process) {
 	rt.mustNotBeStarted()
 	rt.m.Bind(core, proc)
 	mon := rt.AddMonitor(name, core, 0)
-	rt.latency = append(rt.latency, app{name: name, core: core, proc: proc, slot: mon.slot})
+	rt.latency = append(rt.latency, app{name: name, core: core, slot: mon.slot})
 }
 
 // AddBatch binds a batch application to a core under a full CAER engine.
@@ -156,7 +134,7 @@ func (rt *Runtime) AddBatch(name string, core int, proc *machine.Process) {
 	rt.mustNotBeStarted()
 	rt.m.Bind(core, proc)
 	slot := rt.table.Register(name, comm.RoleBatch)
-	rt.batch = append(rt.batch, app{name: name, core: core, proc: proc, slot: slot})
+	rt.batch = append(rt.batch, app{name: name, core: core, slot: slot})
 }
 
 func (rt *Runtime) mustNotBeStarted() {
@@ -199,9 +177,10 @@ func registerCoreGauges(a *app, role comm.Role) coreGauges {
 	return g
 }
 
-// Step executes one sampling period: one pipeline Tick, a refresh of the
-// live gauges after a probe, and the relaunch of completed batch
-// applications (§6.1).
+// Step executes one sampling period: one pipeline Tick and a refresh of
+// the live gauges after a probe. A batch application that runs out of
+// instructions idles its core from then on; the paper's adversary is an
+// endless service (spec.Profile.Batch), so the runtime never restarts one.
 //
 //caer:hot
 func (rt *Runtime) Step() {
@@ -210,15 +189,6 @@ func (rt *Runtime) Step() {
 	}
 	if rt.Tick() > 0 {
 		rt.setGauges()
-	}
-	for i := range rt.batch {
-		b := &rt.batch[i]
-		if b.proc.Done() {
-			rt.m.FlushCore(b.core)
-			b.proc.Relaunch()
-			b.relaunches++
-			telemetry.RunnerRelaunches.Inc()
-		}
 	}
 }
 

@@ -130,27 +130,6 @@ func TestRuntimeQuietBatchRunsFreely(t *testing.T) {
 	}
 }
 
-func TestRuntimeBatchRelaunch(t *testing.T) {
-	m := machine.New(machine.Config{Cores: 2})
-	rt := NewRuntime(m, HeuristicRule, DefaultConfig())
-	lat, _ := spec.ByName("namd")
-	rt.AddLatency("namd", 0, lat.Batch().NewProcess(0, 1))
-	// A tiny batch program completes quickly and must be relaunched.
-	small := spec.LBM()
-	small.Exec.Instructions = 2000
-	proc := small.NewProcess(1<<28, 2)
-	rt.AddBatch("lbm", 1, proc)
-	for i := 0; i < 100; i++ {
-		rt.Step()
-	}
-	if rt.Relaunches() == 0 {
-		t.Error("completed batch application was never relaunched")
-	}
-	if proc.Runs() < 2 {
-		t.Errorf("batch runs = %d, want >= 2", proc.Runs())
-	}
-}
-
 func TestRuntimeAccessors(t *testing.T) {
 	rt, _ := testScenario(t, HeuristicRule, 2)
 	if rt.Heuristic() != HeuristicRule {

@@ -6,7 +6,6 @@ import (
 
 	"caer/internal/caer"
 	"caer/internal/machine"
-	"caer/internal/pmu"
 	"caer/internal/report"
 	"caer/internal/spec"
 )
@@ -75,7 +74,7 @@ func (s *Suite) MultiApp(latency, batch [2]spec.Profile, kind caer.HeuristicKind
 		out.AlonePeriods = m.Periods()
 	}
 
-	// Native four-way co-location (batch relaunched on completion).
+	// Native four-way co-location (the batch pair are endless services).
 	{
 		m := machine.New(machine.Config{Cores: 4})
 		ps := newLatency(m)
@@ -111,11 +110,6 @@ func (s *Suite) MultiApp(latency, batch [2]spec.Profile, kind caer.HeuristicKind
 			st := e.Stats()
 			out.CPositive += st.CPositive
 			out.CNegative += st.CNegative
-		}
-		// Keep the PMU import honest: read a counter through the public
-		// source interface as a sanity check that the run did real work.
-		if m.ReadCounter(0, pmu.EventInstrRetired) == 0 {
-			panic("experiments: multi-app CAER run retired no instructions")
 		}
 	}
 

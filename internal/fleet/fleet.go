@@ -618,7 +618,7 @@ func (c *Cluster) finishRequest(n *Node, s *service) {
 // Done reports whether the fleet has fully drained: the traffic schedule
 // is exhausted, the fleet queue is empty, every dispatched job finished,
 // and every run-to-completion service is done (open-loop Relaunch
-// services never gate, like the runner's relaunch-forever batches).
+// services never gate, like the runner's endless batch services).
 //
 //caer:hot
 func (c *Cluster) Done() bool {

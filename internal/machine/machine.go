@@ -96,8 +96,8 @@ func (p *Process) Runs() int { return p.runs }
 func (p *Process) Profile() ExecProfile { return p.prof }
 
 // Relaunch restarts a completed process from scratch: generator rewound,
-// RNG reseeded, retirement reset. The paper relaunches lbm when it finishes
-// before the latency-sensitive application.
+// RNG reseeded, retirement reset. The fleet's open-loop services call it
+// once per completed request.
 func (p *Process) Relaunch() {
 	workload.Reset(p.gen)
 	p.rng = rand.New(rand.NewSource(p.seed))

@@ -24,9 +24,7 @@ func TestFullMaskPartitionMatchesUnpartitioned(t *testing.T) {
 				full := mem.FullMask(h.L3().Ways())
 				lo, hi := masked.DomainCores(d)
 				for c := lo; c < hi; c++ {
-					if n := h.SetL3OwnerMask(masked.LocalCore(c), full, mem.ResizeOrphan); n != 0 {
-						t.Fatalf("full-mask orphan resize dropped %d lines", n)
-					}
+					h.SetL3OwnerMask(masked.LocalCore(c), full)
 				}
 			}
 		}
@@ -49,7 +47,7 @@ func TestConfinedPartitionDiverges(t *testing.T) {
 	plain := buildDomains(t, 1, 4, 1)
 	confined := buildDomains(t, 1, 4, 1)
 	h := confined.DomainHierarchy(0)
-	h.SetL3OwnerMask(0, mem.ContiguousMask(0, 2), mem.ResizeOrphan)
+	h.SetL3OwnerMask(0, mem.ContiguousMask(0, 2))
 	for p := 0; p < 40; p++ {
 		plain.RunPeriod()
 		confined.RunPeriod()

@@ -315,58 +315,42 @@ func (c *Cache) Flush() {
 	}
 }
 
-// FlushOwner invalidates every line belonging to owner. Used when a batch
-// application finishes and is relaunched.
-func (c *Cache) FlushOwner(owner int) { c.dropOwned(owner, 0, nil) }
+// FlushOwner invalidates every line belonging to owner (process teardown).
+func (c *Cache) FlushOwner(owner int) { c.dropOwned(owner, nil) }
 
-// dropOwned invalidates owner's lines resident in ways outside keep,
-// handing each to visit (when non-nil) as it goes, and returns how many it
-// dropped. It walks the whole cache: flushes and resizes are control-plane
-// operations.
-func (c *Cache) dropOwned(owner int, keep WayMask, visit func(slot int, ev Evicted)) int {
-	n := 0
+// dropOwned invalidates every line belonging to owner, handing each to
+// visit (when non-nil) as it goes. It walks the whole cache: flushes are
+// control-plane operations.
+func (c *Cache) dropOwned(owner int, visit func(slot int, ev Evicted)) {
 	for set := range c.valid {
-		for m := c.valid[set] &^ uint64(keep); m != 0; m &= m - 1 {
+		for m := c.valid[set]; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros64(m)
 			slot := set*c.ways + w
 			if int(c.meta[slot]>>1) != owner {
 				continue
 			}
 			c.valid[set] &^= 1 << uint(w)
-			n++
 			if visit != nil {
 				visit(slot, c.evictedAt(slot))
 			}
 		}
 	}
-	return n
 }
 
 // SetOwnerMask restricts owner's fills and victim selection to the ways in
 // mask (lookups still hit anywhere). Other owners keep the full mask unless
-// also confined. mode picks the fate of owner's lines already resident
-// outside the new mask: ResizeOrphan leaves them valid, ResizeInvalidate
-// drops them and returns them so an inclusive hierarchy can propagate
-// back-invalidations. A zero mask or one with bits beyond the cache's ways
-// panics. Resizes are control-plane operations — the per-access path never
-// calls this.
-func (c *Cache) SetOwnerMask(owner int, mask WayMask, mode ResizeMode) []Evicted {
-	var dropped []Evicted
-	c.resize(owner, mask, mode, func(_ int, ev Evicted) { dropped = append(dropped, ev) })
-	return dropped
-}
-
-// resize is SetOwnerMask handing each dropped line and its slot to visit
-// instead of collecting them; it returns the number dropped.
-func (c *Cache) resize(owner int, mask WayMask, mode ResizeMode, visit func(slot int, ev Evicted)) int {
+// also confined. Owner's lines already resident outside the new mask stay
+// valid: they still hit on lookup and are reclaimed lazily as other owners'
+// victim selections evict them. This is what hardware CAT does — masks gate
+// fills, not residency. A zero mask or one with bits beyond the cache's
+// ways panics. Resizes are control-plane operations — the per-access path
+// never calls this.
+func (c *Cache) SetOwnerMask(owner int, mask WayMask) {
 	if owner < 0 || owner >= maxOwners {
 		panic(fmt.Sprintf("mem: partition owner %d out of range", owner))
 	}
 	if mask == 0 || mask&^c.fullMask != 0 {
 		panic(fmt.Sprintf("mem: owner mask %v invalid for %d ways", mask, c.ways))
-	}
-	if mode != ResizeOrphan && mode != ResizeInvalidate {
-		panic(fmt.Sprintf("mem: unknown resize mode %v", mode))
 	}
 	if owner >= len(c.masks) {
 		grown := make([]WayMask, owner+1)
@@ -378,12 +362,6 @@ func (c *Cache) resize(owner int, mask WayMask, mode ResizeMode, visit func(slot
 	}
 	c.masks[owner] = mask
 	c.maskUsed = true
-	if mode == ResizeOrphan {
-		return 0
-	}
-	n := c.dropOwned(owner, mask, visit)
-	c.stats.Invalidations += uint64(n)
-	return n
 }
 
 // OwnerMask returns owner's current fill mask (the full mask when
@@ -391,8 +369,8 @@ func (c *Cache) resize(owner int, mask WayMask, mode ResizeMode, visit func(slot
 func (c *Cache) OwnerMask(owner int) WayMask { return c.maskOf(owner) }
 
 // StrandedLines counts owner's valid lines resident outside its current
-// mask — orphans left behind by ResizeOrphan resizes, still hittable but
-// no longer refillable by their owner.
+// mask — orphans left behind by resizes, still hittable but no longer
+// refillable by their owner.
 func (c *Cache) StrandedLines(owner int) int {
 	outside := ^uint64(c.maskOf(owner))
 	n := 0

@@ -152,8 +152,8 @@ func TestCacheFlushAndFlushOwner(t *testing.T) {
 
 func TestCacheWayPartitioning(t *testing.T) {
 	c := newTestCache(1, 4)
-	c.SetOwnerMask(0, ContiguousMask(0, 2), ResizeOrphan)
-	c.SetOwnerMask(1, ContiguousMask(2, 4), ResizeOrphan)
+	c.SetOwnerMask(0, ContiguousMask(0, 2))
+	c.SetOwnerMask(1, ContiguousMask(2, 4))
 	// Owner 0 fills its 2 ways then self-evicts; owner 1's lines untouched.
 	c.Insert(100, 1, false)
 	c.Insert(101, 1, false)
@@ -166,7 +166,7 @@ func TestCacheWayPartitioning(t *testing.T) {
 	if !c.Contains(100) || !c.Contains(101) {
 		t.Error("owner 1's lines evicted despite partition")
 	}
-	c.SetOwnerMask(0, FullMask(4), ResizeOrphan)
+	c.SetOwnerMask(0, FullMask(4))
 	// Now owner 0 may claim all ways.
 	evictedOther := false
 	for a := uint64(10); a < 20; a++ {
@@ -189,7 +189,7 @@ func TestCachePartitionValidation(t *testing.T) {
 					t.Errorf("SetOwnerMask(%d, ContiguousMask(%d, %d)) did not panic", b[0], b[1], b[2])
 				}
 			}()
-			c.SetOwnerMask(b[0], ContiguousMask(b[1], b[2]), ResizeOrphan)
+			c.SetOwnerMask(b[0], ContiguousMask(b[1], b[2]))
 		}()
 	}
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -9,8 +10,7 @@ import (
 // it holds the cache to:
 //
 //  1. A fill never lands outside the inserting owner's current mask.
-//  2. An invalidate-mode resize leaves no owner line outside the new mask;
-//     an orphan-mode resize drops nothing.
+//  2. A resize drops nothing.
 //  3. The valid bitmaps name only real ways, no address is valid in two
 //     ways of a set, and every valid way's stamp is unique in its row and
 //     carries its own way index (the stamp-min victim choice depends on
@@ -66,7 +66,7 @@ func FuzzCachePartition(f *testing.F) {
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i], data[i+1]
 			owner := int(op>>4) % owners
-			switch op % 5 {
+			switch op % 4 {
 			case 0: // lookup
 				c.Lookup(uint64(arg), op&0x80 != 0)
 			case 1: // miss-then-fill
@@ -81,34 +81,18 @@ func FuzzCachePartition(f *testing.F) {
 						t.Fatalf("owner %d (mask %v) filled way %d", owner, maskOf(owner), w)
 					}
 				}
-			case 2: // orphan resize
+			case 2: // resize
 				mask := WayMask(arg) & FullMask(ways)
 				if mask == 0 {
 					mask = 1
 				}
-				if dropped := c.SetOwnerMask(owner, mask, ResizeOrphan); dropped != nil {
-					t.Fatalf("orphan resize dropped %d lines", len(dropped))
+				before := slices.Clone(c.valid)
+				c.SetOwnerMask(owner, mask)
+				if !slices.Equal(c.valid, before) {
+					t.Fatalf("resize changed residency: valid %#x -> %#x", before, c.valid)
 				}
 				masks[owner] = mask
-			case 3: // invalidate resize
-				mask := WayMask(arg) & FullMask(ways)
-				if mask == 0 {
-					mask = 1
-				}
-				dropped := c.SetOwnerMask(owner, mask, ResizeInvalidate)
-				masks[owner] = mask
-				for _, ev := range dropped {
-					if ev.Owner != owner || !ev.Valid {
-						t.Fatalf("invalidate resize dropped foreign line %+v", ev)
-					}
-					if c.Contains(ev.Addr) {
-						t.Fatalf("dropped line %#x still resident", ev.Addr)
-					}
-				}
-				if n := c.StrandedLines(owner); n != 0 {
-					t.Fatalf("owner %d: %d stranded lines after invalidate resize", owner, n)
-				}
-			case 4: // back-invalidate one address
+			case 3: // back-invalidate one address
 				c.Invalidate(uint64(arg))
 			}
 			checkRows()

@@ -234,15 +234,11 @@ func (h *Hierarchy) backInvalidate(addr uint64, holders uint64) {
 	}
 }
 
-// SetL3OwnerMask resizes owner's L3 partition to mask. Under
-// ResizeInvalidate the dropped lines are back-invalidated from the private
-// caches to preserve inclusion; the return value is the number of L3 lines
-// dropped (always 0 for ResizeOrphan).
-func (h *Hierarchy) SetL3OwnerMask(owner int, mask WayMask, mode ResizeMode) int {
-	return h.l3.resize(owner, mask, mode, h.dropped)
-}
+// SetL3OwnerMask resizes owner's L3 partition to mask (Cache.SetOwnerMask:
+// lines stranded outside it stay resident, so inclusion is untouched).
+func (h *Hierarchy) SetL3OwnerMask(owner int, mask WayMask) { h.l3.SetOwnerMask(owner, mask) }
 
-// dropped back-invalidates an L3 line a flush or resize has just dropped.
+// dropped back-invalidates an L3 line a flush has just dropped.
 func (h *Hierarchy) dropped(slot int, ev Evicted) {
 	h.backInvalidate(ev.Addr, h.coreValid[slot])
 }
@@ -259,13 +255,13 @@ func (h *Hierarchy) LLCAccesses(core int) uint64 { return h.llcAccesses[core] }
 func (h *Hierarchy) L2Misses(core int) uint64 { return h.l2Misses[core] }
 
 // FlushCore empties core's private caches and its lines in the shared L3
-// (models process teardown when a batch application is relaunched). Other
+// (models process teardown when a service or job leaves the core). Other
 // cores' private copies of those L3 lines go with them, or inclusion would
 // break.
 func (h *Hierarchy) FlushCore(core int) {
 	h.l1[core].Flush()
 	h.l2[core].Flush()
-	h.l3.dropOwned(core, 0, h.dropped)
+	h.l3.dropOwned(core, h.dropped)
 }
 
 // ResetCounters zeroes the per-core counters without disturbing contents.

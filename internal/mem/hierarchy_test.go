@@ -67,7 +67,7 @@ func TestHierarchyL2Hit(t *testing.T) {
 	h.Access(0, 5, false, 0)
 	h.Access(0, 9, false, 0)
 	if h.L1(0).Contains(1) {
-		t.Skip("L1 did not evict as expected; geometry changed")
+		t.Fatal("L1 did not evict as expected; geometry changed")
 	}
 	r := h.Access(0, 1, false, 0)
 	if r.Level != LevelL2 {

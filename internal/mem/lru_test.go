@@ -26,7 +26,7 @@ func TestLRUVictimRespectsRange(t *testing.T) {
 	c := newTestCache(1, 8)
 	fillWays(c, 0, 1, 2, 3, 4, 5, 6, 7)
 	// Way 0 is globally oldest, but the partition only allows [4,8).
-	c.SetOwnerMask(0, ContiguousMask(4, 8), ResizeOrphan)
+	c.SetOwnerMask(0, ContiguousMask(4, 8))
 	if ev := c.Insert(8, 0, false); ev.Addr != 4 {
 		t.Errorf("evicted %d from ways [4,8), want 4", ev.Addr)
 	}

@@ -23,9 +23,7 @@ func TestSetOwnerMaskOrphanKeepsLines(t *testing.T) {
 	c := newTestCache(4, 8)
 	fillOwner(c, 0)
 	low := ContiguousMask(0, 4)
-	if dropped := c.SetOwnerMask(0, low, ResizeOrphan); dropped != nil {
-		t.Fatalf("orphan resize returned %d dropped lines, want none", len(dropped))
-	}
+	c.SetOwnerMask(0, low)
 	if got := c.OwnerMask(0); got != low {
 		t.Fatalf("OwnerMask(0) = %v, want %v", got, low)
 	}
@@ -61,56 +59,14 @@ func TestSetOwnerMaskOrphanKeepsLines(t *testing.T) {
 	}
 }
 
-func TestSetOwnerMaskInvalidateDropsLines(t *testing.T) {
-	c := newTestCache(4, 8)
-	fillOwner(c, 0)
-	for set := 0; set < c.Sets(); set++ { // dirty one out-of-mask line per set
-		c.Lookup(uint64(set+c.Sets()*6), true)
-	}
-	low := ContiguousMask(0, 4)
-	dropped := c.SetOwnerMask(0, low, ResizeInvalidate)
-	if want := c.Sets() * 4; len(dropped) != want {
-		t.Fatalf("invalidate resize dropped %d lines, want %d", len(dropped), want)
-	}
-	dirty := 0
-	for _, ev := range dropped {
-		if !ev.Valid || ev.Owner != 0 {
-			t.Fatalf("dropped line %+v not a valid owner-0 line", ev)
-		}
-		if c.Contains(ev.Addr) {
-			t.Fatalf("dropped line %#x still resident", ev.Addr)
-		}
-		if ev.Dirty {
-			dirty++
-		}
-	}
-	if dirty != c.Sets() {
-		t.Fatalf("dropped %d dirty lines, want %d", dirty, c.Sets())
-	}
-	if got := c.StrandedLines(0); got != 0 {
-		t.Fatalf("StrandedLines(0) = %d after invalidate, want 0", got)
-	}
-	if got, want := c.Stats().Invalidations, uint64(c.Sets()*4); got != want {
-		t.Fatalf("Invalidations = %d, want %d", got, want)
-	}
-	// In-mask lines are untouched.
-	for set := 0; set < c.Sets(); set++ {
-		for way := 0; way < 4; way++ {
-			if addr := uint64(set + c.Sets()*way); !c.Contains(addr) {
-				t.Fatalf("invalidate resize dropped in-mask line %#x", addr)
-			}
-		}
-	}
-}
-
 func TestSetOwnerMaskWidensAgain(t *testing.T) {
 	c := newTestCache(4, 4)
-	c.SetOwnerMask(1, ContiguousMask(0, 2), ResizeOrphan)
-	c.SetOwnerMask(1, FullMask(4), ResizeOrphan)
+	c.SetOwnerMask(1, ContiguousMask(0, 2))
+	c.SetOwnerMask(1, FullMask(4))
 	if got := c.OwnerMask(1); got != FullMask(4) {
 		t.Fatalf("OwnerMask after widening = %v", got)
 	}
-	c.SetOwnerMask(2, ContiguousMask(1, 3), ResizeOrphan)
+	c.SetOwnerMask(2, ContiguousMask(1, 3))
 	if got := c.OwnerMask(0); got != FullMask(4) {
 		t.Fatalf("unconfined owner mask = %v, want full", got)
 	}
@@ -122,13 +78,11 @@ func TestSetOwnerMaskValidation(t *testing.T) {
 		name  string
 		owner int
 		mask  WayMask
-		mode  ResizeMode
 	}{
-		{"negative owner", -1, FullMask(8), ResizeOrphan},
-		{"owner too large", 128, FullMask(8), ResizeOrphan},
-		{"zero mask", 0, 0, ResizeOrphan},
-		{"mask beyond ways", 0, WayMask(1) << 8, ResizeOrphan},
-		{"unknown mode", 0, FullMask(8), ResizeMode(7)},
+		{"negative owner", -1, FullMask(8)},
+		{"owner too large", 128, FullMask(8)},
+		{"zero mask", 0, 0},
+		{"mask beyond ways", 0, WayMask(1) << 8},
 	}
 	for _, tc := range cases {
 		func() {
@@ -137,7 +91,7 @@ func TestSetOwnerMaskValidation(t *testing.T) {
 					t.Errorf("%s: SetOwnerMask did not panic", tc.name)
 				}
 			}()
-			c.SetOwnerMask(tc.owner, tc.mask, tc.mode)
+			c.SetOwnerMask(tc.owner, tc.mask)
 		}()
 	}
 }
@@ -150,7 +104,7 @@ func TestVictimMaskFullEquivalence(t *testing.T) {
 	const sets, ways, owners = 8, 8, 3
 	a, b := newTestCache(sets, ways), newTestCache(sets, ways)
 	for o := 0; o < owners; o++ {
-		b.SetOwnerMask(o, FullMask(ways), ResizeOrphan)
+		b.SetOwnerMask(o, FullMask(ways))
 	}
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 20_000; i++ {
@@ -220,8 +174,8 @@ func TestConfinementNeverHurtsProtectedOwner(t *testing.T) {
 	}
 	missesWith := func(aggMask WayMask) uint64 {
 		c := newTestCache(sets, ways)
-		c.SetOwnerMask(0, ContiguousMask(ways/2, ways), ResizeOrphan)
-		c.SetOwnerMask(1, aggMask, ResizeOrphan)
+		c.SetOwnerMask(0, ContiguousMask(ways/2, ways))
+		c.SetOwnerMask(1, aggMask)
 		rng := rand.New(rand.NewSource(5))
 		var sensMisses uint64
 		for i := 0; i < 40_000; i++ {
@@ -250,7 +204,7 @@ func TestConfinementNeverHurtsProtectedOwner(t *testing.T) {
 // victim scan are all on the per-period path and must not allocate.
 func TestPartitionPathAllocFree(t *testing.T) {
 	c := newTestCache(16, 8)
-	c.SetOwnerMask(1, WayMask(0b0011_0110), ResizeOrphan) // non-contiguous
+	c.SetOwnerMask(1, WayMask(0b0011_0110)) // non-contiguous
 	fillOwner(c, 0)
 	var addr uint64
 	if n := testing.AllocsPerRun(200, func() {

@@ -124,13 +124,12 @@ func (c *refCache) flush() {
 	}
 }
 
-// dropOwned invalidates owner's lines in ways outside keep and returns
-// their addresses.
-func (c *refCache) dropOwned(owner int, keep WayMask) []uint64 {
+// dropOwned invalidates owner's lines and returns their addresses.
+func (c *refCache) dropOwned(owner int) []uint64 {
 	var gone []uint64
 	for _, row := range c.rows {
 		for w := range row {
-			if row[w].valid && row[w].owner == owner && !keep.Has(w) {
+			if row[w].valid && row[w].owner == owner {
 				row[w].valid = false
 				gone = append(gone, row[w].addr)
 			}
@@ -196,23 +195,10 @@ func (r *refHierarchy) backInvalidate(addr uint64) {
 	}
 }
 
-func (r *refHierarchy) setL3OwnerMask(owner int, mask WayMask, mode ResizeMode) int {
-	r.l3.masks[owner] = mask
-	if mode == ResizeOrphan {
-		return 0
-	}
-	gone := r.l3.dropOwned(owner, mask)
-	r.l3.stats.Invalidations += uint64(len(gone))
-	for _, addr := range gone {
-		r.backInvalidate(addr)
-	}
-	return len(gone)
-}
-
 func (r *refHierarchy) flushCore(core int) {
 	r.l1[core].flush()
 	r.l2[core].flush()
-	for _, addr := range r.l3.dropOwned(core, 0) {
+	for _, addr := range r.l3.dropOwned(core) {
 		r.backInvalidate(addr)
 	}
 }
@@ -224,7 +210,6 @@ type hierOp struct {
 	addr  uint64
 	write bool
 	mask  WayMask
-	mode  ResizeMode
 }
 
 const (
@@ -275,10 +260,8 @@ func (l *lockstep) run(ops []hierOp) {
 				l.t.Fatalf("step %d: Access(%d, %#x, %v) = %+v, reference %+v", l.step, op.core, op.addr, op.write, got, want)
 			}
 		case opResize:
-			got, want := h.SetL3OwnerMask(op.core, op.mask, op.mode), ref.setL3OwnerMask(op.core, op.mask, op.mode)
-			if got != want {
-				l.t.Fatalf("step %d: SetL3OwnerMask(%d, %v, %v) dropped %d, reference %d", l.step, op.core, op.mask, op.mode, got, want)
-			}
+			h.SetL3OwnerMask(op.core, op.mask)
+			ref.l3.masks[op.core] = op.mask
 		case opFlush:
 			h.FlushCore(op.core)
 			ref.flushCore(op.core)
@@ -341,7 +324,7 @@ func compareCaches(t testing.TB, step int, c *Cache, ref *refCache) {
 
 // randomOps draws a seeded operation stream: mostly accesses, each core to
 // its own region or (share of the time) to a region all cores share, with
-// occasional partition resizes of both kinds and core flushes.
+// occasional partition resizes and core flushes.
 func randomOps(seed int64, cfg HierarchyConfig, n int, shared float64) []hierOp {
 	rng := rand.New(rand.NewSource(seed))
 	span := 3 * cfg.L3Sets * cfg.L3Ways / cfg.Cores // per-core footprint: the cores together overflow the L3 threefold
@@ -354,7 +337,7 @@ func randomOps(seed int64, cfg HierarchyConfig, n int, shared float64) []hierOp 
 			if mask == 0 {
 				mask = 1 << uint(rng.Intn(cfg.L3Ways))
 			}
-			ops[i] = hierOp{kind: opResize, core: core, mask: mask, mode: ResizeMode(rng.Intn(2))}
+			ops[i] = hierOp{kind: opResize, core: core, mask: mask}
 		case r < 5:
 			ops[i] = hierOp{kind: opFlush, core: core}
 		default:
@@ -370,7 +353,7 @@ func randomOps(seed int64, cfg HierarchyConfig, n int, shared float64) []hierOp 
 
 // TestHierarchyMatchesReference is the differential pin of the cache core:
 // 2/4/8 cores, disjoint and shared address streams, hints on and off,
-// resizes in both modes and flushes, compared after every step.
+// resizes and flushes, compared after every step.
 func TestHierarchyMatchesReference(t *testing.T) {
 	n := 20_000
 	if testing.Short() || raceEnabled { // one goroutine: nothing for the detector to see, at 50x the cost
@@ -403,8 +386,8 @@ func TestStaleWayHintFallsBackToScan(t *testing.T) {
 }
 
 // decodeOps turns fuzz bytes into operations, three bytes each: a
-// core/opcode byte (low nibble 0xd invalidate-resize, 0xe orphan-resize,
-// 0xf flush, anything else an access that writes when odd) and a 16-bit
+// core/opcode byte (low nibble 0xe resize, 0xf flush, anything else an
+// access that writes when odd) and a 16-bit
 // argument. Addresses below 0x8000 are shared by all cores; the rest are
 // moved into the core's own region.
 func decodeOps(data []byte, cfg HierarchyConfig) []hierOp {
@@ -413,12 +396,12 @@ func decodeOps(data []byte, cfg HierarchyConfig) []hierOp {
 		op, arg := data[i], uint64(data[i+1])<<8|uint64(data[i+2])
 		core := int(op>>4) % cfg.Cores
 		switch op & 0xf {
-		case 0xd, 0xe:
+		case 0xe:
 			mask := WayMask(arg) & FullMask(cfg.L3Ways)
 			if mask == 0 {
 				mask = 1
 			}
-			ops = append(ops, hierOp{kind: opResize, core: core, mask: mask, mode: ResizeMode(op & 1)})
+			ops = append(ops, hierOp{kind: opResize, core: core, mask: mask})
 		case 0xf:
 			ops = append(ops, hierOp{kind: opFlush, core: core})
 		default:
@@ -441,9 +424,9 @@ func FuzzHierarchy(f *testing.F) {
 	// One L3 set overfilled from three cores, with writes.
 	f.Add([]byte{0x00, 0x00, 0x03, 0x11, 0x00, 0x13, 0x20, 0x00, 0x23, 0x01, 0x00, 0x33, 0x10, 0x00, 0x43,
 		0x21, 0x00, 0x53, 0x00, 0x00, 0x63, 0x10, 0x00, 0x73, 0x20, 0x00, 0x83, 0x00, 0x00, 0x03})
-	// Confine, fill, shrink with invalidation, widen, flush.
+	// Confine, fill, shrink, refill, widen, flush.
 	f.Add([]byte{0x0e, 0x00, 0x0f, 0x00, 0x80, 0x01, 0x00, 0x80, 0x11, 0x00, 0x80, 0x21, 0x00, 0x80, 0x31,
-		0x0d, 0x00, 0x03, 0x00, 0x80, 0x01, 0x0e, 0x00, 0xff, 0x0f, 0x00, 0x00})
+		0x0e, 0x00, 0x03, 0x00, 0x80, 0x01, 0x0e, 0x00, 0xff, 0x0f, 0x00, 0x00})
 	// A core confined to one way evicts a line another core also holds.
 	f.Add([]byte{0x10, 0x00, 0x05, 0x00, 0x00, 0x05, 0x1e, 0x00, 0x01, 0x10, 0x00, 0x15, 0x10, 0x00, 0x25, 0x00, 0x00, 0x05})
 
@@ -484,7 +467,7 @@ func TestHierarchyAccessAllocFree(t *testing.T) {
 	for _, confined := range []bool{false, true} {
 		h := NewHierarchy(DefaultHierarchyConfig(2))
 		if confined {
-			h.SetL3OwnerMask(0, WayMask(0b0011_0110), ResizeOrphan)
+			h.SetL3OwnerMask(0, WayMask(0b0011_0110))
 		}
 		var i uint64
 		step := func() {

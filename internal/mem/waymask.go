@@ -46,32 +46,3 @@ func (m WayMask) Count() int { return bits.OnesCount64(uint64(m)) }
 
 // String renders the mask as a hex literal, LSB = way 0.
 func (m WayMask) String() string { return fmt.Sprintf("0x%x", uint64(m)) }
-
-// ResizeMode selects what happens to an owner's lines stranded outside its
-// new mask when a partition is resized.
-type ResizeMode int
-
-const (
-	// ResizeOrphan leaves stranded lines valid: they still hit on lookup
-	// and are reclaimed lazily as other owners' victim selections evict
-	// them. This is what hardware CAT does — masks gate fills, not
-	// residency.
-	ResizeOrphan ResizeMode = iota
-	// ResizeInvalidate drops stranded lines immediately, returning them so
-	// an inclusive hierarchy can back-invalidate private copies. Models a
-	// partition controller that flushes on reassignment to give the new
-	// owner clean capacity at once.
-	ResizeInvalidate
-)
-
-// String returns the mode name used in telemetry labels and reports.
-func (m ResizeMode) String() string {
-	switch m {
-	case ResizeOrphan:
-		return "orphan"
-	case ResizeInvalidate:
-		return "invalidate"
-	default:
-		return fmt.Sprintf("ResizeMode(%d)", int(m))
-	}
-}

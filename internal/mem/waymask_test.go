@@ -69,12 +69,3 @@ func TestWayMaskString(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 }
-
-func TestResizeModeString(t *testing.T) {
-	if ResizeOrphan.String() != "orphan" || ResizeInvalidate.String() != "invalidate" {
-		t.Errorf("mode names: %q, %q", ResizeOrphan.String(), ResizeInvalidate.String())
-	}
-	if got := ResizeMode(9).String(); got != "ResizeMode(9)" {
-		t.Errorf("unknown mode = %q", got)
-	}
-}

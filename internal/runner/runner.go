@@ -5,9 +5,10 @@
 // unmanaged (native co-location), managed by a CAER heuristic, or absent
 // (the baseline the paper's "disallow co-location" policy corresponds to).
 //
-// The batch application is relaunched whenever it finishes before the
-// latency-sensitive application, exactly as the paper's scripts do with
-// lbm (§6.1).
+// The batch application is an endless service (spec.Profile.Batch): it
+// outlives every latency-sensitive run, which is what the paper's scripts
+// reach by relaunching lbm whenever it finishes (§6.1), minus the cold
+// restarts.
 package runner
 
 import (
@@ -22,7 +23,7 @@ import (
 	"caer/internal/telemetry"
 )
 
-// Mode distinguishes the three ways a scenario can run.
+// Mode distinguishes the four ways a scenario can run.
 type Mode int
 
 const (
@@ -64,11 +65,6 @@ type Scenario struct {
 	// empty Name) means lbm, the paper's adversary. Pinned by
 	// TestScenarioZeroValueBatchIsLBM.
 	Batch spec.Profile
-	// ExtraBatches adds further batch adversaries on cores 2, 3, ... beyond
-	// the primary batch on core 1 (ignored in ModeAlone). Under ModeCAER
-	// each extra batch gets its own engine; the Result's decision counters
-	// aggregate over all of them.
-	ExtraBatches []spec.Profile
 	// Mode selects alone / native / CAER execution.
 	Mode Mode
 	// Heuristic selects the CAER pairing when Mode == ModeCAER.
@@ -105,7 +101,7 @@ type Scenario struct {
 	Domains int
 	// Jobs are the finite batch work items submitted to the admission
 	// queue before the run starts, in order. Their Instructions counts are
-	// used as-is (they run to completion once and are not relaunched).
+	// used as-is (each runs to completion once).
 	Jobs []spec.Profile
 	// Sched configures the placement/admission subsystem: policy,
 	// thresholds, aging bound, migration rate. Its Heuristic and Caer
@@ -128,8 +124,8 @@ func (s Scenario) withDefaults() Scenario {
 		if s.Cores == 0 {
 			s.Cores = 4 * s.Domains
 		}
-	} else if need := 2 + len(s.ExtraBatches); s.Cores < need {
-		s.Cores = need
+	} else if s.Cores < 2 {
+		s.Cores = 2
 	}
 	if s.MaxPeriods == 0 {
 		s.MaxPeriods = 10_000_000
@@ -138,11 +134,11 @@ func (s Scenario) withDefaults() Scenario {
 }
 
 // batchBase places the batch application's footprint far from the latency
-// application's (they are separate processes and share no data); extra
-// batches are spread extraBatchStride apart above it.
+// application's (they are separate processes and share no data); scheduled
+// jobs are spread jobStride apart above it.
 const (
-	batchBase        = 1 << 28
-	extraBatchStride = 1 << 26
+	batchBase = 1 << 28
+	jobStride = 1 << 26
 )
 
 // Result is one scenario's outcome.
@@ -158,38 +154,33 @@ type Result struct {
 	// LatencyInstructions / LatencyMisses are the latency app's totals.
 	LatencyInstructions uint64
 	LatencyMisses       uint64
-	// BatchInstructions / BatchMisses are the batch apps' totals over the
-	// same wall-clock window, summed across every batch core (0 in
-	// ModeAlone).
+	// BatchInstructions / BatchMisses are the batch side's totals over the
+	// same wall-clock window: the batch core's counters, or the sum over
+	// every submitted job in scheduled mode (0 in ModeAlone).
 	BatchInstructions uint64
 	BatchMisses       uint64
 
-	// BatchDuty is the batch cores' mean R/(R+I) over the run — the paper's
+	// BatchDuty is the batch core's R/(R+I) over the run — the paper's
 	// "utilization gained" by allowing co-location (0 in ModeAlone, 1 in
 	// unmanaged co-location).
 	BatchDuty float64
 	// ChipUtilization is Equation 1 over the occupied cores.
 	ChipUtilization float64
 
-	// Engine decision counters (CAER runs only), aggregated across every
-	// engine — with ExtraBatches there is one engine per batch application.
+	// Engine decision counters: the batch engine's in CAER runs, summed
+	// over every job's engine in scheduled mode.
 	CPositive, CNegative, PausedPeriods uint64
-	// EngineLogs holds each engine's most recent decisions in batch-core
-	// order (CAER runs only; each bounded by the engine's log capacity).
-	EngineLogs [][]caer.Event
-	// DecisionLog is EngineLogs[0] — the primary batch engine's log, kept
-	// for the common single-batch case.
+	// DecisionLog is the batch engine's most recent decisions (CAER runs
+	// only; bounded by the engine's log capacity).
 	DecisionLog []caer.Event
-	// Relaunches counts batch restarts.
-	Relaunches int
 
 	// Sampling is the runtime's probe-schedule accounting (CAER runs
 	// only): which mode ran and how many probe periods it spent or shed.
 	Sampling caer.SamplingStats
 
-	// BatchResults breaks the batch-side outcome down per application: one
-	// entry per batch core (native/CAER modes, placement order) or per
-	// submitted job (scheduled mode, submission order). Empty in ModeAlone.
+	// BatchResults breaks the batch-side outcome down per application: the
+	// one batch application (native/CAER modes) or one entry per submitted
+	// job (scheduled mode, submission order). Empty in ModeAlone.
 	BatchResults []BatchResult
 
 	// Scheduled-mode outcome (Mode == ModeScheduled; zero otherwise).
@@ -226,10 +217,6 @@ type BatchResult struct {
 	PausedPeriods, RunPeriods uint64
 	CPositive, CNegative      uint64
 
-	// Relaunches counts restarts (service batches only; scheduled jobs
-	// run once).
-	Relaunches int
-
 	// Scheduled-mode lifecycle: queue wait, forced-aging flag, admission /
 	// completion periods (1-based, 0 = never), migration count, and
 	// whether the job finished within the run.
@@ -242,27 +229,85 @@ type BatchResult struct {
 }
 
 // Run executes the scenario to completion (or MaxPeriods) and returns the
-// result.
+// result. Alone, native and CAER are one machine and one loop: the latency
+// application on core 0, the batch application (unless alone) on core 1,
+// stepped bare or — under CAER — by the runtime that manages the pair.
 func Run(s Scenario) Result {
 	s = s.withDefaults()
 	switch s.Mode {
 	case ModeAlone:
 		telemetry.RunnerRunsAlone.Inc()
-		return runAlone(s)
 	case ModeNativeColo:
 		telemetry.RunnerRunsNative.Inc()
-		return runNative(s)
 	case ModeCAER:
 		telemetry.RunnerRunsCAER.Inc()
-		return runCAER(s)
 	case ModeScheduled:
 		telemetry.RunnerRunsScheduled.Inc()
 		return runScheduled(s)
 	default:
 		panic(fmt.Sprintf("runner: unknown mode %d", int(s.Mode)))
 	}
+
+	m := newMachine(s)
+	lat := s.Latency.NewProcess(0, s.Seed)
+	var batch *machine.Process
+	if s.Mode != ModeAlone {
+		batch = s.Batch.Batch().NewProcess(batchBase, s.Seed+1)
+	}
+	var rt *caer.Runtime
+	if s.Mode == ModeCAER {
+		var opts []caer.Option
+		if s.Actuator != nil {
+			opts = append(opts, caer.WithActuator(s.Actuator))
+		}
+		rt = caer.NewRuntime(m, s.Heuristic, s.Config, opts...)
+		rt.AddLatency(spec.ShortName(s.Latency.Name), 0, lat)
+		rt.AddBatch(spec.ShortName(s.Batch.Name), 1, batch)
+		rt.RunUntil(lat.Done, s.MaxPeriods)
+	} else {
+		m.Bind(0, lat)
+		if batch != nil {
+			m.Bind(1, batch)
+		}
+		for p := 0; p < s.MaxPeriods && !lat.Done(); p++ {
+			m.RunPeriod()
+			telemetry.RunnerPeriods.Inc()
+		}
+	}
+
+	res := Result{
+		Scenario:            s,
+		Completed:           lat.Done(),
+		Periods:             m.Periods(),
+		LatencyInstructions: lat.Retired(),
+		LatencyMisses:       m.ReadCounter(0, pmu.EventLLCMisses),
+		ChipUtilization:     m.Utilization(2),
+	}
+	if batch == nil {
+		return res
+	}
+	var st caer.EngineStats // stays zero without a runtime: the batch ran unmanaged
+	if rt != nil {
+		eng := rt.Engines()[0]
+		st = eng.Stats()
+		res.DecisionLog = eng.Log().Events()
+		res.Sampling = rt.SamplingStats()
+	}
+	res.BatchInstructions = m.ReadCounter(1, pmu.EventInstrRetired)
+	res.BatchMisses = m.ReadCounter(1, pmu.EventLLCMisses)
+	res.BatchDuty = m.Core(1).Utilization()
+	res.CPositive, res.CNegative, res.PausedPeriods = st.CPositive, st.CNegative, st.PausedPeriods
+	res.BatchResults = []BatchResult{{
+		Name: spec.ShortName(s.Batch.Name), Core: 1, Domain: m.DomainOf(1),
+		Instructions: res.BatchInstructions, Misses: res.BatchMisses,
+		PausedPeriods: st.PausedPeriods, RunPeriods: st.RunPeriods,
+		CPositive: st.CPositive, CNegative: st.CNegative,
+	}}
+	return res
 }
 
+// newMachine builds the scenario's machine, way-partitioned between the
+// latency core and the rest under PartitionWays.
 func newMachine(s Scenario) *machine.Machine {
 	m := machine.New(machine.Config{Cores: s.Cores, Workers: s.Workers})
 	if s.PartitionWays > 0 {
@@ -271,29 +316,12 @@ func newMachine(s Scenario) *machine.Machine {
 		if s.PartitionWays >= ways {
 			panic(fmt.Sprintf("runner: partition of %d ways leaves none for the batch (L3 has %d)", s.PartitionWays, ways))
 		}
-		h.SetL3OwnerMask(0, mem.ContiguousMask(0, s.PartitionWays), mem.ResizeOrphan)
+		h.SetL3OwnerMask(0, mem.ContiguousMask(0, s.PartitionWays))
 		for core := 1; core < s.Cores; core++ {
-			h.SetL3OwnerMask(core, mem.ContiguousMask(s.PartitionWays, ways), mem.ResizeOrphan)
+			h.SetL3OwnerMask(core, mem.ContiguousMask(s.PartitionWays, ways))
 		}
 	}
 	return m
-}
-
-func runAlone(s Scenario) Result {
-	m := newMachine(s)
-	lat := s.Latency.NewProcess(0, s.Seed)
-	m.Bind(0, lat)
-	res := Result{Scenario: s}
-	for p := 0; p < s.MaxPeriods && !lat.Done(); p++ {
-		m.RunPeriod()
-		telemetry.RunnerPeriods.Inc()
-	}
-	res.Completed = lat.Done()
-	res.Periods = m.Periods()
-	res.LatencyInstructions = lat.Retired()
-	res.LatencyMisses = m.ReadCounter(0, pmu.EventLLCMisses)
-	res.ChipUtilization = m.Utilization(2)
-	return res
 }
 
 // Sample records a profile's per-period PMU series on the paper's 2-core
@@ -320,131 +348,6 @@ func Sample(p spec.Profile, seed int64, colo bool, warmup, periods int) (misses,
 	return sampler.Series(pmu.EventLLCMisses), sampler.Series(pmu.EventInstrRetired)
 }
 
-// batchSpec is one batch adversary's placement: its profile, core, and
-// footprint base address.
-type batchSpec struct {
-	prof spec.Profile
-	core int
-	base uint64
-}
-
-// batchSpecs returns every batch adversary with its placement: the primary
-// on core 1, the extras on cores 2, 3, ...
-func (s Scenario) batchSpecs() []batchSpec {
-	out := make([]batchSpec, 0, 1+len(s.ExtraBatches))
-	out = append(out, batchSpec{s.Batch, 1, batchBase})
-	for i, p := range s.ExtraBatches {
-		out = append(out, batchSpec{p, 2 + i, batchBase + uint64(i+1)*extraBatchStride})
-	}
-	return out
-}
-
-// fillBatchTotals sums the batch cores' counters into res.
-func fillBatchTotals(res *Result, m *machine.Machine, cores []int) {
-	var duty float64
-	for _, c := range cores {
-		res.BatchInstructions += m.ReadCounter(c, pmu.EventInstrRetired)
-		res.BatchMisses += m.ReadCounter(c, pmu.EventLLCMisses)
-		duty += m.Core(c).Utilization()
-	}
-	res.BatchDuty = duty / float64(len(cores))
-	res.ChipUtilization = m.Utilization(1 + len(cores))
-}
-
-func runNative(s Scenario) Result {
-	m := newMachine(s)
-	lat := s.Latency.NewProcess(0, s.Seed)
-	m.Bind(0, lat)
-	specs := s.batchSpecs()
-	batches := make([]*machine.Process, len(specs))
-	cores := make([]int, len(specs))
-	for i, b := range specs {
-		batches[i] = b.prof.Batch().NewProcess(b.base, s.Seed+1+int64(i))
-		m.Bind(b.core, batches[i])
-		cores[i] = b.core
-	}
-	res := Result{Scenario: s}
-	relaunches := make([]int, len(batches))
-	for p := 0; p < s.MaxPeriods && !lat.Done(); p++ {
-		m.RunPeriod()
-		telemetry.RunnerPeriods.Inc()
-		for i, b := range batches {
-			if b.Done() {
-				m.FlushCore(cores[i])
-				b.Relaunch()
-				res.Relaunches++
-				relaunches[i]++
-			}
-		}
-	}
-	res.Completed = lat.Done()
-	res.Periods = m.Periods()
-	res.LatencyInstructions = lat.Retired()
-	res.LatencyMisses = m.ReadCounter(0, pmu.EventLLCMisses)
-	fillBatchTotals(&res, m, cores)
-	for i, b := range specs {
-		res.BatchResults = append(res.BatchResults, BatchResult{
-			Name:         spec.ShortName(b.prof.Name),
-			Core:         b.core,
-			Domain:       m.DomainOf(b.core),
-			Instructions: m.ReadCounter(b.core, pmu.EventInstrRetired),
-			Misses:       m.ReadCounter(b.core, pmu.EventLLCMisses),
-			Relaunches:   relaunches[i],
-		})
-	}
-	return res
-}
-
-func runCAER(s Scenario) Result {
-	m := newMachine(s)
-	var opts []caer.Option
-	if s.Actuator != nil {
-		opts = append(opts, caer.WithActuator(s.Actuator))
-	}
-	rt := caer.NewRuntime(m, s.Heuristic, s.Config, opts...)
-	lat := s.Latency.NewProcess(0, s.Seed)
-	rt.AddLatency(spec.ShortName(s.Latency.Name), 0, lat)
-	specs := s.batchSpecs()
-	cores := make([]int, len(specs))
-	for i, b := range specs {
-		rt.AddBatch(spec.ShortName(b.prof.Name), b.core, b.prof.Batch().NewProcess(b.base, s.Seed+1+int64(i)))
-		cores[i] = b.core
-	}
-	rt.RunUntil(lat.Done, s.MaxPeriods)
-	res := Result{Scenario: s}
-	res.Completed = lat.Done()
-	res.Periods = m.Periods()
-	res.LatencyInstructions = lat.Retired()
-	res.LatencyMisses = m.ReadCounter(0, pmu.EventLLCMisses)
-	fillBatchTotals(&res, m, cores)
-	res.Relaunches = rt.Relaunches()
-	res.Sampling = rt.SamplingStats()
-	perBatch := rt.BatchRelaunches()
-	// The decision counters aggregate over every engine: reading only
-	// engines[0] under-reports whenever more than one batch is managed.
-	for i, eng := range rt.Engines() {
-		st := eng.Stats()
-		res.CPositive += st.CPositive
-		res.CNegative += st.CNegative
-		res.PausedPeriods += st.PausedPeriods
-		res.EngineLogs = append(res.EngineLogs, eng.Log().Events())
-		res.BatchResults = append(res.BatchResults, BatchResult{
-			Name:          spec.ShortName(specs[i].prof.Name),
-			Core:          specs[i].core,
-			Domain:        m.DomainOf(specs[i].core),
-			Instructions:  m.ReadCounter(specs[i].core, pmu.EventInstrRetired),
-			Misses:        m.ReadCounter(specs[i].core, pmu.EventLLCMisses),
-			PausedPeriods: st.PausedPeriods,
-			RunPeriods:    st.RunPeriods,
-			CPositive:     st.CPositive,
-			CNegative:     st.CNegative,
-			Relaunches:    perBatch[i],
-		})
-	}
-	res.DecisionLog = res.EngineLogs[0]
-	return res
-}
-
 // runScheduled executes the scenario on a multi-LLC-domain machine with
 // the batch side flowing through internal/sched: the latency app is a
 // pinned service on core 0, the Jobs wait in the admission queue and are
@@ -466,7 +369,7 @@ func runScheduled(s Scenario) Result {
 	sd.AddLatency(spec.ShortName(s.Latency.Name), 0, lat)
 	for i, p := range s.Jobs {
 		p := p
-		base := uint64(batchBase) + uint64(i)*extraBatchStride
+		base := uint64(batchBase) + uint64(i)*jobStride
 		seed := s.Seed + 1 + int64(i)
 		sd.Submit(sched.Job{Name: spec.ShortName(p.Name), New: func() *machine.Process {
 			return p.NewProcess(base, seed)
@@ -493,30 +396,21 @@ func runScheduled(s Scenario) Result {
 	// count as running every period they occupied a core.
 	var run, paused float64
 	for _, r := range sd.JobReports() {
-		br := BatchResult{
-			Name:          r.Name,
-			Core:          r.Core,
-			Domain:        r.Domain,
-			Instructions:  r.Instructions,
-			Misses:        r.Misses,
-			PausedPeriods: r.PausedPeriods,
-			RunPeriods:    r.RunPeriods,
-			CPositive:     r.CPositive,
-			CNegative:     r.CNegative,
-			Waited:        r.Waited,
-			Aged:          r.Aged,
-			Admitted:      r.Admitted,
-			DonePeriod:    r.Done,
-			Completed:     r.State == sched.JobDone,
-			Migrations:    r.Migrations,
-		}
-		res.BatchResults = append(res.BatchResults, br)
+		done := r.State == sched.JobDone
+		res.BatchResults = append(res.BatchResults, BatchResult{
+			Name: r.Name, Core: r.Core, Domain: r.Domain,
+			Instructions: r.Instructions, Misses: r.Misses,
+			PausedPeriods: r.PausedPeriods, RunPeriods: r.RunPeriods,
+			CPositive: r.CPositive, CNegative: r.CNegative,
+			Waited: r.Waited, Aged: r.Aged, Admitted: r.Admitted, DonePeriod: r.Done,
+			Completed: done, Migrations: r.Migrations,
+		})
 		res.BatchInstructions += r.Instructions
 		res.BatchMisses += r.Misses
 		res.CPositive += r.CPositive
 		res.CNegative += r.CNegative
 		res.PausedPeriods += r.PausedPeriods
-		if br.Completed {
+		if done {
 			res.JobsCompleted++
 		}
 		if r.RunPeriods+r.PausedPeriods > 0 {

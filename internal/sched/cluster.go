@@ -81,10 +81,6 @@ type ClusterConfig struct {
 	// ConfinedWays is the aggressors' base allotment before pressure
 	// shrinks it, never past the minConfinedWays floor. Default ways/4.
 	ConfinedWays int
-	// ResizeMode picks what happens to lines stranded by a resize:
-	// mem.ResizeOrphan (the default; hardware-CAT-like lazy reclaim) or
-	// mem.ResizeInvalidate (flush-on-reassign).
-	ResizeMode mem.ResizeMode
 }
 
 func (c ClusterConfig) withDefaults(ways int) ClusterConfig {
@@ -318,22 +314,18 @@ func (s *Scheduler) applyPartitions() {
 	}
 }
 
-// resizePartition applies one owner's new L3 way-mask, back-invalidating
-// dropped lines under invalidate-mode resizes. Cold path: resizes are rare
-// relative to periods and may allocate.
+// resizePartition applies one owner's new L3 way-mask and counts the lines
+// it strands outside it (hardware-CAT-like lazy reclaim: they stay resident
+// until other owners' fills evict them). Cold path: resizes are rare
+// relative to periods.
 //
-//caer:cold control-plane resize (DESIGN.md §16), reached only when a cluster plan changes: mask installation may walk the cache and allocate the dropped-line slice
+//caer:cold control-plane resize (DESIGN.md §16), reached only when a cluster plan changes: mask installation may grow the mask table and the orphan count walks the cache
 func (s *Scheduler) resizePartition(d, localCore int, mask mem.WayMask) {
 	h := s.m.DomainHierarchy(d)
-	dropped := h.SetL3OwnerMask(localCore, mask, s.cfg.Cluster.ResizeMode)
+	h.SetL3OwnerMask(localCore, mask)
 	s.parts[d].applied[localCore] = mask
 	telemetry.PartResizes.Inc()
-	if dropped > 0 {
-		telemetry.PartInvalidations.Add(uint64(dropped))
-	}
-	if s.cfg.Cluster.ResizeMode == mem.ResizeOrphan {
-		if n := h.L3().StrandedLines(localCore); n > 0 {
-			telemetry.PartOrphans.Add(uint64(n))
-		}
+	if n := h.L3().StrandedLines(localCore); n > 0 {
+		telemetry.PartOrphans.Add(uint64(n))
 	}
 }

@@ -74,7 +74,8 @@ func (p Profile) NewProcess(base uint64, seed int64) *machine.Process {
 }
 
 // Batch returns a copy of the profile that never self-terminates, for use
-// as a relaunch-forever batch service.
+// as an endless batch service — what the paper's relaunch-on-finish
+// adversary converges to, without the cold restarts.
 func (p Profile) Batch() Profile {
 	p.Exec.Instructions = 0
 	return p

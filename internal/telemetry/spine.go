@@ -73,8 +73,7 @@ var (
 	// online resizes; DESIGN.md §16).
 	PartPlanChanges   = defaultRegistry.Counter("caer_part_plans_total", "cluster-plan changes produced by the partition planner")
 	PartResizes       = defaultRegistry.Counter("caer_part_resizes_total", "per-owner L3 way-mask resizes applied")
-	PartInvalidations = defaultRegistry.Counter("caer_part_lines_invalidated_total", "L3 lines dropped by invalidate-mode partition resizes")
-	PartOrphans       = defaultRegistry.Counter("caer_part_orphans_total", "lines stranded outside their owner's mask by orphan-mode resizes")
+	PartOrphans       = defaultRegistry.Counter("caer_part_orphans_total", "lines stranded outside their owner's mask by resizes")
 	PartProtectedWays = defaultRegistry.Gauge("caer_part_protected_ways", "ways in the protected (sensitive) partition of the most recently planned domain")
 	PartConfinedWays  = defaultRegistry.Gauge("caer_part_confined_ways", "ways in the confined (aggressor) partition of the most recently planned domain")
 	PartPressure      = defaultRegistry.Gauge("caer_part_pressure", "verdict-driven confinement pressure of the most recently planned domain")
@@ -88,12 +87,11 @@ var (
 	FleetRequests    = defaultRegistry.Counter("caer_fleet_requests_total", "latency-service requests completed across the fleet")
 	FleetQueueDepth  = defaultRegistry.Gauge("caer_fleet_queue_depth", "jobs waiting in the fleet admission queue")
 
-	// runner: deployment-level runs and batch relaunches.
+	// runner: deployment-level runs.
 	RunnerRunsAlone     = defaultRegistry.Counter("caer_runner_runs_total", "scenario runs by mode", "mode", "alone")
 	RunnerRunsNative    = defaultRegistry.Counter("caer_runner_runs_total", "scenario runs by mode", "mode", "native")
 	RunnerRunsCAER      = defaultRegistry.Counter("caer_runner_runs_total", "scenario runs by mode", "mode", "caer")
 	RunnerRunsScheduled = defaultRegistry.Counter("caer_runner_runs_total", "scenario runs by mode", "mode", "scheduled")
-	RunnerRelaunches    = defaultRegistry.Counter("caer_runner_relaunches_total", "batch application relaunches after completion")
 	RunnerPeriods       = defaultRegistry.Counter("caer_runner_periods_total", "sampling periods executed across all runs (rate = simulated periods/sec)")
 
 	// telemetry self-accounting: synced from internal atomics by

@@ -32,7 +32,7 @@ type Generator interface {
 }
 
 // Resetter is implemented by generators whose position can be rewound to
-// the initial state (used when a batch application is relaunched).
+// the initial state (used when a process is relaunched).
 type Resetter interface {
 	Reset()
 }
