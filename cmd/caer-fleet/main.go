@@ -30,6 +30,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -42,26 +43,34 @@ import (
 )
 
 func main() {
-	machines := flag.Int("machines", 4, "cluster size; the first half are sensitive machines, the rest background")
-	policy := flag.String("policy", "lp", "cross-machine placement policy: rr (round-robin), lp (least-pressure), packed")
-	jobsCSV := flag.String("jobs", "lbm,lbm,povray,lbm", "comma-separated batch job mix the traffic driver cycles through")
-	curveName := flag.String("curve", "diurnal", "open-loop arrival curve: constant, diurnal, burst")
-	rate := flag.Float64("rate", 0.033, "mean arrivals per period at the curve's reference level")
-	horizon := flag.Int("horizon", 4000, "periods over which arrivals are generated")
-	sensitive := flag.String("sensitive", "mcf", "latency-critical open-loop service on the sensitive machines")
-	background := flag.String("background", "namd", "insensitive open-loop service on the background machines")
-	migrate := flag.Int("migrate", 0, "evaluate one cross-machine migration every N periods (0 = off)")
-	usageThresh := flag.Float64("usage-thresh", 800, "per-machine rule-heuristic usage threshold (the §6.2 tuning frontier)")
-	jobInstr := flag.Uint64("job-instr", 400_000, "instruction count for each batch job")
-	svcInstr := flag.Uint64("svc-instr", 1_000_000, "instruction count for one service request")
-	periods := flag.Int("periods", 400_000, "hard period bound on the run")
-	seed := flag.Int64("seed", 1, "seed for the traffic driver and every process")
-	workers := flag.Int("workers", 1, "per-machine domain-stepper worker pool size (bit-identical at any size)")
-	quick := flag.Bool("quick", false, "shrink instructions 4x and raise the rate to match for a fast smoke run")
-	serveAddr := flag.String("serve", "", "serve merged fleet telemetry (/metrics, /trace) on this address, e.g. :6060")
-	metricsOut := flag.String("metrics-out", "", "write one final Prometheus snapshot of the whole fleet to this file")
-	traceOut := flag.String("trace", "", "write the shared Chrome trace (per-machine lanes) to this file")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "caer-fleet: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("caer-fleet", flag.ExitOnError)
+	machines := fs.Int("machines", 4, "cluster size; the first half are sensitive machines, the rest background")
+	policy := fs.String("policy", "lp", "cross-machine placement policy: rr (round-robin), lp (least-pressure), packed")
+	jobsCSV := fs.String("jobs", "lbm,lbm,povray,lbm", "comma-separated batch job mix the traffic driver cycles through")
+	curveName := fs.String("curve", "diurnal", "open-loop arrival curve: constant, diurnal, burst")
+	rate := fs.Float64("rate", 0.033, "mean arrivals per period at the curve's reference level")
+	horizon := fs.Int("horizon", 4000, "periods over which arrivals are generated")
+	sensitive := fs.String("sensitive", "mcf", "latency-critical open-loop service on the sensitive machines")
+	background := fs.String("background", "namd", "insensitive open-loop service on the background machines")
+	migrate := fs.Int("migrate", 0, "evaluate one cross-machine migration every N periods (0 = off)")
+	usageThresh := fs.Float64("usage-thresh", 800, "per-machine rule-heuristic usage threshold (the §6.2 tuning frontier)")
+	jobInstr := fs.Uint64("job-instr", 400_000, "instruction count for each batch job")
+	svcInstr := fs.Uint64("svc-instr", 1_000_000, "instruction count for one service request")
+	periods := fs.Int("periods", 400_000, "hard period bound on the run")
+	seed := fs.Int64("seed", 1, "seed for the traffic driver and every process")
+	workers := fs.Int("workers", 4, "size of the fleet's one domain-stepper pool: every machine's LLC domains step on it together (output is identical at any size)")
+	quick := fs.Bool("quick", false, "shrink instructions 4x and raise the rate to match for a fast smoke run")
+	serveAddr := fs.String("serve", "", "serve merged fleet telemetry (/metrics, /trace) on this address, e.g. :6060")
+	metricsOut := fs.String("metrics-out", "", "write one final Prometheus snapshot of the whole fleet to this file")
+	traceOut := fs.String("trace", "", "write the shared Chrome trace (per-machine lanes) to this file")
+	fs.Parse(args)
 
 	var pol fleet.Policy
 	switch *policy {
@@ -72,7 +81,7 @@ func main() {
 	case "packed":
 		pol = fleet.PolicyPacked
 	default:
-		fatalf("unknown policy %q (want rr, lp, or packed)", *policy)
+		return fmt.Errorf("unknown policy %q (want rr, lp, or packed)", *policy)
 	}
 	var curve fleet.Curve
 	switch *curveName {
@@ -83,17 +92,26 @@ func main() {
 	case "burst":
 		curve = fleet.CurveBurst
 	default:
-		fatalf("unknown curve %q (want constant, diurnal, or burst)", *curveName)
+		return fmt.Errorf("unknown curve %q (want constant, diurnal, or burst)", *curveName)
 	}
 	if *machines < 1 {
-		fatalf("need at least one machine")
+		return fmt.Errorf("need at least one machine")
 	}
 
-	sens := mustProfile(*sensitive)
-	back := mustProfile(*background)
+	sens, err := profile(*sensitive)
+	if err != nil {
+		return err
+	}
+	back, err := profile(*background)
+	if err != nil {
+		return err
+	}
 	var mix []spec.Profile
 	for _, n := range strings.Split(*jobsCSV, ",") {
-		p := mustProfile(strings.TrimSpace(n))
+		p, err := profile(strings.TrimSpace(n))
+		if err != nil {
+			return err
+		}
 		p.Exec.Instructions = *jobInstr
 		mix = append(mix, p)
 	}
@@ -148,58 +166,54 @@ func main() {
 	if *serveAddr != "" {
 		ln, err := c.ServeTelemetry(*serveAddr)
 		if err != nil {
-			fatalf("telemetry: %v", err)
+			return fmt.Errorf("telemetry: %v", err)
 		}
 		defer ln.Close()
-		fmt.Fprintf(os.Stderr, "[telemetry: merged fleet /metrics and /trace on %s]\n", *serveAddr)
+		fmt.Fprintf(stderr, "[telemetry: merged fleet /metrics and /trace on %s]\n", *serveAddr)
 	}
 
-	fmt.Printf("caer-fleet: %d machines (%d x %s sensitive, %d x %s background), %s policy, %s traffic rate %.3f over %d periods\n\n",
+	fmt.Fprintf(stdout, "caer-fleet: %d machines (%d x %s sensitive, %d x %s background), %s policy, %s traffic rate %.3f over %d periods\n\n",
 		*machines, nSens, spec.ShortName(sens.Name),
 		*machines-nSens, spec.ShortName(back.Name),
 		pol, curve, traffic.Rate, traffic.Horizon)
 
 	c.Run()
 	rep := c.Report()
-	if err := rep.Render(os.Stdout); err != nil {
-		fatalf("render: %v", err)
+	if err := rep.Render(stdout); err != nil {
+		return fmt.Errorf("render: %v", err)
 	}
 	lat := rep.MergedLatency(spec.ShortName(sens.Name))
 	if lat.N() > 0 {
-		fmt.Printf("fleet-wide %s QoS: %d requests, p50 %.0f p99 %.0f periods\n",
+		fmt.Fprintf(stdout, "fleet-wide %s QoS: %d requests, p50 %.0f p99 %.0f periods\n",
 			spec.ShortName(sens.Name), lat.N(), lat.Quantile(0.5), lat.Quantile(0.99))
 	}
 
 	if *metricsOut != "" {
 		if err := report.WriteFile(*metricsOut, c.WriteMetrics); err != nil {
-			fatalf("metrics: %v", err)
+			return fmt.Errorf("metrics: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "[wrote %s]\n", *metricsOut)
+		fmt.Fprintf(stderr, "[wrote %s]\n", *metricsOut)
 	}
 	if *traceOut != "" {
 		if err := report.WriteFile(*traceOut, telemetry.DefaultSpans.WriteChrome); err != nil {
-			fatalf("trace: %v", err)
+			return fmt.Errorf("trace: %v", err)
 		}
 		if d := telemetry.DefaultSpans.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "caer-fleet: span ring wrapped: the %d oldest spans are missing from %s\n", d, *traceOut)
+			fmt.Fprintf(stderr, "caer-fleet: span ring wrapped: the %d oldest spans are missing from %s\n", d, *traceOut)
 		}
-		fmt.Fprintf(os.Stderr, "[wrote %s]\n", *traceOut)
+		fmt.Fprintf(stderr, "[wrote %s]\n", *traceOut)
 	}
 	if rep.Completed != rep.Arrivals {
-		fatalf("fleet did not drain: %d of %d jobs completed within %d periods",
+		return fmt.Errorf("fleet did not drain: %d of %d jobs completed within %d periods",
 			rep.Completed, rep.Arrivals, *periods)
 	}
+	return nil
 }
 
-func mustProfile(name string) spec.Profile {
+func profile(name string) (spec.Profile, error) {
 	p, ok := spec.ByName(name)
 	if !ok {
-		fatalf("unknown benchmark %q", name)
+		return p, fmt.Errorf("unknown benchmark %q", name)
 	}
-	return p
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "caer-fleet: "+format+"\n", args...)
-	os.Exit(1)
+	return p, nil
 }

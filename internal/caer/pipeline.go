@@ -252,9 +252,17 @@ func (p *Pipeline) Detach(b *Batch) {
 // Track maps a comm slot to its span-recorder track id (see SetLanes).
 func (p *Pipeline) Track(slot *comm.Slot) int32 { return int32(slot.ID()) + p.trackOffset }
 
-// start arms the probe schedule on the first Tick.
-//
-//caer:cold one-time lazy arming of the probe schedule on the first Tick; every period after it is a started-flag check
+// Arm readies the probe schedule for the first period: it must run before
+// the machine steps, so the first probe's counter deltas span from here.
+// Idempotent; Tick calls it, so only a caller that runs the period itself
+// (the fleet, which steps every machine's period in one pool call) needs to.
+func (p *Pipeline) Arm() {
+	if !p.started {
+		p.start()
+	}
+}
+
+//caer:cold one-time lazy arming of the probe schedule before the first period; every period after it is a started-flag check
 func (p *Pipeline) start() {
 	p.since = p.m.Periods()
 	p.sstats.Mode = p.cfg.Sampling
@@ -287,21 +295,27 @@ func (p *Pipeline) start() {
 	p.started = true
 }
 
-// Tick executes one sampling period: run the machine, advance the table
-// clock, probe if the schedule says so, and re-apply every group's
-// directive. It returns the periods the probe's samples span, or 0 when the
-// schedule skipped this period.
+// Tick executes one sampling period where the paper splits it (§3–§4): arm,
+// let the hardware run the period, then the control half at the period
+// boundary. It returns what Control returns.
+func (p *Pipeline) Tick() uint64 {
+	p.Arm()
+	p.m.RunPeriod()
+	return p.Control()
+}
+
+// Control is the half of a sampling period that runs at its boundary, after
+// the machine has stepped (Arm before the first): advance the table clock,
+// probe if the schedule says so, and re-apply every group's directive. It
+// returns the periods the probe's samples span, or 0 when the schedule
+// skipped this period.
 //
 // Under polling every period probes. The adaptive mode probes every
 // probeWait periods as decided by the interval controller; the interrupt
 // mode, once the system has been quiet, checks only per-latency-core
 // threshold triggers (plus a keepalive probe every MaxProbeInterval
 // periods, which lets the watchdog see a dead monitor through the sleep).
-func (p *Pipeline) Tick() uint64 {
-	if !p.started {
-		p.start()
-	}
-	p.m.RunPeriod()
+func (p *Pipeline) Control() uint64 {
 	telemetry.RunnerPeriods.Inc()
 	// Advance the table's period clock before this period's publishes so
 	// StalePeriods counts publisher lateness in whole periods.

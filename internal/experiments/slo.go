@@ -280,6 +280,8 @@ func (out *SLORegime) runBattery(seed int64, f fleetFixture, workers int) {
 		}
 		c.Tick()
 	}
+	// The loop above drives Tick itself, so nothing else stops the pool.
+	node.Machine().StopWorkers()
 
 	// Dump the series and replay it — the doctor's exact path: the
 	// parsed dump, not the live store, drives the episode accounting.

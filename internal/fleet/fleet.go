@@ -9,11 +9,14 @@
 // backlogs diverge, mirroring sched's bounded intra-machine migration one
 // level up.
 //
-// Determinism contract: a fleet run is a pure function of its Config —
-// machines step in index order, the traffic driver and every per-machine
-// scheduler derive from Config.Seed, and per-machine domain parallelism
-// (MachineSpec.Workers) inherits the machine package's bit-identical
-// worker-pool contract. A single-machine fleet with up-front traffic is
+// Determinism contract: a fleet run is a pure function of its Config. The
+// traffic driver and every per-machine scheduler derive from Config.Seed.
+// Within a tick only the hardware half is concurrent: every machine's LLC
+// domains step together on one machine.Pool, and a domain's step touches
+// nothing but that domain; the control loops — schedulers, engines, spans,
+// registries, process-global gauges — run on the caller's goroutine, one
+// machine after another in index order, so every artifact is byte-identical
+// at any worker count. A single-machine fleet with up-front traffic is
 // byte-identical to runner.ModeScheduled (pinned by TestFleetMatchesRunnerScheduled).
 package fleet
 
@@ -82,9 +85,11 @@ type MachineSpec struct {
 	// Cores and Domains size the machine; zero means Domains 2 and
 	// Cores 4*Domains.
 	Cores, Domains int
-	// Workers sizes the machine's domain-stepper worker pool (domain
-	// parallelism within the machine; bit-identical per seed at any
-	// worker count). 0 or 1 = serial stepping.
+	// Workers sizes the fleet's one domain-stepper pool, which is built
+	// with the largest value over all machines (bit-identical per seed at
+	// any worker count; 0 or 1 = the plain loop). It is a fleet-level knob
+	// and stays on MachineSpec only because benchmark/ binds to it here;
+	// moving it to Config waits for a benchmark-archetype PR.
 	Workers int
 	// Services are the machine's pinned latency-sensitive applications.
 	Services []Service
@@ -233,6 +238,7 @@ func (n *Node) Registry() *telemetry.Registry { return n.reg }
 type Cluster struct {
 	cfg     Config
 	nodes   []*Node
+	pool    *machine.Pool // every node's machine: the hardware half of a tick
 	placer  Placer
 	traffic *driver
 
@@ -286,9 +292,14 @@ func New(cfg Config) *Cluster {
 		c.scraper = registryScraper{c}
 	}
 	multi := len(cfg.Machines) > 1
+	workers := 0
+	machines := make([]*machine.Machine, len(cfg.Machines))
 	for k, ms := range cfg.Machines {
 		c.nodes = append(c.nodes, newNode(k, ms, &cfg, multi))
+		machines[k] = c.nodes[k].m
+		workers = max(workers, ms.Workers)
 	}
+	c.pool = machine.NewPool(workers, machines...)
 	return c
 }
 
@@ -298,7 +309,7 @@ func New(cfg Config) *Cluster {
 // machineSeedStride per further machine.
 func newNode(k int, ms MachineSpec, cfg *Config, multi bool) *Node {
 	ms = ms.withDefaults()
-	m := machine.New(machine.Config{Cores: ms.Cores, Domains: ms.Domains, Workers: ms.Workers})
+	m := machine.New(machine.Config{Cores: ms.Cores, Domains: ms.Domains})
 	scfg := cfg.Sched
 	scfg.TrackOffset = int32(k) * trackStride
 	scfg.Spans = cfg.Spans
@@ -392,11 +403,14 @@ func (c *Cluster) Nodes() []*Node { return c.nodes }
 
 // Tick advances the whole fleet one period: open-loop arrivals enter the
 // fleet queue, the placer dispatches bounded work onto machines, at most
-// one bounded-rate cross-machine migration fires, every machine steps one
-// period (in index order; domain-parallel inside each machine), and
-// completions are harvested. Hot path: the per-period work is
-// allocation-free, with arrivals, dispatch commits, migration, and
-// request relaunches delegated to the documented cold barriers.
+// one bounded-rate cross-machine migration fires, every machine runs one
+// period, and completions are harvested. The period is split where the
+// paper splits it: every scheduler arms in index order (a no-op after the
+// first tick), all machines' LLC domains step in one pool call — the only
+// concurrent part — and every scheduler's control half runs in index order.
+// Hot path: the per-period work is allocation-free, with arrivals, dispatch
+// commits, migration, and request relaunches delegated to the documented
+// cold barriers.
 //
 //caer:hot
 func (c *Cluster) Tick() {
@@ -409,7 +423,11 @@ func (c *Cluster) Tick() {
 	c.dispatch()
 	c.maybeMigrate()
 	for _, n := range c.nodes {
-		n.sched.Step()
+		n.sched.Arm()
+	}
+	c.pool.RunPeriods(1)
+	for _, n := range c.nodes {
+		n.sched.Control()
 	}
 	c.tick++
 	c.harvest()
@@ -639,13 +657,10 @@ func (c *Cluster) Done() bool {
 func (c *Cluster) Ticks() int { return c.tick }
 
 // Run steps the fleet until Done or MaxPeriods, returning the periods
-// executed. Machines' worker pools are stopped on return.
+// executed. The stepper pool is stopped on return; a caller that drives
+// Tick itself stops it through any node's Machine().StopWorkers().
 func (c *Cluster) Run() int {
-	defer func() {
-		for _, n := range c.nodes {
-			n.m.StopWorkers()
-		}
-	}()
+	defer c.pool.Stop()
 	for c.tick < c.cfg.MaxPeriods && !c.Done() {
 		c.Tick()
 	}

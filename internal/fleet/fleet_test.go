@@ -3,7 +3,9 @@ package fleet_test
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"caer/internal/caer"
@@ -127,53 +129,131 @@ func TestFleetMatchesRunnerScheduled(t *testing.T) {
 	}
 }
 
-// TestFleetDeterministicAcrossWorkers pins the cluster-level determinism
-// contract on a real multi-machine run: identical Reports (jobs, service
-// QoS, histogram quantiles) at Workers=1 and Workers=4, and across two
-// identical runs.
-func TestFleetDeterministicAcrossWorkers(t *testing.T) {
-	cfg := func(workers int) fleet.Config {
-		return fleet.Config{
-			Machines: []fleet.MachineSpec{
-				{Cores: 8, Domains: 2, Workers: workers,
-					Services: []fleet.Service{{Profile: prof("mcf", 60_000), Core: 0, Relaunch: true}}},
-				{Cores: 8, Domains: 2, Workers: workers,
-					Services: []fleet.Service{{Profile: prof("namd", 60_000), Core: 0, Relaunch: true}}},
-			},
-			Sched:  identitySchedConfig(),
-			Policy: fleet.PolicyLeastPressure,
-			Traffic: fleet.Traffic{
-				Curve: fleet.CurveBurst, Rate: 0.6, Horizon: 600, Jitter: 0.3,
-				BurstEvery: 150, BurstLen: 25,
-				Mix: []spec.Profile{prof("lbm", 60_000), prof("povray", 60_000)},
-			},
-			Seed:          7,
-			MigratePeriod: 50,
-			MaxPeriods:    20_000,
+// mixedFleet is the benchmark's fleet_mixed shape at test scale: two small
+// sensitive machines and two big background ones (8 LLC domains in all),
+// metrics-fed placement, SLO engines on, fleet migration on, and a private
+// span ring so the trace is the run's alone.
+func mixedFleet(workers int, spans *telemetry.SpanRecorder) fleet.Config {
+	machines := make([]fleet.MachineSpec, 4)
+	for k := range machines {
+		machines[k] = fleet.MachineSpec{Cores: 4, Domains: 2, Workers: workers,
+			Services: []fleet.Service{{Profile: prof("mcf", 60_000), Core: 0, Relaunch: true}}}
+		if k >= 2 {
+			machines[k].Cores = 8
+			machines[k].Services[0].Profile = prof("namd", 60_000)
 		}
 	}
+	return fleet.Config{
+		Machines: machines,
+		Sched:    identitySchedConfig(),
+		Policy:   fleet.PolicyTelemetry,
+		Traffic: fleet.Traffic{
+			Curve: fleet.CurveBurst, Rate: 0.6, Horizon: 400, Jitter: 0.3,
+			BurstEvery: 150, BurstLen: 25,
+			Mix: []spec.Profile{prof("lbm", 60_000), prof("povray", 60_000)},
+		},
+		SLO:           fleet.SLOConfig{LatencyQuantile: 0.99, LatencyBound: 1024, DegradedBudget: 0.25, Window: 64},
+		Seed:          7,
+		MigratePeriod: 50,
+		MaxPeriods:    20_000,
+		Spans:         spans,
+	}
+}
+
+// TestFleetDeterministicAcrossWorkers pins the cluster-level determinism
+// contract on the fleet_mixed shape: the Report, every scheduler's decision
+// log, the per-machine metric snapshot, the fleet event log and the Chrome
+// trace are byte-identical across two identical runs and at every pool
+// size — fewer workers than LLC domains, as many, and more.
+func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 	fingerprint := func(workers int) []byte {
-		c := fleet.New(cfg(workers))
+		var selfOps atomic.Uint64
+		spans := telemetry.NewSpanRecorder(1<<16, &selfOps)
+		c := fleet.New(mixedFleet(workers, spans))
 		c.Run()
 		rep := c.Report()
-		var sb strings.Builder
-		sb.Write(mustJSON(t, rep.Jobs))
-		sb.Write(mustJSON(t, rep.Services))
+		var out bytes.Buffer
+		out.Write(mustJSON(t, rep.Jobs))
+		out.Write(mustJSON(t, rep.Services))
 		for _, n := range c.Nodes() {
-			sb.Write(mustJSON(t, n.Sched().Decisions()))
+			out.Write(mustJSON(t, n.Sched().Decisions()))
 		}
 		for _, q := range []float64{0.5, 0.9, 0.99} {
-			sb.Write(mustJSON(t, []float64{rep.Wait.Quantile(q), rep.Sojourn.Quantile(q)}))
+			out.Write(mustJSON(t, []float64{rep.Wait.Quantile(q), rep.Sojourn.Quantile(q)}))
 		}
-		return []byte(sb.String())
+		// The process-global registry accumulates over the runs of one test
+		// process; the machine-labelled series are this run's alone.
+		var metrics bytes.Buffer
+		if err := c.WriteMetrics(&metrics); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range bytes.SplitAfter(metrics.Bytes(), []byte("\n")) {
+			if bytes.Contains(line, []byte(`machine="`)) {
+				out.Write(line)
+			}
+		}
+		if err := c.WriteEvents(&out); err != nil {
+			t.Fatal(err)
+		}
+		if err := spans.WriteChrome(&out); err != nil {
+			t.Fatal(err)
+		}
+		if spans.Dropped() > 0 {
+			t.Fatalf("span ring wrapped (%d dropped): size it to hold the run", spans.Dropped())
+		}
+		return out.Bytes()
 	}
 	base := fingerprint(1)
 	if again := fingerprint(1); !bytes.Equal(base, again) {
 		t.Fatal("two identical Workers=1 runs diverged")
 	}
-	if par := fingerprint(4); !bytes.Equal(base, par) {
-		t.Fatal("Workers=4 run diverged from Workers=1")
+	for _, workers := range []int{2, 3, 4, 16} {
+		if par := fingerprint(workers); !bytes.Equal(base, par) {
+			t.Fatalf("Workers=%d run diverged from Workers=1", workers)
+		}
 	}
+}
+
+// poolHelpers counts the stepper-pool helper goroutines in the process,
+// started or not yet. (runtime.NumGoroutine would also count whatever
+// earlier tests left exiting.)
+func poolHelpers() int {
+	buf := make([]byte, 1<<20)
+	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("created by caer/internal/machine.NewPool"))
+}
+
+// awaitPoolHelpers yields until n helpers are left: a helper leaves its
+// range loop some time after the close that stops it returns.
+func awaitPoolHelpers(t *testing.T, n int) {
+	t.Helper()
+	for i := 0; i < 10_000 && poolHelpers() != n; i++ {
+		runtime.Gosched()
+	}
+	if got := poolHelpers(); got != n {
+		t.Fatalf("%d pool helper goroutines, want %d", got, n)
+	}
+}
+
+// TestFleetPoolStartsAndStops pins the pool's lifecycle at the fleet level:
+// a fleet of four machines at Workers = 4 parks max(Workers)-1 helper
+// goroutines in total — not a pool per machine — and a caller that drives
+// Tick by hand gets every one of them back by stopping any node's machine.
+func TestFleetPoolStartsAndStops(t *testing.T) {
+	awaitPoolHelpers(t, 0) // earlier tests' pools have wound down
+	var selfOps atomic.Uint64
+	c := fleet.New(mixedFleet(4, telemetry.NewSpanRecorder(1<<16, &selfOps)))
+	t.Cleanup(c.Nodes()[0].Machine().StopWorkers)
+	if got := poolHelpers(); got != 3 {
+		t.Fatalf("fleet.New at Workers=4 started %d helpers, want 3", got)
+	}
+	for i := 0; i < 50; i++ {
+		c.Tick()
+	}
+	c.Nodes()[2].Machine().StopWorkers()
+	c.Nodes()[0].Machine().StopWorkers()
+	awaitPoolHelpers(t, 0)
+	c.Tick() // a stopped pool keeps stepping, serially
+	c.Nodes()[1].Sched().Step()
 }
 
 // TestFleetMigrationBounded pins cross-machine migration semantics: packed

@@ -22,7 +22,6 @@ package machine
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"caer/internal/mem"
 	"caer/internal/pmu"
@@ -187,8 +186,9 @@ type Config struct {
 	// slice cores are simulated sequentially over the same wall-clock
 	// window.
 	SlicesPerPeriod int
-	// Workers sets the domain-stepper worker pool size (see SetWorkers).
-	// Default (0 or 1) steps domains serially — exactly today's order.
+	// Workers gives the machine a private domain-stepper pool of that size
+	// (see SetWorkers). Default (0 or 1) steps domains serially, in index
+	// order.
 	Workers int
 }
 
@@ -204,18 +204,9 @@ type Machine struct {
 	now       uint64 // absolute cycle clock
 	periods   uint64 // completed periods
 
-	// Domain-stepper worker pool (SetWorkers). LLC domains share no memory-
-	// system state, so they may step concurrently; nil tasks = serial path.
-	workers int
-	tasks   chan domainTask
-	poolWG  sync.WaitGroup
-}
-
-// domainTask asks a pool worker to step one domain through a batch of
-// periods.
-type domainTask struct {
-	domain  int
-	periods int
+	// pool is the domain-stepper pool the machine is a member of: a private
+	// one (SetWorkers), one shared with other machines (NewPool), or nil.
+	pool *Pool
 }
 
 // New constructs a machine. It panics on invalid configuration.
@@ -324,73 +315,44 @@ func (m *Machine) Bind(i int, proc *Process) {
 // Unbind removes the process from core i.
 func (m *Machine) Unbind(i int) { m.cores[i].proc = nil }
 
-// SetWorkers resizes the domain-stepper worker pool. With workers > 1 and
-// more than one LLC domain, RunPeriod/RunPeriods fan the domains out over
-// min(workers, domains) persistent goroutines; since domains share no
-// memory-system state and stepDomain reproduces the serial core rotation
-// within each domain (see stepDomain), the machine state after every period
-// is bit-identical to the serial order. workers <= 1 (the default) stops
-// the pool and restores today's exact serial stepping. Not safe to call
-// concurrently with RunPeriods.
+// SetWorkers gives the machine a private domain-stepper pool of that many
+// workers: RunPeriod/RunPeriods then step its LLC domains on the pool's
+// helpers and the calling goroutine. Since domains share no memory-system
+// state and stepDomain reproduces the serial core rotation within each
+// domain (see stepDomain), the machine state after every period is
+// bit-identical to the serial order. workers <= 1 (the default) stops the
+// pool and restores the plain loop. Not safe to call concurrently with
+// RunPeriods.
 func (m *Machine) SetWorkers(workers int) {
 	if workers < 1 {
 		workers = 1
 	}
-	if workers == m.workers && (workers <= 1 || m.tasks != nil) {
+	if workers == m.Workers() {
 		return
 	}
-	m.StopWorkers()
-	m.workers = workers
-	if workers <= 1 || len(m.hiers) < 2 {
-		return
-	}
-	n := workers
-	if n > len(m.hiers) {
-		n = len(m.hiers)
-	}
-	m.tasks = make(chan domainTask)
-	for i := 0; i < n; i++ {
-		go m.domainWorker(m.tasks)
+	if workers > 1 {
+		NewPool(workers, m) // stops the pool it replaces
+	} else {
+		m.StopWorkers()
 	}
 }
 
-// Workers returns the configured worker count (1 = serial).
+// Workers returns the worker count of the machine's pool (1 = serial).
 func (m *Machine) Workers() int {
-	if m.workers < 1 {
+	if m.pool == nil {
 		return 1
 	}
-	return m.workers
+	return m.pool.workers
 }
 
-// StopWorkers shuts the worker pool down (idempotent). Callers that enable
+// StopWorkers stops the pool the machine is a member of (idempotent) — for
+// a machine in a shared pool, the whole pool. Callers that enable
 // Workers > 1 must stop the pool when done with the machine, or its
 // goroutines stay parked for the life of the process.
 func (m *Machine) StopWorkers() {
-	if m.tasks != nil {
-		close(m.tasks)
-		m.tasks = nil
+	if m.pool != nil {
+		m.pool.Stop()
 	}
-	m.workers = 1
-}
-
-func (m *Machine) domainWorker(tasks <-chan domainTask) {
-	for t := range tasks {
-		m.stepDomain(t.domain, t.periods)
-		m.poolWG.Done()
-	}
-}
-
-// dispatch fans one batch of periods out to the pool, one task per domain,
-// and waits for the barrier. caer-vet's hot walk stops here: the channel
-// handoff is the price of parallelism.
-//
-//caer:cold worker-pool handoff: the channel ops are paid once per dispatched batch of periods, not per access (DESIGN.md §11)
-func (m *Machine) dispatch(n int) {
-	m.poolWG.Add(len(m.hiers))
-	for d := range m.hiers {
-		m.tasks <- domainTask{domain: d, periods: n}
-	}
-	m.poolWG.Wait()
 }
 
 // RunPeriod advances every core by one sampling period, interleaving active
@@ -398,23 +360,34 @@ func (m *Machine) dispatch(n int) {
 // process has completed accumulate idle cycles.
 func (m *Machine) RunPeriod() { m.RunPeriods(1) }
 
-// RunPeriods advances the machine n periods in one dispatch. Callers with
-// no per-period logic (baseline drains, microbenchmarks) batch here so the
-// pool pays one goroutine handoff per domain per batch instead of per
-// period; per-period callers (the CAER runtime, the scheduler) use
-// RunPeriod and still get the domain fan-out. The resulting machine state
-// is identical to calling RunPeriod n times.
+// RunPeriods advances the machine n periods in one batch. Callers with no
+// per-period logic (baseline drains, microbenchmarks) batch here so a
+// private pool pays one hand-off per batch instead of per period;
+// per-period callers (the CAER runtime, the scheduler) use RunPeriod and
+// still get the domain fan-out. A member of a shared pool steps alone here,
+// with the plain loop; its pool steps it together with the others. The
+// resulting machine state is identical to calling RunPeriod n times.
 func (m *Machine) RunPeriods(n int) {
 	if n <= 0 {
 		return
 	}
-	if m.tasks != nil {
-		m.dispatch(n)
-	} else {
-		for d := range m.hiers {
-			m.stepDomain(d, n)
-		}
+	if p := m.pool; p != nil && len(p.machines) == 1 {
+		p.RunPeriods(n)
+		return
 	}
+	m.stepSerial(n)
+}
+
+// stepSerial is the plain loop: every domain in index order, then the clock.
+func (m *Machine) stepSerial(n int) {
+	for d := range m.hiers {
+		m.stepDomain(d, n)
+	}
+	m.advance(n)
+}
+
+// advance moves the clock past n stepped periods.
+func (m *Machine) advance(n int) {
 	m.now += uint64(n) * m.period
 	m.periods += uint64(n)
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"strconv"
 	"testing"
 
 	"caer/internal/pmu"
@@ -92,6 +93,64 @@ func TestParallelDomainsMatchSerial(t *testing.T) {
 	}
 }
 
+// TestSharedPoolMatchesSerial pins the same contract for a pool several
+// machines share: machines of different geometry stepped together through
+// one cursor stay in lockstep with twins stepped alone by the plain loop,
+// after every period and after a multi-period batch, with fewer workers
+// than units, as many, and more; and a stopped pool keeps stepping,
+// serially, to the same state.
+func TestSharedPoolMatchesSerial(t *testing.T) {
+	geometry := [][2]int{{2, 2}, {2, 4}, {1, 2}} // domains, cores per domain: 5 units
+	for _, workers := range []int{1, 2, 3, 16} {
+		label := "workers=" + strconv.Itoa(workers)
+		var serial, shared []*Machine
+		for _, g := range geometry {
+			serial = append(serial, buildDomains(t, g[0], g[1], 1))
+			shared = append(shared, buildDomains(t, g[0], g[1], 1))
+		}
+		pool := NewPool(workers, shared...)
+		t.Cleanup(pool.Stop)
+		compare := func(when string) {
+			t.Helper()
+			for k := range serial {
+				diffSnap(t, snap(serial[k]), snap(shared[k]), label+" machine "+strconv.Itoa(k)+" "+when)
+			}
+		}
+		for p := 0; p < 12; p++ {
+			for _, m := range serial {
+				m.RunPeriod()
+			}
+			pool.RunPeriods(1)
+			compare("period " + strconv.Itoa(p))
+		}
+		for _, m := range serial {
+			m.RunPeriods(7)
+		}
+		pool.RunPeriods(7)
+		compare("after RunPeriods(7)")
+
+		// A member steps alone with the plain loop (Scheduler.Step on one
+		// fleet node); any member's StopWorkers stops the pool, idempotently.
+		for k := range shared {
+			serial[k].RunPeriod()
+			shared[k].RunPeriod()
+		}
+		compare("members stepped alone")
+		shared[2].StopWorkers()
+		shared[0].StopWorkers()
+		for k, m := range shared {
+			if m.Workers() != 1 {
+				t.Fatalf("%s: machine %d Workers() after stop = %d, want 1", label, k, m.Workers())
+			}
+		}
+		for _, m := range serial {
+			m.RunPeriods(3)
+		}
+		pool.RunPeriods(3)
+		compare("after stop")
+	}
+}
+
 // TestBatchedPeriodsMatchSingle pins that one RunPeriods(n) dispatch equals
 // n RunPeriod calls, serially and on the pool.
 func TestBatchedPeriodsMatchSingle(t *testing.T) {
@@ -158,13 +217,20 @@ func TestStopWorkersIdempotent(t *testing.T) {
 }
 
 // TestRunPeriodAllocFree pins the hot loop's zero-allocation contract for
-// both the serial and the pooled stepper (caer-vet guards the source; this
-// guards the runtime behavior).
+// the serial stepper, the private pool and a pool four machines share
+// (caer-vet guards the source; this guards the runtime behavior).
 func TestRunPeriodAllocFree(t *testing.T) {
 	serial := buildDomains(t, 2, 2, 1)
 	par := buildDomains(t, 2, 2, 2)
+	shared := NewPool(2, buildDomains(t, 2, 2, 1), buildDomains(t, 2, 2, 1),
+		buildDomains(t, 2, 4, 1), buildDomains(t, 2, 4, 1))
+	t.Cleanup(shared.Stop)
 	serial.RunPeriods(3)
 	par.RunPeriods(3)
+	shared.RunPeriods(3)
+	if n := testing.AllocsPerRun(5, func() { shared.RunPeriods(1) }); n != 0 {
+		t.Fatalf("shared-pool RunPeriods allocates %v/op, want 0", n)
+	}
 	if n := testing.AllocsPerRun(5, serial.RunPeriod); n != 0 {
 		t.Fatalf("serial RunPeriod allocates %v/op, want 0", n)
 	}

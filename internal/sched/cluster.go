@@ -227,7 +227,7 @@ type domainPartition struct {
 	cores         []int         // ... and each one's local core
 }
 
-// startPartitions builds the partition stage on the first Step.
+// startPartitions builds the partition stage before the first period (Arm).
 func (s *Scheduler) startPartitions() {
 	s.parts = make([]domainPartition, s.m.Domains())
 	for i := range s.latency {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"reflect"
 	"testing"
 
 	"caer/internal/caer"
@@ -206,5 +207,64 @@ func TestSchedulerStepAllocFree(t *testing.T) {
 		if n := testing.AllocsPerRun(50, s.Step); n != 0 {
 			t.Errorf("%v: Scheduler.Step allocates %v/op in steady state", resp, n)
 		}
+	}
+}
+
+// TestStepEqualsArmRunControl pins Step as the composition of its exported
+// halves — arm, the machine's period, the control half — which the fleet
+// calls separately around one pool call for every machine. Period for
+// period the two drives agree on the decision log, the job reports (engine
+// counters included), the live engines' stats, the probe schedule and the
+// applied way-masks, so the lazy arming cannot drift to after the first
+// period under any sampling mode or with the partition stage on.
+func TestStepEqualsArmRunControl(t *testing.T) {
+	sampled := func(mode caer.SamplingMode) func() *Scheduler {
+		cc := caer.DefaultConfig()
+		cc.Sampling = mode
+		return func() *Scheduler { return newQuietSched(cc) }
+	}
+	for name, build := range map[string]func() *Scheduler{
+		"polling":   func() *Scheduler { return newTestSched(Config{MigrationPeriod: 20, MigrationMargin: 0.01}) },
+		"adaptive":  sampled(caer.SamplingAdaptive),
+		"interrupt": sampled(caer.SamplingInterrupt),
+		"partition": func() *Scheduler {
+			return newTestSched(Config{Response: ResponsePartition, Policy: PolicyContentionAware})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			whole, halves := build(), build()
+			submitMix(whole, 6, 120_000)
+			submitMix(halves, 6, 120_000)
+			for p := 1; p <= 20_000 && !whole.Done(); p++ {
+				whole.Step()
+				halves.Arm()
+				halves.m.RunPeriod()
+				halves.Control()
+				same := reflect.DeepEqual(whole.Decisions(), halves.Decisions()) &&
+					reflect.DeepEqual(whole.JobReports(), halves.JobReports()) &&
+					whole.Pipeline().SamplingStats() == halves.Pipeline().SamplingStats() &&
+					len(whole.running) == len(halves.running)
+				for i := 0; same && i < len(whole.running); i++ {
+					a, b := whole.running[i].batch, halves.running[i].batch
+					am, as := a.Sample()
+					bm, bs := b.Sample()
+					same = am == bm && as == bs && (a.Engine() == nil) == (b.Engine() == nil) &&
+						(a.Engine() == nil || a.Engine().Stats() == b.Engine().Stats())
+				}
+				for d := 0; same && d < len(whole.parts); d++ {
+					same = reflect.DeepEqual(whole.parts[d].applied, halves.parts[d].applied)
+				}
+				if !same {
+					t.Fatalf("period %d: Step and Arm+RunPeriod+Control diverged:\n%+v\n%+v",
+						p, whole.JobReports(), halves.JobReports())
+				}
+			}
+			if !whole.Done() || !halves.Done() {
+				t.Fatal("jobs did not drain")
+			}
+			if name == "partition" && whole.parts == nil {
+				t.Fatal("partition stage never built")
+			}
+		})
 	}
 }

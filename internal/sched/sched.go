@@ -22,11 +22,13 @@
 // domain: a job is attached when placed and detached when it leaves a core,
 // so it runs under a CAER engine scoped to its domain's latency-sensitive
 // neighbours, and Config.Caer means what it means for a caer.Runtime. A
-// Step is: pipeline tick, classifier feed from what the pipeline probed
-// (sched.go); finish/age/admit/migrate (admit.go); the partition planner
-// (cluster.go). report.go is the read side. The per-period path is
-// allocation-free and audited by caer-vet's hotpath analyzer (the fleet tick,
-// a //caer:hot root, reaches Step; the decision paths are //caer:cold).
+// Step is: arm, the machine's period, and the control half at the period
+// boundary — the pipeline's control half, classifier feed from what it
+// probed (sched.go); finish/age/admit/migrate (admit.go); the partition
+// planner (cluster.go). report.go is the read side. The per-period path is
+// allocation-free and audited by caer-vet's hotpath analyzer (the fleet
+// tick, a //caer:hot root, reaches Arm and Control; the decision paths are
+// //caer:cold).
 package sched
 
 import (
@@ -327,7 +329,17 @@ func (s *Scheduler) AddLatency(name string, core int, proc *machine.Process) {
 	})
 }
 
-//caer:cold one-time lazy deployment build on the first Step, as caer.Runtime.start
+// Arm builds the deployment for the first period — the partition stage and
+// the pipeline's probe schedule — and must run before the machine steps.
+// Idempotent; Step calls it, so only a caller that runs the period itself
+// (the fleet) needs to.
+func (s *Scheduler) Arm() {
+	if !s.started {
+		s.start()
+	}
+}
+
+//caer:cold one-time lazy deployment build before the first period, as caer.Runtime.start
 func (s *Scheduler) start() {
 	if len(s.latency) == 0 {
 		panic("sched: scheduler needs at least one latency-sensitive app")
@@ -335,20 +347,27 @@ func (s *Scheduler) start() {
 	if s.cfg.Response != ResponseThrottle {
 		s.startPartitions()
 	}
+	s.pipe.Arm()
 	s.started = true
 }
 
-// Step advances the deployment by one sampling period: one pipeline tick
+// Step advances the deployment by one sampling period: arm, let the machine
+// run the period, then the control half at the period boundary.
+func (s *Scheduler) Step() {
+	s.Arm()
+	s.m.RunPeriod()
+	s.Control()
+}
+
+// Control is the half of a period that runs at its boundary, after the
+// machine has stepped (Arm before the first): the pipeline's control half
 // (all batch jobs in a domain react together — the paper's §3.2 scoped to
 // the LLC they share), then the classifier feed from what the pipeline
 // probed, then retire finished jobs, take admission and migration
 // decisions, and run the partition planner.
-func (s *Scheduler) Step() {
-	if !s.started {
-		s.start()
-	}
+func (s *Scheduler) Control() {
 	s.period++
-	if span := s.pipe.Tick(); span > 0 {
+	if span := s.pipe.Control(); span > 0 {
 		s.observe(span)
 	}
 	for i := range s.latency {
