@@ -42,11 +42,12 @@ go test -race -timeout 30m -coverprofile=coverage.out ./...
 total=$(go tool cover -func=coverage.out | awk '/^total:/ { sub(/%/, "", $NF); print $NF }')
 awk -v t="$total" -v min="${CAER_COVERAGE_MIN:-80.3}" 'BEGIN { exit !(t+0 >= min+0) }' || {
     echo "coverage gate: total $total% below CAER_COVERAGE_MIN=${CAER_COVERAGE_MIN:-80.3}%" >&2; exit 1; }
-# No vacuous tests in the simulator and control-loop packages: none of
-# their tests is arch-, hardware- or short-gated (the one t.Skip left,
-# mem's allocation budget, is race-only), so a plain run that prints
-# "--- SKIP" has a test whose assertions never execute.
-go test -count=1 -v ./internal/runner ./internal/caer ./internal/mem ./internal/machine ./internal/sched > out/SKIP_scan.txt
+# No vacuous tests in the simulator, control-loop and comm-table packages:
+# none of their tests is arch-, hardware- or short-gated (the one t.Skip
+# left, mem's allocation budget, is race-only; comm's re-exec helper went
+# with the mmap table), so a plain run that prints "--- SKIP" has a test
+# whose assertions never execute.
+go test -count=1 -v ./internal/runner ./internal/caer ./internal/comm ./internal/mem ./internal/machine ./internal/sched > out/SKIP_scan.txt
 ! grep -- '--- SKIP' out/SKIP_scan.txt || {
     echo "skip gate: the tests above skipped in a plain run" >&2; exit 1; }
 # Fuzz smoke: run each parser fuzz target briefly so the checked-in seed

@@ -1,15 +1,16 @@
 // Command caer-fleet runs the cluster-level contention-aware scheduling
 // stack (DESIGN.md §14): N simulated machines — the first half hosting a
 // latency-sensitive open-loop service, the rest an insensitive background
-// one — fed a seeded open-loop traffic schedule, with a pluggable
-// cross-machine placement policy deciding which machine each job lands on.
+// one — fed a seeded open-loop traffic schedule, with a cross-machine
+// placement policy deciding which machine each job lands on.
 // It prints the fleet throughput, the cluster-wide job queueing
 // distributions, and every latency app's QoS at p50/p99, plus the merged
 // fleet-wide distribution of the sensitive service class.
 //
 // Usage:
 //
-//	caer-fleet [-machines N] [-policy rr|lp|packed] [-jobs lbm,lbm,povray,lbm]
+//	caer-fleet [-machines N] [-policy rr|lp|packed|telemetry]
+//	           [-jobs lbm,lbm,povray,lbm]
 //	           [-curve constant|diurnal|burst] [-rate F] [-horizon N]
 //	           [-sensitive mcf] [-background namd] [-migrate N]
 //	           [-usage-thresh N] [-periods N] [-seed N] [-workers N] [-quick]
@@ -19,6 +20,7 @@
 //
 //	caer-fleet -quick
 //	caer-fleet -policy rr -curve burst -rate 0.05
+//	caer-fleet -policy telemetry
 //	caer-fleet -machines 8 -migrate 50 -serve :6060
 //
 // -serve exposes the merged fleet telemetry (/metrics with machine labels,
@@ -52,7 +54,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("caer-fleet", flag.ExitOnError)
 	machines := fs.Int("machines", 4, "cluster size; the first half are sensitive machines, the rest background")
-	policy := fs.String("policy", "lp", "cross-machine placement policy: rr (round-robin), lp (least-pressure), packed")
+	policy := fs.String("policy", "lp", "cross-machine placement policy: rr (round-robin), lp (least-pressure), packed, telemetry (least-pressure over scraped metrics)")
 	jobsCSV := fs.String("jobs", "lbm,lbm,povray,lbm", "comma-separated batch job mix the traffic driver cycles through")
 	curveName := fs.String("curve", "diurnal", "open-loop arrival curve: constant, diurnal, burst")
 	rate := fs.Float64("rate", 0.033, "mean arrivals per period at the curve's reference level")
@@ -72,16 +74,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	traceOut := fs.String("trace", "", "write the shared Chrome trace (per-machine lanes) to this file")
 	fs.Parse(args)
 
-	var pol fleet.Policy
-	switch *policy {
-	case "rr", "round-robin":
-		pol = fleet.PolicyRoundRobin
-	case "lp", "least-pressure", "ca":
-		pol = fleet.PolicyLeastPressure
-	case "packed":
-		pol = fleet.PolicyPacked
-	default:
-		return fmt.Errorf("unknown policy %q (want rr, lp, or packed)", *policy)
+	pol, err := fleet.ParsePolicy(*policy)
+	if err != nil {
+		return err
 	}
 	var curve fleet.Curve
 	switch *curveName {

@@ -54,6 +54,21 @@ func TestQuickMatchesGolden(t *testing.T) {
 	}
 }
 
+// TestPolicyTelemetryDrains is the front door to the policy the fleet
+// benchmark workloads and the slo suite run: -policy telemetry parses, the
+// header names the policy, and the fleet drains (run errors when it does
+// not).
+func TestPolicyTelemetryDrains(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-quick", "-policy", "telemetry"}, &out, io.Discard); err != nil {
+		t.Fatalf("caer-fleet -quick -policy telemetry: %v", err)
+	}
+	header, _, _ := strings.Cut(out.String(), "\n")
+	if !strings.Contains(header, "telemetry policy") {
+		t.Errorf("header does not name the policy: %q", header)
+	}
+}
+
 // TestWorkersByteIdentical runs `caer-fleet -quick` at -workers 1 and 4,
 // each in its own process, and compares everything the command writes:
 // stdout, the merged Prometheus snapshot and the shared Chrome trace.

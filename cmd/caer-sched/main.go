@@ -1,7 +1,7 @@
 // Command caer-sched demonstrates the contention-aware placement and
 // admission subsystem (DESIGN.md §9): a latency-sensitive service pinned to
 // domain 0 of a multi-LLC-domain machine, batch jobs flowing through the
-// admission queue, and a pluggable placement policy deciding which LLC
+// admission queue, and a placement policy deciding which LLC
 // domain each job lands on. It prints the scheduler's decision timeline
 // (admissions, migrations, completions), the per-job outcomes, and the
 // latency app's quality of service.
@@ -67,16 +67,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "[telemetry: http://%s/metrics]\n", ln.Addr())
 	}
 
-	var pol sched.Policy
-	switch *policy {
-	case "rr", "round-robin":
-		pol = sched.PolicyRoundRobin
-	case "ca", "contention-aware":
-		pol = sched.PolicyContentionAware
-	case "packed":
-		pol = sched.PolicyPacked
-	default:
-		return fmt.Errorf("unknown policy %q (want rr, ca, or packed)", *policy)
+	pol, err := sched.ParsePolicy(*policy)
+	if err != nil {
+		return err
 	}
 
 	lat, ok := spec.ByName(*latency)

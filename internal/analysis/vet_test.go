@@ -37,7 +37,7 @@ func TestHotClosureSentinels(t *testing.T) {
 	}
 	for _, leaf := range []string{
 		"caer.Runtime.Step", "mem.Cache.find", "stats.Window.Push", "slo.burnAt",
-		"comm.ShmTable.WindowMean", "telemetry.Counter.Inc",
+		"comm.Slot.WindowMean", "sched.Picker.Pick", "telemetry.Counter.Inc",
 	} {
 		if !hot[leaf] {
 			t.Errorf("%s is not in the hot closure: a //caer:hot root above it lost its directive", leaf)

@@ -1,9 +1,6 @@
 package comm
 
-import (
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // TestStalePeriodsCadenceOne pins the back-compat contract: under the
 // default cadence of 1 the due-period stamp is bit-identical to the old
@@ -106,47 +103,5 @@ func TestPublishZeroCadenceTreatedAsOne(t *testing.T) {
 	tb.BumpPeriod()
 	if got := s.StalePeriods(); got != 1 {
 		t.Fatalf("stale = %d one period after a zero DeclareCadence, want 1", got)
-	}
-}
-
-// TestShmCadenceStaleness mirrors the in-process cadence contract on the
-// memory-mapped table.
-func TestShmCadenceStaleness(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tbl")
-	tb, err := CreateShmTable(path, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tb.Close()
-
-	tb.BumpPeriod()
-	tb.PublishCadence(0, 1.5, 4)
-	tb.Publish(1, 2.5) // cadence 1
-	for i := 0; i < 3; i++ {
-		tb.BumpPeriod()
-		if got := tb.StalePeriods(0); got != 0 {
-			t.Fatalf("slot 0 stale = %d inside its declared cadence, want 0", got)
-		}
-	}
-	if got := tb.StalePeriods(1); got != 3 {
-		t.Fatalf("slot 1 stale = %d after 3 silent periods at cadence 1, want 3", got)
-	}
-	tb.BumpPeriod()
-	if got := tb.StalePeriods(0); got != 1 {
-		t.Fatalf("slot 0 stale = %d once its cadence lapsed, want 1", got)
-	}
-
-	// DeclareCadence re-stamps a published slot, and refuses to forge
-	// liveness for a never-published one.
-	tb.PublishCadence(0, 3.5, 1)
-	tb.DeclareCadence(0, 6)
-	for i := 0; i < 5; i++ {
-		tb.BumpPeriod()
-		if got := tb.StalePeriods(0); got != 0 {
-			t.Fatalf("slot 0 stale = %d inside a declared cadence of 6, want 0", got)
-		}
-	}
-	if got := tb.StalePeriods(1); got == 0 {
-		t.Fatal("slot 1 reads fresh without ever publishing again")
 	}
 }

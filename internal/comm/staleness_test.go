@@ -8,17 +8,19 @@ import (
 func TestSlotSeqAdvancesWithPublishes(t *testing.T) {
 	tab := NewTable(4)
 	s := tab.Register("x", RoleLatency)
-	if s.Seq() != 0 {
-		t.Fatalf("fresh slot Seq = %d, want 0", s.Seq())
+	if s.Published() != 0 {
+		t.Fatalf("fresh slot Published = %d, want 0", s.Published())
 	}
 	for i := 1; i <= 5; i++ {
 		s.Publish(float64(i))
-		if s.Seq() != uint64(i) {
-			t.Fatalf("Seq after %d publishes = %d", i, s.Seq())
+		if s.Published() != uint64(i) {
+			t.Fatalf("Published after %d publishes = %d", i, s.Published())
 		}
 	}
-	if s.Seq() != s.Published() {
-		t.Error("Seq and Published disagree")
+	// The sequence counts publishes, not windowed samples: it keeps
+	// advancing once the 4-sample window wraps.
+	if got := len(s.Samples()); got != 4 {
+		t.Errorf("window holds %d samples after 5 publishes, want 4", got)
 	}
 }
 
@@ -76,14 +78,16 @@ func TestSlotStalePeriodsNeverPublished(t *testing.T) {
 	}
 }
 
-// TestStalenessConcurrentWithBroadcast exercises the lock ordering between
-// Publish (slot lock → atomic period read) and BroadcastDirective (table
-// lock → slot locks) under the race detector: the period counter is atomic
-// precisely so these cannot deadlock.
+// TestStalenessConcurrentWithBroadcast runs the table's three parties at
+// once under the race detector: the driver bumping the period and a monitor
+// publishing (slot lock → atomic period read), the pipeline's directive
+// broadcast (slot by slot, each under its own lock) with a late Register on
+// the table lock, and an engine watchdog reading staleness. The period
+// counter is atomic so that none of them nests one lock inside another.
 func TestStalenessConcurrentWithBroadcast(t *testing.T) {
 	tab := NewTable(4)
 	lat := tab.Register("lat", RoleLatency)
-	tab.Register("batch", RoleBatch)
+	batch := tab.Register("batch", RoleBatch)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -107,8 +111,13 @@ func TestStalenessConcurrentWithBroadcast(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				tab.BroadcastDirective(DirectivePause)
-				tab.BroadcastDirective(DirectiveRun)
+				for _, d := range []Directive{DirectivePause, DirectiveRun} {
+					for _, s := range tab.Slots() {
+						if s.Role() == RoleBatch {
+							s.SetDirective(d)
+						}
+					}
+				}
 			}
 		}
 	}()
@@ -120,13 +129,18 @@ func TestStalenessConcurrentWithBroadcast(t *testing.T) {
 				return
 			default:
 				_ = lat.StalePeriods()
-				_ = lat.Seq()
+				_ = lat.Published()
+				_ = batch.Directive()
 			}
 		}
 	}()
 	for i := 0; i < 10_000; i++ {
 		_ = tab.Period()
 	}
+	tab.Register("late", RoleBatch) // a job submitted mid-run
 	close(stop)
 	wg.Wait()
+	if lat.Directive() != DirectiveRun {
+		t.Error("the broadcast reached a latency slot")
+	}
 }

@@ -5,9 +5,13 @@
 // Each registered application owns one slot. The slot's sample window is
 // single-writer (the CAER layer under that application publishes its own
 // LLC-miss samples); directives are written by the CAER engines and must be
-// honoured by every batch application. Table is safe for concurrent use;
-// ShmTable additionally backs the same layout with a memory-mapped file so
-// separate processes can cooperate, as in the paper's deployment.
+// honoured by every batch application. Table is safe for concurrent use.
+//
+// Table is in-process and the only table. The paper's cooperating layers
+// are separate processes over shared memory; that is not reproduced here:
+// every layer steps one simulated machine inside one process, and a mapped
+// file of fixed slot count could not host the scheduler, which registers a
+// slot per submitted job (DESIGN.md §2).
 package comm
 
 import (
@@ -149,12 +153,6 @@ func (s *Slot) Published() uint64 {
 	return s.published
 }
 
-// Seq is Published under its protocol name: the per-slot publish sequence
-// number consumers compare across periods to detect a dead publisher.
-//
-//caer:hot
-func (s *Slot) Seq() uint64 { return s.Published() }
-
 // StalePeriods returns how many table periods the slot's owner is overdue:
 // 0 while the table clock has not yet passed the declared next-publish
 // period, and the overshoot (in whole periods, counting the due period
@@ -184,21 +182,6 @@ func (s *Slot) WindowMean() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.window.Mean()
-}
-
-// WindowMeanRange returns the mean of window positions [from, to); see
-// stats.Window.MeanRange.
-func (s *Slot) WindowMeanRange(from, to int) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.window.MeanRange(from, to)
-}
-
-// WindowLen returns the number of samples currently windowed.
-func (s *Slot) WindowLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.window.Len()
 }
 
 // LastSample returns the most recent sample, or 0 if none.
@@ -240,10 +223,10 @@ type Table struct {
 	slots      []*Slot
 	windowSize int
 	// period is the table-wide sampling-period counter, advanced once per
-	// period by the deployment's driver (Runtime.Step). It is atomic, not
-	// mutex-guarded, because Publish stamps it while holding a slot lock
-	// and BroadcastDirective takes slot locks while holding the table lock
-	// — a mutex here would invert that order.
+	// period by the deployment's driver (Pipeline.Control). It is atomic
+	// rather than guarded by mu because every publish and staleness read
+	// loads it while holding a slot lock: the per-period path takes no lock
+	// but the slot's own, so slot and table locks never nest.
 	period atomic.Uint64
 }
 
@@ -288,34 +271,4 @@ func (t *Table) Slots() []*Slot {
 	out := make([]*Slot, len(t.slots))
 	copy(out, t.slots)
 	return out
-}
-
-// SlotsByRole returns the slots with the given role.
-func (t *Table) SlotsByRole(role Role) []*Slot {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []*Slot
-	for _, s := range t.slots {
-		if s.role == role {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// BroadcastDirective sets d on every batch slot: the paper requires all
-// batch processes to react together. It iterates the slot list under the
-// table lock rather than taking a snapshot — this runs once per sampling
-// period and must not allocate.
-//
-//caer:hot
-func (t *Table) BroadcastDirective(d Directive) {
-	telemetry.CommBroadcasts.Inc()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, s := range t.slots {
-		if s.role == RoleBatch {
-			s.SetDirective(d)
-		}
-	}
 }

@@ -45,8 +45,8 @@ func TestRegisterAssignsIDsAndRoles(t *testing.T) {
 	if got := len(tab.Slots()); got != 2 {
 		t.Errorf("Slots() = %d entries, want 2", got)
 	}
-	if got := tab.SlotsByRole(RoleBatch); len(got) != 1 || got[0] != b {
-		t.Error("SlotsByRole(batch) wrong")
+	if got := tab.Slots(); got[0] != a || got[1] != b {
+		t.Error("Slots() not in registration order")
 	}
 	if tab.WindowSize() != 8 {
 		t.Errorf("WindowSize = %d, want 8", tab.WindowSize())
@@ -56,7 +56,7 @@ func TestRegisterAssignsIDsAndRoles(t *testing.T) {
 func TestSlotPublishAndWindow(t *testing.T) {
 	tab := NewTable(3)
 	s := tab.Register("x", RoleLatency)
-	if s.LastSample() != 0 || s.WindowLen() != 0 {
+	if s.LastSample() != 0 || len(s.Samples()) != 0 {
 		t.Error("fresh slot not empty")
 	}
 	for _, v := range []float64{100, 200, 300, 400} {
@@ -65,20 +65,17 @@ func TestSlotPublishAndWindow(t *testing.T) {
 	if s.Published() != 4 {
 		t.Errorf("Published = %d, want 4", s.Published())
 	}
-	if s.WindowLen() != 3 {
-		t.Errorf("WindowLen = %d, want 3", s.WindowLen())
-	}
 	if got := s.WindowMean(); got != 300 {
 		t.Errorf("WindowMean = %v, want 300", got)
 	}
 	if got := s.LastSample(); got != 400 {
 		t.Errorf("LastSample = %v, want 400", got)
 	}
-	if got := s.WindowMeanRange(0, 2); got != 250 {
-		t.Errorf("WindowMeanRange(0,2) = %v, want 250", got)
-	}
 	samples := s.Samples()
 	want := []float64{200, 300, 400}
+	if len(samples) != len(want) {
+		t.Fatalf("Samples() holds %d samples, want %d", len(samples), len(want))
+	}
 	for i := range want {
 		if samples[i] != want[i] {
 			t.Errorf("Samples[%d] = %v, want %v", i, samples[i], want[i])
@@ -95,20 +92,6 @@ func TestDirectives(t *testing.T) {
 	s.SetDirective(DirectivePause)
 	if s.Directive() != DirectivePause {
 		t.Error("SetDirective did not stick")
-	}
-}
-
-func TestBroadcastDirectiveTargetsBatchOnly(t *testing.T) {
-	tab := NewTable(4)
-	lat := tab.Register("search", RoleLatency)
-	b1 := tab.Register("lbm1", RoleBatch)
-	b2 := tab.Register("lbm2", RoleBatch)
-	tab.BroadcastDirective(DirectivePause)
-	if b1.Directive() != DirectivePause || b2.Directive() != DirectivePause {
-		t.Error("batch slots did not receive broadcast")
-	}
-	if lat.Directive() != DirectiveRun {
-		t.Error("latency slot was throttled by broadcast")
 	}
 }
 

@@ -2,12 +2,13 @@
 // machine to a cluster: a Cluster owns N simulated machines (each a
 // multi-LLC-domain machine.Machine driven by an internal/sched scheduler),
 // an open-loop traffic driver feeds jobs into a fleet-level admission
-// queue, and a pluggable cross-machine placement policy dispatches them —
-// round-robin, packed, or least-pressure using every machine's classifier
-// summary, the cluster-level analogue of the paper's contention-aware
-// placement. Queued work migrates between machines at a bounded rate when
-// backlogs diverge, mirroring sched's bounded intra-machine migration one
-// level up.
+// queue, and a cross-machine placement policy dispatches them —
+// round-robin, packed, least-pressure using every machine's classifier
+// view, or the same score over scraped telemetry — through the placement
+// engine the schedulers place with (sched.Picker): the cluster only says
+// which machines are eligible and what each would cost (policy.go). Queued
+// work migrates between machines at a bounded rate when backlogs diverge,
+// mirroring sched's bounded intra-machine migration one level up.
 //
 // Determinism contract: a fleet run is a pure function of its Config. The
 // traffic driver and every per-machine scheduler derive from Config.Seed.
@@ -218,7 +219,7 @@ type Node struct {
 	lastDegraded uint64
 	pressureBuf  []float64
 	sensBuf      []float64
-	sum          sched.Summary
+	sum          sched.View
 	series       *telemetry.Series
 	slo          *slo.Engine
 }
@@ -239,13 +240,13 @@ type Cluster struct {
 	cfg     Config
 	nodes   []*Node
 	pool    *machine.Pool // every node's machine: the hardware half of a tick
-	placer  Placer
+	picker  sched.Picker
 	traffic *driver
 
 	jobs  []*job
-	queue fifo
-	live  []int // dispatched-but-unfinished job indices, dispatch order
-	views []NodeView
+	queue sched.Queue // the fleet admission queue, of indices into jobs
+	live  []int       // dispatched-but-unfinished job indices, dispatch order
+	cand  machineSet  // one view per machine, refilled per decision
 
 	tick       int
 	migrations int
@@ -266,8 +267,8 @@ type Cluster struct {
 }
 
 // New builds the cluster: machines, services, scheduler per machine, and
-// the traffic driver. It panics on an empty machine list or an empty
-// traffic mix with a positive rate.
+// the traffic driver. It panics on an empty machine list, an empty traffic
+// mix (at any rate) or an unknown policy.
 func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
 	if len(cfg.Machines) == 0 {
@@ -276,11 +277,14 @@ func New(cfg Config) *Cluster {
 	if len(cfg.Traffic.Mix) == 0 {
 		panic("fleet: traffic needs a non-empty job mix")
 	}
+	if cfg.Policy < 0 || int(cfg.Policy) >= len(policies) {
+		panic(fmt.Sprintf("fleet: unknown policy %d", int(cfg.Policy)))
+	}
 	c := &Cluster{
 		cfg:         cfg,
-		placer:      cfg.Policy.NewPlacer(),
+		picker:      sched.NewPicker(policies[cfg.Policy].pick),
 		traffic:     newDriver(cfg.Traffic, cfg.Seed-1),
-		views:       make([]NodeView, len(cfg.Machines)),
+		cand:        machineSet{views: make([]NodeView, len(cfg.Machines)), scraped: cfg.Policy == PolicyTelemetry},
 		tel:         make([]telState, len(cfg.Machines)),
 		migrateFrom: -1,
 	}
@@ -355,7 +359,7 @@ func newNode(k int, ms MachineSpec, cfg *Config, multi bool) *Node {
 	}
 
 	// The exported placement signals (observability v2): PolicyTelemetry
-	// reads these — not the classifier — so every signal the placer acts
+	// reads these — not the classifier — so every signal that policy acts
 	// on must be a registered series.
 	n.freeCoresG = n.reg.Gauge("caer_fleet_node_free_cores", "unoccupied batch cores on this machine")
 	n.sensitivityG = n.reg.Gauge("caer_fleet_node_sensitivity", "summed classifier sensitivity of this machine's latency apps")
@@ -402,7 +406,7 @@ func newNode(k int, ms MachineSpec, cfg *Config, multi bool) *Node {
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 
 // Tick advances the whole fleet one period: open-loop arrivals enter the
-// fleet queue, the placer dispatches bounded work onto machines, at most
+// fleet queue, the picker dispatches bounded work onto machines, at most
 // one bounded-rate cross-machine migration fires, every machine runs one
 // period, and completions are harvested. The period is split where the
 // paper splits it: every scheduler arms in index order (a no-op after the
@@ -453,41 +457,42 @@ func (c *Cluster) arrive(n int) {
 			schedID: -1,
 			arrived: c.tick,
 		})
-		c.queue.push(len(c.jobs) - 1)
+		c.queue.Push(len(c.jobs) - 1)
 		telemetry.FleetArrivals.Inc()
 	}
 }
 
 // dispatch drains the head of the fleet queue onto machines, bounded per
-// tick, FIFO: when the placer finds no eligible machine for the head job,
+// tick, FIFO: when the picker finds no eligible machine for the head job,
 // dispatch stalls until capacity frees up (head-of-line order is part of
 // the determinism contract). The scan is allocation-free; the per-job
 // commit happens in the cold dispatchTo barrier.
 func (c *Cluster) dispatch() {
-	for budget := c.cfg.DispatchPerTick; budget > 0 && c.queue.len() > 0; budget-- {
-		ji := c.queue.peek()
+	for budget := c.cfg.DispatchPerTick; budget > 0 && c.queue.Len() > 0; budget-- {
+		ji := c.queue.Peek()
 		c.fillViews(c.jobs[ji].name)
-		k := c.placer.Place(c.views)
+		k := c.picker.Pick(&c.cand)
 		if k < 0 {
 			break
 		}
-		c.queue.pop()
-		c.placer.Commit(k)
+		c.queue.Pop()
+		c.picker.Commit(k)
 		c.dispatchTo(k, ji)
 	}
-	telemetry.FleetQueueDepth.Set(float64(c.queue.len()))
+	telemetry.FleetQueueDepth.Set(float64(c.queue.Len()))
 }
 
 // fillViews refreshes the per-machine placement views for a candidate job.
-// Allocation-free: Summarize refills the caller-held summaries in place.
+// Allocation-free: Summarize refills the caller-held views in place.
 func (c *Cluster) fillViews(name string) {
 	for k, n := range c.nodes {
-		n.sched.Summarize(&c.views[k].Summary)
+		v := &c.cand.views[k]
+		n.sched.Summarize(&v.View)
 		aggr, ok := n.sched.AppAggressiveness(name)
 		if !ok {
 			aggr = 0.5 // classifier prior for a never-seen program
 		}
-		c.views[k].Aggr = aggr
+		v.Aggr = aggr
 	}
 	c.fillTelViews()
 }
@@ -555,7 +560,7 @@ func (c *Cluster) maybeMigrate() {
 			continue
 		}
 		c.fillViews(j.name)
-		if !c.views[dst].eligible() {
+		if !c.cand.Eligible(dst) {
 			return
 		}
 		if !c.nodes[src].sched.Withdraw(j.schedID) {
@@ -640,7 +645,7 @@ func (c *Cluster) finishRequest(n *Node, s *service) {
 //
 //caer:hot
 func (c *Cluster) Done() bool {
-	if !c.traffic.exhausted(c.tick) || c.queue.len() > 0 || len(c.live) > 0 {
+	if !c.traffic.exhausted(c.tick) || c.queue.Len() > 0 || len(c.live) > 0 {
 		return false
 	}
 	for _, n := range c.nodes {

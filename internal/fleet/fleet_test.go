@@ -460,3 +460,26 @@ func TestFleetUnderInterruptSampling(t *testing.T) {
 		}
 	}
 }
+
+// TestNewRejectsMalformedConfig pins fleet.New's construction-time checks:
+// no machines, an empty traffic mix (at any rate, zero included) and a
+// policy outside the enum are bugs in the caller, reported by panic.
+func TestNewRejectsMalformedConfig(t *testing.T) {
+	for name, mutate := range map[string]func(*fleet.Config){
+		"no machines":      func(c *fleet.Config) { c.Machines = nil },
+		"empty mix":        func(c *fleet.Config) { c.Traffic.Mix = nil },
+		"empty mix rate 0": func(c *fleet.Config) { c.Traffic = fleet.Traffic{} },
+		"unknown policy":   func(c *fleet.Config) { c.Policy = fleet.Policy(9) },
+	} {
+		cfg := identityFleet(1)
+		mutate(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: fleet.New did not panic", name)
+				}
+			}()
+			fleet.New(cfg)
+		}()
+	}
+}

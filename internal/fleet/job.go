@@ -52,46 +52,3 @@ type job struct {
 	doneTick   int    // fleet tick the job completed (0 = not yet)
 	migrations int    // cross-machine moves
 }
-
-// fifo is a growable FIFO ring of job indices: the fleet admission queue.
-// peek/pop/len never allocate; push grows the ring on the cold arrival
-// path when needed.
-type fifo struct {
-	buf   []int
-	head  int
-	count int
-}
-
-func (q *fifo) len() int { return q.count }
-
-func (q *fifo) push(j int) {
-	if q.count == len(q.buf) {
-		grown := make([]int, 2*len(q.buf)+1)
-		for i := 0; i < q.count; i++ {
-			grown[i] = q.buf[(q.head+i)%len(q.buf)]
-		}
-		q.buf = grown
-		q.head = 0
-	}
-	q.buf[(q.head+q.count)%len(q.buf)] = j
-	q.count++
-}
-
-// peek returns the head job index without removing it, or -1 when empty.
-func (q *fifo) peek() int {
-	if q.count == 0 {
-		return -1
-	}
-	return q.buf[q.head]
-}
-
-// pop removes and returns the head job index; it panics when empty.
-func (q *fifo) pop() int {
-	if q.count == 0 {
-		panic("fleet: pop from empty queue")
-	}
-	j := q.buf[q.head]
-	q.head = (q.head + 1) % len(q.buf)
-	q.count--
-	return j
-}

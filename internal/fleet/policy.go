@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"strings"
 
 	"caer/internal/sched"
 )
@@ -9,7 +10,7 @@ import (
 // Policy selects the cross-machine placement strategy the fleet scheduler
 // uses to map arriving jobs onto machines. It is the cluster-level
 // analogue of sched.Policy, which then places the job onto an LLC domain
-// within the chosen machine.
+// within the chosen machine; both levels pick with sched.Picker.
 type Policy int
 
 const (
@@ -18,44 +19,62 @@ const (
 	PolicyRoundRobin Policy = iota
 	// PolicyLeastPressure greedily sends each job to the machine where
 	// its predicted interference with the resident latency services is
-	// lowest, using every machine's classifier summary (sensitivity, live
-	// LLC pressure, resident batch aggressiveness).
+	// lowest, using every machine's classifier view (sensitivity, live LLC
+	// pressure, resident batch aggressiveness).
 	PolicyLeastPressure
 	// PolicyPacked fills the lowest-numbered machine first — the
 	// consolidation baseline.
 	PolicyPacked
 	// PolicyTelemetry places by each machine's exported metrics — the
 	// scraped caer_core_pressure gauges, per-service latency histograms,
-	// and SLO burn state — instead of the synchronous classifier summary.
+	// and SLO burn state — instead of the synchronous classifier view.
 	// A machine whose scrape is stale past the staleness horizon is scored
 	// with the least-pressure fallback, so a dead telemetry plane degrades
 	// the policy to PolicyLeastPressure rather than wedging placement.
 	PolicyTelemetry
 )
 
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case PolicyRoundRobin:
-		return "round-robin"
-	case PolicyLeastPressure:
-		return "least-pressure"
-	case PolicyPacked:
-		return "packed"
-	case PolicyTelemetry:
-		return "telemetry"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
+// policies names every policy — in reports and event dumps, and as a
+// -policy flag value — and says how sched.Picker picks under it. The two
+// scoring policies differ only in what machineSet.Score reads.
+var policies = [...]struct {
+	name, flag string
+	pick       sched.Policy
+}{
+	PolicyRoundRobin:    {"round-robin", "rr", sched.PolicyRoundRobin},
+	PolicyLeastPressure: {"least-pressure", "lp", sched.PolicyContentionAware},
+	PolicyPacked:        {"packed", "packed", sched.PolicyPacked},
+	PolicyTelemetry:     {"telemetry", "telemetry", sched.PolicyContentionAware},
 }
 
-// NodeView is one machine's state as the fleet placer sees it: the
-// machine-wide classifier summary plus the candidate job's aggressiveness
-// as that machine's classifier knows it (machines that have hosted the
-// program before predict it better). The cluster refills a preallocated
-// []NodeView every dispatch decision, so placers must not retain it.
+// String names the policy.
+func (p Policy) String() string {
+	if p < 0 || int(p) >= len(policies) {
+		return fmt.Sprintf("Policy(%d)", int(p))
+	}
+	return policies[p].name
+}
+
+// ParsePolicy resolves a -policy flag value: a policy's flag name or its
+// full name. The error lists the flag names the table has.
+func ParsePolicy(s string) (Policy, error) {
+	flags := make([]string, len(policies))
+	for p, e := range policies {
+		if s == e.flag || s == e.name {
+			return Policy(p), nil
+		}
+		flags[p] = e.flag
+	}
+	return 0, fmt.Errorf("unknown policy %q (want one of %s)", s, strings.Join(flags, ", "))
+}
+
+// NodeView is one machine as a placement candidate: the machine-wide
+// classifier view (sched.Scheduler.Summarize) plus the candidate job's
+// aggressiveness as that machine's classifier knows it (machines that have
+// hosted the program before predict it better). The cluster refills a
+// preallocated []NodeView every dispatch decision.
 type NodeView struct {
-	sched.Summary
+	sched.View
 	// Aggr is the candidate job's classifier aggressiveness on this
 	// machine (the prior 0.5 when the machine has never run the program).
 	Aggr float64
@@ -64,154 +83,40 @@ type NodeView struct {
 	Tel TelView
 }
 
-// eligible reports whether the machine can absorb another dispatch: more
-// free batch cores than jobs already waiting in its admission queue.
-// Dispatch past that point only builds machine-local backlog the fleet
-// queue models better (and migration would immediately want to undo).
-func (v *NodeView) eligible() bool { return v.FreeCores > v.Queued }
-
-// interferenceScore mirrors sched's greedy scorer one level up: predicted
-// marginal interference of putting the candidate on the machine. Latency
-// sensitivity and live pressure both make a machine expensive, scaled by
-// the candidate's aggressiveness; resident batch load breaks ties away
-// from crowded machines.
-func interferenceScore(v *NodeView) float64 {
-	return (v.Sensitivity+v.Pressure)*(0.4+v.Aggr) + 0.3*v.BatchLoad
-}
-
-// Placer is the pluggable cross-machine placement policy: given the
-// per-machine views, Place picks a target machine, or -1 when no machine
-// is eligible (the job stays in the fleet queue). Place must be pure and
-// allocation-free — it runs whenever the fleet queue is non-empty. The
-// cluster calls Commit(n) only when a job is actually dispatched to
-// machine n, which is when stateful policies may advance.
-type Placer interface {
-	Name() string
-	Place(views []NodeView) int
-	Commit(n int)
-}
-
-// NewPlacer builds the policy's placer.
-func (p Policy) NewPlacer() Placer {
-	switch p {
-	case PolicyRoundRobin:
-		return &roundRobinPlacer{}
-	case PolicyLeastPressure:
-		return &leastPressurePlacer{}
-	case PolicyPacked:
-		return &packedPlacer{}
-	case PolicyTelemetry:
-		return &telemetryPlacer{}
-	default:
-		panic(fmt.Sprintf("fleet: unknown policy %d", int(p)))
-	}
-}
-
-// roundRobinPlacer rotates across eligible machines.
-type roundRobinPlacer struct {
-	next int
-}
-
-func (r *roundRobinPlacer) Name() string { return PolicyRoundRobin.String() }
-
-func (r *roundRobinPlacer) Place(views []NodeView) int {
-	n := len(views)
-	for i := 0; i < n; i++ {
-		k := (r.next + i) % n
-		if views[k].eligible() {
-			return k
-		}
-	}
-	return -1
-}
-
-func (r *roundRobinPlacer) Commit(n int) { r.next = n + 1 }
-
-// leastPressurePlacer picks the eligible machine with the lowest predicted
-// interference score; ties break toward the lower machine index for
-// determinism.
-type leastPressurePlacer struct{}
-
-func (leastPressurePlacer) Name() string { return PolicyLeastPressure.String() }
-
-func (leastPressurePlacer) Commit(n int) {}
-
-func (leastPressurePlacer) Place(views []NodeView) int {
-	best := -1
-	var bestScore float64
-	for k := range views {
-		if !views[k].eligible() {
-			continue
-		}
-		s := interferenceScore(&views[k])
-		if best == -1 || s < bestScore {
-			best = k
-			bestScore = s
-		}
-	}
-	return best
-}
-
 // burnPenalty is the telemetry score surcharge per firing SLO alert: a
 // machine actively burning error budget repels new batch work outright —
 // one firing alert outweighs any pressure difference in [0, 2).
 const burnPenalty = 2.0
 
-// telemetryScore mirrors interferenceScore but sources every machine-side
-// term from the scraped metrics instead of the synchronous summary, and
-// adds what only telemetry can see: the observed request-latency tail and
-// the SLO burn state.
+// telemetryScore is sched.Interference with every machine-side term
+// sourced from the scraped metrics instead of the synchronous view, plus
+// what only telemetry can see: the observed request-latency tail and the
+// SLO burn state.
 func telemetryScore(v *NodeView) float64 {
-	return (v.Tel.Sensitivity+v.Tel.Pressure)*(0.4+v.Aggr) +
-		0.3*v.Tel.BatchLoad +
+	scraped := sched.View{Sensitivity: v.Tel.Sensitivity, Pressure: v.Tel.Pressure, BatchLoad: v.Tel.BatchLoad}
+	return sched.Interference(scraped, v.Aggr) +
 		v.Tel.LatencyP99/latencyHistMax +
 		burnPenalty*float64(v.Tel.Burning)
 }
 
-// telemetryPlacer scores each eligible machine by its scraped metrics
-// when fresh, falling back per machine to the synchronous least-pressure
-// score when the scrape is stale past the horizon. With every machine
-// stale (total scrape outage) the policy is exactly PolicyLeastPressure —
-// same scores, same tie-breaks — which the staleness-fallback test pins.
-type telemetryPlacer struct{}
-
-func (telemetryPlacer) Name() string { return PolicyTelemetry.String() }
-
-func (telemetryPlacer) Commit(n int) {}
-
-func (telemetryPlacer) Place(views []NodeView) int {
-	best := -1
-	var bestScore float64
-	for k := range views {
-		if !views[k].eligible() {
-			continue
-		}
-		var s float64
-		if views[k].Tel.Fresh {
-			s = telemetryScore(&views[k])
-		} else {
-			s = interferenceScore(&views[k])
-		}
-		if best == -1 || s < bestScore {
-			best = k
-			bestScore = s
-		}
-	}
-	return best
+// machineSet is the cluster's candidate set: its machines, scored for the
+// job being dispatched. Under PolicyTelemetry (scraped) a machine is scored
+// by its scraped metrics when they are fresh and by the synchronous
+// least-pressure score when the scrape is stale past the horizon — so with
+// every machine stale (total scrape outage) the policy is exactly
+// PolicyLeastPressure, same scores, same tie-breaks, which the
+// staleness-fallback test pins.
+type machineSet struct {
+	views   []NodeView
+	scraped bool
 }
 
-// packedPlacer fills machine 0 first, then 1, ...
-type packedPlacer struct{}
-
-func (packedPlacer) Name() string { return PolicyPacked.String() }
-
-func (packedPlacer) Commit(n int) {}
-
-func (packedPlacer) Place(views []NodeView) int {
-	for k := range views {
-		if views[k].eligible() {
-			return k
-		}
+func (ms *machineSet) Len() int            { return len(ms.views) }
+func (ms *machineSet) Eligible(k int) bool { return ms.views[k].Eligible() }
+func (ms *machineSet) Score(k int) float64 {
+	v := &ms.views[k]
+	if ms.scraped && v.Tel.Fresh {
+		return telemetryScore(v)
 	}
-	return -1
+	return sched.Interference(v.View, v.Aggr)
 }

@@ -79,7 +79,7 @@ func (r Report) Throughput() float64 {
 // Report assembles the cluster's current outcome.
 func (c *Cluster) Report() Report {
 	r := Report{
-		Policy:   c.placer.Name(),
+		Policy:   c.cfg.Policy.String(),
 		Machines: len(c.nodes),
 		Ticks:    c.tick,
 		Arrivals: len(c.jobs),

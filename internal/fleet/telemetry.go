@@ -36,13 +36,10 @@ type SLOConfig struct {
 	// DegradedBudget declares a budget objective on the node's fail-open
 	// degraded engine ticks: "rate < DegradedBudget per period". 0 disables.
 	DegradedBudget float64
-	// Window/FastWindow/Burn/PendingPeriods tune every declared objective
-	// (see slo.Objective; zero values take that package's defaults, except
-	// Window which defaults to 64 periods here).
-	Window         int
-	FastWindow     int
-	Burn           float64
-	PendingPeriods int
+	// Window is every declared objective's slow burn window, in periods;
+	// default 64. The fast window, the burn factor and the pending dwell
+	// take slo.Objective's defaults.
+	Window int
 }
 
 func (s SLOConfig) enabled() bool { return s.LatencyQuantile > 0 || s.DegradedBudget > 0 }
@@ -71,8 +68,7 @@ func (s SLOConfig) objectives(n *Node) []slo.Objective {
 				Metric:  "caer_fleet_request_latency_periods",
 				LabelKV: []string{"service", sv.name},
 				Kind:    slo.KindQuantile, Quantile: s.LatencyQuantile, Bound: s.LatencyBound,
-				Window: s.Window, FastWindow: s.FastWindow, Burn: s.Burn,
-				PendingPeriods: s.PendingPeriods,
+				Window: s.Window,
 			})
 		}
 	}
@@ -81,8 +77,7 @@ func (s SLOConfig) objectives(n *Node) []slo.Objective {
 			Name:   "degraded-budget",
 			Metric: "caer_fleet_node_degraded_ticks_total",
 			Kind:   slo.KindBudget, Budget: s.DegradedBudget,
-			Window: s.Window, FastWindow: s.FastWindow, Burn: s.Burn,
-			PendingPeriods: s.PendingPeriods,
+			Window: s.Window,
 		})
 	}
 	return objs
@@ -111,8 +106,8 @@ func (r registryScraper) Scrape(machine int, w io.Writer) error {
 }
 
 // TelView is one machine's state as derived purely from its scraped
-// metrics — the telemetry analogue of sched.Summary. Zero until the first
-// successful scrape.
+// metrics — the telemetry analogue of the sched.View that Summarize fills.
+// Zero until the first successful scrape.
 type TelView struct {
 	// Fresh reports the last successful scrape is within the staleness
 	// horizon; Age is its distance in ticks (horizon+1 when never scraped).
@@ -203,7 +198,7 @@ type latSeries struct {
 // foldView folds one machine's parsed snapshot into a TelView (all but the
 // window p99, which windowP99 adds at commit) and groups the latency
 // buckets by service into c.lat. It fails — having changed nothing the
-// next scrape or the placer reads — on a bucket edge that is not a number
+// next scrape or the picker reads — on a bucket edge that is not a number
 // >= 0 or +Inf.
 func (c *Cluster) foldView(ms []telemetry.TextMetric) (TelView, error) {
 	v := TelView{Fresh: true}
@@ -353,7 +348,7 @@ func (c *Cluster) fillTelViews() {
 			v.Age = c.tick - st.lastTick
 			v.Fresh = v.Age <= c.cfg.StalenessHorizon
 		}
-		c.views[k].Tel = v
+		c.cand.views[k].Tel = v
 	}
 }
 
@@ -415,7 +410,7 @@ type EventsDump struct {
 // Export path: allocates.
 func (c *Cluster) WriteEvents(w io.Writer) error {
 	d := EventsDump{
-		Policy: c.placer.Name(),
+		Policy: c.cfg.Policy.String(),
 		Ticks:  c.tick,
 		Fleet:  c.Decisions(),
 	}

@@ -40,7 +40,7 @@ func (s *Scheduler) Submit(j Job) int {
 	}
 	s.spans.NameTrack(s.pipe.Track(js.slot), s.cfg.TrackPrefix+"job/"+j.Name)
 	s.jobs = append(s.jobs, js)
-	s.queue.push(js.id)
+	s.queue.Push(js.id)
 	s.open++
 	return js.id
 }
@@ -55,14 +55,14 @@ func (s *Scheduler) Withdraw(job int) bool {
 		panic(fmt.Sprintf("sched: withdraw of unknown job %d", job))
 	}
 	j := s.jobs[job]
-	if j.state != JobWaiting || !s.started || !s.queue.remove(job) {
+	if j.state != JobWaiting || !s.started || !s.queue.Remove(job) {
 		return false
 	}
 	j.state = JobWithdrawn
 	s.open--
 	s.decisions = append(s.decisions, Decision{
 		Period: s.period, Kind: DecisionWithdraw, Job: job, Name: j.spec.Name,
-		From: -1, To: -1, Core: -1, Waited: j.waited, Queued: s.queue.len(),
+		From: -1, To: -1, Core: -1, Waited: j.waited, Queued: s.queue.Len(),
 	})
 	return true
 }
@@ -121,7 +121,7 @@ func (s *Scheduler) finishJobs() {
 			j.admitted, uint32(residency), float64(j.migrations))
 		s.decisions = append(s.decisions, Decision{
 			Period: s.period, Kind: DecisionComplete, Job: j.id, Name: j.spec.Name,
-			From: j.domain, To: -1, Core: j.core, Queued: s.queue.len(),
+			From: j.domain, To: -1, Core: j.core, Queued: s.queue.Len(),
 		})
 	}
 	clear(s.running[len(kept):])
@@ -130,8 +130,8 @@ func (s *Scheduler) finishJobs() {
 
 // ageQueue advances every waiting job's age. Allocation-free.
 func (s *Scheduler) ageQueue() {
-	for i := 0; i < s.queue.len(); i++ {
-		s.jobs[s.queue.at(i)].waited++
+	for i := 0; i < s.queue.Len(); i++ {
+		s.jobs[s.queue.At(i)].waited++
 	}
 }
 
@@ -146,19 +146,19 @@ func (s *Scheduler) ageQueue() {
 func (s *Scheduler) admit() {
 	admitted := 0
 	for {
-		head := s.queue.peek()
+		head := s.queue.Peek()
 		if head < 0 {
 			return
 		}
 		j := s.jobs[head]
 		s.fillViews()
-		aggr := s.classifier.Aggressiveness(j.app)
-		d := s.placer.Place(aggr, s.views)
+		s.doms.aggr = s.classifier.Aggressiveness(j.app)
+		d := s.picker.Pick(&s.doms)
 		if d < 0 {
 			return // no free core anywhere: capacity-bound wait
 		}
 		aged := j.waited >= s.cfg.AgingBound
-		if !aged && (admitted > 0 || interferenceScore(s.views[d], aggr) > s.cfg.AdmitThreshold) {
+		if !aged && (admitted > 0 || s.doms.Score(d) > s.cfg.AdmitThreshold) {
 			if admitted == 0 {
 				telemetry.SchedVetoes.Inc()
 			}
@@ -173,7 +173,7 @@ func (s *Scheduler) admit() {
 //
 //caer:cold decision path: records the admission and attaches an engine, allocating by design; the per-period scan around it is hot
 func (s *Scheduler) admitTo(j *jobState, d int, aged bool) {
-	s.queue.pop()
+	s.queue.Pop()
 	j.proc = j.spec.New()
 	core := s.place(j, d)
 	j.state = JobRunning
@@ -182,7 +182,7 @@ func (s *Scheduler) admitTo(j *jobState, d int, aged bool) {
 	// Admission is FIFO over ids that only grow, so appending keeps the
 	// running set in job-id order.
 	s.running = append(s.running, j)
-	s.placer.Commit(d)
+	s.picker.Commit(d)
 	if j.waited > s.maxWait {
 		s.maxWait = j.waited
 	}
@@ -192,27 +192,28 @@ func (s *Scheduler) admitTo(j *jobState, d int, aged bool) {
 	}
 	if j.waited > 0 {
 		s.spans.Record(s.pipe.Track(j.slot), telemetry.SpanQueued,
-			s.period-uint64(j.waited), uint32(j.waited), float64(s.queue.len()))
+			s.period-uint64(j.waited), uint32(j.waited), float64(s.queue.Len()))
 	}
 	s.decisions = append(s.decisions, Decision{
 		Period: s.period, Kind: DecisionAdmit, Job: j.id, Name: j.spec.Name,
-		From: -1, To: d, Core: core, Waited: j.waited, Aged: aged, Queued: s.queue.len(),
+		From: -1, To: d, Core: core, Waited: j.waited, Aged: aged, Queued: s.queue.Len(),
 	})
 }
 
 // fillViews refreshes the per-domain placement views. Allocation-free;
 // runs whenever a placement or migration decision is evaluated.
 func (s *Scheduler) fillViews() {
-	for d := range s.views {
-		s.views[d] = View{FreeCores: s.freeCount[d]}
+	views := s.doms.views
+	for d := range views {
+		views[d] = View{FreeCores: s.freeCount[d]}
 	}
 	for i := range s.latency {
 		la := &s.latency[i]
-		s.views[la.domain].Sensitivity += s.classifier.Sensitivity(la.app)
-		s.views[la.domain].Pressure += s.pressure(la)
+		views[la.domain].Sensitivity += s.classifier.Sensitivity(la.app)
+		views[la.domain].Pressure += s.pressure(la)
 	}
 	for _, j := range s.running {
-		s.views[j.domain].BatchLoad += s.classifier.Aggressiveness(j.app)
+		views[j.domain].BatchLoad += s.classifier.Aggressiveness(j.app)
 	}
 }
 
@@ -228,6 +229,7 @@ func (s *Scheduler) maybeMigrate() {
 		return
 	}
 	s.fillViews()
+	views := s.doms.views
 	var best *jobState
 	bestTo := -1
 	var bestGain float64
@@ -235,14 +237,14 @@ func (s *Scheduler) maybeMigrate() {
 		aggr := s.classifier.Aggressiveness(j.app)
 		// Score the job's current domain without its own batch-load
 		// contribution, so staying put isn't penalized for its own weight.
-		from := s.views[j.domain]
+		from := views[j.domain]
 		from.BatchLoad -= aggr
-		cur := interferenceScore(from, aggr)
-		for d := range s.views {
-			if d == j.domain || s.views[d].FreeCores == 0 {
+		cur := Interference(from, aggr)
+		for d := range views {
+			if d == j.domain || !views[d].Eligible() {
 				continue
 			}
-			gain := cur - interferenceScore(s.views[d], aggr)
+			gain := cur - Interference(views[d], aggr)
 			if gain > bestGain {
 				best, bestTo, bestGain = j, d, gain
 			}
@@ -259,7 +261,7 @@ func (s *Scheduler) maybeMigrate() {
 	telemetry.SchedMigrations.Inc()
 	s.decisions = append(s.decisions, Decision{
 		Period: s.period, Kind: DecisionMigrate, Job: best.id, Name: best.spec.Name,
-		From: oldDomain, To: bestTo, Core: core, Queued: s.queue.len(),
+		From: oldDomain, To: bestTo, Core: core, Queued: s.queue.Len(),
 	})
 }
 

@@ -5,91 +5,102 @@ import "testing"
 func TestInterferenceScoreOrdering(t *testing.T) {
 	hot := View{FreeCores: 1, Sensitivity: 0.8, Pressure: 0.7}
 	cold := View{FreeCores: 1, Sensitivity: 0.05, Pressure: 0.05}
-	if interferenceScore(hot, 0.5) <= interferenceScore(cold, 0.5) {
+	if Interference(hot, 0.5) <= Interference(cold, 0.5) {
 		t.Error("hot domain does not score above cold domain")
 	}
 	// Aggressiveness widens the gap: a known aggressor pays more for the
 	// hot domain than an unknown job does.
-	gapAggressive := interferenceScore(hot, 0.9) - interferenceScore(cold, 0.9)
-	gapUnknown := interferenceScore(hot, 0) - interferenceScore(cold, 0)
+	gapAggressive := Interference(hot, 0.9) - Interference(cold, 0.9)
+	gapUnknown := Interference(hot, 0) - Interference(cold, 0)
 	if gapAggressive <= gapUnknown {
 		t.Errorf("aggressiveness gap %v <= unknown gap %v", gapAggressive, gapUnknown)
 	}
 	// Resident batch load makes an otherwise-equal domain less attractive.
 	crowded := cold
 	crowded.BatchLoad = 2
-	if interferenceScore(crowded, 0.5) <= interferenceScore(cold, 0.5) {
+	if Interference(crowded, 0.5) <= Interference(cold, 0.5) {
 		t.Error("batch load does not penalize a crowded domain")
 	}
 }
 
+// pick is one decision in a policy's table: the Picker is asked to place a
+// job of aggressiveness aggr over views and must answer want; commit says
+// the admission went through.
+type pick struct {
+	why    string
+	aggr   float64
+	views  []View
+	want   int
+	commit bool
+}
+
+// runPicks drives one Picker of the policy through the table in order.
+func runPicks(t *testing.T, pol Policy, picks []pick) {
+	t.Helper()
+	picker := NewPicker(pol)
+	for i, p := range picks {
+		got := picker.Pick(&domainSet{views: p.views, aggr: p.aggr})
+		if got != p.want {
+			t.Fatalf("%s, pick %d (%s) = %d, want %d", pol, i, p.why, got, p.want)
+		}
+		if p.commit {
+			picker.Commit(got)
+		}
+	}
+}
+
 func TestContentionPlacer(t *testing.T) {
-	p := PolicyContentionAware.NewPlacer()
-	views := []View{
-		{FreeCores: 1, Sensitivity: 0.9, Pressure: 0.8},
-		{FreeCores: 1, Sensitivity: 0.05},
-	}
-	if d := p.Place(0.7, views); d != 1 {
-		t.Errorf("Place = %d, want the cold domain 1", d)
-	}
-	views[1].FreeCores = 0
-	if d := p.Place(0.7, views); d != 0 {
-		t.Errorf("Place with domain 1 full = %d, want 0", d)
-	}
-	views[0].FreeCores = 0
-	if d := p.Place(0.7, views); d != -1 {
-		t.Errorf("Place with all domains full = %d, want -1", d)
-	}
-	// Exact ties break toward the lower index for determinism.
-	tied := []View{
-		{FreeCores: 1, Sensitivity: 0.3},
-		{FreeCores: 1, Sensitivity: 0.3},
-	}
-	if d := p.Place(0.5, tied); d != 0 {
-		t.Errorf("tied Place = %d, want 0", d)
-	}
+	hot := View{FreeCores: 1, Sensitivity: 0.9, Pressure: 0.8}
+	cold := View{FreeCores: 1, Sensitivity: 0.05}
+	hotFull, coldFull := hot, cold
+	hotFull.FreeCores, coldFull.FreeCores = 0, 0
+	tied := View{FreeCores: 1, Sensitivity: 0.3}
+	runPicks(t, PolicyContentionAware, []pick{
+		{"the cold domain", 0.7, []View{hot, cold}, 1, true},
+		{"the cold domain again: Commit moves nothing", 0.7, []View{hot, cold}, 1, false},
+		{"domain 1 full", 0.7, []View{hot, coldFull}, 0, false},
+		{"all domains full", 0.7, []View{hotFull, coldFull}, -1, false},
+		{"exact ties break toward the lower index", 0.5, []View{tied, tied}, 0, false},
+	})
 }
 
 func TestRoundRobinPlacer(t *testing.T) {
-	p := PolicyRoundRobin.NewPlacer()
-	views := []View{{FreeCores: 1}, {FreeCores: 1}, {FreeCores: 1}}
-	want := []int{0, 1, 2, 0}
-	for i, w := range want {
-		d := p.Place(0, views)
-		if d != w {
-			t.Fatalf("placement %d = %d, want %d", i, d, w)
-		}
-		p.Commit(d)
-	}
-	// Without Commit (admission vetoed), the rotation does not advance.
-	d1 := p.Place(0, views)
-	d2 := p.Place(0, views)
-	if d1 != d2 {
-		t.Errorf("uncommitted Place advanced: %d then %d", d1, d2)
-	}
-	// Full domains are skipped.
-	views[d1].FreeCores = 0
-	if d := p.Place(0, views); d == d1 {
-		t.Error("round-robin placed on a full domain")
-	}
-	if d := p.Place(0, []View{{}, {}}); d != -1 {
-		t.Errorf("Place with no free cores = %d, want -1", d)
-	}
+	free, full := View{FreeCores: 1}, View{}
+	all := []View{free, free, free}
+	runPicks(t, PolicyRoundRobin, []pick{
+		{"rotation", 0, all, 0, true},
+		{"rotation", 0, all, 1, true},
+		{"rotation", 0, all, 2, true},
+		{"rotation wraps", 0, all, 0, true},
+		{"next in turn", 0, all, 1, false},
+		{"no Commit (admission vetoed): the rotation does not advance", 0, all, 1, false},
+		{"full domains are skipped", 0, []View{free, full, free}, 2, false},
+		{"no free cores", 0, []View{full, full}, -1, false},
+	})
 }
 
 func TestPackedPlacer(t *testing.T) {
-	p := PolicyPacked.NewPlacer()
-	views := []View{{FreeCores: 2}, {FreeCores: 2}}
-	if d := p.Place(0, views); d != 0 {
-		t.Errorf("Place = %d, want 0", d)
-	}
-	p.Commit(0)
-	views[0].FreeCores = 0
-	if d := p.Place(0, views); d != 1 {
-		t.Errorf("Place with domain 0 full = %d, want 1", d)
-	}
-	if d := p.Place(0, []View{{}, {}}); d != -1 {
-		t.Errorf("Place with no free cores = %d, want -1", d)
+	free, full := View{FreeCores: 2}, View{}
+	runPicks(t, PolicyPacked, []pick{
+		{"lowest domain first", 0, []View{free, free}, 0, true},
+		{"still the lowest: Commit moves nothing", 0, []View{free, free}, 0, true},
+		{"domain 0 full", 0, []View{full, free}, 1, false},
+		{"no free cores", 0, []View{full, full}, -1, false},
+	})
+}
+
+// TestPickAllocationFree pins the admission-scan contract: Pick runs on the
+// per-period path whenever the queue is non-empty and must not allocate.
+func TestPickAllocationFree(t *testing.T) {
+	set := &domainSet{aggr: 0.7, views: []View{
+		{FreeCores: 1, Sensitivity: 0.5, Pressure: 0.2, BatchLoad: 1},
+		{FreeCores: 2, Sensitivity: 1.0, Pressure: 0.4},
+	}}
+	for _, pol := range []Policy{PolicyRoundRobin, PolicyContentionAware, PolicyPacked} {
+		picker := NewPicker(pol)
+		if n := testing.AllocsPerRun(100, func() { picker.Commit(picker.Pick(set)) }); n != 0 {
+			t.Errorf("%s Pick allocates %v/op", pol, n)
+		}
 	}
 }
 
@@ -99,23 +110,32 @@ func TestPolicyStrings(t *testing.T) {
 		PolicyContentionAware: "contention-aware",
 		PolicyPacked:          "packed",
 		Policy(99):            "Policy(99)",
+		Policy(-1):            "Policy(-1)",
 	}
 	for p, want := range cases {
 		if got := p.String(); got != want {
 			t.Errorf("Policy(%d).String() = %q, want %q", int(p), got, want)
 		}
 	}
-	for _, p := range []Policy{PolicyRoundRobin, PolicyContentionAware, PolicyPacked} {
-		if got := p.NewPlacer().Name(); got != p.String() {
-			t.Errorf("placer name %q != policy name %q", got, p.String())
+	// Every policy parses back from its full name and from its flag name.
+	for flag, want := range map[string]Policy{
+		"rr": PolicyRoundRobin, "ca": PolicyContentionAware, "packed": PolicyPacked,
+	} {
+		for _, s := range []string{flag, want.String()} {
+			if got, err := ParsePolicy(s); err != nil || got != want {
+				t.Errorf("ParsePolicy(%q) = %v, %v, want %v", s, got, err, want)
+			}
 		}
+	}
+	if _, err := ParsePolicy("fifo"); err == nil {
+		t.Error("ParsePolicy accepted an unknown name")
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("NewPlacer on unknown policy did not panic")
+			t.Error("NewPicker on unknown policy did not panic")
 		}
 	}()
-	Policy(99).NewPlacer()
+	NewPicker(Policy(99))
 }
 
 func TestDecisionKindStrings(t *testing.T) {

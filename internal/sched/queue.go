@@ -34,30 +34,23 @@ func (s JobState) String() string {
 	}
 }
 
-// jobQueue is a FIFO ring of job indices. peek/pop/at/len on the per-period
-// path never allocate; push doubles the ring when a submission overflows it
-// — growth happens only on the cold submission path.
-type jobQueue struct {
+// Queue is a FIFO ring of job indices: the scheduler's admission queue and
+// the fleet's. The zero value is an empty queue. Peek, Pop, At and Len on
+// the per-period path never allocate; Push doubles the ring when a
+// submission overflows it — growth happens only on the cold submission path.
+type Queue struct {
 	buf   []int
 	head  int
 	count int
 }
 
-func newJobQueue(capacity int) *jobQueue {
-	if capacity < 0 {
-		panic(fmt.Sprintf("sched: negative queue capacity %d", capacity))
-	}
-	if capacity == 0 {
-		capacity = 1 // a well-formed empty ring
-	}
-	return &jobQueue{buf: make([]int, capacity)}
-}
+// Len returns the number of waiting jobs.
+func (q *Queue) Len() int { return q.count }
 
-func (q *jobQueue) len() int { return q.count }
-
-func (q *jobQueue) push(j int) {
+// Push appends job index j at the tail.
+func (q *Queue) Push(j int) {
 	if q.count == len(q.buf) {
-		grown := make([]int, 2*len(q.buf))
+		grown := make([]int, max(1, 2*len(q.buf)))
 		for i := 0; i < q.count; i++ {
 			grown[i] = q.buf[(q.head+i)%len(q.buf)]
 		}
@@ -68,19 +61,19 @@ func (q *jobQueue) push(j int) {
 	q.count++
 }
 
-// at returns the i-th waiting job index, counting from the head.
-func (q *jobQueue) at(i int) int { return q.buf[(q.head+i)%len(q.buf)] }
+// At returns the i-th waiting job index, counting from the head.
+func (q *Queue) At(i int) int { return q.buf[(q.head+i)%len(q.buf)] }
 
-// peek returns the head job index without removing it, or -1 when empty.
-func (q *jobQueue) peek() int {
+// Peek returns the head job index without removing it, or -1 when empty.
+func (q *Queue) Peek() int {
 	if q.count == 0 {
 		return -1
 	}
 	return q.buf[q.head]
 }
 
-// pop removes and returns the head job index; it panics when empty.
-func (q *jobQueue) pop() int {
+// Pop removes and returns the head job index; it panics when empty.
+func (q *Queue) Pop() int {
 	if q.count == 0 {
 		panic("sched: pop from empty job queue")
 	}
@@ -90,10 +83,10 @@ func (q *jobQueue) pop() int {
 	return j
 }
 
-// remove deletes the first occurrence of job index j, preserving FIFO
+// Remove deletes the first occurrence of job index j, preserving FIFO
 // order of the remainder, and reports whether it was present. Withdrawal
 // path only (cold): it compacts by shifting, O(n).
-func (q *jobQueue) remove(j int) bool {
+func (q *Queue) Remove(j int) bool {
 	for i := 0; i < q.count; i++ {
 		if q.buf[(q.head+i)%len(q.buf)] != j {
 			continue

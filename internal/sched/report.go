@@ -7,7 +7,7 @@ import "fmt"
 
 // AppAggressiveness returns the classifier's aggressiveness score for the
 // named application, or (0, false) if this scheduler has never seen it.
-// The fleet placer consults every machine's classifier this way, so a job
+// Fleet dispatch consults every machine's classifier this way, so a job
 // profiled on one machine informs placement on all of them.
 func (s *Scheduler) AppAggressiveness(name string) (float64, bool) {
 	//caer:allow hotpath read-only lookup in the name table built at Submit time; the fleet dispatch scan never grows it
@@ -18,37 +18,20 @@ func (s *Scheduler) AppAggressiveness(name string) (float64, bool) {
 	return s.classifier.Aggressiveness(app), true
 }
 
-// Summary is the whole machine's state as the fleet-level placer sees it:
-// the per-machine analogue of View, aggregated over every LLC domain. The
-// scheduler refreshes a caller-held Summary in place, allocation-free.
-type Summary struct {
-	// FreeCores counts unoccupied batch cores across all domains.
-	FreeCores int
-	// Queued is the admission-queue depth.
-	Queued int
-	// Sensitivity is the summed classifier sensitivity of the machine's
-	// latency-sensitive apps.
-	Sensitivity float64
-	// Pressure is the latency apps' summed windowed LLC-miss pressure,
-	// normalized per app to [0, 1).
-	Pressure float64
-	// BatchLoad is the summed aggressiveness of resident batch jobs.
-	BatchLoad float64
-}
-
-// Summarize fills sum with the machine-wide placement summary. It mirrors
-// fillViews but collapses domains, and runs on the fleet's per-period
-// dispatch path: allocation-free.
-func (s *Scheduler) Summarize(sum *Summary) {
+// Summarize fills v with the whole machine as one placement candidate: the
+// view the fleet's dispatch scores, aggregated over every LLC domain, with
+// the admission-queue depth as Queued. It runs on the fleet's per-period
+// dispatch path and refills the caller-held view in place: allocation-free.
+func (s *Scheduler) Summarize(v *View) {
 	// Before the first Step nothing is placed: every non-latency core is free.
-	*sum = Summary{FreeCores: s.m.Cores() - len(s.latency) - len(s.running), Queued: s.queue.len()}
+	*v = View{FreeCores: s.m.Cores() - len(s.latency) - len(s.running), Queued: s.queue.Len()}
 	for i := range s.latency {
 		la := &s.latency[i]
-		sum.Sensitivity += s.classifier.Sensitivity(la.app)
-		sum.Pressure += s.pressure(la)
+		v.Sensitivity += s.classifier.Sensitivity(la.app)
+		v.Pressure += s.pressure(la)
 	}
 	for _, j := range s.running {
-		sum.BatchLoad += s.classifier.Aggressiveness(j.app)
+		v.BatchLoad += s.classifier.Aggressiveness(j.app)
 	}
 }
 

@@ -8,9 +8,10 @@
 //     (aggressiveness = normalized LLC-miss pressure; sensitivity =
 //     normalized LLC reuse) from windowed PMU samples and engine verdicts,
 //     with hysteresis on the binary classes (LFOC-style);
-//   - a placement engine scores LLC domains with a greedy predicted-
-//     interference function behind a pluggable Placer interface
-//     (contention-aware, round-robin, packed policies);
+//   - one placement engine, the Picker, chooses among Candidates by policy
+//     (round-robin, packed, or contention-aware: the lowest greedy
+//     predicted-interference score, Interference). The scheduler drives it
+//     over its LLC domains; the fleet drives the same Picker over machines;
 //   - an admission queue holds submitted jobs back while every eligible
 //     domain's predicted pressure exceeds a threshold, admitting them as
 //     pressure subsides, with a starvation-avoidance aging bound;
@@ -197,17 +198,17 @@ type Scheduler struct {
 	m          *machine.Machine
 	cfg        Config
 	pipe       *caer.Pipeline
-	placer     Placer
+	picker     Picker
 	classifier *Classifier
 
 	latency   []latApp
 	jobs      []*jobState
 	running   []*jobState // on a core, in job-id order
 	open      int         // jobs not yet done or withdrawn
-	queue     *jobQueue
+	queue     Queue
 	appByName map[string]int
 
-	views     []View // per domain, as are freeCount and parts
+	doms      domainSet // one view per domain, as are freeCount and parts
 	freeCount []int
 	coreBusy  []bool
 	parts     []domainPartition // partition stage; nil under ResponseThrottle
@@ -245,11 +246,10 @@ func New(m *machine.Machine, cfg Config) *Scheduler {
 		cfg:        cfg,
 		spans:      spans,
 		pipe:       pipe,
-		placer:     cfg.Policy.NewPlacer(),
+		picker:     NewPicker(cfg.Policy),
 		classifier: NewClassifier(cfg.PressureScale, classHysteresis),
-		queue:      newJobQueue(0),
 		appByName:  make(map[string]int),
-		views:      make([]View, m.Domains()),
+		doms:       domainSet{views: make([]View, m.Domains())},
 		freeCount:  make([]int, m.Domains()),
 		coreBusy:   make([]bool, m.Cores()),
 	}
@@ -279,7 +279,7 @@ func (s *Scheduler) Migrations() int { return s.migrations }
 func (s *Scheduler) MaxWait() int { return s.maxWait }
 
 // QueueLen returns the number of jobs currently waiting.
-func (s *Scheduler) QueueLen() int { return s.queue.len() }
+func (s *Scheduler) QueueLen() int { return s.queue.Len() }
 
 // JobStateOf returns job's lifecycle state. Allocation-free; the fleet
 // layer polls it every period to harvest admissions and completions.
@@ -383,7 +383,7 @@ func (s *Scheduler) Control() {
 	if s.parts != nil {
 		s.applyPartitions()
 	}
-	telemetry.SchedQueueDepth.Set(float64(s.queue.len()))
+	telemetry.SchedQueueDepth.Set(float64(s.queue.Len()))
 	telemetry.SchedRunning.Set(float64(len(s.running)))
 }
 

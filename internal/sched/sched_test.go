@@ -337,12 +337,12 @@ func TestSchedulerWithdraw(t *testing.T) {
 	}
 }
 
-// TestSchedulerSummarize pins the fleet placer's machine view: free cores
+// TestSchedulerSummarize pins the machine view fleet dispatch scores: free cores
 // before start equal batch capacity, queue depth tracks submissions, and
 // the summary refresh is allocation-free.
 func TestSchedulerSummarize(t *testing.T) {
 	s := newTestSched(Config{})
-	var sum Summary
+	var sum View
 	s.Summarize(&sum)
 	// 8 cores, 2 latency apps -> 6 batch cores.
 	if sum.FreeCores != 6 {
