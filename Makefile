@@ -26,7 +26,7 @@ bench:
 # The two numbers a simplicity PR reports: non-test Go lines in tracked
 # files outside benchmark/ and testdata/, and the exported fields of the
 # configuration structs (each one an independently settable knob).
-KNOBS = caer.Config sched.Config sched.ClusterConfig fleet.Config fleet.SLOConfig runner.Scenario
+KNOBS = caer.Config sched.Config sched.ClusterConfig fleet.Config fleet.SLOConfig runner.Scenario machine.Config
 .PHONY: loc
 loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' -e '/testdata/' | xargs cat | wc -l | \

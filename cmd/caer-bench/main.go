@@ -130,7 +130,7 @@ func main() {
 	for i, r := range experiments.Regimes {
 		suiteFlags[i] = flag.Bool(r.Name, false, "run the "+r.Help+" (skips figures unless -fig is set explicitly)")
 	}
-	workers := flag.Int("workers", 4, "domain-stepper worker pool size for the regime suites")
+	workers := flag.Int("workers", 4, "domain-stepper worker pool size for the fleet and slo suites")
 	telemetryAddr := flag.String("telemetry", "", "serve live telemetry (/metrics, /trace, /debug/pprof) on this address, e.g. :6060")
 	telemetryOut := flag.String("telemetry-out", "", "write a Prometheus-text telemetry snapshot to this file after the run")
 	flag.Parse()

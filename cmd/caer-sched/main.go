@@ -28,8 +28,8 @@ import (
 	"strings"
 
 	"caer/internal/caer"
+	"caer/internal/machine"
 	"caer/internal/report"
-	"caer/internal/runner"
 	"caer/internal/sched"
 	"caer/internal/spec"
 	"caer/internal/telemetry"
@@ -79,6 +79,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *quick {
 		lat.Exec.Instructions /= 8
 	}
+	// Shapes that cannot drain, or that machine.New would panic on.
+	if *jobInstr == 0 {
+		return fmt.Errorf("-job-instr must be positive: a job with no instruction count never completes")
+	}
+	if *cores == 0 {
+		*cores = 4 * *domains
+	}
+	if *domains < 1 || *cores%*domains != 0 {
+		return fmt.Errorf("%d cores do not divide into %d LLC domains", *cores, *domains)
+	}
+	if *cores < 2 {
+		return fmt.Errorf("%d core leaves none for jobs: the service holds core 0", *cores)
+	}
 	var jobs []spec.Profile
 	for _, n := range strings.Split(*jobsCSV, ",") {
 		p, ok := spec.ByName(strings.TrimSpace(n))
@@ -89,30 +102,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 		jobs = append(jobs, p)
 	}
 
-	s := runner.Scenario{
-		Latency:   lat,
-		Mode:      runner.ModeScheduled,
-		Heuristic: caer.HeuristicRule,
-		Seed:      *seed,
-		Domains:   *domains,
-		Cores:     *cores,
-		Jobs:      jobs,
-		Sched: sched.Config{
-			Policy:          pol,
-			AdmitThreshold:  *admitThresh,
-			AgingBound:      *aging,
-			MigrationPeriod: *migrate,
-		},
-	}
-	res := runner.Run(s)
-	s = res.Scenario // Run applied the scheduled-mode defaults to its copy
+	sd, periods := sched.RunJobs(machine.Config{Cores: *cores, Domains: *domains}, sched.Config{
+		Policy:          pol,
+		Heuristic:       caer.HeuristicRule,
+		AdmitThreshold:  *admitThresh,
+		AgingBound:      *aging,
+		MigrationPeriod: *migrate,
+	}, lat, jobs, *seed, 10_000_000)
 
 	fmt.Fprintf(stdout, "caer-sched: %s policy, %s service on domain 0, %d domains x %d cores, %d jobs\n\n",
-		pol, spec.ShortName(lat.Name), s.Domains, s.Cores/s.Domains, len(jobs))
+		pol, spec.ShortName(lat.Name), *domains, *cores / *domains, len(jobs))
 
 	fmt.Fprintln(stdout, "decision timeline:")
 	tl := report.NewTable("period", "decision", "job", "detail")
-	for _, d := range res.SchedDecisions {
+	completed := 0
+	for _, d := range sd.Decisions() {
 		var detail string
 		switch d.Kind {
 		case sched.DecisionAdmit:
@@ -121,6 +125,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		case sched.DecisionMigrate:
 			detail = fmt.Sprintf("domain %d -> %d (core %d)", d.From, d.To, d.Core)
 		case sched.DecisionComplete:
+			completed++
 			detail = fmt.Sprintf("freed domain %d core %d", d.From, d.Core)
 		case sched.DecisionWithdraw:
 			detail = fmt.Sprintf("withdrawn after waiting %d (%d queued)", d.Waited, d.Queued)
@@ -135,12 +140,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	fmt.Fprintln(stdout, "\nper-job outcomes:")
 	jt := report.NewTable("job", "domain", "waited", "run", "paused", "duty", "migrations", "done@")
-	for _, b := range res.BatchResults {
-		run := b.RunPeriods
-		if run+b.PausedPeriods == 0 && b.Completed {
-			// No engine on a latency-free domain: every occupied period ran.
-			run = b.DonePeriod - b.Admitted + 1
-		}
+	for _, b := range sd.JobReports() {
+		run := b.RanPeriods()
 		duty := 1.0
 		if run+b.PausedPeriods > 0 {
 			duty = float64(run) / float64(run+b.PausedPeriods)
@@ -149,15 +150,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Sprintf("%d%s", b.Waited, agedTag(b.Aged)),
 			fmt.Sprintf("%d", run), fmt.Sprintf("%d", b.PausedPeriods),
 			report.Percent(duty), fmt.Sprintf("%d", b.Migrations),
-			fmt.Sprintf("%d", b.DonePeriod))
+			fmt.Sprintf("%d", b.Done))
 	}
 	if err := jt.Render(stdout); err != nil {
 		return fmt.Errorf("render jobs: %v", err)
 	}
 
 	fmt.Fprintf(stdout, "\nlatency service finished in %d periods; %d/%d jobs completed; max queue wait %d periods; %d migrations\n",
-		res.Periods, res.JobsCompleted, len(jobs), res.MaxWait, res.Migrations)
-	if !res.Completed {
+		periods, completed, len(jobs), sd.MaxWait(), sd.Migrations())
+	if sd.LatencyReports()[0].Done == 0 {
 		return fmt.Errorf("latency service did not complete within the period bound")
 	}
 	return nil

@@ -10,14 +10,15 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
-// TestPoliciesMatchGoldens pins the front door of the runner's scheduled
-// mode: each testdata/<name>.golden is the SHA-256 of the stdout the binary
-// printed for the invocation before main became run — the decision
-// timeline, the per-job outcomes and the service's run length under the
-// contention-aware and round-robin policies (the cmd/caer-run/testdata
-// convention; amd64 only, as there).
+// TestPoliciesMatchGoldens pins the front door of the closed-job-set
+// deployment (sched.RunJobs): each testdata/<name>.golden is the SHA-256 of
+// the stdout the binary printed for the invocation before main became run —
+// the decision timeline, the per-job outcomes and the service's run length
+// under the contention-aware and round-robin policies (the
+// cmd/caer-run/testdata convention; amd64 only, as there).
 func TestPoliciesMatchGoldens(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden digests are generated on amd64; running on %s", runtime.GOARCH)
@@ -45,17 +46,30 @@ func TestPoliciesMatchGoldens(t *testing.T) {
 	}
 }
 
-// TestBadArguments: a name the tables do not have is an error from run, not
-// an exit from inside it.
+// TestBadArguments: a name the tables do not have, or a shape that cannot
+// drain — a job that never completes, a machine with no core for jobs,
+// cores that do not split into the domains — is a one-line error from run
+// before anything runs: not an exit from inside it, not a spin toward the
+// period bound, and not machine.New's panic.
 func TestBadArguments(t *testing.T) {
 	for args, want := range map[string]string{
-		"-policy fifo":  "unknown policy",
-		"-latency nope": "unknown latency benchmark",
-		"-jobs lbm,x":   "unknown job benchmark",
+		"-policy fifo":        "unknown policy",
+		"-latency nope":       "unknown latency benchmark",
+		"-jobs lbm,x":         "unknown job benchmark",
+		"-job-instr 0":        "-job-instr must be positive",
+		"-cores 1 -domains 1": "leaves none for jobs",
+		"-domains 3 -cores 8": "do not divide into 3 LLC domains",
+		"-domains 0":          "do not divide into 0 LLC domains",
 	} {
-		err := run(strings.Fields(args), io.Discard, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("caer-sched %s: error %v, want one containing %q", args, err, want)
+		done := make(chan error, 1)
+		go func() { done <- run(strings.Fields(args), io.Discard, io.Discard) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "\n") {
+				t.Errorf("caer-sched %s: error %v, want one line containing %q", args, err, want)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("caer-sched %s: still running after 1s, want an immediate error", args)
 		}
 	}
 }

@@ -84,8 +84,8 @@ type Config struct {
 
 	// Sampling selects how the runtime schedules the detection pipeline
 	// (DESIGN.md §13). The zero value is the paper's every-period polling,
-	// so existing configurations are unchanged; the sampling knobs below
-	// are ignored (and not validated) under polling.
+	// so existing configurations are unchanged; MaxProbeInterval is
+	// ignored (and not validated) under polling.
 	Sampling SamplingMode
 	// MaxProbeInterval is the adaptive controller's interval ceiling and
 	// the interrupt mode's keepalive cadence, in periods. It should stay
@@ -93,22 +93,19 @@ type Config struct {
 	// the comm table, but the keepalive is also what bounds how long a
 	// dead monitor can hide behind the sleep.
 	MaxProbeInterval int
-	// SampleGrowth is the adaptive controller's multiplicative widening
-	// factor (>= 2).
-	SampleGrowth int
-	// QuietProbes is the hysteresis bound shared by both modes: the
-	// adaptive interval widens (and the interrupt mode goes to sleep) only
-	// after this many consecutive quiet probes.
-	QuietProbes int
-	// TriggerWindow is the interrupt trigger's sliding-window length in
-	// periods.
-	TriggerWindow int
-	// TriggerBound is the windowed neighbour LLC-miss sum that fires the
-	// interrupt trigger. 0 derives NoiseThresh * TriggerWindow — the
-	// window-equivalent of the noise floor the adaptive mode compares
-	// against.
-	TriggerBound float64
 }
+
+// The rest of the probe schedule is fixed (the sampling suite sweeps only
+// MaxProbeInterval): the adaptive interval widens sampleGrowth-fold, and the
+// interrupt mode goes to sleep, only after quietProbes consecutive quiet
+// probes; the interrupt trigger fires on a neighbour LLC-miss sum of
+// NoiseThresh * triggerWindow over triggerWindow periods, the noise floor
+// the adaptive mode compares against taken over that window.
+const (
+	sampleGrowth  = 2
+	quietProbes   = 3
+	triggerWindow = 4
+)
 
 // DefaultConfig returns the paper's configuration scaled to the simulated
 // machine.
@@ -129,10 +126,6 @@ func DefaultConfig() Config {
 		WatchdogPeriods:   30,
 		Sampling:          SamplingPolling,
 		MaxProbeInterval:  16,
-		SampleGrowth:      2,
-		QuietProbes:       3,
-		TriggerWindow:     4,
-		TriggerBound:      0, // derived: NoiseThresh * TriggerWindow
 	}
 }
 
@@ -170,20 +163,12 @@ func (c Config) Validate() error {
 	}
 	switch c.Sampling {
 	case SamplingPolling:
-		// The sampling knobs are inert under polling; leave them
-		// unvalidated so legacy literal configs stay valid.
+		// MaxProbeInterval is inert under polling; leave it unvalidated so
+		// legacy literal configs stay valid.
 	case SamplingAdaptive, SamplingInterrupt:
 		switch {
 		case c.MaxProbeInterval < 1:
 			return fmt.Errorf("caer: MaxProbeInterval %d must be >= 1 under %s sampling", c.MaxProbeInterval, c.Sampling)
-		case c.Sampling == SamplingAdaptive && c.SampleGrowth < 2:
-			return fmt.Errorf("caer: SampleGrowth %d must be >= 2 under adaptive sampling", c.SampleGrowth)
-		case c.QuietProbes < 1:
-			return fmt.Errorf("caer: QuietProbes %d must be >= 1 under %s sampling", c.QuietProbes, c.Sampling)
-		case c.Sampling == SamplingInterrupt && c.TriggerWindow < 1:
-			return fmt.Errorf("caer: TriggerWindow %d must be >= 1 under interrupt sampling", c.TriggerWindow)
-		case c.TriggerBound < 0:
-			return fmt.Errorf("caer: TriggerBound %v must be non-negative (0 = derived)", c.TriggerBound)
 		case c.WatchdogPeriods > 0 && c.MaxProbeInterval >= c.WatchdogPeriods:
 			return fmt.Errorf("caer: MaxProbeInterval %d must stay below WatchdogPeriods %d (the keepalive must outpace the watchdog)", c.MaxProbeInterval, c.WatchdogPeriods)
 		}

@@ -271,20 +271,14 @@ func (p *Pipeline) start() {
 	switch p.cfg.Sampling {
 	case SamplingPolling:
 	case SamplingAdaptive:
-		p.ctl = NewIntervalController(p.cfg.MaxProbeInterval, p.cfg.SampleGrowth, p.cfg.QuietProbes)
+		p.ctl = NewIntervalController(p.cfg.MaxProbeInterval, sampleGrowth, quietProbes)
 	case SamplingInterrupt:
-		bound := p.cfg.TriggerBound
-		if bound <= 0 {
-			bound = p.cfg.NoiseThresh * float64(p.cfg.TriggerWindow)
-		}
-		if bound < 1 {
-			bound = 1
-		}
+		bound := max(p.cfg.NoiseThresh*triggerWindow, 1)
 		for _, mon := range p.monitors {
 			p.triggers = append(p.triggers, pmu.NewThreshold(p.src, mon.pmu.Core(), pmu.ThresholdConfig{
 				Event:  pmu.EventLLCMisses,
 				Bound:  uint64(bound),
-				Window: p.cfg.TriggerWindow,
+				Window: triggerWindow,
 			}))
 		}
 	default:
@@ -387,7 +381,7 @@ func (p *Pipeline) probe() uint64 {
 // decides when the next probe lands and declares a widened cadence to the
 // comm table, so deliberate skips do not read as publisher death. The
 // adaptive mode asks the interval controller. The interrupt mode sleeps
-// after QuietProbes quiet probes in a row, stays asleep while its keepalive
+// after quietProbes quiet probes in a row, stays asleep while its keepalive
 // probes find the rest point intact, and wakes when one does not (pressure
 // crept up without crossing the trigger bound, or a hidden failure
 // surfaced).
@@ -410,7 +404,7 @@ func (p *Pipeline) afterProbe() {
 			} else {
 				p.quietStreak = 0
 			}
-			if p.quietStreak >= p.cfg.QuietProbes {
+			if p.quietStreak >= quietProbes {
 				p.sleep()
 			}
 		}

@@ -18,7 +18,7 @@ const (
 	// SamplingAdaptive widens the probe interval multiplicatively while
 	// pressure stays below the noise threshold and snaps back to
 	// every-period on onset, with hysteresis mirroring the shutter: the
-	// interval only grows after QuietProbes consecutive quiet probes.
+	// interval only grows after quietProbes consecutive quiet probes.
 	SamplingAdaptive
 	// SamplingInterrupt arms a pmu.Threshold trigger on each
 	// latency-sensitive core and skips the pipeline entirely while it

@@ -152,8 +152,6 @@ func samplingTestConfig(mode SamplingMode) Config {
 	cfg := DefaultConfig()
 	cfg.Sampling = mode
 	cfg.MaxProbeInterval = 8
-	cfg.SampleGrowth = 2
-	cfg.QuietProbes = 2
 	cfg.UsageThresh = 50
 	return cfg
 }
@@ -347,8 +345,6 @@ func TestSamplingConfigValidation(t *testing.T) {
 	base := samplingTestConfig(SamplingAdaptive)
 	cases := []func(*Config){
 		func(c *Config) { c.MaxProbeInterval = 0 },
-		func(c *Config) { c.SampleGrowth = 1 },
-		func(c *Config) { c.QuietProbes = 0 },
 		func(c *Config) { c.MaxProbeInterval = c.WatchdogPeriods },
 		func(c *Config) { c.Sampling = SamplingMode(7) },
 	}
@@ -358,16 +354,6 @@ func TestSamplingConfigValidation(t *testing.T) {
 		if cfg.Validate() == nil {
 			t.Errorf("case %d: invalid sampling config passed Validate", i)
 		}
-	}
-	intr := samplingTestConfig(SamplingInterrupt)
-	intr.TriggerWindow = 0
-	if intr.Validate() == nil {
-		t.Error("TriggerWindow 0 passed Validate under interrupt sampling")
-	}
-	intr.TriggerWindow = 4
-	intr.TriggerBound = -1
-	if intr.Validate() == nil {
-		t.Error("negative TriggerBound passed Validate")
 	}
 	// Legacy literal configs (zero sampling fields) must stay valid.
 	legacy := Config{WindowSize: 10, SwitchPoint: 10, EndPoint: 20, TransientSkip: 5,

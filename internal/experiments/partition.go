@@ -5,8 +5,8 @@ import (
 	"io"
 
 	"caer/internal/caer"
+	"caer/internal/machine"
 	"caer/internal/report"
-	"caer/internal/runner"
 	"caer/internal/sched"
 	"caer/internal/spec"
 )
@@ -81,8 +81,8 @@ type partitionConfig struct {
 // protects the service without idling anyone. (A pure-bandwidth adversary
 // like lbm is the converse regime — only throttling relieves a saturated
 // memory channel — which is why the hybrid row exists.) quick shrinks
-// instruction counts 4x; workers sizes the machine's domain-stepper pool.
-func PartitionSuite(seed int64, quick bool, workers int) PartitionRegime {
+// instruction counts 4x.
+func PartitionSuite(seed int64, quick bool) PartitionRegime {
 	scale := uint64(1)
 	if quick {
 		scale = 4
@@ -109,31 +109,20 @@ func PartitionSuite(seed int64, quick bool, workers int) PartitionRegime {
 		out.JobMix = append(out.JobMix, spec.ShortName(j.Name))
 	}
 
-	scenario := func(cfg partitionConfig, jobSet []spec.Profile) runner.Scenario {
-		return runner.Scenario{
-			Latency:   omnetpp,
-			Mode:      runner.ModeScheduled,
-			Heuristic: cfg.heuristic,
-			Seed:      seed,
-			Domains:   1,
-			Cores:     3,
-			Jobs:      jobSet,
-			// Admission above any reachable score: queueing is purely
-			// capacity-driven, so every response admits identically and the
-			// comparison isolates the reaction, not the placement.
-			Sched: sched.Config{
-				AdmitThreshold: 100,
-				AgingBound:     1200,
-				Response:       cfg.response,
-				Cluster:        cluster,
-			},
-			MaxPeriods: 200_000,
-			Workers:    workers,
-		}
+	run := func(cfg partitionConfig, jobSet []spec.Profile) (*sched.Scheduler, uint64) {
+		// Admission above any reachable score: queueing is purely
+		// capacity-driven, so every response admits identically and the
+		// comparison isolates the reaction, not the placement.
+		return sched.RunJobs(machine.Config{Cores: out.Cores, Domains: out.Domains}, sched.Config{
+			Heuristic:      cfg.heuristic,
+			AdmitThreshold: 100,
+			AgingBound:     1200,
+			Response:       cfg.response,
+			Cluster:        cluster,
+		}, omnetpp, jobSet, seed, 200_000)
 	}
 
-	baseline := runner.Run(scenario(partitionConfig{heuristic: caer.HeuristicRule}, nil))
-	out.BaselinePeriods = baseline.Periods
+	_, out.BaselinePeriods = run(partitionConfig{heuristic: caer.HeuristicRule}, nil)
 
 	configs := []partitionConfig{
 		{name: "red-light-green-light", heuristic: caer.HeuristicShutter, response: sched.ResponseThrottle},
@@ -142,23 +131,20 @@ func PartitionSuite(seed int64, quick bool, workers int) PartitionRegime {
 		{name: "hybrid", heuristic: caer.HeuristicRule, response: sched.ResponseHybrid},
 	}
 	for _, cfg := range configs {
-		res := runner.Run(scenario(cfg, jobs))
+		sd, periods := run(cfg, jobs)
+		reports := sd.JobReports()
 		pr := PartitionConfigResult{
-			Name:              cfg.name,
-			Heuristic:         cfg.heuristic.String(),
-			Response:          cfg.response.String(),
-			Periods:           res.Periods,
-			QoSDegradation:    float64(res.Periods) / float64(out.BaselinePeriods),
-			JobsSubmitted:     len(jobs),
-			JobsCompleted:     res.JobsCompleted,
-			BatchInstructions: res.BatchInstructions,
-			BatchDuty:         res.BatchDuty,
-			CPositive:         res.CPositive,
+			Name:           cfg.name,
+			Heuristic:      cfg.heuristic.String(),
+			Response:       cfg.response.String(),
+			Periods:        periods,
+			QoSDegradation: float64(periods) / float64(out.BaselinePeriods),
+			JobsSubmitted:  len(jobs),
 		}
-		for _, br := range res.BatchResults {
-			if br.DonePeriod > pr.BatchMakespan {
-				pr.BatchMakespan = br.DonePeriod
-			}
+		pr.JobsCompleted, pr.BatchInstructions, pr.BatchDuty = batchTotals(reports)
+		for _, r := range reports {
+			pr.BatchMakespan = max(pr.BatchMakespan, r.Done)
+			pr.CPositive += r.CPositive
 		}
 		out.Configs = append(out.Configs, pr)
 	}

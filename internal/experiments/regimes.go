@@ -35,9 +35,9 @@ type Regime struct {
 	// Help is the flag's usage text: what runs and what is gated.
 	Help string
 	// Run executes the suite. It must be a pure function of seed and quick:
-	// workers sizes the domain-stepper pools and is deliberately not
-	// recorded in any result, so byte-comparing artifacts across worker
-	// counts pins the machine's determinism contract.
+	// workers sizes the stepper pool the fleet and slo rows' machines share
+	// and is deliberately not recorded in any result, so byte-comparing
+	// artifacts across worker counts pins the pool's determinism contract.
 	Run func(seed int64, quick bool, workers int) RegimeResult
 	// TableOnly marks a suite with no JSON artifact (chaos).
 	TableOnly bool
@@ -57,7 +57,7 @@ var Regimes = []Regime{
 	{
 		Name: "sched",
 		Help: "scheduler regimes (DESIGN.md §9): contention-aware placement must keep jobs off the latency domain at equal admitted throughput",
-		Run:  func(seed int64, quick bool, workers int) RegimeResult { return SchedRegimeSuite(seed, quick, workers) },
+		Run:  func(seed int64, quick bool, _ int) RegimeResult { return SchedRegimeSuite(seed, quick) },
 	},
 	{
 		Name: "sampling",
@@ -72,7 +72,7 @@ var Regimes = []Regime{
 	{
 		Name: "partition",
 		Help: "partition regimes (DESIGN.md §16): LLC way-partitioning must beat pure throttling on latency QoS and batch makespan",
-		Run:  func(seed int64, quick bool, workers int) RegimeResult { return PartitionSuite(seed, quick, workers) },
+		Run:  func(seed int64, quick bool, _ int) RegimeResult { return PartitionSuite(seed, quick) },
 	},
 	{
 		Name: "slo",

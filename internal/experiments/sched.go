@@ -5,8 +5,8 @@ import (
 	"io"
 
 	"caer/internal/caer"
+	"caer/internal/machine"
 	"caer/internal/report"
-	"caer/internal/runner"
 	"caer/internal/sched"
 	"caer/internal/spec"
 )
@@ -60,7 +60,7 @@ type SchedRegime struct {
 
 	// BaselinePeriods is the latency app's completion time with no jobs
 	// submitted (co-location disallowed — the paper's conservative
-	// baseline, scheduled-mode shape).
+	// baseline, on the scheduled machine).
 	BaselinePeriods uint64
 	Policies        []SchedPolicyResult
 }
@@ -77,9 +77,8 @@ type schedRegimeConfig struct {
 // mcf as the latency-sensitive service on domain 0 of a 2-domain, 8-core
 // machine; a mix of lbm aggressors and povray quiet jobs submitted to the
 // admission queue; identical seeds and job sets across policies. quick
-// shrinks instruction counts 4x for a fast smoke run; workers sizes the
-// machine's domain-stepper pool.
-func SchedRegimeSuite(seed int64, quick bool, workers int) SchedRegime {
+// shrinks instruction counts 4x for a fast smoke run.
+func SchedRegimeSuite(seed int64, quick bool) SchedRegime {
 	scale := uint64(1)
 	if quick {
 		scale = 4
@@ -92,46 +91,34 @@ func SchedRegimeSuite(seed int64, quick bool, workers int) SchedRegime {
 	povray.Exec.Instructions = 500_000 / scale
 
 	jobs := []spec.Profile{lbm, lbm, povray, lbm, povray, lbm}
-	const agingBound = 1200
 
 	out := SchedRegime{
 		Latency:    spec.ShortName(mcf.Name),
 		Domains:    2,
 		Cores:      8,
 		Seed:       seed,
-		AgingBound: agingBound,
+		AgingBound: 1200,
 	}
 	for _, j := range jobs {
 		out.JobMix = append(out.JobMix, spec.ShortName(j.Name))
 	}
 
-	scenario := func(cfg schedRegimeConfig, jobSet []spec.Profile) runner.Scenario {
-		return runner.Scenario{
-			Latency:   mcf,
-			Mode:      runner.ModeScheduled,
-			Heuristic: caer.HeuristicRule,
-			Seed:      seed,
-			Domains:   2,
-			Cores:     8,
-			Jobs:      jobSet,
-			// The admission threshold is set above any reachable score so
-			// queueing in this suite is purely capacity-driven: every
-			// policy admits at the same rate and the comparison isolates
-			// *where* jobs land, not *when*. Threshold-driven queueing is
-			// exercised by the sched package's own tests.
-			Sched: sched.Config{
-				Policy:          cfg.policy,
-				AdmitThreshold:  100,
-				AgingBound:      agingBound,
-				MigrationPeriod: cfg.migrationPeriod,
-			},
-			MaxPeriods: 200_000,
-			Workers:    workers,
-		}
+	run := func(cfg schedRegimeConfig, jobSet []spec.Profile) (*sched.Scheduler, uint64) {
+		// The admission threshold is set above any reachable score so
+		// queueing in this suite is purely capacity-driven: every policy
+		// admits at the same rate and the comparison isolates *where* jobs
+		// land, not *when*. Threshold-driven queueing is exercised by the
+		// sched package's own tests.
+		return sched.RunJobs(machine.Config{Cores: out.Cores, Domains: out.Domains}, sched.Config{
+			Policy:          cfg.policy,
+			Heuristic:       caer.HeuristicRule,
+			AdmitThreshold:  100,
+			AgingBound:      out.AgingBound,
+			MigrationPeriod: cfg.migrationPeriod,
+		}, mcf, jobSet, seed, 200_000)
 	}
 
-	baseline := runner.Run(scenario(schedRegimeConfig{policy: sched.PolicyContentionAware}, nil))
-	out.BaselinePeriods = baseline.Periods
+	_, out.BaselinePeriods = run(schedRegimeConfig{policy: sched.PolicyContentionAware}, nil)
 
 	configs := []schedRegimeConfig{
 		{name: "round-robin", policy: sched.PolicyRoundRobin},
@@ -140,21 +127,19 @@ func SchedRegimeSuite(seed int64, quick bool, workers int) SchedRegime {
 		{name: "packed+migration", policy: sched.PolicyPacked, migrationPeriod: 40},
 	}
 	for _, cfg := range configs {
-		res := runner.Run(scenario(cfg, jobs))
+		sd, periods := run(cfg, jobs)
 		pr := SchedPolicyResult{
-			Name:              cfg.name,
-			Policy:            cfg.policy,
-			Periods:           res.Periods,
-			QoSDegradation:    float64(res.Periods) / float64(out.BaselinePeriods),
-			JobsSubmitted:     len(jobs),
-			JobsCompleted:     res.JobsCompleted,
-			BatchInstructions: res.BatchInstructions,
-			BatchDuty:         res.BatchDuty,
-			MaxWait:           res.MaxWait,
-			Migrations:        res.Migrations,
-			DomainAdmissions:  make([]int, 2),
+			Name:             cfg.name,
+			Policy:           cfg.policy,
+			Periods:          periods,
+			QoSDegradation:   float64(periods) / float64(out.BaselinePeriods),
+			JobsSubmitted:    len(jobs),
+			MaxWait:          sd.MaxWait(),
+			Migrations:       sd.Migrations(),
+			DomainAdmissions: make([]int, out.Domains),
 		}
-		for _, d := range res.SchedDecisions {
+		pr.JobsCompleted, pr.BatchInstructions, pr.BatchDuty = batchTotals(sd.JobReports())
+		for _, d := range sd.Decisions() {
 			if d.Kind != sched.DecisionAdmit {
 				continue
 			}
@@ -166,6 +151,25 @@ func SchedRegimeSuite(seed int64, quick bool, workers int) SchedRegime {
 		out.Policies = append(out.Policies, pr)
 	}
 	return out
+}
+
+// batchTotals folds a run's job reports into the batch-side aggregates the
+// scheduled suites tabulate: jobs run to completion, instructions retired,
+// and duty — the share of placed job-periods that ran rather than paused.
+func batchTotals(reports []sched.JobReport) (completed int, instructions uint64, duty float64) {
+	var ran, paused uint64
+	for _, r := range reports {
+		if r.State == sched.JobDone {
+			completed++
+		}
+		instructions += r.Instructions
+		ran += r.RanPeriods()
+		paused += r.PausedPeriods
+	}
+	if ran+paused > 0 {
+		duty = float64(ran) / float64(ran+paused)
+	}
+	return completed, instructions, duty
 }
 
 func mustProfile(name string) spec.Profile {

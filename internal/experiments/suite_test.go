@@ -22,7 +22,7 @@ func TestSuiteResultSingleflight(t *testing.T) {
 		// Hold the "running" state open long enough that every caller
 		// overlaps it — under the old code each of them would re-run.
 		time.Sleep(20 * time.Millisecond)
-		return runner.Result{Scenario: sc, Completed: true, Periods: 42}
+		return runner.Result{Completed: true, Periods: 42}
 	}
 	bench := spec.LBM()
 
@@ -59,7 +59,7 @@ func TestSuiteResultSingleflight(t *testing.T) {
 func TestSuiteResultPanicsOnIncompleteRun(t *testing.T) {
 	s := NewSuite()
 	s.runFn = func(sc runner.Scenario) runner.Result {
-		return runner.Result{Scenario: sc, Completed: false}
+		return runner.Result{Completed: false}
 	}
 	defer func() {
 		if recover() == nil {

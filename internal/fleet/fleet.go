@@ -18,7 +18,7 @@
 // registries, process-global gauges — run on the caller's goroutine, one
 // machine after another in index order, so every artifact is byte-identical
 // at any worker count. A single-machine fleet with up-front traffic is
-// byte-identical to runner.ModeScheduled (pinned by TestFleetMatchesRunnerScheduled).
+// byte-identical to sched.RunJobs (pinned by TestFleetMatchesRunnerScheduled).
 package fleet
 
 import (
@@ -34,22 +34,12 @@ import (
 	"caer/internal/telemetry"
 )
 
-// Footprint layout, shared with internal/runner so a one-machine fleet
-// reproduces ModeScheduled byte-for-byte: job i's footprint starts at
-// batchBase + i*batchStride, latency services sit below batchBase.
-const (
-	batchBase   = 1 << 28
-	batchStride = 1 << 26
-	serviceBase = 1 << 27
-)
-
 // trackStride spaces the span-recorder track ids of consecutive machines:
 // machine k's scheduler records spans at slotID + k*trackStride, so one
 // process-wide Chrome trace covers the whole fleet without lane collisions.
 const trackStride = 4096
 
-// machineSeedStride separates machine k's service seeds from machine 0's,
-// which keeps machine 0 identical to a standalone runner.ModeScheduled run.
+// machineSeedStride separates machine k's service seeds from machine 0's.
 const machineSeedStride = 1000
 
 // Histogram geometries (periods). Fixed so per-machine histograms merge
@@ -76,8 +66,7 @@ type Service struct {
 	// the process completes, the request's duration in periods is recorded
 	// into the service's latency histogram (the p50/p99 QoS metric) and
 	// the process restarts. Without it the service runs to completion once
-	// and gates the end of the run, exactly like runner.ModeScheduled's
-	// latency app.
+	// and gates the end of the run, exactly like sched.RunJobs's service.
 	Relaunch bool
 }
 
@@ -118,10 +107,9 @@ type Config struct {
 	Policy Policy
 	// Traffic is the open-loop arrival schedule.
 	Traffic Traffic
-	// Seed drives every stochastic choice: machine k's service j uses
-	// Seed + 100*min(j,1) + (j-1) + 1000k, job i uses Seed+1+i, the
-	// traffic driver Seed-1 — machine 0 matches runner.ModeScheduled's
-	// seeding exactly.
+	// Seed drives every stochastic choice: machine k's services are laid
+	// out by sched.ServiceLayout under Seed+1000k, job i by sched.JobLayout
+	// under Seed, and the traffic driver draws from Seed-1.
 	Seed int64
 	// DispatchPerTick bounds fleet-queue dispatches per period; default 8.
 	DispatchPerTick int
@@ -307,10 +295,6 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// newNode builds machine k. Service seeding mirrors runner.ModeScheduled
-// for machine 0 (service 0: base 0, seed Seed; service j: base
-// serviceBase+(j-1)*batchStride, seed Seed+100+(j-1)), shifted by
-// machineSeedStride per further machine.
 func newNode(k int, ms MachineSpec, cfg *Config, multi bool) *Node {
 	ms = ms.withDefaults()
 	m := machine.New(machine.Config{Cores: ms.Cores, Domains: ms.Domains})
@@ -337,13 +321,7 @@ func newNode(k int, ms MachineSpec, cfg *Config, multi bool) *Node {
 		panic(fmt.Sprintf("fleet: machine %d needs at least one latency service", k))
 	}
 	for j, sv := range ms.Services {
-		base := uint64(0)
-		seed := cfg.Seed + machineSeedStride*int64(k)
-		if j > 0 {
-			base = serviceBase + uint64(j-1)*batchStride
-			seed = cfg.Seed + 100 + int64(j-1) + machineSeedStride*int64(k)
-		}
-		proc := sv.Profile.NewProcess(base, seed)
+		proc := sv.Profile.NewProcess(sched.ServiceLayout(j, cfg.Seed+machineSeedStride*int64(k)))
 		name := spec.ShortName(sv.Profile.Name)
 		n.sched.AddLatency(name, sv.Core, proc)
 		n.services = append(n.services, &service{
@@ -497,18 +475,16 @@ func (c *Cluster) fillViews(name string) {
 	c.fillTelViews()
 }
 
-// dispatchTo submits fleet job ji to machine k. Cold path: Submit
-// registers a comm slot and names a span track. The footprint base and
-// seed derive from the job's global arrival index, not the machine, so a
-// migrated job re-runs identically wherever it lands.
+// dispatchTo submits fleet job ji to machine k, laid out by its global
+// arrival index (sched.JobLayout). Cold path: Submit registers a comm slot
+// and names a span track.
 //
 //caer:cold dispatch commit: Submit registers a comm slot and names a span track, allocating by design
 func (c *Cluster) dispatchTo(k, ji int) {
 	j := c.jobs[ji]
 	n := c.nodes[k]
 	prof := j.prof
-	base := uint64(batchBase) + uint64(j.idx)*batchStride
-	seed := c.cfg.Seed + 1 + int64(j.idx)
+	base, seed := sched.JobLayout(j.idx, c.cfg.Seed)
 	j.schedID = n.sched.Submit(sched.Job{Name: j.name, New: func() *machine.Process {
 		return prof.NewProcess(base, seed)
 	}})

@@ -10,7 +10,7 @@ import (
 
 	"caer/internal/caer"
 	"caer/internal/fleet"
-	"caer/internal/runner"
+	"caer/internal/machine"
 	"caer/internal/sched"
 	"caer/internal/spec"
 	"caer/internal/telemetry"
@@ -25,7 +25,7 @@ func prof(name string, instr uint64) spec.Profile {
 	return p
 }
 
-// identityJobs is the job list shared by the fleet and runner sides of the
+// identityJobs is the job list shared by the fleet and sched sides of the
 // byte-identity pin: small enough that every job dispatches up front
 // (pre-start free batch cores = 7 on an 8-core machine with one service).
 func identityJobs() []spec.Profile {
@@ -71,25 +71,18 @@ func mustJSON(t *testing.T, v any) []byte {
 }
 
 // TestFleetMatchesRunnerScheduled is the regression pin: a 1-machine fleet
-// fed the whole job list up front must reproduce runner.ModeScheduled
-// byte-for-byte — same decision log, same per-job lifecycle counters, same
-// service completion period — at any worker count.
+// fed the whole job list up front must reproduce sched.RunJobs — the
+// closed-job-set deployment — byte-for-byte: same decision log, same
+// per-job reports, same service completion period — at any worker count.
 func TestFleetMatchesRunnerScheduled(t *testing.T) {
-	res := runner.Run(runner.Scenario{
-		Mode:       runner.ModeScheduled,
-		Latency:    prof("mcf", 400_000),
-		Jobs:       identityJobs(),
-		Heuristic:  caer.HeuristicRule,
-		Seed:       42,
-		Domains:    2,
-		Cores:      8,
-		MaxPeriods: 30_000,
-		Sched:      sched.Config{Policy: sched.PolicyContentionAware, AgingBound: 200},
-	})
-	if !res.Completed {
-		t.Fatal("runner scenario did not complete")
+	sd, periods := sched.RunJobs(machine.Config{Cores: 8, Domains: 2}, identitySchedConfig(),
+		prof("mcf", 400_000), identityJobs(), 42, 30_000)
+	svc := sd.LatencyReports()[0]
+	if svc.Done == 0 || svc.Done != periods {
+		t.Fatalf("closed-job-set run: service done at %d, run length %d", svc.Done, periods)
 	}
-	wantDecisions := mustJSON(t, res.SchedDecisions)
+	wantDecisions := mustJSON(t, sd.Decisions())
+	wantReports := sd.JobReports()
 
 	for _, workers := range []int{1, 4} {
 		c := fleet.New(identityFleet(workers))
@@ -97,34 +90,29 @@ func TestFleetMatchesRunnerScheduled(t *testing.T) {
 		node := c.Nodes()[0]
 
 		if got := mustJSON(t, node.Sched().Decisions()); !bytes.Equal(got, wantDecisions) {
-			t.Fatalf("workers=%d: fleet decision log diverges from runner.ModeScheduled\nfleet:  %s\nrunner: %s",
+			t.Fatalf("workers=%d: fleet decision log diverges from sched.RunJobs\nfleet: %s\nsched: %s",
 				workers, got, wantDecisions)
 		}
 		reports := node.Sched().JobReports()
-		if len(reports) != len(res.BatchResults) {
-			t.Fatalf("workers=%d: %d job reports vs %d runner batch results", workers, len(reports), len(res.BatchResults))
+		if len(reports) != len(wantReports) || len(reports) != len(identityJobs()) {
+			t.Fatalf("workers=%d: %d fleet job reports vs %d", workers, len(reports), len(wantReports))
 		}
 		for i, jr := range reports {
-			br := res.BatchResults[i]
-			if jr.Name != br.Name || jr.Core != br.Core || jr.Domain != br.Domain ||
-				jr.Instructions != br.Instructions || jr.Misses != br.Misses ||
-				jr.Waited != br.Waited || jr.Aged != br.Aged ||
-				jr.Admitted != br.Admitted || jr.Done != br.DonePeriod ||
-				jr.Migrations != br.Migrations ||
-				jr.PausedPeriods != br.PausedPeriods || jr.RunPeriods != br.RunPeriods ||
-				jr.CPositive != br.CPositive || jr.CNegative != br.CNegative {
-				t.Errorf("workers=%d: job %d diverges:\nfleet:  %+v\nrunner: %+v", workers, i, jr, br)
+			if jr != wantReports[i] {
+				t.Errorf("workers=%d: job %d diverges:\nfleet: %+v\nsched: %+v", workers, i, jr, wantReports[i])
+			}
+			if jr.State != sched.JobDone {
+				t.Errorf("workers=%d: job %d ended %v", workers, i, jr.State)
 			}
 		}
-		if done := node.Sched().LatencyReports()[0].Done; done != res.Periods {
-			t.Errorf("workers=%d: service completed at period %d, runner at %d", workers, done, res.Periods)
+		if got := node.Sched().LatencyReports()[0]; got != svc {
+			t.Errorf("workers=%d: service report %+v, sched.RunJobs %+v", workers, got, svc)
 		}
-		if uint64(ticks) < res.Periods {
-			t.Errorf("workers=%d: fleet ran %d ticks, fewer than the runner's %d periods", workers, ticks, res.Periods)
+		if uint64(ticks) < svc.Done {
+			t.Errorf("workers=%d: fleet ran %d ticks, fewer than the service's %d periods", workers, ticks, svc.Done)
 		}
-		rep := c.Report()
-		if rep.Completed != res.JobsCompleted || rep.Completed != len(identityJobs()) {
-			t.Errorf("workers=%d: fleet completed %d jobs, runner %d", workers, rep.Completed, res.JobsCompleted)
+		if rep := c.Report(); rep.Completed != len(identityJobs()) {
+			t.Errorf("workers=%d: fleet completed %d of %d jobs", workers, rep.Completed, len(identityJobs()))
 		}
 	}
 }

@@ -15,7 +15,7 @@ type Curve int
 const (
 	// CurveConstant holds the configured rate flat over the horizon — the
 	// closed-form baseline (and, with Horizon 1, the "everything arrives
-	// up front" shape the scheduled-mode identity pin uses).
+	// up front" shape the sched.RunJobs identity pin uses).
 	CurveConstant Curve = iota
 	// CurveDiurnal ramps the rate through one full day-shaped sinusoid
 	// over the horizon: quiet start, peak mid-horizon, quiet end.

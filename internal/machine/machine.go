@@ -186,10 +186,6 @@ type Config struct {
 	// slice cores are simulated sequentially over the same wall-clock
 	// window.
 	SlicesPerPeriod int
-	// Workers gives the machine a private domain-stepper pool of that size
-	// (see SetWorkers). Default (0 or 1) steps domains serially, in index
-	// order.
-	Workers int
 }
 
 // Machine is the simulated multicore CPU.
@@ -259,7 +255,6 @@ func New(cfg Config) *Machine {
 	for i := range m.cores {
 		m.cores[i] = &Core{id: i, freqDiv: 1, hier: m.hiers[i/perDomain], local: i % perDomain}
 	}
-	m.SetWorkers(cfg.Workers)
 	return m
 }
 

@@ -12,11 +12,8 @@ import (
 // cache-hungry and compute-bound processes on every core.
 func buildDomains(t *testing.T, domains, perDomain, workers int) *Machine {
 	t.Helper()
-	m := New(Config{
-		Cores:   domains * perDomain,
-		Domains: domains,
-		Workers: workers,
-	})
+	m := New(Config{Cores: domains * perDomain, Domains: domains})
+	m.SetWorkers(workers)
 	t.Cleanup(m.StopWorkers)
 	for i := 0; i < m.Cores(); i++ {
 		var gen workload.Generator

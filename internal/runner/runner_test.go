@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"caer/internal/caer"
-	"caer/internal/sched"
+	"caer/internal/pmu"
 	"caer/internal/spec"
 )
 
@@ -25,7 +25,6 @@ func TestModeStrings(t *testing.T) {
 		ModeAlone:      "alone",
 		ModeNativeColo: "native-colo",
 		ModeCAER:       "caer",
-		ModeScheduled:  "scheduled",
 		Mode(9):        "Mode(9)",
 	}
 	for m, want := range cases {
@@ -290,125 +289,47 @@ func TestScenarioZeroValueBatchIsLBM(t *testing.T) {
 	}
 }
 
-func TestScenarioScheduledDefaults(t *testing.T) {
-	s := Scenario{Latency: spec.LBM(), Mode: ModeScheduled}.withDefaults()
-	if s.Domains != 2 || s.Cores != 8 {
-		t.Errorf("scheduled defaults = %d domains / %d cores, want 2/8", s.Domains, s.Cores)
-	}
-}
-
-func TestRunScheduledDrainsJobs(t *testing.T) {
-	lat := fastProfile(t, "mcf", 600_000)
-	job := fastProfile(t, "lbm", 120_000)
-	quiet := fastProfile(t, "povray", 120_000)
-	s := Scenario{
-		Latency:   lat,
-		Mode:      ModeScheduled,
-		Heuristic: caer.HeuristicRule,
-		Jobs:      []spec.Profile{job, quiet, job},
-		Sched:     sched.Config{Policy: sched.PolicyContentionAware, AgingBound: 200},
-		Seed:      7,
-	}
-	res := Run(s)
-	if !res.Completed {
-		t.Fatal("latency app did not complete")
-	}
-	if res.JobsCompleted != 3 {
-		t.Fatalf("JobsCompleted = %d, want 3", res.JobsCompleted)
-	}
-	if len(res.BatchResults) != 3 {
-		t.Fatalf("BatchResults has %d entries, want 3", len(res.BatchResults))
-	}
-	for i, br := range res.BatchResults {
-		if !br.Completed || br.Admitted == 0 || br.DonePeriod < br.Admitted {
-			t.Errorf("job %d lifecycle: completed=%v admitted=%d done=%d", i, br.Completed, br.Admitted, br.DonePeriod)
-		}
-		if br.Instructions == 0 {
-			t.Errorf("job %d retired no instructions", i)
-		}
-		if br.Domain < 0 || br.Domain >= s.withDefaults().Domains {
-			t.Errorf("job %d on domain %d", i, br.Domain)
-		}
-	}
-	if res.MaxWait > 200 {
-		t.Errorf("MaxWait = %d exceeds aging bound", res.MaxWait)
-	}
-	if res.BatchInstructions == 0 || res.Periods == 0 {
-		t.Error("scheduled run produced empty aggregate metrics")
-	}
-	admits := 0
-	for _, d := range res.SchedDecisions {
-		if d.Kind == sched.DecisionAdmit {
-			admits++
-		}
-	}
-	if admits != 3 {
-		t.Errorf("decision log has %d admissions, want 3", admits)
-	}
-}
-
-func TestRunScheduledDeterministic(t *testing.T) {
-	mk := func() Result {
-		return Run(Scenario{
-			Latency:   fastProfile(t, "mcf", 300_000),
-			Mode:      ModeScheduled,
-			Heuristic: caer.HeuristicRule,
-			Jobs:      []spec.Profile{fastProfile(t, "lbm", 100_000), fastProfile(t, "lbm", 100_000)},
-			Sched:     sched.Config{Policy: sched.PolicyRoundRobin},
-			Seed:      3,
-		})
-	}
-	a, b := mk(), mk()
-	if a.Periods != b.Periods || a.LatencyInstructions != b.LatencyInstructions ||
-		a.BatchInstructions != b.BatchInstructions || len(a.SchedDecisions) != len(b.SchedDecisions) {
-		t.Error("scheduled runs with equal seeds diverged")
-	}
-}
-
-func TestRunScheduledRejectsPartitioning(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("PartitionWays in scheduled mode did not panic")
-		}
-	}()
-	Run(Scenario{Latency: spec.LBM(), Mode: ModeScheduled, PartitionWays: 2})
-}
-
-// TestRunCAERPerBatchResults pins the batch application's entry against the
-// aggregate counters and the engine's own accounting in a CAER run.
+// TestRunCAERPerBatchResults pins the batch side of a CAER run against the
+// engine's own accounting: the same pair stepped by a runtime built here
+// must leave the counters, verdicts and pause totals Run reports.
 func TestRunCAERPerBatchResults(t *testing.T) {
-	res := Run(Scenario{
+	s := Scenario{
 		Latency:   fastProfile(t, "mcf", 400_000),
 		Batch:     fastProfile(t, "milc", 200_000),
 		Mode:      ModeCAER,
 		Heuristic: caer.HeuristicRule,
 		Seed:      5,
-	})
-	if len(res.BatchResults) != 1 {
-		t.Fatalf("BatchResults has %d entries, want 1", len(res.BatchResults))
 	}
-	br := res.BatchResults[0]
-	if br.Name != "milc" || br.Core != 1 || br.Domain != 0 {
-		t.Errorf("batch entry = %s on core %d domain %d, want milc on core 1 domain 0", br.Name, br.Core, br.Domain)
+	res := Run(s)
+
+	s = s.withDefaults()
+	m := newMachine(s)
+	lat := s.Latency.NewProcess(0, s.Seed)
+	rt := caer.NewRuntime(m, s.Heuristic, s.Config)
+	rt.AddLatency("mcf", 0, lat)
+	rt.AddBatch("milc", 1, s.Batch.Batch().NewProcess(batchBase, s.Seed+1))
+	rt.RunUntil(lat.Done, s.MaxPeriods)
+	st := rt.Engines()[0].Stats()
+
+	if res.BatchInstructions == 0 || res.BatchInstructions != m.ReadCounter(1, pmu.EventInstrRetired) ||
+		res.BatchMisses != m.ReadCounter(1, pmu.EventLLCMisses) {
+		t.Errorf("batch totals (%d,%d) != core 1's counters (%d,%d)", res.BatchInstructions, res.BatchMisses,
+			m.ReadCounter(1, pmu.EventInstrRetired), m.ReadCounter(1, pmu.EventLLCMisses))
 	}
-	if br.Instructions == 0 || br.Instructions != res.BatchInstructions || br.Misses != res.BatchMisses {
-		t.Errorf("per-batch totals (%d,%d) != aggregates (%d,%d)",
-			br.Instructions, br.Misses, res.BatchInstructions, res.BatchMisses)
+	if res.CPositive != st.CPositive || res.CNegative != st.CNegative || res.PausedPeriods != st.PausedPeriods {
+		t.Errorf("engine counters (%d,%d,%d) != engine stats (%d,%d,%d)",
+			res.CPositive, res.CNegative, res.PausedPeriods, st.CPositive, st.CNegative, st.PausedPeriods)
 	}
-	if br.CPositive != res.CPositive || br.CNegative != res.CNegative || br.PausedPeriods != res.PausedPeriods {
-		t.Errorf("per-batch engine counters (%d,%d,%d) != aggregates (%d,%d,%d)",
-			br.CPositive, br.CNegative, br.PausedPeriods, res.CPositive, res.CNegative, res.PausedPeriods)
-	}
-	if br.PausedPeriods == 0 || br.RunPeriods+br.PausedPeriods != res.Periods {
-		t.Errorf("run %d + paused %d periods != %d periods", br.RunPeriods, br.PausedPeriods, res.Periods)
+	if res.PausedPeriods == 0 || st.RunPeriods+res.PausedPeriods != res.Periods {
+		t.Errorf("run %d + paused %d periods != %d periods", st.RunPeriods, res.PausedPeriods, res.Periods)
 	}
 	if len(res.DecisionLog) == 0 {
 		t.Error("CAER run carries no decision log")
 	}
 }
 
-// TestRunNativePerBatchResults pins the native-mode breakdown: the batch
-// core's totals are the aggregates, and no engine fields are set.
+// TestRunNativePerBatchResults pins the native-mode batch side: the batch
+// core ran every period and no engine fields are set.
 func TestRunNativePerBatchResults(t *testing.T) {
 	res := Run(Scenario{
 		Latency: fastProfile(t, "mcf", 400_000),
@@ -416,14 +337,12 @@ func TestRunNativePerBatchResults(t *testing.T) {
 		Mode:    ModeNativeColo,
 		Seed:    5,
 	})
-	if len(res.BatchResults) != 1 {
-		t.Fatalf("BatchResults has %d entries, want 1", len(res.BatchResults))
+	if res.BatchInstructions == 0 || res.BatchMisses == 0 || res.BatchDuty != 1 {
+		t.Errorf("unmanaged batch: %d instructions, %d misses, duty %v; want progress at duty 1",
+			res.BatchInstructions, res.BatchMisses, res.BatchDuty)
 	}
-	br := res.BatchResults[0]
-	if br.Instructions != res.BatchInstructions || br.Misses != res.BatchMisses {
-		t.Error("single-batch per-batch totals differ from aggregates")
-	}
-	if br.PausedPeriods != 0 || res.DecisionLog != nil || res.Sampling != (caer.SamplingStats{}) {
+	if res.CPositive != 0 || res.CNegative != 0 || res.PausedPeriods != 0 ||
+		res.DecisionLog != nil || res.Sampling != (caer.SamplingStats{}) {
 		t.Error("native-mode batch reports engine activity")
 	}
 }

@@ -17,9 +17,9 @@ import (
 // profile, so repeated instances of the same program benefit from what
 // earlier runs taught the classifier. Jobs are admitted in submission
 // order (FIFO with aging). Submission is allowed both before the first
-// Step (the closed batch-set shape runner.ModeScheduled uses) and while
-// the scheduler is running (open-loop arrivals dispatched by the fleet
-// layer); a job submitted mid-run joins the tail of the queue.
+// Step (the closed job set RunJobs runs) and while the scheduler is running
+// (open-loop arrivals dispatched by the fleet layer); a job submitted
+// mid-run joins the tail of the queue.
 func (s *Scheduler) Submit(j Job) int {
 	if j.Name == "" || j.New == nil {
 		panic("sched: job needs a name and a process factory")

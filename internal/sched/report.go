@@ -137,6 +137,17 @@ type JobReport struct {
 	CPositive, CNegative      uint64
 }
 
+// RanPeriods is the number of periods the job ran rather than sat paused —
+// its duty cycle's numerator, PausedPeriods being the rest. A job placed on
+// a domain with no latency-sensitive app gets no engine, so its counters
+// stay zero: once done, it ran every period it held a core.
+func (r JobReport) RanPeriods() uint64 {
+	if r.RunPeriods+r.PausedPeriods == 0 && r.State == JobDone {
+		return r.Done - r.Admitted + 1
+	}
+	return r.RunPeriods
+}
+
 // JobReports returns every job's summary in submission order.
 func (s *Scheduler) JobReports() []JobReport {
 	out := make([]JobReport, len(s.jobs))

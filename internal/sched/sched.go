@@ -26,7 +26,8 @@
 // Step is: arm, the machine's period, and the control half at the period
 // boundary — the pipeline's control half, classifier feed from what it
 // probed (sched.go); finish/age/admit/migrate (admit.go); the partition
-// planner (cluster.go). report.go is the read side. The per-period path is
+// planner (cluster.go). report.go is the read side, deploy.go the process
+// layout and the closed-job-set run on it (RunJobs). The per-period path is
 // allocation-free and audited by caer-vet's hotpath analyzer (the fleet
 // tick, a //caer:hot root, reaches Arm and Control; the decision paths are
 // //caer:cold).
@@ -300,7 +301,7 @@ func (s *Scheduler) LatencyApps() int { return len(s.latency) }
 
 // Monitor returns latency app i's CAER-M monitor, in registration order —
 // the fault-injection hook (SetDown) the chaos and SLO suites script
-// monitor outages through, mirroring the runner's Monitors accessor.
+// monitor outages through, as caer.Pipeline's Monitors accessor.
 func (s *Scheduler) Monitor(i int) *caer.Monitor { return s.latency[i].mon }
 
 // AddLatency binds a latency-sensitive application to a core under a
