@@ -231,6 +231,21 @@ func BenchmarkMachinePeriod(b *testing.B) {
 	}
 }
 
+// BenchmarkMachinePeriodUncontended is BenchmarkMachinePeriod in a
+// red-light period: lbm is bound but paused, so mcf is the domain's one
+// runnable core and the period is stepped in one pass instead of slices.
+func BenchmarkMachinePeriodUncontended(b *testing.B) {
+	m := machine.New(machine.Config{Cores: 2})
+	mcf, _ := spec.ByName("mcf")
+	m.Bind(0, mcf.Batch().NewProcess(0, 1))
+	m.Bind(1, spec.LBM().Batch().NewProcess(1<<28, 2))
+	m.Core(1).SetPaused(true)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.RunPeriod()
+	}
+}
+
 func BenchmarkShutterDetectorStep(b *testing.B) {
 	d := icaer.NewShutterDetector(icaer.DefaultConfig())
 	b.ResetTimer()

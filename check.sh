@@ -67,9 +67,16 @@ go test -run='^$' -fuzz='^FuzzCachePartition$' -fuzztime=10s ./internal/mem
 # compared after every step (results, stats, residency, inclusion,
 # core-valid bits).
 go test -run='^$' -fuzz='^FuzzHierarchy$' -fuzztime=10s ./internal/mem
+# Period-stepper differential fuzz smoke: random geometries and
+# pause/divisor/bind/relaunch scripts stepped by the machine (one pass for
+# uncontended domains) and by the all-sliced reference loop, compared after
+# every period.
+go test -run='^$' -fuzz='^FuzzMachinePeriod$' -fuzztime=10s ./internal/machine
 # Scrape-path benchmark smoke: one iteration each, so the writer, parser and
 # collector benchmarks keep compiling and their allocs/op land in the CI log.
 go test -run='^$' -bench='WritePrometheus|ParseText|ScrapeAll' -benchtime=1x ./internal/telemetry ./internal/fleet
+# Machine-period benchmark smoke: the sliced and the one-pass period.
+go test -run='^$' -bench='MachinePeriod' -benchtime=1x .
 # Regime gates: the rows of experiments.Regimes (README "Regime suites") in
 # short mode, one process. Each suite exits non-zero unless its claim
 # holds; BENCH_*.json and the caer-doctor bundle land in out/ (overwritten

@@ -23,7 +23,8 @@ func TestVetRealTreeClean(t *testing.T) {
 // deleting (or detaching) one root's directive silently shrinks the audit
 // unless something notices: deep leaves several packages below the roots
 // must still be reached, and the functions behind the reviewed //caer:cold
-// barriers must still be outside.
+// barriers must still be outside. A sentinel that names no function in the
+// call graph fails too, so a rename cannot turn a check vacuous.
 func TestHotClosureSentinels(t *testing.T) {
 	root, path, dirs := realTree(t)
 	pkgs, err := loadAll(root, path, dirs)
@@ -31,24 +32,36 @@ func TestHotClosureSentinels(t *testing.T) {
 		t.Fatalf("load: %v", err)
 	}
 	g := BuildCallGraph(pkgs)
+	declared := make(map[string]bool)
+	for _, n := range g.Nodes() {
+		declared[n.Label()] = true
+	}
 	hot := make(map[string]bool)
 	for fn := range g.HotSet() {
 		hot[g.Lookup(fn).Label()] = true
 	}
-	for _, leaf := range []string{
+	leaves := []string{
 		"caer.Runtime.Step", "mem.Cache.find", "stats.Window.Push", "slo.burnAt",
 		"comm.Slot.WindowMean", "sched.Picker.Pick", "telemetry.Counter.Inc",
-	} {
+		"machine.Machine.stepUncontended",
+	}
+	barred := []string{
+		"machine.Pool.wakeHelpers", "sched.Scheduler.admitTo",
+		"fleet.Cluster.scrapeAll", "caer.Pipeline.start",
+	}
+	for _, fn := range append(leaves, barred...) {
+		if !declared[fn] {
+			t.Errorf("sentinel %s is not a function in the call graph: renamed or deleted?", fn)
+		}
+	}
+	for _, leaf := range leaves {
 		if !hot[leaf] {
 			t.Errorf("%s is not in the hot closure: a //caer:hot root above it lost its directive", leaf)
 		}
 	}
-	for _, barred := range []string{
-		"machine.Machine.dispatch", "sched.Scheduler.admitTo",
-		"fleet.Cluster.scrapeAll", "caer.Pipeline.start",
-	} {
-		if hot[barred] {
-			t.Errorf("%s is in the hot closure: its //caer:cold barrier is gone", barred)
+	for _, fn := range barred {
+		if hot[fn] {
+			t.Errorf("%s is in the hot closure: its //caer:cold barrier is gone", fn)
 		}
 	}
 }

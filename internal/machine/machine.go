@@ -6,9 +6,11 @@
 // throttling directives. The period is sized so that the shared cache's
 // refill time constant spans a few periods, as on the paper's hardware.
 //
-// Within a period, active cores are interleaved in small time slices so
-// that their reference streams contend in the shared L3 the way truly
-// parallel cores do.
+// Within a period, the runnable cores of an LLC domain are interleaved in
+// small time slices so that their reference streams contend in the shared
+// L3 the way truly parallel cores do. A domain with at most one runnable
+// core has nothing to interleave: its lone core runs the whole period in
+// one pass, with the same result as the sliced loop (see stepUncontended).
 //
 // A machine may be split into several LLC domains (Config.Domains), each a
 // contiguous block of cores over its own hierarchy instance — the
@@ -65,7 +67,6 @@ type Process struct {
 	memAcc  float64 // fractional accumulator deciding which instrs are refs
 	cpiAcc  float64 // fractional accumulator of compute cycles
 	done    bool
-	runs    int // completed runs (for relaunch accounting)
 }
 
 // NewProcess constructs a process. seed fixes all stochastic choices.
@@ -87,9 +88,6 @@ func (p *Process) Done() bool { return p.done }
 
 // Retired returns instructions retired in the current run.
 func (p *Process) Retired() uint64 { return p.retired }
-
-// Runs returns how many times the process ran to completion (relaunches).
-func (p *Process) Runs() int { return p.runs }
 
 // Profile returns the execution profile.
 func (p *Process) Profile() ExecProfile { return p.prof }
@@ -118,8 +116,20 @@ type Core struct {
 	busy     uint64
 	idle     uint64
 	instrRet uint64 // cumulative, survives relaunches (PMU counter)
-	debt     uint64 // stall cycles carried over from an instruction that overran its slice
+	// debt is the stall carried over from an instruction that overran its
+	// slice. It belongs to the core, not the process: when a process
+	// completes on an overrunning instruction the overrun stays here, and
+	// the core's next process — a relaunched request, or the next job bound
+	// to the core — pays it as stall before its first instruction. Every
+	// golden depends on that, so correcting it is a re-baselining change.
+	debt uint64
 }
+
+// runnable reports whether the core executes this period: it has a bound
+// process that has not completed, and it is not paused. Neither changes
+// inside a period except a process completing, so a core that is not
+// runnable at a period boundary idles through the whole period.
+func (c *Core) runnable() bool { return c.proc != nil && !c.proc.done && !c.paused }
 
 // ID returns the core number.
 func (c *Core) ID() int { return c.id }
@@ -184,7 +194,9 @@ type Config struct {
 	// Default 600 (100-cycle slices): fine enough that concurrent cores'
 	// memory-channel reservations interleave realistically, since within a
 	// slice cores are simulated sequentially over the same wall-clock
-	// window.
+	// window. It applies to domains with two or more runnable cores and to
+	// a lone core under a frequency divisor; a lone full-speed core runs
+	// its period in one pass, with the same result as the slices.
 	SlicesPerPeriod int
 }
 
@@ -350,9 +362,9 @@ func (m *Machine) StopWorkers() {
 	}
 }
 
-// RunPeriod advances every core by one sampling period, interleaving active
-// cores in SlicesPerPeriod time slices. Paused cores and cores whose
-// process has completed accumulate idle cycles.
+// RunPeriod advances every core by one sampling period, interleaving the
+// runnable cores of each domain in SlicesPerPeriod time slices. Paused
+// cores and cores whose process has completed accumulate idle cycles.
 func (m *Machine) RunPeriod() { m.RunPeriods(1) }
 
 // RunPeriods advances the machine n periods in one batch. Callers with no
@@ -399,14 +411,20 @@ func (m *Machine) advance(n int) {
 // offset..hi-1, lo..offset-1 when offset lands inside the block and
 // lo..hi-1 otherwise — so stepping per-domain preserves each domain's
 // serial intra-slice order exactly, and with it every per-seed result.
+//
+// A period in which at most one of the domain's cores can run has nothing
+// to interleave and is stepped in one pass (stepUncontended).
 func (m *Machine) stepDomain(d, n int) {
 	lo := d * m.perDomain
 	hi := lo + m.perDomain
 	span := m.perDomain
 	total := len(m.cores)
 	for k := 0; k < n; k++ {
-		rotBase := int(m.periods+uint64(k)) * m.slices
 		start := m.now + uint64(k)*m.period
+		if m.stepUncontended(m.cores[lo:hi], start) {
+			continue
+		}
+		rotBase := int(m.periods+uint64(k)) * m.slices
 		for s := 0; s < m.slices; s++ {
 			budget := m.sliceLen
 			if s == m.slices-1 {
@@ -429,14 +447,71 @@ func (m *Machine) stepDomain(d, n int) {
 	}
 }
 
+// stepUncontended steps one period of a domain's cores, starting at
+// absolute cycle `at`, in one pass when at most one of them is runnable
+// and that one runs at full speed, and reports whether it did. Every other
+// core idles the whole period; the lone core retires its instructions back
+// to back through the period with the retire loop runSlice uses.
+//
+// The result equals the sliced loop's. Issue times do not change: a slice
+// resumes where the previous slice's last instruction ended (its start plus
+// the carried debt), so back to back is what the slices produce. The one
+// trace slicing leaves on a lone core is at completion: a process that
+// completes on an instruction overrunning its slice stops being busy at
+// that slice's end, and the overrun stays in Core.debt. The pass reproduces
+// it from the offset the last instruction issued at.
+func (m *Machine) stepUncontended(cores []*Core, at uint64) bool {
+	var lone *Core
+	for _, c := range cores {
+		if !c.runnable() {
+			continue
+		}
+		if lone != nil || c.freqDiv != 1 {
+			return false
+		}
+		lone = c
+	}
+	for _, c := range cores {
+		if c != lone {
+			c.idle += m.period
+		}
+	}
+	if lone == nil {
+		return true
+	}
+	used, issued := lone.retire(at, lone.debt, m.period)
+	lone.debt = 0
+	end := m.period
+	if lone.proc.done {
+		end = m.sliceEnd(issued)
+	}
+	if used > end {
+		lone.debt = used - end
+		used = end
+	}
+	lone.busy += used
+	lone.idle += m.period - used
+	return true
+}
+
+// sliceEnd returns the period offset at which the slice holding offset t
+// ends; the last slice also holds the period's remainder cycles.
+func (m *Machine) sliceEnd(t uint64) uint64 {
+	if s := t/m.sliceLen + 1; s < uint64(m.slices) {
+		return s * m.sliceLen
+	}
+	return m.period
+}
+
 // runSlice executes core c for budget cycles starting at absolute cycle
 // `at`, charging busy/idle accounting. An instruction whose latency
 // overruns the slice leaves the overflow as debt that subsequent slices pay
 // off before issuing new instructions, so per-instruction costs are exact
-// regardless of slice granularity.
+// regardless of slice granularity. The debt outlives the process: one that
+// completes on an overrunning instruction leaves it to the core's next
+// process (see Core.debt).
 func (m *Machine) runSlice(c *Core, at, budget uint64) {
-	p := c.proc
-	if p == nil || p.done || c.paused {
+	if !c.runnable() {
 		c.idle += budget
 		return
 	}
@@ -451,9 +526,26 @@ func (m *Machine) runSlice(c *Core, at, budget uint64) {
 		c.busy += budget
 		return
 	}
-	used := c.debt
+	used, _ := c.retire(at, c.debt, effective)
 	c.debt = 0
-	for used < effective && !p.done {
+	if used > effective {
+		c.debt = used - effective
+		used = effective
+	}
+	c.busy += used * uint64(c.freqDiv)
+	if slack := budget - used*uint64(c.freqDiv); slack > 0 {
+		c.idle += slack
+	}
+}
+
+// retire runs the core's process from offset `used` of a window starting at
+// absolute cycle `at`, issuing each instruction at at+used where the
+// previous one ended, while used < end and the process has not completed.
+// It returns the offset the last instruction ended at and, when that
+// instruction completed the process, the offset it issued at.
+func (c *Core) retire(at, used, end uint64) (ended, issued uint64) {
+	p := c.proc
+	for used < end && !p.done {
 		// Decide whether the next instruction is a memory reference using a
 		// deterministic fractional accumulator (keeps the mix exact).
 		p.memAcc += p.prof.MemFraction
@@ -473,17 +565,10 @@ func (m *Machine) runSlice(c *Core, at, budget uint64) {
 		c.instrRet++
 		if p.prof.Instructions > 0 && p.retired >= p.prof.Instructions {
 			p.done = true
-			p.runs++
+			issued = used - cost
 		}
 	}
-	if used > effective {
-		c.debt = used - effective
-		used = effective
-	}
-	c.busy += used * uint64(c.freqDiv)
-	if slack := budget - used*uint64(c.freqDiv); slack > 0 {
-		c.idle += slack
-	}
+	return used, issued
 }
 
 // ReadCounter implements pmu.Source over the simulated hardware.

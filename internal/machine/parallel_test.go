@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"math"
+	"math/rand"
 	"strconv"
 	"testing"
 
@@ -30,6 +32,24 @@ func buildDomains(t *testing.T, domains, perDomain, workers int) *Machine {
 	return m
 }
 
+// quieten turns a buildDomains machine into the red-light shape the
+// one-pass stepper serves: in every domain the first core runs, the second
+// is bound but paused and the rest are unbound, and the last domain's first
+// core is paused too, leaving that domain no runnable core.
+func quieten(m *Machine) *Machine {
+	for i := 0; i < m.Cores(); i++ {
+		switch local := m.LocalCore(i); {
+		case local == 1:
+			m.Core(i).SetPaused(true)
+		case local > 1:
+			m.Unbind(i)
+		}
+	}
+	lo, _ := m.DomainCores(m.Domains() - 1)
+	m.Core(lo).SetPaused(true)
+	return m
+}
+
 // snapshot captures every externally observable piece of machine state.
 type machineSnap struct {
 	busy, idle, instr, cycles []uint64
@@ -46,7 +66,11 @@ func snap(m *Machine) machineSnap {
 		s.idle = append(s.idle, c.IdleCycles())
 		s.instr = append(s.instr, m.ReadCounter(i, pmu.EventInstrRetired))
 		s.cycles = append(s.cycles, m.ReadCounter(i, pmu.EventCycles))
-		s.retired = append(s.retired, c.Process().Retired())
+		var retired uint64
+		if p := c.Process(); p != nil {
+			retired = p.Retired()
+		}
+		s.retired = append(s.retired, retired)
 		s.llcMiss = append(s.llcMiss, m.ReadCounter(i, pmu.EventLLCMisses))
 		s.llcAcc = append(s.llcAcc, m.ReadCounter(i, pmu.EventLLCAccesses))
 		s.l2Miss = append(s.l2Miss, m.ReadCounter(i, pmu.EventL2Misses))
@@ -95,15 +119,22 @@ func TestParallelDomainsMatchSerial(t *testing.T) {
 // one cursor stay in lockstep with twins stepped alone by the plain loop,
 // after every period and after a multi-period batch, with fewer workers
 // than units, as many, and more; and a stopped pool keeps stepping,
-// serially, to the same state.
+// serially, to the same state. The quiet machine's domains take the
+// one-pass path while the others' are sliced.
 func TestSharedPoolMatchesSerial(t *testing.T) {
-	geometry := [][2]int{{2, 2}, {2, 4}, {1, 2}} // domains, cores per domain: 5 units
+	geometry := []struct {
+		domains, perDomain int
+		quiet              bool
+	}{{2, 2, false}, {2, 4, false}, {1, 2, false}, {3, 3, true}} // 8 units
 	for _, workers := range []int{1, 2, 3, 16} {
 		label := "workers=" + strconv.Itoa(workers)
 		var serial, shared []*Machine
 		for _, g := range geometry {
-			serial = append(serial, buildDomains(t, g[0], g[1], 1))
-			shared = append(shared, buildDomains(t, g[0], g[1], 1))
+			s, p := buildDomains(t, g.domains, g.perDomain, 1), buildDomains(t, g.domains, g.perDomain, 1)
+			if g.quiet {
+				s, p = quieten(s), quieten(p)
+			}
+			serial, shared = append(serial, s), append(shared, p)
 		}
 		pool := NewPool(workers, shared...)
 		t.Cleanup(pool.Stop)
@@ -197,6 +228,245 @@ func refRunPeriod(m *Machine) {
 	m.periods++
 }
 
+// scriptReader hands out a script's bytes; past the end it reads zeros.
+type scriptReader struct {
+	b []byte
+	i int
+}
+
+func (r *scriptReader) next() int {
+	if r.i >= len(r.b) {
+		return 0
+	}
+	r.i++
+	return int(r.b[r.i-1])
+}
+
+// scriptCover counts what a script exercised, at period boundaries, by the
+// number of runnable cores a domain had.
+type scriptCover struct {
+	idle, lone, loneDiv, contended int // domain-periods with 0, 1 full-speed, 1 divided, ≥ 2 runnable
+	carried                        int // lone full-speed periods entered with debt
+	sliceEnd                       int // lone completions whose busy time ended at a slice end before the period's
+}
+
+// runScript decodes a machine geometry and a sequence of periods and
+// between-period operations (pause/unpause, divisor, bind, move, unbind,
+// Relaunch) from data, and drives two twins through it: one steps with
+// RunPeriod/RunPeriods, which take the one-pass path in uncontended
+// domains, and the other with refRunPeriod, which slices every core. After
+// every step the twins must agree bit for bit.
+func runScript(t testing.TB, data []byte) scriptCover {
+	t.Helper()
+	r := &scriptReader{b: data}
+	cfg := smallConfig(1 + r.next()%4)
+	cfg.Domains = 1 + r.next()%3
+	cfg.SlicesPerPeriod = 10 + r.next()%20
+	cfg.PeriodCycles = 1000 + uint64(r.next())*8 // slices of 34–304 cycles, with remainders
+	cfg.Hierarchy.Memory.ServiceCycles = uint64(r.next()%3) * 15
+	fast, ref := New(cfg), New(cfg)
+	total, period := fast.Cores(), fast.PeriodCycles()
+
+	var procs [][2]*Process // fast's and ref's copy of each process
+	spawn := func() int {
+		prof := ExecProfile{
+			MemFraction:  []float64{0.02, 0.3, 0.6, 1}[r.next()%4],
+			BaseCPI:      []float64{0.7, 1, 40, 150, 333.3}[r.next()%5],
+			Instructions: []uint64{0, 0, 5, 20, 90}[r.next()%5],
+		}
+		ws := []uint64{8, 48, 300, 4096}[r.next()%4]
+		stream, k := r.next()%2 == 0, len(procs)
+		base := uint64(k+1) << 20
+		mk := func() *Process {
+			gen := workload.Generator(workload.NewUniform(base, ws, 0.2))
+			if stream {
+				gen = workload.NewStream(base, ws, 1, 0.2)
+			}
+			return NewProcess("s", prof, gen, int64(k))
+		}
+		procs = append(procs, [2]*Process{mk(), mk()})
+		return k
+	}
+	bind := func(core, k int) {
+		for i := 0; i < total; i++ { // a process runs on one core at a time
+			if fast.Core(i).Process() == procs[k][0] {
+				fast.Unbind(i)
+				ref.Unbind(i)
+			}
+		}
+		fast.Bind(core, procs[k][0])
+		ref.Bind(core, procs[k][1])
+	}
+	for i := 0; i < total; i++ {
+		if r.next()%3 != 0 {
+			bind(i, spawn())
+		}
+	}
+
+	var cov scriptCover
+	step := func(n int) {
+		type lone struct {
+			c    *Core
+			busy uint64
+		}
+		var lones []lone // lone full-speed cores of a one-period step
+		for d := 0; d < fast.Domains(); d++ {
+			lo, hi := fast.DomainCores(d)
+			var run []*Core
+			for _, c := range fast.cores[lo:hi] {
+				if c.runnable() {
+					run = append(run, c)
+				}
+			}
+			switch {
+			case len(run) == 0:
+				cov.idle++
+			case len(run) > 1:
+				cov.contended++
+			case run[0].freqDiv > 1:
+				cov.loneDiv++
+			default:
+				cov.lone++
+				if run[0].debt > 0 {
+					cov.carried++
+				}
+				if n == 1 {
+					lones = append(lones, lone{run[0], run[0].busy})
+				}
+			}
+		}
+		if n == 1 {
+			fast.RunPeriod()
+		} else {
+			fast.RunPeriods(n)
+		}
+		for i := 0; i < n; i++ {
+			refRunPeriod(ref)
+		}
+		for _, l := range lones {
+			if l.c.proc.done && l.c.debt > 0 && l.c.busy-l.busy < period {
+				cov.sliceEnd++
+			}
+		}
+		diffTwins(t, fast, ref, procs)
+	}
+	for ops := 0; r.i < len(r.b) && ops < 128; ops++ {
+		op, core := r.next()%16, r.next()%total
+		switch c, p := fast.Core(core), fast.Core(core).Process(); {
+		case op < 7:
+			step(1)
+		case op < 9:
+			step(1 + r.next()%4)
+		case op < 11:
+			c.SetPaused(!c.Paused())
+			ref.Core(core).SetPaused(c.Paused())
+		case op == 11:
+			div := 1 + r.next()%3
+			c.SetFreqDivisor(div)
+			ref.Core(core).SetFreqDivisor(div)
+		case op == 12:
+			bind(core, spawn())
+		case op == 13 && len(procs) > 0:
+			bind(core, r.next()%len(procs))
+		case op == 14:
+			fast.Unbind(core)
+			ref.Unbind(core)
+		case op == 15 && p != nil:
+			p.Relaunch()
+			ref.Core(core).Process().Relaunch()
+		}
+	}
+	step(1)
+	return cov
+}
+
+// diffTwins fails unless the two machines of a script agree bit for bit:
+// the clock, every core's accounting and carried debt, every process's
+// retirement and accumulators, and every counter of every hierarchy.
+func diffTwins(t testing.TB, fast, ref *Machine, procs [][2]*Process) {
+	t.Helper()
+	at := "period " + strconv.FormatUint(ref.Periods(), 10)
+	if fast.Now() != ref.Now() || fast.Periods() != ref.Periods() {
+		t.Fatalf("%s: clock diverged: now %d vs %d, periods %d vs %d",
+			at, fast.Now(), ref.Now(), fast.Periods(), ref.Periods())
+	}
+	for i := 0; i < fast.Cores(); i++ {
+		f, r := fast.Core(i), ref.Core(i)
+		if got, want := [4]uint64{f.busy, f.idle, f.instrRet, f.debt}, [4]uint64{r.busy, r.idle, r.instrRet, r.debt}; got != want {
+			t.Fatalf("%s: core %d busy/idle/instrRet/debt = %v, sliced reference %v", at, i, got, want)
+		}
+	}
+	for k, pp := range procs {
+		f, r := pp[0], pp[1]
+		if f.retired != r.retired || f.done != r.done ||
+			math.Float64bits(f.memAcc) != math.Float64bits(r.memAcc) ||
+			math.Float64bits(f.cpiAcc) != math.Float64bits(r.cpiAcc) {
+			t.Fatalf("%s: process %d retired/done/memAcc/cpiAcc = %d %v %v %v, sliced reference %d %v %v %v",
+				at, k, f.retired, f.done, f.memAcc, f.cpiAcc, r.retired, r.done, r.memAcc, r.cpiAcc)
+		}
+	}
+	for d := 0; d < fast.Domains(); d++ {
+		f, r := fast.DomainHierarchy(d), ref.DomainHierarchy(d)
+		if f.L3().Stats() != r.L3().Stats() ||
+			f.Memory().Accesses() != r.Memory().Accesses() || f.Memory().QueuedCycles() != r.Memory().QueuedCycles() {
+			t.Fatalf("%s: domain %d L3 %+v memory %d/%d, sliced reference L3 %+v memory %d/%d", at, d,
+				f.L3().Stats(), f.Memory().Accesses(), f.Memory().QueuedCycles(),
+				r.L3().Stats(), r.Memory().Accesses(), r.Memory().QueuedCycles())
+		}
+		for c := 0; c < f.Cores(); c++ {
+			if f.L1(c).Stats() != r.L1(c).Stats() || f.L2(c).Stats() != r.L2(c).Stats() ||
+				f.LLCMisses(c) != r.LLCMisses(c) || f.LLCAccesses(c) != r.LLCAccesses(c) || f.L2Misses(c) != r.L2Misses(c) {
+				t.Fatalf("%s: domain %d core %d private-cache or LLC counters diverged from the sliced reference", at, d, c)
+			}
+		}
+	}
+}
+
+// machineScripts returns n seeded random scripts: the lockstep test's
+// inputs and the fuzzer's seed corpus.
+func machineScripts(n int) [][]byte {
+	rng := rand.New(rand.NewSource(1))
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = make([]byte, 160+rng.Intn(160))
+		rng.Read(out[i])
+	}
+	return out
+}
+
+// TestUncontendedPeriodMatchesSliced pins the one-pass stepping of
+// uncontended domains against the sliced reference over seeded scripts,
+// and that the scripts reach every case: idle, lone, lone-under-divisor and
+// contended domains, debt carried into a one-pass period, and completions
+// whose busy time the slice-end rule decides.
+func TestUncontendedPeriodMatchesSliced(t *testing.T) {
+	var cov scriptCover
+	for i, s := range machineScripts(60) {
+		t.Run("script"+strconv.Itoa(i), func(t *testing.T) {
+			c := runScript(t, s)
+			cov.idle += c.idle
+			cov.lone += c.lone
+			cov.loneDiv += c.loneDiv
+			cov.contended += c.contended
+			cov.carried += c.carried
+			cov.sliceEnd += c.sliceEnd
+		})
+	}
+	t.Logf("coverage %+v", cov)
+	if cov.idle == 0 || cov.lone == 0 || cov.loneDiv == 0 || cov.contended == 0 || cov.carried == 0 || cov.sliceEnd == 0 {
+		t.Fatalf("scripts missed a case: %+v", cov)
+	}
+}
+
+// FuzzMachinePeriod runs fuzzer-chosen scripts through the same lockstep
+// harness as TestUncontendedPeriodMatchesSliced.
+func FuzzMachinePeriod(f *testing.F) {
+	for _, s := range machineScripts(8) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { runScript(t, data) })
+}
+
 // TestStopWorkersIdempotent exercises pool lifecycle edges.
 func TestStopWorkersIdempotent(t *testing.T) {
 	m := buildDomains(t, 2, 2, 4)
@@ -214,15 +484,18 @@ func TestStopWorkersIdempotent(t *testing.T) {
 }
 
 // TestRunPeriodAllocFree pins the hot loop's zero-allocation contract for
-// the serial stepper, the private pool and a pool four machines share
-// (caer-vet guards the source; this guards the runtime behavior).
+// the serial stepper, the private pool and a pool four machines share, on
+// sliced and one-pass domains (caer-vet guards the source; this guards the
+// runtime behavior).
 func TestRunPeriodAllocFree(t *testing.T) {
 	serial := buildDomains(t, 2, 2, 1)
+	quiet := quieten(buildDomains(t, 2, 2, 1))
 	par := buildDomains(t, 2, 2, 2)
-	shared := NewPool(2, buildDomains(t, 2, 2, 1), buildDomains(t, 2, 2, 1),
-		buildDomains(t, 2, 4, 1), buildDomains(t, 2, 4, 1))
+	shared := NewPool(2, buildDomains(t, 2, 2, 1), quieten(buildDomains(t, 2, 2, 1)),
+		buildDomains(t, 2, 4, 1), quieten(buildDomains(t, 2, 4, 1)))
 	t.Cleanup(shared.Stop)
 	serial.RunPeriods(3)
+	quiet.RunPeriods(3)
 	par.RunPeriods(3)
 	shared.RunPeriods(3)
 	if n := testing.AllocsPerRun(5, func() { shared.RunPeriods(1) }); n != 0 {
@@ -230,6 +503,9 @@ func TestRunPeriodAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(5, serial.RunPeriod); n != 0 {
 		t.Fatalf("serial RunPeriod allocates %v/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(5, quiet.RunPeriod); n != 0 {
+		t.Fatalf("one-pass RunPeriod allocates %v/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(5, par.RunPeriod); n != 0 {
 		t.Fatalf("pooled RunPeriod allocates %v/op, want 0", n)
