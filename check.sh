@@ -17,6 +17,14 @@ go vet ./...
 unformatted=$(git ls-files '*.go' | xargs gofmt -l)
 [ -z "$unformatted" ] || {
     echo "gofmt gate: not gofmt-clean:" >&2; echo "$unformatted" >&2; exit 1; }
+# 64-bit atomic alignment gate: the typed atomic.Int64/Uint64 align
+# themselves on every platform, but the package-level functions
+# (atomic.AddUint64(&s.f, 1) and friends) need an 8-byte-aligned operand,
+# which 32-bit platforms do not guarantee for a struct field. Use the types.
+untyped=$(git ls-files '*.go' | grep -v -e '_test\.go$' -e '/testdata/' |
+    xargs grep -nE 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int|Uint)64\(' || true)
+[ -z "$untyped" ] || {
+    echo "atomic gate: use atomic.Int64/Uint64:" >&2; echo "$untyped" >&2; exit 1; }
 # The repository benchmark is its own module (benchmark/go.mod), which the
 # root ./... does not see: vet it and run its smoke test here.
 (cd benchmark && go vet ./... && go test ./...)

@@ -3,10 +3,6 @@
 // the Go compiler cannot express but the paper's correctness story depends
 // on:
 //
-//   - shmaccess: the communication table (paper §3.2, Figure 4) is
-//     single-writer-per-slot shared memory; its fields must only be touched
-//     through the table API, and 64-bit atomically-accessed fields must be
-//     8-byte aligned so 32-bit platforms do not tear.
 //   - hotpath: the 1 ms sampling/detection loop must stay allocation- and
 //     syscall-light, or the runtime's own overhead drowns the contention
 //     signal it measures (the paper's §6 headline is <1% overhead). The ban
@@ -23,15 +19,13 @@
 //     bit-reproducible — no wall-clock reads, no process-global math/rand,
 //     no map iteration feeding ordered output or order-sensitive
 //     accumulators, no unordered goroutine result collection.
-//   - goroutinelifecycle: every go statement needs a provable shutdown
-//     edge (close of the channel it ranges over, a done-select that
-//     returns, or sync.WaitGroup pairing).
-//   - telemetrydiscipline: metric registration stays out of hot-path-
-//     reachable code, and every registered family name must match the
-//     spine inventory (DESIGN.md §10).
-//   - suppression: //caer: comments must be well-formed (known word,
-//     reason where one is required, attached to a function where they state
-//     a fact about one), and (when enabled) must actually be needed.
+//   - telemetrydiscipline: every registered family name must be a constant
+//     from the spine inventory (DESIGN.md §10). A registration on the hot
+//     path is a hotpath finding: registering locks and allocates.
+//   - suppression: //caer: comments must be well-formed (known word, known
+//     analyzer, reason where one is required, attached to a function where
+//     they state a fact about one), and (when enabled) must actually be
+//     needed.
 //
 // The suite is built entirely on the standard library (go/parser, go/ast,
 // go/types); it deliberately takes no dependency on golang.org/x/tools so
@@ -71,7 +65,7 @@ import (
 
 // Finding is one analyzer diagnostic, positioned in the source tree. Path,
 // when non-empty, is the call chain from a //caer:hot root to the function
-// containing the finding (hotpath, telemetrydiscipline).
+// containing the finding (hotpath).
 type Finding struct {
 	Analyzer string
 	Pos      token.Position
@@ -143,7 +137,7 @@ func (p *Pass) ReportPathf(pos token.Pos, path []string, format string, args ...
 func (p *Pass) HotPathOf(fn *types.Func) []string { return p.Hot[fn] }
 
 // Suppression is the pseudo-analyzer that owns directive-hygiene findings
-// (unknown words, missing reasons, detached or no-longer-needed
+// (unknown words or analyzers, missing reasons, detached or no-longer-needed
 // directives). Its Run is a no-op: the driver emits its findings while
 // filtering, where usage is known.
 var Suppression = &Analyzer{
@@ -193,9 +187,8 @@ func parseDirective(text string) (word, args string) {
 // Analyzers returns the full caer-vet suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		ShmAccess, HotPath, EnumSwitch, LockDiscipline,
-		Determinism, GoroutineLifecycle, TelemetryDiscipline,
-		Suppression,
+		HotPath, EnumSwitch, LockDiscipline, Determinism,
+		TelemetryDiscipline, Suppression,
 	}
 }
 
@@ -375,13 +368,16 @@ func filterSuppressed(sups []*suppression, findings []Finding) []Finding {
 	return kept
 }
 
-// suppressionFindings reports hygiene violations: a missing reason is
-// always a finding; an allow that suppressed nothing is a finding under
+// suppressionFindings reports hygiene violations. Always findings: a
+// missing reason, and a name that is neither an analyzer of the suite nor
+// "all" (a typo, or an analyzer since deleted, would otherwise waive
+// nothing in silence). An allow that suppressed nothing is a finding under
 // Config.ReportUnusedSuppressions, but only when every analyzer it names
 // actually ran (so -analyzer subsets do not produce false staleness).
 func suppressionFindings(sups []*suppression, cfg *Config, active map[string]bool) []Finding {
+	known := AnalyzerNames()
 	fullSuite := true
-	for _, name := range AnalyzerNames() {
+	for _, name := range known {
 		if !active[name] {
 			fullSuite = false
 			break
@@ -396,6 +392,21 @@ func suppressionFindings(sups []*suppression, cfg *Config, active map[string]boo
 				Pos:      s.pos,
 				Message: "suppression needs a reason: //caer:allow <analyzer> <reason> " +
 					"(an unexplained allow is unreviewable)",
+			})
+			continue
+		}
+		var unknown []string
+		for _, name := range names {
+			if name != "all" && !slices.Contains(known, name) {
+				unknown = append(unknown, name)
+			}
+		}
+		if len(unknown) > 0 {
+			out = append(out, Finding{
+				Analyzer: Suppression.Name,
+				Pos:      s.pos,
+				Message: fmt.Sprintf("suppression names unknown analyzer %s (the suite is %s); "+
+					"it waives nothing", strings.Join(unknown, ","), strings.Join(known, ", ")),
 			})
 			continue
 		}
@@ -525,20 +536,19 @@ func Vet(modRoot, modPath string, dirs []string, analyzers []*Analyzer, cfg *Con
 		cfg = DefaultConfig()
 	}
 	cfg.ModulePath = modPath
-	pkgs, err := loadAll(modRoot, modPath, dirs)
+	pkgs, err := NewLoader(modRoot, modPath).loadAll(dirs)
 	if err != nil {
 		return nil, err
 	}
 	return VetPackages(pkgs, analyzers, cfg), nil
 }
 
-// loadAll loads the packages in dirs through one loader, skipping
-// directories without buildable Go files.
-func loadAll(modRoot, modPath string, dirs []string) ([]*Package, error) {
-	loader := NewLoader(modRoot, modPath)
+// loadAll loads the packages in dirs, skipping directories without
+// buildable Go files.
+func (l *Loader) loadAll(dirs []string) ([]*Package, error) {
 	var pkgs []*Package
 	for _, dir := range dirs {
-		pkg, err := loader.Load(dir)
+		pkg, err := l.Load(dir)
 		if err != nil {
 			return nil, err
 		}

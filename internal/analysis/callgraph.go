@@ -7,10 +7,9 @@ import (
 	"sort"
 )
 
-// This file builds the static call graph the dataflow analyzers walk
-// (hotpath v2 transitive propagation, telemetrydiscipline reachability,
-// goroutinelifecycle parent lookups). The model, documented in DESIGN.md
-// §12:
+// This file builds the static call graph the hot-path walk follows (the
+// hotpath analyzer's transitive propagation, and the hygiene checks on
+// //caer:hot roots and barriers). The model, documented in DESIGN.md §12:
 //
 //   - Nodes are functions and methods *declared in the loaded packages*.
 //     Standard-library callees are not nodes: a banned stdlib call is
@@ -20,9 +19,8 @@ import (
 //     to a concrete *types.Func) produce EdgeStatic.
 //   - defer f() produces EdgeDefer: the deferred body still runs inside
 //     the caller's activation, so hot-path budget applies.
-//   - go f() produces EdgeGo: recorded for the lifecycle analyzer, but
-//     NOT followed by hot propagation — the spawn itself is already a
-//     hotpath finding, and the spawned body runs off the period loop.
+//   - go f() produces no edge: the spawned body runs off the period loop,
+//     and the spawn itself is already a hotpath finding.
 //   - A method value or function value that is referenced without being
 //     called (f := e.helper; hand it elsewhere) produces EdgeMethodValue:
 //     the graph assumes it may be invoked by the holder.
@@ -90,8 +88,6 @@ const (
 	EdgeStatic EdgeKind = iota
 	// EdgeDefer is a deferred call (runs in the caller's activation).
 	EdgeDefer
-	// EdgeGo is a go-statement spawn (new goroutine, off the hot path).
-	EdgeGo
 	// EdgeMethodValue is a function/method value referenced without being
 	// called at that site; the holder may invoke it later.
 	EdgeMethodValue
@@ -108,8 +104,6 @@ func (k EdgeKind) String() string {
 		return "static"
 	case EdgeDefer:
 		return "defer"
-	case EdgeGo:
-		return "go"
 	case EdgeMethodValue:
 		return "methodvalue"
 	case EdgeInterface:
@@ -253,12 +247,8 @@ func (g *CallGraph) addEdges(from *Node, pkg *Package, fd *ast.FuncDecl, methods
 				if !g.declaredInPackages(sel.Recv()) {
 					return
 				}
-				ifaceKind := EdgeInterface
-				if kind == EdgeGo {
-					ifaceKind = EdgeGo
-				}
 				for _, impl := range implementations(sel.Recv(), fun.Sel.Name, methodsByName) {
-					connect(impl, ifaceKind, call.Pos())
+					connect(impl, EdgeInterface, call.Pos())
 				}
 				return
 			}
@@ -277,8 +267,9 @@ func (g *CallGraph) addEdges(from *Node, pkg *Package, fd *ast.FuncDecl, methods
 			handled[node.Call] = true
 			resolveCall(node.Call, EdgeDefer)
 		case *ast.GoStmt:
+			// No edge: the spawned call runs off the caller's activation.
 			handled[node.Call] = true
-			resolveCall(node.Call, EdgeGo)
+			callFuns[node.Call.Fun] = true
 		}
 		return true
 	})
@@ -404,15 +395,13 @@ func (g *CallGraph) Reachable(roots []*Node, follow func(Edge) bool, barrier fun
 
 // followsHot reports whether hot-path propagation crosses the edge:
 // static, defer and interface edges run inside the caller's activation. A
-// spawned goroutine runs off the period budget (the spawn is its own
-// finding, the body gets the lifecycle analyzer), and a method value is
-// only hot if some hot function eventually calls it, which shows up as a
-// static or interface edge at that call site.
+// method value is only hot if some hot function eventually calls it, which
+// shows up as a static or interface edge at that call site.
 func followsHot(e Edge) bool {
 	switch e.Kind {
 	case EdgeStatic, EdgeDefer, EdgeInterface:
 		return true
-	case EdgeGo, EdgeMethodValue:
+	case EdgeMethodValue:
 		return false
 	}
 	return false
@@ -435,7 +424,7 @@ func (g *CallGraph) hotWalk(skip *Node) map[*Node][]*Node {
 // says //caer:hot plus everything transitively reachable from them over
 // static, defer, and interface edges — stopping at the reviewed
 // //caer:cold barriers and the //caer:allocates snapshot APIs, and never
-// crossing a go edge or a method value (see followsHot).
+// entering a spawned goroutine or crossing a method value (see followsHot).
 //
 // The returned map carries, per hot function, the label path from a root
 // ("caer.Runtime.Step → caer.Runtime.relaunch → ..."); roots map to a

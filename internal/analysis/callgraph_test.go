@@ -27,8 +27,9 @@ func hasEdge(from *Node, to string, kind EdgeKind) bool {
 }
 
 // TestCallGraphEdges pins one edge per kind over the graph fixture
-// package: direct call, two-hop chain, defer, go, method value, and
-// conservative interface dispatch to every implementation.
+// package: direct call, two-hop chain, defer, method value, and
+// conservative interface dispatch to every implementation. A go statement
+// records no edge.
 func TestCallGraphEdges(t *testing.T) {
 	pkg := loadTestPkg(t, "graph")
 	g := BuildCallGraph([]*Package{pkg})
@@ -40,7 +41,6 @@ func TestCallGraphEdges(t *testing.T) {
 		{"graph.Root", "graph.Mid", EdgeStatic},
 		{"graph.Mid", "graph.Leaf", EdgeStatic},
 		{"graph.Root", "graph.Cleanup", EdgeDefer},
-		{"graph.Root", "graph.Spawn", EdgeGo},
 		{"graph.Root", "graph.English.Greet", EdgeMethodValue},
 		{"graph.Speak", "graph.English.Greet", EdgeInterface},
 		{"graph.Speak", "graph.French.Greet", EdgeInterface},
@@ -50,18 +50,25 @@ func TestCallGraphEdges(t *testing.T) {
 			t.Errorf("missing %s edge %s -> %s", c.kind, c.from, c.to)
 		}
 	}
-	if hasEdge(findNode(t, g, "graph.Root"), "graph.Leaf", EdgeStatic) {
+	root := findNode(t, g, "graph.Root")
+	if hasEdge(root, "graph.Leaf", EdgeStatic) {
 		t.Errorf("Root -> Leaf edge exists; Leaf must only be reachable through Mid")
+	}
+	for _, e := range root.Out {
+		if e.To.Label() == "graph.Spawn" {
+			t.Errorf("go statement recorded a %s edge Root -> Spawn", e.Kind)
+		}
 	}
 }
 
-// TestCallGraphReachability pins the BFS: shortest two-hop path, go edges
-// not followed, interface targets reached, and barriers stopping the walk.
+// TestCallGraphReachability pins the BFS: shortest two-hop path, spawned
+// functions not reached, interface targets reached, and barriers stopping
+// the walk.
 func TestCallGraphReachability(t *testing.T) {
 	pkg := loadTestPkg(t, "graph")
 	g := BuildCallGraph([]*Package{pkg})
 	root := findNode(t, g, "graph.Root")
-	follow := func(e Edge) bool { return e.Kind != EdgeGo && e.Kind != EdgeMethodValue }
+	follow := func(e Edge) bool { return e.Kind != EdgeMethodValue }
 
 	paths := g.Reachable([]*Node{root}, follow, nil)
 
@@ -78,7 +85,7 @@ func TestCallGraphReachability(t *testing.T) {
 		t.Errorf("Leaf path = %q, want %q", got, want)
 	}
 	if _, ok := paths[findNode(t, g, "graph.Spawn")]; ok {
-		t.Errorf("Spawn reachable although go edges are not followed")
+		t.Errorf("Spawn reachable although only a go statement calls it")
 	}
 	for _, impl := range []string{"graph.English.Greet", "graph.French.Greet"} {
 		if _, ok := paths[findNode(t, g, impl)]; !ok {

@@ -12,17 +12,13 @@ import (
 // roots, cold barriers, allocating APIs, deterministic result assembly —
 // are //caer: directives in those functions' doc comments (Directives),
 // and enums are derived from the types themselves (EnumSwitch). Package
-// entries are final import-path elements, so "comm" matches
-// caer/internal/comm as well as a testdata package named comm.
+// entries are final import-path elements, so "mem" matches
+// caer/internal/mem as well as a testdata package named mem.
 type Config struct {
 	// ModulePath is the import path of the module under analysis; set by
 	// Vet. lockdiscipline scopes its error-discard rule, and enumswitch its
 	// enum derivation, to declarations inside this module.
 	ModulePath string
-
-	// CommPackages lists final import-path elements treated as the
-	// communication-table package (shared-memory owner).
-	CommPackages []string
 
 	// DeterministicPkgs lists final import-path elements whose entire
 	// package must be bit-reproducible: the simulation core the byte-
@@ -47,7 +43,6 @@ type Config struct {
 // DefaultConfig returns the configuration for this repository.
 func DefaultConfig() *Config {
 	return &Config{
-		CommPackages:       []string{"comm"},
 		DeterministicPkgs:  []string{"machine", "mem", "sched", "caer", "fleet"},
 		EnumIgnorePrefixes: []string{"num"},
 		MetricNames: []string{
@@ -97,12 +92,6 @@ func pkgBase(path string) string {
 		return path[i+1:]
 	}
 	return path
-}
-
-// IsCommPackage reports whether the import path is a communication-table
-// package.
-func (c *Config) IsCommPackage(path string) bool {
-	return slices.Contains(c.CommPackages, pkgBase(path))
 }
 
 // IsDeterministicPkg reports whether the whole package is held to the

@@ -122,14 +122,15 @@ func seededFindings(t *testing.T, rel string) []Finding {
 }
 
 // matchWants marks every want a finding hits and returns the findings no
-// want expects.
+// want expects. The substring is matched against the rendered finding, so
+// a want can pin the call path too.
 func matchWants(findings []Finding, wants []*want) (unexpected []Finding) {
 	for _, f := range findings {
 		base := filepath.Base(f.Pos.Filename)
 		ok := false
 		for _, w := range wants {
 			if w.file == base && w.line == f.Pos.Line && w.analyzer == f.Analyzer &&
-				strings.Contains(f.Message, w.substr) {
+				strings.Contains(f.String(), w.substr) {
 				w.matched = true
 				ok = true
 			}
@@ -162,7 +163,6 @@ func TestGoldenCaer(t *testing.T)      { runGolden(t, "caer") }
 func TestGoldenPmu(t *testing.T)       { runGolden(t, "pmu") }
 func TestGoldenTelemetry(t *testing.T) { runGolden(t, "telemetry") }
 func TestGoldenMem(t *testing.T)       { runGolden(t, "mem") }
-func TestGoldenLifecycle(t *testing.T) { runGolden(t, "lifecycle") }
 func TestGoldenTeldisc(t *testing.T)   { runGolden(t, "teldisc") }
 func TestGoldenFleet(t *testing.T)     { runGolden(t, "fleet") }
 func TestGoldenPart(t *testing.T)      { runGolden(t, "part") }
@@ -172,7 +172,7 @@ func TestGoldenPart(t *testing.T)      { runGolden(t, "part") }
 // golden packages, or a regression could silently disable it.
 func TestGoldenSeedsEveryAnalyzer(t *testing.T) {
 	hit := make(map[string]int)
-	for _, rel := range []string{"comm", "caer", "pmu", "telemetry", "mem", "lifecycle", "teldisc", "hygiene", "fleet", "part"} {
+	for _, rel := range []string{"comm", "caer", "pmu", "telemetry", "mem", "teldisc", "hygiene", "fleet", "part"} {
 		for _, f := range seededFindings(t, rel) {
 			hit[f.Analyzer]++
 		}
@@ -187,10 +187,11 @@ func TestGoldenSeedsEveryAnalyzer(t *testing.T) {
 // TestSuppressionHygiene checks the hygiene analyzer over its dedicated
 // fixture package, with ReportUnusedSuppressions on. The directive cases
 // carry want comments (unknown word, detached directive, reason-less cold,
-// redundant root, unreached barrier); the two //caer:allow cases cannot —
+// redundant root, unreached barrier); the three //caer:allow cases cannot —
 // trailing text would parse as the allow's reason — and are counted: a
-// reason-less allow is always a finding, an unused allow only when the
-// analyzers it names actually ran (subset runs must not cry stale).
+// reason-less allow and one naming an unknown analyzer are always
+// findings, an unused allow only when the analyzers it names actually ran
+// (subset runs must not cry stale).
 func TestSuppressionHygiene(t *testing.T) {
 	pkg := loadTestPkg(t, "hygiene")
 	cfg := DefaultConfig()
@@ -198,11 +199,13 @@ func TestSuppressionHygiene(t *testing.T) {
 	cfg.ReportUnusedSuppressions = true
 
 	wants := parseWants(t, pkg.Dir)
-	var missingReason, unused int
+	var missingReason, unknown, unused int
 	for _, f := range matchWants(RunAnalyzers(pkg, Analyzers(), cfg), wants) {
 		switch {
 		case f.Analyzer == Suppression.Name && strings.Contains(f.Message, "suppression needs a reason"):
 			missingReason++
+		case f.Analyzer == Suppression.Name && strings.Contains(f.Message, "unknown analyzer shmacess"):
+			unknown++
 		case f.Analyzer == Suppression.Name && strings.Contains(f.Message, "unused suppression"):
 			unused++
 		default:
@@ -211,6 +214,9 @@ func TestSuppressionHygiene(t *testing.T) {
 	}
 	if missingReason != 1 {
 		t.Errorf("missing-reason findings = %d, want 1", missingReason)
+	}
+	if unknown != 1 {
+		t.Errorf("unknown-analyzer findings = %d, want 1", unknown)
 	}
 	if unused != 1 {
 		t.Errorf("unused-suppression findings = %d, want 1", unused)
@@ -222,25 +228,40 @@ func TestSuppressionHygiene(t *testing.T) {
 		}
 	}
 
-	// A subset run without hotpath must not call the hotpath allow stale.
+	// A subset run without hotpath must not call the hotpath allow stale,
+	// but an unknown name is unknown to every subset.
 	subset, err := SelectAnalyzers("lockdiscipline,suppression")
 	if err != nil {
 		t.Fatalf("SelectAnalyzers: %v", err)
 	}
+	unknown = 0
 	for _, f := range RunAnalyzers(pkg, subset, cfg) {
 		if strings.Contains(f.Message, "unused suppression") {
 			t.Errorf("unused finding reported though hotpath did not run: %s", f)
 		}
+		if strings.Contains(f.Message, "unknown analyzer") {
+			unknown++
+		}
+	}
+	if unknown != 1 {
+		t.Errorf("subset run: unknown-analyzer findings = %d, want 1", unknown)
 	}
 
 	// Without the flag only the malformed directives remain; the redundant
 	// root and the unreached barrier are hygiene-mode findings.
 	cfg.ReportUnusedSuppressions = false
+	unknown = 0
 	for _, f := range RunAnalyzers(pkg, Analyzers(), cfg) {
 		if strings.Contains(f.Message, "redundant") || strings.Contains(f.Message, "unreached") ||
 			strings.Contains(f.Message, "unused suppression") {
 			t.Errorf("hygiene-mode finding reported without ReportUnusedSuppressions: %s", f)
 		}
+		if strings.Contains(f.Message, "unknown analyzer") {
+			unknown++
+		}
+	}
+	if unknown != 1 {
+		t.Errorf("without the flag: unknown-analyzer findings = %d, want 1", unknown)
 	}
 }
 

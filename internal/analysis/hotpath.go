@@ -17,9 +17,12 @@ import (
 // The ban propagates transitively. Only the per-period entry points carry
 // a //caer:hot directive; a function two static calls below one runs every
 // period just the same, so the analyzer checks the whole hot closure
-// (CallGraph.HotSet: static, defer, and conservative interface edges; go
-// edges, reviewed //caer:cold barriers and //caer:allocates snapshot APIs
-// stop the walk) and reports the call path that makes a finding hot.
+// (CallGraph.HotSet: static, defer, and conservative interface edges;
+// spawned goroutines, reviewed //caer:cold barriers and //caer:allocates
+// snapshot APIs stop the walk) and reports the call path that makes a
+// finding hot. That includes telemetry registration (Registry.Counter and
+// friends lock, allocate and render labels), so registering from the
+// period loop is a hotpath finding along that path.
 var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc: "flag allocations, fmt/time/os/syscall calls, map and channel operations, " +

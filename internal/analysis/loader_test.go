@@ -35,12 +35,8 @@ func TestModulePathFromGoMod(t *testing.T) {
 }
 
 func TestLoaderLoadsRealPackage(t *testing.T) {
-	root, path, err := FindModule(".")
-	if err != nil {
-		t.Fatalf("FindModule: %v", err)
-	}
-	l := NewLoader(root, path)
-	pkg, err := l.Load(filepath.Join(root, "internal", "comm"))
+	l, _ := realTree(t)
+	pkg, err := l.Load(filepath.Join(l.ModRoot, "internal", "comm"))
 	if err != nil {
 		t.Fatalf("Load internal/comm: %v", err)
 	}

@@ -43,7 +43,7 @@ func (e *Engine) Tick(own float64, name string) comm.Directive {
 	}
 	samples := e.slot.Samples() // want hotpath "call to allocating snapshot API Slot.Samples in hot path"
 	_ = samples
-	go e.drain() // want hotpath "goroutine spawn in hot path" goroutinelifecycle "no provable shutdown edge"
+	go e.drain() // want hotpath "goroutine spawn in hot path"
 	e.ch <- 1    // want hotpath "channel send in hot path"
 	v := <-e.ch  // want hotpath "channel receive in hot path"
 	_ = v

@@ -1,5 +1,6 @@
 // Package graph pins the call-graph builder: one construct per edge kind,
-// exercised by TestCallGraphEdges and TestCallGraphReachability.
+// plus a go statement that records none, exercised by TestCallGraphEdges
+// and TestCallGraphReachability.
 package graph
 
 type Greeter interface{ Greet() string }

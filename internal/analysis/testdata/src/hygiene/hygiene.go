@@ -1,7 +1,7 @@
 // Package hygiene seeds directive-hygiene fixtures for the dedicated unit
 // test (TestSuppressionHygiene): want comments cannot share a line with
 // //caer:allow — the trailing text would parse as the allow's reason — so
-// the two allow cases are counted there and this package stays out of the
+// the three allow cases are counted there and this package stays out of the
 // golden walk. Findings about a directive in a function's doc comment sit
 // on the function's name, which is where their want comments are.
 package hygiene
@@ -20,6 +20,14 @@ func reasonless() {
 // ReportUnusedSuppressions, and only when the named analyzer ran.
 func stale() int {
 	//caer:allow hotpath long-gone diagnostic copy
+	return 1
+}
+
+// misnamed waives an analyzer the suite does not have (a typo here; an
+// analyzer since deleted reads the same): it waives nothing, so it is
+// always a finding, whatever subset ran.
+func misnamed() int {
+	//caer:allow shmacess typo
 	return 1
 }
 
@@ -68,6 +76,7 @@ func detached() {}
 var (
 	_ = reasonless
 	_ = stale
+	_ = misnamed
 	_ = tick
 	_ = retired
 	_ = misspelt

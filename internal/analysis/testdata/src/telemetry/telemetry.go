@@ -24,24 +24,21 @@ const (
 
 var _ = numSpanKinds
 
-// Registry hands out metric handles; in the real spine its methods lock,
-// allocate, and dedup, so the discipline analyzer treats them as
-// registration calls.
+// Registry hands out metric handles by family name; telemetrydiscipline
+// checks the names. As in the real spine, Counter looks the family up in a
+// map, so a registration reached from hot code is a hotpath finding.
 type Registry struct {
-	counter   *Counter
+	counters  map[string]*Counter
 	gauge     *Gauge
 	histogram *Histogram
 }
 
-func (r *Registry) Counter(name string) *Counter     { return r.counter }
+func (r *Registry) Counter(name string) *Counter {
+	return r.counters[name] // want hotpath "possible growth) [path: telemetry.Counter.Add -> telemetry.Registry.Counter]"
+}
+
 func (r *Registry) Gauge(name string) *Gauge         { return r.gauge }
 func (r *Registry) Histogram(name string) *Histogram { return r.histogram }
-
-// NewSpanRecorder is the registration-shaped constructor the discipline
-// analyzer also recognizes.
-func NewSpanRecorder(capacity int) *SpanRecorder {
-	return &SpanRecorder{ring: make([]Span, capacity)}
-}
 
 type Counter struct {
 	v     uint64
@@ -58,13 +55,13 @@ func (c *Counter) Inc() {
 	fmt.Println("inc", c.v)        // want hotpath "call to fmt.Println in hot path"
 }
 
-// Add is a hot root; registering a family from inside it is exactly what
-// telemetrydiscipline forbids.
+// Add is a hot root that registers a family: the registration's map
+// lookup is reported inside Registry.Counter, with the path from here.
 //
 //caer:hot
 func (c *Counter) Add(reg *Registry, delta uint64) {
 	c.v += delta
-	hot := reg.Counter("caer_engine_ticks_total") // want telemetrydiscipline "registration Counter inside a hot-path-reachable function"
+	hot := reg.Counter("caer_engine_ticks_total")
 	_ = hot
 }
 

@@ -1,19 +1,21 @@
 package analysis
 
 import (
+	"sync"
 	"testing"
 )
 
 // TestVetRealTreeClean is the acceptance gate: the shipped tree must carry
-// zero findings. Any new violation of the paper's invariants fails this
-// test (and `go run ./cmd/caer-vet ./...` in make check).
+// zero findings, with directive hygiene on as in CI. Any new violation of
+// the paper's invariants, or a //caer: comment the tree no longer needs,
+// fails this test (and `caer-vet -unused-suppressions ./...` in make
+// check).
 func TestVetRealTreeClean(t *testing.T) {
-	root, path, dirs := realTree(t)
-	findings, err := Vet(root, path, dirs, Analyzers(), DefaultConfig())
-	if err != nil {
-		t.Fatalf("Vet: %v", err)
-	}
-	for _, f := range findings {
+	loader, pkgs := realTree(t)
+	cfg := DefaultConfig()
+	cfg.ModulePath = loader.ModPath
+	cfg.ReportUnusedSuppressions = true
+	for _, f := range VetPackages(pkgs, Analyzers(), cfg) {
 		t.Errorf("real tree finding: %s", f)
 	}
 }
@@ -26,11 +28,7 @@ func TestVetRealTreeClean(t *testing.T) {
 // barriers must still be outside. A sentinel that names no function in the
 // call graph fails too, so a rename cannot turn a check vacuous.
 func TestHotClosureSentinels(t *testing.T) {
-	root, path, dirs := realTree(t)
-	pkgs, err := loadAll(root, path, dirs)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
+	_, pkgs := realTree(t)
 	g := BuildCallGraph(pkgs)
 	declared := make(map[string]bool)
 	for _, n := range g.Nodes() {
@@ -88,20 +86,37 @@ func TestVetSeededTreeFails(t *testing.T) {
 	}
 }
 
-// realTree returns the shipped module and its "./..." package directories.
-func realTree(t *testing.T) (root, path string, dirs []string) {
-	t.Helper()
-	root, path, err := FindModule(".")
-	if err != nil {
-		t.Fatalf("FindModule: %v", err)
-	}
-	dirs, err = ExpandPatterns(root, []string{"./..."})
-	if err != nil {
-		t.Fatalf("ExpandPatterns: %v", err)
-	}
-	return root, path, dirs
+// shipped memoizes the load of the shipped module: type-checking it (and the
+// standard library from source) is most of this package's test time, so
+// the test binary does it once.
+var shipped struct {
+	once   sync.Once
+	loader *Loader
+	pkgs   []*Package
+	err    error
 }
 
+// realTree returns the loader holding the shipped module and the module's
+// "./..." packages, loading them on first use.
+func realTree(t *testing.T) (*Loader, []*Package) {
+	t.Helper()
+	shipped.once.Do(func() {
+		root, path, err := FindModule(".")
+		var dirs []string
+		if err == nil {
+			dirs, err = ExpandPatterns(root, []string{"./..."})
+		}
+		if err == nil {
+			shipped.loader = NewLoader(root, path)
+			shipped.pkgs, err = shipped.loader.loadAll(dirs)
+		}
+		shipped.err = err
+	})
+	if shipped.err != nil {
+		t.Fatalf("load the shipped module: %v", shipped.err)
+	}
+	return shipped.loader, shipped.pkgs
+}
 func testdataRoot(t *testing.T) string {
 	t.Helper()
 	root, _, err := FindModule(".")

@@ -72,7 +72,6 @@ func ServeWith(addr string, snapshot func(io.Writer) error) (net.Listener, error
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
 	srv := &http.Server{Handler: HandlerWith(snapshot)}
-	//caer:allow goroutinelifecycle shutdown edge is the returned listener: closing it makes srv.Serve return (documented contract above)
 	go func() {
 		// Serve returns when the listener closes; that is the shutdown path.
 		_ = srv.Serve(ln)

@@ -1,10 +1,12 @@
 package telemetry
 
 import (
+	"bytes"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -306,19 +308,40 @@ func TestHTTPHandler(t *testing.T) {
 	}
 }
 
+// serveGoroutines counts the server goroutines ServeWith has started and
+// that have not exited yet.
+func serveGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("created by caer/internal/telemetry.ServeWith"))
+}
+
+// TestServe serves one scrape, then pins Serve's shutdown contract: closing
+// the returned listener ends the server goroutine.
 func TestServe(t *testing.T) {
+	before := serveGoroutines()
 	ln, err := Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
 	resp, err := http.Get("http://" + ln.Addr().String() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /metrics via Serve: code %d", resp.StatusCode)
+	}
+	if got := serveGoroutines(); got != before+1 {
+		t.Fatalf("%d server goroutines while serving, want %d", got, before+1)
+	}
+	if err := ln.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10_000 && serveGoroutines() != before; i++ {
+		runtime.Gosched()
+	}
+	if got := serveGoroutines(); got != before {
+		t.Fatalf("%d server goroutines after closing the listener, want %d", got, before)
 	}
 }
 
