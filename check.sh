@@ -1,7 +1,7 @@
 #!/bin/sh
 # Tier-2 verification gate: build, standard vet, the gofmt gate, the
-# repo-specific caer-vet static analysis suite, the race-enabled test run,
-# and the regime gates.
+# repo-specific caer-vet static analysis suite, a timed tier-1 test run,
+# the race-enabled test run, and the regime gates.
 # CI runs exactly this (.github/workflows/ci.yml calls it and uploads what
 # it leaves behind: out/, coverage.out, caer-vet.json); `make check` is an
 # alias.
@@ -41,15 +41,26 @@ vet_elapsed=$(( $(date +%s) - vet_start ))
 echo "caer-vet runtime: ${vet_elapsed}s (budget ${CAER_VET_BUDGET:-120}s)"
 [ "$vet_elapsed" -le "${CAER_VET_BUDGET:-120}" ] || {
     echo "caer-vet budget: ${vet_elapsed}s exceeds CAER_VET_BUDGET=${CAER_VET_BUDGET:-120}s" >&2; exit 1; }
+# Tier-1 wall-clock as a number: the plain `go test -count=1 ./...` run,
+# timed whole, with go's per-package times in out/TIER1_times.txt. Over
+# 60 s is a warning, not a failure: the ceiling is a goal for the 2-vCPU
+# class, and a loaded host is not a regression.
+tier1_start=$(date +%s)
+go test -count=1 ./... > out/TIER1_times.txt || { cat out/TIER1_times.txt; exit 1; }
+tier1_elapsed=$(( $(date +%s) - tier1_start ))
+echo "total ${tier1_elapsed}s" >> out/TIER1_times.txt
+echo "tier-1 wall-clock: ${tier1_elapsed}s (ceiling 60s)"
+[ "$tier1_elapsed" -le 60 ] ||
+    echo "tier-1 warning: go test ./... took ${tier1_elapsed}s, over the 60s ceiling" >&2
 # -timeout: the experiments race suite (regime suites + SLO battery) runs
 # past the 600s per-binary default.
 go test -race -timeout 30m -coverprofile=coverage.out ./...
 # Coverage ratchet: total statement coverage must not fall below
-# CAER_COVERAGE_MIN (default 80.3, one point under the measured baseline —
+# CAER_COVERAGE_MIN (default 87.5, one point under the measured baseline —
 # raise it as coverage grows, never lower it to absorb a regression).
 total=$(go tool cover -func=coverage.out | awk '/^total:/ { sub(/%/, "", $NF); print $NF }')
-awk -v t="$total" -v min="${CAER_COVERAGE_MIN:-80.3}" 'BEGIN { exit !(t+0 >= min+0) }' || {
-    echo "coverage gate: total $total% below CAER_COVERAGE_MIN=${CAER_COVERAGE_MIN:-80.3}%" >&2; exit 1; }
+awk -v t="$total" -v min="${CAER_COVERAGE_MIN:-87.5}" 'BEGIN { exit !(t+0 >= min+0) }' || {
+    echo "coverage gate: total $total% below CAER_COVERAGE_MIN=${CAER_COVERAGE_MIN:-87.5}%" >&2; exit 1; }
 # No vacuous tests in the simulator, control-loop and comm-table packages:
 # none of their tests is arch-, hardware- or short-gated (the one t.Skip
 # left, mem's allocation budget, is race-only; comm's re-exec helper went

@@ -134,8 +134,10 @@ type Config struct {
 	// telemetry view is distrusted and PolicyTelemetry scores it with the
 	// synchronous least-pressure fallback; default 4*ScrapePeriod.
 	StalenessHorizon int
-	// Scraper overrides the metric transport (tests inject outages);
-	// default reads each node's registry directly.
+	// Scraper, when set, makes PolicyTelemetry read every node through a
+	// text transport — a Prometheus snapshot parsed and folded, as from
+	// /metrics — instead of the default collector, which reads each node's
+	// registered handles in-process (tests inject outages this way).
 	Scraper Scraper
 	// Spans is the span recorder the whole fleet records into (schedulers,
 	// engines, monitors, SLO alert lanes). nil uses telemetry.DefaultSpans;
@@ -210,6 +212,12 @@ type Node struct {
 	sum          sched.View
 	series       *telemetry.Series
 	slo          *slo.Engine
+
+	// scrapePressure and scrapeLat are what the in-process collector reads:
+	// pressureG, and one service per distinct latency histogram, in the
+	// order a snapshot renders them (orderScrape).
+	scrapePressure []*telemetry.Gauge
+	scrapeLat      []*service
 }
 
 // Sched exposes the machine's scheduler (decision log, reports) for
@@ -241,7 +249,6 @@ type Cluster struct {
 
 	// Telemetry control plane (see telemetry.go). scrapeBuf, scrapeSamples,
 	// lat and latHist are scrapeAll's scratch, reused by every scrape.
-	scraper       Scraper
 	scrapeBuf     bytes.Buffer
 	scrapeSamples []telemetry.TextMetric
 	lat           []latSeries
@@ -278,10 +285,6 @@ func New(cfg Config) *Cluster {
 	}
 	for k := range c.tel {
 		c.tel[k].lastTick = -1
-	}
-	c.scraper = cfg.Scraper
-	if c.scraper == nil {
-		c.scraper = registryScraper{c}
 	}
 	multi := len(cfg.Machines) > 1
 	workers := 0
@@ -351,6 +354,7 @@ func newNode(k int, ms MachineSpec, cfg *Config, multi bool) *Node {
 			"normalized windowed LLC-miss pressure of the core's latency app",
 			"app", sv.name, "core", fmt.Sprintf("%d", sv.core), "role", "latency"))
 	}
+	n.orderScrape()
 
 	// The time-series store samples every registered metric once per tick;
 	// the SLO engine reads it. Both register their own export families, so

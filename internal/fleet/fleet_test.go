@@ -16,14 +16,12 @@ import (
 	"caer/internal/telemetry"
 )
 
-func prof(name string, instr uint64) spec.Profile {
-	p, ok := spec.ByName(name)
-	if !ok {
-		panic("unknown profile " + name)
-	}
-	p.Exec.Instructions = instr
-	return p
-}
+// The fixtures the internal tests share (export_test.go).
+var (
+	prof                = fleet.Prof
+	identitySchedConfig = fleet.IdentitySchedConfig
+	telFleetConfig      = fleet.TelFleetConfig
+)
 
 // identityJobs is the job list shared by the fleet and sched sides of the
 // byte-identity pin: small enough that every job dispatches up front
@@ -33,15 +31,6 @@ func identityJobs() []spec.Profile {
 		prof("lbm", 120_000), prof("povray", 120_000),
 		prof("lbm", 120_000), prof("povray", 120_000),
 		prof("lbm", 120_000), prof("povray", 120_000),
-	}
-}
-
-func identitySchedConfig() sched.Config {
-	return sched.Config{
-		Policy:     sched.PolicyContentionAware,
-		Heuristic:  caer.HeuristicRule,
-		Caer:       caer.DefaultConfig(),
-		AgingBound: 200,
 	}
 }
 

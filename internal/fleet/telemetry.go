@@ -18,9 +18,11 @@ import (
 // This file is the fleet's metrics-fed control plane (observability v2):
 // each node keeps a per-period time-series store and an SLO burn-rate
 // engine over its own registry, and PolicyTelemetry places work by
-// periodically scraping each node's exported registry — the same bytes
-// /metrics serves — instead of reading classifier summaries synchronously.
-// A scrape that goes stale past the configured horizon degrades that
+// periodically scraping each node's exported metrics instead of reading
+// classifier summaries synchronously. The in-process collector reads the
+// registered handles; text — what /metrics serves — is the transport only
+// for an injected Scraper, and the two paths fold to the same bits. A
+// scrape that goes stale past the configured horizon degrades that
 // machine's scoring to the synchronous least-pressure fallback, so a dead
 // telemetry plane can cost signal quality but never liveness.
 
@@ -83,11 +85,12 @@ func (s SLOConfig) objectives(n *Node) []slo.Objective {
 	return objs
 }
 
-// Scraper is the transport PolicyTelemetry reads node registries through:
-// Scrape writes machine k's Prometheus text snapshot to w, or returns an
-// error (the injectable failure the staleness-fallback tests force). The
-// default scraper reads the node registry directly — the same bytes the
-// /metrics endpoint serves, without the socket.
+// Scraper is a text transport PolicyTelemetry can read node registries
+// through instead of the default in-process collector: Scrape writes
+// machine k's Prometheus text snapshot to w — what the /metrics endpoint
+// serves — or returns an error. Outages, foreign line order and malformed
+// samples can only arrive this way, so the staleness-fallback and parser
+// tests inject one.
 type Scraper interface {
 	Scrape(machine int, w io.Writer) error
 }
@@ -97,13 +100,6 @@ type ScraperFunc func(machine int, w io.Writer) error
 
 // Scrape implements Scraper.
 func (f ScraperFunc) Scrape(machine int, w io.Writer) error { return f(machine, w) }
-
-// registryScraper is the default in-process transport.
-type registryScraper struct{ c *Cluster }
-
-func (r registryScraper) Scrape(machine int, w io.Writer) error {
-	return r.c.nodes[machine].reg.WritePrometheus(w)
-}
 
 // TelView is one machine's state as derived purely from its scraped
 // metrics — the telemetry analogue of the sched.View that Summarize fills.
@@ -149,29 +145,26 @@ func (t *telState) fresh(tick, horizon int) bool {
 	return t.lastTick >= 0 && tick-t.lastTick <= horizon
 }
 
-// scrapeAll refreshes every machine's TelView through the scraper. A
-// steady-state scrape costs one allocation per machine (the snapshot's
-// string copy, which every parsed sample points into): the parsed samples,
-// the bucket series and the window histogram all live in cluster-owned
-// scratch. A failed scrape — transport error, malformed line, bad bucket
-// edge — leaves the machine's last view standing and its age growing,
-// exactly what a dead exporter looks like from a real collector.
+// scrapeAll refreshes every machine's TelView. With no Config.Scraper the
+// collector reads the node's handles (readView: no allocation once the
+// scratch has grown); an injected Scraper's text is parsed and folded
+// instead (scrapeText: one allocation per machine, the snapshot's string
+// copy). Both fill the same bucket scratch and commit through windowP99. A
+// failed text scrape — transport error, malformed line, bad bucket edge —
+// leaves the machine's last view standing and its age growing, exactly
+// what a dead exporter looks like from a real collector.
 //
-//caer:cold amortized: the pull model's collector runs once every ScrapePeriod ticks, not per period (DESIGN.md §15)
+//caer:cold amortized: the collector runs once every ScrapePeriod ticks, and an injected Scraper's text path allocates (DESIGN.md §15)
 func (c *Cluster) scrapeAll() {
-	for k := range c.nodes {
-		c.scrapeBuf.Reset()
-		if err := c.scraper.Scrape(k, &c.scrapeBuf); err != nil {
-			continue
-		}
-		ms, err := telemetry.AppendSamples(c.scrapeSamples[:0], c.scrapeBuf.String())
-		if err != nil {
-			continue
-		}
-		c.scrapeSamples = ms
-		v, err := c.foldView(ms)
-		if err != nil {
-			continue
+	for k, n := range c.nodes {
+		var v TelView
+		if c.cfg.Scraper == nil {
+			v = c.readView(n)
+		} else {
+			var err error
+			if v, err = c.scrapeText(k); err != nil {
+				continue
+			}
 		}
 		// Nothing above touched the machine's state: a snapshot commits
 		// whole or not at all.
@@ -182,6 +175,45 @@ func (c *Cluster) scrapeAll() {
 	}
 }
 
+// readView derives node n's TelView straight from the handles its registry
+// renders and groups its latency buckets into c.lat — value for value what
+// foldView reads back from a snapshot of the same registry: the pressure
+// gauges are summed, and the distinct latency histograms visited, in the
+// order a snapshot lists them (Node.orderScrape), and every bucket arrives
+// as the snapshot renders it (telemetry.Histogram.EachBucket).
+func (c *Cluster) readView(n *Node) TelView {
+	v := TelView{Fresh: true, Sensitivity: n.sensitivityG.Value(), BatchLoad: n.batchLoadG.Value()}
+	for _, g := range n.scrapePressure {
+		v.Pressure += g.Value()
+	}
+	if n.slo != nil {
+		v.Burning = n.slo.Firing()
+	}
+	c.lat = c.lat[:0]
+	for _, sv := range n.scrapeLat {
+		s := c.latSeriesFor(sv.name)
+		sv.tel.EachBucket(func(le float64, cum uint64) {
+			s.buckets = append(s.buckets, bucketSample{le: le, cum: float64(cum)})
+		})
+	}
+	return v
+}
+
+// scrapeText reads machine k's snapshot through the injected Scraper,
+// parses it into cluster-owned samples, and folds it.
+func (c *Cluster) scrapeText(k int) (TelView, error) {
+	c.scrapeBuf.Reset()
+	if err := c.cfg.Scraper.Scrape(k, &c.scrapeBuf); err != nil {
+		return TelView{}, err
+	}
+	ms, err := telemetry.AppendSamples(c.scrapeSamples[:0], c.scrapeBuf.String())
+	if err != nil {
+		return TelView{}, err
+	}
+	c.scrapeSamples = ms
+	return c.foldView(ms)
+}
+
 // bucketSample is one cumulative histogram bucket parsed from a scrape.
 type bucketSample struct {
 	le  float64 // upper edge; +Inf for the overflow bucket
@@ -190,7 +222,7 @@ type bucketSample struct {
 
 // latSeries is one service's latency histogram as one scrape rendered it.
 type latSeries struct {
-	svc     string         // substring of the snapshot being folded
+	svc     string         // service label; on the text path a substring of the snapshot
 	buckets []bucketSample // finite edges ascending, +Inf last
 	sorted  bool           // buckets arrived in that order
 }
@@ -264,7 +296,7 @@ func (c *Cluster) latSeriesFor(svc string) *latSeries {
 // windowP99 differences each latency series of the folded snapshot (c.lat)
 // against the machine's previous scrape, accumulates every service's
 // window distribution in one stats.Histogram, and returns its p99 — the
-// shared Quantile math, fed from scraped bytes. Returns 0 until two scrapes
+// shared Quantile math, fed from scraped buckets. Returns 0 until two scrapes
 // have landed or when the window saw no requests. All caer latency
 // histograms start at 0, so the bucket width is the first finite upper
 // edge; a series whose last finite edge is not a positive number has no
@@ -448,6 +480,29 @@ func (n *Node) syncTelemetry() {
 	n.series.Sample()
 	if n.slo != nil {
 		n.slo.Evaluate()
+	}
+}
+
+// orderScrape fixes the order readView visits node n's handles in: the
+// order a snapshot lists their series, sorted by rendered label set — by
+// app, then by core as a string, so core="10" precedes core="2". Summed in
+// that order, the pressure gauges round exactly as foldView's sum of the
+// parsed samples does. The latency histograms come out sorted by service
+// name, one per distinct name (same-named services share one series).
+func (n *Node) orderScrape() {
+	byLabels := make([]int, len(n.services))
+	labels := make([]string, len(n.services))
+	for i, sv := range n.services {
+		byLabels[i] = i
+		labels[i] = fmt.Sprintf("app=%q,core=%q", sv.name, strconv.Itoa(sv.core))
+	}
+	sort.Slice(byLabels, func(a, b int) bool { return labels[byLabels[a]] < labels[byLabels[b]] })
+	for _, i := range byLabels {
+		sv := n.services[i]
+		n.scrapePressure = append(n.scrapePressure, n.pressureG[i])
+		if last := len(n.scrapeLat) - 1; last < 0 || n.scrapeLat[last].tel != sv.tel {
+			n.scrapeLat = append(n.scrapeLat, sv)
+		}
 	}
 }
 

@@ -8,40 +8,8 @@ import (
 	"testing"
 
 	"caer/internal/fleet"
-	"caer/internal/spec"
 	"caer/internal/telemetry"
 )
-
-// telFleetConfig is the shared metrics-fed fixture: two machines with
-// open-loop mcf/namd services, diurnal batch traffic, and the SLO engine
-// armed on every node. Placement matters (machines differ in resident
-// service), requests flow (Relaunch), and every node exports the full
-// telemetry plane the scraper reads.
-func telFleetConfig(policy fleet.Policy) fleet.Config {
-	return fleet.Config{
-		Machines: []fleet.MachineSpec{
-			{Cores: 8, Domains: 2,
-				Services: []fleet.Service{{Profile: prof("mcf", 40_000), Core: 0, Relaunch: true}}},
-			{Cores: 8, Domains: 2,
-				Services: []fleet.Service{{Profile: prof("namd", 40_000), Core: 0, Relaunch: true}}},
-		},
-		Sched:  identitySchedConfig(),
-		Policy: policy,
-		Traffic: fleet.Traffic{
-			Curve: fleet.CurveDiurnal, Rate: 0.4, Horizon: 1500,
-			Mix: []spec.Profile{prof("lbm", 50_000), prof("povray", 50_000)},
-		},
-		SLO: fleet.SLOConfig{
-			LatencyQuantile: 0.99, LatencyBound: 2048,
-			DegradedBudget: 0.25, Window: 64,
-		},
-		SeriesCapacity:   128,
-		ScrapePeriod:     8,
-		StalenessHorizon: 32,
-		Seed:             9,
-		MaxPeriods:       20_000,
-	}
-}
 
 // telFingerprint reduces a finished cluster to comparable bytes: job and
 // service reports plus the fleet decision log.
@@ -57,7 +25,7 @@ func telFingerprint(t *testing.T, c *fleet.Cluster) []byte {
 
 // TestPolicyTelemetryRuns pins the metrics-fed policy end to end: the
 // cluster drains, placement decisions record fresh scraped views, and two
-// identical runs are byte-identical (ParseText → view derivation → score
+// identical runs are byte-identical (collection → view derivation → score
 // is deterministic).
 func TestPolicyTelemetryRuns(t *testing.T) {
 	run := func() (*fleet.Cluster, []byte) {
@@ -199,35 +167,63 @@ func TestScrapeLineOrderInsensitive(t *testing.T) {
 	}
 }
 
-// TestScrapeAllocs pins the steady-state collector: rendering, parsing and
-// folding one machine's snapshot allocates the snapshot's string copy and
-// little else (it was about 3,500 allocations a machine when the writer
-// went through fmt and the parser built a map per sample).
-func TestScrapeAllocs(t *testing.T) {
-	c := fleet.New(telFleetConfig(fleet.PolicyTelemetry))
+// scrapedCluster is the telemetry fixture 100 ticks in, collected either by
+// the default in-process reader or, with text set, through a Scraper that
+// renders each node's registry as the /metrics endpoint would.
+func scrapedCluster(text bool) *fleet.Cluster {
+	cfg := telFleetConfig(fleet.PolicyTelemetry)
+	var c *fleet.Cluster
+	if text {
+		cfg.Scraper = fleet.ScraperFunc(func(k int, w io.Writer) error {
+			return c.Nodes()[k].Registry().WritePrometheus(w)
+		})
+	}
+	c = fleet.New(cfg)
 	for i := 0; i < 100; i++ {
 		c.Tick()
 	}
-	perNode := testing.AllocsPerRun(20, c.ScrapeAll) / float64(len(c.Nodes()))
-	if raceEnabled {
-		t.Skipf("race detector drops the writer's pooled buffer at random (measured %v allocs per machine scrape)", perNode)
-	}
-	if perNode > 8 {
-		t.Fatalf("a steady-state machine scrape allocates %v times, want <= 8", perNode)
+	return c
+}
+
+// TestScrapeAllocs pins the steady-state collector per machine scrape: the
+// default direct read allocates nothing; the text path — render, parse,
+// fold — allocates the snapshot's string copy and little else (it was about
+// 3,500 allocations a machine when the writer went through fmt and the
+// parser built a map per sample).
+func TestScrapeAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		text bool
+		max  float64
+	}{{"direct", false, 0}, {"text", true, 8}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := scrapedCluster(tc.text)
+			perNode := testing.AllocsPerRun(20, c.ScrapeAll) / float64(len(c.Nodes()))
+			if tc.text && raceEnabled {
+				t.Skipf("race detector drops the writer's pooled buffer at random (measured %v allocs per machine scrape)", perNode)
+			}
+			if perNode > tc.max {
+				t.Fatalf("a steady-state machine scrape allocates %v times, want <= %v", perNode, tc.max)
+			}
+		})
 	}
 }
 
 func BenchmarkScrapeAll(b *testing.B) {
-	c := fleet.New(telFleetConfig(fleet.PolicyTelemetry))
-	for i := 0; i < 100; i++ {
-		c.Tick()
+	for _, tc := range []struct {
+		name string
+		text bool
+	}{{"direct", false}, {"text", true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			c := scrapedCluster(tc.text)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.ScrapeAll()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.Nodes())), "ns/machine")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.ScrapeAll()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.Nodes())), "ns/machine")
 }
 
 // TestFleetEventsRoundTrip pins the decision-log dump caer-doctor reads:

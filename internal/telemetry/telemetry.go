@@ -137,6 +137,20 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
+// EachBucket calls f with every bucket's upper edge and cumulative count
+// exactly as WritePrometheus renders them: the finite edges ascending, the
+// underflow tail folded into the first bucket, then le = +Inf with the total
+// count. A collector holding the handle reads the same pairs a scrape of the
+// _bucket lines would parse back, without the text. Allocation-free.
+func (h *Histogram) EachBucket(f func(le float64, cum uint64)) {
+	cum := h.under.Load()
+	for b := range h.buckets {
+		cum += h.buckets[b].Load()
+		f(h.min+float64(b+1)*h.width, cum)
+	}
+	f(math.Inf(1), cum+h.over.Load())
+}
+
 // Snapshot copies the current bucket counts into a stats.Histogram with the
 // same geometry (underflow samples land at min, overflow at max), so
 // existing quantile/render machinery applies. Export path only: allocates.

@@ -6,7 +6,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -67,6 +69,47 @@ func TestHistogramObserve(t *testing.T) {
 	// Median of {-1, 0, 0.5, 5, 9.99, 10, 100} sits in the bucketed middle.
 	if q := s.Quantile(0.5); q < 0 || q > 6 {
 		t.Fatalf("Quantile(0.5) = %v, want within [0,6]", q)
+	}
+}
+
+// TestHistogramEachBucketMatchesSnapshot: EachBucket yields the (le, count)
+// pairs a snapshot's _bucket lines parse back to, tails included, and
+// allocates nothing.
+func TestHistogramEachBucketMatchesSnapshot(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("test_lat", "latency", 0, 3, 3, "service", "x")
+	for _, v := range []float64{-2, -1, 0.5, 1, 2.9, 3, 50} {
+		h.Observe(v)
+	}
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	ms, err := ParseText(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pair struct{ le, cum float64 }
+	var want, got []pair
+	for _, m := range ms {
+		if m.Name == "test_lat_bucket" {
+			le, err := strconv.ParseFloat(m.Label("le"), 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, pair{le, m.Value})
+		}
+	}
+	h.EachBucket(func(le float64, cum uint64) { got = append(got, pair{le, float64(cum)}) })
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("EachBucket yields %v, the snapshot renders %v", got, want)
+	}
+	if got[0].cum != 3 || got[len(got)-1].cum != float64(h.Count()) {
+		t.Fatalf("EachBucket %v: want the 2 underflows in the first bucket and +Inf = count %d", got, h.Count())
+	}
+	var sum uint64
+	if n := testing.AllocsPerRun(10, func() { h.EachBucket(func(_ float64, cum uint64) { sum += cum }) }); n != 0 {
+		t.Fatalf("EachBucket allocates %v times", n)
 	}
 }
 
