@@ -52,6 +52,10 @@ echo "total ${tier1_elapsed}s" >> out/TIER1_times.txt
 echo "tier-1 wall-clock: ${tier1_elapsed}s (ceiling 60s)"
 [ "$tier1_elapsed" -le 60 ] ||
     echo "tier-1 warning: go test ./... took ${tier1_elapsed}s, over the 60s ceiling" >&2
+# Size as numbers, beside the tier-1 time: non-test Go lines and exported
+# configuration fields (`make loc`).
+make -s loc > out/LOC.txt
+cat out/LOC.txt
 # -timeout: the experiments race suite (regime suites + SLO battery) runs
 # past the 600s per-binary default.
 go test -race -timeout 30m -coverprofile=coverage.out ./...

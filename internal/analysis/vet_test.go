@@ -42,6 +42,9 @@ func TestHotClosureSentinels(t *testing.T) {
 		"caer.Runtime.Step", "mem.Cache.find", "stats.Window.Push", "slo.burnAt",
 		"comm.Slot.WindowMean", "sched.Picker.Pick", "telemetry.Counter.Inc",
 		"machine.Machine.stepUncontended",
+		// The SLO engine's per-period queries, hot through the fleet tick
+		// (Cluster.Tick -> Node.syncTelemetry -> slo.Engine.Evaluate).
+		"telemetry.Series.RateAt", "telemetry.Series.OverShareAt",
 	}
 	barred := []string{
 		"machine.Pool.wakeHelpers", "sched.Scheduler.admitTo",

@@ -2,7 +2,6 @@ package caer
 
 import (
 	"fmt"
-	"io"
 
 	"caer/internal/comm"
 	"caer/internal/telemetry"
@@ -137,14 +136,4 @@ func (l *EventLog) Events() []Event {
 		out[i] = l.events[(l.head+i)%len(l.events)]
 	}
 	return out
-}
-
-// Dump writes the retained events one per line.
-func (l *EventLog) Dump(w io.Writer) error {
-	for _, e := range l.Events() {
-		if _, err := fmt.Fprintln(w, e.String()); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package caer
 
 import (
-	"strings"
 	"testing"
 
 	"caer/internal/comm"
@@ -64,23 +63,6 @@ func TestEventStringFormats(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(k), k.String(), want)
 		}
-	}
-}
-
-func TestEventLogDump(t *testing.T) {
-	l := NewEventLog(4)
-	l.Append(Event{Period: 1, Kind: EventDirective, Directive: comm.DirectivePause})
-	l.Append(Event{Period: 2, Kind: EventDirective, Directive: comm.DirectiveRun})
-	var sb strings.Builder
-	if err := l.Dump(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("dumped %d lines, want 2", len(lines))
-	}
-	if !strings.Contains(lines[0], "pause") || !strings.Contains(lines[1], "run") {
-		t.Errorf("dump content wrong:\n%s", sb.String())
 	}
 }
 

@@ -19,7 +19,6 @@ type RuleDetector struct {
 	usageThresh float64
 	lWindow     *stats.Window // own (batch) misses
 	rWindow     *stats.Window // neighbour (latency-sensitive) misses
-	steps       uint64
 	verdicts    [2]uint64
 }
 
@@ -44,7 +43,6 @@ func (d *RuleDetector) Name() string { return "rule-based" }
 func (d *RuleDetector) Step(ownMisses, neighborMisses float64) (comm.Directive, Verdict) {
 	d.lWindow.Push(ownMisses)
 	d.rWindow.Push(neighborMisses)
-	d.steps++
 
 	contending := true
 	if d.lWindow.Mean() < d.usageThresh {

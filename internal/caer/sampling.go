@@ -61,7 +61,6 @@ type IntervalController struct {
 
 	interval int
 	streak   int
-	widest   int
 }
 
 // NewIntervalController builds a controller starting at every-period
@@ -77,16 +76,8 @@ func NewIntervalController(max, growth, quietProbes int) *IntervalController {
 	if quietProbes < 1 {
 		panic(fmt.Sprintf("caer: interval controller hysteresis %d must be >= 1", quietProbes))
 	}
-	return &IntervalController{max: max, growth: growth, quietProbes: quietProbes, interval: 1, widest: 1}
+	return &IntervalController{max: max, growth: growth, quietProbes: quietProbes, interval: 1}
 }
-
-// Interval returns the current probe interval in periods (>= 1).
-//
-//caer:hot
-func (c *IntervalController) Interval() int { return c.interval }
-
-// Widest returns the widest interval the controller has reached.
-func (c *IntervalController) Widest() int { return c.widest }
 
 // Observe folds one probe outcome into the controller and returns the
 // interval to wait before the next probe: onset (quiet=false) snaps the
@@ -105,9 +96,6 @@ func (c *IntervalController) Observe(quiet bool) int {
 		c.interval *= c.growth
 		if c.interval > c.max {
 			c.interval = c.max
-		}
-		if c.interval > c.widest {
-			c.widest = c.interval
 		}
 	}
 	return c.interval

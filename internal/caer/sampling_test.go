@@ -29,34 +29,27 @@ func TestSamplingModeStrings(t *testing.T) {
 
 func TestIntervalControllerWidensWithHysteresis(t *testing.T) {
 	c := NewIntervalController(16, 2, 3)
-	if c.Interval() != 1 {
-		t.Fatalf("initial interval %d, want 1", c.Interval())
-	}
 	// Two quiet probes: below the hysteresis bound, no widening.
-	c.Observe(true)
-	if got := c.Observe(true); got != 1 {
-		t.Fatalf("interval %d after 2 quiet probes (hysteresis 3), want 1", got)
+	for i := 1; i <= 2; i++ {
+		if got := c.Observe(true); got != 1 {
+			t.Fatalf("interval %d after %d quiet probes (hysteresis 3), want 1", got, i)
+		}
 	}
 	// Third quiet probe: widen to 2.
 	if got := c.Observe(true); got != 2 {
 		t.Fatalf("interval %d after 3 quiet probes, want 2", got)
 	}
 	// Each further full streak doubles, capping at max.
+	var got int
 	for i := 0; i < 20; i++ {
-		c.Observe(true)
+		got = c.Observe(true)
 	}
-	if got := c.Interval(); got != 16 {
+	if got != 16 {
 		t.Fatalf("interval %d after a long quiet run, want cap 16", got)
-	}
-	if c.Widest() != 16 {
-		t.Fatalf("Widest = %d, want 16", c.Widest())
 	}
 	// Onset snaps straight back to every-period.
 	if got := c.Observe(false); got != 1 {
 		t.Fatalf("interval %d after onset, want 1", got)
-	}
-	if c.Widest() != 16 {
-		t.Fatalf("Widest = %d after snap-back, want to keep 16", c.Widest())
 	}
 }
 
@@ -64,12 +57,10 @@ func TestIntervalControllerCapBelowGrowth(t *testing.T) {
 	// max 3 with growth 2: 1 -> 2 -> 3 (clamped), never past max.
 	c := NewIntervalController(3, 2, 1)
 	c.Observe(true)
-	c.Observe(true)
-	if got := c.Interval(); got != 3 {
+	if got := c.Observe(true); got != 3 {
 		t.Fatalf("interval %d, want clamped 3", got)
 	}
-	c.Observe(true)
-	if got := c.Interval(); got != 3 {
+	if got := c.Observe(true); got != 3 {
 		t.Fatalf("interval %d after further quiet, want 3", got)
 	}
 }

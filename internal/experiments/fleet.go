@@ -66,12 +66,10 @@ type FleetRegime struct {
 	Policies []FleetPolicyResult
 }
 
-// fleetRegimeConfig is one suite row: a fleet policy plus whether bounded
-// cross-machine migration is on.
+// fleetRegimeConfig is one suite row: a fleet policy and its row name.
 type fleetRegimeConfig struct {
-	name          string
-	policy        fleet.Policy
-	migratePeriod int
+	name   string
+	policy fleet.Policy
 }
 
 // fleetFixture is the cluster the fleet and SLO suites both run on: the
@@ -187,13 +185,12 @@ func FleetSuite(seed int64, quick bool, workers int) FleetRegime {
 	}
 	for _, cfg := range configs {
 		c := fleet.New(fleet.Config{
-			Machines:      f.machines,
-			Sched:         f.sched,
-			Policy:        cfg.policy,
-			Traffic:       f.traffic,
-			Seed:          seed,
-			MigratePeriod: cfg.migratePeriod,
-			MaxPeriods:    400_000,
+			Machines:   f.machines,
+			Sched:      f.sched,
+			Policy:     cfg.policy,
+			Traffic:    f.traffic,
+			Seed:       seed,
+			MaxPeriods: 400_000,
 		})
 		c.Run()
 		rep := c.Report()

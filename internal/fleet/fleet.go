@@ -208,7 +208,6 @@ type Node struct {
 	degraded     *telemetry.Counter
 	lastDegraded uint64
 	pressureBuf  []float64
-	sensBuf      []float64
 	sum          sched.View
 	series       *telemetry.Series
 	slo          *slo.Engine
@@ -348,7 +347,6 @@ func newNode(k int, ms MachineSpec, cfg *Config, multi bool) *Node {
 	n.degraded = n.reg.Counter("caer_fleet_node_degraded_ticks_total", "fail-open degraded periods summed over this machine's CAER engines")
 	apps := n.sched.LatencyApps()
 	n.pressureBuf = make([]float64, apps)
-	n.sensBuf = make([]float64, apps)
 	for _, sv := range n.services {
 		n.pressureG = append(n.pressureG, n.reg.Gauge("caer_core_pressure",
 			"normalized windowed LLC-miss pressure of the core's latency app",

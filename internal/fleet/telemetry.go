@@ -470,7 +470,7 @@ func (n *Node) syncTelemetry() {
 	n.freeCoresG.Set(float64(n.sum.FreeCores))
 	n.sensitivityG.Set(n.sum.Sensitivity)
 	n.batchLoadG.Set(n.sum.BatchLoad)
-	n.sched.LatencySignals(n.pressureBuf, n.sensBuf)
+	n.sched.LatencyPressure(n.pressureBuf)
 	for i := range n.pressureG {
 		n.pressureG[i].Set(n.pressureBuf[i])
 	}

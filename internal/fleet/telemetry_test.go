@@ -311,7 +311,8 @@ func TestNodeTelemetryPlane(t *testing.T) {
 // live series dump parses back and serves windowed queries over the same
 // metric names the SLO objectives reference.
 func TestNodeSeriesDumpReplayable(t *testing.T) {
-	c := fleet.New(telFleetConfig(fleet.PolicyTelemetry))
+	cfg := telFleetConfig(fleet.PolicyTelemetry)
+	c := fleet.New(cfg)
 	c.Run()
 	n := c.Nodes()[0]
 	var buf bytes.Buffer
@@ -329,7 +330,9 @@ func TestNodeSeriesDumpReplayable(t *testing.T) {
 	if !ok {
 		t.Fatal("parsed series lost the mcf latency histogram track")
 	}
-	if q := parsed.QuantileOver(tr, parsed.Retained(), 0.99); q < 0 {
-		t.Fatalf("negative p99 %v from parsed series", q)
+	live, _ := n.Series().Lookup("caer_fleet_request_latency_periods", "service", "mcf")
+	end, window, bound := parsed.Samples(), parsed.Retained(), cfg.SLO.LatencyBound
+	if a, b := n.Series().OverShareAt(live, end, window, bound), parsed.OverShareAt(tr, end, window, bound); a != b || b < 0 || b > 1 {
+		t.Fatalf("over-bound share: live %v, parsed %v; want equal, within [0,1]", a, b)
 	}
 }

@@ -75,7 +75,6 @@ func (s *Scheduler) place(j *jobState, d int) int {
 	j.core = core
 	j.domain = d
 	j.batch = s.pipe.Attach(j.slot, core, d)
-	j.lastPos, j.lastNeg = 0, 0
 	s.coreBusy[core] = true
 	s.freeCount[d]--
 	return core

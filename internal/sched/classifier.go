@@ -20,11 +20,6 @@ type appProfile struct {
 	misses *stats.Window
 	reuses *stats.Window
 
-	// Engine outcomes attributed to the app: how often the contention
-	// detector under it asserted contention.
-	verdicts  uint64
-	positives uint64
-
 	// Hysteresis state for the binary LFOC-style classes. A class bit only
 	// flips after `hysteresis` consecutive periods beyond the watermark,
 	// so one noisy period cannot flap a placement decision.
@@ -36,10 +31,10 @@ type appProfile struct {
 }
 
 // Classifier maintains per-application contention profiles from windowed
-// LLC-miss/LLC-hit samples and engine verdicts (LFOC-style online
-// classification): an app's *aggressiveness* is its normalized miss
-// pressure — what it inflicts on a shared cache — and its *sensitivity* is
-// its normalized LLC reuse — what a co-located aggressor can take from it.
+// LLC-miss/LLC-hit samples (LFOC-style online classification): an app's
+// *aggressiveness* is its normalized miss pressure — what it inflicts on a
+// shared cache — and its *sensitivity* is its normalized LLC reuse — what a
+// co-located aggressor can take from it.
 // Both scores are in [0, 1) with 0.5 at PressureScale events/period, and
 // the binary Aggressor/Sensitive classes carry hysteresis.
 //
@@ -151,16 +146,6 @@ func (c *Classifier) Observe(app int, misses, hits float64) {
 	}
 }
 
-// ObserveVerdict attributes one engine detection outcome to app (the batch
-// application the verdict throttles). Allocation-free.
-func (c *Classifier) ObserveVerdict(app int, contention bool) {
-	p := &c.apps[app]
-	p.verdicts++
-	if contention {
-		p.positives++
-	}
-}
-
 // normalize maps an events/period rate into [0, 1): scale events/period
 // scores 0.5 and the score saturates smoothly above it.
 func (c *Classifier) normalize(rate float64) float64 {
@@ -187,16 +172,6 @@ func (c *Classifier) Aggressor(app int) bool { return c.apps[app].aggressor }
 
 // Sensitive reports the hysteresis-filtered binary sensitive class.
 func (c *Classifier) Sensitive(app int) bool { return c.apps[app].sensitive }
-
-// ContentionRate returns the fraction of engine verdicts over app that
-// asserted contention (0 before any verdict).
-func (c *Classifier) ContentionRate(app int) float64 {
-	p := &c.apps[app]
-	if p.verdicts == 0 {
-		return 0
-	}
-	return float64(p.positives) / float64(p.verdicts)
-}
 
 // ObservedPeriods returns how many periods app has been observed for.
 func (c *Classifier) ObservedPeriods(app int) uint64 {

@@ -35,17 +35,14 @@ func (s *Scheduler) Summarize(v *View) {
 	}
 }
 
-// LatencySignals fills per-latency-app placement signals in registration
-// order: pressure[i] is app i's normalized windowed LLC-miss pressure (the
-// same term Summarize aggregates), and sensitivity[i] its classifier
-// sensitivity. Both slices must hold at least LatencyApps entries.
+// LatencyPressure fills pressure[i] with latency app i's normalized
+// windowed LLC-miss pressure (the same term Summarize aggregates), in
+// registration order. pressure must hold at least LatencyApps entries.
 // Allocation-free — the fleet telemetry export calls it every period to
 // keep its caer_core_pressure gauges live.
-func (s *Scheduler) LatencySignals(pressure, sensitivity []float64) {
+func (s *Scheduler) LatencyPressure(pressure []float64) {
 	for i := range s.latency {
-		la := &s.latency[i]
-		pressure[i] = s.pressure(la)
-		sensitivity[i] = s.classifier.Sensitivity(la.app)
+		pressure[i] = s.pressure(&s.latency[i])
 	}
 }
 

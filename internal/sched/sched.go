@@ -6,8 +6,8 @@
 //
 //   - a Classifier maintains online per-application contention profiles
 //     (aggressiveness = normalized LLC-miss pressure; sensitivity =
-//     normalized LLC reuse) from windowed PMU samples and engine verdicts,
-//     with hysteresis on the binary classes (LFOC-style);
+//     normalized LLC reuse) from windowed PMU samples, with hysteresis on
+//     the binary classes (LFOC-style);
 //   - one placement engine, the Picker, chooses among Candidates by policy
 //     (round-robin, packed, or contention-aware: the lowest greedy
 //     predicted-interference score, Interference). The scheduler drives it
@@ -187,8 +187,6 @@ type jobState struct {
 	migrations int
 	missTotal  uint64           // lifetime LLC misses observed by the scheduler
 	stats      caer.EngineStats // folded from every engine the job has left
-	lastPos    uint64           // live engine verdict counters already attributed
-	lastNeg    uint64
 }
 
 // Scheduler drives a multi-LLC-domain machine one sampling period at a
@@ -407,8 +405,8 @@ func (s *Scheduler) Done() bool { return s.open == 0 }
 
 // observe feeds the classifier from the probe the pipeline just ran: every
 // app's LLC misses and hits, normalized by the periods the probe spans so
-// the windows stay in events-per-period units under every sampling mode,
-// plus the verdicts the engines reached. Allocation-free.
+// the windows stay in events-per-period units under every sampling mode.
+// Allocation-free.
 func (s *Scheduler) observe(span uint64) {
 	for i := range s.latency {
 		la := &s.latency[i]
@@ -418,19 +416,6 @@ func (s *Scheduler) observe(span uint64) {
 		misses, span := j.batch.Sample()
 		j.missTotal += misses
 		s.feed(j.app, misses, j.batch.PMU(), span)
-		eng := j.batch.Engine()
-		if eng == nil {
-			continue
-		}
-		st := eng.Stats()
-		if st.CPositive > j.lastPos {
-			s.classifier.ObserveVerdict(j.app, true)
-			j.lastPos = st.CPositive
-		}
-		if st.CNegative > j.lastNeg {
-			s.classifier.ObserveVerdict(j.app, false)
-			j.lastNeg = st.CNegative
-		}
 	}
 }
 
@@ -444,7 +429,7 @@ func (s *Scheduler) feed(app int, misses uint64, p *pmu.PMU, span uint64) {
 
 // pressure normalizes a windowed LLC-miss mean to [0, 1), 0.5 at
 // PressureScale — the placement term Summarize, fillViews and
-// LatencySignals share.
+// LatencyPressure share.
 func (s *Scheduler) pressure(la *latApp) float64 {
 	p := la.mon.Slot().WindowMean()
 	return p / (p + s.cfg.PressureScale)

@@ -35,7 +35,7 @@ type ObjectiveKind int
 const (
 	// KindQuantile bounds a latency histogram quantile: "p99 < Bound". The
 	// error budget is 1-Quantile (the share of observations allowed over
-	// the bound); the observed error share is Series.OverShare.
+	// the bound); the observed error share is Series.OverShareAt.
 	KindQuantile ObjectiveKind = iota
 	// KindBudget bounds a counter's per-period rate: "rate < Budget"
 	// (degraded ticks per period, stale comm reads per period). The burn
@@ -192,7 +192,6 @@ type Engine struct {
 	spans  *telemetry.SpanRecorder
 	track  int32
 	evals  *telemetry.Counter
-	period uint64 // periods evaluated so far (mirrors series sample index)
 }
 
 // Config wires an Engine.
@@ -270,7 +269,6 @@ func burnAt(s *telemetry.Series, a *alert, end, window int) float64 {
 // objective, advance its state machine, export the results. Call once per
 // Series.Sample, after it. Hot path: allocation-free.
 func (e *Engine) Evaluate() {
-	e.period++
 	end := e.series.Samples()
 	for i := range e.alerts {
 		a := &e.alerts[i]

@@ -18,7 +18,6 @@ package spec
 
 import (
 	"fmt"
-	"sort"
 
 	"caer/internal/machine"
 	"caer/internal/workload"
@@ -387,18 +386,6 @@ func LBM() Profile {
 		panic("spec: lbm profile missing")
 	}
 	return p
-}
-
-// ByClass returns profiles of the given sensitivity class, sorted by name.
-func ByClass(c Sensitivity) []Profile {
-	var out []Profile
-	for _, p := range All() {
-		if p.Class == c {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 func shortName(full string) string {

@@ -72,18 +72,16 @@ func TestBatchNeverTerminates(t *testing.T) {
 }
 
 func TestByClassPartitionsAll(t *testing.T) {
-	total := 0
-	for _, c := range []Sensitivity{Insensitive, Moderate, Sensitive} {
-		ps := ByClass(c)
-		total += len(ps)
-		for _, p := range ps {
-			if p.Class != c {
-				t.Errorf("%s in wrong class bucket", p.Name)
-			}
-		}
+	all := All()
+	if len(all) != 21 {
+		t.Errorf("All() holds %d profiles, want 21", len(all))
 	}
-	if total != 21 {
-		t.Errorf("class buckets cover %d profiles, want 21", total)
+	for _, p := range all {
+		switch p.Class {
+		case Insensitive, Moderate, Sensitive:
+		default:
+			t.Errorf("%s is in no sensitivity class (%v)", p.Name, p.Class)
+		}
 	}
 }
 

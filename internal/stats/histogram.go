@@ -120,11 +120,10 @@ func (h *Histogram) Quantile(q float64) float64 {
 }
 
 // Merge adds other's counts into h. Both histograms must have identical
-// bucket geometry (range and bucket count); it panics otherwise. The sched
-// classifier merges per-application miss histograms into per-domain
-// aggregates this way, so quantiles of the merge equal quantiles of the
-// union of the underlying sample streams. Merging an empty histogram is a
-// no-op.
+// bucket geometry (range and bucket count); it panics otherwise.
+// Quantiles of the merge equal quantiles of the union of the underlying
+// sample streams — the fleet report merges per-machine latency histograms
+// this way. Merging an empty histogram is a no-op.
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil {
 		panic("stats: Merge with nil histogram")

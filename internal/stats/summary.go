@@ -17,23 +17,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean of xs, or 0 for an empty slice.
-// All inputs must be positive; it panics otherwise. SPEC-style slowdown
-// ratios are conventionally aggregated with the geometric mean.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: GeoMean requires positive inputs")
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It returns 0 for an empty slice and
 // panics for p outside [0, 100]. xs is not modified.
@@ -87,17 +70,4 @@ func Correlation(xs, ys []float64) float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// Normalize returns xs scaled so that base maps to 1.0 (i.e. xs[i]/base).
-// It panics if base is zero.
-func Normalize(xs []float64, base float64) []float64 {
-	if base == 0 {
-		panic("stats: Normalize by zero base")
-	}
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = x / base
-	}
-	return out
 }

@@ -26,29 +26,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean(nil); got != 0 {
-		t.Errorf("GeoMean(nil) = %v, want 0", got)
-	}
-	if got := GeoMean([]float64{4}); got != 4 {
-		t.Errorf("GeoMean([4]) = %v, want 4", got)
-	}
-	if got := GeoMean([]float64{1, 4}); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("GeoMean([1,4]) = %v, want 2", got)
-	}
-	if got := GeoMean([]float64{2, 8, 4}); !almostEqual(got, 4, 1e-12) {
-		t.Errorf("GeoMean([2,8,4]) = %v, want 4", got)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("GeoMean with non-positive input did not panic")
-			}
-		}()
-		GeoMean([]float64{1, 0})
-	}()
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{15, 20, 35, 40, 50}
 	cases := []struct {
@@ -112,51 +89,6 @@ func TestCorrelation(t *testing.T) {
 		}()
 		Correlation(xs, xs[:3])
 	}()
-}
-
-func TestNormalize(t *testing.T) {
-	got := Normalize([]float64{2, 4, 8}, 2)
-	want := []float64{1, 2, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Normalize[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Normalize by zero did not panic")
-			}
-		}()
-		Normalize([]float64{1}, 0)
-	}()
-}
-
-// Property: geomean of positive values lies between min and max.
-func TestGeoMeanBoundedProperty(t *testing.T) {
-	f := func(raw []uint16) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			xs = append(xs, float64(v)+1)
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		g := GeoMean(xs)
-		lo, hi := xs[0], xs[0]
-		for _, x := range xs {
-			if x < lo {
-				lo = x
-			}
-			if x > hi {
-				hi = x
-			}
-		}
-		return g >= lo-1e-9 && g <= hi+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
 }
 
 // Property: correlation is always in [-1, 1] and symmetric in its arguments.

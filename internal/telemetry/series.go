@@ -5,21 +5,20 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
-
-	"caer/internal/stats"
 )
 
 // Series is the telemetry time-series store (observability v2): a
 // fixed-capacity ring per registered metric, sampled once per sampling
 // period straight from the registry's lock-free handles. Counters are
 // stored as per-period deltas, gauges as per-period points, histograms as
-// per-period bucket deltas (plus a sum delta, so windowed means work).
-// Sample is the per-period hot path and is allocation-free once the track
-// table is built; late metric registrations are absorbed by the cold
-// extend barrier on the next Sample. Windowed queries (Rate, Mean,
-// OverShare, QuantileOver) read the retained window; the whole store dumps
-// to a JSON snapshot (WriteDump) that ParseSeries round-trips, which is
-// what `caer-doctor` replays offline.
+// per-period bucket deltas plus a sum delta. Sample is the per-period hot
+// path and is allocation-free once the track table is built; late metric
+// registrations are absorbed by the cold extend barrier on the next
+// Sample. The two windowed queries, RateAt (counters) and OverShareAt
+// (histograms), are the burn rates the SLO engine and caer-doctor read;
+// the whole store — gauge points and sum deltas included — dumps to a JSON
+// snapshot (WriteDump) that ParseSeries round-trips, which is what
+// `caer-doctor` replays offline.
 //
 // A Series is single-writer: Sample must be driven from the same
 // per-period loop that owns the registry's period clock (the fleet tick,
@@ -279,14 +278,13 @@ func (s *Series) clampWindow(end, window int) (lo, hi int) {
 }
 
 // RateAt returns a counter track's mean per-period rate over the `window`
-// samples ending at sample index end (exclusive); Rate is the live variant
-// ending at the latest sample. Gauge and histogram tracks return the mean
-// of their per-period deltas'... rates are only meaningful for counters;
-// RateAt panics on other kinds. Alloc-free.
+// samples ending at sample index end (exclusive) — the SLO engine's
+// per-period budget burn. It panics on gauge and histogram tracks.
+// Alloc-free.
 func (s *Series) RateAt(t TrackRef, end, window int) float64 {
 	tr := &s.tracks[t]
 	if tr.m.kind != KindCounter {
-		panic(fmt.Sprintf("telemetry: Rate on %v track %s", tr.m.kind, tr.m.name))
+		panic(fmt.Sprintf("telemetry: RateAt on %v track %s", tr.m.kind, tr.m.name))
 	}
 	lo, hi := s.clampWindow(end, window)
 	if hi <= lo {
@@ -299,58 +297,6 @@ func (s *Series) RateAt(t TrackRef, end, window int) float64 {
 	return sum / float64(hi-lo)
 }
 
-// Rate is RateAt ending at the latest sample.
-//
-//caer:hot
-func (s *Series) Rate(t TrackRef, window int) float64 {
-	return s.RateAt(t, s.samples, window)
-}
-
-// MeanAt returns the windowed mean ending at sample index end (exclusive):
-// for gauges the mean of the sampled points, for counters the mean
-// per-period delta (== RateAt), for histograms the mean observed value
-// (sum delta over count delta; 0 when the window saw no observations).
-// Alloc-free.
-func (s *Series) MeanAt(t TrackRef, end, window int) float64 {
-	tr := &s.tracks[t]
-	lo, hi := s.clampWindow(end, window)
-	if hi <= lo {
-		return 0
-	}
-	switch tr.m.kind {
-	case KindCounter, KindGauge:
-		var sum float64
-		for i := lo; i < hi; i++ {
-			sum += tr.values[i%s.cap]
-		}
-		return sum / float64(hi-lo)
-	case KindHistogram:
-		w := tr.rowWidth()
-		var sum float64
-		var count uint64
-		for i := lo; i < hi; i++ {
-			sum += tr.sums[i%s.cap]
-			row := tr.rows[(i%s.cap)*w : (i%s.cap+1)*w]
-			for _, d := range row {
-				count += uint64(d)
-			}
-		}
-		if count == 0 {
-			return 0
-		}
-		return sum / float64(count)
-	default:
-		panic(fmt.Sprintf("telemetry: unknown metric kind %d", int(tr.m.kind)))
-	}
-}
-
-// Mean is MeanAt ending at the latest sample.
-//
-//caer:hot
-func (s *Series) Mean(t TrackRef, window int) float64 {
-	return s.MeanAt(t, s.samples, window)
-}
-
 // OverShareAt returns, for a histogram track, the fraction of the window's
 // observations that exceeded bound — the SLO engine's per-period error
 // ratio. An observation counts as over the bound only when its whole
@@ -361,7 +307,7 @@ func (s *Series) Mean(t TrackRef, window int) float64 {
 func (s *Series) OverShareAt(t TrackRef, end, window int, bound float64) float64 {
 	tr := &s.tracks[t]
 	if tr.m.kind != KindHistogram {
-		panic(fmt.Sprintf("telemetry: OverShare on %v track %s", tr.m.kind, tr.m.name))
+		panic(fmt.Sprintf("telemetry: OverShareAt on %v track %s", tr.m.kind, tr.m.name))
 	}
 	h := tr.m.h
 	w := tr.rowWidth()
@@ -394,52 +340,6 @@ func (s *Series) OverShareAt(t TrackRef, end, window int, bound float64) float64
 		return 0
 	}
 	return float64(bad) / float64(total)
-}
-
-// OverShare is OverShareAt ending at the latest sample.
-//
-//caer:hot
-func (s *Series) OverShare(t TrackRef, window int, bound float64) float64 {
-	return s.OverShareAt(t, s.samples, window, bound)
-}
-
-// QuantileOverAt rebuilds the window's observation distribution ending at
-// sample index end (exclusive) and returns its q-quantile (0 when the
-// window saw no observations). Query path: allocates a stats.Histogram —
-// per-period consumers use OverShareAt instead.
-func (s *Series) QuantileOverAt(t TrackRef, end, window int, q float64) float64 {
-	h := s.WindowHistogramAt(t, end, window)
-	if h.N() == 0 {
-		return 0
-	}
-	return h.Quantile(q)
-}
-
-// QuantileOver is QuantileOverAt ending at the latest sample.
-func (s *Series) QuantileOver(t TrackRef, window int, q float64) float64 {
-	return s.QuantileOverAt(t, s.samples, window, q)
-}
-
-// WindowHistogramAt rebuilds a histogram track's windowed distribution as
-// a stats.Histogram with the track's geometry. Query path: allocates.
-func (s *Series) WindowHistogramAt(t TrackRef, end, window int) *stats.Histogram {
-	tr := &s.tracks[t]
-	if tr.m.kind != KindHistogram {
-		panic(fmt.Sprintf("telemetry: WindowHistogram on %v track %s", tr.m.kind, tr.m.name))
-	}
-	h := tr.m.h
-	out := stats.NewHistogram(h.min, h.max, len(h.buckets))
-	w := tr.rowWidth()
-	lo, hi := s.clampWindow(end, window)
-	for i := lo; i < hi; i++ {
-		row := tr.rows[(i%s.cap)*w : (i%s.cap+1)*w]
-		out.AddN(h.min-h.width, uint64(row[0]))
-		for b := 1; b < w-1; b++ {
-			out.AddN(h.min+(float64(b-1)+0.5)*h.width, uint64(row[b]))
-		}
-		out.AddN(h.max, uint64(row[w-1]))
-	}
-	return out
 }
 
 // --- dump format -----------------------------------------------------------

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -23,18 +22,19 @@ func TestSeriesCounterDeltas(t *testing.T) {
 	if !ok {
 		t.Fatal("counter track not found")
 	}
-	if got := s.Rate(ref, 3); got != (3+5+0)/3.0 {
-		t.Fatalf("Rate over 3 = %v, want %v", got, 8.0/3)
+	end := s.Samples()
+	if got := s.RateAt(ref, end, 3); got != (3+5+0)/3.0 {
+		t.Fatalf("RateAt over 3 = %v, want %v", got, 8.0/3)
 	}
-	if got := s.Rate(ref, 1); got != 0 {
-		t.Fatalf("Rate over last 1 = %v, want 0", got)
+	if got := s.RateAt(ref, end, 1); got != 0 {
+		t.Fatalf("RateAt over last 1 = %v, want 0", got)
 	}
-	if got := s.Rate(ref, 2); got != 2.5 {
-		t.Fatalf("Rate over last 2 = %v, want 2.5", got)
+	if got := s.RateAt(ref, end, 2); got != 2.5 {
+		t.Fatalf("RateAt over last 2 = %v, want 2.5", got)
 	}
 	// Window wider than history clamps.
-	if got := s.Rate(ref, 100); got != 8.0/3 {
-		t.Fatalf("clamped Rate = %v, want %v", got, 8.0/3)
+	if got := s.RateAt(ref, end, 100); got != 8.0/3 {
+		t.Fatalf("clamped RateAt = %v, want %v", got, 8.0/3)
 	}
 }
 
@@ -48,12 +48,12 @@ func TestSeriesGaugePoints(t *testing.T) {
 		g.Set(v)
 		s.Sample()
 	}
-	// Capacity 4: retained window is samples 2..5 → values 3,4,5,6.
-	if got := s.Mean(ref, 4); got != 4.5 {
-		t.Fatalf("Mean over retained = %v, want 4.5", got)
-	}
-	if got := s.Mean(ref, 2); got != 5.5 {
-		t.Fatalf("Mean over last 2 = %v, want 5.5", got)
+	// Capacity 4: retained window is samples 2..5 → points 3,4,5,6, sample
+	// i in ring slot i%4.
+	for i := 2; i < 6; i++ {
+		if got, want := s.tracks[ref].values[i%4], float64(i+1); got != want {
+			t.Fatalf("sample %d point = %v, want %v", i, got, want)
+		}
 	}
 	if s.FirstRetained() != 2 || s.Samples() != 6 {
 		t.Fatalf("retention bookkeeping: first %d samples %d", s.FirstRetained(), s.Samples())
@@ -78,47 +78,36 @@ func TestSeriesHistogramWindows(t *testing.T) {
 	}
 	s.Sample()
 
-	if got := s.OverShare(ref, 1, 50); got != 0.5 {
-		t.Fatalf("OverShare last period = %v, want 0.5", got)
+	if got := s.OverShareAt(ref, s.Samples(), 1, 50); got != 0.5 {
+		t.Fatalf("OverShareAt last period = %v, want 0.5", got)
 	}
-	if got := s.OverShare(ref, 2, 50); got != 0.25 {
-		t.Fatalf("OverShare both periods = %v, want 0.25", got)
+	if got := s.OverShareAt(ref, s.Samples(), 2, 50); got != 0.25 {
+		t.Fatalf("OverShareAt both periods = %v, want 0.25", got)
 	}
 	// A bound on a bucket edge counts that bucket as over; a bound inside
 	// a bucket leaves the straddling bucket good.
-	if got := s.OverShare(ref, 1, 70); got != 0.5 {
-		t.Fatalf("OverShare bound 70 = %v, want 0.5 (bucket [70,80) is over)", got)
+	if got := s.OverShareAt(ref, s.Samples(), 1, 70); got != 0.5 {
+		t.Fatalf("OverShareAt bound 70 = %v, want 0.5 (bucket [70,80) is over)", got)
 	}
-	if got := s.OverShare(ref, 1, 71); got != 0 {
-		t.Fatalf("OverShare bound 71 = %v, want 0 (straddling bucket is good)", got)
+	if got := s.OverShareAt(ref, s.Samples(), 1, 71); got != 0 {
+		t.Fatalf("OverShareAt bound 71 = %v, want 0 (straddling bucket is good)", got)
 	}
 	// Overflow always counts as over.
 	h.Observe(1000)
 	s.Sample()
-	if got := s.OverShare(ref, 1, 99); got != 1.0 {
-		t.Fatalf("OverShare overflow = %v, want 1", got)
+	if got := s.OverShareAt(ref, s.Samples(), 1, 99); got != 1.0 {
+		t.Fatalf("OverShareAt overflow = %v, want 1", got)
 	}
 	// Empty window → no burn.
 	s.Sample()
-	if got := s.OverShare(ref, 1, 50); got != 0 {
-		t.Fatalf("OverShare of empty window = %v, want 0", got)
+	if got := s.OverShareAt(ref, s.Samples(), 1, 50); got != 0 {
+		t.Fatalf("OverShareAt of empty window = %v, want 0", got)
 	}
-
-	// Windowed quantile over the first two periods: 20 observations, 15 at
-	// 5 and 5 at 75; p50 lands in the [0,10) bucket.
-	q := s.QuantileOverAt(ref, 2, 2, 0.5)
-	if q < 0 || q >= 10 {
-		t.Fatalf("windowed p50 = %v, want in [0,10)", q)
-	}
-	q99 := s.QuantileOverAt(ref, 2, 2, 0.99)
-	if q99 < 70 || q99 > 80 {
-		t.Fatalf("windowed p99 = %v, want in [70,80]", q99)
-	}
-	// Mean: sum deltas / count deltas.
-	mean := s.MeanAt(ref, 2, 2)
-	want := (10*5 + 5*5 + 5*75) / 20.0
-	if math.Abs(mean-want) > 1e-9 {
-		t.Fatalf("windowed mean = %v, want %v", mean, want)
+	// Each period's sum delta (what WriteDump carries beside the rows).
+	for i, want := range []float64{10 * 5, 5*5 + 5*75, 1000, 0} {
+		if got := s.tracks[ref].sums[i]; got != want {
+			t.Fatalf("period %d sum delta = %v, want %v", i, got, want)
+		}
 	}
 }
 
@@ -143,7 +132,7 @@ func TestSeriesLateRegistration(t *testing.T) {
 	// absorbed into the baseline. Only post-extend increments count.
 	late.Add(2)
 	s.Sample()
-	if got := s.Rate(ref, 1); got != 2 {
+	if got := s.RateAt(ref, s.Samples(), 1); got != 2 {
 		t.Fatalf("late counter rate = %v, want 2", got)
 	}
 }
@@ -178,10 +167,10 @@ func TestSeriesQueryAllocFree(t *testing.T) {
 	}
 	cref, _ := s.Lookup("caer_test_events_total")
 	href, _ := s.Lookup("caer_test_latency")
+	// The two queries the SLO engine runs every period.
 	allocs := testing.AllocsPerRun(100, func() {
-		_ = s.Rate(cref, 16)
-		_ = s.Mean(cref, 16)
-		_ = s.OverShare(href, 16, 50)
+		_ = s.RateAt(cref, s.Samples(), 16)
+		_ = s.OverShareAt(href, s.Samples(), 16, 50)
 	})
 	if allocs != 0 {
 		t.Fatalf("windowed queries allocate %v, want 0", allocs)
@@ -328,19 +317,14 @@ func TestSeriesDumpRoundTrip(t *testing.T) {
 	}
 	lc, _ := s.Lookup("caer_test_events_total", "svc", "mcf")
 	pc, _ := p.Lookup("caer_test_events_total", "svc", "mcf")
-	if a, b := s.Rate(lc, 4), p.Rate(pc, 4); a != b {
+	end := s.Samples()
+	if a, b := s.RateAt(lc, end, 4), p.RateAt(pc, end, 4); a != b {
 		t.Fatalf("rate mismatch live %v parsed %v", a, b)
 	}
 	lh, _ := s.Lookup("caer_test_latency", "svc", "mcf")
 	ph, _ := p.Lookup("caer_test_latency", "svc", "mcf")
-	if a, b := s.OverShare(lh, 4, 50), p.OverShare(ph, 4, 50); a != b {
+	if a, b := s.OverShareAt(lh, end, 4, 50), p.OverShareAt(ph, end, 4, 50); a != b {
 		t.Fatalf("overshare mismatch live %v parsed %v", a, b)
-	}
-	if a, b := s.Mean(lh, 4), p.Mean(ph, 4); a != b {
-		t.Fatalf("mean mismatch live %v parsed %v", a, b)
-	}
-	if a, b := s.QuantileOver(lh, 4, 0.99), p.QuantileOver(ph, 4, 0.99); a != b {
-		t.Fatalf("quantile mismatch live %v parsed %v", a, b)
 	}
 
 	// Canonical encoding: dump → parse → dump is byte-identical.
@@ -434,17 +418,14 @@ func FuzzParseSeries(f *testing.F) {
 		if !bytes.Equal(d1.Bytes(), d2.Bytes()) {
 			t.Fatalf("round trip not stable:\n%s\nvs\n%s", d1.String(), d2.String())
 		}
-		// Queries must not panic on any accepted input.
+		// The SLO queries must not panic on any accepted input.
 		for i, tr := range p.Tracks() {
 			ref := TrackRef(i)
 			switch tr.Kind {
 			case KindCounter:
-				_ = p.Rate(ref, 4)
-			case KindGauge:
-				_ = p.Mean(ref, 4)
+				_ = p.RateAt(ref, p.Samples(), 4)
 			case KindHistogram:
-				_ = p.OverShare(ref, 4, 50)
-				_ = p.QuantileOver(ref, 4, 0.99)
+				_ = p.OverShareAt(ref, p.Samples(), 4, 50)
 			}
 		}
 	})

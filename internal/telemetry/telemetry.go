@@ -23,8 +23,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"caer/internal/stats"
 )
 
 // MetricKind classifies a registered metric.
@@ -93,8 +91,9 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram bins observations into fixed-width buckets over [min, max) with
 // underflow/overflow tails, mirroring stats.Histogram's geometry but with
-// atomic counters so Observe is lock-free and allocation-free. Snapshot
-// converts back into a stats.Histogram for quantile math.
+// atomic counters so Observe is lock-free and allocation-free. Readers take
+// the counts as rendered buckets (EachBucket, WritePrometheus) or as
+// per-period deltas (Series).
 type Histogram struct {
 	min, max float64
 	width    float64
@@ -149,19 +148,6 @@ func (h *Histogram) EachBucket(f func(le float64, cum uint64)) {
 		f(h.min+float64(b+1)*h.width, cum)
 	}
 	f(math.Inf(1), cum+h.over.Load())
-}
-
-// Snapshot copies the current bucket counts into a stats.Histogram with the
-// same geometry (underflow samples land at min, overflow at max), so
-// existing quantile/render machinery applies. Export path only: allocates.
-func (h *Histogram) Snapshot() *stats.Histogram {
-	s := stats.NewHistogram(h.min, h.max, len(h.buckets))
-	s.AddN(h.min-h.width, h.under.Load()) // below min: under bucket
-	for i := range h.buckets {
-		s.AddN(h.min+(float64(i)+0.5)*h.width, h.buckets[i].Load())
-	}
-	s.AddN(h.max, h.over.Load())
-	return s
 }
 
 // metric is one registered (name, labels) series.
@@ -227,22 +213,7 @@ func (r *Registry) register(name, help string, kind MetricKind, kv []string, mk 
 	if name == "" {
 		panic("telemetry: metric needs a name")
 	}
-	labels := renderLabels(kv)
-	key := name + labels
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.byKey[key]; ok {
-		if m.kind != kind {
-			panic(fmt.Sprintf("telemetry: %s re-registered as %v (was %v)", key, kind, m.kind))
-		}
-		return m
-	}
-	m := mk()
-	m.name, m.labels, m.help, m.kind = name, labels, help, kind
-	r.metrics = append(r.metrics, m)
-	r.byKey[key] = m
-	r.count.Store(int64(len(r.metrics)))
-	return m
+	return r.registerRendered(name, help, kind, renderLabels(kv), mk)
 }
 
 // Counter registers (or fetches) a counter. kv is an alternating

@@ -60,9 +60,9 @@ func (r *Registry) Union(src *Registry, kv ...string) {
 	}
 }
 
-// registerRendered is register() for an already-rendered label string (the
-// Union path, where labels come from merging two rendered sets rather than
-// a kv list).
+// registerRendered registers (or fetches) the metric name+labels, with the
+// label set already rendered: register's body after it renders a kv list,
+// and the Union path's, where labels come from merging two rendered sets.
 func (r *Registry) registerRendered(name, help string, kind MetricKind, labels string, mk func() *metric) *metric {
 	key := name + labels
 	r.mu.Lock()
