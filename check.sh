@@ -56,15 +56,22 @@ echo "tier-1 wall-clock: ${tier1_elapsed}s (ceiling 60s)"
 # configuration fields (`make loc`).
 make -s loc > out/LOC.txt
 cat out/LOC.txt
+# Knob ratchet: every exported config field needs a caller that sets it to
+# something other than its default; a value nobody varies is a constant.
+# Lower the 52 as knobs go; a new field raises it only together with a
+# caller that varies it.
+knobs=$(awk '/^exported config fields:/ { print $NF }' out/LOC.txt)
+[ "$knobs" -le 52 ] || {
+    echo "knob ratchet: $knobs exported config fields, over 52" >&2; exit 1; }
 # -timeout: the experiments race suite (regime suites + SLO battery) runs
 # past the 600s per-binary default.
 go test -race -timeout 30m -coverprofile=coverage.out ./...
 # Coverage ratchet: total statement coverage must not fall below
-# CAER_COVERAGE_MIN (default 87.5, one point under the measured baseline —
+# CAER_COVERAGE_MIN (default 87.6, one point under the measured baseline —
 # raise it as coverage grows, never lower it to absorb a regression).
 total=$(go tool cover -func=coverage.out | awk '/^total:/ { sub(/%/, "", $NF); print $NF }')
-awk -v t="$total" -v min="${CAER_COVERAGE_MIN:-87.5}" 'BEGIN { exit !(t+0 >= min+0) }' || {
-    echo "coverage gate: total $total% below CAER_COVERAGE_MIN=${CAER_COVERAGE_MIN:-87.5}%" >&2; exit 1; }
+awk -v t="$total" -v min="${CAER_COVERAGE_MIN:-87.6}" 'BEGIN { exit !(t+0 >= min+0) }' || {
+    echo "coverage gate: total $total% below CAER_COVERAGE_MIN=${CAER_COVERAGE_MIN:-87.6}%" >&2; exit 1; }
 # No vacuous tests in the simulator, control-loop and comm-table packages:
 # none of their tests is arch-, hardware- or short-gated (the one t.Skip
 # left, mem's allocation budget, is race-only; comm's re-exec helper went

@@ -19,17 +19,10 @@ func TestConfigValidateRejects(t *testing.T) {
 		want   string
 	}{
 		{"window", func(c *Config) { c.WindowSize = 0 }, "WindowSize"},
-		{"switch", func(c *Config) { c.SwitchPoint = 0 }, "SwitchPoint"},
-		{"endpoint", func(c *Config) { c.EndPoint = c.SwitchPoint }, "EndPoint"},
 		{"impact", func(c *Config) { c.ImpactFactor = -0.1 }, "ImpactFactor"},
-		{"noise", func(c *Config) { c.NoiseThresh = -1 }, "NoiseThresh"},
-		{"skip negative", func(c *Config) { c.TransientSkip = -1 }, "TransientSkip"},
-		{"skip eats shutter", func(c *Config) { c.TransientSkip = c.SwitchPoint - 1 }, "TransientSkip"},
-		{"skip eats burst", func(c *Config) { c.TransientSkip = c.EndPoint - c.SwitchPoint }, "TransientSkip"},
 		{"usage", func(c *Config) { c.UsageThresh = -1 }, "UsageThresh"},
 		{"response", func(c *Config) { c.ResponseLength = 0 }, "ResponseLength"},
-		{"maxresponse", func(c *Config) { c.AdaptiveResponse = true; c.MaxResponseLength = 1 }, "MaxResponseLength"},
-		{"randomp", func(c *Config) { c.RandomP = 1.5 }, "RandomP"},
+		{"adaptive ceiling", func(c *Config) { c.AdaptiveResponse = true; c.ResponseLength = maxResponseLength + 1 }, "ResponseLength"},
 	}
 	for _, c := range cases {
 		cfg := base
@@ -42,6 +35,26 @@ func TestConfigValidateRejects(t *testing.T) {
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestShutterShape pins the relations Algorithm 1's constants must keep:
+// each span leaves at least one settled period after its transient skip,
+// the shutter's sample window covers exactly one cycle (Step reads
+// positions relative to the cycle), and the interrupt trigger's bound is a
+// positive miss count.
+func TestShutterShape(t *testing.T) {
+	if transientSkip+1 >= switchPoint {
+		t.Errorf("transientSkip %d leaves no settled shutter periods before switchPoint %d", transientSkip, switchPoint)
+	}
+	if switchPoint+transientSkip >= endPoint {
+		t.Errorf("transientSkip %d leaves no settled burst periods before endPoint %d", transientSkip, endPoint)
+	}
+	if got := NewShutterDetector(DefaultConfig()).rWindow.Cap(); got != endPoint {
+		t.Errorf("shutter window length = %d, want endPoint %d", got, endPoint)
+	}
+	if noiseThresh*triggerWindow < 1 {
+		t.Errorf("interrupt trigger bound %v is below one miss", noiseThresh*triggerWindow)
 	}
 }
 

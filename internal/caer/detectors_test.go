@@ -6,43 +6,48 @@ import (
 	"caer/internal/comm"
 )
 
-// shutterTestConfig: 2 shutter periods' worth of samples land in positions
-// [1,3), burst in [3,6).
-func shutterTestConfig() Config {
-	cfg := DefaultConfig()
-	cfg.SwitchPoint = 3
-	cfg.EndPoint = 6
-	cfg.NoiseThresh = 5
-	cfg.ImpactFactor = 0.05
-	cfg.TransientSkip = 0
-	return cfg
+// shutterCycle builds one detection cycle's neighbour samples (len ==
+// endPoint): the pre-cycle sample at position 0, the shutter span
+// [1, switchPoint) at shutter, and the burst span [switchPoint, endPoint)
+// at burst. Under the constants the averages read the settled tails,
+// positions [6, 10) and [15, 20).
+func shutterCycle(pre, shutter, burst float64) []float64 {
+	samples := make([]float64, endPoint)
+	samples[0] = pre
+	for i := 1; i < endPoint; i++ {
+		samples[i] = shutter
+		if i >= switchPoint {
+			samples[i] = burst
+		}
+	}
+	return samples
 }
 
 func TestShutterDirectiveSchedule(t *testing.T) {
-	d := NewShutterDetector(shutterTestConfig())
-	// Directives issued per step: steps 1,2 -> Pause (shutter), steps 3..5
-	// -> Run (burst), step 6 -> verdict with Run.
-	wantDirs := []comm.Directive{
-		comm.DirectivePause, comm.DirectivePause,
-		comm.DirectiveRun, comm.DirectiveRun, comm.DirectiveRun,
-		comm.DirectiveRun,
-	}
-	for i, want := range wantDirs {
+	d := NewShutterDetector(DefaultConfig())
+	// Directives issued per step: steps 1..switchPoint-1 -> Pause
+	// (shutter), steps switchPoint..endPoint-1 -> Run (burst), step
+	// endPoint -> verdict with Run.
+	for step := 1; step <= endPoint; step++ {
+		want := comm.DirectiveRun
+		if step < switchPoint {
+			want = comm.DirectivePause
+		}
 		dir, v := d.Step(0, 10)
 		if dir != want {
-			t.Errorf("step %d directive = %v, want %v", i+1, dir, want)
+			t.Errorf("step %d directive = %v, want %v", step, dir, want)
 		}
-		if i < len(wantDirs)-1 && v != VerdictPending {
-			t.Errorf("step %d verdict = %v, want pending", i+1, v)
+		if step < endPoint && v != VerdictPending {
+			t.Errorf("step %d verdict = %v, want pending", step, v)
 		}
-		if i == len(wantDirs)-1 && v == VerdictPending {
+		if step == endPoint && v == VerdictPending {
 			t.Error("final step still pending")
 		}
 	}
 }
 
 // runShutterCycle drives one full detection cycle with the given neighbour
-// samples (len == EndPoint) and returns the final verdict.
+// samples (len == endPoint) and returns the final verdict.
 func runShutterCycle(t *testing.T, d *ShutterDetector, samples []float64) Verdict {
 	t.Helper()
 	var v Verdict
@@ -61,11 +66,10 @@ func runShutterCycle(t *testing.T, d *ShutterDetector, samples []float64) Verdic
 }
 
 func TestShutterDetectsMissSpike(t *testing.T) {
-	d := NewShutterDetector(shutterTestConfig())
-	// Position 0 is the contaminated pre-cycle sample; steady = positions
-	// 1,2; burst = positions 3,4,5. Burst 100 vs steady 20: spike of 80 >
-	// noise 5 and > 5% relative.
-	v := runShutterCycle(t, d, []float64{999, 20, 20, 100, 100, 100})
+	d := NewShutterDetector(DefaultConfig())
+	// Position 0 is the contaminated pre-cycle sample. Burst 100 vs steady
+	// 20: spike of 80 > noise 20 and > 5% relative.
+	v := runShutterCycle(t, d, shutterCycle(999, 20, 100))
 	if v != VerdictContention {
 		t.Errorf("verdict = %v, want contention", v)
 	}
@@ -76,39 +80,39 @@ func TestShutterDetectsMissSpike(t *testing.T) {
 }
 
 func TestShutterIgnoresFlatNeighbor(t *testing.T) {
-	d := NewShutterDetector(shutterTestConfig())
-	v := runShutterCycle(t, d, []float64{999, 50, 50, 50, 50, 50})
+	d := NewShutterDetector(DefaultConfig())
+	v := runShutterCycle(t, d, shutterCycle(999, 50, 50))
 	if v != VerdictNoContention {
 		t.Errorf("verdict = %v, want no-contention", v)
 	}
 }
 
 func TestShutterNoiseThresholdFiltersSmallAbsoluteSpikes(t *testing.T) {
-	// Relative spike is huge (2 -> 4 is +100%) but absolute delta 2 < noise
-	// threshold 5: a quiet neighbour must not trigger contention.
-	d := NewShutterDetector(shutterTestConfig())
-	v := runShutterCycle(t, d, []float64{0, 2, 2, 4, 4, 4})
+	// Relative spike is huge (5 -> 15 is +200%) but absolute delta 10 <
+	// noise threshold 20: a quiet neighbour must not trigger contention.
+	d := NewShutterDetector(DefaultConfig())
+	v := runShutterCycle(t, d, shutterCycle(0, 5, 15))
 	if v != VerdictNoContention {
 		t.Errorf("verdict = %v, want no-contention for sub-noise spike", v)
 	}
 }
 
 func TestShutterImpactFactorFiltersRelativelySmallSpikes(t *testing.T) {
-	// Absolute delta 10 > noise 5, but relative spike 1% < impact 5%.
-	d := NewShutterDetector(shutterTestConfig())
-	v := runShutterCycle(t, d, []float64{0, 1000, 1000, 1010, 1010, 1010})
+	// Absolute delta 30 > noise 20, but relative spike 3% < impact 5%.
+	d := NewShutterDetector(DefaultConfig())
+	v := runShutterCycle(t, d, shutterCycle(0, 1000, 1030))
 	if v != VerdictNoContention {
 		t.Errorf("verdict = %v, want no-contention for sub-impact spike", v)
 	}
 }
 
 func TestShutterCyclesAreIndependent(t *testing.T) {
-	d := NewShutterDetector(shutterTestConfig())
-	if v := runShutterCycle(t, d, []float64{0, 20, 20, 100, 100, 100}); v != VerdictContention {
+	d := NewShutterDetector(DefaultConfig())
+	if v := runShutterCycle(t, d, shutterCycle(0, 20, 100)); v != VerdictContention {
 		t.Fatalf("first cycle = %v", v)
 	}
 	// Second cycle flat: the spike of cycle one must not leak in.
-	if v := runShutterCycle(t, d, []float64{0, 100, 100, 100, 100, 100}); v != VerdictNoContention {
+	if v := runShutterCycle(t, d, shutterCycle(0, 100, 100)); v != VerdictNoContention {
 		t.Errorf("second cycle = %v, want no-contention", v)
 	}
 	if d.Cycles() != 2 {
@@ -117,12 +121,12 @@ func TestShutterCyclesAreIndependent(t *testing.T) {
 }
 
 func TestShutterResetDiscardsPartialCycle(t *testing.T) {
-	d := NewShutterDetector(shutterTestConfig())
+	d := NewShutterDetector(DefaultConfig())
 	d.Step(0, 1000)
 	d.Step(0, 1000)
 	d.Reset()
 	// A fresh flat cycle must be judged on its own samples only.
-	if v := runShutterCycle(t, d, []float64{0, 50, 50, 50, 50, 50}); v != VerdictNoContention {
+	if v := runShutterCycle(t, d, shutterCycle(0, 50, 50)); v != VerdictNoContention {
 		t.Errorf("post-reset cycle = %v, want no-contention", v)
 	}
 }
@@ -130,31 +134,31 @@ func TestShutterResetDiscardsPartialCycle(t *testing.T) {
 func TestShutterTransientSkipIgnoresRefillDecay(t *testing.T) {
 	// With a cache-refill transient at the head of the shutter span, plain
 	// whole-span averages hide the contention signal; the transient skip
-	// must recover it. SwitchPoint 6, EndPoint 12, skip 3:
-	// steady = positions 4,5; burst = positions 9,10,11.
-	cfg := DefaultConfig()
-	cfg.SwitchPoint = 6
-	cfg.EndPoint = 12
-	cfg.TransientSkip = 3
-	cfg.NoiseThresh = 5
-	d := NewShutterDetector(cfg)
+	// must recover it. steady = positions 6..9; burst = positions 15..19.
 	samples := []float64{
-		900,            // position 0: pre-cycle, excluded
-		1500, 900, 500, // shutter refill decay (skipped)
-		40, 40, // settled shutter tail -> steady = 40
-		100, 300, 500, // burst ramp (skipped)
-		520, 530, 540, // settled burst tail -> burst = 530
+		900,                        // position 0: pre-cycle, excluded
+		3000, 2000, 1500, 900, 500, // shutter refill decay (skipped)
+		40, 40, 40, 40, // settled shutter tail -> steady = 40
+		100, 200, 300, 400, 500, // burst ramp (skipped)
+		520, 525, 530, 535, 540, // settled burst tail -> burst = 530
 	}
-	v := runShutterCycle(t, d, samples)
+	if len(samples) != endPoint {
+		t.Fatalf("fixture has %d samples, want endPoint %d", len(samples), endPoint)
+	}
+	// Without the skip the same samples read as no contention: the
+	// whole-span shutter average sits above the whole-span burst average.
+	mean := func(xs []float64) (sum float64) {
+		for _, x := range xs {
+			sum += x
+		}
+		return sum / float64(len(xs))
+	}
+	if steady, burst := mean(samples[1:switchPoint]), mean(samples[switchPoint:]); burst-steady > noiseThresh {
+		t.Fatalf("fixture's whole-span averages (steady %v, burst %v) already show the spike", steady, burst)
+	}
+	v := runShutterCycle(t, NewShutterDetector(DefaultConfig()), samples)
 	if v != VerdictContention {
 		t.Errorf("verdict = %v, want contention (skip should expose the settled tails)", v)
-	}
-	// Without the skip the same samples are ambiguous: steady ~ burst.
-	cfg.TransientSkip = 0
-	d0 := NewShutterDetector(cfg)
-	v0 := runShutterCycle(t, d0, samples)
-	if v0 != VerdictNoContention {
-		t.Errorf("no-skip verdict = %v, want no-contention (decay masks the signal)", v0)
 	}
 }
 
@@ -241,30 +245,11 @@ func TestRuleDetectorWindowSmoothsTransients(t *testing.T) {
 	}
 }
 
-func TestRandomDetectorExtremes(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RandomP = 1
-	d := NewRandomDetector(cfg)
-	for i := 0; i < 50; i++ {
-		if _, v := d.Step(0, 0); v != VerdictContention {
-			t.Fatal("P=1 produced no-contention")
-		}
-	}
-	cfg.RandomP = 0
-	d = NewRandomDetector(cfg)
-	for i := 0; i < 50; i++ {
-		if _, v := d.Step(0, 0); v != VerdictNoContention {
-			t.Fatal("P=0 produced contention")
-		}
-	}
-}
-
+// TestRandomDetectorHalfProbabilityAndDeterminism: the §6.4 baseline at
+// randomSeed flips a fair coin, and two detectors draw the same sequence.
 func TestRandomDetectorHalfProbabilityAndDeterminism(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RandomP = 0.5
-	cfg.RandomSeed = 42
-	d1 := NewRandomDetector(cfg)
-	d2 := NewRandomDetector(cfg)
+	d1 := NewRandomDetector(DefaultConfig())
+	d2 := NewRandomDetector(DefaultConfig())
 	contending := 0
 	const n = 2000
 	for i := 0; i < n; i++ {

@@ -89,8 +89,9 @@ type Engine struct {
 	degradedStart uint64
 }
 
-// engineLogCapacity bounds the decision log's memory footprint unless
-// Config.EventLogCap says otherwise.
+// engineLogCapacity bounds every engine's decision log (drop-oldest;
+// evictions are counted and surfaced through telemetry as
+// caer_engine_log_dropped_total).
 const engineLogCapacity = 4096
 
 // NewEngine wires a detector and responder to the batch application's own

@@ -10,10 +10,6 @@ import (
 
 func hybridTestConfig() Config {
 	cfg := DefaultConfig()
-	cfg.SwitchPoint = 3
-	cfg.EndPoint = 6
-	cfg.TransientSkip = 0
-	cfg.NoiseThresh = 5
 	cfg.UsageThresh = 50
 	cfg.WindowSize = 2
 	return cfg
@@ -43,14 +39,10 @@ func TestHybridConfirmsRealContention(t *testing.T) {
 	var dirs []comm.Directive
 	// Scripted: heavy on both sides; during the confirmation shutter the
 	// neighbour's misses drop (batch halted) then spike in the burst —
-	// genuine contention.
-	neighbor := []float64{
-		500,    // gate fires here; shutter cycle position 0 (pre-cycle sample)
-		80, 80, // shutter closed: neighbour recovers
-		500, 510, // burst: misses spike
-		505, // cycle end -> verdict
-	}
-	for _, n := range neighbor {
+	// genuine contention. The gate fires on the first sample, which is the
+	// shutter cycle's position 0 (pre-cycle sample); the last sample ends
+	// the cycle with a verdict.
+	for _, n := range shutterCycle(500, 80, 505) {
 		var dir comm.Directive
 		dir, v = d.Step(400, n)
 		dirs = append(dirs, dir)
@@ -59,10 +51,12 @@ func TestHybridConfirmsRealContention(t *testing.T) {
 		t.Fatalf("verdict = %v, want contention confirmed", v)
 	}
 	// The shutter protocol actually halted the batch while measuring: the
-	// pause directives issued at steps 0 and 1 cover the periods sampled
-	// at window positions 1 and 2 (the steady span).
-	if dirs[0] != comm.DirectivePause || dirs[1] != comm.DirectivePause {
-		t.Errorf("confirmation did not close the shutter: %v", dirs)
+	// pause directives issued at steps 0..switchPoint-2 cover the periods
+	// sampled at window positions 1..switchPoint-1 (the steady span).
+	for i, dir := range dirs[:switchPoint-1] {
+		if dir != comm.DirectivePause {
+			t.Fatalf("confirmation did not close the shutter at step %d: %v", i, dirs)
+		}
 	}
 	_, probes := d.GateStats()
 	if probes != 1 {
@@ -77,7 +71,7 @@ func TestHybridRefutesIntrinsicMisses(t *testing.T) {
 	// at the first completed verdict (the gate immediately re-probes on
 	// further heavy samples).
 	v := VerdictPending
-	for i := 0; i < 6 && v == VerdictPending; i++ {
+	for i := 0; i < endPoint && v == VerdictPending; i++ {
 		_, v = d.Step(400, 500)
 	}
 	if v != VerdictNoContention {
@@ -94,7 +88,7 @@ func TestHybridResetClearsConfirmation(t *testing.T) {
 	// an in-flight probe over quiet samples then refutes, and once the
 	// windows have drained the gate resolves quiet pairs instantly.
 	v := VerdictPending
-	for i := 0; i < 6 && v == VerdictPending; i++ {
+	for i := 0; i < endPoint && v == VerdictPending; i++ {
 		_, v = d.Step(0, 0)
 	}
 	if v != VerdictNoContention {

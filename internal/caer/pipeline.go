@@ -212,9 +212,6 @@ func (p *Pipeline) Attach(slot *comm.Slot, core, g int) *Batch {
 	if ns := p.groups[g].neighbors; len(ns) > 0 {
 		b.engine = NewEngine(p.kind.NewDetector(p.cfg), p.kind.NewResponder(p.cfg), slot, ns)
 		b.engine.SetWatchdog(p.cfg.WatchdogPeriods)
-		if p.cfg.EventLogCap > 0 {
-			b.engine.log = NewEventLog(p.cfg.EventLogCap)
-		}
 		if p.spans != nil {
 			b.engine.spans, b.engine.track = p.spans, p.Track(slot)
 			p.spans.NameTrack(b.engine.track, p.trackPrefix+b.engine.laneName)
@@ -273,11 +270,10 @@ func (p *Pipeline) start() {
 	case SamplingAdaptive:
 		p.ctl = NewIntervalController(p.cfg.MaxProbeInterval, sampleGrowth, quietProbes)
 	case SamplingInterrupt:
-		bound := max(p.cfg.NoiseThresh*triggerWindow, 1)
 		for _, mon := range p.monitors {
 			p.triggers = append(p.triggers, pmu.NewThreshold(p.src, mon.pmu.Core(), pmu.ThresholdConfig{
 				Event:  pmu.EventLLCMisses,
-				Bound:  uint64(bound),
+				Bound:  noiseThresh * triggerWindow,
 				Window: triggerWindow,
 			}))
 		}
@@ -438,7 +434,7 @@ func (p *Pipeline) quiet() bool {
 		}
 	}
 	for _, mon := range p.monitors {
-		if mon.slot.LastSample() >= p.cfg.NoiseThresh || mon.slot.StalePeriods() > 0 {
+		if mon.slot.LastSample() >= noiseThresh || mon.slot.StalePeriods() > 0 {
 			return false
 		}
 	}

@@ -177,18 +177,12 @@ func TestPipelineAttachWakesSleep(t *testing.T) {
 	}
 }
 
-// TestPipelineHonoursEventLogCap: Config.EventLogCap sizes the log of every
-// engine the pipeline builds.
-func TestPipelineHonoursEventLogCap(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.EventLogCap = 32
-	p, m := newTestPipeline(t, cfg, "mcf")
-	if got := attachBatch(p, m, spec.LBM(), 1).Engine().Log().Cap(); got != 32 {
-		t.Errorf("engine log capacity = %d, want 32", got)
-	}
-	p2, m2 := newTestPipeline(t, DefaultConfig(), "mcf")
-	if got := attachBatch(p2, m2, spec.LBM(), 1).Engine().Log().Cap(); got != engineLogCapacity {
-		t.Errorf("default engine log capacity = %d, want %d", got, engineLogCapacity)
+// TestPipelineEngineLogCapacity: every engine the pipeline builds logs
+// into an engineLogCapacity ring.
+func TestPipelineEngineLogCapacity(t *testing.T) {
+	p, m := newTestPipeline(t, DefaultConfig(), "mcf")
+	if got := attachBatch(p, m, spec.LBM(), 1).Engine().Log().Cap(); got != engineLogCapacity {
+		t.Errorf("engine log capacity = %d, want %d", got, engineLogCapacity)
 	}
 }
 

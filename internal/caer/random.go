@@ -7,25 +7,24 @@ import (
 )
 
 // RandomDetector is the baseline heuristic of §6.4: it reports contention
-// with probability P and no contention with probability 1−P, ignoring the
-// PMU samples entirely. The paper uses it (with P = 0.5 and a
+// with probability randomP and no contention otherwise, ignoring the PMU
+// samples entirely. The paper uses it (with P = 0.5 and a
 // red-light/green-light response of length 1) to define detection accuracy
 // A = U_h/U_r − 1 (Equation 2): a real heuristic should sacrifice *more*
 // utilization than random for interference-sensitive neighbours and gain
 // *more* than random for insensitive ones.
 type RandomDetector struct {
-	p        float64
 	rng      *rand.Rand
 	verdicts [2]uint64
 }
 
-// NewRandomDetector constructs the baseline from cfg (RandomP, RandomSeed).
-// It panics on an invalid configuration.
+// NewRandomDetector constructs the baseline, seeded with randomSeed. It
+// panics on an invalid configuration.
 func NewRandomDetector(cfg Config) *RandomDetector {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	return &RandomDetector{p: cfg.RandomP, rng: rand.New(rand.NewSource(cfg.RandomSeed))}
+	return &RandomDetector{rng: rand.New(rand.NewSource(randomSeed))}
 }
 
 // Name implements Detector.
@@ -33,7 +32,7 @@ func (d *RandomDetector) Name() string { return "random" }
 
 // Step implements Detector: a coin flip per period.
 func (d *RandomDetector) Step(ownMisses, neighborMisses float64) (comm.Directive, Verdict) {
-	if d.rng.Float64() < d.p {
+	if d.rng.Float64() < randomP {
 		d.verdicts[1]++
 		return comm.DirectiveRun, VerdictContention
 	}

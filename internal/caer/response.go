@@ -43,10 +43,9 @@ type Responder interface {
 // the paper's "increasing the length if the detection phase is
 // consistently producing the same result".
 type RedLightGreenLight struct {
-	length    int
-	adaptive  bool
-	maxLength int
-	name      string
+	length   int
+	adaptive bool
+	name     string
 
 	lastVerdict   bool
 	haveVerdict   bool
@@ -58,7 +57,8 @@ type RedLightGreenLight struct {
 }
 
 // NewRedLightGreenLight builds the response from cfg (ResponseLength,
-// AdaptiveResponse, MaxResponseLength). It panics on invalid configuration.
+// AdaptiveResponse; adaptive holds grow up to maxResponseLength). It panics
+// on invalid configuration.
 func NewRedLightGreenLight(cfg Config) *RedLightGreenLight {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
@@ -70,7 +70,6 @@ func NewRedLightGreenLight(cfg Config) *RedLightGreenLight {
 	return &RedLightGreenLight{
 		length:        cfg.ResponseLength,
 		adaptive:      cfg.AdaptiveResponse,
-		maxLength:     cfg.MaxResponseLength,
 		currentLength: cfg.ResponseLength,
 		name:          name,
 	}
@@ -84,10 +83,7 @@ func (r *RedLightGreenLight) Name() string { return r.name }
 func (r *RedLightGreenLight) React(contending bool, v View) (comm.Directive, int) {
 	if r.adaptive {
 		if r.haveVerdict && contending == r.lastVerdict {
-			r.currentLength *= 2
-			if r.currentLength > r.maxLength {
-				r.currentLength = r.maxLength
-			}
+			r.currentLength = min(2*r.currentLength, maxResponseLength)
 		} else {
 			r.currentLength = r.length
 		}
@@ -128,38 +124,34 @@ func (r *RedLightGreenLight) RedGreenTotals() (red, green uint64) {
 // below the usage threshold; then the batch fully resumes.
 type SoftLock struct {
 	usageThresh float64
-	maxHold     int
 
 	locks    uint64
 	releases uint64
 }
 
 // NewSoftLock builds the response from cfg (UsageThresh; the hold is
-// re-evaluated every period and bounded by MaxResponseLength as a
+// re-evaluated every period and bounded by maxResponseLength as a
 // safety valve). It panics on invalid configuration.
 func NewSoftLock(cfg Config) *SoftLock {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	maxHold := cfg.MaxResponseLength
-	if maxHold <= 0 {
-		maxHold = 1 << 30
-	}
-	return &SoftLock{usageThresh: cfg.UsageThresh, maxHold: maxHold}
+	return &SoftLock{usageThresh: cfg.UsageThresh}
 }
 
 // Name implements Responder.
 func (s *SoftLock) Name() string { return "soft-lock" }
 
 // React implements Responder: a c-positive verdict takes the lock for up
-// to maxHold periods (Hold releases it as soon as pressure subsides); a
-// c-negative verdict lets the batch run and immediately resumes detection.
+// to maxResponseLength periods (Hold releases it as soon as pressure
+// subsides); a c-negative verdict lets the batch run and immediately
+// resumes detection.
 func (s *SoftLock) React(contending bool, v View) (comm.Directive, int) {
 	if !contending {
 		return comm.DirectiveRun, 1
 	}
 	s.locks++
-	return comm.DirectivePause, s.maxHold
+	return comm.DirectivePause, maxResponseLength
 }
 
 // Hold implements Responder: release the lock when the neighbour's cache

@@ -47,31 +47,31 @@ func TestRedLightGreenLightFixed(t *testing.T) {
 
 func TestRedLightGreenLightAdaptiveGrowth(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.ResponseLength = 5
+	cfg.ResponseLength = 15
 	cfg.AdaptiveResponse = true
-	cfg.MaxResponseLength = 18
 	r := NewRedLightGreenLight(cfg)
 	v := fakeView{}
 
 	lengths := []int{}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 5; i++ {
 		_, n := r.React(true, v)
 		lengths = append(lengths, n)
 	}
-	// First verdict: base 5. Consistent repeats double, capped at 18.
-	want := []int{5, 10, 18, 18}
+	// First verdict: base 15. Consistent repeats double, capped at
+	// maxResponseLength (80).
+	want := []int{15, 30, 60, maxResponseLength, maxResponseLength}
 	for i := range want {
 		if lengths[i] != want[i] {
 			t.Errorf("consistent verdict %d length = %d, want %d", i, lengths[i], want[i])
 		}
 	}
 	// A flipped verdict snaps back to the base length.
-	if _, n := r.React(false, v); n != 5 {
-		t.Errorf("flipped verdict length = %d, want 5", n)
+	if _, n := r.React(false, v); n != 15 {
+		t.Errorf("flipped verdict length = %d, want 15", n)
 	}
 	// And doubles again on its own consistency.
-	if _, n := r.React(false, v); n != 10 {
-		t.Errorf("second consistent clear length = %d, want 10", n)
+	if _, n := r.React(false, v); n != 30 {
+		t.Errorf("second consistent clear length = %d, want 30", n)
 	}
 	if r.Name() != "red-light-green-light(adaptive)" {
 		t.Errorf("Name = %q", r.Name())
@@ -82,7 +82,6 @@ func TestRedLightGreenLightReset(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ResponseLength = 4
 	cfg.AdaptiveResponse = true
-	cfg.MaxResponseLength = 64
 	r := NewRedLightGreenLight(cfg)
 	v := fakeView{}
 	r.React(true, v)
@@ -96,12 +95,11 @@ func TestRedLightGreenLightReset(t *testing.T) {
 func TestSoftLockTakesAndHoldsUnderPressure(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.UsageThresh = 30
-	cfg.MaxResponseLength = 100
 	s := NewSoftLock(cfg)
 
 	dir, n := s.React(true, fakeView{neighbor: 90})
-	if dir != comm.DirectivePause || n != 100 {
-		t.Fatalf("React(contending) = %v,%d, want pause,100", dir, n)
+	if dir != comm.DirectivePause || n != maxResponseLength {
+		t.Fatalf("React(contending) = %v,%d, want pause,%d", dir, n, maxResponseLength)
 	}
 	// Neighbour still heavy: lock held.
 	d, release := s.Hold(fakeView{neighbor: 90})

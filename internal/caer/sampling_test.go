@@ -347,8 +347,7 @@ func TestSamplingConfigValidation(t *testing.T) {
 		}
 	}
 	// Legacy literal configs (zero sampling fields) must stay valid.
-	legacy := Config{WindowSize: 10, SwitchPoint: 10, EndPoint: 20, TransientSkip: 5,
-		UsageThresh: 150, ResponseLength: 10}
+	legacy := Config{WindowSize: 10, UsageThresh: 150, ResponseLength: 10}
 	if err := legacy.Validate(); err != nil {
 		t.Errorf("legacy zero-sampling config rejected: %v", err)
 	}

@@ -9,12 +9,12 @@ import (
 // Algorithm 1). It actively probes for contention by modulating the batch
 // application itself:
 //
-//  1. Shutter: halt the batch for SwitchPoint periods and record the
+//  1. Shutter: halt the batch for switchPoint periods and record the
 //     neighbour's last-level-cache misses — the steady average.
-//  2. Burst: run the batch at full force until EndPoint and record the
+//  2. Burst: run the batch at full force until endPoint and record the
 //     neighbour's misses — the burst average.
 //  3. If the burst average exceeds the steady average by more than
-//     NoiseThresh *and* by more than ImpactFactor relatively, the batch's
+//     noiseThresh *and* by more than ImpactFactor relatively, the batch's
 //     execution is demonstrably raising the neighbour's miss rate: assert
 //     contention.
 //
@@ -22,11 +22,7 @@ import (
 // much cross-core interference the latency-sensitive application will
 // tolerate.
 type ShutterDetector struct {
-	switchPoint  int
-	endPoint     int
 	impactFactor float64
-	noiseThresh  float64
-	skip         int
 
 	count    int
 	rWindow  *stats.Window // neighbour samples for the current cycle
@@ -41,12 +37,8 @@ func NewShutterDetector(cfg Config) *ShutterDetector {
 		panic(err.Error())
 	}
 	return &ShutterDetector{
-		switchPoint:  cfg.SwitchPoint,
-		endPoint:     cfg.EndPoint,
 		impactFactor: cfg.ImpactFactor,
-		noiseThresh:  cfg.NoiseThresh,
-		skip:         cfg.TransientSkip,
-		rWindow:      stats.NewWindow(cfg.EndPoint),
+		rWindow:      stats.NewWindow(endPoint),
 	}
 }
 
@@ -58,31 +50,31 @@ func (d *ShutterDetector) Step(ownMisses, neighborMisses float64) (comm.Directiv
 	d.rWindow.Push(neighborMisses)
 	d.count++
 
-	if d.count < d.switchPoint {
+	if d.count < switchPoint {
 		// Still measuring the steady average: keep the shutter closed.
 		return comm.DirectivePause, VerdictPending
 	}
-	if d.count < d.endPoint {
+	if d.count < endPoint {
 		// Burst: run the batch at full force.
 		return comm.DirectiveRun, VerdictPending
 	}
 
 	// count == endPoint: compute both averages over this cycle's samples
 	// (positions are relative to the cycle because the window length equals
-	// EndPoint and Reset clears it). Directives take effect one period after
+	// endPoint and Reset clears it). Directives take effect one period after
 	// they are issued, so the sample at position 0 ran under the pre-cycle
 	// directive and belongs to neither average: the shutter (batch paused)
 	// covers positions [1, switchPoint) and the burst [switchPoint,
-	// endPoint). Each span additionally skips its first `skip` settled
+	// endPoint). Each span additionally skips its first transientSkip
 	// periods, because the shared cache takes several periods to refill
 	// (shutter) or drain (burst) after the batch's state flips — the
 	// averages are taken over the settled tails.
-	steady := d.rWindow.MeanRange(1+d.skip, d.switchPoint)
-	burst := d.rWindow.MeanRange(d.switchPoint+d.skip, d.endPoint)
+	steady := d.rWindow.MeanRange(1+transientSkip, switchPoint)
+	burst := d.rWindow.MeanRange(switchPoint+transientSkip, endPoint)
 	d.cycles++
 	d.resetCycle()
 
-	if (burst-steady) > d.noiseThresh && burst > steady*(1+d.impactFactor) {
+	if (burst-steady) > noiseThresh && burst > steady*(1+d.impactFactor) {
 		d.verdicts[1]++
 		return comm.DirectiveRun, VerdictContention
 	}

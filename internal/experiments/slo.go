@@ -107,23 +107,12 @@ type SLORegime struct {
 	series, events, trace, objectives []byte
 }
 
-// sumCounter scrapes every node registry and sums the named counter
-// family's values.
-func sumCounter(c *fleet.Cluster, name string) (total float64) {
-	var buf bytes.Buffer
+// alertsFired sums every node SLO engine's fired alert episodes — the
+// caer_slo_alerts_total family across the fleet.
+func alertsFired(c *fleet.Cluster) (total int) {
 	for _, n := range c.Nodes() {
-		buf.Reset()
-		if err := n.Registry().WritePrometheus(&buf); err != nil {
-			panic(err)
-		}
-		ms, err := telemetry.ParseText(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			panic(err)
-		}
-		for _, m := range ms {
-			if m.Name == name {
-				total += m.Value
-			}
+		if e := n.SLO(); e != nil {
+			total += int(e.Fired())
 		}
 	}
 	return total
@@ -187,7 +176,7 @@ func SLOSuite(seed int64, quick bool, workers int) SLORegime {
 			Completed:   rep.Completed,
 			Throughput:  rep.Throughput(),
 			Requests:    int(lat.N()),
-			AlertsFired: int(sumCounter(c, "caer_slo_alerts_total")),
+			AlertsFired: alertsFired(c),
 		}
 		if lat.N() > 0 {
 			pr.P50 = lat.Quantile(0.5)
@@ -299,7 +288,7 @@ func (out *SLORegime) runBattery(seed int64, f fleetFixture, workers int) {
 	b := SLOBattery{
 		Horizon:     horizon,
 		Windows:     windows,
-		AlertsFired: int(sumCounter(c, "caer_slo_alerts_total")),
+		AlertsFired: alertsFired(c),
 	}
 	// A window explains an episode when the episode starts inside it or
 	// in its decay tail (one slow window past the end, while the burn

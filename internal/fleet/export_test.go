@@ -61,10 +61,9 @@ func TelFleetConfig(policy Policy) Config {
 			LatencyQuantile: 0.99, LatencyBound: 2048,
 			DegradedBudget: 0.25, Window: 64,
 		},
-		SeriesCapacity:   128,
-		ScrapePeriod:     8,
-		StalenessHorizon: 32,
-		Seed:             9,
-		MaxPeriods:       20_000,
+		SeriesCapacity: 128,
+		ScrapePeriod:   8,
+		Seed:           9,
+		MaxPeriods:     20_000,
 	}
 }

@@ -42,6 +42,18 @@ const trackStride = 4096
 // machineSeedStride separates machine k's service seeds from machine 0's.
 const machineSeedStride = 1000
 
+// dispatchPerTick bounds fleet-queue dispatches per period.
+const dispatchPerTick = 8
+
+// migrateMargin is the minimum backlog gap (jobs) between the most and
+// least loaded machines before a fleet migration fires.
+const migrateMargin = 2
+
+// staleScrapes is the scrape age, in scrape periods, past which a machine's
+// telemetry view is distrusted and PolicyTelemetry scores it with the
+// synchronous least-pressure fallback.
+const staleScrapes = 4
+
 // Histogram geometries (periods). Fixed so per-machine histograms merge
 // into fleet-wide aggregates (stats.Histogram.MergeMany requires identical
 // geometry).
@@ -111,14 +123,9 @@ type Config struct {
 	// out by sched.ServiceLayout under Seed+1000k, job i by sched.JobLayout
 	// under Seed, and the traffic driver draws from Seed-1.
 	Seed int64
-	// DispatchPerTick bounds fleet-queue dispatches per period; default 8.
-	DispatchPerTick int
 	// MigratePeriod evaluates at most one cross-machine migration every
 	// this many periods; 0 (the default) disables fleet migration.
 	MigratePeriod int
-	// MigrateMargin is the minimum backlog gap (jobs) between the most and
-	// least loaded machines before a migration fires; default 2.
-	MigrateMargin int
 	// MaxPeriods bounds Run as a safety valve; default 1,000,000.
 	MaxPeriods int
 	// SLO declares the per-node burn-rate objectives (zero disables the
@@ -130,10 +137,6 @@ type Config struct {
 	// ScrapePeriod is how often, in ticks, PolicyTelemetry scrapes every
 	// node's exported registry; default 16. Other policies never scrape.
 	ScrapePeriod int
-	// StalenessHorizon is the scrape age, in ticks, past which a machine's
-	// telemetry view is distrusted and PolicyTelemetry scores it with the
-	// synchronous least-pressure fallback; default 4*ScrapePeriod.
-	StalenessHorizon int
 	// Scraper, when set, makes PolicyTelemetry read every node through a
 	// text transport — a Prometheus snapshot parsed and folded, as from
 	// /metrics — instead of the default collector, which reads each node's
@@ -146,12 +149,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.DispatchPerTick == 0 {
-		c.DispatchPerTick = 8
-	}
-	if c.MigrateMargin == 0 {
-		c.MigrateMargin = 2
-	}
 	if c.MaxPeriods == 0 {
 		c.MaxPeriods = 1_000_000
 	}
@@ -160,9 +157,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ScrapePeriod == 0 {
 		c.ScrapePeriod = 16
-	}
-	if c.StalenessHorizon == 0 {
-		c.StalenessHorizon = 4 * c.ScrapePeriod
 	}
 	c.SLO = c.SLO.withDefaults()
 	return c
@@ -448,7 +442,7 @@ func (c *Cluster) arrive(n int) {
 // the determinism contract). The scan is allocation-free; the per-job
 // commit happens in the cold dispatchTo barrier.
 func (c *Cluster) dispatch() {
-	for budget := c.cfg.DispatchPerTick; budget > 0 && c.queue.Len() > 0; budget-- {
+	for budget := dispatchPerTick; budget > 0 && c.queue.Len() > 0; budget-- {
 		ji := c.queue.Peek()
 		c.fillViews(c.jobs[ji].name)
 		k := c.picker.Pick(&c.cand)
@@ -501,13 +495,13 @@ func (c *Cluster) dispatchTo(k, ji int) {
 	}
 	c.decisions = append(c.decisions, Decision{
 		Tick: c.tick, Kind: kind, Job: ji, Name: j.name, From: from, To: k,
-		Fresh: c.tel[k].fresh(c.tick, c.cfg.StalenessHorizon),
+		Fresh: c.tel[k].fresh(c.tick, c.stalenessHorizon()),
 	})
 }
 
 // maybeMigrate evaluates at most one cross-machine migration every
 // MigratePeriod ticks: when the most backlogged machine's queue exceeds
-// the least backlogged eligible machine's by MigrateMargin, the most
+// the least backlogged eligible machine's by migrateMargin, the most
 // recently dispatched still-waiting job is withdrawn and re-dispatched
 // there. Cold path (rate-bounded by construction, like sched's
 // maybeMigrate one level down).
@@ -528,7 +522,7 @@ func (c *Cluster) maybeMigrate() {
 			dst, dstQ = k, q
 		}
 	}
-	if src == dst || srcQ-dstQ < c.cfg.MigrateMargin {
+	if src == dst || srcQ-dstQ < migrateMargin {
 		return
 	}
 	for i := len(c.live) - 1; i >= 0; i-- {

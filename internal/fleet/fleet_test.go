@@ -40,12 +40,11 @@ func identityFleet(workers int) fleet.Config {
 			Cores: 8, Domains: 2, Workers: workers,
 			Services: []fleet.Service{{Profile: prof("mcf", 400_000), Core: 0}},
 		}},
-		Sched:           identitySchedConfig(),
-		Policy:          fleet.PolicyRoundRobin,
-		Traffic:         fleet.Traffic{Curve: fleet.CurveConstant, Rate: 6, Horizon: 1, Mix: identityJobs()},
-		Seed:            42,
-		DispatchPerTick: 16,
-		MaxPeriods:      30_000,
+		Sched:      identitySchedConfig(),
+		Policy:     fleet.PolicyRoundRobin,
+		Traffic:    fleet.Traffic{Curve: fleet.CurveConstant, Rate: 6, Horizon: 1, Mix: identityJobs()},
+		Seed:       42,
+		MaxPeriods: 30_000,
 	}
 }
 
@@ -259,11 +258,9 @@ func TestFleetMigrationBounded(t *testing.T) {
 			Curve: fleet.CurveConstant, Rate: 16, Horizon: 1,
 			Mix: []spec.Profile{prof("lbm", 80_000), prof("povray", 80_000)},
 		},
-		Seed:            3,
-		DispatchPerTick: 32,
-		MigratePeriod:   20,
-		MigrateMargin:   2,
-		MaxPeriods:      40_000,
+		Seed:          3,
+		MigratePeriod: 20,
+		MaxPeriods:    40_000,
 	})
 	ticks := c.Run()
 	rep := c.Report()

@@ -46,9 +46,6 @@ type NodeReport struct {
 	Machine     int
 	Dispatches  int
 	Completions int
-	// Wait and Sojourn are the machine's per-job queueing and
-	// arrival-to-completion distributions (periods).
-	Wait, Sojourn *stats.Histogram
 }
 
 // Report is a finished (or in-flight) fleet run's outcome.
@@ -108,8 +105,6 @@ func (c *Cluster) Report() Report {
 			Machine:     n.id,
 			Dispatches:  int(n.dispatches.Value()),
 			Completions: int(n.completions.Value()),
-			Wait:        n.wait,
-			Sojourn:     n.sojourn,
 		}
 		r.Nodes = append(r.Nodes, nr)
 		waits = append(waits, n.wait)

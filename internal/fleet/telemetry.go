@@ -145,6 +145,9 @@ func (t *telState) fresh(tick, horizon int) bool {
 	return t.lastTick >= 0 && tick-t.lastTick <= horizon
 }
 
+// stalenessHorizon is the scrape age, in ticks, past which a view is stale.
+func (c *Cluster) stalenessHorizon() int { return staleScrapes * c.cfg.ScrapePeriod }
+
 // scrapeAll refreshes every machine's TelView. With no Config.Scraper the
 // collector reads the node's handles (readView: no allocation once the
 // scratch has grown); an injected Scraper's text is parsed and folded
@@ -370,15 +373,16 @@ func (c *Cluster) windowHist(max float64, buckets int) *stats.Histogram {
 // fillTelViews copies the scrape bookkeeping into the placement views.
 // Hot path (every dispatch decision): allocation-free.
 func (c *Cluster) fillTelViews() {
+	horizon := c.stalenessHorizon()
 	for k := range c.tel {
 		st := &c.tel[k]
 		v := st.view
 		if st.lastTick < 0 {
-			v.Age = c.cfg.StalenessHorizon + 1
+			v.Age = horizon + 1
 			v.Fresh = false
 		} else {
 			v.Age = c.tick - st.lastTick
-			v.Fresh = v.Age <= c.cfg.StalenessHorizon
+			v.Fresh = v.Age <= horizon
 		}
 		c.cand.views[k].Tel = v
 	}

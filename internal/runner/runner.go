@@ -69,9 +69,6 @@ type Scenario struct {
 	// Seed drives all stochastic choices. The latency app uses Seed, the
 	// batch app Seed+1.
 	Seed int64
-	// Cores sizes the machine; zero means 2 (the paper's prototype shape:
-	// one latency-sensitive + one batch).
-	Cores int
 	// MaxPeriods bounds the run as a safety valve; zero means 10,000,000.
 	MaxPeriods int
 	// Actuator optionally replaces the pause actuator (DVFS extension).
@@ -91,7 +88,6 @@ func (s Scenario) withDefaults() Scenario {
 	if s.Config.WindowSize == 0 {
 		s.Config = caer.DefaultConfig()
 	}
-	s.Cores = max(s.Cores, 2)
 	if s.MaxPeriods == 0 {
 		s.MaxPeriods = 10_000_000
 	}
@@ -101,6 +97,10 @@ func (s Scenario) withDefaults() Scenario {
 // batchBase places the batch application's footprint far from the latency
 // application's (they are separate processes and share no data).
 const batchBase = 1 << 28
+
+// pairCores sizes the pair's machine: the paper's prototype shape, the
+// latency-sensitive application on core 0 and the batch on core 1.
+const pairCores = 2
 
 // Result is one scenario's outcome.
 type Result struct {
@@ -205,9 +205,9 @@ func Run(s Scenario) Result {
 }
 
 // newMachine builds the scenario's machine, way-partitioned between the
-// latency core and the rest under PartitionWays.
+// latency core and the batch core under PartitionWays.
 func newMachine(s Scenario) *machine.Machine {
-	m := machine.New(machine.Config{Cores: s.Cores})
+	m := machine.New(machine.Config{Cores: pairCores})
 	if s.PartitionWays > 0 {
 		h := m.Hierarchy()
 		ways := h.L3().Ways()
@@ -215,9 +215,7 @@ func newMachine(s Scenario) *machine.Machine {
 			panic(fmt.Sprintf("runner: partition of %d ways leaves none for the batch (L3 has %d)", s.PartitionWays, ways))
 		}
 		h.SetL3OwnerMask(0, mem.ContiguousMask(0, s.PartitionWays))
-		for core := 1; core < s.Cores; core++ {
-			h.SetL3OwnerMask(core, mem.ContiguousMask(s.PartitionWays, ways))
-		}
+		h.SetL3OwnerMask(1, mem.ContiguousMask(s.PartitionWays, ways))
 	}
 	return m
 }
@@ -229,7 +227,7 @@ func newMachine(s Scenario) *machine.Machine {
 // returns core 0's per-period LLC misses and instructions retired — the
 // raw data of Figure 3, `caer-run -series` and `caer-run -workloads`.
 func Sample(p spec.Profile, seed int64, colo bool, warmup, periods int) (misses, retired []float64) {
-	m := machine.New(machine.Config{Cores: 2})
+	m := machine.New(machine.Config{Cores: pairCores})
 	proc := p.NewProcess(0, seed)
 	m.Bind(0, proc)
 	if colo {

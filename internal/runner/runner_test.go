@@ -197,8 +197,8 @@ func TestScenarioDefaults(t *testing.T) {
 	if s.Batch.Name != "470.lbm" {
 		t.Errorf("default batch = %q, want lbm", s.Batch.Name)
 	}
-	if s.Cores != 2 || s.MaxPeriods != 10_000_000 {
-		t.Errorf("defaults = %d cores, %d max periods", s.Cores, s.MaxPeriods)
+	if s.MaxPeriods != 10_000_000 {
+		t.Errorf("default max periods = %d", s.MaxPeriods)
 	}
 	if err := s.Config.Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)

@@ -218,7 +218,7 @@ func (s *Scheduler) fillViews() {
 
 // maybeMigrate evaluates bounded-rate migration: every MigrationPeriod
 // periods, the single running job whose move to another domain improves
-// predicted interference the most — by at least MigrationMargin — is
+// predicted interference the most — by at least migrationMargin — is
 // re-placed there. The job's process survives the move; its caches start
 // cold on the new domain (the realistic migration cost).
 //
@@ -249,7 +249,7 @@ func (s *Scheduler) maybeMigrate() {
 			}
 		}
 	}
-	if best == nil || bestGain < s.cfg.MigrationMargin {
+	if best == nil || bestGain < migrationMargin {
 		return
 	}
 	oldDomain := best.domain

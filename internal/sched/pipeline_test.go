@@ -132,33 +132,11 @@ func TestSchedulerAdmissionWakesSchedule(t *testing.T) {
 	}
 }
 
-// TestSchedulerEventLogCap: Config.Caer.EventLogCap sizes every scheduled
-// engine's decision log, including the one a migration builds.
-func TestSchedulerEventLogCap(t *testing.T) {
-	cc := caer.DefaultConfig()
-	cc.EventLogCap = 64
-	s := newTestSched(Config{Caer: cc})
-	for i := 0; i < 4; i++ {
-		s.Submit(testJob("lbm", 200_000, i))
-	}
-	for i := 0; i < 10; i++ {
-		s.Step()
-	}
-	if len(s.running) == 0 {
-		t.Fatal("nothing admitted")
-	}
-	for _, j := range s.running {
-		if got := j.batch.Engine().Log().Cap(); got != 64 {
-			t.Errorf("job %d engine log capacity = %d, want 64", j.id, got)
-		}
-	}
-}
-
 // TestSchedulerRunningSetOrder: the running set, and with it the
 // pipeline's engine tick order, stays in job-id order across completions
 // and migrations.
 func TestSchedulerRunningSetOrder(t *testing.T) {
-	s := newTestSched(Config{Policy: PolicyPacked, MigrationPeriod: 20, MigrationMargin: 0.01})
+	s := newTestSched(Config{Policy: PolicyPacked, MigrationPeriod: 20})
 	for i := 0; i < 10; i++ {
 		name := "lbm"
 		if i%3 == 0 {
@@ -224,7 +202,7 @@ func TestStepEqualsArmRunControl(t *testing.T) {
 		return func() *Scheduler { return newQuietSched(cc) }
 	}
 	for name, build := range map[string]func() *Scheduler{
-		"polling":   func() *Scheduler { return newTestSched(Config{MigrationPeriod: 20, MigrationMargin: 0.01}) },
+		"polling":   func() *Scheduler { return newTestSched(Config{MigrationPeriod: 20}) },
 		"adaptive":  sampled(caer.SamplingAdaptive),
 		"interrupt": sampled(caer.SamplingInterrupt),
 		"partition": func() *Scheduler {
@@ -264,6 +242,9 @@ func TestStepEqualsArmRunControl(t *testing.T) {
 			}
 			if name == "partition" && whole.parts == nil {
 				t.Fatal("partition stage never built")
+			}
+			if name == "polling" && whole.Migrations() == 0 {
+				t.Fatal("polling row never migrated: the across-migrations case went untested")
 			}
 		})
 	}

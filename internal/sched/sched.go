@@ -103,9 +103,6 @@ type Config struct {
 	// MigrationPeriod evaluates at most one job migration every this many
 	// periods; 0 disables migration (the default).
 	MigrationPeriod int
-	// MigrationMargin is the minimum predicted-interference improvement a
-	// migration must buy; default 0.25.
-	MigrationMargin float64
 	// Response selects the contention response family: throttle (the
 	// default), LLC way-partitioning, or both (DESIGN.md §16).
 	Response ResponseKind
@@ -147,14 +144,15 @@ func (c Config) withDefaults() Config {
 	if c.AgingBound == 0 {
 		c.AgingBound = 400
 	}
-	if c.MigrationMargin == 0 {
-		c.MigrationMargin = 0.25
-	}
 	return c
 }
 
 // classHysteresis is the classifier's class-flip streak, in periods.
 const classHysteresis = 8
+
+// migrationMargin is the minimum predicted-interference improvement a
+// migration must buy.
+const migrationMargin = 0.25
 
 // latApp is one hosted latency-sensitive application.
 type latApp struct {

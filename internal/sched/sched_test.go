@@ -171,7 +171,6 @@ func TestSchedulerMigration(t *testing.T) {
 		Policy:          PolicyPacked,
 		Heuristic:       caer.HeuristicRule,
 		MigrationPeriod: 25,
-		MigrationMargin: 0.1,
 	})
 	mcf, _ := spec.ByName("mcf")
 	s.AddLatency("mcf", 0, mcf.Batch().NewProcess(0, 11))

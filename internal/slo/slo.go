@@ -372,6 +372,18 @@ func (e *Engine) Objectives() []Objective {
 	return out
 }
 
+// Fired returns how many alert episodes have reached firing, summed over
+// the objectives' caer_slo_alerts_total counters (0 for an engine run
+// without a registry).
+func (e *Engine) Fired() (n uint64) {
+	for i := range e.alerts {
+		if c := e.alerts[i].firedC; c != nil {
+			n += c.Value()
+		}
+	}
+	return n
+}
+
 // Firing returns how many objectives are currently firing.
 func (e *Engine) Firing() int {
 	n := 0

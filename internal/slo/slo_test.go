@@ -117,6 +117,9 @@ func TestAlertLifecycle(t *testing.T) {
 	if !bytes.Contains(buf.Bytes(), []byte(`caer_slo_alerts_total{slo="mcf-p99"} 1`)) {
 		t.Fatalf("want exactly one alert episode, got:\n%s", buf.String())
 	}
+	if got := f.eng.Fired(); got != 1 {
+		t.Fatalf("Fired() = %d, want the exported counter's 1", got)
+	}
 	var alertSpans int
 	for _, s := range spans.Spans() {
 		if s.Kind == telemetry.SpanAlert {
@@ -159,6 +162,9 @@ func TestPendingBlipDoesNotFire(t *testing.T) {
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(`caer_slo_alerts_total{slo="mcf-p99"} 0`)) {
 		t.Fatalf("blip fired an alert:\n%s", buf.String())
+	}
+	if got := f.eng.Fired(); got != 0 {
+		t.Fatalf("Fired() = %d after a blip, want 0", got)
 	}
 }
 
