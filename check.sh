@@ -28,6 +28,23 @@ untyped=$(git ls-files '*.go' | grep -v -e '_test\.go$' -e '/testdata/' |
 # The repository benchmark is its own module (benchmark/go.mod), which the
 # root ./... does not see: vet it and run its smoke test here.
 (cd benchmark && go vet ./... && go test ./...)
+# Claims ledger: every test EXPERIMENTS.md's ledger names must exist, so a
+# rename cannot leave a claim pointing at nothing. A cell reads
+# `./PKG:TestName`, checked against `go test -list`; a `TestRegimes/<row>`
+# subtest is one row of experiments.Regimes, whose names are caer-bench's
+# suite flags.
+ledger=$(sed -n '/^## Claims ledger/,/^## [^C]/p' EXPERIMENTS.md |
+    grep -o '`\./[^`]*:Test[^`]*`' | tr -d '`' | sort -u)
+[ -n "$ledger" ] || { echo "claims ledger: no asserting tests found" >&2; exit 1; }
+bench_flags=$(go run ./cmd/caer-bench -h 2>&1 || true)
+for ref in $ledger; do
+    pkg=${ref%%:*} name=${ref#*:}
+    top=${name%%/*}
+    go test -list "^${top}\$" "$pkg" | grep -qx "$top" || {
+        echo "claims ledger: $pkg has no test $top" >&2; exit 1; }
+    [ "$top" = "$name" ] || echo "$bench_flags" | grep -qx "  -${name#*/}" || {
+        echo "claims ledger: $top has no row ${name#*/}" >&2; exit 1; }
+done
 # caer-vet with directive hygiene on (stale //caer:allow comments,
 # redundant //caer:hot roots and unreached barriers are findings in CI)
 # and a wall-clock budget: the analysis suite must stay
@@ -67,11 +84,11 @@ knobs=$(awk '/^exported config fields:/ { print $NF }' out/LOC.txt)
 # past the 600s per-binary default.
 go test -race -timeout 30m -coverprofile=coverage.out ./...
 # Coverage ratchet: total statement coverage must not fall below
-# CAER_COVERAGE_MIN (default 87.6, one point under the measured baseline —
+# CAER_COVERAGE_MIN (default 88.1, one point under the measured baseline —
 # raise it as coverage grows, never lower it to absorb a regression).
 total=$(go tool cover -func=coverage.out | awk '/^total:/ { sub(/%/, "", $NF); print $NF }')
-awk -v t="$total" -v min="${CAER_COVERAGE_MIN:-87.6}" 'BEGIN { exit !(t+0 >= min+0) }' || {
-    echo "coverage gate: total $total% below CAER_COVERAGE_MIN=${CAER_COVERAGE_MIN:-87.6}%" >&2; exit 1; }
+awk -v t="$total" -v min="${CAER_COVERAGE_MIN:-88.1}" 'BEGIN { exit !(t+0 >= min+0) }' || {
+    echo "coverage gate: total $total% below CAER_COVERAGE_MIN=${CAER_COVERAGE_MIN:-88.1}%" >&2; exit 1; }
 # No vacuous tests in the simulator, control-loop and comm-table packages:
 # none of their tests is arch-, hardware- or short-gated (the one t.Skip
 # left, mem's allocation budget, is race-only; comm's re-exec helper went

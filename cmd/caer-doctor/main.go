@@ -61,6 +61,10 @@ func main() {
 	objectives := loadObjectives(pick(*objectivesPath, "SLO_objectives.json"))
 	events := loadEvents(pick(*eventsPath, "SLO_events.json"))
 	spans, lanes := loadTrace(pick(*tracePath, "SLO_trace.json"))
+	reports, err := slo.Replay(series, objectives)
+	if err != nil {
+		fatalf("%v", err)
+	}
 
 	fmt.Printf("caer-doctor: %d samples (periods [%d, %d)), %d tracks, %d objectives\n",
 		series.Retained(), series.FirstRetained(), series.Samples(),
@@ -73,7 +77,6 @@ func main() {
 		fmt.Printf("trace: %d spans on %d lanes\n", len(spans), len(lanes))
 	}
 
-	reports := slo.Replay(series, objectives)
 	violations := 0
 	for _, r := range reports {
 		for _, ep := range r.Episodes {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -14,6 +15,18 @@ import (
 	"caer/internal/slo"
 	"caer/internal/telemetry"
 )
+
+// childEnv makes the test binary run caer-doctor's main over its own
+// arguments, so a test can read the exit status and stderr a user sees.
+const childEnv = "CAER_DOCTOR_CHILD"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(childEnv) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // writeBundle builds a synthetic doctor bundle in dir: a counter that
 // bursts over periods [100, 200) against a 0.25/period budget (burn 4x),
@@ -124,7 +137,10 @@ func TestDoctorDiagnosesBundle(t *testing.T) {
 		t.Fatalf("lane map %v missing thread_name join", lanes)
 	}
 
-	reports := slo.Replay(series, objectives)
+	reports, err := slo.Replay(series, objectives)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var episodes int
 	out := captureStdout(t, func() {
 		for _, r := range reports {
@@ -168,7 +184,10 @@ func TestDoctorOptionalFilesAbsent(t *testing.T) {
 	}
 	series := loadSeries(filepath.Join(dir, "SLO_series.json"))
 	objectives := loadObjectives(filepath.Join(dir, "SLO_objectives.json"))
-	reports := slo.Replay(series, objectives)
+	reports, err := slo.Replay(series, objectives)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := captureStdout(t, func() {
 		for _, r := range reports {
 			for i, ep := range r.Episodes {
@@ -197,5 +216,40 @@ func TestLabelSuffix(t *testing.T) {
 	}
 	if got := labelSuffix([]string{"service", "mcf"}); got != `{service="mcf"}` {
 		t.Errorf("selector rendered %q", got)
+	}
+}
+
+// TestDoctorRejectsBadObjectives: an objectives file the series cannot
+// evaluate — a metric the dump never recorded, a zero window — makes the
+// doctor exit 1 with one caer-doctor error line, not a panic.
+func TestDoctorRejectsBadObjectives(t *testing.T) {
+	cases := map[string]struct {
+		obj  slo.Objective
+		want string
+	}{
+		"unknown metric": {slo.Objective{Name: "degraded-budget", Metric: "caer_no_such_metric",
+			Kind: slo.KindBudget, Budget: 0.25, Window: 64},
+			"caer-doctor: slo: objective degraded-budget watches unregistered series caer_no_such_metric[]\n"},
+		"zero window": {slo.Objective{Name: "degraded-budget", Metric: "caer_test_degraded_total",
+			Kind: slo.KindBudget, Budget: 0.25},
+			"caer-doctor: slo: objective degraded-budget needs a positive window\n"},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeBundle(t, dir)
+			mustWrite(t, filepath.Join(dir, "SLO_objectives.json"), mustJSON(t, []slo.Objective{c.obj}))
+			cmd := exec.Command(os.Args[0], "-dir", dir)
+			cmd.Env = append(os.Environ(), childEnv+"=1")
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 {
+				t.Fatalf("exit: %v, want status 1; stderr:\n%s", err, stderr.String())
+			}
+			if stderr.String() != c.want || stdout.Len() != 0 {
+				t.Fatalf("stderr %q, stdout %q; want stderr %q and no stdout", stderr.String(), stdout.String(), c.want)
+			}
+		})
 	}
 }

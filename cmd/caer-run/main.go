@@ -27,7 +27,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
+	"strings"
 
 	"caer/internal/caer"
 	"caer/internal/report"
@@ -254,13 +257,13 @@ var seriesFormats = map[string]func(w io.Writer, name string, misses, retired []
 		return nil
 	},
 	"hist": func(w io.Writer, name string, misses, _ []float64) error {
-		h := stats.NewHistogram(0, stats.Percentile(misses, 100)+1, 16)
+		h := telemetry.NewHistogram(0, stats.Percentile(misses, 100)+1, 16)
 		for _, v := range misses {
-			h.Add(v)
+			h.Observe(v)
 		}
 		fmt.Fprintf(w, "%s: distribution of LLC misses per period over %d periods\n", name, len(misses))
 		fmt.Fprintf(w, "(median %.0f, p90 %.0f)\n", h.Quantile(0.5), h.Quantile(0.9))
-		return h.Render(w, 50)
+		return renderHist(w, h, 50)
 	},
 	"phases": func(w io.Writer, name string, misses, _ []float64) error {
 		phases := stats.DetectPhases(misses, phaseWindow, phaseRel, phaseAbs)
@@ -271,6 +274,28 @@ var seriesFormats = map[string]func(w io.Writer, name string, misses, retired []
 		}
 		return nil
 	},
+}
+
+// renderHist writes h as an ASCII histogram, one bucket per line labelled
+// by its lower edge, bars scaled to the largest bucket. h starts at 0 and
+// ends past its largest sample, so it has no tails to print.
+func renderHist(w io.Writer, h *telemetry.Histogram, barWidth int) error {
+	var lo []float64
+	var counts []uint64
+	edge, prev := 0.0, uint64(0)
+	h.EachBucket(func(le float64, cum uint64) {
+		lo, counts = append(lo, edge), append(counts, cum-prev)
+		edge, prev = le, cum
+	})
+	counts = counts[:h.Buckets()] // drop the empty +Inf tail
+	peak := max(1, slices.Max(counts))
+	for i, c := range counts {
+		bar := strings.Repeat("#", int(math.Round(float64(c)/float64(peak)*float64(barWidth))))
+		if _, err := fmt.Fprintf(w, "%12.1f  %-*s %d\n", lo[i], barWidth, bar, c); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // printWorkloads measures each profile alone on the default machine and

@@ -154,3 +154,22 @@ func TestTraceOut(t *testing.T) {
 		t.Errorf("short trace write: err = %v, want one naming /dev/full", err)
 	}
 }
+
+// TestRenderHist pins -series hist's rendering: one line per bucket,
+// labelled by its lower edge, the fullest bucket's bar exactly barWidth
+// wide and the others scaled to it.
+func TestRenderHist(t *testing.T) {
+	h := telemetry.NewHistogram(0, 4, 2)
+	for _, v := range []float64{1, 1, 1, 1, 3} {
+		h.Observe(v)
+	}
+	var sb strings.Builder
+	if err := renderHist(&sb, h, 8); err != nil {
+		t.Fatal(err)
+	}
+	want := "         0.0  ######## 4\n" +
+		"         2.0  ##       1\n"
+	if got := sb.String(); got != want {
+		t.Fatalf("renderHist =\n%s\nwant\n%s", got, want)
+	}
+}

@@ -283,7 +283,10 @@ func (out *SLORegime) runBattery(seed int64, f fleetFixture, workers int) {
 		panic(err)
 	}
 	objs := batteryObjectives()
-	reports := slo.Replay(parsed, objs)
+	reports, err := slo.Replay(parsed, objs)
+	if err != nil {
+		panic(err)
+	}
 
 	b := SLOBattery{
 		Horizon:     horizon,

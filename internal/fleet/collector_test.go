@@ -42,8 +42,8 @@ func collectorFixture() Config {
 func perturbTails(c *Cluster) {
 	for _, n := range c.nodes {
 		for _, sv := range n.scrapeLat {
-			sv.tel.Observe(-1)
-			sv.tel.Observe(2 * latencyHistMax)
+			sv.latency.Observe(-1)
+			sv.latency.Observe(2 * latencyHistMax)
 		}
 	}
 }
@@ -130,7 +130,7 @@ func TestDirectScrapeMatchesText(t *testing.T) {
 	t.Run("twelve-core", func(t *testing.T) {
 		cfg := collectorFixture()
 		n := New(cfg).nodes[0]
-		if n.scrapePressure[0] == n.pressureG[0] || n.services[1].tel != n.services[2].tel {
+		if n.scrapePressure[0] == n.pressureG[0] || n.services[1].latency != n.services[2].latency {
 			t.Fatal("fixture lost its point: service order must differ from label order, and two services must share a histogram")
 		}
 		if burning := runLockstep(t, cfg); burning == 0 {

@@ -30,7 +30,6 @@ import (
 	"caer/internal/sched"
 	"caer/internal/slo"
 	"caer/internal/spec"
-	"caer/internal/stats"
 	"caer/internal/telemetry"
 )
 
@@ -55,7 +54,7 @@ const migrateMargin = 2
 const staleScrapes = 4
 
 // Histogram geometries (periods). Fixed so per-machine histograms merge
-// into fleet-wide aggregates (stats.Histogram.MergeMany requires identical
+// into fleet-wide aggregates (telemetry.Histogram.Merge requires identical
 // geometry).
 const (
 	waitHistMax    = 1024
@@ -170,8 +169,7 @@ type service struct {
 	proc      *machine.Process
 	lastStart int // fleet tick the current request began
 	requests  int
-	latency   *stats.Histogram     // request durations, periods
-	tel       *telemetry.Histogram // same durations, exported per service
+	latency   *telemetry.Histogram // request durations, periods; shared by same-named services
 }
 
 // Node is one fleet machine: the simulated hardware, its scheduler, its
@@ -183,15 +181,14 @@ type Node struct {
 	sched    *sched.Scheduler
 	services []*service
 
-	wait    *stats.Histogram // fleet-queue + machine-queue wait, periods
-	sojourn *stats.Histogram // arrival -> completion, periods
+	wait *telemetry.Histogram // fleet-queue + machine-queue wait, periods; unregistered
 
 	reg         *telemetry.Registry
 	dispatches  *telemetry.Counter
 	completions *telemetry.Counter
 	withdrawals *telemetry.Counter
 	queueDepth  *telemetry.Gauge
-	sojournTel  *telemetry.Histogram
+	sojourn     *telemetry.Histogram // arrival -> completion, periods
 
 	// Observability v2: the exported placement signals PolicyTelemetry
 	// scrapes, the per-period time-series store, and the SLO engine.
@@ -245,7 +242,7 @@ type Cluster struct {
 	scrapeBuf     bytes.Buffer
 	scrapeSamples []telemetry.TextMetric
 	lat           []latSeries
-	latHist       *stats.Histogram
+	latHist       *telemetry.Histogram
 	latHistMax    float64
 	tel           []telState
 	decisions     []Decision
@@ -301,18 +298,17 @@ func newNode(k int, ms MachineSpec, cfg *Config, multi bool) *Node {
 		scfg.TrackPrefix = fmt.Sprintf("m%d/", k)
 	}
 	n := &Node{
-		id:      k,
-		m:       m,
-		sched:   sched.New(m, scfg),
-		wait:    stats.NewHistogram(0, waitHistMax, histBuckets),
-		sojourn: stats.NewHistogram(0, sojournHistMax, histBuckets),
-		reg:     telemetry.NewRegistry(),
+		id:    k,
+		m:     m,
+		sched: sched.New(m, scfg),
+		wait:  telemetry.NewHistogram(0, waitHistMax, histBuckets),
+		reg:   telemetry.NewRegistry(),
 	}
 	n.dispatches = n.reg.Counter("caer_fleet_node_dispatches_total", "jobs dispatched to this machine")
 	n.completions = n.reg.Counter("caer_fleet_node_completions_total", "jobs completed on this machine")
 	n.withdrawals = n.reg.Counter("caer_fleet_node_withdrawals_total", "queued jobs withdrawn from this machine by fleet migration")
 	n.queueDepth = n.reg.Gauge("caer_fleet_node_queue_depth", "jobs waiting in this machine's admission queue")
-	n.sojournTel = n.reg.Histogram("caer_fleet_node_sojourn_periods", "job arrival-to-completion time on this machine, in periods", 0, sojournHistMax, histBuckets)
+	n.sojourn = n.reg.Histogram("caer_fleet_node_sojourn_periods", "job arrival-to-completion time on this machine, in periods", 0, sojournHistMax, histBuckets)
 	if len(ms.Services) == 0 {
 		panic(fmt.Sprintf("fleet: machine %d needs at least one latency service", k))
 	}
@@ -325,8 +321,7 @@ func newNode(k int, ms MachineSpec, cfg *Config, multi bool) *Node {
 			core:     sv.Core,
 			relaunch: sv.Relaunch,
 			proc:     proc,
-			latency:  stats.NewHistogram(0, latencyHistMax, latencyHistBuckets),
-			tel: n.reg.Histogram("caer_fleet_request_latency_periods",
+			latency: n.reg.Histogram("caer_fleet_request_latency_periods",
 				"open-loop request duration on this machine, in periods",
 				0, latencyHistMax, latencyHistBuckets, "service", name),
 		})
@@ -566,15 +561,14 @@ func (c *Cluster) harvest() {
 				if wait < 0 {
 					wait = 0
 				}
-				n.wait.Add(float64(wait))
+				n.wait.Observe(float64(wait))
 			}
 		}
 		if n.sched.JobStateOf(j.schedID) == sched.JobDone {
 			j.state = JobFinished
 			j.doneTick = c.tick
 			d := float64(c.tick - j.arrived)
-			n.sojourn.Add(d)
-			n.sojournTel.Observe(d)
+			n.sojourn.Observe(d)
 			n.completions.Inc()
 			telemetry.FleetCompletions.Inc()
 			continue
@@ -601,8 +595,7 @@ func (c *Cluster) harvest() {
 //caer:cold request relaunch reseeds the service process RNG, allocating by design
 func (c *Cluster) finishRequest(n *Node, s *service) {
 	d := float64(c.tick - s.lastStart)
-	s.latency.Add(d)
-	s.tel.Observe(d)
+	s.latency.Observe(d)
 	s.requests++
 	n.m.FlushCore(s.core)
 	s.proc.Relaunch()

@@ -457,3 +457,50 @@ func TestNewRejectsMalformedConfig(t *testing.T) {
 		}()
 	}
 }
+
+// TestFleetSharedLatencySeriesCountsOnce pins how same-named open-loop
+// services on one machine are reported: they record into one registered
+// series, each reports that series' quantiles, and MergedLatency counts the
+// series once — its N is every request the fleet served, not the shared
+// series twice over.
+func TestFleetSharedLatencySeriesCountsOnce(t *testing.T) {
+	mcf := func(core int) fleet.Service {
+		return fleet.Service{Profile: prof("mcf", 40_000), Core: core, Relaunch: true}
+	}
+	c := fleet.New(fleet.Config{
+		Machines: []fleet.MachineSpec{
+			{Cores: 8, Domains: 2, Services: []fleet.Service{mcf(0), mcf(4)}},
+			{Cores: 8, Domains: 2, Services: []fleet.Service{mcf(0)}},
+		},
+		Sched:  identitySchedConfig(),
+		Policy: fleet.PolicyLeastPressure,
+		Traffic: fleet.Traffic{
+			Curve: fleet.CurveDiurnal, Rate: 0.4, Horizon: 300,
+			Mix: []spec.Profile{prof("lbm", 50_000)},
+		},
+		Seed:       5,
+		MaxPeriods: 600,
+	})
+	c.Run()
+	rep := c.Report()
+	if len(rep.Services) != 3 {
+		t.Fatalf("%d service reports, want 3", len(rep.Services))
+	}
+	a, b, other := rep.Services[0], rep.Services[1], rep.Services[2]
+	if a.Requests == 0 || b.Requests == 0 || other.Requests == 0 {
+		t.Fatalf("requests %d/%d/%d: every service must serve some", a.Requests, b.Requests, other.Requests)
+	}
+	if a.Latency != b.Latency || a.Latency == other.Latency {
+		t.Fatal("same-named services on one machine must share one series, and only they")
+	}
+	if got, want := a.Latency.N(), uint64(a.Requests+b.Requests); got != want {
+		t.Fatalf("shared series holds %d requests, want %d", got, want)
+	}
+	shared := a.Latency.Quantile(0.99)
+	if a.P99 != shared || b.P99 != shared {
+		t.Errorf("p99 %v/%v, want the shared series' %v", a.P99, b.P99, shared)
+	}
+	if got, want := rep.MergedLatency("mcf").N(), uint64(a.Requests+b.Requests+other.Requests); got != want {
+		t.Errorf("MergedLatency N = %d, want %d requests", got, want)
+	}
+}

@@ -3,10 +3,11 @@ package fleet
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"text/tabwriter"
 
-	"caer/internal/stats"
+	"caer/internal/telemetry"
 )
 
 // JobReport is one fleet job's lifecycle summary.
@@ -33,9 +34,9 @@ type ServiceReport struct {
 	// services with at least one request; 0 otherwise).
 	P50, P99 float64
 	// Latency is the full request-duration distribution (Relaunch services;
-	// nil otherwise). Geometry is fixed fleet-wide, so distributions from
-	// different machines merge with stats.Histogram.MergeMany.
-	Latency *stats.Histogram `json:"-"`
+	// nil otherwise), shared by same-named services on one machine. Geometry
+	// is fixed fleet-wide, so distributions from different machines merge.
+	Latency *telemetry.Histogram `json:"-"`
 	// DonePeriod is the completion period of a run-to-completion service
 	// (0 while unfinished; unused for Relaunch services).
 	DonePeriod uint64
@@ -58,8 +59,8 @@ type Report struct {
 	Completed  int
 	Migrations int
 	// Wait and Sojourn merge every machine's distribution into the
-	// fleet-wide one (geometries are fixed, so MergeMany applies).
-	Wait, Sojourn *stats.Histogram
+	// fleet-wide one (geometries are fixed, so Merge applies).
+	Wait, Sojourn *telemetry.Histogram
 	Jobs          []JobReport
 	Nodes         []NodeReport
 	Services      []ServiceReport
@@ -82,8 +83,8 @@ func (c *Cluster) Report() Report {
 		Arrivals: len(c.jobs),
 
 		Migrations: c.migrations,
-		Wait:       stats.NewHistogram(0, waitHistMax, histBuckets),
-		Sojourn:    stats.NewHistogram(0, sojournHistMax, histBuckets),
+		Wait:       telemetry.NewHistogram(0, waitHistMax, histBuckets),
+		Sojourn:    telemetry.NewHistogram(0, sojournHistMax, histBuckets),
 	}
 	for _, j := range c.jobs {
 		if j.state != JobQueued {
@@ -98,8 +99,6 @@ func (c *Cluster) Report() Report {
 			Migrations: j.migrations,
 		})
 	}
-	waits := make([]*stats.Histogram, 0, len(c.nodes))
-	sojourns := make([]*stats.Histogram, 0, len(c.nodes))
 	for _, n := range c.nodes {
 		nr := NodeReport{
 			Machine:     n.id,
@@ -107,8 +106,8 @@ func (c *Cluster) Report() Report {
 			Completions: int(n.completions.Value()),
 		}
 		r.Nodes = append(r.Nodes, nr)
-		waits = append(waits, n.wait)
-		sojourns = append(sojourns, n.sojourn)
+		r.Wait.Merge(n.wait)
+		r.Sojourn.Merge(n.sojourn)
 		lats := n.sched.LatencyReports()
 		for i, s := range n.services {
 			sr := ServiceReport{
@@ -127,18 +126,18 @@ func (c *Cluster) Report() Report {
 			r.Services = append(r.Services, sr)
 		}
 	}
-	r.Wait.MergeMany(waits...)
-	r.Sojourn.MergeMany(sojourns...)
 	return r
 }
 
 // MergedLatency merges the request-duration distributions of every
 // open-loop service named name ("" matches all) across the fleet into one
 // histogram — the cluster-wide QoS distribution for that service class.
-func (r Report) MergedLatency(name string) *stats.Histogram {
-	merged := stats.NewHistogram(0, latencyHistMax, latencyHistBuckets)
-	for _, s := range r.Services {
-		if s.Latency == nil || (name != "" && s.Name != name) {
+// A series that same-named services on one machine share merges once.
+func (r Report) MergedLatency(name string) *telemetry.Histogram {
+	merged := telemetry.NewHistogram(0, latencyHistMax, latencyHistBuckets)
+	for i, s := range r.Services {
+		if s.Latency == nil || (name != "" && s.Name != name) ||
+			slices.ContainsFunc(r.Services[:i], func(p ServiceReport) bool { return p.Latency == s.Latency }) {
 			continue
 		}
 		merged.Merge(s.Latency)

@@ -11,7 +11,6 @@ import (
 
 	"caer/internal/sched"
 	"caer/internal/slo"
-	"caer/internal/stats"
 	"caer/internal/telemetry"
 )
 
@@ -195,7 +194,7 @@ func (c *Cluster) readView(n *Node) TelView {
 	c.lat = c.lat[:0]
 	for _, sv := range n.scrapeLat {
 		s := c.latSeriesFor(sv.name)
-		sv.tel.EachBucket(func(le float64, cum uint64) {
+		sv.latency.EachBucket(func(le float64, cum uint64) {
 			s.buckets = append(s.buckets, bucketSample{le: le, cum: float64(cum)})
 		})
 	}
@@ -298,15 +297,15 @@ func (c *Cluster) latSeriesFor(svc string) *latSeries {
 
 // windowP99 differences each latency series of the folded snapshot (c.lat)
 // against the machine's previous scrape, accumulates every service's
-// window distribution in one stats.Histogram, and returns its p99 — the
-// shared Quantile math, fed from scraped buckets. Returns 0 until two scrapes
-// have landed or when the window saw no requests. All caer latency
+// window distribution in one scratch histogram, and returns its p99 — the
+// shared Quantile math, fed from scraped buckets. Returns 0 until two
+// scrapes have landed or when the window saw no requests. All caer latency
 // histograms start at 0, so the bucket width is the first finite upper
 // edge; a series whose last finite edge is not a positive number has no
 // such geometry and adds nothing. It commits the snapshot's cumulative
 // counts as the next scrape's baseline.
 func (c *Cluster) windowP99(st *telState) float64 {
-	var window *stats.Histogram
+	var window *telemetry.Histogram
 	for i := range c.lat {
 		s := &c.lat[i]
 		bs := s.buckets
@@ -362,9 +361,9 @@ func (t *telState) cumsFor(svc string) *latCums {
 
 // windowHist returns the cluster's scratch window histogram, emptied, over
 // [0, max) in the given number of buckets.
-func (c *Cluster) windowHist(max float64, buckets int) *stats.Histogram {
+func (c *Cluster) windowHist(max float64, buckets int) *telemetry.Histogram {
 	if c.latHist == nil || c.latHistMax != max || c.latHist.Buckets() != buckets {
-		c.latHist, c.latHistMax = stats.NewHistogram(0, max, buckets), max
+		c.latHist, c.latHistMax = telemetry.NewHistogram(0, max, buckets), max
 	}
 	c.latHist.Reset()
 	return c.latHist
@@ -504,7 +503,7 @@ func (n *Node) orderScrape() {
 	for _, i := range byLabels {
 		sv := n.services[i]
 		n.scrapePressure = append(n.scrapePressure, n.pressureG[i])
-		if last := len(n.scrapeLat) - 1; last < 0 || n.scrapeLat[last].tel != sv.tel {
+		if last := len(n.scrapeLat) - 1; last < 0 || n.scrapeLat[last].latency != sv.latency {
 			n.scrapeLat = append(n.scrapeLat, sv)
 		}
 	}

@@ -39,9 +39,15 @@ func (r AlertReport) Fired() int { return len(r.Episodes) }
 // or parsed) and returns per-objective reports. This is the doctor's
 // entry point: the same Engine state machine, driven sample by sample,
 // with transition provenance captured instead of exported. Offline path:
-// allocates freely.
-func Replay(series *telemetry.Series, objectives []Objective) []AlertReport {
-	eng := NewEngine(Config{Series: series, Objectives: objectives})
+// allocates freely. Objectives the series cannot evaluate — the ones
+// NewEngine panics on — are an error here, because replayed objectives
+// come from a file.
+func Replay(series *telemetry.Series, objectives []Objective) ([]AlertReport, error) {
+	alerts, err := resolve(series, objectives)
+	if err != nil {
+		return nil, err
+	}
+	eng := &Engine{series: series, alerts: alerts}
 	reports := make([]AlertReport, len(eng.alerts))
 	for i := range eng.alerts {
 		reports[i] = AlertReport{Objective: eng.alerts[i].obj}
@@ -79,5 +85,5 @@ func Replay(series *telemetry.Series, objectives []Objective) []AlertReport {
 			reports[i].Episodes[n-1].Open = true
 		}
 	}
-	return reports
+	return reports, nil
 }

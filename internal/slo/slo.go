@@ -23,6 +23,7 @@
 package slo
 
 import (
+	"errors"
 	"fmt"
 
 	"caer/internal/telemetry"
@@ -118,14 +119,14 @@ type Objective struct {
 	PendingPeriods int
 }
 
-// withDefaults returns o with the documented defaults applied, validating
-// the rest.
-func (o Objective) withDefaults() Objective {
+// withDefaults returns o with the documented defaults applied, or an error
+// naming the first field that is out of range.
+func (o Objective) withDefaults() (Objective, error) {
 	if o.Name == "" || o.Metric == "" {
-		panic("slo: objective needs a name and a metric")
+		return o, errors.New("slo: objective needs a name and a metric")
 	}
 	if o.Window <= 0 {
-		panic(fmt.Sprintf("slo: objective %s needs a positive window", o.Name))
+		return o, fmt.Errorf("slo: objective %s needs a positive window", o.Name)
 	}
 	if o.FastWindow <= 0 {
 		o.FastWindow = o.Window / 12
@@ -134,27 +135,27 @@ func (o Objective) withDefaults() Objective {
 		}
 	}
 	if o.FastWindow > o.Window {
-		panic(fmt.Sprintf("slo: objective %s fast window %d exceeds slow window %d", o.Name, o.FastWindow, o.Window))
+		return o, fmt.Errorf("slo: objective %s fast window %d exceeds slow window %d", o.Name, o.FastWindow, o.Window)
 	}
 	if o.Burn == 0 {
 		o.Burn = 2
 	}
 	if o.Burn < 0 || o.PendingPeriods < 0 {
-		panic(fmt.Sprintf("slo: objective %s has negative burn or pending", o.Name))
+		return o, fmt.Errorf("slo: objective %s has negative burn or pending", o.Name)
 	}
 	switch o.Kind {
 	case KindQuantile:
 		if o.Quantile <= 0 || o.Quantile >= 1 {
-			panic(fmt.Sprintf("slo: objective %s quantile %v outside (0,1)", o.Name, o.Quantile))
+			return o, fmt.Errorf("slo: objective %s quantile %v outside (0,1)", o.Name, o.Quantile)
 		}
 	case KindBudget:
 		if o.Budget <= 0 {
-			panic(fmt.Sprintf("slo: objective %s needs a positive budget", o.Name))
+			return o, fmt.Errorf("slo: objective %s needs a positive budget", o.Name)
 		}
 	default:
-		panic(fmt.Sprintf("slo: unknown objective kind %d", int(o.Kind)))
+		return o, fmt.Errorf("slo: objective %s has unknown kind %d", o.Name, int(o.Kind))
 	}
-	return o
+	return o, nil
 }
 
 // budget returns the objective's error budget: the denominator of the burn
@@ -208,46 +209,60 @@ type Config struct {
 	Track int32
 }
 
+// resolve validates objectives against series and returns their alerts,
+// defaults applied and tracks resolved: the checks NewEngine and Replay share.
+func resolve(series *telemetry.Series, objectives []Objective) ([]alert, error) {
+	if len(objectives) == 0 {
+		return nil, errors.New("slo: engine needs at least one objective")
+	}
+	alerts := make([]alert, 0, len(objectives))
+	seen := make(map[string]bool, len(objectives))
+	for _, raw := range objectives {
+		o, err := raw.withDefaults()
+		if err != nil {
+			return nil, err
+		}
+		if seen[o.Name] {
+			return nil, fmt.Errorf("slo: duplicate objective %s", o.Name)
+		}
+		seen[o.Name] = true
+		ref, ok := series.Lookup(o.Metric, o.LabelKV...)
+		if !ok {
+			return nil, fmt.Errorf("slo: objective %s watches unregistered series %s%v", o.Name, o.Metric, o.LabelKV)
+		}
+		if k := series.Kind(ref); (o.Kind == KindQuantile) != (k == telemetry.KindHistogram) {
+			return nil, fmt.Errorf("slo: objective %s kind %v cannot watch a %v series", o.Name, o.Kind, k)
+		}
+		alerts = append(alerts, alert{obj: o, track: ref})
+	}
+	return alerts, nil
+}
+
 // NewEngine validates objectives, resolves their series tracks, and
-// registers the export families. Setup path: allocates. Objectives whose
-// metric series does not exist yet panic — declare objectives after the
-// components that register their metrics, like every other handle.
+// registers the export families. Setup path: allocates. It panics on an
+// invalid objective, including one whose metric series does not exist yet —
+// declare objectives after the components that register their metrics.
 func NewEngine(cfg Config) *Engine {
 	if cfg.Series == nil {
 		panic("slo: engine needs a series")
 	}
-	if len(cfg.Objectives) == 0 {
-		panic("slo: engine needs at least one objective")
+	alerts, err := resolve(cfg.Series, cfg.Objectives)
+	if err != nil {
+		panic(err)
 	}
-	e := &Engine{series: cfg.Series, spans: cfg.Spans, track: cfg.Track}
-	seen := make(map[string]bool, len(cfg.Objectives))
-	for _, raw := range cfg.Objectives {
-		o := raw.withDefaults()
-		if seen[o.Name] {
-			panic(fmt.Sprintf("slo: duplicate objective %s", o.Name))
-		}
-		seen[o.Name] = true
-		ref, ok := cfg.Series.Lookup(o.Metric, o.LabelKV...)
-		if !ok {
-			panic(fmt.Sprintf("slo: objective %s watches unregistered series %s%v", o.Name, o.Metric, o.LabelKV))
-		}
-		if k := cfg.Series.Kind(ref); (o.Kind == KindQuantile) != (k == telemetry.KindHistogram) {
-			panic(fmt.Sprintf("slo: objective %s kind %v cannot watch a %v series", o.Name, o.Kind, k))
-		}
-		a := alert{obj: o, track: ref}
-		if cfg.Registry != nil {
-			a.stateG = cfg.Registry.Gauge("caer_slo_state",
-				"alert state machine position (0 inactive, 1 pending, 2 firing, 3 resolved)", "slo", o.Name)
-			a.burnFastG = cfg.Registry.Gauge("caer_slo_burn_fast",
-				"fast-window burn rate (error share over budget)", "slo", o.Name)
-			a.burnSlowG = cfg.Registry.Gauge("caer_slo_burn_slow",
-				"slow-window burn rate (error share over budget)", "slo", o.Name)
-			a.firedC = cfg.Registry.Counter("caer_slo_alerts_total",
-				"alert episodes that reached firing", "slo", o.Name)
-		}
-		e.alerts = append(e.alerts, a)
-	}
+	e := &Engine{series: cfg.Series, alerts: alerts, spans: cfg.Spans, track: cfg.Track}
 	if cfg.Registry != nil {
+		for i := range e.alerts {
+			a, name := &e.alerts[i], e.alerts[i].obj.Name
+			a.stateG = cfg.Registry.Gauge("caer_slo_state",
+				"alert state machine position (0 inactive, 1 pending, 2 firing, 3 resolved)", "slo", name)
+			a.burnFastG = cfg.Registry.Gauge("caer_slo_burn_fast",
+				"fast-window burn rate (error share over budget)", "slo", name)
+			a.burnSlowG = cfg.Registry.Gauge("caer_slo_burn_slow",
+				"slow-window burn rate (error share over budget)", "slo", name)
+			a.firedC = cfg.Registry.Counter("caer_slo_alerts_total",
+				"alert episodes that reached firing", "slo", name)
+		}
 		e.evals = cfg.Registry.Counter("caer_slo_evals_total", "per-period SLO evaluation passes")
 	}
 	return e

@@ -242,7 +242,10 @@ func TestReplayMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports := Replay(parsed, []Objective{p99Objective(2)})
+	reports, err := Replay(parsed, []Objective{p99Objective(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(reports) != 1 {
 		t.Fatalf("got %d reports, want 1", len(reports))
 	}
@@ -312,8 +315,11 @@ func TestFiringMonotoneInBound(t *testing.T) {
 			}
 			series.Sample()
 		}
-		rt := Replay(series, []Objective{objective(tight)})
-		rl := Replay(series, []Objective{objective(loose)})
+		rt, errT := Replay(series, []Objective{objective(tight)})
+		rl, errL := Replay(series, []Objective{objective(loose)})
+		if errT != nil || errL != nil {
+			t.Fatal(errT, errL)
+		}
 		firingTight := make(map[uint64]bool, len(rt[0].FiringPeriods))
 		for _, p := range rt[0].FiringPeriods {
 			firingTight[p] = true
@@ -359,6 +365,12 @@ func TestEngineValidation(t *testing.T) {
 			}()
 			NewEngine(cfg)
 		}()
+		// Replay reports what NewEngine panics on as an error.
+		if cfg.Series != nil {
+			if reports, err := Replay(cfg.Series, cfg.Objectives); err == nil || reports != nil {
+				t.Errorf("%s: Replay returned %d reports and error %v, want an error", name, len(reports), err)
+			}
+		}
 	}
 }
 

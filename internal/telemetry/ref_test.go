@@ -64,7 +64,7 @@ func refWritePrometheus(r *Registry, out io.Writer) error {
 			cum += h.over.Load()
 			fmt.Fprintf(&w, "%s_bucket%s %d\n", m.name, joinLabels(m.labels, `le="+Inf"`), cum)
 			fmt.Fprintf(&w, "%s_sum%s %s\n", m.name, m.labels, formatValue(h.Sum()))
-			fmt.Fprintf(&w, "%s_count%s %d\n", m.name, m.labels, h.Count())
+			fmt.Fprintf(&w, "%s_count%s %d\n", m.name, m.labels, h.N())
 		default:
 			panic(fmt.Sprintf("telemetry: unknown metric kind %d", int(m.kind)))
 		}

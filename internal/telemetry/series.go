@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync/atomic"
 )
 
 // Series is the telemetry time-series store (observability v2): a
@@ -483,9 +482,7 @@ func ParseSeries(r io.Reader) (*Series, error) {
 			}
 			// The parsed metric carries a real (empty) histogram so the
 			// geometry-dependent queries work on the parsed series.
-			m.h = &Histogram{min: tj.Min, max: tj.Max,
-				width:   (tj.Max - tj.Min) / float64(tj.Buckets),
-				buckets: make([]atomic.Uint64, tj.Buckets), self: new(atomic.Uint64)}
+			m.h = NewHistogram(tj.Min, tj.Max, tj.Buckets)
 			t.newHistRings(d.Capacity, tj.Buckets)
 			width := t.rowWidth()
 			for k, sparse := range tj.Rows {

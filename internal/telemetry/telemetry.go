@@ -90,10 +90,11 @@ func (g *Gauge) Set(v float64) {
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram bins observations into fixed-width buckets over [min, max) with
-// underflow/overflow tails, mirroring stats.Histogram's geometry but with
-// atomic counters so Observe is lock-free and allocation-free. Readers take
-// the counts as rendered buckets (EachBucket, WritePrometheus) or as
-// per-period deltas (Series).
+// underflow/overflow tails; atomic counters make Observe lock-free and
+// allocation-free. Registry.Histogram registers one for export and
+// sampling; NewHistogram builds a private one. Readers take the counts as
+// rendered buckets (EachBucket, WritePrometheus), as per-period deltas
+// (Series) or as quantiles (Quantile).
 type Histogram struct {
 	min, max float64
 	width    float64
@@ -105,36 +106,125 @@ type Histogram struct {
 	self     *atomic.Uint64
 }
 
+// unregisteredOps takes the op counts of histograms no registry owns.
+var unregisteredOps atomic.Uint64
+
+// NewHistogram returns an unregistered histogram with `buckets` equal-width
+// bins over [min, max). It panics on a non-positive bucket count or an
+// empty range.
+func NewHistogram(min, max float64, buckets int) *Histogram {
+	if buckets <= 0 || !(max > min) {
+		panic("telemetry: histogram needs positive buckets over a non-empty range")
+	}
+	return &Histogram{
+		min: min, max: max,
+		width:   (max - min) / float64(buckets),
+		buckets: make([]atomic.Uint64, buckets),
+		self:    &unregisteredOps,
+	}
+}
+
 // Observe records one sample.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) { h.AddN(v, 1) }
+
+// AddN records n samples of value v at once; n == 0 is a no-op.
+func (h *Histogram) AddN(v float64, n uint64) {
+	if n == 0 {
+		return
+	}
 	switch {
 	case v < h.min:
-		h.under.Add(1)
+		h.under.Add(n)
 	case v >= h.max:
-		h.over.Add(1)
+		h.over.Add(n)
 	default:
 		idx := int((v - h.min) / h.width)
 		if idx >= len(h.buckets) { // float edge case at the top boundary
 			idx = len(h.buckets) - 1
 		}
-		h.buckets[idx].Add(1)
+		h.buckets[idx].Add(n)
 	}
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			break
-		}
-	}
+	h.count.Add(n)
+	h.addSum(v * float64(n))
 	h.self.Add(1)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+// addSum adds d to the running sum.
+func (h *Histogram) addSum(d float64) {
+	for {
+		old := h.sumBits.Load()
+		next := math.Float64bits(math.Float64frombits(old) + d)
+		if h.sumBits.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
+// N returns the number of observations.
+func (h *Histogram) N() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
+
+// Buckets returns the number of in-range buckets.
+func (h *Histogram) Buckets() int { return len(h.buckets) }
+
+// Quantile returns an approximation of the q-quantile (0 <= q <= 1) by
+// linear interpolation within the containing bucket. Underflow samples
+// count as min, overflow as max. It panics for q outside [0,1] and returns
+// 0 for an empty histogram.
+func (h *Histogram) Quantile(q float64) float64 {
+	if q < 0 || q > 1 {
+		panic(fmt.Sprintf("telemetry: quantile %v out of [0,1]", q))
+	}
+	n := h.count.Load()
+	if n == 0 {
+		return 0
+	}
+	target := q * float64(n)
+	cum := float64(h.under.Load())
+	if target <= cum {
+		return h.min
+	}
+	for i := range h.buckets {
+		c := h.buckets[i].Load()
+		next := cum + float64(c)
+		if target <= next && c > 0 {
+			frac := (target - cum) / float64(c)
+			return h.min + (float64(i)+frac)*h.width
+		}
+		cum = next
+	}
+	return h.max
+}
+
+// Merge adds src's counts and sum into h; it panics unless both have the
+// same range and bucket count. Quantiles of the merge equal those of one
+// histogram fed both sample streams, in any merge order.
+func (h *Histogram) Merge(src *Histogram) {
+	if h.min != src.min || h.max != src.max || len(h.buckets) != len(src.buckets) {
+		panic(fmt.Sprintf("telemetry: merge of mismatched histograms [%v,%v)x%d vs [%v,%v)x%d",
+			h.min, h.max, len(h.buckets), src.min, src.max, len(src.buckets)))
+	}
+	for i := range src.buckets {
+		h.buckets[i].Add(src.buckets[i].Load())
+	}
+	h.under.Add(src.under.Load())
+	h.over.Add(src.over.Load())
+	h.count.Add(src.count.Load())
+	h.addSum(src.Sum())
+}
+
+// Reset zeroes all counts and the sum, keeping the bucket geometry.
+func (h *Histogram) Reset() {
+	for i := range h.buckets {
+		h.buckets[i].Store(0)
+	}
+	h.under.Store(0)
+	h.over.Store(0)
+	h.count.Store(0)
+	h.sumBits.Store(0)
+}
 
 // EachBucket calls f with every bucket's upper edge and cumulative count
 // exactly as WritePrometheus renders them: the finite edges ascending, the
@@ -236,16 +326,10 @@ func (r *Registry) Gauge(name, help string, kv ...string) *Gauge {
 // Histogram registers (or fetches) a histogram with `buckets` equal-width
 // bins over [min, max).
 func (r *Registry) Histogram(name, help string, min, max float64, buckets int, kv ...string) *Histogram {
-	if buckets <= 0 || !(max > min) {
-		panic(fmt.Sprintf("telemetry: histogram %s needs positive buckets over a non-empty range", name))
-	}
 	m := r.register(name, help, KindHistogram, kv, func() *metric {
-		return &metric{h: &Histogram{
-			min: min, max: max,
-			width:   (max - min) / float64(buckets),
-			buckets: make([]atomic.Uint64, buckets),
-			self:    &r.selfOps,
-		}}
+		h := NewHistogram(min, max, buckets)
+		h.self = &r.selfOps
+		return &metric{h: h}
 	})
 	return m.h
 }
@@ -371,7 +455,7 @@ func (r *Registry) WritePrometheus(out io.Writer) error {
 			w = strconv.AppendFloat(w, h.Sum(), 'g', -1, 64)
 			w = append(w, '\n')
 			w = appendSeries(w, m, "_count")
-			w = strconv.AppendUint(w, h.Count(), 10)
+			w = strconv.AppendUint(w, h.N(), 10)
 			w = append(w, '\n')
 		default:
 			panic(fmt.Sprintf("telemetry: unknown metric kind %d", int(m.kind)))

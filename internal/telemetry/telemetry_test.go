@@ -50,8 +50,8 @@ func TestHistogramObserve(t *testing.T) {
 	for _, v := range []float64{-1, 0, 0.5, 5, 9.99, 10, 100} {
 		h.Observe(v)
 	}
-	if got := h.Count(); got != 7 {
-		t.Fatalf("Count() = %d, want 7", got)
+	if got := h.N(); got != 7 {
+		t.Fatalf("N() = %d, want 7", got)
 	}
 	if got := h.Sum(); math.Abs(got-124.49) > 1e-9 {
 		t.Fatalf("Sum() = %v, want 124.49", got)
@@ -102,8 +102,8 @@ func TestHistogramEachBucketMatchesSnapshot(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("EachBucket yields %v, the snapshot renders %v", got, want)
 	}
-	if got[0].cum != 3 || got[len(got)-1].cum != float64(h.Count()) {
-		t.Fatalf("EachBucket %v: want the 2 underflows in the first bucket and +Inf = count %d", got, h.Count())
+	if got[0].cum != 3 || got[len(got)-1].cum != float64(h.N()) {
+		t.Fatalf("EachBucket %v: want the 2 underflows in the first bucket and +Inf = count %d", got, h.N())
 	}
 	var sum uint64
 	if n := testing.AllocsPerRun(10, func() { h.EachBucket(func(_ float64, cum uint64) { sum += cum }) }); n != 0 {
@@ -260,8 +260,8 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := h.Count(); got != workers*each {
-		t.Fatalf("Count() = %d, want %d", got, workers*each)
+	if got := h.N(); got != workers*each {
+		t.Fatalf("N() = %d, want %d", got, workers*each)
 	}
 	wantSum := float64(workers) * each / 100 * (99 * 100 / 2)
 	if got := h.Sum(); math.Abs(got-wantSum) > 1e-6 {

@@ -2,10 +2,8 @@ package telemetry
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // Union folds src's current metric values into r, appending the extra
@@ -38,11 +36,9 @@ func (r *Registry) Union(src *Registry, kv ...string) {
 			case KindGauge:
 				return &metric{g: &Gauge{self: &r.selfOps}}
 			case KindHistogram:
-				return &metric{h: &Histogram{
-					min: m.h.min, max: m.h.max, width: m.h.width,
-					buckets: make([]atomic.Uint64, len(m.h.buckets)),
-					self:    &r.selfOps,
-				}}
+				h := NewHistogram(m.h.min, m.h.max, len(m.h.buckets))
+				h.self = &r.selfOps
+				return &metric{h: h}
 			default:
 				panic(fmt.Sprintf("telemetry: unknown metric kind %d", int(m.kind)))
 			}
@@ -53,7 +49,7 @@ func (r *Registry) Union(src *Registry, kv ...string) {
 		case KindGauge:
 			dst.g.bits.Store(m.g.bits.Load())
 		case KindHistogram:
-			foldHistogram(dst.h, m.h)
+			dst.h.Merge(m.h)
 		default:
 			panic(fmt.Sprintf("telemetry: unknown metric kind %d", int(m.kind)))
 		}
@@ -125,26 +121,4 @@ func splitLabelParts(s string) []string {
 		parts = append(parts, s[start:])
 	}
 	return parts
-}
-
-// foldHistogram adds src's bucket counts and sum into dst (identical
-// geometry required).
-func foldHistogram(dst, src *Histogram) {
-	if dst.min != src.min || dst.max != src.max || len(dst.buckets) != len(src.buckets) {
-		panic(fmt.Sprintf("telemetry: Union of mismatched histograms [%v,%v)x%d vs [%v,%v)x%d",
-			dst.min, dst.max, len(dst.buckets), src.min, src.max, len(src.buckets)))
-	}
-	for i := range src.buckets {
-		dst.buckets[i].Add(src.buckets[i].Load())
-	}
-	dst.under.Add(src.under.Load())
-	dst.over.Add(src.over.Load())
-	dst.count.Add(src.count.Load())
-	for {
-		old := dst.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + src.Sum())
-		if dst.sumBits.CompareAndSwap(old, next) {
-			break
-		}
-	}
 }

@@ -49,8 +49,8 @@ func TestUnionMergesWithMachineLabels(t *testing.T) {
 		t.Fatalf("merged gauge = %v, want 7", mg1.Value())
 	}
 	mh0 := merged.Histogram("caer_fleet_node_sojourn_periods", "", 0, 100, 10, "machine", "0")
-	if mh0.Count() != 2 || mh0.Sum() != 260 {
-		t.Fatalf("merged histogram count=%d sum=%v, want 2, 260", mh0.Count(), mh0.Sum())
+	if mh0.N() != 2 || mh0.Sum() != 260 {
+		t.Fatalf("merged histogram count=%d sum=%v, want 2, 260", mh0.N(), mh0.Sum())
 	}
 
 	// Same-label Union folds additively (a second snapshot of machine 0).
@@ -59,8 +59,8 @@ func TestUnionMergesWithMachineLabels(t *testing.T) {
 		t.Fatalf("re-union counter = %d, want 6", mc0.Value())
 	}
 	mh1 := merged.Histogram("caer_fleet_node_sojourn_periods", "", 0, 100, 10, "machine", "1")
-	if mh1.Count() != 2 {
-		t.Fatalf("machine 1 histogram count = %d, want 2", mh1.Count())
+	if mh1.N() != 2 {
+		t.Fatalf("machine 1 histogram count = %d, want 2", mh1.N())
 	}
 }
 
