@@ -190,8 +190,7 @@ func TestHistogramMergeQuantiles(t *testing.T) {
 }
 
 // TestHistogramMergeEmpty pins that an empty histogram is merge's identity
-// on either side, also when several empties are interleaved with populated
-// ones.
+// on either side.
 func TestHistogramMergeEmpty(t *testing.T) {
 	empty := NewHistogram(0, 10, 5)
 	// Empty ∪ empty stays empty; quantiles of an empty histogram are 0.
@@ -218,7 +217,11 @@ func TestHistogramMergeEmpty(t *testing.T) {
 	if e2.N() != 2 || e2.Quantile(0.5) != h.Quantile(0.5) {
 		t.Fatalf("merge into empty: n=%d q50=%v, want 2, %v", e2.N(), e2.Quantile(0.5), h.Quantile(0.5))
 	}
-	// Empties interleaved with a populated one add only its counts.
+}
+
+// TestHistogramMergeManyEmpty pins that merging several empties interleaved
+// with a populated histogram adds only the populated one's counts.
+func TestHistogramMergeManyEmpty(t *testing.T) {
 	g := NewHistogram(0, 10, 5)
 	g.Observe(3)
 	pop := NewHistogram(0, 10, 5)
