@@ -231,6 +231,21 @@ func BenchmarkMachinePeriod(b *testing.B) {
 	}
 }
 
+// BenchmarkMachinePeriodHit is BenchmarkMachinePeriod on the cache-resident
+// pair: namd beside povray, both in their private caches, so the period's
+// time is mostly the instruction loop's own.
+func BenchmarkMachinePeriodHit(b *testing.B) {
+	m := machine.New(machine.Config{Cores: 2})
+	namd, _ := spec.ByName("namd")
+	povray, _ := spec.ByName("povray")
+	m.Bind(0, namd.Batch().NewProcess(0, 1))
+	m.Bind(1, povray.Batch().NewProcess(1<<28, 2))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.RunPeriod()
+	}
+}
+
 // BenchmarkMachinePeriodUncontended is BenchmarkMachinePeriod in a
 // red-light period: lbm is bound but paused, so mcf is the domain's one
 // runnable core and the period is stepped in one pass instead of slices.
@@ -262,13 +277,18 @@ func BenchmarkRuleDetectorStep(b *testing.B) {
 	}
 }
 
+// BenchmarkWorkloadGenerators times one reference of each generator at a
+// profile's own size: namd's 448-line stream, povray's 320-line uniform,
+// gromacs' 4×192-line stencil and astar's hot/cold mix. A power-of-two
+// uniform would hide the cost of a non-power-of-two range.
 func BenchmarkWorkloadGenerators(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	gens := map[string]workload.Generator{
-		"stream":  workload.NewStream(0, 8192, 1, 0.3),
-		"uniform": workload.NewUniform(0, 8192, 0.3),
+		"stream":  workload.NewStream(0, 448, 1, 0.2),
+		"uniform": workload.NewUniform(0, 320, 0.1),
 		"chase":   workload.NewPointerChase(0, 8192, 1, 0.3),
-		"hotcold": workload.NewHotCold(workload.NewUniform(0, 512, 0), workload.NewUniform(1<<20, 8192, 0), 0.9),
+		"stencil": workload.NewStencil(0, 192, 4, 0.2),
+		"hotcold": workload.NewHotCold(workload.NewUniform(1<<20, 512, 0.15), workload.NewUniform(0, 3584, 0.1), 0.5),
 	}
 	for name, g := range gens {
 		b.Run(name, func(b *testing.B) {

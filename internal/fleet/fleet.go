@@ -547,8 +547,7 @@ func (c *Cluster) maybeMigrate() {
 
 // harvest scans live jobs for admissions and completions and services for
 // finished requests. Hot path: allocation-free — the live list compacts in
-// place and request relaunches are delegated to the cold finishRequest
-// barrier.
+// place, and finishRequest's relaunch reseeds the process's RNG in place.
 func (c *Cluster) harvest() {
 	w := 0
 	for _, ji := range c.live {
@@ -589,10 +588,8 @@ func (c *Cluster) harvest() {
 
 // finishRequest closes one open-loop service request and starts the next:
 // duration recorded, core flushed (a fresh request does not inherit the
-// old one's cache state), process relaunched. Cold path: Relaunch
-// reseeds the process RNG.
-//
-//caer:cold request relaunch reseeds the service process RNG, allocating by design
+// old one's cache state), process relaunched. It allocates nothing, so
+// the hot walk audits it with the rest of harvest.
 func (c *Cluster) finishRequest(n *Node, s *service) {
 	d := float64(c.tick - s.lastStart)
 	s.latency.Observe(d)

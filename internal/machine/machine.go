@@ -38,7 +38,7 @@ type ExecProfile struct {
 	// Must be in (0, 1].
 	MemFraction float64
 	// BaseCPI is the cycles consumed by a non-memory instruction (pipeline
-	// ILP folded in). Must be positive.
+	// ILP folded in). Must be positive, finite and below 2⁵³.
 	BaseCPI float64
 	// Instructions is the total instruction count of one run to completion;
 	// 0 means the process never completes on its own (pure batch service).
@@ -49,8 +49,10 @@ func (p ExecProfile) validate() error {
 	if !(p.MemFraction > 0 && p.MemFraction <= 1) {
 		return fmt.Errorf("machine: MemFraction %v out of (0,1]", p.MemFraction)
 	}
-	if p.BaseCPI <= 0 {
-		return fmt.Errorf("machine: BaseCPI %v must be positive", p.BaseCPI)
+	// The upper bound keeps every whole-cycle part retire takes exact and
+	// within int64, and rejects NaN and +Inf with it.
+	if !(p.BaseCPI > 0 && p.BaseCPI < 1<<53) {
+		return fmt.Errorf("machine: BaseCPI %v out of (0,2^53)", p.BaseCPI)
 	}
 	return nil
 }
@@ -97,7 +99,7 @@ func (p *Process) Profile() ExecProfile { return p.prof }
 // once per completed request.
 func (p *Process) Relaunch() {
 	workload.Reset(p.gen)
-	p.rng = rand.New(rand.NewSource(p.seed))
+	p.rng.Seed(p.seed) // the state rand.New(rand.NewSource(p.seed)) builds
 	p.retired = 0
 	p.memAcc = 0
 	p.cpiAcc = 0
@@ -543,31 +545,47 @@ func (m *Machine) runSlice(c *Core, at, budget uint64) {
 // previous one ended, while used < end and the process has not completed.
 // It returns the offset the last instruction ended at and, when that
 // instruction completed the process, the offset it issued at.
+//
+// The loop keeps the accumulators and the retired count in locals and
+// writes them back once on exit; the float operations are the ones, in the
+// order, that stepping the process's fields would make. The whole-cycle
+// part goes through int64, which equals the uint64 conversion because
+// cpiAcc stays in [0, BaseCPI+1) and validate bounds BaseCPI below 2⁵³.
 func (c *Core) retire(at, used, end uint64) (ended, issued uint64) {
 	p := c.proc
-	for used < end && !p.done {
+	memFrac, cpi := p.prof.MemFraction, p.prof.BaseCPI
+	memAcc, cpiAcc := p.memAcc, p.cpiAcc
+	left := ^uint64(0) // instructions until completion; an endless process never gets there
+	if p.prof.Instructions > 0 {
+		left = p.prof.Instructions - p.retired
+	}
+	var n uint64
+	for used < end {
 		// Decide whether the next instruction is a memory reference using a
 		// deterministic fractional accumulator (keeps the mix exact).
-		p.memAcc += p.prof.MemFraction
+		memAcc += memFrac
 		var cost uint64
-		if p.memAcc >= 1 {
-			p.memAcc -= 1
+		if memAcc >= 1 {
+			memAcc -= 1
 			a := p.gen.Next(p.rng)
 			res := c.hier.Access(c.local, a.Addr, a.Write, at+used)
 			cost = res.Latency
 		} else {
-			p.cpiAcc += p.prof.BaseCPI
-			cost = uint64(p.cpiAcc)
-			p.cpiAcc -= float64(cost) // sub-cycle instructions fold into the next
+			cpiAcc += cpi
+			k := int64(cpiAcc)
+			cost = uint64(k)
+			cpiAcc -= float64(k) // sub-cycle instructions fold into the next
 		}
 		used += cost
-		p.retired++
-		c.instrRet++
-		if p.prof.Instructions > 0 && p.retired >= p.prof.Instructions {
+		if n++; n == left {
 			p.done = true
 			issued = used - cost
+			break
 		}
 	}
+	p.memAcc, p.cpiAcc = memAcc, cpiAcc
+	p.retired += n
+	c.instrRet += n
 	return used, issued
 }
 

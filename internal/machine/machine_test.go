@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"caer/internal/mem"
@@ -44,9 +46,15 @@ func TestNewValidation(t *testing.T) {
 	mustPanic("bad profile memfrac", func() {
 		NewProcess("x", ExecProfile{MemFraction: 0, BaseCPI: 1}, workload.NewStream(0, 1, 1, 0), 0)
 	})
-	mustPanic("bad profile cpi", func() {
-		NewProcess("x", ExecProfile{MemFraction: 0.5, BaseCPI: 0}, workload.NewStream(0, 1, 1, 0), 0)
+	for _, cpi := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1 << 53, 1e300} {
+		mustPanic(fmt.Sprintf("bad profile cpi %v", cpi), func() {
+			NewProcess("x", ExecProfile{MemFraction: 0.5, BaseCPI: cpi}, workload.NewStream(0, 1, 1, 0), 0)
+		})
+	}
+	mustPanic("bad profile memfrac NaN", func() {
+		NewProcess("x", ExecProfile{MemFraction: math.NaN(), BaseCPI: 1}, workload.NewStream(0, 1, 1, 0), 0)
 	})
+	NewProcess("x", ExecProfile{MemFraction: 0.5, BaseCPI: 1<<53 - 1}, workload.NewStream(0, 1, 1, 0), 0)
 	mustPanic("nil generator", func() {
 		NewProcess("x", ExecProfile{MemFraction: 0.5, BaseCPI: 1}, nil, 0)
 	})
@@ -157,6 +165,49 @@ func TestProcessRelaunch(t *testing.T) {
 	// The PMU instruction counter is cumulative across relaunches.
 	if got := m.ReadCounter(0, pmu.EventInstrRetired); got != retiredCum*2 {
 		t.Errorf("cumulative retired = %d, want %d", got, retiredCum*2)
+	}
+}
+
+// TestRelaunchReplaysFreshProcess pins that Relaunch, which reseeds the
+// process's RNG in place, leaves the process in the state a freshly built
+// twin starts in: on two fresh machines the relaunched process and the twin
+// issue the same references (equal hierarchy counters) and retire the same
+// instructions with the same accumulators. Relaunch allocates nothing.
+func TestRelaunchReplaysFreshProcess(t *testing.T) {
+	mk := func() *Process {
+		gen := workload.NewHotCold(workload.NewUniform(0, 24, 0.3), workload.NewUniform(1<<10, 320, 0.1), 0.8)
+		return NewProcess("u", ExecProfile{MemFraction: 0.3, BaseCPI: 1.5, Instructions: 600}, gen, 7)
+	}
+	p := mk()
+	used := New(smallConfig(1))
+	used.Bind(0, p)
+	used.RunPeriods(2) // part way through its run: generator, RNG and accumulators all moved
+	if p.Done() || p.Retired() == 0 {
+		t.Fatalf("setup: done=%v retired=%d, want a process part way through", p.Done(), p.Retired())
+	}
+	p.Relaunch()
+	relaunched, fresh := New(smallConfig(1)), New(smallConfig(1))
+	twin := mk()
+	relaunched.Bind(0, p)
+	fresh.Bind(0, twin)
+	for i := 0; i < 40; i++ {
+		relaunched.RunPeriod()
+		fresh.RunPeriod()
+		a, b := relaunched.Hierarchy(), fresh.Hierarchy()
+		if a.L1(0).Stats() != b.L1(0).Stats() || a.L2(0).Stats() != b.L2(0).Stats() ||
+			a.L3().Stats() != b.L3().Stats() || a.Memory().Accesses() != b.Memory().Accesses() {
+			t.Fatalf("period %d: relaunched process's hierarchy counters diverged from a fresh twin's", i)
+		}
+		if p.retired != twin.retired || p.done != twin.done || p.memAcc != twin.memAcc || p.cpiAcc != twin.cpiAcc {
+			t.Fatalf("period %d: relaunched retired/done/memAcc/cpiAcc = %d %v %v %v, fresh twin %d %v %v %v",
+				i, p.retired, p.done, p.memAcc, p.cpiAcc, twin.retired, twin.done, twin.memAcc, twin.cpiAcc)
+		}
+	}
+	if !p.Done() {
+		t.Fatal("setup: the run should complete within the compared periods")
+	}
+	if n := testing.AllocsPerRun(100, p.Relaunch); n != 0 {
+		t.Fatalf("Relaunch allocates %v/op, want 0", n)
 	}
 }
 

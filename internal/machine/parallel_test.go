@@ -208,7 +208,9 @@ func TestSingleDomainRotation(t *testing.T) {
 }
 
 // refRunPeriod is the pre-refactor period loop, kept as executable
-// documentation of the stepping order stepDomain must reproduce.
+// documentation of the stepping order stepDomain must reproduce. It slices
+// every core through refRunSlice, so the loop under test is checked against
+// the historical one and not against itself.
 func refRunPeriod(m *Machine) {
 	sliceLen := m.period / uint64(m.slices)
 	rem := m.period - sliceLen*uint64(m.slices)
@@ -221,11 +223,68 @@ func refRunPeriod(m *Machine) {
 		sliceStart := start + uint64(s)*sliceLen
 		offset := (int(m.periods)*m.slices + s) % len(m.cores)
 		for i := range m.cores {
-			m.runSlice(m.cores[(i+offset)%len(m.cores)], sliceStart, budget)
+			refRunSlice(m.cores[(i+offset)%len(m.cores)], sliceStart, budget)
 		}
 	}
 	m.now = start + m.period
 	m.periods++
+}
+
+// refRunSlice is runSlice over refRetire.
+func refRunSlice(c *Core, at, budget uint64) {
+	if !c.runnable() {
+		c.idle += budget
+		return
+	}
+	effective := budget / uint64(c.freqDiv)
+	if effective == 0 {
+		c.idle += budget
+		return
+	}
+	if c.debt >= effective {
+		c.debt -= effective
+		c.busy += budget
+		return
+	}
+	used, _ := refRetire(c, at, c.debt, effective)
+	c.debt = 0
+	if used > effective {
+		c.debt = used - effective
+		used = effective
+	}
+	c.busy += used * uint64(c.freqDiv)
+	if slack := budget - used*uint64(c.freqDiv); slack > 0 {
+		c.idle += slack
+	}
+}
+
+// refRetire is the historical retire loop: it steps the process's and the
+// core's fields once per instruction and takes the whole-cycle part through
+// uint64. Core.retire must reproduce it bit for bit.
+func refRetire(c *Core, at, used, end uint64) (ended, issued uint64) {
+	p := c.proc
+	for used < end && !p.done {
+		p.memAcc += p.prof.MemFraction
+		var cost uint64
+		if p.memAcc >= 1 {
+			p.memAcc -= 1
+			a := p.gen.Next(p.rng)
+			res := c.hier.Access(c.local, a.Addr, a.Write, at+used)
+			cost = res.Latency
+		} else {
+			p.cpiAcc += p.prof.BaseCPI
+			cost = uint64(p.cpiAcc)
+			p.cpiAcc -= float64(cost)
+		}
+		used += cost
+		p.retired++
+		c.instrRet++
+		if p.prof.Instructions > 0 && p.retired >= p.prof.Instructions {
+			p.done = true
+			issued = used - cost
+		}
+	}
+	return used, issued
 }
 
 // scriptReader hands out a script's bytes; past the end it reads zeros.
@@ -271,7 +330,7 @@ func runScript(t testing.TB, data []byte) scriptCover {
 	spawn := func() int {
 		prof := ExecProfile{
 			MemFraction:  []float64{0.02, 0.3, 0.6, 1}[r.next()%4],
-			BaseCPI:      []float64{0.7, 1, 40, 150, 333.3}[r.next()%5],
+			BaseCPI:      []float64{0.3, 0.7, 1, 1.5, 40, 150, 333.3}[r.next()%7],
 			Instructions: []uint64{0, 0, 5, 20, 90}[r.next()%5],
 		}
 		ws := []uint64{8, 48, 300, 4096}[r.next()%4]

@@ -12,6 +12,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -75,7 +76,9 @@ func (s *Stream) Name() string { return fmt.Sprintf("stream(ws=%d,stride=%d)", s
 // Next implements Generator.
 func (s *Stream) Next(r *rand.Rand) Access {
 	a := Access{Addr: s.base + s.pos, Write: roll(r, s.wfrac)}
-	s.pos = (s.pos + s.stride) % s.ws
+	if s.pos += s.stride; s.pos >= s.ws { // (pos + stride) % ws, dividing once per wrap
+		s.pos %= s.ws
+	}
 	return a
 }
 
@@ -88,24 +91,37 @@ func (s *Stream) Reset() { s.pos = 0 }
 type Uniform struct {
 	base  uint64
 	ws    uint64
+	bound uint64 // rand.Int63n(ws)'s rejection bound: draws above it are redrawn
 	wfrac float64
 }
 
-// NewUniform constructs a uniform-random generator over ws lines at base.
+// NewUniform constructs a uniform-random generator over ws lines at base;
+// ws must be in [1, 2⁶³).
 func NewUniform(base, ws uint64, writeFrac float64) *Uniform {
-	if ws == 0 {
-		panic("workload: uniform working set must be positive")
+	if ws == 0 || ws >= 1<<63 {
+		panic(fmt.Sprintf("workload: uniform working set %d out of [1,2^63)", ws))
 	}
 	checkWriteFrac(writeFrac)
-	return &Uniform{base: base, ws: ws, wfrac: writeFrac}
+	bound := math.MaxInt64 - (1<<63)%ws // 2⁶³-1 for a power of two: nothing is redrawn
+	return &Uniform{base: base, ws: ws, bound: bound, wfrac: writeFrac}
 }
 
 // Name implements Generator.
 func (u *Uniform) Name() string { return fmt.Sprintf("uniform(ws=%d)", u.ws) }
 
-// Next implements Generator.
+// Next implements Generator. It makes the r.Int63 calls r.Int63n(ws)
+// makes and returns the same line, with the bound computed once.
 func (u *Uniform) Next(r *rand.Rand) Access {
-	return Access{Addr: u.base + uint64(r.Int63n(int64(u.ws))), Write: roll(r, u.wfrac)}
+	v := uint64(r.Int63())
+	if u.ws&(u.ws-1) == 0 { // Int63n's mask path
+		v &= u.ws - 1
+	} else {
+		for v > u.bound {
+			v = uint64(r.Int63())
+		}
+		v %= u.ws
+	}
+	return Access{Addr: u.base + v, Write: roll(r, u.wfrac)}
 }
 
 // PointerChase walks a fixed random permutation cycle over ws lines — the
@@ -186,7 +202,9 @@ func (s *Stencil) Next(r *rand.Rand) Access {
 	s.arr++
 	if s.arr == len(s.bases) {
 		s.arr = 0
-		s.pos = (s.pos + 1) % s.ws
+		if s.pos++; s.pos == s.ws { // pos < ws, so this is (pos + 1) % ws
+			s.pos = 0
+		}
 	}
 	return a
 }

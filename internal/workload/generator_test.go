@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -67,6 +68,8 @@ func TestGeneratorConstructorValidation(t *testing.T) {
 	mustPanic("stream stride=0", func() { NewStream(0, 4, 0, 0) })
 	mustPanic("stream wfrac", func() { NewStream(0, 4, 1, 1.5) })
 	mustPanic("uniform ws=0", func() { NewUniform(0, 0, 0) })
+	mustPanic("uniform ws=2^63", func() { NewUniform(0, 1<<63, 0) })
+	mustPanic("uniform ws=2^64-1", func() { NewUniform(0, math.MaxUint64, 0) })
 	mustPanic("chase ws=0", func() { NewPointerChase(0, 0, 1, 0) })
 	mustPanic("stencil ws=0", func() { NewStencil(0, 0, 2, 0) })
 	mustPanic("stencil arrays=0", func() { NewStencil(0, 4, 0, 0) })
@@ -77,6 +80,55 @@ func TestGeneratorConstructorValidation(t *testing.T) {
 		NewPhased([]Phase{{Gen: NewStream(0, 1, 1, 0), Duration: 0}})
 	})
 	mustPanic("phased nil gen", func() { NewPhased([]Phase{{Gen: nil, Duration: 1}}) })
+}
+
+// TestGeneratorsMatchDivisionForms pins the generators that avoid a
+// division per reference to the forms that divide: Uniform draws exactly
+// what r.Int63n(ws) and the write roll draw on a twin RNG, and Stream and
+// Stencil step as (pos + stride) % ws and (pos + 1) % ws.
+func TestGeneratorsMatchDivisionForms(t *testing.T) {
+	const draws = 10000
+	for _, ws := range []uint64{1, 2, 3, 320, 448, 1024, 5120, 1<<40 + 1, 1<<62 + 1, 1<<63 - 1} {
+		const f = 0.3
+		u, r, twin := NewUniform(7, ws, f), testRNG(), testRNG()
+		// [0, max] holds whole ranges of ws draws, and one more would pass 2⁶³.
+		if n := u.bound + 1; n%ws != 0 || n+ws <= 1<<63 {
+			t.Fatalf("uniform ws=%d: rejection bound %d is not Int63n's", ws, u.bound)
+		}
+		for i := 0; i < draws; i++ {
+			got := u.Next(r)
+			want := Access{Addr: 7 + uint64(twin.Int63n(int64(ws))), Write: twin.Float64() < f}
+			if got != want {
+				t.Fatalf("uniform ws=%d draw %d = %+v, Int63n form %+v", ws, i, got, want)
+			}
+		}
+	}
+	for _, c := range []struct{ ws, stride uint64 }{
+		{1, 1}, {5, 3}, {448, 1}, {8, 8}, {8, 13}, {7, 100}, {1000, math.MaxUint64}, {3, 1 << 63},
+	} {
+		s, r := NewStream(0, c.ws, c.stride, 0), testRNG()
+		var pos uint64
+		for i := 0; i < draws; i++ {
+			if got := s.Next(r).Addr; got != pos {
+				t.Fatalf("stream ws=%d stride=%d step %d = %d, %% form %d", c.ws, c.stride, i, got, pos)
+			}
+			pos = (pos + c.stride) % c.ws
+		}
+	}
+	for _, ws := range []uint64{1, 2, 5, 448} {
+		const arrays = 3
+		s, r := NewStencil(0, ws, arrays, 0), testRNG()
+		var pos uint64
+		for i := 0; i < draws; i++ {
+			arr := uint64(i % arrays)
+			if got := s.Next(r).Addr; got != arr*ws+pos {
+				t.Fatalf("stencil ws=%d step %d = %d, %% form %d", ws, i, got, arr*ws+pos)
+			}
+			if arr == arrays-1 {
+				pos = (pos + 1) % ws
+			}
+		}
+	}
 }
 
 func TestUniformStaysInRange(t *testing.T) {
