@@ -45,6 +45,16 @@ for ref in $ledger; do
     [ "$top" = "$name" ] || echo "$bench_flags" | grep -qx "  -${name#*/}" || {
         echo "claims ledger: $top has no row ${name#*/}" >&2; exit 1; }
 done
+# DESIGN.md citations: every `DESIGN §N` / `DESIGN.md §N` in a tracked Go,
+# Markdown, shell or workflow file must name one of DESIGN.md's `## N.`
+# sections, so renumbering or cutting a section cannot leave a pointer to
+# nothing.
+sections=" $(sed -n 's/^## \([0-9][0-9]*\)\. .*/\1/p' DESIGN.md | tr '\n' ' ')"
+dangling=$(git ls-files -z '*.go' '*.md' '*.sh' '*.yml' |
+    xargs -0 grep -noE 'DESIGN(\.md)? §[0-9]+' |
+    awk -v s="$sections" '{ n = $0; sub(/.*§/, "", n); if (!index(s, " " n " ")) print }')
+[ -z "$dangling" ] || {
+    echo "DESIGN.md citations name no section:" >&2; echo "$dangling" >&2; exit 1; }
 # caer-vet with directive hygiene on (stale //caer:allow comments,
 # redundant //caer:hot roots and unreached barriers are findings in CI)
 # and a wall-clock budget: the analysis suite must stay

@@ -41,11 +41,17 @@ func main() {
 	machine := flag.String("machine", "", "fleet mode: show only this machine= label value")
 	flag.Parse()
 
+	if err := checkFlags(*interval, *iterations); err != nil {
+		fmt.Fprintf(os.Stderr, "caer-top: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *once {
 		*iterations = 1
 	}
+	client := &http.Client{Timeout: scrapeTimeout}
 	for i := 0; *iterations == 0 || i < *iterations; i++ {
-		metrics, err := scrape("http://" + *addr + "/metrics")
+		metrics, err := scrape(client, "http://"+*addr+"/metrics")
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -62,9 +68,26 @@ func main() {
 	}
 }
 
-// scrape fetches and parses one Prometheus-text snapshot.
-func scrape(url string) ([]telemetry.TextMetric, error) {
-	resp, err := http.Get(url)
+// checkFlags rejects a refresh loop that would spin against the endpoint
+// (-interval <= 0) or draw nothing (-iterations < 0).
+func checkFlags(interval time.Duration, iterations int) error {
+	if interval <= 0 {
+		return fmt.Errorf("-interval must be positive, got %v", interval)
+	}
+	if iterations < 0 {
+		return fmt.Errorf("-iterations must be >= 0, got %d", iterations)
+	}
+	return nil
+}
+
+// scrapeTimeout bounds one scrape, so an endpoint that accepts the
+// connection and never answers fails the scrape instead of freezing the
+// view.
+const scrapeTimeout = 10 * time.Second
+
+// scrape fetches and parses one Prometheus-text snapshot through client.
+func scrape(client *http.Client, url string) ([]telemetry.TextMetric, error) {
+	resp, err := client.Get(url)
 	if err != nil {
 		return nil, fmt.Errorf("scrape %s: %w", url, err)
 	}
@@ -88,7 +111,7 @@ func filterMachine(metrics []telemetry.TextMetric, machine string) []telemetry.T
 	}
 	out := metrics[:0]
 	for _, m := range metrics {
-		if v := m.Label("machine"); v == "" || v == machine {
+		if v := m.Labels["machine"]; v == "" || v == machine {
 			out = append(out, m)
 		}
 	}
@@ -121,7 +144,7 @@ func render(w io.Writer, addr string, metrics []telemetry.TextMetric) error {
 	}
 	labeled := func(name, key, val string) float64 {
 		for _, m := range metrics {
-			if m.Name == name && m.Label(key) == val {
+			if m.Name == name && m.Labels[key] == val {
 				return m.Value
 			}
 		}
@@ -214,14 +237,14 @@ func renderAlerts(w io.Writer, metrics []telemetry.TextMetric) error {
 		if !strings.HasPrefix(m.Name, "caer_slo_") {
 			continue
 		}
-		name := m.Label("slo")
+		name := m.Labels["slo"]
 		if name == "" {
 			continue // caer_slo_evals_total has no slo label
 		}
-		key := m.Label("machine") + "/" + name
+		key := m.Labels["machine"] + "/" + name
 		r, ok := byKey[key]
 		if !ok {
-			r = &alertRow{machine: m.Label("machine"), slo: name}
+			r = &alertRow{machine: m.Labels["machine"], slo: name}
 			byKey[key] = r
 		}
 		switch m.Name {
@@ -276,12 +299,12 @@ func collectCores(metrics []telemetry.TextMetric) []coreRow {
 		if !strings.HasPrefix(m.Name, "caer_core_") {
 			continue
 		}
-		machine := m.Label("machine")
-		core := m.Label("core")
+		machine := m.Labels["machine"]
+		core := m.Labels["core"]
 		key := machine + "/" + core
 		r, ok := byCore[key]
 		if !ok {
-			r = &coreRow{machine: machine, core: core, app: m.Label("app"), role: m.Label("role")}
+			r = &coreRow{machine: machine, core: core, app: m.Labels["app"], role: m.Labels["role"]}
 			byCore[key] = r
 		}
 		switch m.Name {

@@ -3,27 +3,28 @@ package main
 import (
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"caer/internal/telemetry"
 )
 
 func sampleMetrics() []telemetry.TextMetric {
+	lbm := map[string]string{"core": "1", "app": "lbm", "role": "batch"}
 	return []telemetry.TextMetric{
 		{Name: "caer_engine_ticks_total", Value: 420},
-		{Name: "caer_engine_verdicts_total", Labels: `verdict="contention"`, Value: 7},
-		{Name: "caer_engine_verdicts_total", Labels: `verdict="clear"`, Value: 13},
+		{Name: "caer_engine_verdicts_total", Labels: map[string]string{"verdict": "contention"}, Value: 7},
+		{Name: "caer_engine_verdicts_total", Labels: map[string]string{"verdict": "clear"}, Value: 13},
 		{Name: "caer_engine_holds_total", Value: 3},
 		{Name: "caer_pmu_reads_total", Value: 840},
 		{Name: "caer_comm_publishes_total", Value: 840},
 		{Name: "caer_comm_period", Value: 420},
 		{Name: "caer_telemetry_ops_total", Value: 1700},
-		{Name: "caer_core_pressure", Labels: `core="0",app="mcf",role="latency"`, Value: 900},
-		{Name: "caer_core_pressure", Labels: `core="1",app="lbm",role="batch"`, Value: 4500},
-		{Name: "caer_core_directive", Labels: `core="1",app="lbm",role="batch"`, Value: 1},
-		{Name: "caer_core_degraded", Labels: `core="1",app="lbm",role="batch"`, Value: 0},
+		{Name: "caer_core_pressure", Labels: map[string]string{"core": "0", "app": "mcf", "role": "latency"}, Value: 900},
+		{Name: "caer_core_pressure", Labels: lbm, Value: 4500},
+		{Name: "caer_core_directive", Labels: lbm, Value: 1},
+		{Name: "caer_core_degraded", Labels: lbm, Value: 0},
 	}
 }
 
@@ -88,14 +89,14 @@ func TestScrape(t *testing.T) {
 		w.Write([]byte("caer_engine_ticks_total 42\ncaer_core_pressure{core=\"0\",app=\"mcf\",role=\"latency\"} 17\n"))
 	}))
 	defer srv.Close()
-	metrics, err := scrape(srv.URL)
+	metrics, err := scrape(srv.Client(), srv.URL)
 	if err != nil {
 		t.Fatalf("scrape: %v", err)
 	}
 	if len(metrics) != 2 {
 		t.Fatalf("got %d metrics, want 2", len(metrics))
 	}
-	if metrics[1].Label("app") != "mcf" || metrics[1].Value != 17 {
+	if metrics[1].Labels["app"] != "mcf" || metrics[1].Value != 17 {
 		t.Errorf("unexpected metric: %+v", metrics[1])
 	}
 }
@@ -105,8 +106,49 @@ func TestScrapeErrorStatus(t *testing.T) {
 		http.Error(w, "nope", http.StatusInternalServerError)
 	}))
 	defer srv.Close()
-	if _, err := scrape(srv.URL); err == nil {
+	if _, err := scrape(srv.Client(), srv.URL); err == nil {
 		t.Fatal("scrape of 500 endpoint should error")
+	}
+}
+
+// TestScrapeTimesOut: an endpoint that accepts the request and never
+// answers fails the scrape within the client's timeout instead of hanging.
+func TestScrapeTimesOut(t *testing.T) {
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-release
+	}))
+	defer srv.Close()
+	defer close(release) // runs before srv.Close, which waits on the handler
+
+	const timeout = 100 * time.Millisecond
+	client := srv.Client()
+	client.Timeout = timeout
+	start := time.Now()
+	_, err := scrape(client, srv.URL)
+	if err == nil {
+		t.Fatal("scrape of a silent endpoint returned no error")
+	}
+	if took := time.Since(start); took > 20*timeout {
+		t.Fatalf("scrape gave up after %v, want about %v", took, timeout)
+	}
+}
+
+func TestCheckFlags(t *testing.T) {
+	for _, tc := range []struct {
+		interval   time.Duration
+		iterations int
+		ok         bool
+	}{
+		{time.Second, 0, true},
+		{time.Millisecond, 3, true},
+		{0, 1, false},
+		{-time.Second, 1, false},
+		{time.Second, -1, false},
+	} {
+		if err := checkFlags(tc.interval, tc.iterations); (err == nil) != tc.ok {
+			t.Errorf("checkFlags(%v, %d) = %v, want ok=%v", tc.interval, tc.iterations, err, tc.ok)
+		}
 	}
 }
 
@@ -124,13 +166,13 @@ func TestBar(t *testing.T) {
 
 // fleetMetrics is a 2-machine union snapshot with SLO families.
 func fleetMetrics() []telemetry.TextMetric {
-	// lbl renders alternating key, value arguments the way /metrics does.
-	lbl := func(kv ...string) string {
-		var pairs []string
+	// lbl builds a label set from alternating key, value arguments.
+	lbl := func(kv ...string) map[string]string {
+		labels := map[string]string{}
 		for i := 0; i+1 < len(kv); i += 2 {
-			pairs = append(pairs, kv[i]+"="+strconv.Quote(kv[i+1]))
+			labels[kv[i]] = kv[i+1]
 		}
-		return strings.Join(pairs, ",")
+		return labels
 	}
 	return []telemetry.TextMetric{
 		{Name: "caer_engine_ticks_total", Value: 99},
@@ -168,7 +210,7 @@ func TestRenderFleetMode(t *testing.T) {
 func TestFilterMachine(t *testing.T) {
 	got := filterMachine(fleetMetrics(), "1")
 	for _, m := range got {
-		if v := m.Label("machine"); v != "" && v != "1" {
+		if v := m.Labels["machine"]; v != "" && v != "1" {
 			t.Fatalf("filter kept machine %q: %+v", v, m)
 		}
 	}

@@ -147,6 +147,9 @@ func TestFigure6CAERBeatsNativeColo(t *testing.T) {
 	if f.MeanRule >= f.MeanColo {
 		t.Errorf("rule mean %.3f not below colo mean %.3f", f.MeanRule, f.MeanColo)
 	}
+	if f.MeanRule > f.MeanShutter {
+		t.Errorf("rule mean %.3f above shutter mean %.3f", f.MeanRule, f.MeanShutter)
+	}
 	for i, b := range f.Benchmarks {
 		if f.Shutter[i] < 1-1e-9 || f.Rule[i] < 1-1e-9 {
 			t.Errorf("%s: CAER faster than alone (shutter %.3f rule %.3f)", b, f.Shutter[i], f.Rule[i])

@@ -22,7 +22,6 @@
 package fleet
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -237,15 +236,13 @@ type Cluster struct {
 	tick       int
 	migrations int
 
-	// Telemetry control plane (see telemetry.go). scrapeBuf, scrapeSamples,
-	// lat and latHist are scrapeAll's scratch, reused by every scrape.
-	scrapeBuf     bytes.Buffer
-	scrapeSamples []telemetry.TextMetric
-	lat           []latSeries
-	latHist       *telemetry.Histogram
-	latHistMax    float64
-	tel           []telState
-	decisions     []Decision
+	// Telemetry control plane (see telemetry.go). lat and latHist are
+	// scrapeAll's scratch, reused by every scrape.
+	lat        []latSeries
+	latHist    *telemetry.Histogram
+	latHistMax float64
+	tel        []telState
+	decisions  []Decision
 	// migrateFrom marks an in-flight cross-machine migration so dispatchTo
 	// logs it as such; -1 outside maybeMigrate.
 	migrateFrom int

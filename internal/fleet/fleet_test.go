@@ -372,7 +372,7 @@ func TestFleetWriteMetrics(t *testing.T) {
 	perMachine := map[string]float64{}
 	for _, m := range ms {
 		if m.Name == "caer_fleet_node_dispatches_total" {
-			perMachine[m.Label("machine")] = m.Value
+			perMachine[m.Labels["machine"]] = m.Value
 		}
 	}
 	if len(perMachine) != 2 {
@@ -384,7 +384,7 @@ func TestFleetWriteMetrics(t *testing.T) {
 	// The process-global spine rides along unlabelled.
 	found := false
 	for _, m := range ms {
-		if m.Name == "caer_fleet_dispatches_total" && m.Label("machine") == "" {
+		if m.Name == "caer_fleet_dispatches_total" && m.Labels["machine"] == "" {
 			found = true
 		}
 	}

@@ -1,13 +1,13 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 
 	"caer/internal/sched"
 	"caer/internal/slo"
@@ -150,11 +150,11 @@ func (c *Cluster) stalenessHorizon() int { return staleScrapes * c.cfg.ScrapePer
 // scrapeAll refreshes every machine's TelView. With no Config.Scraper the
 // collector reads the node's handles (readView: no allocation once the
 // scratch has grown); an injected Scraper's text is parsed and folded
-// instead (scrapeText: one allocation per machine, the snapshot's string
-// copy). Both fill the same bucket scratch and commit through windowP99. A
-// failed text scrape — transport error, malformed line, bad bucket edge —
-// leaves the machine's last view standing and its age growing, exactly
-// what a dead exporter looks like from a real collector.
+// instead (scrapeText). Both fill the same bucket scratch and commit
+// through windowP99. A failed text scrape — transport error, malformed
+// line, bad bucket edge — leaves the machine's last view standing and its
+// age growing, exactly what a dead exporter looks like from a real
+// collector.
 //
 //caer:cold amortized: the collector runs once every ScrapePeriod ticks, and an injected Scraper's text path allocates (DESIGN.md §15)
 func (c *Cluster) scrapeAll() {
@@ -202,17 +202,16 @@ func (c *Cluster) readView(n *Node) TelView {
 }
 
 // scrapeText reads machine k's snapshot through the injected Scraper,
-// parses it into cluster-owned samples, and folds it.
+// parses it, and folds it.
 func (c *Cluster) scrapeText(k int) (TelView, error) {
-	c.scrapeBuf.Reset()
-	if err := c.cfg.Scraper.Scrape(k, &c.scrapeBuf); err != nil {
+	var buf bytes.Buffer
+	if err := c.cfg.Scraper.Scrape(k, &buf); err != nil {
 		return TelView{}, err
 	}
-	ms, err := telemetry.AppendSamples(c.scrapeSamples[:0], c.scrapeBuf.String())
+	ms, err := telemetry.ParseText(&buf)
 	if err != nil {
 		return TelView{}, err
 	}
-	c.scrapeSamples = ms
 	return c.foldView(ms)
 }
 
@@ -224,7 +223,7 @@ type bucketSample struct {
 
 // latSeries is one service's latency histogram as one scrape rendered it.
 type latSeries struct {
-	svc     string         // service label; on the text path a substring of the snapshot
+	svc     string         // service label
 	buckets []bucketSample // finite edges ascending, +Inf last
 	sorted  bool           // buckets arrived in that order
 }
@@ -241,7 +240,7 @@ func (c *Cluster) foldView(ms []telemetry.TextMetric) (TelView, error) {
 		m := &ms[i]
 		switch m.Name {
 		case "caer_core_pressure":
-			if m.Label("role") == "latency" {
+			if m.Labels["role"] == "latency" {
 				v.Pressure += m.Value
 			}
 		case "caer_fleet_node_sensitivity":
@@ -253,20 +252,12 @@ func (c *Cluster) foldView(ms []telemetry.TextMetric) (TelView, error) {
 				v.Burning++
 			}
 		case "caer_fleet_request_latency_periods_bucket":
-			var edge, svc string
-			m.EachLabel(func(key, val string) {
-				switch key {
-				case "le":
-					edge = val
-				case "service":
-					svc = val
-				}
-			})
+			edge := m.Labels["le"]
 			le, err := strconv.ParseFloat(edge, 64)
 			if err != nil || math.IsNaN(le) || le < 0 {
-				return v, fmt.Errorf("fleet: scrape: bad bucket edge in %s{%s}", m.Name, m.Labels)
+				return v, fmt.Errorf("fleet: scrape: bad bucket edge le=%q in %s", edge, m.Name)
 			}
-			s := c.latSeriesFor(svc)
+			s := c.latSeriesFor(m.Labels["service"])
 			if n := len(s.buckets); n > 0 && le < s.buckets[n-1].le {
 				s.sorted = false
 			}
@@ -347,15 +338,14 @@ func (c *Cluster) windowP99(st *telState) float64 {
 }
 
 // cumsFor returns the machine's remembered counts for service svc, opening
-// an empty record at first sight (svc is cloned: it points into a snapshot
-// the record outlives).
+// an empty record at first sight.
 func (t *telState) cumsFor(svc string) *latCums {
 	for i := range t.lastCums {
 		if t.lastCums[i].svc == svc {
 			return &t.lastCums[i]
 		}
 	}
-	t.lastCums = append(t.lastCums, latCums{svc: strings.Clone(svc)})
+	t.lastCums = append(t.lastCums, latCums{svc: svc})
 	return &t.lastCums[len(t.lastCums)-1]
 }
 

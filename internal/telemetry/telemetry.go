@@ -265,8 +265,6 @@ type Registry struct {
 	// detect late registrations without taking the registry lock on its
 	// per-period path.
 	count atomic.Int64
-	// expo caches WritePrometheus's exposition table; see expositionLocked.
-	expo []expoEntry
 }
 
 // NewRegistry returns an empty registry.
@@ -334,143 +332,53 @@ func (r *Registry) Histogram(name, help string, min, max float64, buckets int, k
 	return m.h
 }
 
-// expoEntry is one registered series' row of the registry's exposition
-// table: everything WritePrometheus emits for it that does not change
-// between two scrapes — cached per metric, not per line, so a 256-bucket
-// histogram costs one prefix and a shared edge list rather than 258
-// rendered strings.
-type expoEntry struct {
-	m *metric
-	// header is the family's "# HELP …\n# TYPE …\n" on the family's first
-	// series, "" on the rest.
-	header string
-	// Histograms only: bucket is the `name_bucket{labels,le="` prefix of
-	// every bucket line, les the rendered finite upper edges, shared by
-	// every histogram of the same geometry.
-	bucket string
-	les    []string
-}
-
-// histGeometry keys the rendered bucket edges.
-type histGeometry struct {
-	min, max float64
-	buckets  int
-}
-
-// expositionLocked returns the exposition table, sorted by (family name,
-// rendered labels), rebuilding it when metrics were registered since it was
-// built (register and registerRendered only ever grow r.metrics). A built
-// table is never written again, so writers render from it outside the
-// registry lock. Callers hold r.mu.
-func (r *Registry) expositionLocked() []expoEntry {
-	if len(r.expo) == len(r.metrics) {
-		return r.expo
-	}
+// WritePrometheus writes every registered metric as Prometheus text
+// exposition format (version 0.0.4): families sorted by name, one HELP/TYPE
+// header per family, histograms expanded into cumulative _bucket/_sum/_count
+// series. Export path: it copies the metric list under the registry lock,
+// renders outside it, and issues one Write. Safe for concurrent use with
+// the hot-path handles, registration and other WritePrometheus calls.
+func (r *Registry) WritePrometheus(out io.Writer) error {
+	r.mu.Lock()
 	ms := make([]*metric, len(r.metrics))
 	copy(ms, r.metrics)
+	r.mu.Unlock()
+
 	sort.Slice(ms, func(i, j int) bool {
 		if ms[i].name != ms[j].name {
 			return ms[i].name < ms[j].name
 		}
 		return ms[i].labels < ms[j].labels
 	})
-	e := make([]expoEntry, len(ms))
-	edges := make(map[histGeometry][]string)
-	for i, m := range ms {
-		ent := expoEntry{m: m}
-		if i == 0 || ms[i-1].name != m.name {
-			ent.header = "# HELP " + m.name + " " + m.help + "\n# TYPE " + m.name + " " + m.kind.String() + "\n"
+	formatValue := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	var w strings.Builder
+	lastFamily := ""
+	for _, m := range ms {
+		if m.name != lastFamily {
+			fmt.Fprintf(&w, "# HELP %s %s\n", m.name, m.help)
+			fmt.Fprintf(&w, "# TYPE %s %s\n", m.name, m.kind)
+			lastFamily = m.name
 		}
-		if h := m.h; m.kind == KindHistogram {
-			ent.bucket = m.name + "_bucket{le=\""
-			if m.labels != "" {
-				ent.bucket = m.name + "_bucket" + m.labels[:len(m.labels)-1] + ",le=\""
-			}
-			g := histGeometry{h.min, h.max, len(h.buckets)}
-			if edges[g] == nil {
-				les := make([]string, len(h.buckets))
-				for b := range les {
-					les[b] = strconv.FormatFloat(h.min+float64(b+1)*h.width, 'g', -1, 64)
-				}
-				edges[g] = les
-			}
-			ent.les = edges[g]
-		}
-		e[i] = ent
-	}
-	r.expo = e
-	return e
-}
-
-// expoBufs recycles WritePrometheus render buffers across calls and
-// registries, so a fleet's nodes share one snapshot-sized buffer instead
-// of each pinning its own.
-var expoBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// WritePrometheus writes every registered metric as Prometheus text
-// exposition format (version 0.0.4): families sorted by name, one HELP/TYPE
-// header per family, histograms expanded into cumulative _bucket/_sum/_count
-// series. Export path, but a cheap one: order, headers and bucket edges come
-// from a table rebuilt only after a registration, values are appended into
-// a pooled buffer, and out sees one Write, issued outside the registry
-// lock. Safe for concurrent use with the hot-path handles, registration and
-// other WritePrometheus calls.
-func (r *Registry) WritePrometheus(out io.Writer) error {
-	r.mu.Lock()
-	e := r.expositionLocked()
-	r.mu.Unlock()
-
-	bp := expoBufs.Get().(*[]byte)
-	w := (*bp)[:0]
-	for i := range e {
-		ent := &e[i]
-		m := ent.m
-		w = append(w, ent.header...)
 		switch m.kind {
 		case KindCounter:
-			w = appendSeries(w, m, "")
-			w = strconv.AppendUint(w, m.c.Value(), 10)
-			w = append(w, '\n')
+			fmt.Fprintf(&w, "%s%s %d\n", m.name, m.labels, m.c.Value())
 		case KindGauge:
-			w = appendSeries(w, m, "")
-			w = strconv.AppendFloat(w, m.g.Value(), 'g', -1, 64)
-			w = append(w, '\n')
+			fmt.Fprintf(&w, "%s%s %s\n", m.name, m.labels, formatValue(m.g.Value()))
 		case KindHistogram:
-			h := m.h
-			cum := h.under.Load()
-			for b := range h.buckets {
-				cum += h.buckets[b].Load()
-				w = append(w, ent.bucket...)
-				w = append(w, ent.les[b]...)
-				w = append(w, "\"} "...)
-				w = strconv.AppendUint(w, cum, 10)
-				w = append(w, '\n')
+			// The bucket lines' label set: the series' labels plus le.
+			bucket := m.name + "_bucket{le=\""
+			if m.labels != "" {
+				bucket = m.name + "_bucket" + m.labels[:len(m.labels)-1] + ",le=\""
 			}
-			cum += h.over.Load()
-			w = append(w, ent.bucket...)
-			w = append(w, "+Inf\"} "...)
-			w = strconv.AppendUint(w, cum, 10)
-			w = append(w, '\n')
-			w = appendSeries(w, m, "_sum")
-			w = strconv.AppendFloat(w, h.Sum(), 'g', -1, 64)
-			w = append(w, '\n')
-			w = appendSeries(w, m, "_count")
-			w = strconv.AppendUint(w, h.N(), 10)
-			w = append(w, '\n')
+			m.h.EachBucket(func(le float64, cum uint64) {
+				fmt.Fprintf(&w, "%s%s\"} %d\n", bucket, formatValue(le), cum)
+			})
+			fmt.Fprintf(&w, "%s_sum%s %s\n", m.name, m.labels, formatValue(m.h.Sum()))
+			fmt.Fprintf(&w, "%s_count%s %d\n", m.name, m.labels, m.h.N())
 		default:
 			panic(fmt.Sprintf("telemetry: unknown metric kind %d", int(m.kind)))
 		}
 	}
-	_, err := out.Write(w)
-	*bp = w
-	expoBufs.Put(bp)
+	_, err := io.WriteString(out, w.String())
 	return err
-}
-
-// appendSeries appends `name+suffix+labels `, the prefix of a sample line.
-func appendSeries(w []byte, m *metric, suffix string) []byte {
-	w = append(w, m.name...)
-	w = append(w, suffix...)
-	w = append(w, m.labels...)
-	return append(w, ' ')
 }

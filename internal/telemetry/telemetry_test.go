@@ -91,7 +91,7 @@ func TestHistogramEachBucketMatchesSnapshot(t *testing.T) {
 	var want, got []pair
 	for _, m := range ms {
 		if m.Name == "test_lat_bucket" {
-			le, err := strconv.ParseFloat(m.Label("le"), 64)
+			le, err := strconv.ParseFloat(m.Labels["le"], 64)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,36 +151,26 @@ func TestWritePrometheus(t *testing.T) {
 	h.Observe(3)
 	h.Observe(99)
 
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	got := sb.String()
-	for _, want := range []string{
-		"# HELP a_total events by mode\n# TYPE a_total counter\n",
-		`a_total{mode="x"} 1`,
-		`a_total{mode="y"} 2`,
-		"# TYPE g_depth gauge",
-		"g_depth 1.5",
-		`h_lat_bucket{le="2"} 1`,
-		`h_lat_bucket{le="4"} 2`,
-		`h_lat_bucket{le="+Inf"} 3`,
-		"h_lat_sum 103",
-		"h_lat_count 3",
-		"z_total 7",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("snapshot missing %q\n%s", want, got)
-		}
-	}
-	// One HELP header per family, not per series.
-	if n := strings.Count(got, "# HELP a_total"); n != 1 {
-		t.Errorf("HELP a_total appears %d times, want 1", n)
-	}
-	// Families sorted.
-	if strings.Index(got, "a_total") > strings.Index(got, "z_total") {
-		t.Error("families not sorted by name")
-	}
+	// Families sorted by name, one HELP/TYPE header per family, series
+	// sorted by labels, histograms expanded into cumulative buckets.
+	wantExposition(t, r, `# HELP a_total events by mode
+# TYPE a_total counter
+a_total{mode="x"} 1
+a_total{mode="y"} 2
+# HELP g_depth depth
+# TYPE g_depth gauge
+g_depth 1.5
+# HELP h_lat latency
+# TYPE h_lat histogram
+h_lat_bucket{le="2"} 1
+h_lat_bucket{le="4"} 2
+h_lat_bucket{le="+Inf"} 3
+h_lat_sum 103
+h_lat_count 3
+# HELP z_total last family
+# TYPE z_total counter
+z_total 7
+`)
 }
 
 func TestSnapshotParseRoundTrip(t *testing.T) {
@@ -199,7 +189,7 @@ func TestSnapshotParseRoundTrip(t *testing.T) {
 	for _, m := range ms {
 		byName[m.Name] = m
 	}
-	if m := byName["rt_total"]; m.Value != 3 || m.Label("mode") != "a b" {
+	if m := byName["rt_total"]; m.Value != 3 || m.Labels["mode"] != "a b" {
 		t.Fatalf("rt_total parsed as %+v", m)
 	}
 	if m := byName["rt_depth"]; m.Value != 2.25 {

@@ -114,7 +114,7 @@ func TestUnionSnapshotParseRoundTrip(t *testing.T) {
 	}
 	got := map[string]float64{}
 	for _, m := range ms {
-		got[m.Name+"|machine="+m.Label("machine")+"|le="+m.Label("le")] = m.Value
+		got[m.Name+"|machine="+m.Labels["machine"]+"|le="+m.Labels["le"]] = m.Value
 	}
 	for key, want := range map[string]float64{
 		"caer_fleet_node_dispatches_total|machine=0|le=":           11,
