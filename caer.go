@@ -65,7 +65,7 @@ type (
 	Responder = icaer.Responder
 	// Verdict is a detection outcome.
 	Verdict = icaer.Verdict
-	// EngineStats is an engine's decision log.
+	// EngineStats counts an engine's decisions.
 	EngineStats = icaer.EngineStats
 	// Actuator applies throttling directives to a core.
 	Actuator = icaer.Actuator

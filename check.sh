@@ -94,11 +94,11 @@ knobs=$(awk '/^exported config fields:/ { print $NF }' out/LOC.txt)
 # past the 600s per-binary default.
 go test -race -timeout 30m -coverprofile=coverage.out ./...
 # Coverage ratchet: total statement coverage must not fall below
-# CAER_COVERAGE_MIN (default 88.1, one point under the measured baseline —
+# CAER_COVERAGE_MIN (default 88.2, one point under the measured baseline —
 # raise it as coverage grows, never lower it to absorb a regression).
 total=$(go tool cover -func=coverage.out | awk '/^total:/ { sub(/%/, "", $NF); print $NF }')
-awk -v t="$total" -v min="${CAER_COVERAGE_MIN:-88.1}" 'BEGIN { exit !(t+0 >= min+0) }' || {
-    echo "coverage gate: total $total% below CAER_COVERAGE_MIN=${CAER_COVERAGE_MIN:-88.1}%" >&2; exit 1; }
+awk -v t="$total" -v min="${CAER_COVERAGE_MIN:-88.2}" 'BEGIN { exit !(t+0 >= min+0) }' || {
+    echo "coverage gate: total $total% below CAER_COVERAGE_MIN=${CAER_COVERAGE_MIN:-88.2}%" >&2; exit 1; }
 # No vacuous tests in the simulator, control-loop and comm-table packages:
 # none of their tests is arch-, hardware- or short-gated (the one t.Skip
 # left, mem's allocation budget, is race-only; comm's re-exec helper went
@@ -158,12 +158,15 @@ grep -q "degraded-budget firing" out/DOCTOR_out.txt || {
 grep -q "diagnosis: 3 SLO violation" out/DOCTOR_out.txt || {
     echo "doctor smoke: expected 3 diagnosed violations" >&2; exit 1; }
 # caer-run smoke, the single-machine front door: a CAER run's -trace-out is
-# the span export and must carry the response's hold spans; the folded
+# the span export and must carry the response's hold spans, and -log, which
+# prints the tail of the same spans, must print a hold line; the folded
 # series and suite-inspection commands must print a phase line and all 21
 # profile rows.
-go run ./cmd/caer-run -mode caer -latency mcf -trace-out out/RUN_trace.json > /dev/null
+go run ./cmd/caer-run -mode caer -latency mcf -log 8 -trace-out out/RUN_trace.json > out/RUN_log.txt
 grep -q '"name":"hold"' out/RUN_trace.json || {
     echo "caer-run smoke: no hold span in out/RUN_trace.json" >&2; exit 1; }
+grep -qE '^    p[0-9]+ hold ' out/RUN_log.txt || {
+    echo "caer-run smoke: -log 8 printed no hold line (out/RUN_log.txt)" >&2; exit 1; }
 go run ./cmd/caer-run -mode alone -series phases | grep -q "phase 0: periods" || {
     echo "caer-run smoke: -series phases printed no phase line" >&2; exit 1; }
 rows=$(go run ./cmd/caer-run -workloads | grep -c '^[0-9][0-9][0-9]\.')

@@ -88,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	dvfs := fs.Int("dvfs", 0, "respond by down-clocking to 1/N speed instead of pausing (0 = pause)")
 	usageThresh := fs.Float64("usage-thresh", 0, "override the rule-based usage threshold")
 	impact := fs.Float64("impact", 0, "override the shutter impact factor (QoS knob)")
-	logTail := fs.Int("log", 0, "dump the last N engine decisions after the run")
+	logTail := fs.Int("log", 0, "print the batch engine's last N decision spans (detect, shutter, hold, degraded) after the run")
 	traceOut := fs.String("trace-out", "", "write the run's detection-pipeline spans (probe, publish, detect, hold, ...) as Chrome trace-event JSON to this file")
 	series := fs.String("series", "", "instead of the metrics, dump the latency benchmark's per-period LLC misses and instructions retired (-mode alone, or colo next to lbm): csv, spark, hist or phases")
 	periods := fs.Int("periods", 0, "periods to sample with -series (0 = run to completion) or -workloads (0 = 300, after 50 warm-up)")
@@ -116,6 +116,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 			misuse = fmt.Errorf("-batch has no meaning with -series (the colo co-runner is lbm)")
 		case f.Name == "periods" && *series == "" && !*workloads:
 			misuse = fmt.Errorf("-periods needs -series or -workloads")
+		case f.Name == "dvfs" && (*dvfs < 0 || *dvfs == 1):
+			misuse = fmt.Errorf("-dvfs %d: want 0 (pause) or a clock divisor >= 2", *dvfs)
+		case f.Name == "log" && *logTail < 0, f.Name == "periods" && *periods < 0:
+			misuse = fmt.Errorf("-%s %s: want a count >= 0", f.Name, f.Value)
+		case f.Name == "usage-thresh" && !finite(*usageThresh), f.Name == "impact" && !finite(*impact):
+			misuse = fmt.Errorf("-%s %s: want a finite value >= 0 (0 = the default)", f.Name, f.Value)
 		}
 	})
 	if misuse != nil {
@@ -181,6 +187,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	r := runner.Run(s)
+	var decisions []telemetry.Span
+	if *logTail > 0 {
+		decisions = decisionSpans(telemetry.DefaultSpans, *logTail)
+	}
 	if *traceOut != "" {
 		if err := report.WriteFile(*traceOut, telemetry.DefaultSpans.WriteChrome); err != nil {
 			return fmt.Errorf("trace: %v", err)
@@ -218,17 +228,34 @@ func run(args []string, stdout, stderr io.Writer) error {
 				report.Times(runner.Slowdown(colo, alone)))
 		}
 		if *logTail > 0 {
-			log := r.DecisionLog
-			if len(log) > *logTail {
-				log = log[len(log)-*logTail:]
-			}
-			fmt.Fprintf(stdout, "  last %d engine decisions:\n", len(log))
-			for _, ev := range log {
-				fmt.Fprintf(stdout, "    %s\n", ev)
+			fmt.Fprintf(stdout, "  last %d engine decisions:\n", len(decisions))
+			for _, sp := range decisions {
+				fmt.Fprintf(stdout, "    p%06d %-8s periods=%d value=%g\n", sp.Start, sp.Kind, sp.Periods, sp.Value)
 			}
 		}
 	}
 	return nil
+}
+
+// finite reports whether v is a usable threshold override: at least 0 and
+// not +Inf (a NaN or +Inf threshold would switch detection off outright).
+func finite(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
+// decisionSpans returns, oldest first, the last n decision spans (detect,
+// shutter, hold, degraded) recorded on a batch engine's lane — the same
+// records -trace-out writes. A phase still open when the run ended has no
+// span yet.
+func decisionSpans(rec *telemetry.SpanRecorder, n int) []telemetry.Span {
+	kinds := []telemetry.SpanKind{telemetry.SpanDetect, telemetry.SpanShutter, telemetry.SpanHold, telemetry.SpanDegraded}
+	all := rec.Spans()
+	var out []telemetry.Span
+	for i := len(all) - 1; i >= 0 && len(out) < n; i-- {
+		if sp := all[i]; slices.Contains(kinds, sp.Kind) && strings.HasPrefix(rec.TrackName(sp.Track), "batch/") {
+			out = append(out, sp)
+		}
+	}
+	slices.Reverse(out)
+	return out
 }
 
 // Phase detection over a per-period miss series: window, relative and

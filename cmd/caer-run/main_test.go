@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -79,6 +82,16 @@ func TestFlagModeRejections(t *testing.T) {
 		{"-mode bogus", []string{"unknown mode", "bogus"}},
 		{"-latency nope -mode alone", []string{"unknown latency benchmark", "nope"}},
 		{"-batch nope -mode colo", []string{"unknown batch benchmark", "nope"}},
+		{"-dvfs 1", []string{"-dvfs 1", ">= 2"}},
+		{"-dvfs -2", []string{"-dvfs -2", ">= 2"}},
+		{"-log -1", []string{"-log -1", ">= 0"}},
+		{"-usage-thresh -5", []string{"-usage-thresh -5", ">= 0"}},
+		{"-usage-thresh NaN", []string{"-usage-thresh NaN", ">= 0"}},
+		{"-usage-thresh Inf", []string{"-usage-thresh +Inf", "finite"}},
+		{"-impact -0.1", []string{"-impact -0.1", ">= 0"}},
+		{"-impact Inf", []string{"-impact +Inf", "finite"}},
+		{"-mode alone -series csv -periods -3", []string{"-periods -3", ">= 0"}},
+		{"-workloads -periods -3", []string{"-periods -3", ">= 0"}},
 	}
 	for _, c := range cases {
 		var out bytes.Buffer
@@ -152,6 +165,57 @@ func TestTraceOut(t *testing.T) {
 	err = run([]string{"-latency", "namd", "-mode", "caer", "-trace-out", "/dev/full"}, &out, &errOut)
 	if err == nil || !strings.Contains(err.Error(), "/dev/full") {
 		t.Errorf("short trace write: err = %v, want one naming /dev/full", err)
+	}
+}
+
+// TestLogPrintsDecisionSpans: -log N prints exactly N lines, the last N
+// detect/shutter/hold/degraded spans of the batch engine's lane, which are
+// the same records -trace-out writes for the run.
+func TestLogPrintsDecisionSpans(t *testing.T) {
+	const n = 6
+	path := filepath.Join(t.TempDir(), "trace.json")
+	var out bytes.Buffer
+	args := []string{"-latency", "mcf", "-mode", "caer", "-log", strconv.Itoa(n), "-trace-out", path}
+	if err := run(args, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	_, tail, ok := strings.Cut(out.String(), fmt.Sprintf("  last %d engine decisions:\n", n))
+	if !ok {
+		t.Fatalf("no decision header in:\n%s", out.String())
+	}
+	got := strings.Split(strings.TrimSuffix(tail, "\n"), "\n")
+	if len(got) != n {
+		t.Fatalf("-log %d printed %d lines:\n%s", n, len(got), tail)
+	}
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := telemetry.ParseChromeTrace(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchLanes := make(map[int]bool)
+	var want []string
+	for _, e := range events {
+		switch {
+		case e.Phase == "M" && strings.HasPrefix(fmt.Sprint(e.Args["name"]), "batch/"):
+			batchLanes[e.Tid] = true
+		case e.Phase == "X" && batchLanes[e.Tid] && slices.Contains([]string{"detect", "shutter", "hold", "degraded"}, e.Name):
+			want = append(want, fmt.Sprintf("    p%06d %-8s periods=%d value=%g",
+				int(e.Ts/1000), e.Name, int(e.Dur/1000), e.ArgNumber("value")))
+		}
+	}
+	if len(want) < n {
+		t.Fatalf("trace holds %d batch decision spans, want >= %d", len(want), n)
+	}
+	want = want[len(want)-n:]
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("-log line %d = %q, trace says %q", i, got[i], want[i])
+		}
 	}
 }
 

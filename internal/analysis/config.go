@@ -55,7 +55,6 @@ func DefaultConfig() *Config {
 			"caer_engine_holds_total", "caer_engine_hold_periods",
 			"caer_engine_directive_changes_total", "caer_engine_paused_periods_total",
 			"caer_engine_watchdog_trips_total", "caer_engine_degraded_ticks_total",
-			"caer_engine_log_dropped_total",
 			"caer_engine_mode", "caer_sampling_interval",
 			"caer_core_pressure", "caer_core_directive", "caer_core_degraded",
 			"caer_sched_admissions_total", "caer_sched_aged_bypasses_total",

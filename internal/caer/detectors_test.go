@@ -73,10 +73,6 @@ func TestShutterDetectsMissSpike(t *testing.T) {
 	if v != VerdictContention {
 		t.Errorf("verdict = %v, want contention", v)
 	}
-	no, yes := d.VerdictCounts()
-	if no != 0 || yes != 1 || d.Cycles() != 1 {
-		t.Errorf("counts = (%d,%d,%d cycles)", no, yes, d.Cycles())
-	}
 }
 
 func TestShutterIgnoresFlatNeighbor(t *testing.T) {
@@ -114,9 +110,6 @@ func TestShutterCyclesAreIndependent(t *testing.T) {
 	// Second cycle flat: the spike of cycle one must not leak in.
 	if v := runShutterCycle(t, d, shutterCycle(0, 100, 100)); v != VerdictNoContention {
 		t.Errorf("second cycle = %v, want no-contention", v)
-	}
-	if d.Cycles() != 2 {
-		t.Errorf("cycles = %d, want 2", d.Cycles())
 	}
 }
 
@@ -233,15 +226,13 @@ func TestRuleDetectorWindowSmoothsTransients(t *testing.T) {
 	cfg.WindowSize = 10
 	d := NewRuleDetector(cfg)
 	for i := 0; i < 10; i++ {
-		d.Step(100, 100)
+		if _, v := d.Step(100, 100); v != VerdictContention {
+			t.Fatalf("step %d: verdict %v, want contention", i, v)
+		}
 	}
 	// One quiet sample must not flip a 10-sample window below threshold.
 	if _, v := d.Step(0, 0); v != VerdictContention {
 		t.Errorf("single quiet sample flipped verdict to %v", v)
-	}
-	no, yes := d.VerdictCounts()
-	if no != 0 || yes != 11 {
-		t.Errorf("verdict counts = %d,%d", no, yes)
 	}
 }
 
@@ -258,17 +249,16 @@ func TestRandomDetectorHalfProbabilityAndDeterminism(t *testing.T) {
 		if v1 != v2 {
 			t.Fatal("same-seed random detectors diverged")
 		}
-		if v1 == VerdictContention {
+		switch v1 {
+		case VerdictContention:
 			contending++
+		case VerdictPending:
+			t.Fatalf("step %d: random detector withheld its verdict", i)
 		}
 	}
 	frac := float64(contending) / n
 	if frac < 0.45 || frac > 0.55 {
 		t.Errorf("contention fraction = %v, want ~0.5", frac)
-	}
-	no, yes := d1.VerdictCounts()
-	if int(no+yes) != n {
-		t.Errorf("verdict counts %d+%d != %d", no, yes, n)
 	}
 	d1.Reset() // no-op, must not panic
 }

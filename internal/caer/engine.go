@@ -63,7 +63,6 @@ type Engine struct {
 	holdLeft     int
 	directive    comm.Directive
 	stats        EngineStats
-	log          *EventLog
 	loggedDir    comm.Directive
 	everDirected bool
 	// watchdog is the staleness horizon in periods (0 = disabled): once
@@ -71,12 +70,13 @@ type Engine struct {
 	// fresh sample, the engine degrades to fail-open.
 	watchdog int
 
-	// Span bookkeeping for the telemetry trace: the engine's lane is its
-	// own slot ID (re-homed by Pipeline.SetLanes for fleet runs, where N
-	// machines share a ring and raw slot ids would collide), and each in-flight
-	// detection protocol / hold / degraded stretch remembers its start
-	// period so the closing tick can record a single span covering the
-	// whole phase.
+	// Span bookkeeping: the engine's lane is its decision log (one detect
+	// span per verdict, one shutter/hold/degraded span per closed phase).
+	// The lane is its own slot ID (re-homed by Pipeline.SetLanes for fleet
+	// runs, where N machines share a ring and raw slot ids would collide),
+	// and each in-flight detection protocol / hold / degraded stretch
+	// remembers its start period so the closing tick can record a single
+	// span covering the whole phase.
 	spans         *telemetry.SpanRecorder
 	laneName      string
 	track         int32
@@ -88,11 +88,6 @@ type Engine struct {
 	holdStart     uint64
 	degradedStart uint64
 }
-
-// engineLogCapacity bounds every engine's decision log (drop-oldest;
-// evictions are counted and surfaced through telemetry as
-// caer_engine_log_dropped_total).
-const engineLogCapacity = 4096
 
 // NewEngine wires a detector and responder to the batch application's own
 // table slot and the latency-sensitive neighbours' slots. It panics if any
@@ -116,8 +111,7 @@ func NewEngine(det Detector, resp Responder, own *comm.Slot, neighbors []*comm.S
 	ns := make([]*comm.Slot, len(neighbors))
 	copy(ns, neighbors)
 	e := &Engine{det: det, resp: resp, ownSlot: own, neighborSlots: ns,
-		log: NewEventLog(engineLogCapacity), track: int32(own.ID()),
-		spans: telemetry.DefaultSpans, laneName: "batch/" + own.Name()}
+		track: int32(own.ID()), spans: telemetry.DefaultSpans, laneName: "batch/" + own.Name()}
 	e.spans.NameTrack(e.track, e.laneName)
 	return e
 }
@@ -128,8 +122,8 @@ func NewEngine(det Detector, resp Responder, own *comm.Slot, neighbors []*comm.S
 // engine enters the degraded fail-open state, emitting DirectiveRun
 // instead of trusting frozen windows, and recovers once every neighbour
 // publishes again. periods <= 0 disables the watchdog. It must be called
-// before the first Tick; reconfiguring a running engine would make the
-// decision log unaccountable.
+// before the first Tick; reconfiguring a running engine would make its
+// stats and spans unaccountable.
 func (e *Engine) SetWatchdog(periods int) {
 	if e.stats.Periods > 0 {
 		panic("caer: SetWatchdog after the first Tick")
@@ -160,16 +154,13 @@ func (e *Engine) maxNeighborStale() uint64 {
 	return m
 }
 
-// Log returns the engine's bounded decision log.
-func (e *Engine) Log() *EventLog { return e.log }
-
 // Detector returns the engine's heuristic.
 func (e *Engine) Detector() Detector { return e.det }
 
 // Responder returns the engine's response mechanism.
 func (e *Engine) Responder() Responder { return e.resp }
 
-// Stats returns a copy of the decision log counters.
+// Stats returns a copy of the decision counters.
 func (e *Engine) Stats() EngineStats { return e.stats }
 
 // Directive returns the most recently issued directive.
@@ -225,7 +216,6 @@ func (e *Engine) Tick(ownMisses float64) comm.Directive {
 				e.holdLeft = 0
 				e.det.Reset()
 				e.resp.Reset()
-				e.log.Append(Event{Period: period, Kind: EventRecovered, NeighborMisses: neighbor})
 				e.spans.Record(e.track, telemetry.SpanDegraded,
 					e.degradedStart, uint32(period-e.degradedStart), 0)
 			} else {
@@ -250,7 +240,6 @@ func (e *Engine) Tick(ownMisses float64) comm.Directive {
 			telemetry.EngineWatchdogTrips.Inc()
 			telemetry.EngineDegradedTicks.Inc()
 			e.degradedStart = period
-			e.log.Append(Event{Period: period, Kind: EventDegraded, StalePeriods: stale})
 			e.directive = comm.DirectiveRun
 			e.finishTick()
 			return e.directive
@@ -266,9 +255,6 @@ func (e *Engine) Tick(ownMisses float64) comm.Directive {
 			e.state = stateDetecting
 			e.det.Reset()
 			e.recordHoldSpan(period + 1)
-			if release {
-				e.log.Append(Event{Period: period, Kind: EventHoldRelease, NeighborMisses: neighbor})
-			}
 		}
 		e.finishTick()
 		return e.directive
@@ -311,8 +297,6 @@ func (e *Engine) Tick(ownMisses float64) comm.Directive {
 	e.spans.Record(e.track, telemetry.SpanDetect,
 		e.detStart, uint32(period-e.detStart+1), verdictVal)
 	e.detActive = false
-	e.log.Append(Event{Period: period, Kind: EventVerdict, Verdict: v,
-		OwnMisses: ownMisses, NeighborMisses: neighbor})
 	dir, n := e.resp.React(contending, e)
 	if n < 1 {
 		panic(fmt.Sprintf("caer: responder %s returned hold length %d", e.resp.Name(), n))
@@ -325,7 +309,6 @@ func (e *Engine) Tick(ownMisses float64) comm.Directive {
 		e.holdStart = period
 		e.holdDir = dir
 		telemetry.EngineHolds.Inc()
-		e.log.Append(Event{Period: period, Kind: EventHoldStart, Directive: dir, HoldLen: n})
 	}
 	e.finishTick()
 	return e.directive
@@ -368,7 +351,6 @@ func (e *Engine) finishTick() {
 	}
 	if !e.everDirected || e.directive != e.loggedDir {
 		telemetry.EngineDirectiveChanges.Inc()
-		e.log.Append(Event{Period: e.stats.Periods - 1, Kind: EventDirective, Directive: e.directive})
 		e.loggedDir = e.directive
 		e.everDirected = true
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"caer/internal/comm"
+	"caer/internal/telemetry"
 )
 
 // randomDetector emits random pending/contention/no-contention verdicts and
@@ -69,6 +70,7 @@ func TestEngineStateMachineInvariants(t *testing.T) {
 		det := &randomVerdictDetector{rng: rand.New(rand.NewSource(seed))}
 		resp := &randomResponder{rng: rand.New(rand.NewSource(seed + 1000))}
 		e := NewEngine(det, resp, own, []*comm.Slot{nbr})
+		rec := privateLane(e)
 
 		const periods = 500
 		rng := rand.New(rand.NewSource(seed + 2000))
@@ -97,16 +99,9 @@ func TestEngineStateMachineInvariants(t *testing.T) {
 		if own.Published() != periods {
 			t.Errorf("seed %d: published %d samples, want %d", seed, own.Published(), periods)
 		}
-		// The decision log is consistent: every verdict event corresponds to
-		// a counted verdict.
-		verdictEvents := uint64(0)
-		for _, ev := range e.Log().Events() {
-			if ev.Kind == EventVerdict {
-				verdictEvents++
-			}
-		}
-		if verdictEvents > st.CPositive+st.CNegative {
-			t.Errorf("seed %d: %d verdict events exceed %d verdicts", seed, verdictEvents, st.CPositive+st.CNegative)
+		// The span lane is consistent: one detect span per counted verdict.
+		if n := uint64(len(spansOf(rec, telemetry.SpanDetect))); n != st.CPositive+st.CNegative {
+			t.Errorf("seed %d: %d detect spans for %d verdicts", seed, n, st.CPositive+st.CNegative)
 		}
 	}
 }

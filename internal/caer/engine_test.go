@@ -1,9 +1,11 @@
 package caer
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"caer/internal/comm"
+	"caer/internal/telemetry"
 )
 
 // scriptDetector yields a pre-programmed sequence of (directive, verdict)
@@ -61,6 +63,26 @@ func newTestSlots(t *testing.T) (own *comm.Slot, nbr *comm.Slot) {
 	nbr = tab.Register("lat", comm.RoleLatency)
 	own = tab.Register("batch", comm.RoleBatch)
 	return own, nbr
+}
+
+// privateLane moves e's span lane onto a fresh recorder, so a test reads
+// its own engine's decisions and nothing else the process recorded.
+func privateLane(e *Engine) *telemetry.SpanRecorder {
+	rec := telemetry.NewSpanRecorder(1<<12, new(atomic.Uint64))
+	e.spans = rec
+	rec.NameTrack(e.track, e.laneName)
+	return rec
+}
+
+// spansOf returns rec's spans of one kind, oldest first.
+func spansOf(rec *telemetry.SpanRecorder, kind telemetry.SpanKind) []telemetry.Span {
+	var out []telemetry.Span
+	for _, sp := range rec.Spans() {
+		if sp.Kind == kind {
+			out = append(out, sp)
+		}
+	}
+	return out
 }
 
 func TestNewEngineValidation(t *testing.T) {
@@ -259,5 +281,86 @@ func TestEngineRecordsDirectiveInTable(t *testing.T) {
 	}
 	if e.Detector() != det || e.Responder() != resp {
 		t.Error("accessors returned wrong components")
+	}
+}
+
+// TestEngineLogsDecisions: the engine's span lane is its decision log. A
+// verdict is one detect span, its evidence is the engine's publish span
+// and the neighbour slot's sample in that period, and a hold is one span
+// once it ends. Directive changes are counted once, not every period.
+func TestEngineLogsDecisions(t *testing.T) {
+	own, nbr := newTestSlots(t)
+	det := &scriptDetector{
+		dirs:     []comm.Directive{comm.DirectiveRun},
+		verdicts: []Verdict{VerdictContention},
+	}
+	resp := &scriptResponder{dir: comm.DirectivePause, length: 3, holdDir: comm.DirectivePause}
+	e := NewEngine(det, resp, own, []*comm.Slot{nbr})
+	rec := privateLane(e)
+
+	nbr.Publish(100)
+	e.Tick(50)
+	detects := spansOf(rec, telemetry.SpanDetect)
+	if st := e.Stats(); uint64(len(detects)) != st.CPositive+st.CNegative || len(detects) != 1 {
+		t.Fatalf("%d detect spans for %d+%d verdicts, want one each", len(detects), st.CPositive, st.CNegative)
+	}
+	d := detects[0]
+	if d.Start != 0 || d.Periods != 1 || d.Value != 1 {
+		t.Errorf("detect span = %+v, want period 0, length 1, contention", d)
+	}
+	if rec.TrackName(d.Track) != "batch/batch" {
+		t.Errorf("detect span on lane %q, want batch/batch", rec.TrackName(d.Track))
+	}
+	// The verdict's evidence: the publish span of its period carries the
+	// engine's own misses, the neighbour slot the neighbour's.
+	var ownMisses float64
+	for _, p := range spansOf(rec, telemetry.SpanPublish) {
+		if p.Start == d.Start+uint64(d.Periods)-1 {
+			ownMisses = p.Value
+		}
+	}
+	if ownMisses != 50 || nbr.LastSample() != 100 {
+		t.Errorf("verdict evidence = %.0f/%.0f, want 50/100", ownMisses, nbr.LastSample())
+	}
+	if n := len(spansOf(rec, telemetry.SpanHold)); n != 0 {
+		t.Errorf("%d hold spans while the hold is still open, want 0", n)
+	}
+
+	// Hold ticks with an unchanged directive add no directive change.
+	changes := telemetry.EngineDirectiveChanges.Value()
+	for i := 0; i < 2; i++ {
+		nbr.Publish(100)
+		e.Tick(50)
+	}
+	if got := telemetry.EngineDirectiveChanges.Value(); got != changes {
+		t.Errorf("unchanged directive counted %d more changes during the hold", got-changes)
+	}
+	holds := spansOf(rec, telemetry.SpanHold)
+	if len(holds) != 1 || holds[0].Start != 0 || holds[0].Periods != 3 || holds[0].Value != 1 {
+		t.Errorf("hold spans = %+v, want one pausing hold over periods [0,3)", holds)
+	}
+}
+
+// TestEngineLogsHoldRelease: a hold the responder releases early shows as
+// a hold span shorter than the hold length it was granted.
+func TestEngineLogsHoldRelease(t *testing.T) {
+	own, nbr := newTestSlots(t)
+	det := &scriptDetector{
+		dirs:     []comm.Directive{comm.DirectiveRun},
+		verdicts: []Verdict{VerdictContention},
+	}
+	resp := &scriptResponder{dir: comm.DirectivePause, length: 100, holdDir: comm.DirectiveRun, release: true}
+	e := NewEngine(det, resp, own, []*comm.Slot{nbr})
+	rec := privateLane(e)
+	nbr.Publish(1)
+	e.Tick(1) // verdict, hold start
+	nbr.Publish(1)
+	e.Tick(1) // hold releases immediately
+	holds := spansOf(rec, telemetry.SpanHold)
+	if len(holds) != 1 {
+		t.Fatalf("%d hold spans, want 1", len(holds))
+	}
+	if holds[0].Start != 0 || holds[0].Periods >= uint32(resp.length) {
+		t.Errorf("released hold span = %+v, want one starting at 0 shorter than %d periods", holds[0], resp.length)
 	}
 }

@@ -23,8 +23,6 @@ type HybridDetector struct {
 	rule       *RuleDetector
 	shutter    *ShutterDetector
 	confirming bool
-	gated      uint64 // cheap no-contention verdicts (no probe spent)
-	probes     uint64 // shutter confirmations triggered
 }
 
 // NewHybridDetector constructs the hybrid from cfg (it uses both
@@ -47,12 +45,10 @@ func (d *HybridDetector) Step(ownMisses, neighborMisses float64) (comm.Directive
 
 	if !d.confirming {
 		if ruleVerdict != VerdictContention {
-			d.gated++
 			return comm.DirectiveRun, VerdictNoContention
 		}
 		// Both sides look heavy: spend a shutter cycle to confirm.
 		d.confirming = true
-		d.probes++
 		d.shutter.Reset()
 	}
 
@@ -69,7 +65,3 @@ func (d *HybridDetector) Reset() {
 	d.shutter.Reset()
 	d.rule.Reset()
 }
-
-// GateStats returns how many periods were resolved by the cheap gate and
-// how many shutter confirmations were spent.
-func (d *HybridDetector) GateStats() (gated, probes uint64) { return d.gated, d.probes }

@@ -15,6 +15,9 @@ func hybridTestConfig() Config {
 	return cfg
 }
 
+// TestHybridGatesQuietPairsWithoutProbing: a probe would close the shutter
+// and withhold its verdict for endPoint periods, so a run-and-clear answer
+// on every step means the gate resolved each one.
 func TestHybridGatesQuietPairsWithoutProbing(t *testing.T) {
 	d := NewHybridDetector(hybridTestConfig())
 	for i := 0; i < 50; i++ {
@@ -26,10 +29,6 @@ func TestHybridGatesQuietPairsWithoutProbing(t *testing.T) {
 			t.Fatalf("step %d: quiet pair got directive %v", i, dir)
 		}
 	}
-	gated, probes := d.GateStats()
-	if gated != 50 || probes != 0 {
-		t.Errorf("gate stats = %d gated, %d probes; want 50, 0", gated, probes)
-	}
 }
 
 func TestHybridConfirmsRealContention(t *testing.T) {
@@ -37,6 +36,7 @@ func TestHybridConfirmsRealContention(t *testing.T) {
 	// Warm the rule windows with heavy values so the gate fires.
 	var v Verdict
 	var dirs []comm.Directive
+	verdicts := 0
 	// Scripted: heavy on both sides; during the confirmation shutter the
 	// neighbour's misses drop (batch halted) then spike in the burst —
 	// genuine contention. The gate fires on the first sample, which is the
@@ -46,6 +46,9 @@ func TestHybridConfirmsRealContention(t *testing.T) {
 		var dir comm.Directive
 		dir, v = d.Step(400, n)
 		dirs = append(dirs, dir)
+		if v != VerdictPending {
+			verdicts++
+		}
 	}
 	if v != VerdictContention {
 		t.Fatalf("verdict = %v, want contention confirmed", v)
@@ -58,9 +61,9 @@ func TestHybridConfirmsRealContention(t *testing.T) {
 			t.Fatalf("confirmation did not close the shutter at step %d: %v", i, dirs)
 		}
 	}
-	_, probes := d.GateStats()
-	if probes != 1 {
-		t.Errorf("probes = %d, want 1", probes)
+	// One probe: the cycle's only verdict is the one that ends it.
+	if verdicts != 1 {
+		t.Errorf("%d verdicts over one confirmation cycle, want 1", verdicts)
 	}
 }
 
@@ -94,13 +97,9 @@ func TestHybridResetClearsConfirmation(t *testing.T) {
 	if v != VerdictNoContention {
 		t.Fatalf("post-reset probe verdict = %v", v)
 	}
-	gatedBefore, _ := d.GateStats()
-	if _, v := d.Step(0, 0); v != VerdictNoContention {
-		t.Errorf("drained-window verdict = %v", v)
-	}
-	gatedAfter, _ := d.GateStats()
-	if gatedAfter != gatedBefore+1 {
-		t.Error("quiet pair not resolved by the gate after windows drained")
+	// A one-step run-and-clear answer is the gate's: a probe would pause.
+	if dir, v := d.Step(0, 0); v != VerdictNoContention || dir != comm.DirectiveRun {
+		t.Errorf("drained-window step = %v,%v; want the gate's run,no-contention", dir, v)
 	}
 }
 

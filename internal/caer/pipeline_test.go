@@ -177,15 +177,6 @@ func TestPipelineAttachWakesSleep(t *testing.T) {
 	}
 }
 
-// TestPipelineEngineLogCapacity: every engine the pipeline builds logs
-// into an engineLogCapacity ring.
-func TestPipelineEngineLogCapacity(t *testing.T) {
-	p, m := newTestPipeline(t, DefaultConfig(), "mcf")
-	if got := attachBatch(p, m, spec.LBM(), 1).Engine().Log().Cap(); got != engineLogCapacity {
-		t.Errorf("engine log capacity = %d, want %d", got, engineLogCapacity)
-	}
-}
-
 // TestPipelineLateMonitorPanics: monitors are fixed once a batch
 // application has attached, so every engine sees its whole group.
 func TestPipelineLateMonitorPanics(t *testing.T) {

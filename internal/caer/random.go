@@ -14,8 +14,7 @@ import (
 // utilization than random for interference-sensitive neighbours and gain
 // *more* than random for insensitive ones.
 type RandomDetector struct {
-	rng      *rand.Rand
-	verdicts [2]uint64
+	rng *rand.Rand
 }
 
 // NewRandomDetector constructs the baseline, seeded with randomSeed. It
@@ -33,17 +32,10 @@ func (d *RandomDetector) Name() string { return "random" }
 // Step implements Detector: a coin flip per period.
 func (d *RandomDetector) Step(ownMisses, neighborMisses float64) (comm.Directive, Verdict) {
 	if d.rng.Float64() < randomP {
-		d.verdicts[1]++
 		return comm.DirectiveRun, VerdictContention
 	}
-	d.verdicts[0]++
 	return comm.DirectiveRun, VerdictNoContention
 }
 
 // Reset implements Detector (no cycle state to discard).
 func (d *RandomDetector) Reset() {}
-
-// VerdictCounts returns (noContention, contention) step counts.
-func (d *RandomDetector) VerdictCounts() (noContention, contention uint64) {
-	return d.verdicts[0], d.verdicts[1]
-}

@@ -51,9 +51,6 @@ type RedLightGreenLight struct {
 	haveVerdict   bool
 	currentLength int
 	current       comm.Directive
-
-	redPeriods   uint64
-	greenPeriods uint64
 }
 
 // NewRedLightGreenLight builds the response from cfg (ResponseLength,
@@ -91,11 +88,9 @@ func (r *RedLightGreenLight) React(contending bool, v View) (comm.Directive, int
 	r.lastVerdict, r.haveVerdict = contending, true
 	if contending {
 		r.current = comm.DirectivePause
-		r.redPeriods += uint64(r.currentLength)
 		return comm.DirectivePause, r.currentLength
 	}
 	r.current = comm.DirectiveRun
-	r.greenPeriods += uint64(r.currentLength)
 	return comm.DirectiveRun, r.currentLength
 }
 
@@ -112,11 +107,6 @@ func (r *RedLightGreenLight) Reset() {
 	r.current = comm.DirectiveRun
 }
 
-// RedGreenTotals returns cumulative scheduled (red, green) periods.
-func (r *RedLightGreenLight) RedGreenTotals() (red, green uint64) {
-	return r.redPeriods, r.greenPeriods
-}
-
 // SoftLock is the paper's second response, paired with the rule-based
 // heuristic: on a c-positive verdict the batch takes a soft lock pause on
 // the shared cache and stays paused until the latency-sensitive
@@ -124,9 +114,6 @@ func (r *RedLightGreenLight) RedGreenTotals() (red, green uint64) {
 // below the usage threshold; then the batch fully resumes.
 type SoftLock struct {
 	usageThresh float64
-
-	locks    uint64
-	releases uint64
 }
 
 // NewSoftLock builds the response from cfg (UsageThresh; the hold is
@@ -150,7 +137,6 @@ func (s *SoftLock) React(contending bool, v View) (comm.Directive, int) {
 	if !contending {
 		return comm.DirectiveRun, 1
 	}
-	s.locks++
 	return comm.DirectivePause, maxResponseLength
 }
 
@@ -158,7 +144,6 @@ func (s *SoftLock) React(contending bool, v View) (comm.Directive, int) {
 // pressure subsides below the usage threshold.
 func (s *SoftLock) Hold(v View) (comm.Directive, bool) {
 	if v.NeighborMean() < s.usageThresh {
-		s.releases++
 		return comm.DirectiveRun, true
 	}
 	return comm.DirectivePause, false
@@ -166,7 +151,3 @@ func (s *SoftLock) Hold(v View) (comm.Directive, bool) {
 
 // Reset implements Responder (stateless between verdicts).
 func (s *SoftLock) Reset() {}
-
-// LockStats returns how many locks were taken and how many were released
-// by pressure subsiding (rather than by the safety-valve length).
-func (s *SoftLock) LockStats() (locks, releases uint64) { return s.locks, s.releases }

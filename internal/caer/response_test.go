@@ -39,10 +39,6 @@ func TestRedLightGreenLightFixed(t *testing.T) {
 	if d, _ := r.Hold(v); d != comm.DirectiveRun {
 		t.Error("green hold did not stay green")
 	}
-	red, green := r.RedGreenTotals()
-	if red != 10 || green != 10 {
-		t.Errorf("totals = %d,%d, want 10,10", red, green)
-	}
 }
 
 func TestRedLightGreenLightAdaptiveGrowth(t *testing.T) {
@@ -110,10 +106,6 @@ func TestSoftLockTakesAndHoldsUnderPressure(t *testing.T) {
 	d, release = s.Hold(fakeView{neighbor: 10})
 	if d != comm.DirectiveRun || !release {
 		t.Errorf("Hold after subsiding = %v,%v, want run,true", d, release)
-	}
-	locks, releases := s.LockStats()
-	if locks != 1 || releases != 1 {
-		t.Errorf("lock stats = %d,%d, want 1,1", locks, releases)
 	}
 }
 

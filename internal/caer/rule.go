@@ -19,7 +19,6 @@ type RuleDetector struct {
 	usageThresh float64
 	lWindow     *stats.Window // own (batch) misses
 	rWindow     *stats.Window // neighbour (latency-sensitive) misses
-	verdicts    [2]uint64
 }
 
 // NewRuleDetector constructs the heuristic from cfg. It panics on an
@@ -52,10 +51,8 @@ func (d *RuleDetector) Step(ownMisses, neighborMisses float64) (comm.Directive, 
 		contending = false
 	}
 	if contending {
-		d.verdicts[1]++
 		return comm.DirectiveRun, VerdictContention
 	}
-	d.verdicts[0]++
 	return comm.DirectiveRun, VerdictNoContention
 }
 
@@ -70,8 +67,3 @@ func (d *RuleDetector) OwnMean() float64 { return d.lWindow.Mean() }
 
 // NeighborMean returns the current latency-side window average.
 func (d *RuleDetector) NeighborMean() float64 { return d.rWindow.Mean() }
-
-// VerdictCounts returns (noContention, contention) step counts.
-func (d *RuleDetector) VerdictCounts() (noContention, contention uint64) {
-	return d.verdicts[0], d.verdicts[1]
-}

@@ -24,10 +24,8 @@ import (
 type ShutterDetector struct {
 	impactFactor float64
 
-	count    int
-	rWindow  *stats.Window // neighbour samples for the current cycle
-	cycles   uint64        // completed detection cycles
-	verdicts [2]uint64     // [0] no-contention, [1] contention
+	count   int
+	rWindow *stats.Window // neighbour samples for the current cycle
 }
 
 // NewShutterDetector constructs the heuristic from cfg. It panics on an
@@ -71,14 +69,11 @@ func (d *ShutterDetector) Step(ownMisses, neighborMisses float64) (comm.Directiv
 	// averages are taken over the settled tails.
 	steady := d.rWindow.MeanRange(1+transientSkip, switchPoint)
 	burst := d.rWindow.MeanRange(switchPoint+transientSkip, endPoint)
-	d.cycles++
 	d.resetCycle()
 
 	if (burst-steady) > noiseThresh && burst > steady*(1+d.impactFactor) {
-		d.verdicts[1]++
 		return comm.DirectiveRun, VerdictContention
 	}
-	d.verdicts[0]++
 	return comm.DirectiveRun, VerdictNoContention
 }
 
@@ -88,12 +83,4 @@ func (d *ShutterDetector) Reset() { d.resetCycle() }
 func (d *ShutterDetector) resetCycle() {
 	d.count = 0
 	d.rWindow.Reset()
-}
-
-// Cycles returns the number of completed shutter/burst detection cycles.
-func (d *ShutterDetector) Cycles() uint64 { return d.cycles }
-
-// VerdictCounts returns (noContention, contention) cycle counts.
-func (d *ShutterDetector) VerdictCounts() (noContention, contention uint64) {
-	return d.verdicts[0], d.verdicts[1]
 }

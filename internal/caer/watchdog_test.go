@@ -7,6 +7,7 @@ import (
 	"caer/internal/machine"
 	"caer/internal/pmu"
 	"caer/internal/spec"
+	"caer/internal/telemetry"
 )
 
 // watchdogHarness builds an engine over a table whose period clock the
@@ -43,7 +44,11 @@ func TestWatchdogTripsAndFailsOpen(t *testing.T) {
 	pausedAfterDeath := 0
 	for p := 0; p < 10; p++ {
 		tab.BumpPeriod()
+		wasDegraded := e.Degraded()
 		d := e.Tick(100)
+		if !wasDegraded && e.Degraded() && nbr.StalePeriods() < k {
+			t.Errorf("watchdog tripped after %d stale periods, horizon is %d", nbr.StalePeriods(), k)
+		}
 		if p < k {
 			if d == comm.DirectivePause {
 				pausedAfterDeath++
@@ -65,36 +70,31 @@ func TestWatchdogTripsAndFailsOpen(t *testing.T) {
 	if st.DegradedTicks == 0 {
 		t.Fatal("DegradedTicks = 0 after degradation")
 	}
-
-	var sawDegraded bool
-	for _, ev := range e.Log().Events() {
-		if ev.Kind == EventDegraded {
-			sawDegraded = true
-			if ev.StalePeriods < k {
-				t.Errorf("EventDegraded.StalePeriods = %d, want >= %d", ev.StalePeriods, k)
-			}
-		}
-	}
-	if !sawDegraded {
-		t.Fatal("no EventDegraded in the decision log")
-	}
 }
 
 func TestWatchdogRecoversWhenSamplesResume(t *testing.T) {
 	const k = 3
 	e, tab, nbr := watchdogHarness(t, k)
+	rec := privateLane(e)
 
 	tab.BumpPeriod()
 	nbr.Publish(500)
 	e.Tick(100)
 
 	// Kill the monitor long enough to degrade.
+	trip := uint64(0)
 	for p := 0; p < k+2; p++ {
 		tab.BumpPeriod()
 		e.Tick(100)
+		if e.Degraded() && trip == 0 {
+			trip = e.Stats().Periods - 1
+		}
 	}
 	if !e.Degraded() {
 		t.Fatal("engine not degraded")
+	}
+	if n := len(spansOf(rec, telemetry.SpanDegraded)); n != 0 {
+		t.Fatalf("%d degraded spans while still degraded, want 0", n)
 	}
 
 	// Monitor revives: the first fresh sample recovers the engine and
@@ -105,14 +105,12 @@ func TestWatchdogRecoversWhenSamplesResume(t *testing.T) {
 	if e.Degraded() {
 		t.Fatal("engine still degraded after samples resumed")
 	}
-	var sawRecovered bool
-	for _, ev := range e.Log().Events() {
-		if ev.Kind == EventRecovered {
-			sawRecovered = true
-		}
-	}
-	if !sawRecovered {
-		t.Fatal("no EventRecovered in the decision log")
+	// Recovery closes the degraded span: it starts at the trip period and
+	// ends at the recovery period.
+	recovered := e.Stats().Periods - 1
+	deg := spansOf(rec, telemetry.SpanDegraded)
+	if len(deg) != 1 || deg[0].Start != trip || deg[0].Start+uint64(deg[0].Periods) != recovered {
+		t.Fatalf("degraded spans = %+v, want one over periods [%d,%d)", deg, trip, recovered)
 	}
 
 	// And a second outage trips it again.

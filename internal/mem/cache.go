@@ -24,8 +24,8 @@ const (
 	stampWayBits = 6
 )
 
-// CacheStats aggregates per-cache event counts. Counters are cumulative
-// from construction or the last ResetStats.
+// CacheStats aggregates per-cache event counts, cumulative from
+// construction.
 type CacheStats struct {
 	Accesses       uint64
 	Hits           uint64
@@ -123,9 +123,6 @@ func (c *Cache) LineCount() int { return c.sets * c.ways }
 
 // Stats returns a copy of the cumulative counters.
 func (c *Cache) Stats() CacheStats { return c.stats }
-
-// ResetStats zeroes the counters without disturbing cache contents.
-func (c *Cache) ResetStats() { c.stats = CacheStats{} }
 
 func (c *Cache) setOf(addr uint64) int { return int(addr & c.setMask) }
 

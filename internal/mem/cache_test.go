@@ -194,19 +194,6 @@ func TestCachePartitionValidation(t *testing.T) {
 	}
 }
 
-func TestCacheResetStatsKeepsContents(t *testing.T) {
-	c := newTestCache(2, 1)
-	c.Insert(3, 0, false)
-	c.Lookup(3, false)
-	c.ResetStats()
-	if s := c.Stats(); s.Accesses != 0 || s.Hits != 0 {
-		t.Errorf("stats after reset = %+v", s)
-	}
-	if !c.Contains(3) {
-		t.Error("ResetStats dropped contents")
-	}
-}
-
 func TestCacheHitRate(t *testing.T) {
 	var s CacheStats
 	if s.HitRate() != 0 {

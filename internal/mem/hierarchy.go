@@ -263,12 +263,3 @@ func (h *Hierarchy) FlushCore(core int) {
 	h.l2[core].Flush()
 	h.l3.dropOwned(core, h.dropped)
 }
-
-// ResetCounters zeroes the per-core counters without disturbing contents.
-func (h *Hierarchy) ResetCounters() {
-	for i := range h.llcMisses {
-		h.llcMisses[i] = 0
-		h.llcAccesses[i] = 0
-		h.l2Misses[i] = 0
-	}
-}

@@ -224,18 +224,6 @@ func TestHierarchyFlushCore(t *testing.T) {
 	}
 }
 
-func TestHierarchyResetCounters(t *testing.T) {
-	h := newTestHierarchy(1)
-	h.Access(0, 5, false, 0)
-	h.ResetCounters()
-	if h.LLCMisses(0) != 0 || h.LLCAccesses(0) != 0 || h.L2Misses(0) != 0 {
-		t.Error("counters not zeroed")
-	}
-	if !h.L1(0).Contains(5) {
-		t.Error("ResetCounters dropped cache contents")
-	}
-}
-
 func TestMainMemoryFixedLatency(t *testing.T) {
 	m := NewMainMemory(MemoryConfig{LatencyCycles: 150})
 	for i := 0; i < 5; i++ {

@@ -56,6 +56,3 @@ func (m *MainMemory) QueuedCycles() uint64 { return m.queuedCycles }
 
 // Latency returns the unloaded latency.
 func (m *MainMemory) Latency() uint64 { return m.latency }
-
-// ResetStats zeroes counters but keeps channel state.
-func (m *MainMemory) ResetStats() { m.accesses, m.queuedCycles = 0, 0 }

@@ -128,9 +128,6 @@ type Result struct {
 	// CPositive / CNegative / PausedPeriods are the batch engine's decision
 	// counters (CAER runs only).
 	CPositive, CNegative, PausedPeriods uint64
-	// DecisionLog is the batch engine's most recent decisions (CAER runs
-	// only; bounded by the engine's log capacity).
-	DecisionLog []caer.Event
 
 	// Sampling is the runtime's probe-schedule accounting (CAER runs
 	// only): which mode ran and how many probe periods it spent or shed.
@@ -194,11 +191,9 @@ func Run(s Scenario) Result {
 	res.BatchInstructions = m.ReadCounter(1, pmu.EventInstrRetired)
 	res.BatchMisses = m.ReadCounter(1, pmu.EventLLCMisses)
 	res.BatchDuty = m.Core(1).Utilization()
-	if rt != nil { // without a runtime the batch ran unmanaged: no verdicts, no log
-		eng := rt.Engines()[0]
-		st := eng.Stats()
+	if rt != nil { // without a runtime the batch ran unmanaged: no verdicts
+		st := rt.Engines()[0].Stats()
 		res.CPositive, res.CNegative, res.PausedPeriods = st.CPositive, st.CNegative, st.PausedPeriods
-		res.DecisionLog = eng.Log().Events()
 		res.Sampling = rt.SamplingStats()
 	}
 	return res

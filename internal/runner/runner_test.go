@@ -323,8 +323,8 @@ func TestRunCAERPerBatchResults(t *testing.T) {
 	if res.PausedPeriods == 0 || st.RunPeriods+res.PausedPeriods != res.Periods {
 		t.Errorf("run %d + paused %d periods != %d periods", st.RunPeriods, res.PausedPeriods, res.Periods)
 	}
-	if len(res.DecisionLog) == 0 {
-		t.Error("CAER run carries no decision log")
+	if res.CPositive+res.CNegative == 0 {
+		t.Error("CAER run reached no verdict")
 	}
 }
 
@@ -342,7 +342,7 @@ func TestRunNativePerBatchResults(t *testing.T) {
 			res.BatchInstructions, res.BatchMisses, res.BatchDuty)
 	}
 	if res.CPositive != 0 || res.CNegative != 0 || res.PausedPeriods != 0 ||
-		res.DecisionLog != nil || res.Sampling != (caer.SamplingStats{}) {
+		res.Sampling != (caer.SamplingStats{}) {
 		t.Error("native-mode batch reports engine activity")
 	}
 }

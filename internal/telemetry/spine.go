@@ -54,7 +54,6 @@ var (
 	EnginePausedPeriods     = defaultRegistry.Counter("caer_engine_paused_periods_total", "periods the batch app spent paused under an engine directive")
 	EngineWatchdogTrips     = defaultRegistry.Counter("caer_engine_watchdog_trips_total", "watchdog trips into degraded fail-open mode")
 	EngineDegradedTicks     = defaultRegistry.Counter("caer_engine_degraded_ticks_total", "engine ticks spent in degraded fail-open mode")
-	EngineLogDropped        = defaultRegistry.Counter("caer_engine_log_dropped_total", "event-log entries evicted by the bounded ring")
 	EngineMode              = defaultRegistry.Gauge("caer_engine_mode", "sampling mode of the most recently started runtime (0 polling, 1 adaptive, 2 interrupt)")
 	SamplingInterval        = defaultRegistry.Gauge("caer_sampling_interval", "current probe interval of the most recently probing runtime, in periods")
 
