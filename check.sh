@@ -58,16 +58,20 @@ dangling=$(git ls-files -z '*.go' '*.md' '*.sh' '*.yml' |
 # caer-vet with directive hygiene on (stale //caer:allow comments,
 # redundant //caer:hot roots and unreached barriers are findings in CI)
 # and a wall-clock budget: the analysis suite must stay
-# cheap enough to run on every push (CAER_VET_BUDGET seconds, default 120).
+# cheap enough to run on every push (CAER_VET_BUDGET seconds, default 15).
+# It loads through one `go list -export` call and takes the standard
+# library from export data, about 0.5 s warm (`go build ./...` above warms
+# the cache); type-checking the standard library from GOROOT source again
+# would cost ~5 s and more on a slower host, so a slide back fails here.
 # The -json run comes first so the machine-readable findings exist for CI
 # to upload even when the gating run below fails.
 go run ./cmd/caer-vet -unused-suppressions -json ./... > caer-vet.json || true
 vet_start=$(date +%s)
 go run ./cmd/caer-vet -unused-suppressions ./...
 vet_elapsed=$(( $(date +%s) - vet_start ))
-echo "caer-vet runtime: ${vet_elapsed}s (budget ${CAER_VET_BUDGET:-120}s)"
-[ "$vet_elapsed" -le "${CAER_VET_BUDGET:-120}" ] || {
-    echo "caer-vet budget: ${vet_elapsed}s exceeds CAER_VET_BUDGET=${CAER_VET_BUDGET:-120}s" >&2; exit 1; }
+echo "caer-vet runtime: ${vet_elapsed}s (budget ${CAER_VET_BUDGET:-15}s)"
+[ "$vet_elapsed" -le "${CAER_VET_BUDGET:-15}" ] || {
+    echo "caer-vet budget: ${vet_elapsed}s exceeds CAER_VET_BUDGET=${CAER_VET_BUDGET:-15}s" >&2; exit 1; }
 # Tier-1 wall-clock as a number: the plain `go test -count=1 ./...` run,
 # timed whole, with go's per-package times in out/TIER1_times.txt. Over
 # 60 s is a warning, not a failure: the ceiling is a goal for the 2-vCPU
@@ -90,15 +94,16 @@ cat out/LOC.txt
 knobs=$(awk '/^exported config fields:/ { print $NF }' out/LOC.txt)
 [ "$knobs" -le 52 ] || {
     echo "knob ratchet: $knobs exported config fields, over 52" >&2; exit 1; }
-# -timeout: the experiments race suite (regime suites + SLO battery) runs
-# past the 600s per-binary default.
+# -timeout: two race binaries run past the 600s per-binary default: the
+# experiments suite (regime suites + SLO battery) and internal/fleet (872 s
+# under -race at the last measurement).
 go test -race -timeout 30m -coverprofile=coverage.out ./...
 # Coverage ratchet: total statement coverage must not fall below
-# CAER_COVERAGE_MIN (default 88.2, one point under the measured baseline —
+# CAER_COVERAGE_MIN (default 88.3, one point under the measured baseline —
 # raise it as coverage grows, never lower it to absorb a regression).
 total=$(go tool cover -func=coverage.out | awk '/^total:/ { sub(/%/, "", $NF); print $NF }')
-awk -v t="$total" -v min="${CAER_COVERAGE_MIN:-88.2}" 'BEGIN { exit !(t+0 >= min+0) }' || {
-    echo "coverage gate: total $total% below CAER_COVERAGE_MIN=${CAER_COVERAGE_MIN:-88.2}%" >&2; exit 1; }
+awk -v t="$total" -v min="${CAER_COVERAGE_MIN:-88.3}" 'BEGIN { exit !(t+0 >= min+0) }' || {
+    echo "coverage gate: total $total% below CAER_COVERAGE_MIN=${CAER_COVERAGE_MIN:-88.3}%" >&2; exit 1; }
 # No vacuous tests in the simulator, control-loop and comm-table packages:
 # none of their tests is arch-, hardware- or short-gated (the one t.Skip
 # left, mem's allocation budget, is race-only; comm's re-exec helper went

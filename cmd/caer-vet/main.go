@@ -1,7 +1,8 @@
 // Command caer-vet runs the repo-specific static analysis suite over the
-// CAER tree (see internal/analysis). It loads and type-checks every
-// package named by its patterns using only the standard library, applies
-// every analyzer, and prints findings compiler-style:
+// CAER tree (see internal/analysis). It lists the packages its patterns
+// name with one `go list -export` call, type-checks them from source
+// against the standard library's export data, applies every analyzer, and
+// prints findings compiler-style:
 //
 //	file:line:col: [analyzer] message
 //
@@ -12,8 +13,10 @@
 //
 //	caer-vet [-C dir] [-list] [-json] [-analyzer list] [-unused-suppressions] [pattern ...]
 //
-// Patterns are package directories or "dir/..." wildcards, resolved
-// against the enclosing module; the default is "./...". -analyzer runs a
+// Patterns are go package patterns, resolved as the go tool resolves them
+// from the -C directory (default "."); the default pattern is "./...". A
+// directory with its own go.mod is another module, even when named
+// explicitly (vet it with -C dir ./...). -analyzer runs a
 // comma-separated subset of the suite; -json emits the findings as one
 // machine-readable document on stdout instead of compiler-style lines;
 // -unused-suppressions additionally reports the //caer: comments the tree
@@ -47,7 +50,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("caer-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	chdir := fs.String("C", "", "run as if started in `dir`")
+	chdir := fs.String("C", ".", "run as if started in `dir`: patterns resolve relative to it, as with the go tool, "+
+		"and a directory with its own go.mod is another module (vet it with -C dir ./...)")
 	list := fs.Bool("list", false, "list the analyzers and the //caer: directive vocabulary and exit")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON document on stdout")
 	subset := fs.String("analyzer", "", "comma-separated `names` of analyzers to run (default: all)")
@@ -67,42 +71,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	start := *chdir
-	if start == "" {
-		start = "."
-	}
-	if st, err := os.Stat(start); err != nil || !st.IsDir() {
-		fmt.Fprintf(stderr, "caer-vet: %s is not a directory\n", start)
-		return 2
-	}
-	modRoot, modPath, err := analysis.FindModule(start)
-	if err != nil {
-		fmt.Fprintln(stderr, "caer-vet:", err)
-		return 2
-	}
-
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	dirs, err := analysis.ExpandPatterns(modRoot, patterns)
+
+	analyzers, err := analysis.SelectAnalyzers(*subset)
 	if err != nil {
 		fmt.Fprintln(stderr, "caer-vet:", err)
 		return 2
 	}
-
-	analyzers := analysis.Analyzers()
-	if *subset != "" {
-		analyzers, err = analysis.SelectAnalyzers(*subset)
-		if err != nil {
-			fmt.Fprintln(stderr, "caer-vet:", err)
-			return 2
-		}
-	}
 	cfg := analysis.DefaultConfig()
 	cfg.ReportUnusedSuppressions = *unused
 
-	findings, err := analysis.Vet(modRoot, modPath, dirs, analyzers, cfg)
+	findings, err := analysis.Vet(*chdir, patterns, analyzers, cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, "caer-vet:", err)
 		return 2

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -140,10 +141,36 @@ func TestDriverUnusedSuppressions(t *testing.T) {
 	}
 }
 
-// TestDriverBadDir checks the error exit code.
+// TestDriverBadDir checks the load-error exit code: a -C directory that
+// does not exist, and a package go list flags, each exit 2 with the cause
+// on stderr.
 func TestDriverBadDir(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-C", filepath.Join("..", "..", "no-such-dir")}, &out, &errOut); code != 2 {
-		t.Fatalf("exit = %d for missing directory, want 2", code)
+	broken := t.TempDir()
+	for name, body := range map[string]string{
+		"go.mod":   "module tmp\n\ngo 1.22\n",
+		"bad/b.go": "package bad\n\nfunc F( {\n",
+	} {
+		p := filepath.Join(broken, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct{ name, dir, want string }{
+		{"missing directory", filepath.Join("..", "..", "no-such-dir"), "no-such-dir"},
+		{"syntax error", broken, "tmp/bad"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var out, errOut strings.Builder
+			if code := run([]string{"-C", c.dir, "./..."}, &out, &errOut); code != 2 {
+				t.Fatalf("exit = %d, want 2 (stderr: %s)", code, errOut.String())
+			}
+			if !strings.Contains(errOut.String(), c.want) {
+				t.Errorf("stderr does not name %s: %s", c.want, errOut.String())
+			}
+		})
 	}
 }

@@ -527,34 +527,17 @@ func sortedNames(set map[string]bool) []string {
 	return names
 }
 
-// Vet loads every package named by dirs (absolute or modRoot-relative
-// package directories), builds the module-wide call graph, and runs the
-// analyzers over each package, returning all surviving findings sorted by
-// position.
-func Vet(modRoot, modPath string, dirs []string, analyzers []*Analyzer, cfg *Config) ([]Finding, error) {
+// Vet loads the packages patterns match from dir (see Load), builds the
+// module-wide call graph, and runs the analyzers over each package,
+// returning all surviving findings sorted by position.
+func Vet(dir string, patterns []string, analyzers []*Analyzer, cfg *Config) ([]Finding, error) {
 	if cfg == nil {
 		cfg = DefaultConfig()
 	}
-	cfg.ModulePath = modPath
-	pkgs, err := NewLoader(modRoot, modPath).loadAll(dirs)
+	modPath, pkgs, err := Load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
+	cfg.ModulePath = modPath
 	return VetPackages(pkgs, analyzers, cfg), nil
-}
-
-// loadAll loads the packages in dirs, skipping directories without
-// buildable Go files.
-func (l *Loader) loadAll(dirs []string) ([]*Package, error) {
-	var pkgs []*Package
-	for _, dir := range dirs {
-		pkg, err := l.Load(dir)
-		if err != nil {
-			return nil, err
-		}
-		if pkg != nil {
-			pkgs = append(pkgs, pkg)
-		}
-	}
-	return pkgs, nil
 }

@@ -64,19 +64,27 @@ func parseWants(t *testing.T, dir string) []*want {
 }
 
 // loadTestPkgs loads packages of the testdata module (module path "test")
-// through one loader, so they share type identities.
+// through one Load, so they share type identities, and returns them in the
+// order asked.
 func loadTestPkgs(t *testing.T, rels ...string) []*Package {
 	t.Helper()
-	root := testdataRoot(t)
-	loader := NewLoader(root, "test")
+	var patterns []string
+	for _, rel := range rels {
+		patterns = append(patterns, "./"+rel)
+	}
+	_, loaded, err := Load(testdataRoot(t), patterns...)
+	if err != nil {
+		t.Fatalf("load testdata packages %v: %v", rels, err)
+	}
+	byPath := make(map[string]*Package)
+	for _, pkg := range loaded {
+		byPath[pkg.Path] = pkg
+	}
 	var pkgs []*Package
 	for _, rel := range rels {
-		pkg, err := loader.Load(filepath.Join(root, rel))
-		if err != nil {
-			t.Fatalf("load testdata package %s: %v", rel, err)
-		}
+		pkg := byPath["test/"+rel]
 		if pkg == nil {
-			t.Fatalf("testdata package %s has no Go files", rel)
+			t.Fatalf("testdata package %s did not load", rel)
 		}
 		pkgs = append(pkgs, pkg)
 	}
@@ -104,10 +112,7 @@ func seededFindings(t *testing.T, rel string) []Finding {
 	t.Helper()
 	root := testdataRoot(t)
 	seeded.once.Do(func() {
-		var dirs []string
-		if dirs, seeded.err = ExpandPatterns(root, []string{"./..."}); seeded.err == nil {
-			seeded.all, seeded.err = Vet(root, "test", dirs, Analyzers(), DefaultConfig())
-		}
+		seeded.all, seeded.err = Vet(root, []string{"./..."}, Analyzers(), DefaultConfig())
 	})
 	if seeded.err != nil {
 		t.Fatalf("vet seeded tree: %v", seeded.err)

@@ -7,115 +7,120 @@ import (
 	"testing"
 )
 
-func TestFindModule(t *testing.T) {
-	root, path, err := FindModule(".")
-	if err != nil {
-		t.Fatalf("FindModule: %v", err)
-	}
-	if path != "caer" {
-		t.Errorf("module path = %q, want %q", path, "caer")
-	}
-	if filepath.Base(filepath.Dir(filepath.Dir(root))) == "analysis" {
-		t.Errorf("module root %q should be above internal/analysis", root)
-	}
-}
-
-func TestModulePathFromGoMod(t *testing.T) {
-	cases := map[string]string{
-		"module caer\n\ngo 1.22\n":          "caer",
-		"// hi\nmodule example.com/x/y\n":   "example.com/x/y",
-		"module \"quoted/path\"\ngo 1.22\n": "quoted/path",
-		"go 1.22\n":                         "",
-	}
-	for in, wantPath := range cases {
-		if got := modulePathFromGoMod([]byte(in)); got != wantPath {
-			t.Errorf("modulePathFromGoMod(%q) = %q, want %q", in, got, wantPath)
-		}
-	}
-}
-
-func TestLoaderLoadsRealPackage(t *testing.T) {
-	l, _ := realTree(t)
-	pkg, err := l.Load(filepath.Join(l.ModRoot, "internal", "comm"))
-	if err != nil {
-		t.Fatalf("Load internal/comm: %v", err)
-	}
-	if pkg.Path != "caer/internal/comm" {
-		t.Errorf("package path = %q, want caer/internal/comm", pkg.Path)
-	}
-	if pkg.Types.Scope().Lookup("Directive") == nil {
-		t.Errorf("type-checked comm package is missing Directive")
-	}
-	// The loader must cache: a second load returns the same package.
-	again, err := l.Load("internal/comm")
-	if err != nil {
-		t.Fatalf("reload internal/comm: %v", err)
-	}
-	if again != pkg {
-		t.Errorf("loader did not cache internal/comm")
-	}
-}
-
-func TestExpandPatternsSkipsTestdata(t *testing.T) {
-	root, _, err := FindModule(".")
-	if err != nil {
-		t.Fatalf("FindModule: %v", err)
-	}
-	dirs, err := ExpandPatterns(root, []string{"./..."})
-	if err != nil {
-		t.Fatalf("ExpandPatterns: %v", err)
-	}
-	sawAnalysis := false
-	for _, d := range dirs {
-		if strings.Contains(d, "testdata") {
-			t.Errorf("pattern expansion descended into testdata: %s", d)
-		}
-		if filepath.Base(d) == "analysis" {
-			sawAnalysis = true
-		}
-	}
-	if !sawAnalysis {
-		t.Errorf("pattern expansion missed internal/analysis; got %d dirs", len(dirs))
-	}
-}
-
-// TestExpandPatternsStopsAtNestedModule pins the go tool's rule: a
-// directory below the pattern root that holds its own go.mod is another
-// module and is not walked, but naming it explicitly still loads it.
-func TestExpandPatternsStopsAtNestedModule(t *testing.T) {
+// writeModule lays out files (slash-separated path -> contents) under a
+// fresh temporary directory and returns it.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
 	root := t.TempDir()
-	for _, f := range []string{"go.mod", "a/a.go", "nested/go.mod", "nested/n.go", "nested/sub/s.go"} {
-		p := filepath.Join(root, filepath.FromSlash(f))
+	for name, body := range files {
+		p := filepath.Join(root, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(p, []byte("package x\n"), 0o644); err != nil {
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rel := func(dirs []string) string {
-		var out []string
-		for _, d := range dirs {
-			r, err := filepath.Rel(root, d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, filepath.ToSlash(r))
-		}
-		return strings.Join(out, " ")
+	return root
+}
+
+func TestLoaderLoadsRealPackage(t *testing.T) {
+	modPath, pkgs, err := Load(filepath.Join("..", ".."), "./internal/comm")
+	if err != nil {
+		t.Fatalf("Load ./internal/comm: %v", err)
 	}
-	cases := []struct{ pattern, want string }{
-		{"./...", ". a"},
-		{"./nested", "nested"},
-		{"./nested/...", "nested nested/sub"},
+	if modPath != "caer" {
+		t.Errorf("module path = %q, want caer", modPath)
+	}
+	// Only the matched package comes back; its main-module dependencies
+	// were type-checked but are not returned.
+	if len(pkgs) != 1 || pkgs[0].Path != "caer/internal/comm" {
+		var got []string
+		for _, p := range pkgs {
+			got = append(got, p.Path)
+		}
+		t.Fatalf("loaded %v, want [caer/internal/comm]", got)
+	}
+	pkg := pkgs[0]
+	if pkg.Types.Scope().Lookup("Directive") == nil {
+		t.Errorf("type-checked comm package is missing Directive")
+	}
+	if !filepath.IsAbs(pkg.Dir) || filepath.Base(pkg.Dir) != "comm" {
+		t.Errorf("package dir = %q, want the absolute internal/comm directory", pkg.Dir)
+	}
+	if len(pkg.Types.Imports()) == 0 {
+		t.Errorf("comm resolved no imports")
+	}
+}
+
+// TestLoadSkipsWhatTheGoToolSkips pins the go tool's pattern rule, which
+// keeps the seeded fixtures out of the real-tree vet: "./..." walks past
+// testdata, underscore- and dot-prefixed directories, and a directory with
+// its own go.mod is another module.
+func TestLoadSkipsWhatTheGoToolSkips(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod":          "module tmp\n\ngo 1.22\n",
+		"root.go":         "package tmp\n",
+		"a/a.go":          "package a\n\nimport _ \"tmp/a/b\"\n",
+		"a/b/b.go":        "package b\n",
+		"testdata/t.go":   "package t\n",
+		"_x/x.go":         "package x\n",
+		".hidden/h.go":    "package h\n",
+		"nested/go.mod":   "module nested\n\ngo 1.22\n",
+		"nested/n.go":     "package n\n",
+		"nested/sub/s.go": "package sub\n",
+	})
+	modPath, pkgs, err := Load(root, "./...")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if modPath != "tmp" {
+		t.Errorf("module path = %q, want tmp", modPath)
+	}
+	var got []string
+	for _, p := range pkgs {
+		got = append(got, p.Path)
+	}
+	if want := "tmp tmp/a tmp/a/b"; strings.Join(got, " ") != want {
+		t.Errorf("Load(./...) = %v, want %s", got, want)
+	}
+	// Named from inside, the nested module loads as its own main module.
+	if modPath, pkgs, err := Load(filepath.Join(root, "nested"), "./..."); err != nil ||
+		modPath != "nested" || len(pkgs) != 2 {
+		t.Errorf("Load(nested, ./...) = %q, %d packages, %v; want nested, 2, nil", modPath, len(pkgs), err)
+	}
+}
+
+// TestLoadReportsListErrors requires a package go list flags — one that
+// does not parse, one importing a package that does not exist — to fail
+// the load with an error naming it.
+func TestLoadReportsListErrors(t *testing.T) {
+	cases := []struct {
+		name  string
+		files map[string]string
+		want  []string
+	}{
+		{"syntax", map[string]string{
+			"go.mod":   "module tmp\n\ngo 1.22\n",
+			"ok/ok.go": "package ok\n",
+			"bad/b.go": "package bad\n\nfunc F( {\n",
+		}, []string{"tmp/bad", "syntax error"}},
+		{"missing import", map[string]string{
+			"go.mod":   "module tmp\n\ngo 1.22\n",
+			"imp/i.go": "package imp\n\nimport _ \"nosuch/pkg\"\n",
+		}, []string{"nosuch/pkg", "imported by tmp/imp"}},
 	}
 	for _, c := range cases {
-		dirs, err := ExpandPatterns(root, []string{c.pattern})
-		if err != nil {
-			t.Fatalf("ExpandPatterns(%s): %v", c.pattern, err)
-		}
-		if got := rel(dirs); got != c.want {
-			t.Errorf("ExpandPatterns(%s) = %q, want %q", c.pattern, got, c.want)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			_, pkgs, err := Load(writeModule(t, c.files), "./...")
+			if err == nil {
+				t.Fatalf("Load succeeded with %d packages, want an error", len(pkgs))
+			}
+			for _, w := range c.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("error %q does not mention %q", err, w)
+				}
+			}
+		})
 	}
 }

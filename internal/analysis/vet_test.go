@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -11,9 +12,9 @@ import (
 // fails this test (and `caer-vet -unused-suppressions ./...` in make
 // check).
 func TestVetRealTreeClean(t *testing.T) {
-	loader, pkgs := realTree(t)
+	modPath, pkgs := realTree(t)
 	cfg := DefaultConfig()
-	cfg.ModulePath = loader.ModPath
+	cfg.ModulePath = modPath
 	cfg.ReportUnusedSuppressions = true
 	for _, f := range VetPackages(pkgs, Analyzers(), cfg) {
 		t.Errorf("real tree finding: %s", f)
@@ -70,11 +71,7 @@ func TestHotClosureSentinels(t *testing.T) {
 // TestVetSeededTreeFails is the inverse gate: over the seeded-violation
 // testdata module, every analyzer must fire.
 func TestVetSeededTreeFails(t *testing.T) {
-	dirs, err := ExpandPatterns(testdataRoot(t), []string{"./..."})
-	if err != nil {
-		t.Fatalf("ExpandPatterns: %v", err)
-	}
-	findings, err := Vet(testdataRoot(t), "test", dirs, Analyzers(), DefaultConfig())
+	findings, err := Vet(testdataRoot(t), []string{"./..."}, Analyzers(), DefaultConfig())
 	if err != nil {
 		t.Fatalf("Vet: %v", err)
 	}
@@ -89,42 +86,35 @@ func TestVetSeededTreeFails(t *testing.T) {
 	}
 }
 
-// shipped memoizes the load of the shipped module: type-checking it (and the
-// standard library from source) is most of this package's test time, so
-// the test binary does it once.
+// shipped memoizes the load of the shipped module: type-checking it is
+// most of this package's test time, so the test binary does it once.
 var shipped struct {
-	once   sync.Once
-	loader *Loader
-	pkgs   []*Package
-	err    error
+	once    sync.Once
+	modPath string
+	pkgs    []*Package
+	err     error
 }
 
-// realTree returns the loader holding the shipped module and the module's
-// "./..." packages, loading them on first use.
-func realTree(t *testing.T) (*Loader, []*Package) {
+// realTree returns the shipped module's path and its "./..." packages,
+// loading them on first use.
+func realTree(t *testing.T) (string, []*Package) {
 	t.Helper()
 	shipped.once.Do(func() {
-		root, path, err := FindModule(".")
-		var dirs []string
-		if err == nil {
-			dirs, err = ExpandPatterns(root, []string{"./..."})
-		}
-		if err == nil {
-			shipped.loader = NewLoader(root, path)
-			shipped.pkgs, err = shipped.loader.loadAll(dirs)
-		}
-		shipped.err = err
+		shipped.modPath, shipped.pkgs, shipped.err = Load(filepath.Join("..", ".."), "./...")
 	})
 	if shipped.err != nil {
 		t.Fatalf("load the shipped module: %v", shipped.err)
 	}
-	return shipped.loader, shipped.pkgs
+	return shipped.modPath, shipped.pkgs
 }
+
+// testdataRoot returns the absolute root of the seeded-violation module
+// (module path "test"), the directory findings are positioned under.
 func testdataRoot(t *testing.T) string {
 	t.Helper()
-	root, _, err := FindModule(".")
+	root, err := filepath.Abs(filepath.Join("testdata", "src"))
 	if err != nil {
-		t.Fatalf("FindModule: %v", err)
+		t.Fatalf("testdata root: %v", err)
 	}
-	return root + "/internal/analysis/testdata/src"
+	return root
 }
