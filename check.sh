@@ -114,26 +114,30 @@ go test -count=1 -v ./internal/runner ./internal/caer ./internal/comm ./internal
     echo "skip gate: the tests above skipped in a plain run" >&2; exit 1; }
 # Fuzz smoke: run each parser fuzz target briefly so the checked-in seed
 # corpus and any new corpus entries actually execute against the invariants
-# (go's fuzzer accepts one target per invocation).
-go test -run='^$' -fuzz='^FuzzParseText$' -fuzztime=10s ./internal/telemetry
-go test -run='^$' -fuzz='^FuzzParseSeries$' -fuzztime=10s ./internal/telemetry
-go test -run='^$' -fuzz='^FuzzParseChromeTrace$' -fuzztime=10s ./internal/telemetry
+# (go's fuzzer accepts one target per invocation). Every smoke caps
+# minimisation at 100 executions: the fuzzer minimises each new interesting
+# input for up to 60 s by default, which ate most of the 10 s budget (the
+# machine, hierarchy, ParseText and partition smokes ended at 0 execs/s);
+# capped, each executes several times as many inputs.
+go test -run='^$' -fuzz='^FuzzParseText$' -fuzztime=10s -fuzzminimizetime=100x ./internal/telemetry
+go test -run='^$' -fuzz='^FuzzParseSeries$' -fuzztime=10s -fuzzminimizetime=100x ./internal/telemetry
+go test -run='^$' -fuzz='^FuzzParseChromeTrace$' -fuzztime=10s -fuzzminimizetime=100x ./internal/telemetry
 # Resize-path fuzz smoke: random partition op sequences (lookups, fills,
 # resizes, back-invalidations) against the model checker in fuzz_test —
 # fills stay inside the owner's mask, a resize drops nothing, the valid
 # bitmaps and LRU stamps stay well formed, and every resident line stays
 # hittable.
-go test -run='^$' -fuzz='^FuzzCachePartition$' -fuzztime=10s ./internal/mem
+go test -run='^$' -fuzz='^FuzzCachePartition$' -fuzztime=10s -fuzzminimizetime=100x ./internal/mem
 # Cache-core differential fuzz smoke: random access/resize/flush sequences
 # through mem.Hierarchy and the naive reference hierarchy in ref_test,
 # compared after every step (results, stats, residency, inclusion,
 # core-valid bits).
-go test -run='^$' -fuzz='^FuzzHierarchy$' -fuzztime=10s ./internal/mem
+go test -run='^$' -fuzz='^FuzzHierarchy$' -fuzztime=10s -fuzzminimizetime=100x ./internal/mem
 # Period-stepper differential fuzz smoke: random geometries and
 # pause/divisor/bind/relaunch scripts stepped by the machine (one pass for
 # uncontended domains) and by the all-sliced reference loop, compared after
 # every period.
-go test -run='^$' -fuzz='^FuzzMachinePeriod$' -fuzztime=10s ./internal/machine
+go test -run='^$' -fuzz='^FuzzMachinePeriod$' -fuzztime=10s -fuzzminimizetime=100x ./internal/machine
 # Scrape-path benchmark smoke: one iteration each, so the writer, parser and
 # collector benchmarks keep compiling and their allocs/op land in the CI log.
 go test -run='^$' -bench='WritePrometheus|ParseText|ScrapeAll' -benchtime=1x ./internal/telemetry ./internal/fleet

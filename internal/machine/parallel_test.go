@@ -179,6 +179,101 @@ func TestSharedPoolMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestPoolStepsMostWorkFirst pins the pool's work order over skewed units:
+// sliced, one-pass and idle domains, and two twin machines whose units tie.
+// After every batch each unit's work is the L1 accesses its step added,
+// the order deals the units out by non-increasing work with the idle ones
+// last, and tied units keep their index order, also when a unit that was
+// busy ahead of an idle one falls idle beside it.
+func TestPoolStepsMostWorkFirst(t *testing.T) {
+	geometry := []struct {
+		domains, perDomain int
+		quiet              bool
+	}{{2, 2, false}, {2, 4, false}, {1, 2, false}, {3, 3, true}, {2, 2, false}} // 10 units; 7 idle, 0~8 and 1~9 twins
+	for _, workers := range []int{2, 3, 16} {
+		label := "workers=" + strconv.Itoa(workers)
+		var ms []*Machine
+		for _, g := range geometry {
+			m := buildDomains(t, g.domains, g.perDomain, 1)
+			if g.quiet {
+				m = quieten(m)
+			}
+			ms = append(ms, m)
+		}
+		pool := NewPool(workers, ms...)
+		t.Cleanup(pool.Stop)
+		busyTies := 0
+		l1 := func(u unit) (n uint64) { // every reference passes the domain's L1s
+			h := u.m.DomainHierarchy(u.d)
+			for c := 0; c < h.Cores(); c++ {
+				n += h.L1(c).Stats().Accesses
+			}
+			return n
+		}
+		pause := func(m *Machine, paused bool) {
+			for i := 0; i < m.Cores(); i++ {
+				m.Core(i).SetPaused(paused)
+			}
+		}
+		batch := func(when string, n, wantIdle int) {
+			t.Helper()
+			before := make([]uint64, len(pool.units))
+			for k, u := range pool.units {
+				before[k] = l1(u)
+			}
+			pool.RunPeriods(n)
+			seen := make([]bool, len(pool.units))
+			idle := 0
+			for i, k := range pool.order {
+				if seen[k] {
+					t.Fatalf("%s %s: order %v repeats unit %d", label, when, pool.order, k)
+				}
+				seen[k] = true
+				if got, want := pool.work[k], l1(pool.units[k])-before[k]; got != want {
+					t.Fatalf("%s %s: unit %d work = %d, want the %d L1 accesses its step added", label, when, k, got, want)
+				}
+				if pool.work[k] == 0 {
+					idle++
+				} else if idle > 0 {
+					t.Fatalf("%s %s: busy unit %d dealt after an idle one: order %v work %v", label, when, k, pool.order, pool.work)
+				}
+				if i == 0 {
+					continue
+				}
+				prev := pool.order[i-1]
+				if pool.work[prev] < pool.work[k] {
+					t.Fatalf("%s %s: order %v not non-increasing in work %v", label, when, pool.order, pool.work)
+				}
+				if pool.work[prev] == pool.work[k] {
+					if prev > k {
+						t.Fatalf("%s %s: tied units %d and %d out of index order: %v", label, when, prev, k, pool.order)
+					}
+					if pool.work[k] > 0 {
+						busyTies++
+					}
+				}
+			}
+			if idle != wantIdle {
+				t.Fatalf("%s %s: %d idle units, want %d (work %v)", label, when, idle, wantIdle, pool.work)
+			}
+		}
+		for p := 0; p < 6; p++ {
+			batch("period "+strconv.Itoa(p), 1, 1)
+		}
+		batch("RunPeriods(3)", 3, 1)
+		pause(ms[4], true) // units 8 and 9, dealt ahead of 7, fall idle beside it
+		batch("twin paused", 1, 3)
+		pause(ms[0], true)
+		batch("both twins paused", 2, 5)
+		pause(ms[0], false)
+		pause(ms[4], false)
+		batch("twins resumed", 1, 1)
+		if busyTies == 0 {
+			t.Fatalf("%s: the twin machines' units never tied", label)
+		}
+	}
+}
+
 // TestBatchedPeriodsMatchSingle pins that one RunPeriods(n) dispatch equals
 // n RunPeriod calls, serially and on the pool.
 func TestBatchedPeriodsMatchSingle(t *testing.T) {

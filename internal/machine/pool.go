@@ -30,12 +30,21 @@ type Pool struct {
 	workers  int    // as configured; 1 once stopped
 	helpers  int    // goroutines parked on wake
 
+	// work holds, per unit, the memory references its last step simulated,
+	// written by the worker that stepped it; order deals the units out by
+	// descending work (ties by index), re-sorted after every batch, so the
+	// busiest domains start first and the short ones fill in behind them
+	// (longest processing time first). The key is simulated, not host
+	// time: the schedule stays a function of the simulation.
+	work  []uint64
+	order []int
+
 	// wake hands the current batch to one helper per send; the calling
 	// goroutine is the last worker. nil — one worker, one unit, or a
 	// stopped pool — is the plain loop with no channel operation.
 	wake    chan struct{}
 	periods int          // the batch length, written before the wake sends
-	next    atomic.Int64 // cursor into units, shared by every worker of a batch
+	next    atomic.Int64 // cursor into order, shared by every worker of a batch
 	done    sync.WaitGroup
 }
 
@@ -54,6 +63,11 @@ func NewPool(workers int, ms ...*Machine) *Pool {
 		for d := range m.hiers {
 			p.units = append(p.units, unit{m, d})
 		}
+	}
+	p.work = make([]uint64, len(p.units))
+	p.order = make([]int, len(p.units))
+	for i := range p.order {
+		p.order[i] = i
 	}
 	p.helpers = min(workers, len(p.units)) - 1
 	if p.helpers > 0 {
@@ -76,8 +90,8 @@ func (p *Pool) Stop() {
 }
 
 // RunPeriods advances every member n periods: all their domains through one
-// cursor and one barrier, then each machine's clock. The members end in the
-// state n RunPeriod calls on each would leave them in.
+// cursor, busiest first, and one barrier, then each machine's clock. The
+// members end in the state n RunPeriod calls on each would leave them in.
 func (p *Pool) RunPeriods(n int) {
 	if n <= 0 {
 		return
@@ -93,9 +107,29 @@ func (p *Pool) RunPeriods(n int) {
 	p.wakeHelpers()
 	p.drain()
 	p.done.Wait()
+	p.sortOrder()
 	for _, m := range p.machines {
 		m.advance(n)
 	}
+}
+
+// sortOrder re-sorts order by descending work, ties by unit index. The
+// order changes little from batch to batch, so the insertion sort is about
+// one pass and allocates nothing.
+func (p *Pool) sortOrder() {
+	for i := 1; i < len(p.order); i++ {
+		u := p.order[i]
+		j := i
+		for ; j > 0 && p.ahead(u, p.order[j-1]); j-- {
+			p.order[j] = p.order[j-1]
+		}
+		p.order[j] = u
+	}
+}
+
+// ahead reports whether unit a is dealt out before unit b.
+func (p *Pool) ahead(a, b int) bool {
+	return p.work[a] > p.work[b] || p.work[a] == p.work[b] && a < b
 }
 
 // wakeHelpers hands the batch to the parked helpers. caer-vet's hot walk
@@ -116,14 +150,29 @@ func (p *Pool) helper(wake <-chan struct{}) {
 	}
 }
 
-// drain steps units off the shared cursor until none is left.
+// drain steps units off the shared cursor, in order, until none is left,
+// and records each one's work.
 func (p *Pool) drain() {
 	for {
 		i := int(p.next.Add(1)) - 1
-		if i >= len(p.units) {
+		if i >= len(p.order) {
 			return
 		}
-		u := p.units[i]
+		k := p.order[i]
+		u := p.units[k]
+		before := u.accesses()
 		u.m.stepDomain(u.d, p.periods)
+		p.work[k] = u.accesses() - before
 	}
+}
+
+// accesses sums the L1 accesses of the unit's cores: every memory
+// reference the domain has simulated.
+func (u unit) accesses() uint64 {
+	h := u.m.hiers[u.d]
+	var n uint64
+	for c := 0; c < h.Cores(); c++ {
+		n += h.L1(c).Stats().Accesses
+	}
+	return n
 }
