@@ -163,22 +163,6 @@ func BenchmarkAblationDVFSResponse(b *testing.B) {
 
 // Micro-benchmarks of the substrate's hot paths.
 
-func BenchmarkCacheAccess(b *testing.B) {
-	c := mem.NewCache(mem.Config{Name: "bench", Sets: 512, Ways: 16})
-	rng := rand.New(rand.NewSource(1))
-	addrs := make([]uint64, 4096)
-	for i := range addrs {
-		addrs[i] = uint64(rng.Intn(12288))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := addrs[i&4095]
-		if !c.Lookup(a, false) {
-			c.Insert(a, 0, false)
-		}
-	}
-}
-
 func BenchmarkHierarchyAccess(b *testing.B) {
 	h := mem.NewHierarchy(mem.DefaultHierarchyConfig(2))
 	rng := rand.New(rand.NewSource(1))

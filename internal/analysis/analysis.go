@@ -108,6 +108,9 @@ type Pass struct {
 	// transitive static closure, minus barriers) to its label path from a
 	// root. See CallGraph.HotSet.
 	Hot map[*types.Func][]string
+	// Unreached holds the functions of the program's packages that no
+	// program root reaches (see CallGraph.Unreached).
+	Unreached map[*types.Func]bool
 
 	findings *[]Finding
 }
@@ -188,7 +191,7 @@ func parseDirective(text string) (word, args string) {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		HotPath, EnumSwitch, LockDiscipline, Determinism,
-		TelemetryDiscipline, Suppression,
+		TelemetryDiscipline, Reach, Suppression,
 	}
 }
 
@@ -229,22 +232,14 @@ func SelectAnalyzers(names string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// RunAnalyzers applies the given analyzers to one loaded package and
-// returns the findings that survive //caer:allow suppression filtering,
-// plus any suppression-hygiene findings. The call graph is built over the
-// single package; use VetPackages for whole-module (cross-package)
-// propagation.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer, cfg *Config) []Finding {
-	return VetPackages([]*Package{pkg}, analyzers, cfg)
-}
-
 // VetPackages builds the static call graph over all packages, then runs
-// every analyzer over every package with the shared graph and hot-path
-// closure, applies suppression filtering, and returns the surviving
-// findings sorted by position.
+// every analyzer over every package but the Nested ones with the shared
+// graph, hot-path closure and unreached set, applies suppression
+// filtering, and returns the surviving findings sorted by position.
 func VetPackages(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Finding {
 	graph := BuildCallGraph(pkgs)
 	hot := graph.HotSet()
+	unreached := graph.Unreached(cfg.ModulePath)
 
 	active := make(map[string]bool)
 	for _, a := range analyzers {
@@ -253,18 +248,22 @@ func VetPackages(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Finding 
 
 	var all []Finding
 	for _, pkg := range pkgs {
+		if pkg.Nested {
+			continue
+		}
 		var findings []Finding
 		for _, a := range analyzers {
 			a.Run(&Pass{
-				Analyzer: a,
-				Fset:     pkg.Fset,
-				Files:    pkg.Files,
-				Pkg:      pkg.Types,
-				Info:     pkg.Info,
-				Cfg:      cfg,
-				Graph:    graph,
-				Hot:      hot,
-				findings: &findings,
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				Info:      pkg.Info,
+				Cfg:       cfg,
+				Graph:     graph,
+				Hot:       hot,
+				Unreached: unreached,
+				findings:  &findings,
 			})
 		}
 		sup := collectSuppressions(pkg)

@@ -23,7 +23,9 @@ import (
 //     and the spawn itself is already a hotpath finding.
 //   - A method value or function value that is referenced without being
 //     called (f := e.helper; hand it elsewhere) produces EdgeMethodValue:
-//     the graph assumes it may be invoked by the holder.
+//     the graph assumes it may be invoked by the holder. A method value
+//     taken on an interface resolves as an interface call does, to one
+//     EdgeMethodValue per implementation.
 //   - A call through an interface produces one EdgeInterface per concrete
 //     method declared in the loaded packages whose receiver type
 //     implements the interface (the conservative "it could be any of
@@ -31,8 +33,10 @@ import (
 //     (error, io.Writer, ...) are not resolved — their implementors are
 //     unbounded — and reflection is out of scope entirely.
 type CallGraph struct {
-	nodes map[*types.Func]*Node
-	tpkgs map[*types.Package]bool // type-checker packages of the loaded set
+	nodes   map[*types.Func]*Node
+	tpkgs   map[*types.Package]bool // type-checker packages of the loaded set
+	methods map[string][]*Node      // method nodes by name, for interface resolution
+	pkgs    []*Package              // the loaded packages, nested ones included
 }
 
 // Node is one declared function in the analyzed packages, together with
@@ -123,14 +127,21 @@ type Edge struct {
 }
 
 // BuildCallGraph constructs the static call graph over the given packages.
+// A Nested package contributes no nodes: it is kept for the references
+// the reach analyzer roots (see Unreached).
 func BuildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{
-		nodes: make(map[*types.Func]*Node),
-		tpkgs: make(map[*types.Package]bool),
+		nodes:   make(map[*types.Func]*Node),
+		tpkgs:   make(map[*types.Package]bool),
+		methods: make(map[string][]*Node),
+		pkgs:    pkgs,
 	}
 
 	// Pass 1: one node per function declaration.
 	for _, pkg := range pkgs {
+		if pkg.Nested {
+			continue
+		}
 		g.tpkgs[pkg.Types] = true
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
@@ -149,15 +160,17 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 
 	// The interface-method index: every node that is a method, grouped by
 	// name, for conservative dynamic-dispatch resolution.
-	methodsByName := make(map[string][]*Node)
 	for _, n := range g.nodes {
 		if recvType(n.Fn) != nil {
-			methodsByName[n.Fn.Name()] = append(methodsByName[n.Fn.Name()], n)
+			g.methods[n.Fn.Name()] = append(g.methods[n.Fn.Name()], n)
 		}
 	}
 
 	// Pass 2: edges.
 	for _, pkg := range pkgs {
+		if pkg.Nested {
+			continue
+		}
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -168,7 +181,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 				if !ok {
 					continue
 				}
-				g.addEdges(g.nodes[fn], pkg, fd, methodsByName)
+				g.addEdges(g.nodes[fn], pkg, fd)
 			}
 		}
 	}
@@ -208,16 +221,13 @@ func (g *CallGraph) Nodes() []*Node {
 }
 
 // addEdges walks one function body and records its outgoing edges.
-func (g *CallGraph) addEdges(from *Node, pkg *Package, fd *ast.FuncDecl, methodsByName map[string][]*Node) {
-	// callFuns marks expressions that are the operator of a call (so a
+func (g *CallGraph) addEdges(from *Node, pkg *Package, fd *ast.FuncDecl) {
+	// callFuns marks expressions that are the operator of a call (so the
 	// second walk can tell method *values* from call sites).
 	callFuns := make(map[ast.Expr]bool)
 	seen := make(map[edgeKey]bool)
 
 	connect := func(to *Node, kind EdgeKind, pos token.Pos) {
-		if to == nil {
-			return
-		}
 		k := edgeKey{to: to, kind: kind}
 		if seen[k] {
 			return
@@ -230,29 +240,12 @@ func (g *CallGraph) addEdges(from *Node, pkg *Package, fd *ast.FuncDecl, methods
 
 	resolveCall := func(call *ast.CallExpr, kind EdgeKind) {
 		callFuns[call.Fun] = true
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			if f, ok := pkg.Info.Uses[fun].(*types.Func); ok {
-				connect(g.nodes[f], kind, call.Pos())
-			}
-		case *ast.SelectorExpr:
-			f, ok := pkg.Info.Uses[fun.Sel].(*types.Func)
-			if !ok {
-				return
-			}
-			if sel, isSel := pkg.Info.Selections[fun]; isSel && isInterfaceRecv(sel.Recv()) {
-				// Dynamic dispatch: resolve conservatively to every
-				// in-module implementation, but only for interfaces the
-				// loaded packages declare.
-				if !g.declaredInPackages(sel.Recv()) {
-					return
-				}
-				for _, impl := range implementations(sel.Recv(), fun.Sel.Name, methodsByName) {
-					connect(impl, EdgeInterface, call.Pos())
-				}
-				return
-			}
-			connect(g.nodes[f], kind, call.Pos())
+		targets, dynamic := g.targets(pkg.Info, call.Fun)
+		if dynamic {
+			kind = EdgeInterface
+		}
+		for _, to := range targets {
+			connect(to, kind, call.Pos())
 		}
 	}
 
@@ -276,19 +269,61 @@ func (g *CallGraph) addEdges(from *Node, pkg *Package, fd *ast.FuncDecl, methods
 
 	// Second walk: function/method values referenced outside call-operator
 	// position.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	g.eachRef(pkg.Info, fd.Body, callFuns, func(to *Node, pos token.Pos) {
+		connect(to, EdgeMethodValue, pos)
+	})
+}
+
+// targets resolves a reference to a function (a call's operator, or a
+// function or method value) to the nodes it may run: the declared
+// function of a static reference, or, for a method of an interface the
+// loaded packages declare, every implementation in them (dynamic).
+func (g *CallGraph) targets(info *types.Info, ref ast.Expr) (nodes []*Node, dynamic bool) {
+	var id *ast.Ident
+	switch ref := ref.(type) {
+	case *ast.Ident:
+		id = ref
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[ref]; ok && isInterfaceRecv(sel.Recv()) {
+			if !g.declaredInPackages(sel.Recv()) {
+				return nil, true
+			}
+			return implementations(sel.Recv(), ref.Sel.Name, g.methods), true
+		}
+		id = ref.Sel
+	default:
+		return nil, false
+	}
+	if f, ok := info.Uses[id].(*types.Func); ok && g.nodes[f] != nil {
+		return []*Node{g.nodes[f]}, false
+	}
+	return nil, false
+}
+
+// eachRef calls visit for every node a function reference under root may
+// run, skipping the references in skip (call operators, which a caller
+// accounts for itself).
+func (g *CallGraph) eachRef(info *types.Info, root ast.Node, skip map[ast.Expr]bool, visit func(*Node, token.Pos)) {
+	sels := make(map[*ast.Ident]bool)
+	ref := func(e ast.Expr) {
+		if skip[e] {
+			return
+		}
+		targets, _ := g.targets(info, e)
+		for _, to := range targets {
+			visit(to, e.Pos())
+		}
+	}
+	ast.Inspect(root, func(n ast.Node) bool {
 		switch node := n.(type) {
-		case *ast.Ident:
-			if f, ok := pkg.Info.Uses[node].(*types.Func); ok && !callFuns[ast.Expr(node)] {
-				connect(g.nodes[f], EdgeMethodValue, node.Pos())
-			}
 		case *ast.SelectorExpr:
-			if callFuns[ast.Expr(node)] {
-				return false // the Sel ident below is the call operator
+			if _, ok := info.Uses[node.Sel].(*types.Func); ok {
+				sels[node.Sel] = true // the selector stands for its Sel
+				ref(node)
 			}
-			if f, ok := pkg.Info.Uses[node.Sel].(*types.Func); ok {
-				connect(g.nodes[f], EdgeMethodValue, node.Pos())
-				return false
+		case *ast.Ident:
+			if _, ok := info.Uses[node].(*types.Func); ok && !sels[node] {
+				ref(node)
 			}
 		}
 		return true
@@ -336,13 +371,13 @@ func (g *CallGraph) declaredInPackages(t types.Type) bool {
 // implementations resolves an interface-method call to the in-module
 // concrete methods that can satisfy it: same name, and the receiver's
 // type (or its pointer) implements the interface.
-func implementations(iface types.Type, name string, methodsByName map[string][]*Node) []*Node {
+func implementations(iface types.Type, name string, methods map[string][]*Node) []*Node {
 	it, ok := iface.Underlying().(*types.Interface)
 	if !ok {
 		return nil
 	}
 	var out []*Node
-	for _, cand := range methodsByName[name] {
+	for _, cand := range methods[name] {
 		rt := recvType(cand.Fn)
 		if rt == nil {
 			continue

@@ -27,9 +27,9 @@ func hasEdge(from *Node, to string, kind EdgeKind) bool {
 }
 
 // TestCallGraphEdges pins one edge per kind over the graph fixture
-// package: direct call, two-hop chain, defer, method value, and
-// conservative interface dispatch to every implementation. A go statement
-// records no edge.
+// package: direct call, two-hop chain, defer, method value (on an
+// interface, one per implementation), and conservative interface dispatch
+// to every implementation. A go statement records no edge.
 func TestCallGraphEdges(t *testing.T) {
 	pkg := loadTestPkg(t, "graph")
 	g := BuildCallGraph([]*Package{pkg})
@@ -44,6 +44,8 @@ func TestCallGraphEdges(t *testing.T) {
 		{"graph.Root", "graph.English.Greet", EdgeMethodValue},
 		{"graph.Speak", "graph.English.Greet", EdgeInterface},
 		{"graph.Speak", "graph.French.Greet", EdgeInterface},
+		{"graph.Hold", "graph.English.Greet", EdgeMethodValue},
+		{"graph.Hold", "graph.French.Greet", EdgeMethodValue},
 	}
 	for _, c := range cases {
 		if !hasEdge(findNode(t, g, c.from), c.to, c.kind) {

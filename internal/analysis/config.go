@@ -7,17 +7,19 @@ import (
 )
 
 // Config holds what the analyzers need to know about the repository that
-// is not a property of one declaration: which packages play a role, and
-// the telemetry family inventory. Facts about individual functions — hot
-// roots, cold barriers, allocating APIs, deterministic result assembly —
-// are //caer: directives in those functions' doc comments (Directives),
-// and enums are derived from the types themselves (EnumSwitch). Package
+// is not a property of one declaration: which packages play a role. Facts
+// about individual functions — hot roots, cold barriers, allocating APIs,
+// deterministic result assembly — are //caer: directives in those functions' doc comments (Directives),
+// enums are derived from the types themselves (EnumSwitch), and the
+// telemetry family inventory is read from DESIGN.md (TelemetryDiscipline).
+// Package
 // entries are final import-path elements, so "mem" matches
 // caer/internal/mem as well as a testdata package named mem.
 type Config struct {
 	// ModulePath is the import path of the module under analysis; set by
 	// Vet. lockdiscipline scopes its error-discard rule, and enumswitch its
-	// enum derivation, to declarations inside this module.
+	// enum derivation, to declarations inside this module; reach roots the
+	// API of the package at this path.
 	ModulePath string
 
 	// DeterministicPkgs lists final import-path elements whose entire
@@ -28,11 +30,6 @@ type Config struct {
 	// EnumIgnorePrefixes lists constant-name prefixes excluded from
 	// exhaustiveness (count sentinels like numEvents).
 	EnumIgnorePrefixes []string
-
-	// MetricNames is the telemetry family inventory (DESIGN.md §10's
-	// registry table): every name passed to a telemetry registration
-	// call must appear here, so the spine and the docs cannot drift.
-	MetricNames []string
 
 	// ReportUnusedSuppressions turns directives the tree no longer needs
 	// into findings: stale //caer:allow comments, redundant //caer:hot
@@ -45,43 +42,6 @@ func DefaultConfig() *Config {
 	return &Config{
 		DeterministicPkgs:  []string{"machine", "mem", "sched", "caer", "fleet"},
 		EnumIgnorePrefixes: []string{"num"},
-		MetricNames: []string{
-			"caer_pmu_reads_total", "caer_pmu_rearms_total", "caer_pmu_probes_total",
-			"caer_pmu_probes_skipped_total", "caer_pmu_trigger_fires_total",
-			"caer_pmu_faults_total",
-			"caer_comm_publishes_total", "caer_comm_broadcasts_total",
-			"caer_comm_staleness_periods", "caer_comm_period",
-			"caer_engine_ticks_total", "caer_engine_verdicts_total",
-			"caer_engine_holds_total", "caer_engine_hold_periods",
-			"caer_engine_directive_changes_total", "caer_engine_paused_periods_total",
-			"caer_engine_watchdog_trips_total", "caer_engine_degraded_ticks_total",
-			"caer_engine_mode", "caer_sampling_interval",
-			"caer_core_pressure", "caer_core_directive", "caer_core_degraded",
-			"caer_sched_admissions_total", "caer_sched_aged_bypasses_total",
-			"caer_sched_vetoes_total", "caer_sched_migrations_total",
-			"caer_sched_completions_total", "caer_sched_class_flips_total",
-			"caer_sched_queue_depth", "caer_sched_running",
-			"caer_part_plans_total", "caer_part_resizes_total",
-			"caer_part_orphans_total",
-			"caer_part_protected_ways", "caer_part_confined_ways",
-			"caer_part_pressure",
-			"caer_runner_runs_total", "caer_runner_periods_total",
-			"caer_telemetry_ops_total", "caer_telemetry_spans_total",
-			"caer_telemetry_spans_dropped_total",
-			"caer_fleet_ticks_total", "caer_fleet_arrivals_total",
-			"caer_fleet_dispatches_total", "caer_fleet_migrations_total",
-			"caer_fleet_completions_total", "caer_fleet_requests_total",
-			"caer_fleet_queue_depth",
-			"caer_fleet_node_dispatches_total", "caer_fleet_node_completions_total",
-			"caer_fleet_node_withdrawals_total", "caer_fleet_node_queue_depth",
-			"caer_fleet_node_sojourn_periods",
-			"caer_fleet_node_free_cores", "caer_fleet_node_sensitivity",
-			"caer_fleet_node_batch_load", "caer_fleet_node_degraded_ticks_total",
-			"caer_fleet_request_latency_periods",
-			"caer_series_samples_total", "caer_series_tracks",
-			"caer_slo_state", "caer_slo_burn_fast", "caer_slo_burn_slow",
-			"caer_slo_alerts_total", "caer_slo_evals_total",
-		},
 	}
 }
 
@@ -97,12 +57,6 @@ func pkgBase(path string) string {
 // determinism rules.
 func (c *Config) IsDeterministicPkg(pkgPath string) bool {
 	return slices.Contains(c.DeterministicPkgs, pkgBase(pkgPath))
-}
-
-// IsMetricName reports whether a telemetry family name is in the spine
-// inventory.
-func (c *Config) IsMetricName(name string) bool {
-	return slices.Contains(c.MetricNames, name)
 }
 
 // isSentinelConst reports whether a constant name is a count sentinel

@@ -172,12 +172,67 @@ func TestGoldenTeldisc(t *testing.T)   { runGolden(t, "teldisc") }
 func TestGoldenFleet(t *testing.T)     { runGolden(t, "fleet") }
 func TestGoldenPart(t *testing.T)      { runGolden(t, "part") }
 
+// TestGoldenReach checks the reach fixture: its library package, the
+// module root package and the command that imports both.
+func TestGoldenReach(t *testing.T) {
+	for _, rel := range []string{"reach", ".", "reach/cmd"} {
+		runGolden(t, rel)
+	}
+}
+
+// TestReachWaivers checks //caer:allow reach under -unused-suppressions:
+// the waiver on a function nothing calls suppresses its finding, and the
+// one on a function Run calls is stale. Neither can carry a want comment
+// (trailing text would be the allow's reason), so both are counted here.
+func TestReachWaivers(t *testing.T) {
+	root := testdataRoot(t)
+	cfg := DefaultConfig()
+	cfg.ReportUnusedSuppressions = true
+	findings, err := Vet(root, []string{"./..."}, []*Analyzer{Reach, Suppression}, cfg)
+	if err != nil {
+		t.Fatalf("Vet: %v", err)
+	}
+	src, err := os.ReadFile(filepath.Join(root, "reach", "reach.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(src), "\n")
+	lineOf := func(prefix string) int {
+		for i, l := range lines {
+			if strings.HasPrefix(l, prefix) {
+				return i + 1
+			}
+		}
+		t.Fatalf("reach.go has no line %q", prefix)
+		return 0
+	}
+	staleAllow := lineOf("func StaleWaiver") - 1
+	var stale int
+	for _, f := range findings {
+		if filepath.Base(f.Pos.Filename) != "reach.go" {
+			continue
+		}
+		switch {
+		case f.Analyzer == Reach.Name && strings.Contains(f.Message, "Waive"):
+			t.Errorf("waived function reported: %s", f)
+		case f.Analyzer == Suppression.Name && f.Pos.Line == staleAllow &&
+			strings.Contains(f.Message, "unused suppression for reach"):
+			stale++
+		case f.Analyzer == Suppression.Name:
+			t.Errorf("unexpected hygiene finding: %s", f)
+		}
+	}
+	if stale != 1 {
+		t.Errorf("stale reach waivers reported = %d, want 1 (on StaleWaiver's allow, line %d)", stale, staleAllow)
+	}
+}
+
 // TestGoldenSeedsEveryAnalyzer guards the fixtures themselves: each
 // analyzer of the suite must have at least one seeded violation across the
 // golden packages, or a regression could silently disable it.
 func TestGoldenSeedsEveryAnalyzer(t *testing.T) {
 	hit := make(map[string]int)
-	for _, rel := range []string{"comm", "caer", "pmu", "telemetry", "mem", "teldisc", "hygiene", "fleet", "part"} {
+	for _, rel := range []string{"comm", "caer", "pmu", "telemetry", "mem", "teldisc", "hygiene", "fleet", "part", "reach"} {
 		for _, f := range seededFindings(t, rel) {
 			hit[f.Analyzer]++
 		}
@@ -205,7 +260,7 @@ func TestSuppressionHygiene(t *testing.T) {
 
 	wants := parseWants(t, pkg.Dir)
 	var missingReason, unknown, unused int
-	for _, f := range matchWants(RunAnalyzers(pkg, Analyzers(), cfg), wants) {
+	for _, f := range matchWants(VetPackages([]*Package{pkg}, Analyzers(), cfg), wants) {
 		switch {
 		case f.Analyzer == Suppression.Name && strings.Contains(f.Message, "suppression needs a reason"):
 			missingReason++
@@ -240,7 +295,7 @@ func TestSuppressionHygiene(t *testing.T) {
 		t.Fatalf("SelectAnalyzers: %v", err)
 	}
 	unknown = 0
-	for _, f := range RunAnalyzers(pkg, subset, cfg) {
+	for _, f := range VetPackages([]*Package{pkg}, subset, cfg) {
 		if strings.Contains(f.Message, "unused suppression") {
 			t.Errorf("unused finding reported though hotpath did not run: %s", f)
 		}
@@ -256,7 +311,7 @@ func TestSuppressionHygiene(t *testing.T) {
 	// root and the unreached barrier are hygiene-mode findings.
 	cfg.ReportUnusedSuppressions = false
 	unknown = 0
-	for _, f := range RunAnalyzers(pkg, Analyzers(), cfg) {
+	for _, f := range VetPackages([]*Package{pkg}, Analyzers(), cfg) {
 		if strings.Contains(f.Message, "redundant") || strings.Contains(f.Message, "unreached") ||
 			strings.Contains(f.Message, "unused suppression") {
 			t.Errorf("hygiene-mode finding reported without ReportUnusedSuppressions: %s", f)

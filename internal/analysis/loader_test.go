@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -122,5 +123,47 @@ func TestLoadReportsListErrors(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLoadNestedModules pins how Load finds the packages of a module
+// nested below the main one that requires it (the repository benchmark's
+// shape): they come back marked Nested, type-checked against the main
+// module's own packages; a nested module that does not require the main
+// one is ignored, and a nested package importing a main-module package
+// the patterns did not load is left out.
+func TestLoadNestedModules(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod":          "module tmp\n\ngo 1.22\n",
+		"a/a.go":          "package a\n\nfunc F() int { return 1 }\n",
+		"b/b.go":          "package b\n",
+		"bench/go.mod":    "module tmp/bench\n\ngo 1.22\n\nrequire tmp v0.0.0\n\nreplace tmp => ../\n",
+		"bench/main.go":   "package main\n\nimport \"tmp/a\"\n\nfunc main() { _ = a.F() }\n",
+		"other/go.mod":    "module other\n\ngo 1.22\n",
+		"other/o/o.go":    "package o\n",
+		"testdata/go.mod": "module tmp/td\n\ngo 1.22\n\nrequire tmp v0.0.0\n\nreplace tmp => ../\n",
+		"testdata/t.go":   "package td\n\nimport _ \"tmp/a\"\n",
+	})
+	_, pkgs, err := Load(root, "./...")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	var got []string
+	for _, p := range pkgs {
+		got = append(got, fmt.Sprintf("%s:%v", p.Path, p.Nested))
+	}
+	if want := "tmp/a:false tmp/b:false tmp/bench:true"; strings.Join(got, " ") != want {
+		t.Fatalf("Load(./...) = %v, want %s", got, want)
+	}
+	bench := pkgs[2]
+	for id, obj := range bench.Info.Uses {
+		if id.Name == "F" && obj.Pkg() != pkgs[0].Types {
+			t.Errorf("nested use of a.F resolves to %v, not the loaded package's object", obj.Pkg())
+		}
+	}
+	// Without tmp/a loaded, the nested command's use of it cannot be
+	// matched: it is left out rather than checked against export data.
+	if _, pkgs, err := Load(root, "./b"); err != nil || len(pkgs) != 1 {
+		t.Errorf("Load(./b) = %d packages, %v; want only tmp/b", len(pkgs), err)
 	}
 }

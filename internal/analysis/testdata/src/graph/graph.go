@@ -1,5 +1,6 @@
-// Package graph pins the call-graph builder: one construct per edge kind,
-// plus a go statement that records none, exercised by TestCallGraphEdges
+// Package graph pins the call-graph builder: one construct per edge kind
+// (the method value both on a concrete type and on an interface), plus a
+// go statement that records none, exercised by TestCallGraphEdges
 // and TestCallGraphReachability.
 package graph
 
@@ -32,3 +33,7 @@ func Cleanup() {}
 func Spawn() {}
 
 func Speak(g Greeter) { _ = g.Greet() }
+
+// Hold takes a method value on the interface: one method-value edge per
+// implementation.
+func Hold(g Greeter) func() string { return g.Greet }

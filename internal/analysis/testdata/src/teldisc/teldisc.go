@@ -1,6 +1,7 @@
 // Package teldisc seeds telemetry-discipline fixtures for the name rules:
 // family names must be compile-time constants drawn from the spine
-// inventory (Config.MetricNames), wherever the registration happens.
+// inventory (the seeded module's DESIGN.md §10), wherever the
+// registration happens.
 package teldisc
 
 import "test/telemetry"

@@ -1,6 +1,7 @@
 package caer
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -50,7 +51,11 @@ func TestShutterShape(t *testing.T) {
 	if switchPoint+transientSkip >= endPoint {
 		t.Errorf("transientSkip %d leaves no settled burst periods before endPoint %d", transientSkip, endPoint)
 	}
-	if got := NewShutterDetector(DefaultConfig()).rWindow.Cap(); got != endPoint {
+	w := NewShutterDetector(DefaultConfig()).rWindow
+	for i := 0; i <= endPoint; i++ {
+		w.Push(1)
+	}
+	if got := w.Len(); got != endPoint {
 		t.Errorf("shutter window length = %d, want endPoint %d", got, endPoint)
 	}
 	if noiseThresh*triggerWindow < 1 {
@@ -80,15 +85,15 @@ func TestHeuristicKindStringsAndFactories(t *testing.T) {
 		det  string
 		resp string
 	}{
-		{HeuristicShutter, "shutter", "burst-shutter", "red-light-green-light(10)"},
-		{HeuristicRule, "rule-based", "rule-based", "soft-lock"},
-		{HeuristicRandom, "random", "random", "red-light-green-light(1)"},
+		{HeuristicShutter, "shutter", "*caer.ShutterDetector", "red-light-green-light(10)"},
+		{HeuristicRule, "rule-based", "*caer.RuleDetector", "soft-lock"},
+		{HeuristicRandom, "random", "*caer.RandomDetector", "red-light-green-light(1)"},
 	}
 	for _, c := range cases {
 		if got := c.k.String(); got != c.name {
 			t.Errorf("String() = %q, want %q", got, c.name)
 		}
-		if got := c.k.NewDetector(cfg).Name(); got != c.det {
+		if got := fmt.Sprintf("%T", c.k.NewDetector(cfg)); got != c.det {
 			t.Errorf("%v detector = %q, want %q", c.k, got, c.det)
 		}
 		if got := c.k.NewResponder(cfg).Name(); got != c.resp {

@@ -43,7 +43,6 @@ func (v Verdict) String() string {
 // the batch while measuring the steady average) and the verdict, which
 // stays VerdictPending until a detection cycle completes.
 type Detector interface {
-	Name() string
 	Step(ownMisses, neighborMisses float64) (comm.Directive, Verdict)
 	// Reset discards any in-progress detection cycle (called when a
 	// response phase ends, restarting detection cleanly).

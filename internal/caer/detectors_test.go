@@ -167,8 +167,8 @@ func TestRuleDetectorBothHeavyMeansContention(t *testing.T) {
 	if v != VerdictContention {
 		t.Errorf("both-heavy verdict = %v, want contention", v)
 	}
-	if d.OwnMean() != 100 || d.NeighborMean() != 100 {
-		t.Errorf("means = %v,%v", d.OwnMean(), d.NeighborMean())
+	if d.lWindow.Mean() != 100 || d.rWindow.Mean() != 100 {
+		t.Errorf("means = %v,%v", d.lWindow.Mean(), d.rWindow.Mean())
 	}
 }
 
@@ -261,19 +261,6 @@ func TestRandomDetectorHalfProbabilityAndDeterminism(t *testing.T) {
 		t.Errorf("contention fraction = %v, want ~0.5", frac)
 	}
 	d1.Reset() // no-op, must not panic
-}
-
-func TestDetectorNames(t *testing.T) {
-	cfg := DefaultConfig()
-	if NewShutterDetector(cfg).Name() != "burst-shutter" {
-		t.Error("shutter name")
-	}
-	if NewRuleDetector(cfg).Name() != "rule-based" {
-		t.Error("rule name")
-	}
-	if NewRandomDetector(cfg).Name() != "random" {
-		t.Error("random name")
-	}
 }
 
 func TestDetectorConstructorsValidateConfig(t *testing.T) {

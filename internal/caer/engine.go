@@ -154,12 +154,6 @@ func (e *Engine) maxNeighborStale() uint64 {
 	return m
 }
 
-// Detector returns the engine's heuristic.
-func (e *Engine) Detector() Detector { return e.det }
-
-// Responder returns the engine's response mechanism.
-func (e *Engine) Responder() Responder { return e.resp }
-
 // Stats returns a copy of the decision counters.
 func (e *Engine) Stats() EngineStats { return e.stats }
 
@@ -193,7 +187,7 @@ func (e *Engine) LastNeighbor() float64 {
 // application's LLC misses during the period just completed (read from its
 // PMU); the neighbours' samples are taken from the communication table,
 // where their CAER-M monitors have already published them. Tick returns
-// the directive for the coming period and records it in the table.
+// the directive for the coming period.
 func (e *Engine) Tick(ownMisses float64) comm.Directive {
 	telemetry.EngineTicks.Inc()
 	e.ownSlot.Publish(ownMisses)
@@ -354,5 +348,4 @@ func (e *Engine) finishTick() {
 		e.loggedDir = e.directive
 		e.everDirected = true
 	}
-	e.ownSlot.SetDirective(e.directive)
 }

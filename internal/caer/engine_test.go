@@ -131,8 +131,8 @@ func TestEnginePendingVerdictFollowsDetectorDirective(t *testing.T) {
 		t.Errorf("detector inputs = own %v nbr %v", det.seenOwn, det.seenNbr)
 	}
 	// The engine published its own samples to the table.
-	if own.Published() != 2 || own.LastSample() != 8 {
-		t.Errorf("own slot published=%d last=%v", own.Published(), own.LastSample())
+	if own.WindowMean() != 7.5 || own.LastSample() != 8 {
+		t.Errorf("own slot window mean=%v last=%v, want 7.5 and 8", own.WindowMean(), own.LastSample())
 	}
 }
 
@@ -263,24 +263,6 @@ func TestEngineViewAggregatesNeighbours(t *testing.T) {
 	}
 	if det.seenNbr[0] != 40 {
 		t.Errorf("detector neighbour input = %v, want aggregated 40", det.seenNbr[0])
-	}
-}
-
-func TestEngineRecordsDirectiveInTable(t *testing.T) {
-	own, nbr := newTestSlots(t)
-	det := &scriptDetector{dirs: []comm.Directive{comm.DirectivePause}, verdicts: []Verdict{VerdictPending}}
-	resp := &scriptResponder{dir: comm.DirectiveRun, length: 1}
-	e := NewEngine(det, resp, own, []*comm.Slot{nbr})
-	nbr.Publish(1)
-	e.Tick(1)
-	if own.Directive() != comm.DirectivePause {
-		t.Error("engine directive not recorded in communication table")
-	}
-	if e.Directive() != comm.DirectivePause {
-		t.Error("Directive() accessor stale")
-	}
-	if e.Detector() != det || e.Responder() != resp {
-		t.Error("accessors returned wrong components")
 	}
 }
 

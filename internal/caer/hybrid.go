@@ -34,9 +34,6 @@ func NewHybridDetector(cfg Config) *HybridDetector {
 	}
 }
 
-// Name implements Detector.
-func (d *HybridDetector) Name() string { return "hybrid(rule-gate+shutter-confirm)" }
-
 // Step implements Detector.
 func (d *HybridDetector) Step(ownMisses, neighborMisses float64) (comm.Directive, Verdict) {
 	// The rule's windows track every period, including confirmation

@@ -104,13 +104,10 @@ func TestHybridResetClearsConfirmation(t *testing.T) {
 }
 
 func TestHybridName(t *testing.T) {
-	if NewHybridDetector(DefaultConfig()).Name() != "hybrid(rule-gate+shutter-confirm)" {
-		t.Error("name wrong")
-	}
 	if HeuristicHybrid.String() != "hybrid" {
 		t.Error("kind string wrong")
 	}
-	if HeuristicHybrid.NewDetector(DefaultConfig()).Name() == "" {
+	if _, ok := HeuristicHybrid.NewDetector(DefaultConfig()).(*HybridDetector); !ok {
 		t.Error("factory broken")
 	}
 	if HeuristicHybrid.NewResponder(DefaultConfig()).Name() != "red-light-green-light(10)" {

@@ -58,9 +58,6 @@ func (m *Monitor) Misses() uint64 { return m.misses }
 // sample after a restart covers one probe span, not the whole gap.
 func (m *Monitor) SetDown(down bool) { m.down = down }
 
-// Down reports whether the monitor is simulated as crashed.
-func (m *Monitor) Down() bool { return m.down }
-
 // TickSpan performs one probe covering elapsed machine periods (>= 1; more
 // than 1 when the adaptive/interrupt sampling modes skipped probes):
 // read-and-restart the LLC-miss counter and publish the delta, normalized

@@ -32,9 +32,8 @@ func TestMonitorPublishesPerPeriodDeltas(t *testing.T) {
 	mon.TickSpan(1)
 	src.misses = 150
 	mon.TickSpan(1)
-	samples := slot.Samples()
-	if len(samples) != 2 || samples[0] != 120 || samples[1] != 30 {
-		t.Errorf("published samples = %v, want [120 30]", samples)
+	if got, last := slot.WindowMean(), slot.LastSample(); got != 75 || last != 30 {
+		t.Errorf("published window mean %v last %v, want 75 and 30 (samples 120, 30)", got, last)
 	}
 }
 

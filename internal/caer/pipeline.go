@@ -163,23 +163,12 @@ func (p *Pipeline) SetLanes(spans *telemetry.SpanRecorder, offset int32, prefix 
 // Table exposes the communication table (for inspection and tests).
 func (p *Pipeline) Table() *comm.Table { return p.table }
 
-// Heuristic returns the configured pairing.
-func (p *Pipeline) Heuristic() HeuristicKind { return p.kind }
-
 // Monitors returns the CAER-M monitors in registration order. Chaos
 // experiments use them to simulate monitor crashes.
 func (p *Pipeline) Monitors() []*Monitor { return p.monitors }
 
-// Triggers returns the interrupt-mode threshold triggers, in monitor
-// registration order (nil in other modes; for inspection and tests).
-func (p *Pipeline) Triggers() []*pmu.Threshold { return p.triggers }
-
 // SamplingStats returns the probe schedule's counters.
 func (p *Pipeline) SamplingStats() SamplingStats { return p.sstats }
-
-// Sleeping reports whether the interrupt mode currently has the pipeline
-// parked behind its threshold triggers.
-func (p *Pipeline) Sleeping() bool { return p.sleeping }
 
 // GroupDirective returns what group g's engines combined to at the last probe.
 func (p *Pipeline) GroupDirective(g int) comm.Directive { return p.groups[g].directive }
@@ -338,8 +327,9 @@ func (p *Pipeline) Control() uint64 {
 	return span
 }
 
-// probe runs the detection stages once: monitor publishes, engine ticks,
-// the per-group combine and its broadcast. Counter deltas are normalized
+// probe runs the detection stages once: monitor publishes, engine ticks
+// and the per-group combine (counted as one directive broadcast; Control
+// applies each group's directive to its batch cores). Counter deltas are normalized
 // by the periods they span (1 under polling) so every window stays in
 // misses-per-period units. It returns the monitors' span.
 func (p *Pipeline) probe() uint64 {
@@ -367,9 +357,6 @@ func (p *Pipeline) probe() uint64 {
 		}
 	}
 	telemetry.CommBroadcasts.Inc()
-	for _, b := range p.batches {
-		b.slot.SetDirective(p.groups[b.group].directive)
-	}
 	return span
 }
 

@@ -78,10 +78,10 @@ func TestRulePolarity(t *testing.T) {
 		d := NewRuleDetector(cfg)
 		for i := range own {
 			_, verdict := d.Step(own[i], neighbor[i])
-			want := d.OwnMean() >= cfg.UsageThresh && d.NeighborMean() >= cfg.UsageThresh
+			want := d.lWindow.Mean() >= cfg.UsageThresh && d.rWindow.Mean() >= cfg.UsageThresh
 			if got := verdict == VerdictContention; got != want {
 				t.Logf("seed=%d step=%d thresh=%v ownMean=%v neighborMean=%v verdict=%v want contention=%v",
-					seed, i, cfg.UsageThresh, d.OwnMean(), d.NeighborMean(), verdict, want)
+					seed, i, cfg.UsageThresh, d.lWindow.Mean(), d.rWindow.Mean(), verdict, want)
 				return false
 			}
 			if verdict != VerdictContention && verdict != VerdictNoContention {

@@ -26,9 +26,6 @@ func NewRandomDetector(cfg Config) *RandomDetector {
 	return &RandomDetector{rng: rand.New(rand.NewSource(randomSeed))}
 }
 
-// Name implements Detector.
-func (d *RandomDetector) Name() string { return "random" }
-
 // Step implements Detector: a coin flip per period.
 func (d *RandomDetector) Step(ownMisses, neighborMisses float64) (comm.Directive, Verdict) {
 	if d.rng.Float64() < randomP {

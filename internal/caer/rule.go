@@ -34,9 +34,6 @@ func NewRuleDetector(cfg Config) *RuleDetector {
 	}
 }
 
-// Name implements Detector.
-func (d *RuleDetector) Name() string { return "rule-based" }
-
 // Step implements Detector: one pass of Algorithm 2's loop body. A verdict
 // is produced every period — the heuristic needs no multi-period protocol.
 func (d *RuleDetector) Step(ownMisses, neighborMisses float64) (comm.Directive, Verdict) {
@@ -61,9 +58,3 @@ func (d *RuleDetector) Step(ownMisses, neighborMisses float64) (comm.Directive, 
 // response phases (only the in-flight verdict state is conceptually
 // discarded, and RuleDetector keeps none).
 func (d *RuleDetector) Reset() {}
-
-// OwnMean returns the current batch-side window average.
-func (d *RuleDetector) OwnMean() float64 { return d.lWindow.Mean() }
-
-// NeighborMean returns the current latency-side window average.
-func (d *RuleDetector) NeighborMean() float64 { return d.rWindow.Mean() }

@@ -42,11 +42,6 @@ func (m SamplingMode) String() string {
 	}
 }
 
-// SamplingModes returns all defined modes, in stable order.
-func SamplingModes() []SamplingMode {
-	return []SamplingMode{SamplingPolling, SamplingAdaptive, SamplingInterrupt}
-}
-
 // IntervalController is the adaptive-sampling state machine: it holds the
 // current probe interval in periods, widening it multiplicatively while
 // observations stay quiet and snapping back to every-period on onset.

@@ -17,7 +17,7 @@ func TestSamplingModeStrings(t *testing.T) {
 		SamplingAdaptive:  "adaptive",
 		SamplingInterrupt: "interrupt",
 	}
-	for _, m := range SamplingModes() {
+	for _, m := range []SamplingMode{SamplingPolling, SamplingAdaptive, SamplingInterrupt} {
 		if m.String() != want[m] {
 			t.Errorf("mode %d String = %q, want %q", int(m), m.String(), want[m])
 		}
@@ -232,7 +232,7 @@ func TestInterruptSamplingSleepsAndFires(t *testing.T) {
 			t.Fatalf("period %d: live monitor reads stale (%d) during interrupt sleep", i, stale)
 		}
 	}
-	if !rt.Sleeping() {
+	if !rt.sleeping {
 		t.Fatal("quiet trace never parked the pipeline behind the triggers")
 	}
 	st := rt.SamplingStats()
@@ -242,8 +242,8 @@ func TestInterruptSamplingSleepsAndFires(t *testing.T) {
 	if st.Keepalives == 0 {
 		t.Fatal("no keepalive probes over a long sleep (watchdog blind spot)")
 	}
-	if len(rt.Triggers()) != 1 {
-		t.Fatalf("%d triggers, want 1 (one per latency core)", len(rt.Triggers()))
+	if len(rt.triggers) != 1 {
+		t.Fatalf("%d triggers, want 1 (one per latency core)", len(rt.triggers))
 	}
 
 	// Onset: the threshold trigger must fire and wake the pipeline.
@@ -251,7 +251,7 @@ func TestInterruptSamplingSleepsAndFires(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ps.extra += 500
 		rt.Step()
-		if !rt.Sleeping() {
+		if !rt.sleeping {
 			wakeStep = i
 			break
 		}
@@ -298,7 +298,7 @@ func TestInterruptSamplingDeadMonitorStillTrips(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		rt.Step()
 	}
-	if !rt.Sleeping() {
+	if !rt.sleeping {
 		t.Fatal("precondition: pipeline never slept")
 	}
 	rt.Monitors()[0].SetDown(true)

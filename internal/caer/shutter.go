@@ -40,9 +40,6 @@ func NewShutterDetector(cfg Config) *ShutterDetector {
 	}
 }
 
-// Name implements Detector.
-func (d *ShutterDetector) Name() string { return "burst-shutter" }
-
 // Step implements Detector, advancing Algorithm 1 by one period.
 func (d *ShutterDetector) Step(ownMisses, neighborMisses float64) (comm.Directive, Verdict) {
 	d.rWindow.Push(neighborMisses)

@@ -32,7 +32,7 @@ func TestStalePeriodsDeclaredCadence(t *testing.T) {
 	s := tb.Register("lat", RoleLatency)
 	tb.BumpPeriod()
 	s.PublishWithCadence(1, 4) // next publish due at period 5
-	for p := tb.Period(); p < 5; p = tb.Period() {
+	for p := tb.period.Load(); p < 5; p = tb.period.Load() {
 		if got := s.StalePeriods(); got != 0 {
 			t.Fatalf("stale = %d at period %d, before the declared due period", got, p)
 		}

@@ -4,8 +4,10 @@
 //
 // Each registered application owns one slot. The slot's sample window is
 // single-writer (the CAER layer under that application publishes its own
-// LLC-miss samples); directives are written by the CAER engines and must be
-// honoured by every batch application. Table is safe for concurrent use.
+// LLC-miss samples), and every engine reads its neighbours' windows and
+// their liveness. Directives are this package's type but not the table's
+// state: the pipeline's actuator applies each group's current directive
+// to its batch cores. Table is safe for concurrent use.
 //
 // Table is in-process and the only table. The paper's cooperating layers
 // are separate processes over shared memory; that is not reproduced here:
@@ -77,10 +79,8 @@ type Slot struct {
 	role  Role
 	table *Table
 
-	mu        sync.Mutex
-	window    *stats.Window
-	directive Directive
-	published uint64 // publish sequence number (samples over the lifetime)
+	mu     sync.Mutex
+	window *stats.Window
 	// due is the expected table period of the owner's next publish, as
 	// declared by its latest publish/cadence declaration; 0 = never
 	// published. For the default cadence of 1 it equals the publish period
@@ -122,7 +122,6 @@ func (s *Slot) PublishWithCadence(llcMisses float64, cadence uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.window.Push(llcMisses)
-	s.published++
 	s.due = s.table.period.Load() + cadence
 }
 
@@ -142,15 +141,6 @@ func (s *Slot) DeclareCadence(cadence uint64) {
 		return
 	}
 	s.due = s.table.period.Load() + cadence
-}
-
-// Published returns the slot's publish sequence number (the lifetime
-// sample count). A consumer that sees the sequence stand still across its
-// own ticks is reading a dead publisher's frozen window.
-func (s *Slot) Published() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.published
 }
 
 // StalePeriods returns how many table periods the slot's owner is overdue:
@@ -194,33 +184,10 @@ func (s *Slot) LastSample() float64 {
 	return s.window.Last()
 }
 
-// Samples returns a copy of the windowed samples, oldest first.
-func (s *Slot) Samples() []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.window.Snapshot()
-}
-
-// SetDirective records a reaction directive for this slot.
-func (s *Slot) SetDirective(d Directive) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.directive = d
-}
-
-// Directive returns the current directive.
-//
-//caer:hot
-func (s *Slot) Directive() Directive {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.directive
-}
-
 // Table is the in-process communication table.
 type Table struct {
 	mu         sync.Mutex
-	slots      []*Slot
+	slots      int // registered so far: the next slot's ID
 	windowSize int
 	// period is the table-wide sampling-period counter, advanced once per
 	// period by the deployment's driver (Pipeline.Control). It is atomic
@@ -238,37 +205,22 @@ func NewTable(windowSize int) *Table {
 	return &Table{windowSize: windowSize}
 }
 
-// WindowSize returns the per-slot window capacity.
-func (t *Table) WindowSize() int { return t.windowSize }
-
 // BumpPeriod advances the table's sampling-period counter. The deployment
 // driver calls it exactly once per period, before the period's publishes,
 // so that StalePeriods measures publisher liveness in periods.
 func (t *Table) BumpPeriod() { telemetry.CommPeriod.Set(float64(t.period.Add(1))) }
-
-// Period returns the table's current sampling-period counter.
-func (t *Table) Period() uint64 { return t.period.Load() }
 
 // Register adds an application and returns its slot.
 func (t *Table) Register(name string, role Role) *Slot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := &Slot{
-		id:     len(t.slots),
+		id:     t.slots,
 		name:   name,
 		role:   role,
 		table:  t,
 		window: stats.NewWindow(t.windowSize),
 	}
-	t.slots = append(t.slots, s)
+	t.slots++
 	return s
-}
-
-// Slots returns all registered slots in registration order.
-func (t *Table) Slots() []*Slot {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]*Slot, len(t.slots))
-	copy(out, t.slots)
-	return out
 }

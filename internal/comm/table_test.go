@@ -42,28 +42,23 @@ func TestRegisterAssignsIDsAndRoles(t *testing.T) {
 	if b.Role() != RoleBatch {
 		t.Error("slot b role wrong")
 	}
-	if got := len(tab.Slots()); got != 2 {
-		t.Errorf("Slots() = %d entries, want 2", got)
+	// Each slot's window holds the table's 8 samples.
+	for i := 0; i < 9; i++ {
+		a.Publish(float64(i))
 	}
-	if got := tab.Slots(); got[0] != a || got[1] != b {
-		t.Error("Slots() not in registration order")
-	}
-	if tab.WindowSize() != 8 {
-		t.Errorf("WindowSize = %d, want 8", tab.WindowSize())
+	if a.window.Len() != 8 {
+		t.Errorf("window holds %d samples after 9 publishes, want 8", a.window.Len())
 	}
 }
 
 func TestSlotPublishAndWindow(t *testing.T) {
 	tab := NewTable(3)
 	s := tab.Register("x", RoleLatency)
-	if s.LastSample() != 0 || len(s.Samples()) != 0 {
+	if s.LastSample() != 0 || s.window.Len() != 0 {
 		t.Error("fresh slot not empty")
 	}
 	for _, v := range []float64{100, 200, 300, 400} {
 		s.Publish(v)
-	}
-	if s.Published() != 4 {
-		t.Errorf("Published = %d, want 4", s.Published())
 	}
 	if got := s.WindowMean(); got != 300 {
 		t.Errorf("WindowMean = %v, want 300", got)
@@ -71,27 +66,23 @@ func TestSlotPublishAndWindow(t *testing.T) {
 	if got := s.LastSample(); got != 400 {
 		t.Errorf("LastSample = %v, want 400", got)
 	}
-	samples := s.Samples()
 	want := []float64{200, 300, 400}
-	if len(samples) != len(want) {
-		t.Fatalf("Samples() holds %d samples, want %d", len(samples), len(want))
+	if s.window.Len() != len(want) {
+		t.Fatalf("window holds %d samples, want %d", s.window.Len(), len(want))
 	}
 	for i := range want {
-		if samples[i] != want[i] {
-			t.Errorf("Samples[%d] = %v, want %v", i, samples[i], want[i])
+		if got := s.window.At(i); got != want[i] {
+			t.Errorf("sample %d = %v, want %v", i, got, want[i])
 		}
 	}
 }
 
+// TestDirectives: the zero Directive is DirectiveRun, so a directive no
+// engine has voted on yet (a fresh pipeline group) lets the batch run.
 func TestDirectives(t *testing.T) {
-	tab := NewTable(4)
-	s := tab.Register("b", RoleBatch)
-	if s.Directive() != DirectiveRun {
-		t.Error("default directive != run")
-	}
-	s.SetDirective(DirectivePause)
-	if s.Directive() != DirectivePause {
-		t.Error("SetDirective did not stick")
+	var d Directive
+	if d != DirectiveRun || DirectivePause == DirectiveRun {
+		t.Errorf("zero directive = %v, want run distinct from pause", d)
 	}
 }
 
@@ -107,12 +98,13 @@ func TestTableConcurrentPublish(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				slot.Publish(float64(i))
 				_ = slot.WindowMean()
-				_ = slot.Directive()
+				_ = slot.StalePeriods()
 			}
 		}([]*Slot{s1, s2}[g%2])
 	}
 	wg.Wait()
-	if s1.Published() != 2000 || s2.Published() != 2000 {
-		t.Errorf("published = %d,%d, want 2000,2000", s1.Published(), s2.Published())
+	// Every publish landed: each window holds the last 64 of its 2000.
+	if s1.window.Len() != 64 || s2.window.Len() != 64 {
+		t.Errorf("window lengths = %d,%d, want 64,64", s1.window.Len(), s2.window.Len())
 	}
 }

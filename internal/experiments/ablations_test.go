@@ -44,8 +44,8 @@ func TestPartitionSweepShape(t *testing.T) {
 	if !strings.Contains(sb.String(), "partition 8/8 ways") {
 		t.Errorf("render missing partition rows:\n%s", sb.String())
 	}
-	if a.Table().Len() != 6 { // colo + 3 partitions + 2 CAER
-		t.Errorf("table rows = %d, want 6", a.Table().Len())
+	if rows := tableRows(t, a.Table()); rows != 6 { // colo + 3 partitions + 2 CAER
+		t.Errorf("table rows = %d, want 6", rows)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"caer/internal/caer"
+	"caer/internal/report"
 	"caer/internal/spec"
 )
 
@@ -61,7 +62,17 @@ func TestAdversarySweepSimilarResults(t *testing.T) {
 	if !strings.Contains(sb.String(), "Adversary sweep") {
 		t.Error("render missing heading")
 	}
-	if a.Table().Len() != 3 {
-		t.Errorf("table rows = %d", a.Table().Len())
+	if rows := tableRows(t, a.Table()); rows != 3 {
+		t.Errorf("table rows = %d", rows)
 	}
+}
+
+// tableRows counts tab's data rows: its rendering less the header and rule.
+func tableRows(t *testing.T, tab *report.Table) int {
+	t.Helper()
+	var sb strings.Builder
+	if err := tab.Render(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return strings.Count(sb.String(), "\n") - 2
 }

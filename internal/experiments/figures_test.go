@@ -68,8 +68,8 @@ func TestFigure1ShapeHolds(t *testing.T) {
 	if !strings.Contains(sb.String(), "Figure 1") || !strings.Contains(sb.String(), "mean") {
 		t.Error("render missing title or mean")
 	}
-	if f.Table().Len() != 4 {
-		t.Errorf("table rows = %d, want 4 (3 benchmarks + mean)", f.Table().Len())
+	if tableRows(t, f.Table()) != 4 {
+		t.Errorf("table rows = %d, want 4 (3 benchmarks + mean)", tableRows(t, f.Table()))
 	}
 }
 
@@ -85,8 +85,8 @@ func TestFigure2MissesIncreaseForSensitive(t *testing.T) {
 	if err := f.Render(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if f.Table().Len() != 3 {
-		t.Errorf("table rows = %d", f.Table().Len())
+	if tableRows(t, f.Table()) != 3 {
+		t.Errorf("table rows = %d", tableRows(t, f.Table()))
 	}
 }
 
@@ -155,8 +155,8 @@ func TestFigure6CAERBeatsNativeColo(t *testing.T) {
 			t.Errorf("%s: CAER faster than alone (shutter %.3f rule %.3f)", b, f.Shutter[i], f.Rule[i])
 		}
 	}
-	if f.Table().Len() != 4 {
-		t.Errorf("table rows = %d", f.Table().Len())
+	if tableRows(t, f.Table()) != 4 {
+		t.Errorf("table rows = %d", tableRows(t, f.Table()))
 	}
 	var sb strings.Builder
 	if err := f.Render(&sb); err != nil {
@@ -244,7 +244,7 @@ func TestFigureAccuracySigns(t *testing.T) {
 	if !strings.Contains(sb.String(), "Figure 10") {
 		t.Error("least-sensitive render missing Figure 10 title")
 	}
-	if most.Table().Len() != 2 || least.Table().Len() != 2 {
+	if tableRows(t, most.Table()) != 2 || tableRows(t, least.Table()) != 2 {
 		t.Error("accuracy tables wrong size")
 	}
 }

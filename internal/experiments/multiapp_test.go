@@ -50,7 +50,7 @@ func TestMultiAppVisionShape(t *testing.T) {
 	if !strings.Contains(sb.String(), "Figure 4") || !strings.Contains(sb.String(), "verdicts") {
 		t.Errorf("render incomplete:\n%s", sb.String())
 	}
-	if m.Table().Len() != 3 {
-		t.Errorf("table rows = %d, want 3", m.Table().Len())
+	if tableRows(t, m.Table()) != 3 {
+		t.Errorf("table rows = %d, want 3", tableRows(t, m.Table()))
 	}
 }

@@ -408,9 +408,11 @@ func TestFleetUnderInterruptSampling(t *testing.T) {
 			Services: []fleet.Service{{Profile: prof(service, 400_000), Core: 0, Relaunch: true}},
 		}
 	}
+	spans := telemetry.NewSpanRecorder(1<<18, new(atomic.Uint64))
 	c := fleet.New(fleet.Config{
 		Machines: []fleet.MachineSpec{machineSpec("namd"), machineSpec("povray")},
 		Sched:    scfg,
+		Spans:    spans,
 		Policy:   fleet.PolicyLeastPressure,
 		Traffic: fleet.Traffic{
 			Curve: fleet.CurveDiurnal, Rate: 0.2, Horizon: 1500,
@@ -424,10 +426,22 @@ func TestFleetUnderInterruptSampling(t *testing.T) {
 	if rep.Completed != rep.Arrivals || rep.Arrivals == 0 {
 		t.Fatalf("%d of %d jobs completed", rep.Completed, rep.Arrivals)
 	}
+	// Each machine's lanes record an armed span per sleep and a fired span
+	// per trigger wake-up, on its own block of tracks.
+	var armed, fired [2]int
+	for _, sp := range spans.Spans() {
+		k := sp.Track / 4096
+		switch sp.Kind {
+		case telemetry.SpanArmed:
+			armed[k]++
+		case telemetry.SpanFired:
+			fired[k]++
+		}
+	}
 	for k, n := range c.Nodes() {
-		st := n.Sched().Pipeline().SamplingStats()
-		if st.Mode != caer.SamplingInterrupt || st.SkippedPeriods == 0 || st.TriggerFires == 0 {
-			t.Errorf("machine %d never slept and woke under interrupt sampling: %+v", k, st)
+		if armed[k] == 0 || fired[k] == 0 {
+			t.Errorf("machine %d never slept and woke under interrupt sampling: %d sleeps, %d trigger wake-ups",
+				k, armed[k], fired[k])
 		}
 		if d := n.Sched().DegradedTicks(); d != 0 {
 			t.Errorf("machine %d: %d degraded ticks on a healthy run", k, d)

@@ -60,7 +60,6 @@ func (p ExecProfile) validate() error {
 // Process is one application: an execution profile plus a reference
 // generator, bound to a core.
 type Process struct {
-	name    string
 	prof    ExecProfile
 	gen     workload.Generator
 	rng     *rand.Rand
@@ -71,7 +70,9 @@ type Process struct {
 	done    bool
 }
 
-// NewProcess constructs a process. seed fixes all stochastic choices.
+// NewProcess constructs a process. seed fixes all stochastic choices. The
+// name labels the process at the call site only: nothing reads it back, so
+// the process does not keep it.
 func NewProcess(name string, prof ExecProfile, gen workload.Generator, seed int64) *Process {
 	if err := prof.validate(); err != nil {
 		panic(err.Error())
@@ -79,20 +80,14 @@ func NewProcess(name string, prof ExecProfile, gen workload.Generator, seed int6
 	if gen == nil {
 		panic("machine: process needs a generator")
 	}
-	return &Process{name: name, prof: prof, gen: gen, rng: rand.New(rand.NewSource(seed)), seed: seed}
+	return &Process{prof: prof, gen: gen, rng: rand.New(rand.NewSource(seed)), seed: seed}
 }
-
-// Name returns the process name.
-func (p *Process) Name() string { return p.name }
 
 // Done reports whether the process has retired all its instructions.
 func (p *Process) Done() bool { return p.done }
 
 // Retired returns instructions retired in the current run.
 func (p *Process) Retired() uint64 { return p.retired }
-
-// Profile returns the execution profile.
-func (p *Process) Profile() ExecProfile { return p.prof }
 
 // Relaunch restarts a completed process from scratch: generator rewound,
 // RNG reseeded, retirement reset. The fleet's open-loop services call it
@@ -109,9 +104,8 @@ func (p *Process) Relaunch() {
 // Core is one processor core: it executes at most one process and carries
 // the running/idle cycle accounting of the paper's Equation 1.
 type Core struct {
-	id       int
 	hier     *mem.Hierarchy // the owning domain's memory system
-	local    int            // index within hier (id % perDomain), cached off the access path
+	local    int            // index within hier (core number % perDomain), cached off the access path
 	proc     *Process
 	paused   bool
 	freqDiv  int // DVFS extension: 1 = full speed, k = 1/k effective cycles
@@ -133,19 +127,10 @@ type Core struct {
 // runnable at a period boundary idles through the whole period.
 func (c *Core) runnable() bool { return c.proc != nil && !c.proc.done && !c.paused }
 
-// ID returns the core number.
-func (c *Core) ID() int { return c.id }
-
-// Process returns the bound process, or nil.
-func (c *Core) Process() *Process { return c.proc }
-
 // SetPaused throttles (true) or releases (false) the core for subsequent
 // periods. This is the mechanism behind the red-light/green-light and
 // soft-locking responses.
 func (c *Core) SetPaused(p bool) { c.paused = p }
-
-// Paused reports the current throttle state.
-func (c *Core) Paused() bool { return c.paused }
 
 // SetFreqDivisor sets the DVFS-style frequency divisor (>=1). A divisor of
 // k gives the core 1/k of the period's cycles, modelling per-core dynamic
@@ -157,13 +142,14 @@ func (c *Core) SetFreqDivisor(k int) {
 	c.freqDiv = k
 }
 
-// FreqDivisor returns the current divisor.
-func (c *Core) FreqDivisor() int { return c.freqDiv }
-
 // BusyCycles returns cycles spent executing (R_i in Equation 1).
+//
+//caer:allow reach the per-core cycle account (ROADMAP.md direction 8) is to be its reader
 func (c *Core) BusyCycles() uint64 { return c.busy }
 
 // IdleCycles returns cycles spent idle or throttled (I_i in Equation 1).
+//
+//caer:allow reach the per-core cycle account (ROADMAP.md direction 8) is to be its reader
 func (c *Core) IdleCycles() uint64 { return c.idle }
 
 // Utilization returns R/(R+I) for this core, or 0 before any period.
@@ -267,7 +253,7 @@ func New(cfg Config) *Machine {
 		m.hiers[d] = mem.NewHierarchy(h)
 	}
 	for i := range m.cores {
-		m.cores[i] = &Core{id: i, freqDiv: 1, hier: m.hiers[i/perDomain], local: i % perDomain}
+		m.cores[i] = &Core{freqDiv: 1, hier: m.hiers[i/perDomain], local: i % perDomain}
 	}
 	return m
 }
@@ -307,14 +293,8 @@ func (m *Machine) Core(i int) *Core { return m.cores[i] }
 // Cores returns the core count.
 func (m *Machine) Cores() int { return len(m.cores) }
 
-// PeriodCycles returns the configured sampling period length.
-func (m *Machine) PeriodCycles() uint64 { return m.period }
-
 // Periods returns the number of completed periods.
 func (m *Machine) Periods() uint64 { return m.periods }
-
-// Now returns the absolute cycle clock.
-func (m *Machine) Now() uint64 { return m.now }
 
 // Bind assigns proc to core i, replacing any previous process.
 func (m *Machine) Bind(i int, proc *Process) {

@@ -64,13 +64,13 @@ func TestNewValidation(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	m := New(Config{Cores: 2})
-	if m.PeriodCycles() != 60000 {
-		t.Errorf("default period = %d, want 60000", m.PeriodCycles())
+	if m.period != 60000 {
+		t.Errorf("default period = %d, want 60000", m.period)
 	}
 	if m.Cores() != 2 {
 		t.Errorf("cores = %d, want 2", m.Cores())
 	}
-	if m.Hierarchy().Config().L3Sets != 512 {
+	if d := mem.DefaultHierarchyConfig(2); m.Hierarchy().L3().LineCount() != d.L3Sets*d.L3Ways {
 		t.Error("default hierarchy not applied")
 	}
 }
@@ -79,8 +79,8 @@ func TestRunPeriodAdvancesClock(t *testing.T) {
 	m := New(smallConfig(1))
 	m.RunPeriod()
 	m.RunPeriod()
-	if m.Now() != 4000 || m.Periods() != 2 {
-		t.Errorf("now=%d periods=%d, want 4000,2", m.Now(), m.Periods())
+	if m.now != 4000 || m.Periods() != 2 {
+		t.Errorf("now=%d periods=%d, want 4000,2", m.now, m.Periods())
 	}
 }
 
@@ -106,7 +106,7 @@ func TestPausedCoreDoesNotExecute(t *testing.T) {
 	p := streamProc("a", 0, 8)
 	m.Bind(0, p)
 	m.Core(0).SetPaused(true)
-	if !m.Core(0).Paused() {
+	if !m.Core(0).paused {
 		t.Fatal("SetPaused did not stick")
 	}
 	m.RunPeriod()
@@ -195,7 +195,7 @@ func TestRelaunchReplaysFreshProcess(t *testing.T) {
 		fresh.RunPeriod()
 		a, b := relaunched.Hierarchy(), fresh.Hierarchy()
 		if a.L1(0).Stats() != b.L1(0).Stats() || a.L2(0).Stats() != b.L2(0).Stats() ||
-			a.L3().Stats() != b.L3().Stats() || a.Memory().Accesses() != b.Memory().Accesses() {
+			a.L3().Stats() != b.L3().Stats() || a.LLCMisses(0) != b.LLCMisses(0) {
 			t.Fatalf("period %d: relaunched process's hierarchy counters diverged from a fresh twin's", i)
 		}
 		if p.retired != twin.retired || p.done != twin.done || p.memAcc != twin.memAcc || p.cpiAcc != twin.cpiAcc {
@@ -238,7 +238,7 @@ func TestCompletionOverrunCarriesToNextProcess(t *testing.T) {
 		check := func(step string, busy, debt uint64) {
 			t.Helper()
 			if !p.Done() || p.Retired() != 3 || c.busy != busy || c.debt != debt ||
-				c.busy+c.idle != m.Now() {
+				c.busy+c.idle != m.now {
 				t.Fatalf("contended=%v %s: done=%v retired=%d busy=%d idle=%d debt=%d, want done, 3, busy %d, debt %d",
 					contended, step, p.Done(), p.Retired(), c.busy, c.idle, c.debt, busy, debt)
 			}
@@ -386,7 +386,7 @@ func TestCycleAccountingInvariant(t *testing.T) {
 		}
 		m.RunPeriod()
 	}
-	want := m.Periods() * m.PeriodCycles()
+	want := m.Periods() * m.period
 	for c := 0; c < m.Cores(); c++ {
 		got := m.Core(c).BusyCycles() + m.Core(c).IdleCycles()
 		if got != want {
@@ -446,11 +446,11 @@ func TestBindUnbind(t *testing.T) {
 	m := New(smallConfig(1))
 	p := streamProc("a", 0, 8)
 	m.Bind(0, p)
-	if m.Core(0).Process() != p {
+	if m.Core(0).proc != p {
 		t.Error("Bind did not attach process")
 	}
 	m.Unbind(0)
-	if m.Core(0).Process() != nil {
+	if m.Core(0).proc != nil {
 		t.Error("Unbind did not detach process")
 	}
 	m.RunPeriod()
@@ -459,22 +459,6 @@ func TestBindUnbind(t *testing.T) {
 	}
 }
 
-func TestCoreIDAndProfileAccessors(t *testing.T) {
-	m := New(smallConfig(2))
-	if m.Core(1).ID() != 1 {
-		t.Errorf("core ID = %d, want 1", m.Core(1).ID())
-	}
-	p := streamProc("a", 42, 8)
-	if p.Profile().Instructions != 42 || p.Name() != "a" {
-		t.Error("process accessors wrong")
-	}
-	if m.Core(0).FreqDivisor() != 1 {
-		t.Error("default freq divisor != 1")
-	}
-}
-
-// basedStreamProc is streamProc with a footprint base, so co-located test
-// processes never share data (the paper's multiprogrammed workloads).
 func basedStreamProc(name string, base, instrs, ws uint64) *Process {
 	return NewProcess(name,
 		ExecProfile{MemFraction: 0.3, BaseCPI: 1, Instructions: instrs},

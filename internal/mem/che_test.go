@@ -57,13 +57,13 @@ func simHitRatios(c *Cache, m cheMix, accesses int, seed int64) (a, b float64) {
 		} else {
 			s, line = 1, uint64(m.linesA+rng.Intn(m.linesB))
 		}
-		hit := c.Lookup(line, false)
-		if !hit {
-			c.Insert(line, 0, false)
+		hitLine := hit(c, line, false)
+		if !hitLine {
+			fill(c, line, 0, false)
 		}
 		if i >= accesses/4 {
 			refs[s]++
-			if hit {
+			if hitLine {
 				hits[s]++
 			}
 		}

@@ -45,7 +45,7 @@ func FuzzCachePartition(f *testing.F) {
 				}
 				tags, stamps := map[uint64]int{}, map[uint64]int{}
 				for w := 0; w < ways; w++ {
-					if !WayMask(c.valid[set]).Has(w) {
+					if !has(WayMask(c.valid[set]), w) {
 						continue
 					}
 					slot := set*ways + w
@@ -68,16 +68,16 @@ func FuzzCachePartition(f *testing.F) {
 			owner := int(op>>4) % owners
 			switch op % 4 {
 			case 0: // lookup
-				c.Lookup(uint64(arg), op&0x80 != 0)
+				hit(c, uint64(arg), op&0x80 != 0)
 			case 1: // miss-then-fill
 				addr := uint64(arg)
-				if !c.Lookup(addr, false) {
-					c.Insert(addr, owner, op&0x80 != 0)
+				if !hit(c, addr, false) {
+					fill(c, addr, owner, op&0x80 != 0)
 					w := wayOf(addr)
 					if w < 0 {
 						t.Fatalf("inserted %#x not resident", addr)
 					}
-					if !maskOf(owner).Has(w) {
+					if !has(maskOf(owner), w) {
 						t.Fatalf("owner %d (mask %v) filled way %d", owner, maskOf(owner), w)
 					}
 				}
@@ -103,7 +103,7 @@ func FuzzCachePartition(f *testing.F) {
 		}
 		// Every resident line is still hittable, masks notwithstanding.
 		for slot, tag := range c.tags {
-			if WayMask(c.valid[slot/ways]).Has(slot%ways) && !c.Contains(tag) {
+			if has(WayMask(c.valid[slot/ways]), slot%ways) && !holds(c, tag) {
 				t.Fatalf("line %d (tag %#x) resident but not hittable", slot, tag)
 			}
 		}

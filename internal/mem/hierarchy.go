@@ -148,9 +148,6 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 // Cores returns the number of cores the hierarchy serves.
 func (h *Hierarchy) Cores() int { return h.cfg.Cores }
 
-// Config returns the construction-time configuration.
-func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
-
 // L3 exposes the shared cache (for partitioning and occupancy inspection).
 func (h *Hierarchy) L3() *Cache { return h.l3 }
 
@@ -159,9 +156,6 @@ func (h *Hierarchy) L1(core int) *Cache { return h.l1[core] }
 
 // L2 returns core's private L2.
 func (h *Hierarchy) L2(core int) *Cache { return h.l2[core] }
-
-// Memory exposes the main-memory model.
-func (h *Hierarchy) Memory() *MainMemory { return h.mem }
 
 // Access performs one memory reference by core to line address addr at
 // absolute cycle now, updating all levels (fills on misses, inclusive

@@ -9,11 +9,11 @@ import (
 // fillOwner warms every way of every set with owner's lines. Addresses are
 // set + sets*way so each set's row is fully valid afterwards.
 func fillOwner(c *Cache, owner int) {
-	for set := 0; set < c.Sets(); set++ {
+	for set := 0; set < c.sets; set++ {
 		for way := 0; way < c.Ways(); way++ {
-			addr := uint64(set + c.Sets()*way)
-			if !c.Lookup(addr, false) {
-				c.Insert(addr, owner, false)
+			addr := uint64(set + c.sets*way)
+			if !hit(c, addr, false) {
+				fill(c, addr, owner, false)
 			}
 		}
 	}
@@ -24,35 +24,35 @@ func TestSetOwnerMaskOrphanKeepsLines(t *testing.T) {
 	fillOwner(c, 0)
 	low := ContiguousMask(0, 4)
 	c.SetOwnerMask(0, low)
-	if got := c.OwnerMask(0); got != low {
+	if got := c.maskOf(0); got != low {
 		t.Fatalf("OwnerMask(0) = %v, want %v", got, low)
 	}
 	// Every previously resident line still hits: masks gate fills, not
 	// visibility.
-	for set := 0; set < c.Sets(); set++ {
+	for set := 0; set < c.sets; set++ {
 		for way := 0; way < c.Ways(); way++ {
-			if addr := uint64(set + c.Sets()*way); !c.Contains(addr) {
+			if addr := uint64(set + c.sets*way); !holds(c, addr) {
 				t.Fatalf("orphan resize dropped resident line %#x", addr)
 			}
 		}
 	}
 	// The ways outside the mask are exactly the stranded ones.
-	if got, want := c.StrandedLines(0), c.Sets()*4; got != want {
+	if got, want := c.StrandedLines(0), c.sets*4; got != want {
 		t.Fatalf("StrandedLines(0) = %d, want %d", got, want)
 	}
 	// New fills land only inside the mask: flood owner 0 with fresh
 	// addresses and verify the out-of-mask lines survive untouched.
-	for set := 0; set < c.Sets(); set++ {
+	for set := 0; set < c.sets; set++ {
 		for i := 0; i < 16; i++ {
-			addr := uint64(set + c.Sets()*(100+i))
-			if !c.Lookup(addr, false) {
-				c.Insert(addr, 0, false)
+			addr := uint64(set + c.sets*(100+i))
+			if !hit(c, addr, false) {
+				fill(c, addr, 0, false)
 			}
 		}
 	}
-	for set := 0; set < c.Sets(); set++ {
+	for set := 0; set < c.sets; set++ {
 		for way := 4; way < c.Ways(); way++ {
-			if addr := uint64(set + c.Sets()*way); !c.Contains(addr) {
+			if addr := uint64(set + c.sets*way); !holds(c, addr) {
 				t.Fatalf("confined fills evicted out-of-mask line %#x", addr)
 			}
 		}
@@ -63,11 +63,11 @@ func TestSetOwnerMaskWidensAgain(t *testing.T) {
 	c := newTestCache(4, 4)
 	c.SetOwnerMask(1, ContiguousMask(0, 2))
 	c.SetOwnerMask(1, FullMask(4))
-	if got := c.OwnerMask(1); got != FullMask(4) {
+	if got := c.maskOf(1); got != FullMask(4) {
 		t.Fatalf("OwnerMask after widening = %v", got)
 	}
 	c.SetOwnerMask(2, ContiguousMask(1, 3))
-	if got := c.OwnerMask(0); got != FullMask(4) {
+	if got := c.maskOf(0); got != FullMask(4) {
 		t.Fatalf("unconfined owner mask = %v, want full", got)
 	}
 }
@@ -109,14 +109,14 @@ func TestVictimMaskFullEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 20_000; i++ {
 		addr, owner, write := uint64(rng.Intn(sets*ways*2)), rng.Intn(owners), rng.Intn(4) == 0
-		ha, hb := a.Lookup(addr, write), b.Lookup(addr, write)
+		ha, hb := hit(a, addr, write), hit(b, addr, write)
 		if ha != hb {
 			t.Fatalf("step %d: lookup %#x hit %v unpartitioned, %v under full masks", i, addr, ha, hb)
 		}
 		if ha {
 			continue
 		}
-		if ea, eb := a.Insert(addr, owner, write), b.Insert(addr, owner, write); ea != eb {
+		if ea, eb := fill(a, addr, owner, write), fill(b, addr, owner, write); ea != eb {
 			t.Fatalf("step %d: evicted %+v unpartitioned, %+v under full masks", i, ea, eb)
 		}
 	}
@@ -141,12 +141,12 @@ func TestVictimMaskStaysInMask(t *testing.T) {
 			c.touch(int(tw)%sets*ways, int(tw>>4)%ways)
 		}
 		v := c.victim(s*ways, mask)
-		if v < 0 || v >= ways || !mask.Has(v) {
+		if v < 0 || v >= ways || !has(mask, v) {
 			t.Logf("victim %d outside mask %v", v, mask)
 			return false
 		}
 		for w := 0; w < ways; w++ {
-			if mask.Has(w) && c.stamp[s*ways+w] < c.stamp[s*ways+v] {
+			if has(mask, w) && c.stamp[s*ways+w] < c.stamp[s*ways+v] {
 				t.Logf("victim %d is younger than way %d in mask %v", v, w, mask)
 				return false
 			}
@@ -180,8 +180,8 @@ func TestConfinementNeverHurtsProtectedOwner(t *testing.T) {
 		var sensMisses uint64
 		for i := 0; i < 40_000; i++ {
 			owner, addr, write := trace(rng)
-			if !c.Lookup(addr, write) {
-				c.Insert(addr, owner, write)
+			if !hit(c, addr, write) {
+				fill(c, addr, owner, write)
 				if owner == 0 {
 					sensMisses++
 				}
@@ -209,10 +209,10 @@ func TestPartitionPathAllocFree(t *testing.T) {
 	var addr uint64
 	if n := testing.AllocsPerRun(200, func() {
 		addr++
-		if !c.Lookup(addr%1024, false) {
-			c.Insert(addr%1024, 1, false)
+		if !hit(c, addr%1024, false) {
+			fill(c, addr%1024, 1, false)
 		}
-		c.OwnerMask(1)
+		c.maskOf(1)
 	}); n != 0 {
 		t.Fatalf("confined lookup+insert allocates %v/op, want 0", n)
 	}

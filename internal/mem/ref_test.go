@@ -84,14 +84,14 @@ func (c *refCache) insert(addr uint64, owner int, write bool) (ev Evicted) {
 	row, mask := c.row(addr), c.maskOf(owner)
 	var dst *refLine
 	for w := range row {
-		if mask.Has(w) && !row[w].valid {
+		if has(mask, w) && !row[w].valid {
 			dst = &row[w]
 			break
 		}
 	}
 	if dst == nil {
 		for w := range row {
-			if mask.Has(w) && (dst == nil || row[w].used < dst.used) {
+			if has(mask, w) && (dst == nil || row[w].used < dst.used) {
 				dst = &row[w]
 			}
 		}
@@ -273,10 +273,10 @@ func (l *lockstep) run(ops []hierOp) {
 
 func compareHierarchies(t testing.TB, step int, h *Hierarchy, ref *refHierarchy) {
 	t.Helper()
-	compareCaches(t, step, h.l3, ref.l3)
+	compareCaches(t, step, "L3", h.l3, ref.l3)
 	for core := 0; core < h.Cores(); core++ {
-		compareCaches(t, step, h.l1[core], ref.l1[core])
-		compareCaches(t, step, h.l2[core], ref.l2[core])
+		compareCaches(t, step, levelName(h, h.l1[core]), h.l1[core], ref.l1[core])
+		compareCaches(t, step, levelName(h, h.l2[core]), h.l2[core], ref.l2[core])
 		if h.LLCMisses(core) != ref.llcMisses[core] || h.LLCAccesses(core) != ref.llcAccesses[core] || h.L2Misses(core) != ref.l2Misses[core] {
 			t.Fatalf("step %d: core %d counters llc-miss/llc-access/l2-miss = %d/%d/%d, reference %d/%d/%d", step, core,
 				h.LLCMisses(core), h.LLCAccesses(core), h.L2Misses(core), ref.llcMisses[core], ref.llcAccesses[core], ref.l2Misses[core])
@@ -288,10 +288,10 @@ func compareHierarchies(t testing.TB, step int, h *Hierarchy, ref *refHierarchy)
 				set, base := h.l3.rowOf(addr)
 				w := h.l3.find(set, base, addr)
 				if w < 0 {
-					t.Fatalf("step %d: inclusion violated: %s holds %#x which is not in L3", step, c.Name(), addr)
+					t.Fatalf("step %d: inclusion violated: %s holds %#x which is not in L3", step, levelName(h, c), addr)
 				}
 				if h.coreValid[base+w]>>uint(core)&1 == 0 {
-					t.Fatalf("step %d: %s holds %#x but core %d's valid bit is clear (bits %#b)", step, c.Name(), addr, core, h.coreValid[base+w])
+					t.Fatalf("step %d: %s holds %#x but core %d's valid bit is clear (bits %#b)", step, levelName(h, c), addr, core, h.coreValid[base+w])
 				}
 			}
 		}
@@ -300,23 +300,23 @@ func compareHierarchies(t testing.TB, step int, h *Hierarchy, ref *refHierarchy)
 
 // compareCaches checks stats and, way by way, residency, owner and dirty
 // state.
-func compareCaches(t testing.TB, step int, c *Cache, ref *refCache) {
+func compareCaches(t testing.TB, step int, name string, c *Cache, ref *refCache) {
 	t.Helper()
 	if c.Stats() != ref.stats {
-		t.Fatalf("step %d: %s stats %+v, reference %+v", step, c.Name(), c.Stats(), ref.stats)
+		t.Fatalf("step %d: %s stats %+v, reference %+v", step, name, c.Stats(), ref.stats)
 	}
 	for set, row := range ref.rows {
 		for w, want := range row {
 			slot := set*c.ways + w
-			valid := WayMask(c.valid[set]).Has(w)
+			valid := has(WayMask(c.valid[set]), w)
 			if valid != want.valid {
-				t.Fatalf("step %d: %s set %d way %d valid=%v, reference %v", step, c.Name(), set, w, valid, want.valid)
+				t.Fatalf("step %d: %s set %d way %d valid=%v, reference %v", step, name, set, w, valid, want.valid)
 			}
 			if !valid {
 				continue
 			}
 			if got := c.evictedAt(slot); got.Addr != want.addr || got.Owner != want.owner || got.Dirty != want.dirty {
-				t.Fatalf("step %d: %s set %d way %d holds %+v, reference %+v", step, c.Name(), set, w, got, want)
+				t.Fatalf("step %d: %s set %d way %d holds %+v, reference %+v", step, name, set, w, got, want)
 			}
 		}
 	}

@@ -36,11 +36,6 @@ func ContiguousMask(loWay, hiWay int) WayMask {
 	return (WayMask(1)<<(hiWay-loWay) - 1) << loWay
 }
 
-// Has reports whether way is in the mask.
-//
-//caer:hot
-func (m WayMask) Has(way int) bool { return m>>uint(way)&1 != 0 }
-
 // Count returns the number of ways in the mask.
 func (m WayMask) Count() int { return bits.OnesCount64(uint64(m)) }
 

@@ -55,11 +55,11 @@ func TestWayMaskHasCount(t *testing.T) {
 		t.Fatalf("Count() = %d, want %d", m.Count(), len(wantWays))
 	}
 	for _, w := range wantWays {
-		if !m.Has(w) {
+		if !has(m, w) {
 			t.Errorf("Has(%d) = false", w)
 		}
 	}
-	if m.Has(0) || m.Has(3) {
+	if has(m, 0) || has(m, 3) {
 		t.Error("Has reported a clear bit as set")
 	}
 }

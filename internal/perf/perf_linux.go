@@ -166,9 +166,6 @@ func (c *Counter) Read() (uint64, error) {
 	return binary.LittleEndian.Uint64(buf[:]), nil
 }
 
-// Event returns the event this counter counts.
-func (c *Counter) Event() pmu.Event { return c.ev }
-
 // Close releases the counter's file descriptor.
 func (c *Counter) Close() error {
 	if c.fd < 0 {

@@ -73,9 +73,6 @@ type FaultCounts struct {
 	Jitters uint64
 }
 
-// Total returns the number of injected faults of any class.
-func (c FaultCounts) Total() uint64 { return c.Resets + c.Spikes + c.Drops + c.Jitters }
-
 // faultState is one (core, event) counter's fault bookkeeping.
 type faultState struct {
 	offset    uint64 // persistent spurious-jump accumulation

@@ -81,13 +81,15 @@ func TestReadDeltaRegressionTable(t *testing.T) {
 	}
 }
 
-// TestPeekRegressionReportsZero covers the non-restarting read: a regressed
-// counter peeks as 0 and the base is left for ReadDelta to re-arm.
+// TestPeekRegressionReportsZero covers the non-restarting read over a
+// regressed counter: the peek sees the regressed value and leaves the
+// armed base alone, and ReadDelta reports 0 for the regression, then
+// re-arms.
 func TestPeekRegressionReportsZero(t *testing.T) {
 	src := &scriptedSource{values: []uint64{500, 300, 300, 340}}
 	p := New(src, 0)
-	if got := p.Peek(EventLLCMisses); got != 0 {
-		t.Fatalf("Peek after regression = %d, want 0", got)
+	if got := peek(p, EventLLCMisses); got != 300 || p.last[EventLLCMisses] != 500 {
+		t.Fatalf("peek read %d with base %d, want the regressed 300 and the armed 500", got, p.last[EventLLCMisses])
 	}
 	// ReadDelta re-arms at 300; the next delta counts from there.
 	if got := p.ReadDelta(EventLLCMisses); got != 0 {
@@ -117,7 +119,7 @@ func TestFaultSourcePassthroughWhenQuiet(t *testing.T) {
 	if got := fs.ReadCounter(0, EventLLCMisses); got != 42 {
 		t.Fatalf("quiet fault source altered the count: %d != 42", got)
 	}
-	if c := fs.Counts(); c.Total() != 0 {
+	if c := fs.Counts(); (c.Resets + c.Spikes + c.Drops + c.Jitters) != 0 {
 		t.Fatalf("quiet fault source injected %+v", c)
 	}
 }
@@ -141,7 +143,7 @@ func TestFaultSourceDeterministic(t *testing.T) {
 	if ca != cb {
 		t.Fatalf("fault counts diverged: %+v vs %+v", ca, cb)
 	}
-	if ca.Total() == 0 {
+	if (ca.Resets + ca.Spikes + ca.Drops + ca.Jitters) == 0 {
 		t.Fatal("no faults injected over 500 reads at 30% total probability")
 	}
 	for i := range a {

@@ -67,8 +67,8 @@ type Source interface {
 // Peeker is an optional Source refinement: a side-effect-free counter read.
 // Sources that interpose per-read behaviour on ReadCounter — most notably
 // FaultSource, whose seeded fault schedule advances one roll per read —
-// implement Peeker so that observational reads (PMU.Peek, threshold trigger
-// checks) do not perturb the read-sequence-keyed state. Sources without
+// implement Peeker so that observational reads (threshold trigger checks)
+// do not perturb the read-sequence-keyed state. Sources without
 // per-read state need not implement it; resolvePeeker falls back to
 // ReadCounter, which is already side-effect-free for them.
 type Peeker interface {
@@ -96,7 +96,6 @@ func resolvePeeker(src Source) peekFunc {
 // counter each sampling period.
 type PMU struct {
 	src  Source
-	peek peekFunc
 	core int
 	last [numEvents]uint64
 }
@@ -104,7 +103,7 @@ type PMU struct {
 // New returns a PMU view over core's counters, armed at the source's
 // current counts (so the first ReadDelta covers only the first period).
 func New(src Source, core int) *PMU {
-	p := &PMU{src: src, peek: resolvePeeker(src), core: core}
+	p := &PMU{src: src, core: core}
 	p.Arm()
 	return p
 }
@@ -140,24 +139,6 @@ func (p *PMU) ReadDelta(ev Event) uint64 {
 		return 0
 	}
 	return cur - last
-}
-
-// Peek returns the delta accumulated since the last ReadDelta without
-// restarting the counter. Like ReadDelta it reports 0 (rather than an
-// underflow) when the source has regressed below the armed base; the base
-// is left untouched, so the next ReadDelta performs the re-arm.
-//
-// Peek is fault-transparent: it reads through the source's Peeker path when
-// available, so interleaving Peeks with ReadDeltas cannot advance a seeded
-// FaultSource's schedule or double-apply a per-read fault to one period.
-//
-//caer:hot
-func (p *PMU) Peek(ev Event) uint64 {
-	cur := p.peek(p.core, ev)
-	if cur < p.last[ev] {
-		return 0
-	}
-	return cur - p.last[ev]
 }
 
 // Sample is a set of per-event deltas captured by one periodic probe.
@@ -210,19 +191,6 @@ func (s *Sampler) Probe() Sample {
 	return sm
 }
 
-// History returns a copy of the recorded samples (nil unless recording).
-// Copying keeps callers from mutating recorded history or aliasing the
-// backing array a later Probe may append into; this is the cold export
-// path, so the allocation is acceptable.
-func (s *Sampler) History() []Sample {
-	if s.history == nil {
-		return nil
-	}
-	out := make([]Sample, len(s.history))
-	copy(out, s.history)
-	return out
-}
-
 // Series extracts one event's per-period values from the recorded history.
 func (s *Sampler) Series(ev Event) []float64 {
 	out := make([]float64, len(s.history))
@@ -231,6 +199,3 @@ func (s *Sampler) Series(ev Event) []float64 {
 	}
 	return out
 }
-
-// Periods returns the number of probes performed.
-func (s *Sampler) Periods() uint64 { return s.period }

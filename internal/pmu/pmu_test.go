@@ -98,12 +98,17 @@ func TestPMUEventsIndependent(t *testing.T) {
 	}
 }
 
+// peek reads ev on p's core through the side-effect-free path a Threshold
+// checks with: a read that must neither restart p's counter nor advance a
+// FaultSource's schedule.
+func peek(p *PMU, ev Event) uint64 { return resolvePeeker(p.src)(p.core, ev) }
+
 func TestPMUPeekDoesNotRestart(t *testing.T) {
 	src := newFakeSource()
 	p := New(src, 0)
 	src.bump(0, EventLLCMisses, 8)
-	if d := p.Peek(EventLLCMisses); d != 8 {
-		t.Errorf("Peek = %d, want 8", d)
+	if d := peek(p, EventLLCMisses) - p.last[EventLLCMisses]; d != 8 {
+		t.Errorf("peeked delta = %d, want 8", d)
 	}
 	if d := p.ReadDelta(EventLLCMisses); d != 8 {
 		t.Errorf("ReadDelta after Peek = %d, want 8", d)
@@ -149,8 +154,8 @@ func TestSamplerProbeAndHistory(t *testing.T) {
 	if sm.Period != 1 || sm.Values[EventLLCMisses] != 4 || sm.Values[EventInstrRetired] != 0 {
 		t.Errorf("second sample = %+v", sm)
 	}
-	if s.Periods() != 2 || len(s.History()) != 2 {
-		t.Errorf("periods=%d history=%d, want 2,2", s.Periods(), len(s.History()))
+	if s.period != 2 || len(s.history) != 2 {
+		t.Errorf("periods=%d history=%d, want 2,2", s.period, len(s.history))
 	}
 	series := s.Series(EventLLCMisses)
 	if len(series) != 2 || series[0] != 10 || series[1] != 4 {
@@ -163,7 +168,7 @@ func TestSamplerWithoutRecording(t *testing.T) {
 	s := NewSampler(New(src, 0), []Event{EventCycles}, false)
 	s.Probe()
 	s.Probe()
-	if s.History() != nil {
+	if s.history != nil {
 		t.Error("non-recording sampler kept history")
 	}
 	if got := s.Series(EventCycles); len(got) != 0 {

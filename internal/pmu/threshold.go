@@ -55,7 +55,6 @@ type Threshold struct {
 	sum   uint64
 	last  uint64
 	armed bool
-	fires uint64
 }
 
 // NewThreshold programs a trigger over src's counter on core. It panics on
@@ -75,21 +74,6 @@ func NewThreshold(src Source, core int, cfg ThresholdConfig) *Threshold {
 		ring:  make([]uint64, cfg.Window),
 	}
 }
-
-// Core returns the monitored core.
-func (t *Threshold) Core() int { return t.core }
-
-// Event returns the counted event.
-func (t *Threshold) Event() Event { return t.event }
-
-// Bound returns the firing bound.
-func (t *Threshold) Bound() uint64 { return t.bound }
-
-// Armed reports whether the trigger is armed (it disarms itself on fire).
-func (t *Threshold) Armed() bool { return t.armed }
-
-// Fires returns how many times the trigger has fired since construction.
-func (t *Threshold) Fires() uint64 { return t.fires }
 
 // Arm (re)bases the trigger at the counter's current value and clears the
 // window, so only counts accumulated from now on can fire it.
@@ -127,7 +111,6 @@ func (t *Threshold) Check() bool {
 	}
 	if t.sum >= t.bound {
 		t.armed = false
-		t.fires++
 		telemetry.PMUTriggerFires.Inc()
 		return true
 	}

@@ -32,9 +32,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// Len returns the number of data rows.
-func (t *Table) Len() int { return len(t.rows) }
-
 // Render writes the table with padded columns.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.header))

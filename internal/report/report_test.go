@@ -14,8 +14,8 @@ func TestTableRenderAlignment(t *testing.T) {
 	tab := NewTable("bench", "slowdown")
 	tab.AddRow("mcf", "1.36")
 	tab.AddRow("namd", "1.02")
-	if tab.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", tab.Len())
+	if len(tab.rows) != 2 {
+		t.Fatalf("Len = %d, want 2", len(tab.rows))
 	}
 	var sb strings.Builder
 	if err := tab.Render(&sb); err != nil {

@@ -26,7 +26,7 @@ func (s *Scheduler) Submit(j Job) int {
 	}
 	app, ok := s.appByName[j.Name]
 	if !ok {
-		app = s.classifier.AddApp(j.Name)
+		app = s.classifier.AddApp()
 		s.appByName[j.Name] = app
 	}
 	js := &jobState{

@@ -11,8 +11,6 @@ const classifierWindow = 32
 
 // appProfile is one application's online contention profile.
 type appProfile struct {
-	name string
-
 	// misses / reuses hold the last classifierWindow per-period samples:
 	// LLC misses (pressure the app puts on its domain) and LLC hits (reuse
 	// the app extracts from the shared cache, i.e. what it stands to lose
@@ -23,11 +21,10 @@ type appProfile struct {
 	// Hysteresis state for the binary LFOC-style classes. A class bit only
 	// flips after `hysteresis` consecutive periods beyond the watermark,
 	// so one noisy period cannot flap a placement decision.
-	aggressor       bool
-	sensitive       bool
-	aggrHi, aggrLo  int
-	sensHi, sensLo  int
-	observedPeriods uint64
+	aggressor      bool
+	sensitive      bool
+	aggrHi, aggrLo int
+	sensHi, sensLo int
 }
 
 // Classifier maintains per-application contention profiles from windowed
@@ -66,24 +63,17 @@ func NewClassifier(scale float64, hysteresis int) *Classifier {
 	return &Classifier{scale: scale, hysteresis: hysteresis}
 }
 
-// AddApp registers an application profile and returns its id. Apps sharing
-// a name (repeated jobs of the same program) should share an id so later
-// instances inherit the learned profile; the scheduler handles that
-// mapping. Registration allocates and must complete before observation.
-func (c *Classifier) AddApp(name string) int {
+// AddApp registers an application profile and returns its id. Repeated
+// jobs of the same program should share an id so later instances inherit
+// the learned profile; the scheduler keeps that mapping by name.
+// Registration allocates and must complete before observation.
+func (c *Classifier) AddApp() int {
 	c.apps = append(c.apps, appProfile{
-		name:   name,
 		misses: stats.NewWindow(classifierWindow),
 		reuses: stats.NewWindow(classifierWindow),
 	})
 	return len(c.apps) - 1
 }
-
-// Apps returns the number of registered profiles.
-func (c *Classifier) Apps() int { return len(c.apps) }
-
-// Name returns app's registered name.
-func (c *Classifier) Name(app int) string { return c.apps[app].name }
 
 // Observe records one sampling period for app: its LLC misses and LLC hits
 // (reuse) during the period. It runs every period for every placed app and
@@ -95,7 +85,6 @@ func (c *Classifier) Observe(app int, misses, hits float64) {
 	}
 	p.misses.Push(misses)
 	p.reuses.Push(hits)
-	p.observedPeriods++
 
 	aggr := c.normalize(p.misses.Mean())
 	if aggr >= classOnScore {
@@ -172,8 +161,3 @@ func (c *Classifier) Aggressor(app int) bool { return c.apps[app].aggressor }
 
 // Sensitive reports the hysteresis-filtered binary sensitive class.
 func (c *Classifier) Sensitive(app int) bool { return c.apps[app].sensitive }
-
-// ObservedPeriods returns how many periods app has been observed for.
-func (c *Classifier) ObservedPeriods(app int) uint64 {
-	return c.apps[app].observedPeriods
-}

@@ -6,8 +6,8 @@ import (
 
 func TestClassifierScoresSeparateAxes(t *testing.T) {
 	c := NewClassifier(100, 2)
-	aggr := c.AddApp("aggressor")
-	sens := c.AddApp("sensitive")
+	aggr := c.AddApp()
+	sens := c.AddApp()
 	for i := 0; i < 8; i++ {
 		c.Observe(aggr, 900, 10) // heavy miss pressure, no reuse
 		c.Observe(sens, 5, 400)  // light pressure, heavy L3 reuse
@@ -34,7 +34,7 @@ func TestClassifierScoresSeparateAxes(t *testing.T) {
 
 func TestClassifierHysteresisArming(t *testing.T) {
 	c := NewClassifier(100, 4)
-	app := c.AddApp("a")
+	app := c.AddApp()
 	for i := 0; i < 3; i++ {
 		c.Observe(app, 900, 0)
 		if c.Aggressor(app) {
@@ -49,7 +49,7 @@ func TestClassifierHysteresisArming(t *testing.T) {
 
 func TestClassifierHysteresisDisarm(t *testing.T) {
 	c := NewClassifier(100, 3)
-	app := c.AddApp("a")
+	app := c.AddApp()
 	for i := 0; i < 8; i++ {
 		c.Observe(app, 900, 0)
 	}
@@ -79,21 +79,18 @@ func TestClassifierHysteresisDisarm(t *testing.T) {
 
 func TestClassifierUnobservedApp(t *testing.T) {
 	c := NewClassifier(150, 8)
-	app := c.AddApp("new")
+	app := c.AddApp()
 	if c.Aggressiveness(app) != 0 || c.Sensitivity(app) != 0 {
 		t.Error("unobserved app must score 0 on both axes")
 	}
 	if c.Aggressor(app) || c.Sensitive(app) {
 		t.Error("unobserved app must not be classified")
 	}
-	if c.ObservedPeriods(app) != 0 {
-		t.Error("unobserved app has a nonzero period count")
-	}
 }
 
 func TestClassifierNegativeHitsClamped(t *testing.T) {
 	c := NewClassifier(100, 1)
-	app := c.AddApp("a")
+	app := c.AddApp()
 	c.Observe(app, 50, -25) // PMU skew: accesses delta < misses delta
 	if s := c.Sensitivity(app); s != 0 {
 		t.Errorf("sensitivity after negative hits = %v, want 0", s)
@@ -102,8 +99,8 @@ func TestClassifierNegativeHitsClamped(t *testing.T) {
 
 func TestClassifierVerdicts(t *testing.T) {
 	c := NewClassifier(100, 1)
-	app := c.AddApp("a")
-	if c.Name(app) != "a" || c.Apps() != 1 {
+	app := c.AddApp()
+	if app != 0 || len(c.apps) != 1 {
 		t.Error("classifier registry accessors wrong")
 	}
 }

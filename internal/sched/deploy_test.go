@@ -123,7 +123,7 @@ func TestRunScheduledDeterministic(t *testing.T) {
 	}
 	a, b := mk(), mk()
 	ra, rb := a.JobReports(), b.JobReports()
-	if a.LatencyReports()[0] != b.LatencyReports()[0] || a.Period() != b.Period() ||
+	if a.LatencyReports()[0] != b.LatencyReports()[0] || a.period != b.period ||
 		len(a.Decisions()) != len(b.Decisions()) || len(ra) != len(rb) {
 		t.Fatal("scheduled runs with equal seeds diverged")
 	}

@@ -46,7 +46,7 @@ func TestSchedulerHonoursSampling(t *testing.T) {
 	poll := newQuietSched(caer.DefaultConfig())
 	submitMix(poll, 6, 150_000)
 	poll.RunUntil(poll.Done, 20_000)
-	if st := poll.Pipeline().SamplingStats(); st.SkippedPeriods != 0 {
+	if st := poll.pipe.SamplingStats(); st.SkippedPeriods != 0 {
 		t.Fatalf("polling skipped %d periods", st.SkippedPeriods)
 	}
 	want := windowMissMean(poll, "lbm")
@@ -61,12 +61,12 @@ func TestSchedulerHonoursSampling(t *testing.T) {
 			if !s.Done() {
 				t.Fatalf("jobs did not drain: queue=%d running=%d", s.QueueLen(), len(s.running))
 			}
-			st := s.Pipeline().SamplingStats()
+			st := s.pipe.SamplingStats()
 			if st.Mode != mode || st.SkippedPeriods == 0 || st.WidestInterval < 2 {
 				t.Errorf("schedule never widened: %+v", st)
 			}
-			if st.ProbePeriods+st.SkippedPeriods != s.Period() {
-				t.Errorf("probed %d + skipped %d != %d periods", st.ProbePeriods, st.SkippedPeriods, s.Period())
+			if st.ProbePeriods+st.SkippedPeriods != s.period {
+				t.Errorf("probed %d + skipped %d != %d periods", st.ProbePeriods, st.SkippedPeriods, s.period)
 			}
 			for _, j := range s.jobs {
 				if j.stats.WatchdogTrips != 0 || j.stats.DegradedTicks != 0 {
@@ -94,14 +94,12 @@ func TestSchedulerAdmissionWakesSchedule(t *testing.T) {
 			cc := caer.DefaultConfig()
 			cc.Sampling = mode
 			s := newQuietSched(cc)
-			pipe := s.Pipeline()
+			pipe := s.pipe
 			for i := 0; i < 200 && pipe.SamplingStats().WidestInterval < cc.MaxProbeInterval; i++ {
 				s.Step()
 			}
-			if mode == caer.SamplingInterrupt && !pipe.Sleeping() {
-				t.Fatal("idle machine never went to sleep")
-			}
-			// Land the admission in the middle of a skipped stretch.
+			// Land the admission in the middle of a skipped stretch (under
+			// interrupt sampling a skipped period is a sleeping one).
 			for before := pipe.SamplingStats().ProbePeriods; pipe.SamplingStats().ProbePeriods == before; {
 				s.Step()
 			}
@@ -115,9 +113,6 @@ func TestSchedulerAdmissionWakesSchedule(t *testing.T) {
 			if pipe.SamplingStats().ProbePeriods != probes {
 				t.Fatal("admission period was itself a probe; the test needs a skipped one")
 			}
-			if pipe.Sleeping() {
-				t.Error("pipeline still asleep after an attach")
-			}
 			s.Step()
 			if got := pipe.SamplingStats().ProbePeriods; got != probes+1 {
 				t.Errorf("period after admission did not probe (%d -> %d)", probes, got)
@@ -125,8 +120,8 @@ func TestSchedulerAdmissionWakesSchedule(t *testing.T) {
 			if _, span := s.jobs[id].batch.Sample(); span != 1 {
 				t.Errorf("newcomer's first sample spans %d periods, want 1", span)
 			}
-			if s.classifier.ObservedPeriods(s.jobs[id].app) != 1 {
-				t.Errorf("classifier saw %d samples of the newcomer, want 1", s.classifier.ObservedPeriods(s.jobs[id].app))
+			if n := s.classifier.apps[s.jobs[id].app].misses.Len(); n != 1 {
+				t.Errorf("classifier saw %d samples of the newcomer, want 1", n)
 			}
 		})
 	}
@@ -148,12 +143,12 @@ func TestSchedulerRunningSetOrder(t *testing.T) {
 		s.Step()
 		for i := 1; i < len(s.running); i++ {
 			if s.running[i-1].id >= s.running[i].id {
-				t.Fatalf("period %d: running set out of job-id order at %d", s.Period(), i)
+				t.Fatalf("period %d: running set out of job-id order at %d", s.period, i)
 			}
 		}
 		for _, j := range s.running {
 			if j.state != JobRunning || j.batch == nil {
-				t.Fatalf("period %d: job %d in the running set is %v", s.Period(), j.id, j.state)
+				t.Fatalf("period %d: job %d in the running set is %v", s.period, j.id, j.state)
 			}
 		}
 	}
@@ -220,7 +215,7 @@ func TestStepEqualsArmRunControl(t *testing.T) {
 				halves.Control()
 				same := reflect.DeepEqual(whole.Decisions(), halves.Decisions()) &&
 					reflect.DeepEqual(whole.JobReports(), halves.JobReports()) &&
-					whole.Pipeline().SamplingStats() == halves.Pipeline().SamplingStats() &&
+					whole.pipe.SamplingStats() == halves.pipe.SamplingStats() &&
 					len(whole.running) == len(halves.running)
 				for i := 0; same && i < len(whole.running); i++ {
 					a, b := whole.running[i].batch, halves.running[i].batch

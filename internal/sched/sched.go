@@ -257,16 +257,6 @@ func New(m *machine.Machine, cfg Config) *Scheduler {
 	return s
 }
 
-// Pipeline exposes the detect/respond loop: its comm table, monitors and
-// sampling statistics (inspection and tests).
-func (s *Scheduler) Pipeline() *caer.Pipeline { return s.pipe }
-
-// Classifier exposes the online contention classifier.
-func (s *Scheduler) Classifier() *Classifier { return s.classifier }
-
-// Period returns the number of periods stepped so far.
-func (s *Scheduler) Period() uint64 { return s.period }
-
 // Migrations returns how many cross-domain job migrations occurred.
 func (s *Scheduler) Migrations() int { return s.migrations }
 
@@ -285,10 +275,6 @@ func (s *Scheduler) JobStateOf(job int) JobState { return s.jobs[job].state }
 // JobAdmittedPeriod returns the 1-based period job left the queue for a
 // core (0 = not yet admitted). Allocation-free.
 func (s *Scheduler) JobAdmittedPeriod(job int) uint64 { return s.jobs[job].admitted }
-
-// JobDonePeriod returns the 1-based period job completed in (0 = still
-// queued or running). Allocation-free.
-func (s *Scheduler) JobDonePeriod(job int) uint64 { return s.jobs[job].done }
 
 // LatencyApps returns the number of hosted latency-sensitive apps.
 //
@@ -320,7 +306,7 @@ func (s *Scheduler) AddLatency(name string, core int, proc *machine.Process) {
 		name:   name,
 		core:   core,
 		domain: domain,
-		app:    s.classifier.AddApp(name),
+		app:    s.classifier.AddApp(),
 		proc:   proc,
 		mon:    s.pipe.AddMonitor(name, core, domain),
 	})

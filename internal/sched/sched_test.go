@@ -272,7 +272,7 @@ func TestSchedulerMidRunSubmit(t *testing.T) {
 	if !s.Done() {
 		t.Fatalf("mid-run submission not drained: state=%v queue=%d", s.JobStateOf(late), s.QueueLen())
 	}
-	if s.JobDonePeriod(late) == 0 {
+	if s.jobs[late].done == 0 {
 		t.Error("mid-run submission has no completion period")
 	}
 }

@@ -32,9 +32,6 @@ type AlertReport struct {
 	Final         AlertState
 }
 
-// Fired returns how many episodes reached firing.
-func (r AlertReport) Fired() int { return len(r.Episodes) }
-
 // Replay evaluates objectives over every retained sample of a series (live
 // or parsed) and returns per-objective reports. This is the doctor's
 // entry point: the same Engine state machine, driven sample by sample,

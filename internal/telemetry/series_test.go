@@ -300,8 +300,8 @@ func TestSeriesDumpRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseSeries: %v\n%s", err, first)
 	}
-	if p.Samples() != s.Samples() || p.Capacity() != s.Capacity() {
-		t.Fatalf("parsed geometry %d/%d, want %d/%d", p.Samples(), p.Capacity(), s.Samples(), s.Capacity())
+	if p.Samples() != s.Samples() || p.cap != s.cap {
+		t.Fatalf("parsed geometry %d/%d, want %d/%d", p.Samples(), p.cap, s.Samples(), s.cap)
 	}
 
 	// Queries agree between live and parsed stores.

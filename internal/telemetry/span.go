@@ -142,9 +142,6 @@ func (r *SpanRecorder) Dropped() uint64 {
 	return 0
 }
 
-// Cap returns the ring capacity.
-func (r *SpanRecorder) Cap() int { return len(r.ring) }
-
 // Spans returns the retained spans oldest-first. Export path: allocates.
 func (r *SpanRecorder) Spans() []Span {
 	total := r.seq.Load()

@@ -306,7 +306,7 @@ func TestSpanRecordAllocs(t *testing.T) {
 }
 
 func TestHTTPHandler(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(HandlerWith(WriteSnapshot))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {

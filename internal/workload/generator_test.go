@@ -240,16 +240,16 @@ func TestPhasedCurrentPhaseAndReset(t *testing.T) {
 		{Gen: NewStream(100, 10, 1, 0), Duration: 2},
 	})
 	r := testRNG()
-	if p.CurrentPhase() != 0 {
+	if p.idx != 0 {
 		t.Error("fresh phased not in phase 0")
 	}
 	p.Next(r)
 	p.Next(r)
-	if p.CurrentPhase() != 1 {
-		t.Errorf("after phase-0 duration CurrentPhase = %d, want 1", p.CurrentPhase())
+	if p.idx != 1 {
+		t.Errorf("after phase-0 duration CurrentPhase = %d, want 1", p.idx)
 	}
 	p.Reset()
-	if p.CurrentPhase() != 0 {
+	if p.idx != 0 {
 		t.Error("Reset did not rewind phase index")
 	}
 	if got := p.Next(r).Addr; got != 0 {

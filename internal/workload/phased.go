@@ -56,9 +56,6 @@ func (p *Phased) Next(r *rand.Rand) Access {
 	return a
 }
 
-// CurrentPhase returns the index of the active phase.
-func (p *Phased) CurrentPhase() int { return p.idx }
-
 // Reset implements Resetter, rewinding to the first phase and resetting
 // children.
 func (p *Phased) Reset() {
