@@ -99,11 +99,11 @@ knobs=$(awk '/^exported config fields:/ { print $NF }' out/LOC.txt)
 # under -race at the last measurement).
 go test -race -timeout 30m -coverprofile=coverage.out ./...
 # Coverage ratchet: total statement coverage must not fall below
-# CAER_COVERAGE_MIN (default 88.5, one point under the measured baseline —
+# CAER_COVERAGE_MIN (default 88.6, one point under the measured baseline —
 # raise it as coverage grows, never lower it to absorb a regression).
 total=$(go tool cover -func=coverage.out | awk '/^total:/ { sub(/%/, "", $NF); print $NF }')
-awk -v t="$total" -v min="${CAER_COVERAGE_MIN:-88.5}" 'BEGIN { exit !(t+0 >= min+0) }' || {
-    echo "coverage gate: total $total% below CAER_COVERAGE_MIN=${CAER_COVERAGE_MIN:-88.5}%" >&2; exit 1; }
+awk -v t="$total" -v min="${CAER_COVERAGE_MIN:-88.6}" 'BEGIN { exit !(t+0 >= min+0) }' || {
+    echo "coverage gate: total $total% below CAER_COVERAGE_MIN=${CAER_COVERAGE_MIN:-88.6}%" >&2; exit 1; }
 # No vacuous tests in the simulator, control-loop and comm-table packages:
 # none of their tests is arch-, hardware- or short-gated (the one t.Skip
 # left, mem's allocation budget, is race-only; comm's re-exec helper went
@@ -122,6 +122,10 @@ go test -count=1 -v ./internal/runner ./internal/caer ./internal/comm ./internal
 go test -run='^$' -fuzz='^FuzzParseText$' -fuzztime=10s -fuzzminimizetime=100x ./internal/telemetry
 go test -run='^$' -fuzz='^FuzzParseSeries$' -fuzztime=10s -fuzzminimizetime=100x ./internal/telemetry
 go test -run='^$' -fuzz='^FuzzParseChromeTrace$' -fuzztime=10s -fuzzminimizetime=100x ./internal/telemetry
+# Series differential fuzz smoke: random observe/sample/reset/registration
+# sequences through telemetry.Series and the dense reference store in
+# series_ref_test, compared on every window query and the dump bytes.
+go test -run='^$' -fuzz='^FuzzSeriesSample$' -fuzztime=10s -fuzzminimizetime=100x ./internal/telemetry
 # Resize-path fuzz smoke: random partition op sequences (lookups, fills,
 # resizes, back-invalidations) against the model checker in fuzz_test —
 # fills stay inside the owner's mask, a resize drops nothing, the valid

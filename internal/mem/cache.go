@@ -67,7 +67,6 @@ type Cache struct {
 
 // Config describes a cache's geometry.
 type Config struct {
-	Name string
 	Sets int // must be a power of two
 	Ways int
 }
@@ -76,10 +75,10 @@ type Config struct {
 // misconfigured machine fails loudly at construction time.
 func NewCache(cfg Config) *Cache {
 	if cfg.Sets <= 0 || cfg.Sets&(cfg.Sets-1) != 0 {
-		panic(fmt.Sprintf("mem: cache %q sets must be a positive power of two, got %d", cfg.Name, cfg.Sets))
+		panic(fmt.Sprintf("mem: cache sets must be a positive power of two, got %d (ways %d)", cfg.Sets, cfg.Ways))
 	}
 	if cfg.Ways <= 0 || cfg.Ways > 64 {
-		panic(fmt.Sprintf("mem: cache %q ways must be in 1..64, got %d", cfg.Name, cfg.Ways))
+		panic(fmt.Sprintf("mem: cache ways must be in 1..64, got %d (sets %d)", cfg.Ways, cfg.Sets))
 	}
 	// Tags and stamps share one slab so that building a machine allocates
 	// no more often than it did with one struct per line. The bitmaps stay

@@ -7,7 +7,7 @@ import (
 )
 
 func newTestCache(sets, ways int) *Cache {
-	return NewCache(Config{Name: "test", Sets: sets, Ways: ways})
+	return NewCache(Config{Sets: sets, Ways: ways})
 }
 
 // hit, fill and holds drive a cache the way Hierarchy.Access does: hit is
@@ -263,7 +263,7 @@ func TestCacheInsertThenHitProperty(t *testing.T) {
 // BenchmarkCacheAccess times one cache's demand loop: a lookup, and an
 // insert on a miss, over a working set three times the cache's 8192 lines.
 func BenchmarkCacheAccess(b *testing.B) {
-	c := NewCache(Config{Name: "bench", Sets: 512, Ways: 16})
+	c := NewCache(Config{Sets: 512, Ways: 16})
 	rng := rand.New(rand.NewSource(1))
 	addrs := make([]uint64, 4096)
 	for i := range addrs {

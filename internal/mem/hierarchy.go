@@ -136,11 +136,11 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 		l3Way:       make([][]uint8, cfg.Cores),
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		h.l1[i] = NewCache(Config{Name: fmt.Sprintf("L1.%d", i), Sets: cfg.L1Sets, Ways: cfg.L1Ways})
-		h.l2[i] = NewCache(Config{Name: fmt.Sprintf("L2.%d", i), Sets: cfg.L2Sets, Ways: cfg.L2Ways})
+		h.l1[i] = NewCache(Config{Sets: cfg.L1Sets, Ways: cfg.L1Ways})
+		h.l2[i] = NewCache(Config{Sets: cfg.L2Sets, Ways: cfg.L2Ways})
 		h.l3Way[i] = make([]uint8, h.l2[i].LineCount())
 	}
-	h.l3 = NewCache(Config{Name: "L3", Sets: cfg.L3Sets, Ways: cfg.L3Ways})
+	h.l3 = NewCache(Config{Sets: cfg.L3Sets, Ways: cfg.L3Ways})
 	h.coreValid = make([]uint64, h.l3.LineCount())
 	return h
 }

@@ -205,7 +205,7 @@ func TestL2HintsProtectPrivateCacheResidents(t *testing.T) {
 }
 
 func TestCacheRefresh(t *testing.T) {
-	c := NewCache(Config{Name: "r", Sets: 1, Ways: 2})
+	c := NewCache(Config{Sets: 1, Ways: 2})
 	fill(c, 0, 0, false)
 	fill(c, 1, 0, false)
 	// Refresh line 0 so line 1 becomes the LRU victim.

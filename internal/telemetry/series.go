@@ -4,13 +4,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Series is the telemetry time-series store (observability v2): a
 // fixed-capacity ring per registered metric, sampled once per sampling
 // period straight from the registry's lock-free handles. Counters are
 // stored as per-period deltas, gauges as per-period points, histograms as
-// per-period bucket deltas plus a sum delta. Sample is the per-period hot
+// a log of each period's non-zero bucket deltas plus its sum delta, so a
+// histogram's store grows with what was observed rather than with
+// capacity × buckets. Sample is the per-period hot
 // path and is allocation-free once the track table is built; late metric
 // registrations are absorbed by the cold extend barrier on the next
 // Sample. The two windowed queries, RateAt (counters) and OverShareAt
@@ -50,10 +53,7 @@ type TrackInfo struct {
 }
 
 // seriesTrack is one metric's ring. Counters and gauges use values;
-// histograms use rows (per-period sparse bucket deltas flattened into
-// cap*(buckets+2) cells: cell 0 is the underflow delta, cells 1..buckets
-// the in-range buckets, cell buckets+1 the overflow delta) plus sums (the
-// per-period sum delta).
+// histograms use a log of per-period words (see log) indexed by ends.
 type seriesTrack struct {
 	m *metric
 
@@ -62,41 +62,76 @@ type seriesTrack struct {
 	// values holds counter deltas or gauge points, cap entries.
 	values []float64
 
-	// histogram state.
-	lastBuckets []uint64 // previous cumulative counts, buckets+2 entries
+	// histogram state: the previous cumulative cells (cell 0 the
+	// underflow, cells 1..buckets the in-range buckets, cell buckets+1
+	// the overflow), the count and reset epoch they were read at, and the
+	// previous sum.
+	lastBuckets []uint64
+	lastN       uint64
+	lastResets  uint64
 	lastSum     float64
-	rows        []uint32  // cap * (buckets+2) per-period deltas
-	sums        []float64 // cap per-period sum deltas
-	// live holds one bit per ring slot: set when the slot's row has a
-	// non-zero cell. Most periods see no observation, so window scans
-	// (OverShareAt, once per objective per period) skip on it.
-	live []uint64
+	// log holds the retained periods oldest first: a period that saw a
+	// non-zero cell delta or a non-zero sum delta is one word of sum-delta
+	// bits followed by a cell<<32|delta word for each non-zero cell in
+	// increasing cell order; any other period has no words. The word with
+	// sequence number q lives at log[q&(len(log)-1)] (the length is a
+	// power of two), and a period's words are dropped first-in first-out
+	// as the ring overwrites its slot.
+	log []uint64
+	// ends holds, per ring slot, the sequence number just past that
+	// period's words, so a slot is live iff its word count is non-zero;
+	// head is where the oldest retained period's words start and tail is
+	// the next free sequence number.
+	ends       []uint32
+	head, tail uint32
 }
 
-// rowWidth is the histogram row stride: under + buckets + over.
-func (t *seriesTrack) rowWidth() int { return len(t.lastBuckets) }
+// histLogMin is a live histogram track's initial log length in words:
+// enough for a ring of short windows with one observation a period, so
+// most tracks never grow.
+const histLogMin = 64
 
-// newHistRings allocates a histogram track's rings: slots periods of
-// buckets+2 cells.
-func (t *seriesTrack) newHistRings(slots, buckets int) {
-	w := buckets + 2
-	t.lastBuckets = make([]uint64, w)
-	t.rows = make([]uint32, slots*w)
-	t.sums = make([]float64, slots)
-	t.live = make([]uint64, (slots+63)/64)
-}
-
-// setLive records whether ring slot idx holds a non-zero row.
-func (t *seriesTrack) setLive(idx int, live bool) {
-	if live {
-		t.live[idx/64] |= 1 << (idx % 64)
-	} else {
-		t.live[idx/64] &^= 1 << (idx % 64)
+// logLen returns the power-of-two log length that holds n words.
+func logLen(n int) int {
+	l := 1
+	for l < n {
+		l *= 2
 	}
+	return l
 }
 
-// isLive reports whether ring slot idx holds a non-zero row.
-func (t *seriesTrack) isLive(idx int) bool { return t.live[idx/64]&(1<<(idx%64)) != 0 }
+// put writes word at sequence number q, growing the log first when q
+// would land on a retained word.
+func (t *seriesTrack) put(q uint32, word uint64) {
+	if q-t.head >= uint32(len(t.log)) {
+		t.grow(q)
+	}
+	t.log[q&uint32(len(t.log)-1)] = word
+}
+
+// putCell writes cell's delta at q when it is non-zero and returns the
+// next free sequence number. The delta is truncated to 32 bits, so a
+// cell that moved backwards (a Reset) records its wrapped difference.
+func (t *seriesTrack) putCell(q uint32, cell int, d uint64) uint32 {
+	if uint32(d) == 0 {
+		return q
+	}
+	t.put(q, uint64(cell)<<32|uint64(uint32(d)))
+	return q + 1
+}
+
+// grow doubles the log until it holds the words [head, q] and moves the
+// words [head, q) to their places under the new length.
+//
+//caer:cold amortized log growth: the log doubles until it holds the busiest retained window, then the sample path stops growing it
+func (t *seriesTrack) grow(q uint32) {
+	n := logLen(max(2*len(t.log), int(q-t.head)+1))
+	log := make([]uint64, n)
+	for p := t.head; p != q; p++ {
+		log[p&uint32(n-1)] = t.log[p&uint32(len(t.log)-1)]
+	}
+	t.log = log
+}
 
 // NewSeries builds a time-series store over reg retaining the most recent
 // capacity samples per metric. Every metric registered at construction
@@ -179,14 +214,18 @@ func (s *Series) extend() {
 		case KindGauge:
 			t.values = make([]float64, s.cap)
 		case KindHistogram:
-			t.newHistRings(s.cap, len(m.h.buckets))
-			w := t.rowWidth()
-			t.lastBuckets[0] = m.h.under.Load()
-			for i := range m.h.buckets {
-				t.lastBuckets[i+1] = m.h.buckets[i].Load()
+			h := m.h
+			w := len(h.buckets) + 2
+			t.lastBuckets = make([]uint64, w)
+			t.ends = make([]uint32, s.cap)
+			t.log = make([]uint64, histLogMin)
+			t.lastN, t.lastResets = h.count.Load(), h.resets.Load()
+			t.lastBuckets[0] = h.under.Load()
+			for i := range h.buckets {
+				t.lastBuckets[i+1] = h.buckets[i].Load()
 			}
-			t.lastBuckets[w-1] = m.h.over.Load()
-			t.lastSum = m.h.Sum()
+			t.lastBuckets[w-1] = h.over.Load()
+			t.lastSum = h.Sum()
 		default:
 			panic(fmt.Sprintf("telemetry: unknown metric kind %d", int(m.kind)))
 		}
@@ -208,15 +247,17 @@ func (s *Series) Sample() {
 		s.extend()
 	}
 	idx := s.samples % s.cap
+	wrapped := s.samples >= s.cap
 	for i := range s.tracks {
-		s.sampleTrack(&s.tracks[i], idx)
+		s.sampleTrack(&s.tracks[i], idx, wrapped)
 	}
 	s.samples++
 	s.samplesTotal.Inc()
 }
 
-// sampleTrack records one track's period sample into ring slot idx.
-func (s *Series) sampleTrack(t *seriesTrack, idx int) {
+// sampleTrack records one track's period sample into ring slot idx,
+// which held a retained period (now dropped) when wrapped is set.
+func (s *Series) sampleTrack(t *seriesTrack, idx int, wrapped bool) {
 	switch t.m.kind {
 	case KindCounter:
 		v := t.m.c.Value()
@@ -226,29 +267,38 @@ func (s *Series) sampleTrack(t *seriesTrack, idx int) {
 	case KindGauge:
 		t.values[idx] = t.m.g.Value()
 	case KindHistogram:
-		h := t.m.h
-		w := len(t.lastBuckets)
-		row := t.rows[idx*w : (idx+1)*w]
-		// seen ORs the row's deltas together: zero iff the period saw nothing.
-		u := h.under.Load()
-		seen := uint32(u - t.lastBuckets[0])
-		row[0] = seen
-		t.lastBuckets[0] = u
-		for b := range h.buckets {
-			v := h.buckets[b].Load()
-			d := uint32(v - t.lastBuckets[b+1])
-			row[b+1] = d
-			seen |= d
-			t.lastBuckets[b+1] = v
+		if wrapped {
+			t.head = t.ends[idx]
 		}
-		o := h.over.Load()
-		d := uint32(o - t.lastBuckets[w-1])
-		row[w-1] = d
-		t.lastBuckets[w-1] = o
-		t.setLive(idx, seen|d != 0)
+		h := t.m.h
+		// Cells go after the period's sum word, which is written last and
+		// only if the period has a word at all.
+		q := t.tail + 1
+		// Without a Reset the count only grows, so an unchanged count and
+		// reset epoch mean no cell moved: the scan would write nothing.
+		if n, r := h.count.Load(), h.resets.Load(); n != t.lastN || r != t.lastResets {
+			t.lastN, t.lastResets = n, r
+			last := t.lastBuckets
+			u := h.under.Load()
+			q = t.putCell(q, 0, u-last[0])
+			last[0] = u
+			for b := range h.buckets {
+				v := h.buckets[b].Load()
+				q = t.putCell(q, b+1, v-last[b+1])
+				last[b+1] = v
+			}
+			o := h.over.Load()
+			q = t.putCell(q, len(last)-1, o-last[len(last)-1])
+			last[len(last)-1] = o
+		}
 		sum := h.Sum()
-		t.sums[idx] = sum - t.lastSum
+		d := math.Float64bits(sum - t.lastSum)
 		t.lastSum = sum
+		if q != t.tail+1 || d != 0 {
+			t.put(t.tail, d)
+			t.tail = q
+		}
+		t.ends[idx] = t.tail
 	default:
 		panic(fmt.Sprintf("telemetry: unknown metric kind %d", int(t.m.kind)))
 	}
@@ -306,30 +356,40 @@ func (s *Series) OverShareAt(t TrackRef, end, window int, bound float64) float64
 		panic(fmt.Sprintf("telemetry: OverShareAt on %v track %s", tr.m.kind, tr.m.name))
 	}
 	h := tr.m.h
-	w := tr.rowWidth()
 	// First in-range bucket whose lower edge is at or above the bound.
 	firstBad := len(h.buckets)
 	if bound <= h.min {
 		firstBad = 0
 	} else if bound < h.max {
-		firstBad = int((bound-h.min)/h.width + 0.9999999999)
+		firstBad = min(int((bound-h.min)/h.width+0.9999999999), len(h.buckets))
 	}
+	// Cell 0 is the underflow (never bad: it sits at min), cell b+1 is
+	// in-range bucket b, and the overflow cell (always bad) follows them.
+	badFrom := uint64(firstBad + 1)
 	lo, hi := s.clampWindow(end, window)
+	if hi <= lo {
+		return 0
+	}
+	mask := uint32(len(tr.log) - 1)
 	var bad, total uint64
+	q := tr.head // where sample lo's words start
+	if lo > s.FirstRetained() {
+		q = tr.ends[(lo-1)%s.cap]
+	}
+	idx := lo % s.cap
 	for i := lo; i < hi; i++ {
-		idx := i % s.cap
-		if !tr.isLive(idx) {
-			continue
-		}
-		row := tr.rows[idx*w : (idx+1)*w]
-		for b, d := range row {
-			total += uint64(d)
-			// row cell 0 is the underflow bucket (never bad: it sits at
-			// min); cells 1..buckets map to in-range buckets 0..buckets-1;
-			// the last cell is overflow (always bad).
-			if b == w-1 || (b > 0 && b-1 >= firstBad) {
-				bad += uint64(d)
+		if e := tr.ends[idx]; e != q {
+			for q++; q != e; q++ { // past the sum word, over the cells
+				w := tr.log[q&mask]
+				d := w & math.MaxUint32
+				total += d
+				if w>>32 >= badFrom {
+					bad += d
+				}
 			}
+		}
+		if idx++; idx == s.cap {
+			idx = 0
 		}
 	}
 	if total == 0 {
@@ -390,18 +450,20 @@ func (s *Series) WriteDump(w io.Writer) error {
 			tj.Min, tj.Max, tj.Buckets = h.min, h.max, len(h.buckets)
 			tj.Rows = make([][]uint32, retained)
 			tj.Sums = make([]float64, retained)
-			width := tr.rowWidth()
+			mask := uint32(len(tr.log) - 1)
+			q := tr.head
 			for k := 0; k < retained; k++ {
-				idx := (first + k) % s.cap
-				row := tr.rows[idx*width : (idx+1)*width]
+				e := tr.ends[(first+k)%s.cap]
+				if e == q {
+					continue
+				}
+				tj.Sums[k] = math.Float64frombits(tr.log[q&mask])
 				var sparse []uint32
-				for c, v := range row {
-					if v != 0 {
-						sparse = append(sparse, uint32(c), v)
-					}
+				for q++; q != e; q++ {
+					w := tr.log[q&mask]
+					sparse = append(sparse, uint32(w>>32), uint32(w))
 				}
 				tj.Rows[k] = sparse
-				tj.Sums[k] = tr.sums[idx]
 			}
 		default:
 			panic(fmt.Sprintf("telemetry: unknown metric kind %d", int(tr.m.kind)))
@@ -480,26 +542,32 @@ func ParseSeries(r io.Reader) (*Series, error) {
 			// The parsed metric carries a real (empty) histogram so the
 			// geometry-dependent queries work on the parsed series.
 			m.h = NewHistogram(tj.Min, tj.Max, tj.Buckets)
-			t.newHistRings(d.Capacity, tj.Buckets)
-			width := t.rowWidth()
+			width := tj.Buckets + 2
+			// The words go in sample order from sequence number 0, as a
+			// live store lays them out; a period gets words exactly when a
+			// live one would have written them.
+			var words []uint64
+			t.ends = make([]uint32, d.Capacity)
 			for k, sparse := range tj.Rows {
 				if len(sparse)%2 != 0 {
 					return nil, fmt.Errorf("telemetry: track %s row %d has odd sparse pair list", tj.Name, k)
 				}
-				idx := (d.First + k) % d.Capacity
-				row := t.rows[idx*width : (idx+1)*width]
+				if sum := math.Float64bits(tj.Sums[k]); len(sparse) > 0 || sum != 0 {
+					words = append(words, sum)
+				}
 				lastCell := -1
 				for p := 0; p < len(sparse); p += 2 {
 					cell, delta := int(sparse[p]), sparse[p+1]
 					if cell >= width || cell <= lastCell || delta == 0 {
 						return nil, fmt.Errorf("telemetry: track %s row %d cell %d out of order or range", tj.Name, k, cell)
 					}
-					row[cell] = delta
+					words = append(words, uint64(cell)<<32|uint64(delta))
 					lastCell = cell
 				}
-				t.setLive(idx, len(sparse) > 0) // every listed delta is non-zero
-				t.sums[idx] = tj.Sums[k]
+				t.ends[(d.First+k)%d.Capacity] = uint32(len(words))
 			}
+			t.log = make([]uint64, logLen(len(words)))
+			t.tail = uint32(copy(t.log, words))
 		default:
 			return nil, fmt.Errorf("telemetry: track %s has unknown kind %q", tj.Name, tj.Kind)
 		}

@@ -2,9 +2,11 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestSeriesCounterDeltas(t *testing.T) {
@@ -103,9 +105,17 @@ func TestSeriesHistogramWindows(t *testing.T) {
 	if got := s.OverShareAt(ref, s.Samples(), 1, 50); got != 0 {
 		t.Fatalf("OverShareAt of empty window = %v, want 0", got)
 	}
-	// Each period's sum delta (what WriteDump carries beside the rows).
+	// Each period's sum delta, as WriteDump carries it beside the rows.
+	var buf bytes.Buffer
+	if err := s.WriteDump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var d seriesJSON
+	if err := json.Unmarshal(buf.Bytes(), &d); err != nil {
+		t.Fatal(err)
+	}
 	for i, want := range []float64{10 * 5, 5*5 + 5*75, 1000, 0} {
-		if got := s.tracks[ref].sums[i]; got != want {
+		if got := d.Tracks[ref].Sums[i]; got != want {
 			t.Fatalf("period %d sum delta = %v, want %v", i, got, want)
 		}
 	}
@@ -177,64 +187,46 @@ func TestSeriesQueryAllocFree(t *testing.T) {
 	}
 }
 
-// refOverShareAt is OverShareAt as it was before rows carried a live bit:
-// the naive scan of every cell of every row in the window.
-func refOverShareAt(s *Series, t TrackRef, end, window int, bound float64) float64 {
-	tr := &s.tracks[t]
-	h := tr.m.h
-	w := tr.rowWidth()
-	firstBad := len(h.buckets)
-	if bound <= h.min {
-		firstBad = 0
-	} else if bound < h.max {
-		firstBad = int((bound-h.min)/h.width + 0.9999999999)
-	}
-	lo, hi := s.clampWindow(end, window)
-	var bad, total uint64
-	for i := lo; i < hi; i++ {
-		row := tr.rows[(i%s.cap)*w : (i%s.cap+1)*w]
-		for b, d := range row {
-			total += uint64(d)
-			if b == w-1 || (b > 0 && b-1 >= firstBad) {
-				bad += uint64(d)
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(bad) / float64(total)
-}
-
-// TestOverShareMatchesFullScan pins the empty-row skip: on random rings —
-// mostly idle periods, unwrapped and wrapped several times over, capacities
-// on both sides of the bitmap's word size, a track registered late — every
-// window query equals the naive full scan, for the live store and for its
-// WriteDump -> ParseSeries copy (whose live bits ParseSeries rebuilds), with
-// `end` before, inside and past the retained window.
+// TestOverShareMatchesFullScan pins the log walk against the dense
+// reference's full scan: on random rings — mostly idle periods, unwrapped
+// and wrapped several times over, capacities from 1 to 130, a track
+// registered late — every window query equals the scan of every cell of
+// every row, for the live store and for its WriteDump -> ParseSeries copy
+// (whose log ParseSeries rebuilds), with `end` before, inside and past the
+// retained window.
 func TestOverShareMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 60; round++ {
 		capacity := 1 + rng.Intn(130)
-		reg := NewRegistry()
-		early := reg.Histogram("caer_test_latency", "latency", 10, 110, 1+rng.Intn(20), "svc", "early")
-		s := NewSeries(reg, capacity)
-		var late *Histogram
+		var regs [2]*Registry
+		var early, late [2]*Histogram
+		buckets := 1 + rng.Intn(20)
+		for i := range regs {
+			regs[i] = NewRegistry()
+			early[i] = regs[i].Histogram("caer_test_latency", "latency", 10, 110, buckets, "svc", "early")
+		}
+		s := NewSeries(regs[0], capacity)
+		ref := newRefSeries(regs[1], capacity)
 		periods := rng.Intn(3*capacity + 2)
 		idle := rng.Float64()
 		for p := 0; p < periods; p++ {
-			if late == nil && rng.Intn(capacity+1) == 0 {
-				late = reg.Histogram("caer_test_latency", "latency", 0, 64, 8, "svc", "late")
+			if late[0] == nil && rng.Intn(capacity+1) == 0 {
+				for i := range regs {
+					late[i] = regs[i].Histogram("caer_test_latency", "latency", 0, 64, 8, "svc", "late")
+				}
 			}
-			for _, h := range []*Histogram{early, late} {
-				if h == nil || rng.Float64() < idle {
+			for _, hs := range [][2]*Histogram{early, late} {
+				if hs[0] == nil || rng.Float64() < idle {
 					continue
 				}
 				for n := rng.Intn(4); n >= 0; n-- {
-					h.Observe(rng.Float64()*140 - 10) // under, in range and over
+					v := rng.Float64()*140 - 10 // under, in range and over
+					hs[0].Observe(v)
+					hs[1].Observe(v)
 				}
 			}
 			s.Sample()
+			ref.Sample()
 		}
 		var buf bytes.Buffer
 		if err := s.WriteDump(&buf); err != nil {
@@ -248,22 +240,56 @@ func TestOverShareMatchesFullScan(t *testing.T) {
 			if info.Kind != KindHistogram {
 				continue
 			}
-			ref := TrackRef(ti)
+			tr := TrackRef(ti)
 			for q := 0; q < 40; q++ {
 				end := rng.Intn(periods+capacity+2) - capacity/2
 				window := rng.Intn(2*capacity + 2)
 				bound := rng.Float64()*140 - 10
-				want := refOverShareAt(s, ref, end, window, bound)
-				if got := s.OverShareAt(ref, end, window, bound); got != want {
+				want := ref.OverShareAt(tr, end, window, bound)
+				if got := s.OverShareAt(tr, end, window, bound); got != want {
 					t.Fatalf("round %d (cap %d, %d periods) %s%s: OverShareAt(end %d, window %d, bound %v) = %v, full scan %v",
 						round, capacity, periods, info.Name, info.Labels, end, window, bound, got, want)
 				}
-				if got := parsed.OverShareAt(ref, end, window, bound); got != want {
+				if got := parsed.OverShareAt(tr, end, window, bound); got != want {
 					t.Fatalf("round %d (cap %d, %d periods) %s%s: parsed OverShareAt(end %d, window %d, bound %v) = %v, live full scan %v",
 						round, capacity, periods, info.Name, info.Labels, end, window, bound, got, want)
 				}
 			}
 		}
+	}
+}
+
+// seriesBytes is the store's footprint: the bytes of every slice it
+// holds, read from their capacities.
+func seriesBytes(s *Series) int {
+	n := cap(s.tracks) * int(unsafe.Sizeof(seriesTrack{}))
+	for i := range s.tracks {
+		t := &s.tracks[i]
+		n += 8*cap(t.values) + 8*cap(t.lastBuckets) + 8*cap(t.log) + 4*cap(t.ends)
+	}
+	return n
+}
+
+// TestSeriesFootprint pins that a histogram's store grows with its
+// observations, not with capacity × buckets: the SLO battery's geometry
+// (capacity 1<<15, a 256-bucket and a 64-bucket histogram) over a full
+// ring with one observation every 30 periods fits in 1 MB, counter and
+// gauge rings included. Dense rows of buckets+2 cells a period would
+// take 42.5 MB.
+func TestSeriesFootprint(t *testing.T) {
+	reg := NewRegistry()
+	wide := reg.Histogram("caer_test_sojourn", "sojourn", 0, 4096, 256)
+	narrow := reg.Histogram("caer_test_latency", "latency", 0, 64, 64)
+	s := NewSeries(reg, 1<<15)
+	for p := 0; p < 1<<15; p++ {
+		if p%30 == 0 {
+			wide.Observe(float64(p % 4096))
+			narrow.Observe(float64(p % 64))
+		}
+		s.Sample()
+	}
+	if got := seriesBytes(s); got > 1<<20 {
+		t.Fatalf("series holds %d bytes after %d samples, want <= 1 MB", got, s.Samples())
 	}
 }
 

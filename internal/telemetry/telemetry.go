@@ -103,7 +103,10 @@ type Histogram struct {
 	over     atomic.Uint64
 	count    atomic.Uint64
 	sumBits  atomic.Uint64
-	self     *atomic.Uint64
+	// resets counts Reset calls, so a reader that saw count unchanged can
+	// tell "nothing observed" from "reset and refilled to the same count".
+	resets atomic.Uint64
+	self   *atomic.Uint64
 }
 
 // unregisteredOps takes the op counts of histograms no registry owns.
@@ -224,6 +227,7 @@ func (h *Histogram) Reset() {
 	h.over.Store(0)
 	h.count.Store(0)
 	h.sumBits.Store(0)
+	h.resets.Add(1)
 }
 
 // EachBucket calls f with every bucket's upper edge and cumulative count
